@@ -444,32 +444,9 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None):
 
 def _refines(coarse, fine):
     """True when every leaf of ``fine`` lies in (or is) a leaf of ``coarse``."""
-    if coarse.forest is not fine.forest:
-        return False
-    coarse_set = set(int(n) for n in coarse.node_ids)
-    parent = fine.forest._parent
-    cache = {}
-    for nid in fine.node_ids:
-        cur = int(nid)
-        path = []
-        while True:
-            hit = cache.get(cur)
-            if hit is not None:
-                break
-            if cur in coarse_set:
-                hit = True
-                break
-            path.append(cur)
-            nxt = int(parent[cur])
-            if nxt < 0:
-                hit = False
-                break
-            cur = nxt
-        for nn in path:
-            cache[nn] = hit
-        if not hit:
-            return False
-    return True
+    return coarse.forest is fine.forest and bool(
+        fine.forest.covered(fine.node_ids, coarse.node_ids).all()
+    )
 
 
 def transfer(sol, finer):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,11 +49,16 @@ _INT_COLUMNS = frozenset(("ell", "n_elements", "n_vertices", "n_marked", "n_refi
 
 
 class AfemRunError(RuntimeError):
-    """A solver failed mid-run; ``trace`` holds the partial record."""
+    """A phase of the loop failed mid-run.
 
-    def __init__(self, message, trace):
+    ``phase`` names it (solve, transfer, estimate, mark, refine, audit or
+    reference) and ``trace`` holds the partial record.
+    """
+
+    def __init__(self, message, trace, phase):
         super().__init__(message)
         self.trace = trace
+        self.phase = phase
 
 
 @dataclass
@@ -221,8 +227,15 @@ def _run_loop(
     meshes, solutions, reports = [], [], []
     previous = None
 
-    def _partial_trace():
-        return _rows_to_trace(rows, meta)
+    @contextmanager
+    def _phase(name):
+        try:
+            yield
+        except Exception as exc:
+            meta["aborted"] = str(exc)
+            raise AfemRunError(
+                f"{name} failed at iteration {ell}: {exc}", _rows_to_trace(rows, meta), name
+            ) from exc
 
     meta = {
         "problem": problem.name,
@@ -237,22 +250,21 @@ def _run_loop(
 
     for ell in range(max_iterations + 1):
         tic = time.perf_counter()
-        try:
+        with _phase("solve"):
             sol, system = _solve_on(mesh, problem, previous)
-        except Exception as exc:
-            meta["aborted"] = str(exc)
-            raise AfemRunError(f"solver failed at iteration {ell}: {exc}", _partial_trace()) from exc
         if previous is not None:
-            moved = transfer(previous, mesh)
-            diff = sol.values - moved.values
-            rows[-1]["grad_diff_sq"] = grad_norm_sq(mesh, diff)
-            if isinstance(problem, LinearProblem):
-                d = diff[system.interior]
-                rows[-1]["energy_diff_sq"] = max(0.0, float(d @ (system.matrix @ d)))
-            else:
-                _, dl_sq = energy_products(mesh, problem, sol, moved)
-                rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
-        report = estimate(mesh, sol, problem)
+            with _phase("transfer"):
+                moved = transfer(previous, mesh)
+                diff = sol.values - moved.values
+                rows[-1]["grad_diff_sq"] = grad_norm_sq(mesh, diff)
+                if isinstance(problem, LinearProblem):
+                    d = diff[system.interior]
+                    rows[-1]["energy_diff_sq"] = max(0.0, float(d @ (system.matrix @ d)))
+                else:
+                    _, dl_sq = energy_products(mesh, problem, sol, moved)
+                    rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
+        with _phase("estimate"):
+            report = estimate(mesh, sol, problem)
         rows.append(
             {
                 "ell": float(ell),
@@ -280,20 +292,23 @@ def _run_loop(
             or ell == max_iterations
         )
         if not stop:
-            try:
-                marked = mark_fn(report)
-            except AllZeroIndicators:
-                stop = True
+            with _phase("mark"):
+                try:
+                    marked = mark_fn(report)
+                except AllZeroIndicators:
+                    stop = True
         if stop:
             rows[-1]["wall_time_s"] = time.perf_counter() - tic
             previous = sol
             break
 
-        refined_mesh, record = refine_nvb(mesh, marked)
+        with _phase("refine"):
+            refined_mesh, record = refine_nvb(mesh, marked)
         records.append(record)
         if audit:
-            audit_refinement(mesh, refined_mesh, record)
-            gamma = shape_regularity(refined_mesh)
+            with _phase("audit"):
+                audit_refinement(mesh, refined_mesh, record)
+                gamma = shape_regularity(refined_mesh)
             gamma_max = max(gamma_max, gamma)
         rows[-1]["n_marked"] = float(len(record.marked))
         rows[-1]["n_refined"] = float(len(record.refined))
@@ -308,10 +323,11 @@ def _run_loop(
 
     reference = None
     if compute_reference:
-        reference = build_reference(problem, mesh, previous, levels=reference_levels)
-        for k, sol_k in enumerate(solutions):
-            moved = transfer(sol_k, reference.mesh)
-            rows[k]["err_energy_sq"] = _energy_error_sq(problem, reference, moved.values)
+        with _phase("reference"):
+            reference = build_reference(problem, mesh, previous, levels=reference_levels)
+            for k, sol_k in enumerate(solutions):
+                moved = transfer(sol_k, reference.mesh)
+                rows[k]["err_energy_sq"] = _energy_error_sq(problem, reference, moved.values)
         meta["noise_floor_err_sq"] = rows[-1]["err_energy_sq"]
 
     trace = _rows_to_trace(rows, meta)
@@ -638,8 +654,8 @@ def check_discrete_reliability(trace, min_extra=0):
 
 def discrete_reliability_ratio(coarse_mesh, fine_mesh, coarse_report, coarse_sol, fine_sol):
     """Single-pair discrete reliability ratio (0 when nothing was refined)."""
-    fine_set = set(int(n) for n in fine_mesh.node_ids)
-    refined = [k for k, nid in enumerate(coarse_mesh.node_ids) if int(nid) not in fine_set]
+    kept = fine_mesh.forest.covered(coarse_mesh.node_ids, fine_mesh.node_ids)
+    refined = np.flatnonzero(~kept)
     denom = local_sum(coarse_report, refined)
     if denom == 0.0:
         return 0.0

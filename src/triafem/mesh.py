@@ -13,6 +13,14 @@ overlays (coarsest common refinements) are computed on the binary trees
 instead of by geometric intersection, nodal prolongation between nested
 meshes follows midpoint creation records, and structural audits (son areas,
 generations, boundary flags) can be checked for every node ever created.
+
+Refinement, audit and ancestry queries are array operations over the
+forest, with no Python loop over elements, nodes or edges: the closure runs
+as a frontier loop over edge marks, all sons and midpoints of one refinement
+are created in bulk, the audit walks the new genealogy edges one generation
+per pass, and :meth:`MeshForest.covered` is the one ancestry primitive.
+Bulk creation keeps the order of the per-element bisection it replaced, so
+node ids, vertex ids and element order are those of that scalar code.
 """
 
 from __future__ import annotations
@@ -21,6 +29,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+
+# midpoint table key of edge (lo, hi): lo * _KEY_BASE + hi; vertex ids stay below it
+_KEY_BASE = np.int64(2**31)
 
 
 class MeshError(ValueError):
@@ -48,7 +60,9 @@ class MeshForest:
     """Genealogy ledger shared by all meshes refined from one initial mesh.
 
     Vertices and triangle nodes are append-only; node ids and vertex ids
-    are stable, so a mesh is just a selection of leaf node ids.
+    are stable, so a mesh is just a selection of leaf node ids. Midpoint
+    vertices are found through one sorted table of int64 edge keys
+    ``lo * 2**31 + hi``, shared by every mesh of the forest.
     """
 
     __slots__ = (
@@ -59,10 +73,10 @@ class MeshForest:
         "_tri",
         "_parent",
         "_gen",
-        "_root",
         "_sons",
         "_nn",
-        "_midpoint",
+        "_mid_keys",
+        "_mid_gids",
     )
 
     def __init__(self, coords, triangles):
@@ -79,11 +93,10 @@ class MeshForest:
         self._tri[:nn] = triangles
         self._parent = np.full(max(2 * nn, 16), -1, dtype=np.int64)
         self._gen = np.zeros(max(2 * nn, 16), dtype=np.int64)
-        self._root = np.empty(max(2 * nn, 16), dtype=np.int64)
-        self._root[:nn] = np.arange(nn)
         self._sons = np.full((max(2 * nn, 16), 2), -1, dtype=np.int64)
         self._nn = nn
-        self._midpoint = {}
+        self._mid_keys = np.empty(0, dtype=np.int64)
+        self._mid_gids = np.empty(0, dtype=np.int64)
 
     # -- growth helpers -------------------------------------------------
 
@@ -116,7 +129,7 @@ class MeshForest:
         sons = np.full((new_cap, 2), -1, dtype=np.int64)
         sons[: self._nn] = self._sons[: self._nn]
         self._sons = sons
-        for name in ("_parent", "_gen", "_root"):
+        for name in ("_parent", "_gen"):
             old = getattr(self, name)
             grown = np.empty(new_cap, dtype=old.dtype)
             grown[: self._nn] = old[: self._nn]
@@ -153,9 +166,6 @@ class MeshForest:
     def node_generation(self, nids):
         return self._gen[nids]
 
-    def node_root(self, nids):
-        return self._root[nids]
-
     def node_area(self, nids):
         tri = self._tri[nids]
         p0 = self._coords[tri[..., 0]]
@@ -166,55 +176,87 @@ class MeshForest:
             - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0])
         )
 
+    def covered(self, nids, leaves):
+        """Per node of ``nids``: is it, or one of its ancestors, in ``leaves``?
+
+        Walks all nodes up one generation per pass against a boolean mask
+        of the leaf set; a node leaves the walk at a hit or at its root.
+        """
+        in_leaves = np.zeros(self._nn, dtype=bool)
+        in_leaves[leaves] = True
+        cur = np.array(nids, dtype=np.int64)
+        hit = in_leaves[cur]
+        open_ = np.flatnonzero(~hit)
+        while open_.size:
+            up = self._parent[cur[open_]]
+            has_parent = up >= 0
+            open_, up = open_[has_parent], up[has_parent]
+            cur[open_] = up
+            found = in_leaves[up]
+            hit[open_[found]] = True
+            open_ = open_[~found]
+        return hit
+
     # -- mutation (refinement only) ---------------------------------------
 
-    def midpoint(self, ga, gb, on_boundary):
-        """Vertex id of the midpoint of edge (ga, gb), creating it if needed.
+    def midpoints(self, pairs, on_boundary):
+        """Vertex ids of the midpoints of edges ``pairs`` (rows ``lo < hi``).
 
-        The lookup table is shared across all meshes of the forest, so two
-        meshes bisecting the same edge agree on the new vertex.
+        Missing midpoints are created, with ids in order of their first
+        row; ``on_boundary`` flags each row's edge. The key table is
+        shared across all meshes of the forest, so two meshes bisecting
+        the same edge agree on the new vertex.
         """
-        key = (ga, gb) if ga < gb else (gb, ga)
-        gid = self._midpoint.get(key)
-        if gid is not None:
-            return gid
-        self._ensure_vertex_capacity(1)
-        gid = self._nv
-        self._coords[gid] = 0.5 * (self._coords[ga] + self._coords[gb])
-        self._vparent[gid, 0] = key[0]
-        self._vparent[gid, 1] = key[1]
-        self._vboundary[gid] = on_boundary
-        self._nv += 1
-        self._midpoint[key] = gid
-        return gid
+        keys = pairs[:, 0] * _KEY_BASE + pairs[:, 1]
+        table = self._mid_keys
+        pos = np.searchsorted(table, keys)
+        found = pos < table.size
+        found[found] = table[pos[found]] == keys[found]
+        out = np.empty(keys.size, dtype=np.int64)
+        out[found] = self._mid_gids[pos[found]]
+        missing = np.flatnonzero(~found)
+        new_keys, first, inverse = np.unique(
+            keys[missing], return_index=True, return_inverse=True
+        )
+        n = new_keys.size
+        if n == 0:
+            return out
+        order = np.argsort(first)
+        new_gids = np.empty(n, dtype=np.int64)
+        new_gids[order] = self._nv + np.arange(n)
+        out[missing] = new_gids[inverse]
 
-    def _add_node(self, triple, parent):
-        self._ensure_node_capacity(1)
-        nid = self._nn
-        self._tri[nid] = triple
-        self._parent[nid] = parent
-        self._gen[nid] = self._gen[parent] + 1
-        self._root[nid] = self._root[parent]
-        self._nn += 1
-        return nid
+        rows = missing[first[order]]
+        self._ensure_vertex_capacity(n)
+        span = slice(self._nv, self._nv + n)
+        lo, hi = pairs[rows, 0], pairs[rows, 1]
+        self._coords[span] = 0.5 * (self._coords[lo] + self._coords[hi])
+        self._vparent[span] = pairs[rows]
+        self._vboundary[span] = on_boundary[rows]
+        self._nv += n
+        at = np.searchsorted(table, new_keys)
+        self._mid_keys = np.insert(table, at, new_keys)
+        self._mid_gids = np.insert(self._mid_gids, at, new_gids)
+        return out
 
-    def bisect(self, nid, ref_on_boundary):
-        """Son node ids of ``nid``, creating them on first use.
+    def split(self, targets, triples, gens, mids):
+        """Append the sons ``(c, a, m)`` and ``(b, c, m)`` of every target.
 
-        Bisection of a node is deterministic (midpoint of its reference
-        edge), so sons are shared between all meshes of the forest; a
-        second branch bisecting the same element receives the same ids.
+        ``triples`` holds each target's ``(a, b, c)``, ``gens`` its
+        generation and ``mids`` the midpoint ``m`` of its reference edge.
+        The sons of the k-th target get ids ``n_nodes + 2k`` and
+        ``n_nodes + 2k + 1``, so a target may be a son made by this call.
         """
-        sons = self._sons[nid]
-        if sons[0] >= 0:
-            return int(sons[0]), int(sons[1])
-        a, b, c = (int(v) for v in self._tri[nid])
-        m = self.midpoint(a, b, ref_on_boundary)
-        son_a = self._add_node((c, a, m), nid)
-        son_b = self._add_node((b, c, m), nid)
-        self._sons[nid, 0] = son_a
-        self._sons[nid, 1] = son_b
-        return son_a, son_b
+        k = targets.size
+        self._ensure_node_capacity(2 * k)
+        span = slice(self._nn, self._nn + 2 * k)
+        a, b, c = triples.T
+        sons = np.stack([np.column_stack([c, a, mids]), np.column_stack([b, c, mids])], axis=1)
+        self._tri[span] = sons.reshape(-1, 3)
+        self._parent[span] = np.repeat(targets, 2)
+        self._gen[span] = np.repeat(gens + 1, 2)
+        self._sons[targets] = np.arange(span.start, span.stop).reshape(k, 2)
+        self._nn += 2 * k
 
 
 class Mesh:
@@ -250,13 +292,17 @@ class Mesh:
 
     @cached_property
     def vertex_gids(self):
-        g = np.unique(self.tri_gids)
+        used = np.zeros(self.forest.n_vertices, dtype=bool)
+        used[self.tri_gids] = True
+        g = np.flatnonzero(used)
         g.setflags(write=False)
         return g
 
     @cached_property
     def triangles(self):
-        t = np.searchsorted(self.vertex_gids, self.tri_gids)
+        local = np.empty(self.forest.n_vertices, dtype=np.int64)
+        local[self.vertex_gids] = np.arange(self.vertex_gids.size)
+        t = local[self.tri_gids]
         t.setflags(write=False)
         return t
 
@@ -299,24 +345,27 @@ class Mesh:
     @cached_property
     def _edge_data(self):
         t = self.triangles
-        pairs = np.stack(
-            [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1
-        ).reshape(-1, 2)
-        pairs = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
+        nv = self.n_vertices
+        pairs = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = np.minimum(pairs[:, 0], pairs[:, 1]) * nv + np.maximum(pairs[:, 0], pairs[:, 1])
+        # one stable sort of the 1-D edge keys groups the three slots of
+        # every triangle by edge, in triangle order
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        edges = np.column_stack([keys[starts] // nv, keys[starts] % nv])
         tri_edges = inverse.reshape(-1, 3)
-        counts = np.bincount(inverse, minlength=edges.shape[0])
+        counts = np.diff(starts, append=keys.size)
         if np.any(counts > 2):
             raise MeshError("non-conforming mesh: edge shared by more than two triangles")
-        order = np.argsort(inverse, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(counts)])
         edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-        first = order[starts[:-1]]
-        edge_tris[:, 0] = first // 3
+        edge_tris[:, 0] = order[starts] // 3
         has_two = counts == 2
-        second = order[starts[:-1][has_two] + 1]
-        edge_tris[has_two, 1] = second // 3
+        edge_tris[has_two, 1] = order[starts[has_two] + 1] // 3
         return edges, tri_edges, edge_tris, counts
 
     @property
@@ -483,6 +532,27 @@ def _finish_initial(coords, triangles, boundary):
     return mesh
 
 
+def _close(edge_marked, ref_edge, edge_tris, max_passes):
+    """Close the edge marks to conformity, in place.
+
+    Every triangle touching a marked edge gets its reference edge marked,
+    one frontier of newly marked edges per pass. Each pass marks the
+    reference edge of at least one more triangle, so with ``max_passes``
+    set to the triangle count a closure that needs more passes is a logic
+    error; it fails loudly instead of looping.
+    """
+    frontier = np.flatnonzero(edge_marked)
+    passes = 0
+    while frontier.size:
+        passes += 1
+        if passes > max_passes:
+            raise MeshError("closure exceeded its step budget; refinement logic error")
+        tris = edge_tris[frontier].ravel()
+        reached = ref_edge[tris[tris >= 0]]
+        frontier = np.unique(reached[~edge_marked[reached]])
+        edge_marked[frontier] = True
+
+
 def refine_nvb(mesh, marked):
     """Bisect the marked triangles and close the mesh to conformity.
 
@@ -491,6 +561,11 @@ def refine_nvb(mesh, marked):
     until the edge set is compatible, then all triangles are split in one
     pass (into 2, 3 or 4 sons depending on how many of their edges are
     marked). Returns the refined mesh and a :class:`RefinementRecord`.
+
+    Nodes and vertices are created in bulk, in the order of bisection
+    events per refined triangle (ascending): the triangle itself, then son
+    A if its edge 2 is marked, then son B if its edge 1 is marked. Sons
+    and midpoints that already exist in the forest are reused.
     """
     nt = mesh.n_elements
     if isinstance(marked, (set, frozenset)):
@@ -498,70 +573,69 @@ def refine_nvb(mesh, marked):
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked[0] < 0 or marked[-1] >= nt):
         raise MeshError("marked triangle index out of range")
-    record_empty = RefinementRecord(
-        marked=frozenset(), refined=frozenset(), sons_of={}, nt_before=nt, nt_after=nt
-    )
     if marked.size == 0:
-        return mesh, record_empty
+        return mesh, RefinementRecord(
+            marked=frozenset(), refined=frozenset(), sons_of={}, nt_before=nt, nt_after=nt
+        )
 
     edges, tri_edges, edge_tris, counts = mesh._edge_data
     ref_edge = tri_edges[:, 0]
     edge_marked = np.zeros(edges.shape[0], dtype=bool)
-
-    # closure: any triangle touching a marked edge must have its reference
-    # edge marked; worklist with a hard step budget to fail loudly instead
-    # of looping on a logic bug
-    stack = []
-
-    def _mark(e):
-        if not edge_marked[e]:
-            edge_marked[e] = True
-            stack.append(e)
-
-    for t in marked:
-        _mark(ref_edge[t])
-    budget = 4 * nt
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > budget:
-            raise MeshError("closure exceeded its step budget; refinement logic error")
-        e = stack.pop()
-        for t in edge_tris[e]:
-            if t >= 0:
-                _mark(ref_edge[t])
+    edge_marked[ref_edge[marked]] = True
+    _close(edge_marked, ref_edge, edge_tris, max_passes=nt)
 
     pattern = edge_marked[tri_edges]
     any_marked = pattern.any(axis=1)
-    refined_idx = np.nonzero(any_marked)[0]
+    refined_idx = np.flatnonzero(any_marked)
     kept_ids = mesh.node_ids[~any_marked]
-
+    split_a = pattern[refined_idx, 2]
+    split_b = pattern[refined_idx, 1]
     forest = mesh.forest
-    new_ids = list(kept_ids)
-    sons_of = {}
-    for t in refined_idx:
-        e0, e1, e2 = tri_edges[t]
-        nid = int(mesh.node_ids[t])
-        first = len(new_ids)
-        # son A = (c, a, m) carries old edge (c, a) as its reference edge,
-        # son B = (b, c, m) carries (b, c); a marked carried edge splits
-        # the son once more
-        son_a, son_b = forest.bisect(nid, counts[e0] == 1)
-        if pattern[t, 2]:
-            new_ids.extend(forest.bisect(son_a, counts[e2] == 1))
-        else:
-            new_ids.append(son_a)
-        if pattern[t, 1]:
-            new_ids.extend(forest.bisect(son_b, counts[e1] == 1))
-        else:
-            new_ids.append(son_b)
-        sons_of[int(t)] = tuple(range(first, len(new_ids)))
+    nid = mesh.node_ids[refined_idx]
+    tri = forest.node_triple(nid)
+    a, b, c = tri.T
 
-    refined_mesh = Mesh(forest, np.array(new_ids, dtype=np.int64))
+    # bisection events, in order: (element, kind) with kind 0 = the element
+    # at edge 0, 1 = son A = (c, a, m) at edge 2, 2 = son B = (b, c, m) at edge 1
+    ev_t, ev_kind = np.nonzero(np.column_stack([np.ones_like(split_a), split_a, split_b]))
+    ev_edge = tri_edges[refined_idx[ev_t], np.array([0, 2, 1])[ev_kind]]
+    mids = forest.midpoints(mesh.vertex_gids[edges[ev_edge]], counts[ev_edge] == 1)
+    m0 = mids[ev_kind == 0]
+
+    # an event creates two sons unless its target node already has them;
+    # a son of an element without sons does not exist yet (id -1)
+    old_sons = forest._sons[nid]
+    known = np.column_stack([nid, old_sons])[ev_t, ev_kind]
+    creating = (known < 0) | (forest._sons[known, 0] < 0)
+    first_new = forest.n_nodes + 2 * (np.cumsum(creating) - 1)
+    sons = old_sons.copy()
+    fresh = (ev_kind == 0) & creating
+    sons[ev_t[fresh]] = first_new[fresh, None] + np.array([0, 1])
+    targets = np.column_stack([nid, sons])[ev_t, ev_kind]
+    target_tri = np.stack(
+        [tri, np.column_stack([c, a, m0]), np.column_stack([b, c, m0])], axis=1
+    )[ev_t, ev_kind]
+    target_gen = forest.node_generation(nid)[ev_t] + (ev_kind > 0)
+    forest.split(targets[creating], target_tri[creating], target_gen[creating], mids[creating])
+
+    # leaves per refined element: son A or its two sons, then son B or its two sons
+    leaves = np.full((refined_idx.size, 2, 2), -1, dtype=np.int64)
+    for side, split in ((0, split_a), (1, split_b)):
+        leaves[:, side, 0] = sons[:, side]
+        leaves[split, side] = forest._sons[sons[split, side]]
+    leaves = leaves[leaves >= 0]
+    new_ids = np.concatenate([kept_ids, leaves])
+    n_sons = 2 + split_a + split_b
+    ends = kept_ids.size + np.cumsum(n_sons)
+    starts = ends - n_sons
+
+    refined_mesh = Mesh(forest, new_ids)
     record = RefinementRecord(
-        marked=frozenset(int(t) for t in marked),
-        refined=frozenset(int(t) for t in refined_idx),
-        sons_of=sons_of,
+        marked=frozenset(marked.tolist()),
+        refined=frozenset(refined_idx.tolist()),
+        sons_of=dict(
+            zip(refined_idx.tolist(), map(tuple, map(range, starts.tolist(), ends.tolist())))
+        ),
         nt_before=nt,
         nt_after=refined_mesh.n_elements,
     )
@@ -575,35 +649,6 @@ def uniform_refine(mesh, times=1):
     return mesh
 
 
-def _covered(source, target_leafset, forest):
-    """Leaves of ``source`` that lie inside (or equal) a leaf of the target set."""
-    out = []
-    cache = {}
-    parent = forest._parent
-    for nid in source:
-        nid = int(nid)
-        path = []
-        cur = nid
-        while True:
-            hit = cache.get(cur)
-            if hit is not None:
-                break
-            if cur in target_leafset:
-                hit = True
-                break
-            path.append(cur)
-            nxt = int(parent[cur])
-            if nxt < 0:
-                hit = False
-                break
-            cur = nxt
-        for n in path:
-            cache[n] = hit
-        if hit:
-            out.append(nid)
-    return out
-
-
 def overlay(m1, m2):
     """Coarsest common refinement of two meshes from the same initial mesh.
 
@@ -613,15 +658,11 @@ def overlay(m1, m2):
     """
     if m1.forest is not m2.forest:
         raise MeshError("genealogy mismatch: meshes do not share an initial triangulation")
-    set1 = set(int(n) for n in m1.node_ids)
-    set2 = set(int(n) for n in m2.node_ids)
-    ids = _covered(m1.node_ids, set2, m1.forest)
-    seen = set(ids)
-    for nid in _covered(m2.node_ids, set1, m1.forest):
-        if nid not in seen:
-            ids.append(nid)
-            seen.add(nid)
-    return Mesh(m1.forest, np.array(ids, dtype=np.int64))
+    forest = m1.forest
+    from_m1 = m1.node_ids[forest.covered(m1.node_ids, m2.node_ids)]
+    from_m2 = m2.node_ids[forest.covered(m2.node_ids, m1.node_ids)]
+    from_m2 = from_m2[~np.isin(from_m2, m1.node_ids)]
+    return Mesh(forest, np.concatenate([from_m1, from_m2]))
 
 
 def shape_regularity(mesh):
@@ -655,35 +696,32 @@ def audit_refinement(old_mesh, new_mesh, record):
 
     Verifies conformity of the result, the two-sons inequality
     ``#refined <= #new - #old``, exact area halving along every new
-    genealogy edge, and generation increments of one per bisection.
+    genealogy edge, and generation increments of one per bisection. The
+    genealogy edges are walked up from the new leaves, one generation per
+    pass, until the old leaves are reached.
     """
     new_mesh.validate()
     if len(record.refined) > record.nt_after - record.nt_before:
         raise MeshError("refined elements exceed the element-count growth")
     forest = new_mesh.forest
-    old_set = set(int(n) for n in old_mesh.node_ids)
-    fresh = [int(n) for n in new_mesh.node_ids if int(n) not in old_set]
-    seen = set()
-    stack = list(fresh)
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        parent = int(forest.node_parent(nid))
-        if parent < 0 or nid in old_set:
-            continue
-        a_child = float(forest.node_area(nid))
-        a_parent = float(forest.node_area(parent))
-        if abs(a_child - 0.5 * a_parent) > 1e-12 * a_parent:
+    seen = np.zeros(forest.n_nodes, dtype=bool)
+    seen[old_mesh.node_ids] = True
+    nodes = new_mesh.node_ids[~seen[new_mesh.node_ids]]
+    seen[nodes] = True
+    while nodes.size:
+        parents = forest.node_parent(nodes)
+        has_parent = parents >= 0
+        nodes, parents = nodes[has_parent], parents[has_parent]
+        a_child = forest.node_area(nodes)
+        a_parent = forest.node_area(parents)
+        if np.any(np.abs(a_child - 0.5 * a_parent) > 1e-12 * a_parent):
             raise MeshError("bisection did not halve the element area")
-        if int(forest.node_generation(nid)) != int(forest.node_generation(parent)) + 1:
+        if np.any(forest.node_generation(nodes) != forest.node_generation(parents) + 1):
             raise MeshError("son generation is not parent generation + 1")
-        if parent not in old_set:
-            stack.append(parent)
-    for t, sons in record.sons_of.items():
-        if len(sons) < 2:
-            raise MeshError("refined triangle with fewer than two sons")
+        nodes = np.unique(parents[~seen[parents]])
+        seen[nodes] = True
+    if min(map(len, record.sons_of.values()), default=2) < 2:
+        raise MeshError("refined triangle with fewer than two sons")
 
 
 # -- plain-text mesh files --------------------------------------------------

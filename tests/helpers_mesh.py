@@ -1,0 +1,194 @@
+"""Scalar reference implementation of the mesh core, kept as a test oracle.
+
+This is the element-by-element refinement the array code in
+``triafem.mesh`` replaced: a worklist closure, per-element bisection and a
+Python dict of midpoints; plus the pairwise edge table and the cached
+per-node ancestry walk. The oracle mutates its own forest, which must not
+be refined by the array code as well (its midpoint table stays empty).
+"""
+
+import numpy as np
+
+from triafem.mesh import Mesh, MeshError, RefinementRecord
+
+
+class ScalarForest:
+    """Scalar bisection on a :class:`MeshForest`, midpoints in a dict."""
+
+    def __init__(self, forest):
+        self.forest = forest
+        self.midpoint_of = {}
+
+    def midpoint(self, ga, gb, on_boundary):
+        f = self.forest
+        key = (ga, gb) if ga < gb else (gb, ga)
+        gid = self.midpoint_of.get(key)
+        if gid is not None:
+            return gid
+        f._ensure_vertex_capacity(1)
+        gid = f._nv
+        f._coords[gid] = 0.5 * (f._coords[ga] + f._coords[gb])
+        f._vparent[gid, 0] = key[0]
+        f._vparent[gid, 1] = key[1]
+        f._vboundary[gid] = on_boundary
+        f._nv += 1
+        self.midpoint_of[key] = gid
+        return gid
+
+    def _add_node(self, triple, parent):
+        f = self.forest
+        f._ensure_node_capacity(1)
+        nid = f._nn
+        f._tri[nid] = triple
+        f._parent[nid] = parent
+        f._gen[nid] = f._gen[parent] + 1
+        f._nn += 1
+        return nid
+
+    def bisect(self, nid, ref_on_boundary):
+        f = self.forest
+        sons = f._sons[nid]
+        if sons[0] >= 0:
+            return int(sons[0]), int(sons[1])
+        a, b, c = (int(v) for v in f._tri[nid])
+        m = self.midpoint(a, b, ref_on_boundary)
+        son_a = self._add_node((c, a, m), nid)
+        son_b = self._add_node((b, c, m), nid)
+        f._sons[nid, 0] = son_a
+        f._sons[nid, 1] = son_b
+        return son_a, son_b
+
+
+def edge_data(mesh):
+    """Edge table from a pairwise ``np.unique(axis=0)``."""
+    t = mesh.triangles
+    pairs = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
+    pairs = np.sort(pairs, axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    tri_edges = inverse.reshape(-1, 3)
+    counts = np.bincount(inverse, minlength=edges.shape[0])
+    order = np.argsort(inverse, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = order[starts[:-1]] // 3
+    has_two = counts == 2
+    edge_tris[has_two, 1] = order[starts[:-1][has_two] + 1] // 3
+    return edges, tri_edges, edge_tris, counts
+
+
+def refine(scalar, mesh, marked):
+    """Worklist closure and per-element bisection on ``scalar``'s forest."""
+    assert mesh.forest is scalar.forest
+    nt = mesh.n_elements
+    marked = np.unique(np.asarray(sorted(marked), dtype=np.int64))
+    if marked.size == 0:
+        return mesh, RefinementRecord(
+            marked=frozenset(), refined=frozenset(), sons_of={}, nt_before=nt, nt_after=nt
+        )
+    edges, tri_edges, edge_tris, counts = edge_data(mesh)
+    ref_edge = tri_edges[:, 0]
+    edge_marked = np.zeros(edges.shape[0], dtype=bool)
+    stack = []
+
+    def _mark(e):
+        if not edge_marked[e]:
+            edge_marked[e] = True
+            stack.append(e)
+
+    for t in marked:
+        _mark(ref_edge[t])
+    steps = 0
+    while stack:
+        steps += 1
+        if steps > 4 * nt:
+            raise MeshError("closure exceeded its step budget; refinement logic error")
+        e = stack.pop()
+        for t in edge_tris[e]:
+            if t >= 0:
+                _mark(ref_edge[t])
+
+    pattern = edge_marked[tri_edges]
+    any_marked = pattern.any(axis=1)
+    refined_idx = np.nonzero(any_marked)[0]
+    new_ids = list(mesh.node_ids[~any_marked])
+    sons_of = {}
+    for t in refined_idx:
+        e0, e1, e2 = tri_edges[t]
+        first = len(new_ids)
+        son_a, son_b = scalar.bisect(int(mesh.node_ids[t]), counts[e0] == 1)
+        if pattern[t, 2]:
+            new_ids.extend(scalar.bisect(son_a, counts[e2] == 1))
+        else:
+            new_ids.append(son_a)
+        if pattern[t, 1]:
+            new_ids.extend(scalar.bisect(son_b, counts[e1] == 1))
+        else:
+            new_ids.append(son_b)
+        sons_of[int(t)] = tuple(range(first, len(new_ids)))
+
+    refined_mesh = Mesh(scalar.forest, np.array(new_ids, dtype=np.int64))
+    record = RefinementRecord(
+        marked=frozenset(int(t) for t in marked),
+        refined=frozenset(int(t) for t in refined_idx),
+        sons_of=sons_of,
+        nt_before=nt,
+        nt_after=refined_mesh.n_elements,
+    )
+    return refined_mesh, record
+
+
+def covered(source, target_leafset, forest):
+    """Leaves of ``source`` that lie inside (or equal) a leaf of the target set."""
+    out = []
+    cache = {}
+    parent = forest._parent
+    for nid in source:
+        nid = int(nid)
+        path = []
+        cur = nid
+        while True:
+            hit = cache.get(cur)
+            if hit is not None:
+                break
+            if cur in target_leafset:
+                hit = True
+                break
+            path.append(cur)
+            nxt = int(parent[cur])
+            if nxt < 0:
+                hit = False
+                break
+            cur = nxt
+        for n in path:
+            cache[n] = hit
+        if hit:
+            out.append(nid)
+    return out
+
+
+def overlay_ids(m1, m2):
+    """Node ids of the overlay, by the per-node walk of :func:`covered`."""
+    set1 = set(int(n) for n in m1.node_ids)
+    set2 = set(int(n) for n in m2.node_ids)
+    ids = covered(m1.node_ids, set2, m1.forest)
+    seen = set(ids)
+    for nid in covered(m2.node_ids, set1, m1.forest):
+        if nid not in seen:
+            ids.append(nid)
+            seen.add(nid)
+    return np.array(ids, dtype=np.int64)
+
+
+def forest_arrays(forest):
+    """Every ledger array, cut to its used length."""
+    nn, nv = forest.n_nodes, forest.n_vertices
+    return {
+        "_tri": forest._tri[:nn],
+        "_parent": forest._parent[:nn],
+        "_gen": forest._gen[:nn],
+        "_sons": forest._sons[:nn],
+        "_coords": forest._coords[:nv],
+        "_vparent": forest._vparent[:nv],
+        "_vboundary": forest._vboundary[:nv],
+    }

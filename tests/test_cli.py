@@ -98,6 +98,27 @@ def test_failing_check_gives_nonzero_exit(tmp_path):
     assert failures and failures[0]["check"] == "convergence"
 
 
+def test_run_failure_writes_partial_trace(tmp_path, monkeypatch):
+    from triafem import driver
+    from triafem.mesh import MeshError
+
+    def broken_audit(old_mesh, new_mesh, record):
+        raise MeshError("bisection did not halve the element area")
+
+    monkeypatch.setattr(driver, "audit_refinement", broken_audit)
+    out = tmp_path / "broken"
+    config = parse_config(
+        ["--problem", "square_smooth", "--theta", "0.5", "--max-elements", "200",
+         "--out", str(out)]
+    )
+    assert execute(config) == 1
+    trace_lines = (out / "trace.csv").read_text().strip().splitlines()
+    assert len(trace_lines) == 2  # header plus the iteration that refined
+    assert "audit failed at iteration 0" in (out / "report.txt").read_text()
+    failures = json.loads((out / "failures.json").read_text())
+    assert failures[0]["check"] == "run"
+
+
 def test_max_elements_below_initial_mesh(tmp_path):
     config = parse_config(
         ["--problem", "lshape_poisson", "--theta", "0.5", "--max-elements", "2",

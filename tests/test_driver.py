@@ -18,7 +18,8 @@ from triafem.driver import (
     run_uniform,
     synthetic_trace,
 )
-from triafem.mesh import refine_nvb, uniform_refine
+from triafem import driver
+from triafem.mesh import MeshError, refine_nvb, uniform_refine
 from triafem.problems import builtin_problem
 
 
@@ -171,6 +172,19 @@ def test_solver_failure_aborts_with_partial_trace():
     with pytest.raises(AfemRunError) as err:
         run_afem(flaky, 0.5, max_elements=5000)
     assert len(err.value.trace) >= 1
+    assert err.value.phase in ("solve", "estimate")
+
+
+def test_audit_failure_names_its_phase(monkeypatch):
+    def broken_audit(old_mesh, new_mesh, record):
+        raise MeshError("bisection did not halve the element area")
+
+    monkeypatch.setattr(driver, "audit_refinement", broken_audit)
+    with pytest.raises(AfemRunError, match="audit failed at iteration 0") as err:
+        run_afem(builtin_problem("square_smooth"), 0.5, max_elements=200)
+    assert err.value.phase == "audit"
+    assert len(err.value.trace) == 1
+    assert "halve" in err.value.trace.meta["aborted"]
 
 
 def test_quasi_orthogonality_requires_reference():

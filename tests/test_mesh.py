@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from triafem.mesh import (
+    Mesh,
     MeshError,
+    _close,
     audit_refinement,
     closure_audit,
     load_initial_mesh,
@@ -313,3 +317,56 @@ def test_random_refinements_stay_conforming():
         audit_refinement(mesh, new_mesh, record)
         mesh = new_mesh
     assert mesh.areas.sum() == pytest.approx(area0)
+
+
+def _refined_single_triangle():
+    mesh = single_triangle()
+    refined, record = refine_nvb(mesh, {0})
+    audit_refinement(mesh, refined, record)
+    return mesh, refined, record
+
+
+def test_audit_rejects_unhalved_area():
+    mesh, refined, record = _refined_single_triangle()
+    fresh_mesh = Mesh(refined.forest, refined.node_ids)  # no cached geometry
+    new_gid = np.setdiff1d(refined.vertex_gids, mesh.vertex_gids)[0]
+    # slide the midpoint along the hypotenuse: still conforming, areas 0.255 / 0.245
+    refined.forest._coords[new_gid] += (0.01, -0.01)
+    with pytest.raises(MeshError, match="halve"):
+        audit_refinement(mesh, fresh_mesh, record)
+
+
+def test_audit_rejects_generation_jump():
+    mesh, refined, record = _refined_single_triangle()
+    refined.forest._gen[refined.node_ids[0]] += 1
+    with pytest.raises(MeshError, match="generation"):
+        audit_refinement(mesh, refined, record)
+
+
+def test_audit_rejects_refined_beyond_growth():
+    mesh, refined, record = _refined_single_triangle()
+    inflated = dataclasses.replace(record, refined=frozenset({0, 1}))
+    with pytest.raises(MeshError, match="growth"):
+        audit_refinement(mesh, refined, inflated)
+
+
+def test_audit_rejects_single_son():
+    mesh, refined, record = _refined_single_triangle()
+    one_son = dataclasses.replace(record, sons_of={0: (0,)})
+    with pytest.raises(MeshError, match="fewer than two sons"):
+        audit_refinement(mesh, refined, one_son)
+
+
+def test_closure_pass_bound():
+    mesh = uniform_refine(unit_square_mesh(), 1)
+    mesh, _ = refine_nvb(mesh, {0})
+    # the reference edge of triangle 3 forces one more edge: two passes
+    _, tri_edges, edge_tris, _ = mesh._edge_data
+    ref_edge = tri_edges[:, 0]
+    seeded = np.zeros(mesh.edges.shape[0], dtype=bool)
+    seeded[ref_edge[3]] = True
+    closed = seeded.copy()
+    _close(closed, ref_edge, edge_tris, max_passes=2)
+    assert closed.sum() == 2
+    with pytest.raises(MeshError, match="step budget"):
+        _close(seeded, ref_edge, edge_tris, max_passes=1)

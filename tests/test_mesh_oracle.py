@@ -1,0 +1,76 @@
+"""The array mesh core against the scalar oracle in ``helpers_mesh``.
+
+Random markings drive two forests built from the same initial mesh, one
+refined by :func:`refine_nvb` and one by the oracle, through two branches
+of refinements; the second branch starts from an earlier mesh, so it
+reuses sons and midpoints the first branch created. Node ids, every
+forest array, the refinement records, the edge tables and the overlays
+must agree exactly.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers_mesh as oracle
+from triafem.assembly import _refines
+from triafem.mesh import Mesh, lshape_mesh, overlay, refine_nvb, unit_square_mesh
+
+INITIAL_MESHES = {
+    "square": unit_square_mesh,
+    "cross": lambda: unit_square_mesh(cross=True),
+    "lshape": lshape_mesh,
+}
+
+
+def draw_marking(data, mesh):
+    nt = mesh.n_elements
+    size = data.draw(st.integers(1, max(1, nt // 3)), label="n_marked")
+    return data.draw(
+        st.lists(st.integers(0, nt - 1), min_size=1, max_size=size, unique=True),
+        label="marked",
+    )
+
+
+def assert_same(bulk, scalar):
+    for a, b in zip(oracle.edge_data(bulk), bulk._edge_data):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert np.array_equal(bulk.node_ids, scalar.node_ids)
+    mine = oracle.forest_arrays(bulk.forest)
+    ref = oracle.forest_arrays(scalar.forest)
+    for name in ref:
+        assert np.array_equal(mine[name], ref[name]), name
+
+
+@settings(max_examples=100)
+@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)),
+       steps=st.integers(1, 5), branch_from=st.integers(0, 4), branch_steps=st.integers(1, 3))
+def test_bulk_refine_matches_scalar_oracle(data, name, steps, branch_from, branch_steps):
+    bulk = INITIAL_MESHES[name]()
+    scalar_forest = oracle.ScalarForest(INITIAL_MESHES[name]().forest)
+    scalar = Mesh(scalar_forest.forest, bulk.node_ids)
+    history = [(bulk, scalar)]
+    for _ in range(steps):
+        marked = draw_marking(data, bulk)
+        bulk, record = refine_nvb(bulk, marked)
+        scalar, scalar_record = oracle.refine(scalar_forest, scalar, marked)
+        assert record == scalar_record
+        assert_same(bulk, scalar)
+        history.append((bulk, scalar))
+
+    bulk, scalar = history[min(branch_from, len(history) - 1)]
+    for _ in range(branch_steps):
+        marked = draw_marking(data, bulk)
+        bulk, record = refine_nvb(bulk, marked)
+        scalar, scalar_record = oracle.refine(scalar_forest, scalar, marked)
+        assert record == scalar_record
+        assert_same(bulk, scalar)
+
+    first = history[-1][0]
+    assert np.array_equal(overlay(first, bulk).node_ids, oracle.overlay_ids(first, bulk))
+    assert np.array_equal(overlay(bulk, first).node_ids, oracle.overlay_ids(bulk, first))
+    for coarse, fine in ((history[0][0], first), (first, bulk), (bulk, first)):
+        expected = len(oracle.covered(fine.node_ids, set(coarse.node_ids.tolist()),
+                                      fine.forest)) == fine.n_elements
+        assert _refines(coarse, fine) == expected
