@@ -3,8 +3,12 @@
 The nodal basis lives on all mesh vertices; homogeneous Dirichlet
 conditions are imposed by restricting systems to interior vertices and
 keeping solution vectors at full length with exact zeros on the boundary.
-Assembly is vectorised over elements in chunks and strictly sequential, so
-repeated runs are bit-reproducible.
+Element data has one source: basis gradients are cached on the mesh
+(:attr:`Mesh.basis_gradients`), quadrature points come from
+:meth:`Mesh.quadrature_points`, a P1 function at those points from
+:func:`p1_at_quadrature`, and every matrix is summed from local element
+matrices by one scatter. Assembly is vectorised over elements in chunks
+and strictly sequential, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -71,21 +75,22 @@ class SparseSystem:
     mesh: Mesh
 
 
-def p1_gradients(mesh):
-    """Gradients of the three nodal basis functions per element, (NT, 3, 2)."""
-    p = mesh.vertices[mesh.triangles]
-    s2 = 2.0 * mesh.signed_areas
-    grads = np.empty((mesh.n_elements, 3, 2))
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        edge = p[:, k] - p[:, j]
-        grads[:, i, 0] = -edge[:, 1] / s2
-        grads[:, i, 1] = edge[:, 0] / s2
-    return grads
-
-
 def element_gradients(mesh, values):
     """Piecewise constant gradient of a P1 function, (NT, 2)."""
-    return np.einsum("ni,nij->nj", values[mesh.triangles], p1_gradients(mesh))
+    return np.einsum("ni,nij->nj", values[mesh.triangles], mesh.basis_gradients)
+
+
+def p1_at_quadrature(mesh, values):
+    """A P1 function at the volume quadrature points.
+
+    Returns its values per element and point (NT, q), its gradient per
+    element (NT, 2) and that gradient repeated per point (NT * q, 2), the
+    layout the coefficient closures take.
+    """
+    u_q = values[mesh.triangles] @ quadrature.TRI_BARY.T
+    grad_u = element_gradients(mesh, values)
+    y_q = np.repeat(grad_u[:, None, :], u_q.shape[1], axis=1).reshape(-1, 2)
+    return u_q, grad_u, y_q
 
 
 def grad_norm_sq(mesh, values):
@@ -96,16 +101,13 @@ def grad_norm_sq(mesh, values):
 
 def l2_norm(mesh, fn):
     """L2 norm of a coefficient function by elementwise quadrature."""
-    p = mesh.vertices[mesh.triangles]
-    pts = quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
-    vals = fn(pts.reshape(-1, 2)).reshape(mesh.n_elements, -1)
+    vals = fn(mesh.quadrature_points().reshape(-1, 2)).reshape(mesh.n_elements, -1)
     return float(np.sqrt(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * vals**2)))
 
 
 def h1_error_sq(mesh, values, exact_grad):
     """Squared H1-seminorm distance of a P1 function to an exact gradient."""
-    p = mesh.vertices[mesh.triangles]
-    pts = quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
+    pts = mesh.quadrature_points()
     eg = exact_grad(pts.reshape(-1, 2)).reshape(mesh.n_elements, -1, 2)
     diff = eg - element_gradients(mesh, values)[:, None, :]
     return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * np.sum(diff**2, axis=2)))
@@ -116,85 +118,89 @@ def _check_finite(name, arr):
         raise AssemblyError(f"quadrature failure: coefficient {name!r} returned a non-finite sample")
 
 
+def _scatter(mesh, local, keep=None):
+    """Sum local (NT, 3, 3) element matrices into a CSR matrix.
+
+    Entry (i, j) of element n goes to row ``triangles[n, i]`` and column
+    ``triangles[n, j]``. The COO matrix over all vertices is summed into
+    CSR first and the block of the vertices ``keep`` (default: the
+    interior ones) is cut out after, so every run sums in the same order.
+    """
+    t = mesh.triangles
+    matrix = sp.coo_matrix(
+        (local.reshape(-1), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())),
+        shape=(mesh.n_vertices, mesh.n_vertices),
+    ).tocsr()
+    keep = mesh.interior_vertices if keep is None else keep
+    return matrix[keep][:, keep].tocsr()
+
+
+def _element_system(mesh, problem):
+    """Local element matrices (NT, 3, 3) and the load over all vertices."""
+    nt = mesh.n_elements
+    areas = mesh.areas
+    lam = quadrature.TRI_BARY
+    w = quadrature.TRI_WEIGHTS
+    nq = w.size
+    local = np.empty((nt, 3, 3))
+    rhs = np.zeros(mesh.n_vertices)
+    grads_all = mesh.basis_gradients
+    pts_all = mesh.quadrature_points()
+
+    for lo in range(0, nt, _CHUNK):
+        hi = min(lo + _CHUNK, nt)
+        grads = grads_all[lo:hi]
+        flat = pts_all[lo:hi].reshape(-1, 2)
+
+        a_q = problem.diffusion(flat).reshape(hi - lo, nq, 2, 2)
+        _check_finite("diffusion", a_q)
+        a_grad = np.einsum("nqab,njb->nqja", a_q, grads)
+        block = np.einsum("q,nqja,nia->nij", w, a_grad, grads)
+
+        if problem.advection is not None:
+            b_q = problem.advection(flat).reshape(hi - lo, nq, 2)
+            _check_finite("advection", b_q)
+            b_grad = np.einsum("nqa,nja->nqj", b_q, grads)
+            block += np.einsum("q,nqj,qi->nij", w, b_grad, lam)
+        if problem.reaction is not None:
+            c_q = problem.reaction(flat).reshape(hi - lo, nq)
+            _check_finite("reaction", c_q)
+            block += np.einsum("q,nq,qi,qj->nij", w, c_q, lam, lam)
+        block *= areas[lo:hi, None, None]
+        local[lo:hi] = block
+
+        f_q = problem.source(flat).reshape(hi - lo, nq)
+        _check_finite("source", f_q)
+        f_loc = np.einsum("q,nq,qi->ni", w, f_q, lam) * areas[lo:hi, None]
+        rhs += np.bincount(mesh.triangles[lo:hi].ravel(), weights=f_loc.ravel(),
+                           minlength=mesh.n_vertices)
+    return local, rhs
+
+
 def assemble_operator(mesh, problem):
     """Full bilinear form and load of a linear problem over all vertices.
 
     Entry (i, j) of the matrix is b(phi_j, phi_i); the system including
     Dirichlet restriction is produced by :func:`assemble_linear`.
     """
-    nv = mesh.n_vertices
-    tri = mesh.triangles
-    areas = mesh.areas
-    lam = quadrature.TRI_BARY
-    w = quadrature.TRI_WEIGHTS
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nv)
-    grads_all = p1_gradients(mesh)
-    p = mesh.vertices[tri]
-
-    for lo in range(0, mesh.n_elements, _CHUNK):
-        hi = min(lo + _CHUNK, mesh.n_elements)
-        grads = grads_all[lo:hi]
-        pts = quadrature.triangle_points(p[lo:hi, 0], p[lo:hi, 1], p[lo:hi, 2])
-        flat = pts.reshape(-1, 2)
-        nq = pts.shape[1]
-
-        a_q = problem.diffusion(flat).reshape(hi - lo, nq, 2, 2)
-        _check_finite("diffusion", a_q)
-        a_grad = np.einsum("nqab,njb->nqja", a_q, grads)
-        local = np.einsum("q,nqja,nia->nij", w, a_grad, grads)
-
-        if problem.advection is not None:
-            b_q = problem.advection(flat).reshape(hi - lo, nq, 2)
-            _check_finite("advection", b_q)
-            b_grad = np.einsum("nqa,nja->nqj", b_q, grads)
-            local += np.einsum("q,nqj,qi->nij", w, b_grad, lam)
-        if problem.reaction is not None:
-            c_q = problem.reaction(flat).reshape(hi - lo, nq)
-            _check_finite("reaction", c_q)
-            local += np.einsum("q,nq,qi,qj->nij", w, c_q, lam, lam)
-        local *= areas[lo:hi, None, None]
-
-        f_q = problem.source(flat).reshape(hi - lo, nq)
-        _check_finite("source", f_q)
-        f_loc = np.einsum("q,nq,qi->ni", w, f_q, lam) * areas[lo:hi, None]
-
-        t = tri[lo:hi]
-        rows.append(np.repeat(t, 3, axis=1).ravel())
-        cols.append(np.tile(t, (1, 3)).ravel())
-        vals.append(local.reshape(-1))
-        rhs += np.bincount(t.ravel(), weights=f_loc.ravel(), minlength=nv)
-
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv),
-    ).tocsr()
-    return matrix, rhs
+    local, rhs = _element_system(mesh, problem)
+    return _scatter(mesh, local, keep=slice(None)), rhs
 
 
 def assemble_linear(mesh, problem):
     """Interior-restricted system of the discrete weak form."""
-    matrix, rhs = assemble_operator(mesh, problem)
+    local, rhs = _element_system(mesh, problem)
+    restricted = _scatter(mesh, local)
     interior = mesh.interior_vertices
-    restricted = matrix[interior][:, interior].tocsr()
     if interior.size and np.any(restricted.diagonal() == 0.0):
         raise AssemblyError("zero diagonal entry on an interior row")
     return SparseSystem(matrix=restricted, rhs=rhs[interior], interior=interior, mesh=mesh)
 
 
-def laplace_stiffness(mesh, interior_only=True):
-    """Stiffness matrix of the Laplacian (exact, no quadrature)."""
-    grads = p1_gradients(mesh)
-    local = np.einsum("nia,nja->nij", grads, grads) * mesh.areas[:, None, None]
-    t = mesh.triangles
-    matrix = sp.coo_matrix(
-        (local.reshape(-1), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
-    if not interior_only:
-        return matrix
-    interior = mesh.interior_vertices
-    return matrix[interior][:, interior].tocsr()
+def laplace_stiffness(mesh):
+    """Interior stiffness matrix of the Laplacian (exact, no quadrature)."""
+    grads = mesh.basis_gradients
+    return _scatter(mesh, np.einsum("nia,nja->nij", grads, grads) * mesh.areas[:, None, None])
 
 
 def _expand(mesh, interior_values):
@@ -244,28 +250,16 @@ def solve_linear(system, method="auto", maxiter=None):
 
 # -- nonlinear Galerkin systems ------------------------------------------------
 
-def _nonlinear_element_data(mesh, values):
-    tri = mesh.triangles
-    grads = p1_gradients(mesh)
-    p = mesh.vertices[tri]
-    pts = quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
-    u_q = values[tri] @ quadrature.TRI_BARY.T  # (n, q)
-    grad_u = np.einsum("ni,nij->nj", values[tri], grads)
-    return tri, grads, pts, u_q, grad_u
-
-
 def nonlinear_residual(mesh, problem, values):
     """Galerkin residual F_i = <L u - f, phi_i> over interior vertices."""
-    tri, grads, pts, u_q, grad_u = _nonlinear_element_data(mesh, values)
+    u_q, _, y_q = p1_at_quadrature(mesh, values)
     n, nq = u_q.shape
     w = quadrature.TRI_WEIGHTS
-    lam = quadrature.TRI_BARY
-    flat = pts.reshape(-1, 2)
-    y_q = np.repeat(grad_u[:, None, :], nq, axis=1).reshape(-1, 2)
+    flat = mesh.quadrature_points().reshape(-1, 2)
 
     flux_q = problem.flux(flat, y_q).reshape(n, nq, 2)
     _check_finite("flux", flux_q)
-    local = np.einsum("q,nqa,nia->ni", w, flux_q, grads)
+    local = np.einsum("q,nqa,nia->ni", w, flux_q, mesh.basis_gradients)
     f_q = problem.source(flat).reshape(n, nq)
     _check_finite("source", f_q)
     lower = -f_q
@@ -273,20 +267,20 @@ def nonlinear_residual(mesh, problem, values):
         g_q = problem.lower_order(flat, u_q.reshape(-1), y_q).reshape(n, nq)
         _check_finite("lower_order", g_q)
         lower = lower + g_q
-    local += np.einsum("q,nq,qi->ni", w, lower, lam)
+    local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
     local *= mesh.areas[:, None]
-    full = np.bincount(tri.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
+    full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
     return full[mesh.interior_vertices]
 
 
 def nonlinear_jacobian(mesh, problem, values):
     """Jacobian of the Galerkin residual, restricted to interior vertices."""
-    tri, grads, pts, u_q, grad_u = _nonlinear_element_data(mesh, values)
+    u_q, _, y_q = p1_at_quadrature(mesh, values)
     n, nq = u_q.shape
     w = quadrature.TRI_WEIGHTS
     lam = quadrature.TRI_BARY
-    flat = pts.reshape(-1, 2)
-    y_q = np.repeat(grad_u[:, None, :], nq, axis=1).reshape(-1, 2)
+    grads = mesh.basis_gradients
+    flat = mesh.quadrature_points().reshape(-1, 2)
 
     jac_q = problem.flux_jacobian(flat, y_q).reshape(n, nq, 2, 2)
     _check_finite("flux_jacobian", jac_q)
@@ -300,14 +294,7 @@ def nonlinear_jacobian(mesh, problem, values):
         gy_grad = np.einsum("nqa,nja->nqj", gy_q, grads)
         local += np.einsum("q,nqj,qi->nij", w, gy_grad, lam)
     local *= mesh.areas[:, None, None]
-
-    matrix = sp.coo_matrix(
-        (local.reshape(-1),
-         (np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
-    interior = mesh.interior_vertices
-    return matrix[interior][:, interior].tocsr()
+    return _scatter(mesh, local)
 
 
 def solve_nonlinear(
@@ -419,20 +406,14 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None):
         dl_sq = float(d @ (system.matrix @ d))
         return b_wv, dl_sq
 
-    grad_w = element_gradients(mesh, w_sol.values)
-    grad_v = element_gradients(mesh, v_sol.values)
-    p = mesh.vertices[mesh.triangles]
-    pts = quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
-    n, nq = pts.shape[0], pts.shape[1]
-    flat = pts.reshape(-1, 2)
-    yw = np.repeat(grad_w[:, None, :], nq, axis=1).reshape(-1, 2)
-    yv = np.repeat(grad_v[:, None, :], nq, axis=1).reshape(-1, 2)
+    uw, grad_w, yw = p1_at_quadrature(mesh, w_sol.values)
+    uv, grad_v, yv = p1_at_quadrature(mesh, v_sol.values)
+    n, nq = uw.shape
+    flat = mesh.quadrature_points().reshape(-1, 2)
     flux_diff = (problem.flux(flat, yw) - problem.flux(flat, yv)).reshape(n, nq, 2)
     grad_diff = (grad_w - grad_v)[:, None, :]
     integrand = np.sum(flux_diff * grad_diff, axis=2)
     if problem.lower_order is not None:
-        uw = w_sol.values[mesh.triangles] @ quadrature.TRI_BARY.T
-        uv = v_sol.values[mesh.triangles] @ quadrature.TRI_BARY.T
         g_diff = (
             problem.lower_order(flat, uw.reshape(-1), yw)
             - problem.lower_order(flat, uv.reshape(-1), yv)

@@ -67,10 +67,8 @@ class RunConfig:
     eta_tol: float | None = None
     checks: tuple = DEFAULT_CHECKS
     out: str = "afem_out"
-    seed: int = 0
     uniform_baseline: bool = False
     jobs: int = 1
-    sequential: bool = False
     qo_epsilon: float = 0.5
 
 
@@ -107,10 +105,8 @@ _FILE_KEYS = {
     "eta_tol": float,
     "checks": str,
     "out": str,
-    "seed": int,
     "uniform_baseline": "bool",
     "jobs": int,
-    "sequential": "bool",
     "qo_epsilon": float,
 }
 
@@ -128,11 +124,9 @@ def _build_parser():
     parser.add_argument("--eta-tol", type=float, dest="eta_tol")
     parser.add_argument("--checks", help=f"comma list from: {', '.join(KNOWN_CHECKS)}")
     parser.add_argument("--out")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--uniform-baseline", action="store_true", default=None,
                         dest="uniform_baseline")
     parser.add_argument("--jobs", type=int)
-    parser.add_argument("--sequential", action="store_true", default=None)
     parser.add_argument("--qo-epsilon", type=float, dest="qo_epsilon")
     return parser
 
@@ -184,7 +178,6 @@ def parse_config(argv):
     jobs = merged.get("jobs", 1)
     if jobs < 1:
         raise ConfigError("key 'jobs': must be at least 1")
-    sequential = bool(merged.get("sequential", False))
     return RunConfig(
         problem=merged["problem"],
         theta=thetas,
@@ -193,10 +186,8 @@ def parse_config(argv):
         eta_tol=eta_tol,
         checks=checks,
         out=merged.get("out", "afem_out"),
-        seed=merged.get("seed", 0),
         uniform_baseline=merged.get("uniform_baseline", False),
-        jobs=1 if sequential else jobs,
-        sequential=sequential,
+        jobs=jobs,
         qo_epsilon=merged.get("qo_epsilon", 0.5),
     )
 
@@ -323,8 +314,9 @@ print("wrote", here / "traces.png")
 def _execute_single(config):
     """One run (single theta); returns the list of failing checks."""
     problem = builtin_problem(config.problem)
+    initial_mesh = problem.make_initial_mesh()
     if config.max_elements is not None:
-        if config.max_elements < problem.make_initial_mesh().n_elements:
+        if config.max_elements < initial_mesh.n_elements:
             raise ConfigError("key 'max_elements': below the initial element count")
     out = config.out
     os.makedirs(out, exist_ok=True)
@@ -338,8 +330,9 @@ def _execute_single(config):
             max_elements=config.max_elements,
             eta_tol=config.eta_tol,
             marking=config.marking,
+            keep_history=needs_reference,
             compute_reference=needs_reference,
-            seed=config.seed,
+            initial_mesh=initial_mesh,
         )
     except Exception as exc:
         failures = [{"check": "run", "status": "fail", "detail": str(exc)}]
@@ -356,14 +349,13 @@ def _execute_single(config):
     if config.uniform_baseline:
         uniform_result = run_uniform(
             problem, max_elements=config.max_elements, eta_tol=config.eta_tol,
-            keep_history=False, seed=config.seed,
+            keep_history=False,
         )
 
     result.trace.to_csv(os.path.join(out, "trace.csv"))
     if uniform_result is not None:
         uniform_result.trace.to_csv(os.path.join(out, "trace_uniform.csv"))
-    write_mesh(result.meshes[0] if result.meshes else result.final_mesh,
-               os.path.join(out, "meshes", "initial.mesh"))
+    write_mesh(initial_mesh, os.path.join(out, "meshes", "initial.mesh"))
     write_mesh(result.final_mesh, os.path.join(out, "meshes", "final.mesh"))
     _write_plotdata(os.path.join(out, "plotdata.csv"), result, uniform_result)
     with open(os.path.join(out, "plot_traces.py"), "w") as fh:

@@ -28,7 +28,7 @@ from .assembly import (
 )
 from .estimator import estimate, local_sum
 from .marking import AllZeroIndicators, mark_binned, mark_min
-from .mesh import audit_refinement, closure_audit, refine_nvb, shape_regularity
+from .mesh import audit_refinement, closure_audit, refine_nvb, shape_regularity, uniform_refine
 from .problems import LinearProblem, check_ellipticity
 
 TRACE_COLUMNS = (
@@ -113,35 +113,6 @@ class AfemTrace:
         return cls(columns=columns, meta=dict(meta or {}))
 
 
-def synthetic_trace(eta_sq, **overrides):
-    """Trace from raw columns; anything not supplied is padded (tests)."""
-    eta_sq = np.asarray(eta_sq, dtype=float)
-    n = eta_sq.size
-    columns = {
-        "ell": np.arange(n, dtype=float),
-        "n_elements": overrides.pop("n_elements", 4.0 * 2.0 ** np.arange(n)),
-        "n_vertices": np.full(n, np.nan),
-        "n_marked": np.full(n, np.nan),
-        "n_refined": np.full(n, np.nan),
-        "eta_sq": eta_sq,
-        "osc_sq": np.zeros(n),
-        "refined_eta_sq": np.full(n, np.nan),
-        "grad_diff_sq": np.full(n, np.nan),
-        "energy_diff_sq": np.full(n, np.nan),
-        "err_energy_sq": np.full(n, np.nan),
-        "wall_time_s": np.zeros(n),
-    }
-    meta = overrides.pop("meta", {})
-    for name, value in overrides.items():
-        if name not in columns:
-            raise TypeError(f"unknown trace column {name!r}")
-        arr = np.asarray(value, dtype=float)
-        if arr.size != n:
-            raise ValueError(f"column {name!r} has wrong length")
-        columns[name] = arr.astype(float)
-    return AfemTrace(columns=columns, meta=dict(meta))
-
-
 @dataclass
 class ReferenceSolution:
     """Uniform refinement of a run's final mesh, solved as ground truth."""
@@ -163,38 +134,20 @@ class AfemResult:
     reference: Optional[ReferenceSolution] = None
 
 
-def _solve_on(mesh, problem, previous=None):
-    """Solve on one mesh; returns (solution, system-or-None)."""
+def _solve_on(mesh, problem, guess=None):
+    """Solve on one mesh, a nonlinear problem from ``guess`` (a solution on
+    ``mesh``); returns (solution, system-or-None)."""
     if isinstance(problem, LinearProblem):
         system = assemble_linear(mesh, problem)
         return solve_linear(system), system
-    guess = transfer(previous, mesh) if previous is not None else None
     return solve_nonlinear(mesh, problem, initial_guess=guess), None
-
-
-def _energy_error_sq(problem, reference, moved_values):
-    ref = reference.solution
-    if isinstance(problem, LinearProblem):
-        interior = reference.system.interior
-        e = ref.values[interior] - moved_values[interior]
-        return max(0.0, float(e @ (reference.system.matrix @ e)))
-    moved = DiscreteSolution(reference.mesh, moved_values)
-    _, dl_sq = energy_products(reference.mesh, problem, ref, moved)
-    return max(0.0, dl_sq)
 
 
 def build_reference(problem, final_mesh, final_solution, levels=3):
     """Reference solution on ``levels`` uniform refinements of the final mesh."""
-    from .mesh import uniform_refine
-
     ref_mesh = uniform_refine(final_mesh, levels)
-    if isinstance(problem, LinearProblem):
-        system = assemble_linear(ref_mesh, problem)
-        return ReferenceSolution(ref_mesh, solve_linear(system), system)
-    guess = transfer(final_solution, ref_mesh)
-    return ReferenceSolution(
-        ref_mesh, solve_nonlinear(ref_mesh, problem, initial_guess=guess), None
-    )
+    guess = None if isinstance(problem, LinearProblem) else transfer(final_solution, ref_mesh)
+    return ReferenceSolution(ref_mesh, *_solve_on(ref_mesh, problem, guess))
 
 
 def _run_loop(
@@ -208,7 +161,6 @@ def _run_loop(
     compute_reference,
     reference_levels,
     audit,
-    seed,
     max_iterations,
     initial_mesh,
 ):
@@ -241,7 +193,6 @@ def _run_loop(
         "problem": problem.name,
         "theta": theta,
         "marking": marking_name,
-        "seed": seed,
         "stop_max_elements": max_elements,
         "stop_eta_tol": eta_tol,
         "n_initial_elements": mesh.n_elements,
@@ -250,19 +201,18 @@ def _run_loop(
 
     for ell in range(max_iterations + 1):
         tic = time.perf_counter()
-        with _phase("solve"):
-            sol, system = _solve_on(mesh, problem, previous)
+        moved = None
         if previous is not None:
             with _phase("transfer"):
                 moved = transfer(previous, mesh)
-                diff = sol.values - moved.values
-                rows[-1]["grad_diff_sq"] = grad_norm_sq(mesh, diff)
-                if isinstance(problem, LinearProblem):
-                    d = diff[system.interior]
-                    rows[-1]["energy_diff_sq"] = max(0.0, float(d @ (system.matrix @ d)))
-                else:
-                    _, dl_sq = energy_products(mesh, problem, sol, moved)
-                    rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
+        with _phase("solve"):
+            sol, system = _solve_on(mesh, problem, moved)
+        if moved is not None:
+            # the increment U_l - U_{l-1}, measured on the finer mesh
+            with _phase("transfer"):
+                rows[-1]["grad_diff_sq"] = grad_norm_sq(mesh, sol.values - moved.values)
+                _, dl_sq = energy_products(mesh, problem, sol, moved, system=system)
+                rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
         with _phase("estimate"):
             report = estimate(mesh, sol, problem)
         rows.append(
@@ -327,7 +277,10 @@ def _run_loop(
             reference = build_reference(problem, mesh, previous, levels=reference_levels)
             for k, sol_k in enumerate(solutions):
                 moved = transfer(sol_k, reference.mesh)
-                rows[k]["err_energy_sq"] = _energy_error_sq(problem, reference, moved.values)
+                _, dl_sq = energy_products(
+                    reference.mesh, problem, reference.solution, moved, system=reference.system
+                )
+                rows[k]["err_energy_sq"] = max(0.0, dl_sq)
         meta["noise_floor_err_sq"] = rows[-1]["err_energy_sq"]
 
     trace = _rows_to_trace(rows, meta)
@@ -360,7 +313,6 @@ def run_afem(
     compute_reference=False,
     reference_levels=3,
     audit=True,
-    seed=0,
     max_iterations=200,
     initial_mesh=None,
 ):
@@ -383,7 +335,7 @@ def run_afem(
         raise ValueError(f"unknown marking variant {marking!r}")
     return _run_loop(
         problem, mark_fn, theta, max_elements, eta_tol, marking, keep_history,
-        compute_reference, reference_levels, audit, seed, max_iterations, initial_mesh,
+        compute_reference, reference_levels, audit, max_iterations, initial_mesh,
     )
 
 
@@ -395,7 +347,6 @@ def run_uniform(
     compute_reference=False,
     reference_levels=3,
     audit=True,
-    seed=0,
     max_iterations=200,
     initial_mesh=None,
 ):
@@ -403,7 +354,7 @@ def run_uniform(
     mark_fn = lambda report: np.arange(report.indicators_sq.shape[0])
     return _run_loop(
         problem, mark_fn, 1.0, max_elements, eta_tol, "uniform", keep_history,
-        compute_reference, reference_levels, audit, seed, max_iterations, initial_mesh,
+        compute_reference, reference_levels, audit, max_iterations, initial_mesh,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .assembly import element_gradients
+from .assembly import p1_at_quadrature
 from .problems import LinearProblem
 
 
@@ -41,14 +41,10 @@ class EstimatorReport:
         self.osc_sq.setflags(write=False)
 
 
-def _volume_residual_at_quadrature(mesh, sol, problem):
+def _volume_residual_at_quadrature(mesh, problem, u_q, grad_u, y_q):
     """Residual of the strong form at the volume quadrature points, (NT, q)."""
-    tri = mesh.triangles
-    grad_u = element_gradients(mesh, sol.values)
-    p = mesh.vertices[tri]
-    pts = quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
-    n, nq = pts.shape[0], pts.shape[1]
-    flat = pts.reshape(-1, 2)
+    n, nq = u_q.shape
+    flat = mesh.quadrature_points().reshape(-1, 2)
     f_q = problem.source(flat).reshape(n, nq)
 
     if isinstance(problem, LinearProblem):
@@ -60,7 +56,6 @@ def _volume_residual_at_quadrature(mesh, sol, problem):
             b_q = problem.advection(flat).reshape(n, nq, 2)
             residual = residual + np.einsum("nqa,na->nq", b_q, grad_u)
         if problem.reaction is not None:
-            u_q = sol.values[tri] @ quadrature.TRI_BARY.T
             residual = residual + problem.reaction(flat).reshape(n, nq) * u_q
         return residual
 
@@ -72,13 +67,11 @@ def _volume_residual_at_quadrature(mesh, sol, problem):
     # gradient-only flux is piecewise constant, so its divergence drops out
     residual = -f_q
     if problem.lower_order is not None:
-        u_q = sol.values[tri] @ quadrature.TRI_BARY.T
-        y_q = np.repeat(grad_u[:, None, :], nq, axis=1).reshape(-1, 2)
         residual = residual + problem.lower_order(flat, u_q.reshape(-1), y_q).reshape(n, nq)
     return residual
 
 
-def _jump_terms(mesh, sol, problem):
+def _jump_terms(mesh, problem, grad_u):
     """Squared normal-flux jump integrals accumulated per element, (NT,)."""
     edges, _, edge_tris, counts = mesh._edge_data
     interior = counts == 2
@@ -93,7 +86,6 @@ def _jump_terms(mesh, sol, problem):
     tangent = pb - pa
     lengths = np.hypot(tangent[:, 0], tangent[:, 1])
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / lengths[:, None]
-    grad_u = element_gradients(mesh, sol.values)
 
     if isinstance(problem, LinearProblem):
         gpts = quadrature.edge_points(pa, pb)
@@ -116,13 +108,14 @@ def estimate(mesh, sol, problem):
     """Per-element error indicators and oscillations for a discrete solution."""
     if not sol.mesh.same_elements(mesh):
         raise EstimatorError("solution does not live on the given mesh")
-    residual = _volume_residual_at_quadrature(mesh, sol, problem)
+    u_q, grad_u, y_q = p1_at_quadrature(mesh, sol.values)
+    residual = _volume_residual_at_quadrature(mesh, problem, u_q, grad_u, y_q)
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas
     volume_sq = areas**2 * (residual**2 @ w)
     mean = residual @ w
     osc_sq = areas**2 * ((residual - mean[:, None]) ** 2 @ w)
-    jumps = _jump_terms(mesh, sol, problem)
+    jumps = _jump_terms(mesh, problem, grad_u)
     indicators_sq = volume_sq + np.sqrt(areas) * jumps
     return EstimatorReport(
         indicators_sq=indicators_sq,
@@ -139,9 +132,7 @@ def oscillations(mesh, sol, problem):
 
 def local_sum(report, subset):
     """Sum of squared indicators over a subset of elements."""
-    idx = np.asarray(
-        sorted(subset) if isinstance(subset, (set, frozenset)) else subset, dtype=np.int64
-    )
+    idx = np.asarray(subset, dtype=np.int64)
     if idx.size == 0:
         return 0.0
     if idx.min() < 0 or idx.max() >= report.indicators_sq.shape[0]:

@@ -30,6 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import quadrature
+
 
 # midpoint table key of edge (lo, hi): lo * _KEY_BASE + hi; vertex ids stay below it
 _KEY_BASE = np.int64(2**31)
@@ -43,15 +45,16 @@ class MeshError(ValueError):
 class RefinementRecord:
     """Bookkeeping of one refinement call.
 
-    ``refined`` contains the indices (into the old mesh) of all triangles
-    that were bisected, including those forced by conformity closure;
-    ``sons_of`` maps each refined triangle to the indices of the new-mesh
-    triangles covering it (2, 3 or 4 of them).
+    ``marked`` and ``refined`` are sorted int64 arrays of old-mesh triangle
+    indices; ``refined`` includes the triangles forced by the conformity
+    closure. ``sons_of`` holds, per refined triangle, the number of new-mesh
+    triangles covering it (2, 3 or 4); they follow the kept triangles in
+    the new mesh, in the order of ``refined``.
     """
 
-    marked: frozenset
-    refined: frozenset
-    sons_of: dict = field(repr=False)
+    marked: np.ndarray
+    refined: np.ndarray
+    sons_of: np.ndarray = field(repr=False)
     nt_before: int = 0
     nt_after: int = 0
 
@@ -264,8 +267,8 @@ class Mesh:
 
     Vertices are numbered locally (0..NV-1) in increasing order of their
     forest vertex id, which makes vertex sets of nested meshes comparable.
-    Derived structures (edge table, areas, boundary data) are computed
-    lazily and cached.
+    Derived structures (edge table, areas, basis gradients, boundary data)
+    are computed lazily and cached.
     """
 
     def __init__(self, forest, node_ids):
@@ -339,6 +342,28 @@ class Mesh:
         a = np.abs(self.signed_areas)
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def basis_gradients(self):
+        """Gradients of the three nodal basis functions per element, (NT, 3, 2)."""
+        p = self.vertices[self.triangles]
+        s2 = 2.0 * self.signed_areas
+        grads = np.empty((self.n_elements, 3, 2))
+        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+            edge = p[:, k] - p[:, j]
+            grads[:, i, 0] = -edge[:, 1] / s2
+            grads[:, i, 1] = edge[:, 0] / s2
+        grads.setflags(write=False)
+        return grads
+
+    def quadrature_points(self):
+        """Physical volume quadrature points per element, (NT, 7, 2).
+
+        Not cached: at 112 bytes per element they would be the largest
+        cached array, and a run that keeps its history keeps every mesh.
+        """
+        p = self.vertices[self.triangles]
+        return quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
 
     # -- edge table ---------------------------------------------------------
 
@@ -423,6 +448,8 @@ class Mesh:
         return iv
 
     def same_elements(self, other):
+        if other is self:
+            return True
         return self.forest is other.forest and np.array_equal(
             np.sort(self.node_ids), np.sort(other.node_ids)
         )
@@ -575,7 +602,7 @@ def refine_nvb(mesh, marked):
         raise MeshError("marked triangle index out of range")
     if marked.size == 0:
         return mesh, RefinementRecord(
-            marked=frozenset(), refined=frozenset(), sons_of={}, nt_before=nt, nt_after=nt
+            marked=marked, refined=marked, sons_of=marked, nt_before=nt, nt_after=nt
         )
 
     edges, tri_edges, edge_tris, counts = mesh._edge_data
@@ -624,18 +651,11 @@ def refine_nvb(mesh, marked):
         leaves[:, side, 0] = sons[:, side]
         leaves[split, side] = forest._sons[sons[split, side]]
     leaves = leaves[leaves >= 0]
-    new_ids = np.concatenate([kept_ids, leaves])
-    n_sons = 2 + split_a + split_b
-    ends = kept_ids.size + np.cumsum(n_sons)
-    starts = ends - n_sons
-
-    refined_mesh = Mesh(forest, new_ids)
+    refined_mesh = Mesh(forest, np.concatenate([kept_ids, leaves]))
     record = RefinementRecord(
-        marked=frozenset(marked.tolist()),
-        refined=frozenset(refined_idx.tolist()),
-        sons_of=dict(
-            zip(refined_idx.tolist(), map(tuple, map(range, starts.tolist(), ends.tolist())))
-        ),
+        marked=marked,
+        refined=refined_idx,
+        sons_of=2 + split_a + split_b,
         nt_before=nt,
         nt_after=refined_mesh.n_elements,
     )
@@ -720,7 +740,7 @@ def audit_refinement(old_mesh, new_mesh, record):
             raise MeshError("son generation is not parent generation + 1")
         nodes = np.unique(parents[~seen[parents]])
         seen[nodes] = True
-    if min(map(len, record.sons_of.values()), default=2) < 2:
+    if np.any(record.sons_of < 2):
         raise MeshError("refined triangle with fewer than two sons")
 
 

@@ -39,10 +39,6 @@ class LinearProblem:
     ellipticity_const: Optional[float] = None
     continuity_const: Optional[float] = None
 
-    @property
-    def is_symmetric(self):
-        return self.advection is None and self.reaction is None
-
 
 @dataclass(frozen=True)
 class NonlinearProblem:
@@ -319,8 +315,7 @@ def check_ellipticity(problem, samples=4096):
     mesh = problem.make_initial_mesh()
     while mesh.n_elements * quadrature.TRI_BARY.shape[0] < samples:
         mesh = uniform_refine(mesh, 1)
-    p = mesh.vertices[mesh.triangles]
-    pts = quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2]).reshape(-1, 2)
+    pts = mesh.quadrature_points().reshape(-1, 2)
     box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
     diameter = float(np.hypot(box[0], box[1]))
     lam_min = np.linalg.eigvalsh(problem.diffusion(pts)).min()

@@ -83,9 +83,8 @@ def refine(scalar, mesh, marked):
     nt = mesh.n_elements
     marked = np.unique(np.asarray(sorted(marked), dtype=np.int64))
     if marked.size == 0:
-        return mesh, RefinementRecord(
-            marked=frozenset(), refined=frozenset(), sons_of={}, nt_before=nt, nt_after=nt
-        )
+        empty = np.empty(0, dtype=np.int64)
+        return mesh, RefinementRecord(empty, empty, empty, nt_before=nt, nt_after=nt)
     edges, tri_edges, edge_tris, counts = edge_data(mesh)
     ref_edge = tri_edges[:, 0]
     edge_marked = np.zeros(edges.shape[0], dtype=bool)
@@ -112,7 +111,7 @@ def refine(scalar, mesh, marked):
     any_marked = pattern.any(axis=1)
     refined_idx = np.nonzero(any_marked)[0]
     new_ids = list(mesh.node_ids[~any_marked])
-    sons_of = {}
+    sons_of = []
     for t in refined_idx:
         e0, e1, e2 = tri_edges[t]
         first = len(new_ids)
@@ -125,17 +124,25 @@ def refine(scalar, mesh, marked):
             new_ids.extend(scalar.bisect(son_b, counts[e1] == 1))
         else:
             new_ids.append(son_b)
-        sons_of[int(t)] = tuple(range(first, len(new_ids)))
+        sons_of.append(len(new_ids) - first)
 
     refined_mesh = Mesh(scalar.forest, np.array(new_ids, dtype=np.int64))
     record = RefinementRecord(
-        marked=frozenset(int(t) for t in marked),
-        refined=frozenset(int(t) for t in refined_idx),
-        sons_of=sons_of,
+        marked=marked,
+        refined=refined_idx.astype(np.int64),
+        sons_of=np.array(sons_of, dtype=np.int64),
         nt_before=nt,
         nt_after=refined_mesh.n_elements,
     )
     return refined_mesh, record
+
+
+def assert_same_record(bulk, scalar):
+    """Field by field: the record's arrays compare by value and dtype."""
+    for name in ("marked", "refined", "sons_of"):
+        a, b = getattr(bulk, name), getattr(scalar, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (bulk.nt_before, bulk.nt_after) == (scalar.nt_before, scalar.nt_after)
 
 
 def covered(source, target_leafset, forest):

@@ -16,7 +16,6 @@ from triafem.assembly import (
     laplace_stiffness,
     nonlinear_jacobian,
     nonlinear_residual,
-    p1_gradients,
     read_solution,
     restrict_functional,
     solve_linear,
@@ -50,7 +49,8 @@ def test_p1_gradients_reference_triangle():
     from triafem.mesh import load_initial_mesh
 
     mesh = load_initial_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
-    grads = p1_gradients(mesh)
+    grads = mesh.basis_gradients
+    assert mesh.basis_gradients is grads and not grads.flags.writeable
     tri = mesh.triangles[0]
     by_vertex = {tuple(mesh.vertices[tri[k]]): grads[0, k] for k in range(3)}
     assert by_vertex[(0.0, 0.0)] == pytest.approx([-1.0, -1.0])
@@ -93,7 +93,7 @@ def test_convection_matrix_against_hand_formula():
         source=_constant_scalar(0.0),
     )
     matrix, _ = assemble_operator(mesh, problem)
-    grads = p1_gradients(mesh)
+    grads = mesh.basis_gradients
     expected = np.zeros((mesh.n_vertices, mesh.n_vertices))
     for n, tri in enumerate(mesh.triangles):
         for j_loc, j in enumerate(tri):

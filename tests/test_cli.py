@@ -3,6 +3,8 @@ import json
 import pytest
 
 from triafem.cli import ConfigError, execute, main, parse_config
+from triafem.mesh import write_mesh
+from triafem.problems import builtin_problem
 
 
 def test_flags_only_config():
@@ -128,26 +130,50 @@ def test_max_elements_below_initial_mesh(tmp_path):
         execute(config)
 
 
+def _strip_time(path):
+    """Trace lines without the wall-time column, the one nondeterministic one."""
+    lines = path.read_text().strip().splitlines()
+    drop = lines[0].split(",").index("wall_time_s")
+    return [",".join(v for i, v in enumerate(line.split(",")) if i != drop) for line in lines]
+
+
 def test_determinism_of_sequential_runs(tmp_path):
-    argv = ["--problem", "convection_diffusion", "--theta", "0.4",
-            "--max-elements", "600", "--sequential"]
+    argv = ["--problem", "convection_diffusion", "--theta", "0.4", "--max-elements", "600"]
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert execute(parse_config(argv + ["--out", str(out)])) == 0
         outs.append(out)
-    # wall time is the one nondeterministic column; everything else must
-    # agree byte for byte
-    def strip_time(path):
-        lines = path.read_text().strip().splitlines()
-        head = lines[0].split(",")
-        drop = head.index("wall_time_s")
-        return [",".join(v for i, v in enumerate(line.split(",")) if i != drop)
-                for line in lines]
-
-    assert strip_time(outs[0] / "trace.csv") == strip_time(outs[1] / "trace.csv")
+    # everything but the wall time must agree byte for byte
+    assert _strip_time(outs[0] / "trace.csv") == _strip_time(outs[1] / "trace.csv")
     assert (outs[0] / "plotdata.csv").read_bytes() == (outs[1] / "plotdata.csv").read_bytes()
     assert (outs[0] / "meta.json").read_bytes() == (outs[1] / "meta.json").read_bytes()
+
+    # a sweep on a worker pool writes what the sequential sweep writes
+    sweep = ["--problem", "convection_diffusion", "--theta", "0.4,0.7",
+             "--max-elements", "600"]
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert execute(parse_config(sweep + ["--jobs", jobs, "--out", str(out)])) == 0
+    for theta in ("theta=0.4", "theta=0.7"):
+        one, two = tmp_path / "jobs1" / theta, tmp_path / "jobs2" / theta
+        assert _strip_time(one / "trace.csv") == _strip_time(two / "trace.csv")
+        for name in ("report.txt", "plotdata.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    assert _strip_time(tmp_path / "jobs1" / "theta=0.4" / "trace.csv") == \
+        _strip_time(outs[0] / "trace.csv")
+
+
+def test_initial_mesh_artifact_is_the_problem_mesh(tmp_path):
+    # the default checks need no run history; the initial mesh is still written
+    out = tmp_path / "run"
+    config = parse_config(["--problem", "lshape_poisson", "--theta", "0.5",
+                           "--max-elements", "200", "--out", str(out)])
+    assert execute(config) == 0
+    expected = tmp_path / "expected.mesh"
+    write_mesh(builtin_problem("lshape_poisson").make_initial_mesh(), expected)
+    assert (out / "meshes" / "initial.mesh").read_bytes() == expected.read_bytes()
+    assert (out / "meshes" / "final.mesh").read_bytes() != expected.read_bytes()
 
 
 def test_theta_sweep_writes_subdirectories(tmp_path):
@@ -171,14 +197,6 @@ def test_theta_sweep_with_worker_pool(tmp_path):
     assert execute(config) == 0
     assert (out / "theta=0.4" / "failures.json").exists()
     assert (out / "theta=0.7" / "failures.json").exists()
-
-
-def test_sequential_flag_forces_single_job():
-    config = parse_config(
-        ["--problem", "square_smooth", "--theta", "0.4", "--max-elements", "200",
-         "--jobs", "4", "--sequential"]
-    )
-    assert config.jobs == 1 and config.sequential
 
 
 def test_main_reports_config_errors():

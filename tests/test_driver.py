@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers_trace import synthetic_trace
 
 from triafem.driver import (
     AfemRunError,
@@ -16,9 +17,9 @@ from triafem.driver import (
     fit_rate,
     run_afem,
     run_uniform,
-    synthetic_trace,
 )
 from triafem import driver
+from triafem.assembly import transfer
 from triafem.mesh import MeshError, refine_nvb, uniform_refine
 from triafem.problems import builtin_problem
 
@@ -273,3 +274,20 @@ def test_binned_marking_run_completes():
     )
     assert result.trace.meta["marking"] == "binned"
     assert check_estimator_reduction(result.trace).passed
+
+
+def test_one_transfer_per_iteration(monkeypatch):
+    # per refinement step one transfer serves as Newton guess and increment;
+    # the reference adds one for its guess and one per iterate
+    calls = []
+
+    def counting_transfer(sol, finer):
+        calls.append(finer.n_elements)
+        return transfer(sol, finer)
+
+    monkeypatch.setattr(driver, "transfer", counting_transfer)
+    result = run_afem(builtin_problem("magnetostatics_nl"), 0.5, max_elements=2000,
+                      compute_reference=True)
+    n = len(result.trace)
+    assert n == 19
+    assert len(calls) == (n - 1) + 1 + n == 38

@@ -99,8 +99,8 @@ def test_refine_empty_is_noop():
     mesh = unit_square_mesh()
     refined, record = refine_nvb(mesh, set())
     assert refined is mesh
-    assert record.marked == frozenset()
-    assert record.refined == frozenset()
+    assert record.marked.dtype == record.refined.dtype == np.int64
+    assert record.marked.size == record.refined.size == record.sons_of.size == 0
     assert record.nt_before == record.nt_after == 2
 
 
@@ -113,8 +113,8 @@ def test_refine_single_triangle():
     assert new_gid.shape[0] == 1
     mid = refined.forest.coords(new_gid[0])
     assert mid == pytest.approx([0.5, 0.5])
-    assert record.refined == {0}
-    assert record.sons_of[0] == (0, 1)
+    assert record.refined.tolist() == [0]
+    assert record.sons_of.tolist() == [2]
     assert np.all(refined.generations == 1)
     refined.validate()
 
@@ -124,8 +124,8 @@ def test_refine_closure_on_shared_diagonal():
     # marking one bisects both
     mesh = unit_square_mesh()
     refined, record = refine_nvb(mesh, {0})
-    assert record.marked == {0}
-    assert record.refined == {0, 1}
+    assert record.marked.tolist() == [0]
+    assert record.refined.tolist() == [0, 1]
     assert refined.n_elements == 4
     assert refined.n_vertices == 5
     refined.validate()
@@ -144,8 +144,10 @@ def test_two_sons_inequality_and_area_halving():
         marked = rng.choice(mesh.n_elements, size=max(1, mesh.n_elements // 4), replace=False)
         refined, record = refine_nvb(mesh, marked)
         assert len(record.refined) <= record.nt_after - record.nt_before
-        assert record.marked <= record.refined
-        assert all(len(s) >= 2 for s in record.sons_of.values())
+        assert np.all(np.diff(record.refined) > 0)
+        assert np.all(np.isin(record.marked, record.refined))
+        assert np.all((record.sons_of >= 2) & (record.sons_of <= 4))
+        assert record.sons_of.sum() == record.nt_after - record.nt_before + len(record.refined)
         audit_refinement(mesh, refined, record)
         mesh = refined
 
@@ -251,7 +253,7 @@ def test_closure_audit_closure_free_bound():
     # every reference edge of the cross mesh is on the boundary: no closure
     mesh = unit_square_mesh(cross=True)
     refined, record = refine_nvb(mesh, {0, 1, 2, 3})
-    assert record.refined == record.marked
+    assert np.array_equal(record.refined, record.marked)
     assert closure_audit([record]) <= 4.0
 
 
@@ -345,14 +347,14 @@ def test_audit_rejects_generation_jump():
 
 def test_audit_rejects_refined_beyond_growth():
     mesh, refined, record = _refined_single_triangle()
-    inflated = dataclasses.replace(record, refined=frozenset({0, 1}))
+    inflated = dataclasses.replace(record, refined=np.array([0, 1]))
     with pytest.raises(MeshError, match="growth"):
         audit_refinement(mesh, refined, inflated)
 
 
 def test_audit_rejects_single_son():
     mesh, refined, record = _refined_single_triangle()
-    one_son = dataclasses.replace(record, sons_of={0: (0,)})
+    one_son = dataclasses.replace(record, sons_of=np.array([1]))
     with pytest.raises(MeshError, match="fewer than two sons"):
         audit_refinement(mesh, refined, one_son)
 
