@@ -35,16 +35,6 @@ from .driver import (
 from .mesh import write_mesh
 from .problems import builtin_names, builtin_problem
 
-KNOWN_CHECKS = (
-    "estimator_reduction",
-    "rlinear",
-    "rate",
-    "quasi_orthogonality",
-    "marking_optimality",
-    "discrete_reliability",
-    "convergence",
-    "mesh_audit",
-)
 DEFAULT_CHECKS = (
     "estimator_reduction",
     "rlinear",
@@ -58,28 +48,171 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    problem: str
-    theta: tuple
-    marking: str = "min"
-    max_elements: int | None = None
-    eta_tol: float | None = None
-    checks: tuple = DEFAULT_CHECKS
-    out: str = "afem_out"
-    uniform_baseline: bool = False
-    jobs: int = 1
-    qo_epsilon: float = 0.5
+# -- checks: name -> function of (result, config, uniform_result) returning
+# (status, detail); each looks its checker up in this module when it runs
+
+def _verdict(passed):
+    return "pass" if passed else "fail"
 
 
-def _parse_bool(key, raw):
-    if isinstance(raw, bool):
-        return raw
+def _estimator_reduction(result, config, uniform_result):
+    fit = check_estimator_reduction(result.trace)
+    return _verdict(fit.passed), (f"q_fit={fit.q_fit:.6g} C_fit={fit.c_fit:.6g} "
+                                  f"violations={list(fit.violations)}")
+
+
+def _rlinear(result, config, uniform_result):
+    fit = check_rlinear(result.trace)
+    return _verdict(fit.passed), f"q_fit={fit.q_fit:.6g} C_fit={fit.c_fit:.6g}"
+
+
+def _rate(result, config, uniform_result):
+    fit = fit_rate(result.trace)
+    detail = f"rate={fit.rate:.4f} residual={fit.residual:.3g}"
+    if uniform_result is not None:
+        detail += f" uniform_rate={fit_rate(uniform_result.trace).rate:.4f}"
+    return "pass", detail
+
+
+def _quasi_orthogonality(result, config, uniform_result):
+    report = check_quasi_orthogonality(result.trace, config.qo_epsilon)
+    if not report.usable:
+        return "skip", "no iterations above the reference noise floor"
+    return _verdict(not report.failures), (
+        f"epsilon={config.qo_epsilon} ell0={report.ell0} "
+        f"failures={list(report.failures)} usable={len(report.usable)}")
+
+
+def _marking_optimality(result, config, uniform_result):
+    rows = check_marking_optimality(result.trace)
+    bad = [r for r in rows if not r.passed]
+    applicable = sum(1 for r in rows if r.applicable)
+    return _verdict(not bad), f"applicable={applicable} failing={len(bad)}"
+
+
+def _discrete_reliability(result, config, uniform_result):
+    report = check_discrete_reliability(result.trace, min_extra=100)
+    if report.ratios.size == 0:
+        return "skip", "no refinement pairs past the fit window"
+    ok = math.isfinite(report.max_ratio) and report.spread < 10.0
+    return _verdict(ok), f"max={report.max_ratio:.6g} spread={report.spread:.3g}"
+
+
+def _convergence(result, config, uniform_result):
+    report = check_convergence(result.trace)
+    return _verdict(report.passed), f"reduction={report.reduction:.6g}"
+
+
+def _mesh_audit(result, config, uniform_result):
+    meta = result.trace.meta
+    gamma0 = meta["gamma_initial"]
+    gamma_max = meta.get("gamma_max", gamma0)
+    closure = meta.get("closure_constant", 0.0)
+    result.final_mesh.validate()
+    return _verdict(gamma_max <= 2.0 * gamma0 and closure <= 20.0), (
+        f"gamma0={gamma0:.4g} gamma_max={gamma_max:.4g} closure={closure:.4g}")
+
+
+CHECKS = {
+    "estimator_reduction": _estimator_reduction,
+    "rlinear": _rlinear,
+    "rate": _rate,
+    "quasi_orthogonality": _quasi_orthogonality,
+    "marking_optimality": _marking_optimality,
+    "discrete_reliability": _discrete_reliability,
+    "convergence": _convergence,
+    "mesh_audit": _mesh_audit,
+}
+KNOWN_CHECKS = tuple(CHECKS)
+
+
+# -- configuration keys: each parser turns the raw text of a flag or a
+# config-file line into the field value, or raises ValueError
+
+def _problem(raw):
+    if raw not in builtin_names():
+        raise ValueError(f"unknown problem {raw!r}; known: {', '.join(builtin_names())}")
+    return raw
+
+
+def _theta(raw):
+    values = tuple(float(part) for part in raw.split(","))
+    for value in values:
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"value {value} outside (0, 1]")
+    return values
+
+
+def _marking(raw):
+    if raw not in ("min", "binned"):
+        raise ValueError(f"unknown marking {raw!r}; known: min, binned")
+    return raw
+
+
+def _at_least_one(raw):
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+def _eta_tol(raw):
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _checks(raw):
+    checks = tuple(part.strip() for part in raw.split(",") if part.strip())
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; known: {', '.join(KNOWN_CHECKS)}")
+    return checks
+
+
+def _boolean(raw):
     if raw.lower() in ("1", "true", "yes"):
         return True
     if raw.lower() in ("0", "false", "no"):
         return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _qo_epsilon(raw):
+    value = float(raw)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"value {value} outside [0, 1)")
+    return value
+
+
+def _key(parse, default=dataclasses.MISSING, **flag):
+    """A configuration key: its parser, its default and its argparse options."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "flag": flag})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run or theta sweep.
+
+    Every field is a key, set by the flag ``--<key with dashes>`` or by a
+    ``key = value`` line of the config file; both go through the key's
+    parser.
+    """
+
+    problem: str = _key(_problem, help=f"one of: {', '.join(builtin_names())}")
+    theta: tuple = _key(_theta, (0.5,), help="marking parameter in (0, 1]; comma list sweeps")
+    marking: str = _key(_marking, "min", help="min or binned")
+    max_elements: int | None = _key(_at_least_one, None)
+    eta_tol: float | None = _key(_eta_tol, None)
+    checks: tuple = _key(_checks, DEFAULT_CHECKS, help=f"comma list from: {', '.join(CHECKS)}")
+    out: str = _key(str, "afem_out")
+    uniform_baseline: bool = _key(_boolean, False, action="store_const", const="true")
+    jobs: int = _key(_at_least_one, 1)
+    qo_epsilon: float = _key(_qo_epsilon, 0.5)
+
+
+_KEYS = {f.name: f.metadata for f in dataclasses.fields(RunConfig)}
 
 
 def read_config_file(path):
@@ -97,99 +230,37 @@ def read_config_file(path):
     return values
 
 
-_FILE_KEYS = {
-    "problem": str,
-    "theta": str,
-    "marking": str,
-    "max_elements": int,
-    "eta_tol": float,
-    "checks": str,
-    "out": str,
-    "uniform_baseline": "bool",
-    "jobs": int,
-    "qo_epsilon": float,
-}
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="triafem",
         description="Adaptive P1 FEM runs with built-in verification checks.",
     )
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--problem", help=f"one of: {', '.join(builtin_names())}")
-    parser.add_argument("--theta", help="marking parameter in (0, 1]; comma list sweeps")
-    parser.add_argument("--marking", choices=("min", "binned"))
-    parser.add_argument("--max-elements", type=int, dest="max_elements")
-    parser.add_argument("--eta-tol", type=float, dest="eta_tol")
-    parser.add_argument("--checks", help=f"comma list from: {', '.join(KNOWN_CHECKS)}")
-    parser.add_argument("--out")
-    parser.add_argument("--uniform-baseline", action="store_true", default=None,
-                        dest="uniform_baseline")
-    parser.add_argument("--jobs", type=int)
-    parser.add_argument("--qo-epsilon", type=float, dest="qo_epsilon")
+    for name, key in _KEYS.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, **key["flag"])
     return parser
 
 
 def parse_config(argv):
     """Merge config file and command-line flags into a validated RunConfig."""
     args = _build_parser().parse_args(argv)
-    merged = {}
-    if args.config:
-        raw = read_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _FILE_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            kind = _FILE_KEYS[key]
-            merged[key] = _parse_bool(key, value) if kind == "bool" else kind(value)
-    for key in _FILE_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-
-    if "problem" not in merged:
+    raw = read_config_file(args.config) if args.config else {}
+    for key in raw:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    raw.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
+    if "problem" not in raw:
         raise ConfigError("key 'problem' is required")
-    if merged["problem"] not in builtin_names():
-        raise ConfigError(
-            f"key 'problem': unknown problem {merged['problem']!r}; "
-            f"known: {', '.join(builtin_names())}"
-        )
-    theta_raw = merged.get("theta", "0.5")
-    thetas = tuple(float(part) for part in str(theta_raw).split(","))
-    for value in thetas:
-        if not 0.0 < value <= 1.0:
-            raise ConfigError(f"key 'theta': value {value} outside (0, 1]")
-    checks_raw = merged.get("checks")
-    if checks_raw is None:
-        checks = DEFAULT_CHECKS
-    else:
-        checks = tuple(part.strip() for part in checks_raw.split(",") if part.strip())
-        unknown = [c for c in checks if c not in KNOWN_CHECKS]
-        if unknown:
-            raise ConfigError(
-                f"key 'checks': unknown checks {unknown}; known: {', '.join(KNOWN_CHECKS)}"
-            )
-    max_elements = merged.get("max_elements")
-    eta_tol = merged.get("eta_tol")
-    if max_elements is None and eta_tol is None:
+    values = {}
+    for key, meta in _KEYS.items():
+        if key in raw:
+            try:
+                values[key] = meta["parse"](raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from None
+    if "max_elements" not in values and "eta_tol" not in values:
         raise ConfigError("key 'max_elements' or 'eta_tol' is required as a stopping rule")
-    if max_elements is not None and max_elements < 1:
-        raise ConfigError("key 'max_elements': must be positive")
-    jobs = merged.get("jobs", 1)
-    if jobs < 1:
-        raise ConfigError("key 'jobs': must be at least 1")
-    return RunConfig(
-        problem=merged["problem"],
-        theta=thetas,
-        marking=merged.get("marking", "min"),
-        max_elements=max_elements,
-        eta_tol=eta_tol,
-        checks=checks,
-        out=merged.get("out", "afem_out"),
-        uniform_baseline=merged.get("uniform_baseline", False),
-        jobs=jobs,
-        qo_epsilon=merged.get("qo_epsilon", 0.5),
-    )
+    return RunConfig(**values)
 
 
 def _fmt(value):
@@ -199,67 +270,13 @@ def _fmt(value):
 def _run_checks(result, config, uniform_result):
     """Run the requested checks; a check unable to run on this trace is
     reported as skipped, not failed."""
-    trace = result.trace
     outcomes = []
-
-    def record(name, status, detail):
-        outcomes.append({"check": name, "status": status, "detail": detail})
-
     for name in config.checks:
         try:
-            if name == "estimator_reduction":
-                fit = check_estimator_reduction(trace)
-                status = "pass" if fit.passed else "fail"
-                record(name, status,
-                       f"q_fit={fit.q_fit:.6g} C_fit={fit.c_fit:.6g} "
-                       f"violations={list(fit.violations)}")
-            elif name == "rlinear":
-                fit = check_rlinear(trace)
-                record(name, "pass" if fit.passed else "fail",
-                       f"q_fit={fit.q_fit:.6g} C_fit={fit.c_fit:.6g}")
-            elif name == "rate":
-                fit = fit_rate(trace)
-                detail = f"rate={fit.rate:.4f} residual={fit.residual:.3g}"
-                if uniform_result is not None:
-                    ufit = fit_rate(uniform_result.trace)
-                    detail += f" uniform_rate={ufit.rate:.4f}"
-                record(name, "pass", detail)
-            elif name == "quasi_orthogonality":
-                report = check_quasi_orthogonality(trace, config.qo_epsilon)
-                detail = (f"epsilon={config.qo_epsilon} ell0={report.ell0} "
-                          f"failures={list(report.failures)} usable={len(report.usable)}")
-                if not report.usable:
-                    record(name, "skip", "no iterations above the reference noise floor")
-                else:
-                    record(name, "pass" if not report.failures else "fail", detail)
-            elif name == "marking_optimality":
-                rows = check_marking_optimality(trace)
-                bad = [r for r in rows if not r.passed]
-                applicable = sum(1 for r in rows if r.applicable)
-                record(name, "pass" if not bad else "fail",
-                       f"applicable={applicable} failing={len(bad)}")
-            elif name == "discrete_reliability":
-                report = check_discrete_reliability(trace, min_extra=100)
-                if report.ratios.size == 0:
-                    record(name, "skip", "no refinement pairs past the fit window")
-                else:
-                    ok = math.isfinite(report.max_ratio) and report.spread < 10.0
-                    record(name, "pass" if ok else "fail",
-                           f"max={report.max_ratio:.6g} spread={report.spread:.3g}")
-            elif name == "convergence":
-                report = check_convergence(trace)
-                record(name, "pass" if report.passed else "fail",
-                       f"reduction={report.reduction:.6g}")
-            elif name == "mesh_audit":
-                gamma0 = trace.meta["gamma_initial"]
-                gamma_max = trace.meta.get("gamma_max", gamma0)
-                closure = trace.meta.get("closure_constant", 0.0)
-                ok = gamma_max <= 2.0 * gamma0 and closure <= 20.0
-                result.final_mesh.validate()
-                record(name, "pass" if ok else "fail",
-                       f"gamma0={gamma0:.4g} gamma_max={gamma_max:.4g} closure={closure:.4g}")
+            status, detail = CHECKS[name](result, config, uniform_result)
         except ValueError as exc:
-            record(name, "skip", str(exc))
+            status, detail = "skip", str(exc)
+        outcomes.append({"check": name, "status": status, "detail": detail})
     return outcomes
 
 

@@ -46,6 +46,10 @@ TRACE_COLUMNS = (
     "wall_time_s",
 )
 _INT_COLUMNS = frozenset(("ell", "n_elements", "n_vertices", "n_marked", "n_refined"))
+# uniform refinements of the final mesh that give the reference solution
+REFERENCE_LEVELS = 3
+# iteration cap of every run, on top of its own stopping rule
+MAX_ITERATIONS = 200
 
 
 class AfemRunError(RuntimeError):
@@ -106,9 +110,12 @@ class AfemTrace:
     def from_csv(cls, path, meta=None):
         with open(path) as fh:
             rows = [line.strip().split(",") for line in fh if line.strip()]
+        if not rows:
+            raise ValueError("empty trace file")
         if tuple(rows[0]) != TRACE_COLUMNS:
             raise ValueError("unexpected trace header")
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        data = np.array([[float(v) for v in row] for row in rows[1:]]).reshape(
+            len(rows) - 1, len(TRACE_COLUMNS))
         columns = {name: data[:, i].copy() for i, name in enumerate(TRACE_COLUMNS)}
         return cls(columns=columns, meta=dict(meta or {}))
 
@@ -128,9 +135,7 @@ class AfemResult:
     final_mesh: object
     final_solution: DiscreteSolution
     records: list
-    meshes: Optional[list] = None
     solutions: Optional[list] = None
-    reports: Optional[list] = None
     reference: Optional[ReferenceSolution] = None
 
 
@@ -143,9 +148,9 @@ def _solve_on(mesh, problem, guess=None):
     return solve_nonlinear(mesh, problem, initial_guess=guess), None
 
 
-def build_reference(problem, final_mesh, final_solution, levels=3):
-    """Reference solution on ``levels`` uniform refinements of the final mesh."""
-    ref_mesh = uniform_refine(final_mesh, levels)
+def build_reference(problem, final_mesh, final_solution):
+    """Reference solution on ``REFERENCE_LEVELS`` uniform refinements of the final mesh."""
+    ref_mesh = uniform_refine(final_mesh, REFERENCE_LEVELS)
     guess = None if isinstance(problem, LinearProblem) else transfer(final_solution, ref_mesh)
     return ReferenceSolution(ref_mesh, *_solve_on(ref_mesh, problem, guess))
 
@@ -159,9 +164,6 @@ def _run_loop(
     marking_name,
     keep_history,
     compute_reference,
-    reference_levels,
-    audit,
-    max_iterations,
     initial_mesh,
 ):
     if max_elements is None and eta_tol is None:
@@ -176,7 +178,7 @@ def _run_loop(
     gamma_max = gamma0
     rows = []
     records = []
-    meshes, solutions, reports = [], [], []
+    solutions = []
     previous = None
 
     @contextmanager
@@ -199,7 +201,7 @@ def _run_loop(
         "gamma_initial": gamma0,
     }
 
-    for ell in range(max_iterations + 1):
+    for ell in range(MAX_ITERATIONS + 1):
         tic = time.perf_counter()
         moved = None
         if previous is not None:
@@ -232,14 +234,12 @@ def _run_loop(
             }
         )
         if keep_history:
-            meshes.append(mesh)
             solutions.append(sol)
-            reports.append(report)
 
         stop = (
             (eta_tol is not None and math.sqrt(report.eta_sq_total) <= eta_tol)
             or (max_elements is not None and mesh.n_elements >= max_elements)
-            or ell == max_iterations
+            or ell == MAX_ITERATIONS
         )
         if not stop:
             with _phase("mark"):
@@ -255,11 +255,9 @@ def _run_loop(
         with _phase("refine"):
             refined_mesh, record = refine_nvb(mesh, marked)
         records.append(record)
-        if audit:
-            with _phase("audit"):
-                audit_refinement(mesh, refined_mesh, record)
-                gamma = shape_regularity(refined_mesh)
-            gamma_max = max(gamma_max, gamma)
+        with _phase("audit"):
+            audit_refinement(mesh, refined_mesh, record)
+            gamma_max = max(gamma_max, shape_regularity(refined_mesh))
         rows[-1]["n_marked"] = float(len(record.marked))
         rows[-1]["n_refined"] = float(len(record.refined))
         rows[-1]["refined_eta_sq"] = local_sum(report, record.refined)
@@ -274,7 +272,7 @@ def _run_loop(
     reference = None
     if compute_reference:
         with _phase("reference"):
-            reference = build_reference(problem, mesh, previous, levels=reference_levels)
+            reference = build_reference(problem, mesh, previous)
             for k, sol_k in enumerate(solutions):
                 moved = transfer(sol_k, reference.mesh)
                 _, dl_sq = energy_products(
@@ -289,9 +287,7 @@ def _run_loop(
         final_mesh=mesh,
         final_solution=previous,
         records=records,
-        meshes=meshes if keep_history else None,
         solutions=solutions if keep_history else None,
-        reports=reports if keep_history else None,
         reference=reference,
     )
 
@@ -311,19 +307,19 @@ def run_afem(
     marking="min",
     keep_history=True,
     compute_reference=False,
-    reference_levels=3,
-    audit=True,
-    max_iterations=200,
     initial_mesh=None,
 ):
     """Adaptive run with Doerfler marking; returns an :class:`AfemResult`.
 
     Stops when the estimator drops below ``eta_tol``, the mesh reaches
-    ``max_elements``, or the indicators vanish. With
-    ``compute_reference=True`` the run is followed by a reference solve on
-    ``reference_levels`` uniform refinements of the final mesh and the
-    energy errors of all iterates are recorded. ``initial_mesh`` overrides
-    the problem's default, which lets several runs share one genealogy.
+    ``max_elements``, the indicators vanish or after ``MAX_ITERATIONS``
+    refinements. Every refinement is audited. ``keep_history`` keeps the
+    solution of every iteration in ``solutions``. With
+    ``compute_reference=True`` (which needs that history) the run is
+    followed by a reference solve on ``REFERENCE_LEVELS`` uniform
+    refinements of the final mesh and the energy errors of all iterates are
+    recorded. ``initial_mesh`` overrides the problem's default, which lets
+    several runs share one genealogy.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
@@ -335,7 +331,7 @@ def run_afem(
         raise ValueError(f"unknown marking variant {marking!r}")
     return _run_loop(
         problem, mark_fn, theta, max_elements, eta_tol, marking, keep_history,
-        compute_reference, reference_levels, audit, max_iterations, initial_mesh,
+        compute_reference, initial_mesh,
     )
 
 
@@ -345,16 +341,13 @@ def run_uniform(
     eta_tol=None,
     keep_history=True,
     compute_reference=False,
-    reference_levels=3,
-    audit=True,
-    max_iterations=200,
     initial_mesh=None,
 ):
     """Uniform-refinement baseline: every element is marked each step."""
     mark_fn = lambda report: np.arange(report.indicators_sq.shape[0])
     return _run_loop(
         problem, mark_fn, 1.0, max_elements, eta_tol, "uniform", keep_history,
-        compute_reference, reference_levels, audit, max_iterations, initial_mesh,
+        compute_reference, initial_mesh,
     )
 
 
@@ -601,17 +594,6 @@ def check_discrete_reliability(trace, min_extra=0):
         max_ratio=float(ratios.max()) if ratios.size else 0.0,
         min_ratio=float(positive.min()) if positive.size else 0.0,
     )
-
-
-def discrete_reliability_ratio(coarse_mesh, fine_mesh, coarse_report, coarse_sol, fine_sol):
-    """Single-pair discrete reliability ratio (0 when nothing was refined)."""
-    kept = fine_mesh.forest.covered(coarse_mesh.node_ids, fine_mesh.node_ids)
-    refined = np.flatnonzero(~kept)
-    denom = local_sum(coarse_report, refined)
-    if denom == 0.0:
-        return 0.0
-    moved = transfer(coarse_sol, fine_mesh)
-    return grad_norm_sq(fine_mesh, fine_sol.values - moved.values) / denom
 
 
 @dataclass(frozen=True)

@@ -125,11 +125,6 @@ def estimate(mesh, sol, problem):
     )
 
 
-def oscillations(mesh, sol, problem):
-    """Per-element squared oscillations (mean-free volume residual)."""
-    return estimate(mesh, sol, problem).osc_sq
-
-
 def local_sum(report, subset):
     """Sum of squared indicators over a subset of elements."""
     idx = np.asarray(subset, dtype=np.int64)
@@ -138,26 +133,3 @@ def local_sum(report, subset):
     if idx.min() < 0 or idx.max() >= report.indicators_sq.shape[0]:
         raise IndexError("element index out of range")
     return float(report.indicators_sq[idx].sum())
-
-
-def write_report_csv(report, path):
-    lines = ["elem_id,eta_sq,osc_sq"]
-    for k, (eta, osc) in enumerate(zip(report.indicators_sq, report.osc_sq)):
-        lines.append(f"{k},{float(eta)!r},{float(osc)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_report_csv(path):
-    with open(path) as fh:
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if rows[0] != ["elem_id", "eta_sq", "osc_sq"]:
-        raise ValueError("unexpected report header")
-    eta = np.array([float(r[1]) for r in rows[1:]])
-    osc = np.array([float(r[2]) for r in rows[1:]])
-    return EstimatorReport(
-        indicators_sq=eta,
-        osc_sq=osc,
-        eta_sq_total=float(eta.sum()),
-        osc_sq_total=float(osc.sum()),
-    )

@@ -21,15 +21,10 @@ class AllZeroIndicators(ValueError):
 @dataclass(frozen=True)
 class MarkingResult:
     marked: np.ndarray
-    theta: float
     achieved_fraction: float
 
     def __post_init__(self):
         self.marked.setflags(write=False)
-
-    @property
-    def n_marked(self):
-        return int(self.marked.shape[0])
 
 
 def _validated(indicators_sq, theta):
@@ -58,23 +53,17 @@ def mark_min(indicators_sq, theta):
     k = int(np.searchsorted(csum, theta * total, side="left"))
     k = min(k, int(np.count_nonzero(values)) - 1)
     marked = np.sort(order[: k + 1])
-    return MarkingResult(
-        marked=marked, theta=float(theta), achieved_fraction=float(csum[k] / total)
-    )
+    return MarkingResult(marked=marked, achieved_fraction=float(csum[k] / total))
 
 
-def mark_binned(indicators_sq, theta, c_almost=2.0):
+def mark_binned(indicators_sq, theta):
     """Almost-minimal marking by power-of-two binning, no comparison sort.
 
     Whole bins are taken in descending magnitude until the last needed
     bin, which is filled element by element (ascending index); within a
     bin all values agree up to a factor of two, which yields a marked set
-    at most twice as large as the minimal one. ``c_almost`` documents the
-    cardinality factor the caller is willing to accept and must be >= 2
-    for that guarantee to apply.
+    at most twice as large as the minimal one.
     """
-    if c_almost < 1.0:
-        raise ValueError("c_almost must be at least 1")
     values = _validated(indicators_sq, theta)
 
     positive = values > 0.0
@@ -102,6 +91,4 @@ def mark_binned(indicators_sq, theta, c_almost=2.0):
     achieved = float(tail_csum[need])
 
     marked = np.sort(np.concatenate([pos_idx[take_whole], tail[: need + 1]]))
-    return MarkingResult(
-        marked=marked, theta=float(theta), achieved_fraction=achieved / total
-    )
+    return MarkingResult(marked=marked, achieved_fraction=achieved / total)

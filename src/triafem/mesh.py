@@ -322,12 +322,6 @@ class Mesh:
         return g
 
     @cached_property
-    def parents(self):
-        p = self.forest.node_parent(self.node_ids)
-        p.setflags(write=False)
-        return p
-
-    @cached_property
     def signed_areas(self):
         p = self.vertices
         t = self.triangles
@@ -360,7 +354,8 @@ class Mesh:
         """Physical volume quadrature points per element, (NT, 7, 2).
 
         Not cached: at 112 bytes per element they would be the largest
-        cached array, and a run that keeps its history keeps every mesh.
+        cached array, and a run that keeps its history keeps every mesh
+        (each kept solution holds its mesh).
         """
         p = self.vertices[self.triangles]
         return quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
@@ -413,26 +408,11 @@ class Mesh:
         return self._edge_data[3]
 
     @cached_property
-    def edge_lengths(self):
-        e = self.edges
-        d = self.vertices[e[:, 1]] - self.vertices[e[:, 0]]
-        out = np.hypot(d[:, 0], d[:, 1])
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def boundary_edges(self):
         """Boundary edges as sorted local vertex pairs."""
         be = self.edges[self.edge_counts == 1]
         be.setflags(write=False)
         return be
-
-    @cached_property
-    def boundary_markers(self):
-        """Per boundary edge flag; 1 marks homogeneous Dirichlet (the only kind)."""
-        m = np.ones(self.boundary_edges.shape[0], dtype=np.int64)
-        m.setflags(write=False)
-        return m
 
     @cached_property
     def is_boundary_vertex(self):
@@ -488,7 +468,7 @@ def _assign_reference_edges(coords, triangles):
     return rotated
 
 
-def _validate_initial(coords, triangles, boundary_spec):
+def _validate_initial(coords, triangles):
     coords = np.ascontiguousarray(np.asarray(coords, dtype=float))
     triangles = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
     if coords.ndim != 2 or coords.shape[1] != 2:
@@ -513,28 +493,7 @@ def _validate_initial(coords, triangles, boundary_spec):
     key = np.sort(triangles, axis=1)
     if np.unique(key, axis=0).shape[0] != triangles.shape[0]:
         raise MeshError("non-conforming mesh: duplicated triangle")
-
-    pairs = np.sort(
-        np.stack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=1
-                 ).reshape(-1, 2),
-        axis=1,
-    )
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    counts = np.bincount(inverse.ravel(), minlength=edges.shape[0])
-    if np.any(counts > 2):
-        raise MeshError("non-conforming mesh: edge shared by more than two triangles")
-    boundary = edges[counts == 1]
-
-    if boundary_spec is not None:
-        spec = np.asarray(boundary_spec, dtype=np.int64)
-        if spec.ndim != 2 or spec.shape[1] not in (2, 3):
-            raise MeshError("inconsistent boundary spec: expected rows (va, vb[, marker])")
-        if spec.shape[1] == 3 and np.any(spec[:, 2] != 1):
-            raise MeshError("inconsistent boundary spec: only Dirichlet marker 1 is supported")
-        given = np.unique(np.sort(spec[:, :2], axis=1), axis=0)
-        if given.shape != boundary.shape or not np.array_equal(given, boundary):
-            raise MeshError("inconsistent boundary spec: edges do not match the mesh boundary")
-    return coords, triangles, boundary
+    return coords, triangles
 
 
 def load_initial_mesh(vertex_array, triangle_array, boundary_spec=None):
@@ -545,16 +504,29 @@ def load_initial_mesh(vertex_array, triangle_array, boundary_spec=None):
     validated against the edge incidence of the triangulation; ``None``
     derives it.
     """
-    coords, triangles, boundary = _validate_initial(vertex_array, triangle_array, boundary_spec)
+    coords, triangles = _validate_initial(vertex_array, triangle_array)
     triangles = _assign_reference_edges(coords, triangles)
-    return _finish_initial(coords, triangles, boundary)
+    return _finish_initial(coords, triangles, boundary_spec)
 
 
-def _finish_initial(coords, triangles, boundary):
+def _finish_initial(coords, triangles, boundary_spec):
+    """Initial mesh of validated arrays; its edge table gives the boundary.
+
+    Every vertex is used, so local vertex numbers are the forest's ids.
+    """
     forest = MeshForest(coords, triangles)
-    vb = forest._vboundary
-    vb[boundary.ravel()] = True
     mesh = Mesh(forest, np.arange(triangles.shape[0], dtype=np.int64))
+    boundary = mesh.boundary_edges
+    if boundary_spec is not None:
+        spec = np.asarray(boundary_spec, dtype=np.int64)
+        if spec.ndim != 2 or spec.shape[1] not in (2, 3):
+            raise MeshError("inconsistent boundary spec: expected rows (va, vb[, marker])")
+        if spec.shape[1] == 3 and np.any(spec[:, 2] != 1):
+            raise MeshError("inconsistent boundary spec: only Dirichlet marker 1 is supported")
+        given = np.unique(np.sort(spec[:, :2], axis=1), axis=0)
+        if given.shape != boundary.shape or not np.array_equal(given, boundary):
+            raise MeshError("inconsistent boundary spec: edges do not match the mesh boundary")
+    forest._vboundary[: forest.n_vertices] = mesh.is_boundary_vertex
     mesh.validate()
     return mesh
 
@@ -748,7 +720,8 @@ def audit_refinement(old_mesh, new_mesh, record):
 
 def write_mesh(mesh, path):
     """Write the line-oriented mesh format: header ``NV NT``, vertices,
-    triangles as ``v0 v1 v2 ref_slot``, then boundary edges ``va vb marker``.
+    triangles as ``v0 v1 v2 ref_slot``, then boundary edges ``va vb 1`` (the
+    marker 1 is homogeneous Dirichlet, the only kind).
 
     Triples are stored with their reference edge normalised to slot 0.
     """
@@ -757,8 +730,8 @@ def write_mesh(mesh, path):
         lines.append(f"{float(x)!r} {float(y)!r}")
     for a, b, c in mesh.triangles:
         lines.append(f"{a} {b} {c} 0")
-    for (a, b), m in zip(mesh.boundary_edges, mesh.boundary_markers):
-        lines.append(f"{a} {b} {m}")
+    for a, b in mesh.boundary_edges:
+        lines.append(f"{a} {b} 1")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -773,6 +746,8 @@ def read_mesh(path):
     with open(path) as fh:
         tokens = fh.read().split("\n")
     rows = [line.split() for line in tokens if line.strip()]
+    if not rows:
+        raise MeshError("truncated mesh file")
     nv, nt = (int(v) for v in rows[0])
     if len(rows) < 1 + nv + nt:
         raise MeshError("truncated mesh file")
@@ -795,8 +770,7 @@ def read_mesh(path):
     flip = area2 < 0.0
     tris[flip] = tris[np.ix_(np.nonzero(flip)[0], [1, 0, 2])]
 
-    coords2, tris2, bnd = _validate_initial(coords, tris, boundary)
-    return _finish_initial(coords2, tris2, bnd)
+    return _finish_initial(*_validate_initial(coords, tris), boundary)
 
 
 # -- builtin initial meshes ---------------------------------------------------

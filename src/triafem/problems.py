@@ -67,29 +67,6 @@ class NonlinearProblem:
     make_initial_mesh: Callable = unit_square_mesh
 
 
-def apply_operator_pointwise(problem, point, u_value, grad_value):
-    """Flux and reaction part of the operator at a single point.
-
-    Returns ``(A grad u, b . grad u + c u)`` for linear problems and
-    ``(F(x, grad u), g(x, u, grad u))`` for nonlinear ones.
-    """
-    x = np.asarray(point, dtype=float).reshape(1, 2)
-    grad = np.asarray(grad_value, dtype=float).reshape(1, 2)
-    if isinstance(problem, LinearProblem):
-        flux = np.einsum("nij,nj->ni", problem.diffusion(x), grad)[0]
-        reaction = 0.0
-        if problem.advection is not None:
-            reaction += float(np.sum(problem.advection(x)[0] * grad[0]))
-        if problem.reaction is not None:
-            reaction += float(problem.reaction(x)[0]) * u_value
-        return flux, reaction
-    flux = problem.flux(x, grad)[0]
-    reaction = 0.0
-    if problem.lower_order is not None:
-        reaction = float(problem.lower_order(x, np.array([u_value]), grad)[0])
-    return flux, reaction
-
-
 # -- builtin problems -------------------------------------------------------
 
 def _constant_matrix(mat):

@@ -263,8 +263,8 @@ def test_criterion_5_marking_oracle_equivalence():
 
 def test_criterion_6_structural_suite(theta_runs, lshape_runs, reference_runs):
     # conformity, positive areas, exact son-area halving and generation
-    # increments are enforced after every refinement by the in-run audit
-    # (audit=True), which raises on any violation; here we check the
+    # increments are enforced after every refinement by the in-run audit,
+    # which raises on any violation; here we check the
     # recorded run constants and the overlay properties
     pool = list(theta_runs.values()) + list(reference_runs.values()) + [
         lshape_runs["adaptive"], lshape_runs["uniform"],
@@ -407,7 +407,7 @@ def test_convergence_invariant_on_all_builtins():
                "magnetostatics_nl": (0.8, 80_000), "lshape_poisson": (0.5, 330_000)}
     for name, (theta, budget) in budgets.items():
         result = run_afem(builtin_problem(name), theta, max_elements=budget,
-                          keep_history=False, audit=False)
+                          keep_history=False)
         report = check_convergence(result.trace)
         print(f"\n{name}: eta reduction {report.reduction:.1f}x")
         assert report.passed, name

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers_fem import evaluate, restrict_functional
 
 from triafem.assembly import (
     DiscreteSolution,
@@ -9,19 +10,15 @@ from triafem.assembly import (
     assemble_operator,
     element_gradients,
     energy_products,
-    evaluate,
     grad_norm_sq,
     h1_error_sq,
     l2_norm,
     laplace_stiffness,
     nonlinear_jacobian,
     nonlinear_residual,
-    read_solution,
-    restrict_functional,
     solve_linear,
     solve_nonlinear,
     transfer,
-    write_solution,
 )
 from triafem.mesh import refine_nvb, uniform_refine, unit_square_mesh
 from triafem.problems import (
@@ -397,16 +394,6 @@ def test_element_gradients_of_linear_function():
     values = 2.0 * mesh.vertices[:, 0] - 3.0 * mesh.vertices[:, 1]
     grads = element_gradients(mesh, values)
     assert np.abs(grads - np.array([2.0, -3.0])).max() < 1e-12
-
-
-def test_solution_file_roundtrip(tmp_path):
-    problem = builtin_problem("square_smooth")
-    mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    sol = solve_linear(assemble_linear(mesh, problem))
-    path = tmp_path / "sol.txt"
-    write_solution(sol, path)
-    back = read_solution(mesh, path)
-    assert np.array_equal(back.values, sol.values)
 
 
 def test_boundary_values_must_be_zero():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from triafem import cli
 from triafem.cli import ConfigError, execute, main, parse_config
 from triafem.mesh import write_mesh
 from triafem.problems import builtin_problem
@@ -45,6 +46,26 @@ def test_unknown_config_file_key(tmp_path):
     cfg.write_text("problem = square_smooth\nwidgets = 3\n")
     with pytest.raises(ConfigError, match="widgets"):
         parse_config(["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("key,flags,file_lines", [
+    ("theta", ["--theta", "abc"], ""),
+    ("theta", ["--theta", "0.5,"], ""),
+    ("max_elements", [], "max_elements = abc\n"),
+    ("marking", [], "marking = foo\n"),
+    ("qo_epsilon", ["--qo-epsilon", "1.5"], ""),
+    ("eta_tol", ["--eta-tol", "-1"], ""),
+    ("eta_tol", ["--eta-tol", "nan"], ""),
+], ids=["theta-abc", "theta-trailing-comma", "max_elements-file-abc", "marking-file-foo",
+        "qo_epsilon-1.5", "eta_tol-negative", "eta_tol-nan"])
+def test_bad_value_names_key(key, flags, file_lines, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = square_smooth\n" + file_lines)
+    argv = ["--config", str(cfg)] + flags
+    if key != "max_elements":
+        argv += ["--max-elements", "100"]
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        parse_config(argv)
 
 
 def test_flag_overrides_file(tmp_path):
@@ -214,3 +235,26 @@ def test_quasi_orthogonality_check_through_cli(tmp_path):
     report = (out / "report.txt").read_text()
     assert "quasi_orthogonality: PASS" in report
     assert "usable=0" not in report
+
+
+def test_checks_look_up_their_checkers_at_call_time(tmp_path, monkeypatch):
+    # a tracer patches these names on the cli module; each check must reach
+    # the patched function, not one bound when the module was loaded
+    names = ("check_estimator_reduction", "check_rlinear", "check_quasi_orthogonality",
+             "check_marking_optimality", "check_discrete_reliability",
+             "check_convergence", "fit_rate")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    config = parse_config(["--problem", "square_smooth", "--theta", "0.5",
+                           "--max-elements", "300", "--out", str(tmp_path / "run"),
+                           "--checks", ",".join(cli.KNOWN_CHECKS)])
+    execute(config)
+    assert calls == dict.fromkeys(names, 1)

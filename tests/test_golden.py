@@ -1,11 +1,14 @@
-"""Golden traces: two small CLI runs must reproduce recorded outputs.
+"""Golden runs: three small CLI runs must reproduce their recorded artefacts.
 
-``tests/golden/<problem>/`` holds ``trace.csv`` without its
-``wall_time_s`` column and ``report.txt`` of one run each. A change that
-claims to leave the arithmetic alone must keep both byte for byte; a
-change that means to alter them re-records the files and says why.
+``tests/golden/<problem>/`` holds every deterministic artefact of one run:
+``trace.csv`` without its ``wall_time_s`` column, ``report.txt``,
+``plotdata.csv``, ``failures.json``, ``meta.json`` and both mesh files. A
+change that claims to leave the arithmetic alone must keep all of them byte
+for byte; a change that means to alter them re-records the files with
+``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
 
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,11 @@ LINEAR_CHECKS = ("estimator_reduction,rlinear,marking_optimality,"
 RUNS = {
     "lshape_poisson": ("300", LINEAR_CHECKS),
     "magnetostatics_nl": ("200", LINEAR_CHECKS + ",quasi_orthogonality"),
+    # the paper's non-symmetric operator
+    "convection_diffusion": ("2000", LINEAR_CHECKS + ",quasi_orthogonality"),
 }
+ARTEFACTS = ("trace.csv", "report.txt", "plotdata.csv", "failures.json", "meta.json",
+             "meshes/initial.mesh", "meshes/final.mesh")
 
 
 def _without_wall_time(text):
@@ -27,13 +34,27 @@ def _without_wall_time(text):
     return "\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows) + "\n"
 
 
-@pytest.mark.parametrize("problem", sorted(RUNS))
-def test_cli_run_matches_golden_trace(problem, tmp_path):
+def _run(problem, out):
+    """Run one golden configuration into ``out``; returns artefact name -> bytes."""
     max_elements, checks = RUNS[problem]
-    out = tmp_path / problem
     execute(parse_config(["--problem", problem, "--theta", "0.5",
                           "--max-elements", max_elements, "--checks", checks,
                           "--out", str(out)]))
-    trace = _without_wall_time((out / "trace.csv").read_text())
-    assert trace == (GOLDEN / problem / "trace.csv").read_text()
-    assert (out / "report.txt").read_bytes() == (GOLDEN / problem / "report.txt").read_bytes()
+    files = {name: (out / name).read_bytes() for name in ARTEFACTS}
+    files["trace.csv"] = _without_wall_time(files["trace.csv"].decode()).encode()
+    return files
+
+
+@pytest.mark.parametrize("problem", sorted(RUNS))
+def test_cli_run_matches_golden_trace(problem, tmp_path):
+    files = _run(problem, tmp_path / problem)
+    for name in ARTEFACTS:
+        assert files[name] == (GOLDEN / problem / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        for problem in sorted(RUNS):
+            for name, data in _run(problem, Path(scratch) / problem).items():
+                (GOLDEN / problem / name).parent.mkdir(parents=True, exist_ok=True)
+                (GOLDEN / problem / name).write_bytes(data)

@@ -44,8 +44,6 @@ def test_invalid_inputs():
         mark_min([1.0], 1.5)
     with pytest.raises(ValueError):
         mark_min([-1.0, 2.0], 0.5)
-    with pytest.raises(ValueError):
-        mark_binned([1.0], 0.5, c_almost=0.5)
 
 
 def test_against_exhaustive_oracle():

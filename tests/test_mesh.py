@@ -287,6 +287,13 @@ def test_mesh_file_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_read_mesh_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.mesh"
+    path.write_text("")
+    with pytest.raises(MeshError, match="truncated mesh file"):
+        read_mesh(path)
+
+
 def test_read_mesh_respects_ref_slot(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text(

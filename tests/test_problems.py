@@ -5,7 +5,6 @@ from triafem.mesh import uniform_refine, unit_square_mesh
 from triafem.problems import (
     EllipticityWarning,
     LinearProblem,
-    apply_operator_pointwise,
     builtin_names,
     builtin_problem,
     check_ellipticity,
@@ -30,11 +29,10 @@ def test_catalogue_names():
 
 def test_magnetostatics_flux_values():
     p = builtin_problem("magnetostatics_nl")
-    flux, reaction = apply_operator_pointwise(p, (0.3, 0.4), 0.0, (1.0, 0.0))
-    assert flux == pytest.approx([1.5, 0.0])
-    assert reaction == 0.0
-    zero_flux, _ = apply_operator_pointwise(p, (0.3, 0.4), 0.0, (0.0, 0.0))
-    assert zero_flux == pytest.approx([0.0, 0.0])
+    x = np.array([[0.3, 0.4]])
+    assert p.flux(x, np.array([[1.0, 0.0]]))[0] == pytest.approx([1.5, 0.0])
+    assert p.lower_order is None
+    assert p.flux(x, np.zeros((1, 2)))[0] == pytest.approx([0.0, 0.0])
 
 
 def test_magnetostatics_jacobian_at_zero():
@@ -72,16 +70,17 @@ def test_magnetostatics_jacobian_symmetry_exact():
 
 def test_linear_pointwise_operator():
     p = builtin_problem("square_smooth")
-    flux, reaction = apply_operator_pointwise(p, (0.2, 0.7), 1.0, (1.0, 0.0))
-    assert flux == pytest.approx([1.0, 0.0])
-    assert reaction == 0.0
+    x = np.array([[0.2, 0.7]])
+    assert p.diffusion(x)[0] @ np.array([1.0, 0.0]) == pytest.approx([1.0, 0.0])
+    assert p.advection is None and p.reaction is None
 
 
 def test_convection_diffusion_pointwise():
     p = builtin_problem("convection_diffusion")
-    flux, reaction = apply_operator_pointwise(p, (0.5, 0.5), 1.0, (0.0, 0.0))
-    assert flux == pytest.approx([0.0, 0.0])
-    assert reaction == pytest.approx(1.0)
+    x = np.array([[0.5, 0.5]])
+    grad, u = np.zeros(2), 1.0
+    assert p.diffusion(x)[0] @ grad == pytest.approx([0.0, 0.0])
+    assert p.advection(x)[0] @ grad + p.reaction(x)[0] * u == pytest.approx(1.0)
 
 
 def test_square_smooth_source():
