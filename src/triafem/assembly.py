@@ -3,17 +3,20 @@
 The nodal basis lives on all mesh vertices; homogeneous Dirichlet
 conditions are imposed by restricting systems to interior vertices and
 keeping solution vectors at full length with exact zeros on the boundary.
-Element data has one source: basis gradients are cached on the mesh
-(:attr:`Mesh.basis_gradients`), quadrature points come from
-:meth:`Mesh.quadrature_points`, a P1 function at those points from
-:func:`p1_at_quadrature`, and every matrix is summed from local element
-matrices by one scatter. Assembly is vectorised over elements in chunks
-and strictly sequential, so repeated runs are bit-reproducible.
+Element data has one source per mesh: basis gradients are cached on the
+mesh (:attr:`Mesh.basis_gradients`); the quadrature points and the
+coefficient samples are taken once by :func:`volume_samples` and passed as
+an argument to assembly, the nonlinear solver and the estimator. Every
+bilinear form contracts its quadrature before the local product,
+``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is summed from
+local element matrices by one scatter. Assembly is strictly sequential, so
+repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +27,10 @@ from .mesh import Mesh
 from .problems import LinearProblem
 
 DIRECT_SOLVER_LIMIT = 200_000
-_CHUNK = 200_000
+# w_q lambda_qi and w_q lambda_qi lambda_qj of the volume rule: the load and
+# mass tables that contract a per-point sample against the P1 basis
+_W_LAM = quadrature.TRI_WEIGHTS[:, None] * quadrature.TRI_BARY
+_W_LAM_LAM = (_W_LAM[:, :, None] * quadrature.TRI_BARY[:, None, :]).reshape(-1, 9)
 
 
 class AssemblyError(RuntimeError):
@@ -73,6 +79,44 @@ class SparseSystem:
     rhs: np.ndarray
     interior: np.ndarray
     mesh: Mesh
+
+
+@dataclass(frozen=True)
+class VolumeSamples:
+    """A problem's data at the volume quadrature points of one mesh.
+
+    ``points`` is flat, (NT * q, 2), the layout the closures take; every
+    sample is per element and point, (NT, q) or (NT, q, 2). Advection,
+    reaction and the diffusion divergence are sampled for linear problems
+    that define them. Built once per mesh and passed as an argument, never
+    cached on the mesh: a run that keeps its history keeps every mesh.
+    """
+
+    points: np.ndarray
+    source: np.ndarray
+    advection: Optional[np.ndarray] = None
+    reaction: Optional[np.ndarray] = None
+    diffusion_div: Optional[np.ndarray] = None
+
+
+def volume_samples(mesh, problem):
+    """Sample the source and, for linear problems, the advection, reaction
+    and diffusion divergence at the volume quadrature points of ``mesh``."""
+    points = mesh.quadrature_points()
+    shape = points.shape[:2]
+    points = points.reshape(-1, 2)
+
+    def sample(name, *tail):
+        values = getattr(problem, name)(points).reshape(*shape, *tail)
+        _check_finite(name, values)
+        return values
+
+    samples = {"source": sample("source")}
+    if isinstance(problem, LinearProblem):
+        for name, tail in (("advection", (2,)), ("reaction", ()), ("diffusion_div", (2,))):
+            if getattr(problem, name) is not None:
+                samples[name] = sample(name, *tail)
+    return VolumeSamples(points=points, **samples)
 
 
 def element_gradients(mesh, values):
@@ -135,45 +179,32 @@ def _scatter(mesh, local, keep=None):
     return matrix[keep][:, keep].tocsr()
 
 
-def _element_system(mesh, problem):
+def _stiffness(grads, a_bar):
+    """G A G^T per element: (NT, 3, 2) gradients, (NT, 2, 2) matrices."""
+    return grads @ a_bar @ grads.transpose(0, 2, 1)
+
+
+def _contract(w, values):
+    """Quadrature sum over the point axis 1 of a per-point sample."""
+    return np.einsum("q,nq...->n...", w, values)
+
+
+def _element_system(mesh, problem, samples):
     """Local element matrices (NT, 3, 3) and the load over all vertices."""
     nt = mesh.n_elements
-    areas = mesh.areas
-    lam = quadrature.TRI_BARY
     w = quadrature.TRI_WEIGHTS
-    nq = w.size
-    local = np.empty((nt, 3, 3))
-    rhs = np.zeros(mesh.n_vertices)
-    grads_all = mesh.basis_gradients
-    pts_all = mesh.quadrature_points()
-
-    for lo in range(0, nt, _CHUNK):
-        hi = min(lo + _CHUNK, nt)
-        grads = grads_all[lo:hi]
-        flat = pts_all[lo:hi].reshape(-1, 2)
-
-        a_q = problem.diffusion(flat).reshape(hi - lo, nq, 2, 2)
-        _check_finite("diffusion", a_q)
-        a_grad = np.einsum("nqab,njb->nqja", a_q, grads)
-        block = np.einsum("q,nqja,nia->nij", w, a_grad, grads)
-
-        if problem.advection is not None:
-            b_q = problem.advection(flat).reshape(hi - lo, nq, 2)
-            _check_finite("advection", b_q)
-            b_grad = np.einsum("nqa,nja->nqj", b_q, grads)
-            block += np.einsum("q,nqj,qi->nij", w, b_grad, lam)
-        if problem.reaction is not None:
-            c_q = problem.reaction(flat).reshape(hi - lo, nq)
-            _check_finite("reaction", c_q)
-            block += np.einsum("q,nq,qi,qj->nij", w, c_q, lam, lam)
-        block *= areas[lo:hi, None, None]
-        local[lo:hi] = block
-
-        f_q = problem.source(flat).reshape(hi - lo, nq)
-        _check_finite("source", f_q)
-        f_loc = np.einsum("q,nq,qi->ni", w, f_q, lam) * areas[lo:hi, None]
-        rhs += np.bincount(mesh.triangles[lo:hi].ravel(), weights=f_loc.ravel(),
-                           minlength=mesh.n_vertices)
+    grads = mesh.basis_gradients
+    a_q = problem.diffusion(samples.points).reshape(nt, w.size, 2, 2)
+    _check_finite("diffusion", a_q)
+    local = _stiffness(grads, _contract(w, a_q))
+    if samples.advection is not None:
+        b_bar = np.einsum("qi,nqa->nia", _W_LAM, samples.advection)
+        local += b_bar @ grads.transpose(0, 2, 1)
+    if samples.reaction is not None:
+        local += (samples.reaction @ _W_LAM_LAM).reshape(nt, 3, 3)
+    local *= mesh.areas[:, None, None]
+    f_loc = (samples.source @ _W_LAM) * mesh.areas[:, None]
+    rhs = np.bincount(mesh.triangles.ravel(), weights=f_loc.ravel(), minlength=mesh.n_vertices)
     return local, rhs
 
 
@@ -183,13 +214,19 @@ def assemble_operator(mesh, problem):
     Entry (i, j) of the matrix is b(phi_j, phi_i); the system including
     Dirichlet restriction is produced by :func:`assemble_linear`.
     """
-    local, rhs = _element_system(mesh, problem)
+    local, rhs = _element_system(mesh, problem, volume_samples(mesh, problem))
     return _scatter(mesh, local, keep=slice(None)), rhs
 
 
-def assemble_linear(mesh, problem):
-    """Interior-restricted system of the discrete weak form."""
-    local, rhs = _element_system(mesh, problem)
+def assemble_linear(mesh, problem, samples=None):
+    """Interior-restricted system of the discrete weak form.
+
+    ``samples`` are the problem's :func:`volume_samples` on ``mesh``,
+    taken here when not given.
+    """
+    if samples is None:
+        samples = volume_samples(mesh, problem)
+    local, rhs = _element_system(mesh, problem, samples)
     restricted = _scatter(mesh, local)
     interior = mesh.interior_vertices
     if interior.size and np.any(restricted.diagonal() == 0.0):
@@ -250,19 +287,24 @@ def solve_linear(system, method="auto", maxiter=None):
 
 # -- nonlinear Galerkin systems ------------------------------------------------
 
-def nonlinear_residual(mesh, problem, values):
-    """Galerkin residual F_i = <L u - f, phi_i> over interior vertices."""
+def nonlinear_residual(mesh, problem, values, samples=None):
+    """Galerkin residual F_i = <L u - f, phi_i> over interior vertices.
+
+    The quadrature is summed per point, not contracted first: on meshes
+    with mirror-symmetric elements the last bits of the residual decide
+    ties in the marking (see ``notes/decisions.md``).
+    """
+    if samples is None:
+        samples = volume_samples(mesh, problem)
     u_q, _, y_q = p1_at_quadrature(mesh, values)
     n, nq = u_q.shape
     w = quadrature.TRI_WEIGHTS
-    flat = mesh.quadrature_points().reshape(-1, 2)
+    flat = samples.points
 
     flux_q = problem.flux(flat, y_q).reshape(n, nq, 2)
     _check_finite("flux", flux_q)
     local = np.einsum("q,nqa,nia->ni", w, flux_q, mesh.basis_gradients)
-    f_q = problem.source(flat).reshape(n, nq)
-    _check_finite("source", f_q)
-    lower = -f_q
+    lower = -samples.source
     if problem.lower_order is not None:
         g_q = problem.lower_order(flat, u_q.reshape(-1), y_q).reshape(n, nq)
         _check_finite("lower_order", g_q)
@@ -273,26 +315,25 @@ def nonlinear_residual(mesh, problem, values):
     return full[mesh.interior_vertices]
 
 
-def nonlinear_jacobian(mesh, problem, values):
+def nonlinear_jacobian(mesh, problem, values, samples=None):
     """Jacobian of the Galerkin residual, restricted to interior vertices."""
+    if samples is None:
+        samples = volume_samples(mesh, problem)
     u_q, _, y_q = p1_at_quadrature(mesh, values)
     n, nq = u_q.shape
     w = quadrature.TRI_WEIGHTS
-    lam = quadrature.TRI_BARY
     grads = mesh.basis_gradients
-    flat = mesh.quadrature_points().reshape(-1, 2)
+    flat = samples.points
 
     jac_q = problem.flux_jacobian(flat, y_q).reshape(n, nq, 2, 2)
     _check_finite("flux_jacobian", jac_q)
-    jac_grad = np.einsum("nqab,njb->nqja", jac_q, grads)
-    local = np.einsum("q,nqja,nia->nij", w, jac_grad, grads)
+    local = _stiffness(grads, _contract(w, jac_q))
     if problem.lower_order_du is not None:
         gu_q = problem.lower_order_du(flat, u_q.reshape(-1), y_q).reshape(n, nq)
-        local += np.einsum("q,nq,qi,qj->nij", w, gu_q, lam, lam)
+        local += (gu_q @ _W_LAM_LAM).reshape(n, 3, 3)
     if problem.lower_order_dgrad is not None:
         gy_q = problem.lower_order_dgrad(flat, u_q.reshape(-1), y_q).reshape(n, nq, 2)
-        gy_grad = np.einsum("nqa,nja->nqj", gy_q, grads)
-        local += np.einsum("q,nqj,qi->nij", w, gy_grad, lam)
+        local += np.einsum("qi,nqa->nia", _W_LAM, gy_q) @ grads.transpose(0, 2, 1)
     local *= mesh.areas[:, None, None]
     return _scatter(mesh, local)
 
@@ -306,6 +347,7 @@ def solve_nonlinear(
     max_fallback=10_000,
     method="newton",
     full_output=False,
+    samples=None,
 ):
     """Solve the nonlinear Galerkin system to ``|F(U)| <= tol * |F(0)|``.
 
@@ -313,8 +355,9 @@ def solve_nonlinear(
     guaranteed fallback to the damped Riesz iteration
     ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))``, which converges for any
     strongly monotone Lipschitz operator; ``method='zarantonello'`` runs
-    the fallback only. Raises :class:`NonlinearSolveError` when the
-    iteration budget is exhausted.
+    the fallback only. Every residual and Jacobian reads one set of
+    :func:`volume_samples`, taken here when not given. Raises
+    :class:`NonlinearSolveError` when the iteration budget is exhausted.
     """
     if method not in ("newton", "zarantonello"):
         raise ValueError(f"unknown nonlinear method {method!r}")
@@ -329,28 +372,31 @@ def solve_nonlinear(
     if interior.size == 0:
         sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
         return (sol, info) if full_output else sol
+    if samples is None:
+        samples = volume_samples(mesh, problem)
 
-    ref_norm = float(np.linalg.norm(nonlinear_residual(mesh, problem, np.zeros(mesh.n_vertices))))
+    ref_norm = float(np.linalg.norm(
+        nonlinear_residual(mesh, problem, np.zeros(mesh.n_vertices), samples)))
     if ref_norm == 0.0:
         sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
         return (sol, info) if full_output else sol
     target = tol * ref_norm
 
-    residual = nonlinear_residual(mesh, problem, values)
+    residual = nonlinear_residual(mesh, problem, values, samples)
     res_norm = float(np.linalg.norm(residual))
     best = res_norm
     info["residuals"].append(res_norm)
 
     if method == "newton":
         while res_norm > target and info["newton_iterations"] < max_newton:
-            jac = nonlinear_jacobian(mesh, problem, values)
+            jac = nonlinear_jacobian(mesh, problem, values, samples)
             delta = spla.spsolve(jac.tocsc(), residual)
             accepted = False
             step = 1.0
             while step >= 2.0**-12:
                 trial = values.copy()
                 trial[interior] -= step * delta
-                trial_residual = nonlinear_residual(mesh, problem, trial)
+                trial_residual = nonlinear_residual(mesh, problem, trial, samples)
                 trial_norm = float(np.linalg.norm(trial_residual))
                 if np.isfinite(trial_norm) and trial_norm < res_norm:
                     values, residual, res_norm = trial, trial_residual, trial_norm
@@ -368,7 +414,7 @@ def solve_nonlinear(
         riesz = spla.factorized(laplace_stiffness(mesh).tocsc())
         while res_norm > target and info["fallback_iterations"] < max_fallback:
             values[interior] -= step_size * riesz(residual)
-            residual = nonlinear_residual(mesh, problem, values)
+            residual = nonlinear_residual(mesh, problem, values, samples)
             res_norm = float(np.linalg.norm(residual))
             best = min(best, res_norm)
             info["fallback_iterations"] += 1
@@ -386,12 +432,27 @@ def solve_nonlinear(
 
 # -- energy products and transfer ----------------------------------------------
 
-def energy_products(mesh, problem, w_sol, v_sol, system=None):
+def flux_terms(mesh, problem, values, points=None):
+    """A P1 function at the volume quadrature points, for nonlinear energy
+    products: (points, values (NT, q), gradient (NT, 2), flux (NT * q, 2),
+    lower-order term (NT * q,) or None)."""
+    if points is None:
+        points = mesh.quadrature_points().reshape(-1, 2)
+    u_q, grad_u, y_q = p1_at_quadrature(mesh, values)
+    lower = None
+    if problem.lower_order is not None:
+        lower = problem.lower_order(points, u_q.reshape(-1), y_q)
+    return points, u_q, grad_u, problem.flux(points, y_q), lower
+
+
+def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
     """Energy pairing b(w, v) and squared distance of two solutions.
 
-    For linear problems returns ``(b(w, v), b(w - v, w - v))``; for
-    nonlinear ones ``(None, <L w - L v, w - v>)``, the squared quasi-metric
-    induced by the strongly monotone operator.
+    For linear problems returns ``(b(w, v), b(w - v, w - v))``, from the
+    assembled ``system`` when given; for nonlinear ones
+    ``(None, <L w - L v, w - v>)``, the squared quasi-metric induced by the
+    strongly monotone operator, from ``w_terms = flux_terms(mesh, problem,
+    w_sol.values)`` when given (one solution paired with many).
     """
     if not (w_sol.mesh.same_elements(mesh) and v_sol.mesh.same_elements(mesh)):
         raise ValueError("energy products need both solutions on the given mesh")
@@ -406,19 +467,16 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None):
         dl_sq = float(d @ (system.matrix @ d))
         return b_wv, dl_sq
 
-    uw, grad_w, yw = p1_at_quadrature(mesh, w_sol.values)
-    uv, grad_v, yv = p1_at_quadrature(mesh, v_sol.values)
+    if w_terms is None:
+        w_terms = flux_terms(mesh, problem, w_sol.values)
+    points, uw, grad_w, flux_w, lower_w = w_terms
+    _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
     n, nq = uw.shape
-    flat = mesh.quadrature_points().reshape(-1, 2)
-    flux_diff = (problem.flux(flat, yw) - problem.flux(flat, yv)).reshape(n, nq, 2)
+    flux_diff = (flux_w - flux_v).reshape(n, nq, 2)
     grad_diff = (grad_w - grad_v)[:, None, :]
     integrand = np.sum(flux_diff * grad_diff, axis=2)
-    if problem.lower_order is not None:
-        g_diff = (
-            problem.lower_order(flat, uw.reshape(-1), yw)
-            - problem.lower_order(flat, uv.reshape(-1), yv)
-        ).reshape(n, nq)
-        integrand = integrand + g_diff * (uw - uv)
+    if lower_w is not None:
+        integrand = integrand + (lower_w - lower_v).reshape(n, nq) * (uw - uv)
     dl_sq = float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
     return None, dl_sq
 

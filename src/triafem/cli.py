@@ -22,6 +22,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .driver import (
+    AfemRunError,
     check_convergence,
     check_discrete_reliability,
     check_estimator_reduction,
@@ -328,6 +329,20 @@ print("wrote", here / "traces.png")
 """
 
 
+def _write_run_failure(out, name, exc, trace_file):
+    """Record a run that raised: ``failures.json`` with one ``name`` entry,
+    its partial trace under ``trace_file`` and a ``RUN: FAIL`` report."""
+    failures = [{"check": name, "status": "fail", "detail": str(exc)}]
+    with open(os.path.join(out, "failures.json"), "w") as fh:
+        json.dump(failures, fh, indent=2, sort_keys=True)
+    trace = getattr(exc, "trace", None)
+    if trace is not None and len(trace):
+        trace.to_csv(os.path.join(out, trace_file))
+    with open(os.path.join(out, "report.txt"), "w") as fh:
+        fh.write(f"RUN: FAIL {exc}\n")
+    return failures
+
+
 def _execute_single(config):
     """One run (single theta); returns the list of failing checks."""
     problem = builtin_problem(config.problem)
@@ -352,22 +367,18 @@ def _execute_single(config):
             initial_mesh=initial_mesh,
         )
     except Exception as exc:
-        failures = [{"check": "run", "status": "fail", "detail": str(exc)}]
-        with open(os.path.join(out, "failures.json"), "w") as fh:
-            json.dump(failures, fh, indent=2, sort_keys=True)
-        trace = getattr(exc, "trace", None)
-        if trace is not None and len(trace):
-            trace.to_csv(os.path.join(out, "trace.csv"))
-        with open(os.path.join(out, "report.txt"), "w") as fh:
-            fh.write(f"RUN: FAIL {exc}\n")
-        return failures
+        return _write_run_failure(out, "run", exc, "trace.csv")
 
     uniform_result = None
     if config.uniform_baseline:
-        uniform_result = run_uniform(
-            problem, max_elements=config.max_elements, eta_tol=config.eta_tol,
-            keep_history=False,
-        )
+        try:
+            uniform_result = run_uniform(
+                problem, max_elements=config.max_elements, eta_tol=config.eta_tol,
+                keep_history=False,
+            )
+        except AfemRunError as exc:
+            result.trace.to_csv(os.path.join(out, "trace.csv"))
+            return _write_run_failure(out, "uniform_run", exc, "trace_uniform.csv")
 
     result.trace.to_csv(os.path.join(out, "trace.csv"))
     if uniform_result is not None:

@@ -21,10 +21,12 @@ from .assembly import (
     DiscreteSolution,
     assemble_linear,
     energy_products,
+    flux_terms,
     grad_norm_sq,
     solve_linear,
     solve_nonlinear,
     transfer,
+    volume_samples,
 )
 from .estimator import estimate, local_sum
 from .marking import AllZeroIndicators, mark_binned, mark_min
@@ -139,13 +141,14 @@ class AfemResult:
     reference: Optional[ReferenceSolution] = None
 
 
-def _solve_on(mesh, problem, guess=None):
+def _solve_on(mesh, problem, guess=None, samples=None):
     """Solve on one mesh, a nonlinear problem from ``guess`` (a solution on
-    ``mesh``); returns (solution, system-or-None)."""
+    ``mesh``), reading the problem's ``samples`` on ``mesh`` when given;
+    returns (solution, system-or-None)."""
     if isinstance(problem, LinearProblem):
-        system = assemble_linear(mesh, problem)
+        system = assemble_linear(mesh, problem, samples)
         return solve_linear(system), system
-    return solve_nonlinear(mesh, problem, initial_guess=guess), None
+    return solve_nonlinear(mesh, problem, initial_guess=guess, samples=samples), None
 
 
 def build_reference(problem, final_mesh, final_solution):
@@ -208,7 +211,8 @@ def _run_loop(
             with _phase("transfer"):
                 moved = transfer(previous, mesh)
         with _phase("solve"):
-            sol, system = _solve_on(mesh, problem, moved)
+            samples = volume_samples(mesh, problem)
+            sol, system = _solve_on(mesh, problem, moved, samples)
         if moved is not None:
             # the increment U_l - U_{l-1}, measured on the finer mesh
             with _phase("transfer"):
@@ -216,7 +220,8 @@ def _run_loop(
                 _, dl_sq = energy_products(mesh, problem, sol, moved, system=system)
                 rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
         with _phase("estimate"):
-            report = estimate(mesh, sol, problem)
+            report = estimate(mesh, sol, problem, samples)
+        del samples  # not held through refinement and the reference solve
         rows.append(
             {
                 "ell": float(ell),
@@ -273,10 +278,15 @@ def _run_loop(
     if compute_reference:
         with _phase("reference"):
             reference = build_reference(problem, mesh, previous)
+            # the reference side of every pairing, computed once
+            ref_terms = None
+            if not isinstance(problem, LinearProblem):
+                ref_terms = flux_terms(reference.mesh, problem, reference.solution.values)
             for k, sol_k in enumerate(solutions):
                 moved = transfer(sol_k, reference.mesh)
                 _, dl_sq = energy_products(
-                    reference.mesh, problem, reference.solution, moved, system=reference.system
+                    reference.mesh, problem, reference.solution, moved,
+                    system=reference.system, w_terms=ref_terms,
                 )
                 rows[k]["err_energy_sq"] = max(0.0, dl_sq)
         meta["noise_floor_err_sq"] = rows[-1]["err_energy_sq"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .assembly import p1_at_quadrature
+from .assembly import p1_at_quadrature, volume_samples
 from .problems import LinearProblem
 
 
@@ -41,22 +41,16 @@ class EstimatorReport:
         self.osc_sq.setflags(write=False)
 
 
-def _volume_residual_at_quadrature(mesh, problem, u_q, grad_u, y_q):
+def _volume_residual_at_quadrature(problem, samples, u_q, grad_u, y_q):
     """Residual of the strong form at the volume quadrature points, (NT, q)."""
-    n, nq = u_q.shape
-    flat = mesh.quadrature_points().reshape(-1, 2)
-    f_q = problem.source(flat).reshape(n, nq)
-
+    residual = -samples.source
     if isinstance(problem, LinearProblem):
-        residual = -f_q
-        if problem.diffusion_div is not None:
-            div_q = problem.diffusion_div(flat).reshape(n, nq, 2)
-            residual = residual - np.einsum("nqa,na->nq", div_q, grad_u)
-        if problem.advection is not None:
-            b_q = problem.advection(flat).reshape(n, nq, 2)
-            residual = residual + np.einsum("nqa,na->nq", b_q, grad_u)
-        if problem.reaction is not None:
-            residual = residual + problem.reaction(flat).reshape(n, nq) * u_q
+        if samples.diffusion_div is not None:
+            residual = residual - np.einsum("nqa,na->nq", samples.diffusion_div, grad_u)
+        if samples.advection is not None:
+            residual = residual + np.einsum("nqa,na->nq", samples.advection, grad_u)
+        if samples.reaction is not None:
+            residual = residual + samples.reaction * u_q
         return residual
 
     if not problem.grad_only:
@@ -65,9 +59,9 @@ def _volume_residual_at_quadrature(mesh, problem, u_q, grad_u, y_q):
             "flux divergence of a P1 function vanishes only in that case"
         )
     # gradient-only flux is piecewise constant, so its divergence drops out
-    residual = -f_q
     if problem.lower_order is not None:
-        residual = residual + problem.lower_order(flat, u_q.reshape(-1), y_q).reshape(n, nq)
+        lower = problem.lower_order(samples.points, u_q.reshape(-1), y_q)
+        residual = residual + lower.reshape(u_q.shape)
     return residual
 
 
@@ -104,12 +98,18 @@ def _jump_terms(mesh, problem, grad_u):
     return per_element
 
 
-def estimate(mesh, sol, problem):
-    """Per-element error indicators and oscillations for a discrete solution."""
+def estimate(mesh, sol, problem, samples=None):
+    """Per-element error indicators and oscillations for a discrete solution.
+
+    ``samples`` are the problem's :func:`volume_samples` on ``mesh``, taken
+    here when not given.
+    """
     if not sol.mesh.same_elements(mesh):
         raise EstimatorError("solution does not live on the given mesh")
+    if samples is None:
+        samples = volume_samples(mesh, problem)
     u_q, grad_u, y_q = p1_at_quadrature(mesh, sol.values)
-    residual = _volume_residual_at_quadrature(mesh, problem, u_q, grad_u, y_q)
+    residual = _volume_residual_at_quadrature(problem, samples, u_q, grad_u, y_q)
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas
     volume_sq = areas**2 * (residual**2 @ w)

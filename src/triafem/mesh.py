@@ -718,6 +718,15 @@ def audit_refinement(old_mesh, new_mesh, record):
 
 # -- plain-text mesh files --------------------------------------------------
 
+def _text_rows(array, suffix=""):
+    """Rows of a 2-D array as lines of space-separated fields, ``suffix``
+    appended to each; floats in their shortest round-trip form."""
+    if len(array) == 0:
+        return []
+    text = repr(array.tolist())[2:-2]
+    return [text.replace("], [", suffix + "\n").replace(", ", " ") + suffix]
+
+
 def write_mesh(mesh, path):
     """Write the line-oriented mesh format: header ``NV NT``, vertices,
     triangles as ``v0 v1 v2 ref_slot``, then boundary edges ``va vb 1`` (the
@@ -725,15 +734,21 @@ def write_mesh(mesh, path):
 
     Triples are stored with their reference edge normalised to slot 0.
     """
-    lines = [f"{mesh.n_vertices} {mesh.n_elements}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c} 0")
-    for a, b in mesh.boundary_edges:
-        lines.append(f"{a} {b} 1")
+    lines = [f"{mesh.n_vertices} {mesh.n_elements}",
+             *_text_rows(mesh.vertices),
+             *_text_rows(mesh.triangles, " 0"),
+             *_text_rows(mesh.boundary_edges, " 1")]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _fields(rows, width, kind):
+    """The token lists of ``rows`` ((line number, tokens) pairs); raises
+    :class:`MeshError` naming the first line without ``width`` fields."""
+    for lineno, row in rows:
+        if len(row) != width:
+            raise MeshError(f"line {lineno}: {kind} needs {width} fields, got {len(row)}")
+    return [row for _, row in rows]
 
 
 def read_mesh(path):
@@ -744,23 +759,24 @@ def read_mesh(path):
     fields exactly.
     """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    rows = [line.split() for line in tokens if line.strip()]
+        rows = [(k, line.split()) for k, line in enumerate(fh, 1) if line.strip()]
     if not rows:
         raise MeshError("truncated mesh file")
-    nv, nt = (int(v) for v in rows[0])
+    nv, nt = (int(v) for v in _fields(rows[:1], 2, "header")[0])
     if len(rows) < 1 + nv + nt:
         raise MeshError("truncated mesh file")
-    coords = np.array([[float(v) for v in row] for row in rows[1: 1 + nv]])
+    coords = np.array([[float(v) for v in row]
+                       for row in _fields(rows[1: 1 + nv], 2, "vertex")])
     tris = np.empty((nt, 3), dtype=np.int64)
-    for i, row in enumerate(rows[1 + nv: 1 + nv + nt]):
+    for i, row in enumerate(_fields(rows[1 + nv: 1 + nv + nt], 4, "triangle")):
         v0, v1, v2, slot = (int(v) for v in row)
         order = [(slot + k) % 3 for k in range(3)]
         tris[i] = np.array([v0, v1, v2], dtype=np.int64)[order]
     boundary = None
     rest = rows[1 + nv + nt:]
     if rest:
-        boundary = np.array([[int(v) for v in row] for row in rest], dtype=np.int64)
+        boundary = np.array([[int(v) for v in row] for row in _fields(rest, 3, "boundary edge")],
+                            dtype=np.int64)
 
     # fix orientation before validating so the reference edge stays in slot
     # (0, 1): swapping its endpoints flips the sign and keeps the edge

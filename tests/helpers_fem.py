@@ -1,6 +1,12 @@
-"""Per-point and per-vertex oracles for P1 functions (test scale only)."""
+"""Per-point and per-vertex oracles for P1 functions and element matrices
+(test scale only)."""
 
 import numpy as np
+
+from triafem import quadrature
+from triafem.assembly import p1_at_quadrature
+from triafem.mesh import unit_square_mesh
+from triafem.problems import LinearProblem, NonlinearProblem
 
 
 def restrict_functional(fine_mesh, coarse_mesh, fine_vector):
@@ -49,3 +55,107 @@ def evaluate(sol, points):
         vals = sol.values[t[i]]
         out[k] = lam0[i] * vals[0] + lam1[i] * vals[1] + lam2[i] * vals[2]
     return out if np.asarray(points).ndim > 1 else float(out[0])
+
+
+def element_system_per_point(mesh, problem):
+    """Local matrices (NT, 3, 3) and load of a linear problem, every
+    coefficient sampled here and summed point by point (no contraction)."""
+    nt = mesh.n_elements
+    lam = quadrature.TRI_BARY
+    w = quadrature.TRI_WEIGHTS
+    nq = w.size
+    grads = mesh.basis_gradients
+    flat = mesh.quadrature_points().reshape(-1, 2)
+
+    a_q = problem.diffusion(flat).reshape(nt, nq, 2, 2)
+    a_grad = np.einsum("nqab,njb->nqja", a_q, grads)
+    local = np.einsum("q,nqja,nia->nij", w, a_grad, grads)
+    if problem.advection is not None:
+        b_q = problem.advection(flat).reshape(nt, nq, 2)
+        b_grad = np.einsum("nqa,nja->nqj", b_q, grads)
+        local += np.einsum("q,nqj,qi->nij", w, b_grad, lam)
+    if problem.reaction is not None:
+        c_q = problem.reaction(flat).reshape(nt, nq)
+        local += np.einsum("q,nq,qi,qj->nij", w, c_q, lam, lam)
+    local *= mesh.areas[:, None, None]
+
+    f_q = problem.source(flat).reshape(nt, nq)
+    f_loc = np.einsum("q,nq,qi->ni", w, f_q, lam) * mesh.areas[:, None]
+    rhs = np.bincount(mesh.triangles.ravel(), weights=f_loc.ravel(), minlength=mesh.n_vertices)
+    return local, rhs
+
+
+def jacobian_per_point(mesh, problem, values):
+    """Local Newton Jacobians (NT, 3, 3) of a nonlinear problem, summed
+    point by point (no contraction)."""
+    u_q, _, y_q = p1_at_quadrature(mesh, values)
+    n, nq = u_q.shape
+    w = quadrature.TRI_WEIGHTS
+    lam = quadrature.TRI_BARY
+    grads = mesh.basis_gradients
+    flat = mesh.quadrature_points().reshape(-1, 2)
+
+    jac_q = problem.flux_jacobian(flat, y_q).reshape(n, nq, 2, 2)
+    jac_grad = np.einsum("nqab,njb->nqja", jac_q, grads)
+    local = np.einsum("q,nqja,nia->nij", w, jac_grad, grads)
+    if problem.lower_order_du is not None:
+        gu_q = problem.lower_order_du(flat, u_q.reshape(-1), y_q).reshape(n, nq)
+        local += np.einsum("q,nq,qi,qj->nij", w, gu_q, lam, lam)
+    if problem.lower_order_dgrad is not None:
+        gy_q = problem.lower_order_dgrad(flat, u_q.reshape(-1), y_q).reshape(n, nq, 2)
+        gy_grad = np.einsum("nqa,nja->nqj", gy_q, grads)
+        local += np.einsum("q,nqj,qi->nij", w, gy_grad, lam)
+    return local * mesh.areas[:, None, None]
+
+
+def varying_linear_problem():
+    """A linear problem whose every coefficient depends on x: SPD A(x) with
+    its row divergence, b(x), c(x) and f(x), on the unit-square cross mesh."""
+
+    def diffusion(x):
+        a = np.empty((x.shape[0], 2, 2))
+        a[:, 0, 0] = 2.0 + x[:, 0] ** 2
+        a[:, 1, 1] = 1.5 + np.sin(x[:, 1])
+        a[:, 0, 1] = a[:, 1, 0] = 0.3 * x[:, 0] * x[:, 1]
+        return a
+
+    def diffusion_div(x):
+        return np.stack([2.3 * x[:, 0], 0.3 * x[:, 1] + np.cos(x[:, 1])], axis=1)
+
+    return LinearProblem(
+        name="varying",
+        diffusion=diffusion,
+        diffusion_div=diffusion_div,
+        advection=lambda x: np.stack([np.sin(3.0 * x[:, 1]), 1.0 + x[:, 0]], axis=1),
+        reaction=lambda x: 1.0 + x[:, 0] * x[:, 1],
+        source=lambda x: np.exp(x[:, 0]) * (1.0 + x[:, 1]),
+        make_initial_mesh=lambda: unit_square_mesh(cross=True),
+        ellipticity_const=0.5,
+    )
+
+
+def varying_nonlinear_problem():
+    """A nonlinear problem with an x-dependent flux and both lower-order
+    derivatives, for the Newton Jacobian."""
+
+    def stiffness(x, y):
+        return 1.0 + 0.5 * x[:, 0] + 1.0 / (1.0 + np.sum(y * y, axis=-1))
+
+    def flux_jacobian(x, y):
+        denom = (1.0 + np.sum(y * y, axis=-1)) ** 2
+        return (stiffness(x, y)[:, None, None] * np.eye(2)
+                - 2.0 * y[:, :, None] * y[:, None, :] / denom[:, None, None])
+
+    return NonlinearProblem(
+        name="varying_nl",
+        flux=lambda x, y: stiffness(x, y)[:, None] * y,
+        flux_jacobian=flux_jacobian,
+        source=lambda x: 1.0 + x[:, 0],
+        lipschitz_const=3.0,
+        monotone_const=0.5,
+        lower_order=lambda x, u, y: (1.0 + x[:, 1]) * u**3 + x[:, 0] * y[:, 0],
+        lower_order_du=lambda x, u, y: 3.0 * (1.0 + x[:, 1]) * u**2,
+        lower_order_dgrad=lambda x, u, y: np.stack([x[:, 0], np.zeros_like(u)], axis=1),
+        grad_only=False,
+        make_initial_mesh=lambda: unit_square_mesh(cross=True),
+    )

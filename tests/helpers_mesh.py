@@ -199,3 +199,17 @@ def forest_arrays(forest):
         "_vparent": forest._vparent[:nv],
         "_vboundary": forest._vboundary[:nv],
     }
+
+
+def write_mesh_per_line(mesh, path):
+    """The mesh file format written one formatted line per row, the way
+    ``triafem.mesh.write_mesh`` did before it formatted whole blocks."""
+    lines = [f"{mesh.n_vertices} {mesh.n_elements}"]
+    for x, y in mesh.vertices:
+        lines.append(f"{float(x)!r} {float(y)!r}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"{a} {b} {c} 0")
+    for a, b in mesh.boundary_edges:
+        lines.append(f"{a} {b} 1")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

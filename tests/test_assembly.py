@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
-from helpers_fem import evaluate, restrict_functional
+from helpers_fem import (
+    element_system_per_point,
+    evaluate,
+    jacobian_per_point,
+    restrict_functional,
+    varying_linear_problem,
+    varying_nonlinear_problem,
+)
 
 from triafem.assembly import (
     DiscreteSolution,
     NonlinearSolveError,
     SolverError,
+    _element_system,
+    _scatter,
     assemble_linear,
     assemble_operator,
     element_gradients,
@@ -19,6 +28,7 @@ from triafem.assembly import (
     solve_linear,
     solve_nonlinear,
     transfer,
+    volume_samples,
 )
 from triafem.mesh import refine_nvb, uniform_refine, unit_square_mesh
 from triafem.problems import (
@@ -401,3 +411,40 @@ def test_boundary_values_must_be_zero():
     bad = np.ones(mesh.n_vertices)
     with pytest.raises(ValueError, match="boundary"):
         DiscreteSolution(mesh, bad)
+
+
+def _graded_mesh(problem, steps=4, seed=5):
+    """Random adaptive refinements: elements of many sizes and shapes."""
+    rng = np.random.default_rng(seed)
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    for _ in range(steps):
+        marked = rng.choice(mesh.n_elements, size=mesh.n_elements // 3, replace=False)
+        mesh, _ = refine_nvb(mesh, marked)
+    return mesh
+
+
+def _assert_close_in_max_norm(actual, expected, rel=1e-13):
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+def test_contracted_element_system_matches_per_point_oracle():
+    problem = varying_linear_problem()
+    mesh = _graded_mesh(problem)
+    local, rhs = _element_system(mesh, problem, volume_samples(mesh, problem))
+    oracle_local, oracle_rhs = element_system_per_point(mesh, problem)
+    _assert_close_in_max_norm(local, oracle_local)
+    _assert_close_in_max_norm(rhs, oracle_rhs)
+    # the oracle's advection block is not symmetric, so the orientation is tested
+    assert np.abs(oracle_local - oracle_local.transpose(0, 2, 1)).max() > 1e-3
+
+
+def test_contracted_jacobian_matches_per_point_oracle():
+    problem = varying_nonlinear_problem()
+    mesh = _graded_mesh(problem)
+    rng = np.random.default_rng(8)
+    values = np.zeros(mesh.n_vertices)
+    values[mesh.interior_vertices] = rng.normal(0.0, 0.7, mesh.interior_vertices.size)
+    jac = nonlinear_jacobian(mesh, problem, values).toarray()
+    oracle = _scatter(mesh, jacobian_per_point(mesh, problem, values)).toarray()
+    _assert_close_in_max_norm(jac, oracle)
+    assert np.abs(oracle - oracle.T).max() > 1e-3

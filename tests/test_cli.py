@@ -142,6 +142,31 @@ def test_run_failure_writes_partial_trace(tmp_path, monkeypatch):
     assert failures[0]["check"] == "run"
 
 
+def test_uniform_run_failure_writes_partial_trace(tmp_path, monkeypatch):
+    from helpers_trace import synthetic_trace
+
+    from triafem.driver import AfemRunError
+
+    def broken_uniform(problem, **kwargs):
+        partial = synthetic_trace([1.0, 0.5])
+        raise AfemRunError("refine failed at iteration 1: no memory", partial, "refine")
+
+    monkeypatch.setattr(cli, "run_uniform", broken_uniform)
+    out = tmp_path / "uniform"
+    config = parse_config(
+        ["--problem", "square_smooth", "--theta", "0.5", "--max-elements", "200",
+         "--uniform-baseline", "--out", str(out)]
+    )
+    assert execute(config) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["check"] for f in failures] == ["uniform_run"]
+    assert "refine failed at iteration 1" in failures[0]["detail"]
+    assert len((out / "trace_uniform.csv").read_text().strip().splitlines()) == 3
+    assert (out / "report.txt").read_text().startswith("RUN: FAIL refine failed")
+    # the adaptive run finished, so its trace is kept
+    assert len((out / "trace.csv").read_text().strip().splitlines()) > 3
+
+
 def test_max_elements_below_initial_mesh(tmp_path):
     config = parse_config(
         ["--problem", "lshape_poisson", "--theta", "0.5", "--max-elements", "2",

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers_fem import varying_linear_problem
 from helpers_trace import synthetic_trace
 
 from triafem.driver import (
@@ -18,8 +19,8 @@ from triafem.driver import (
     run_uniform,
 )
 from triafem import driver
-from triafem.assembly import transfer
-from triafem.mesh import MeshError
+from triafem.assembly import solve_nonlinear, transfer
+from triafem.mesh import MeshError, uniform_refine
 from triafem.problems import builtin_problem
 
 
@@ -173,6 +174,43 @@ def test_solver_failure_aborts_with_partial_trace():
         run_afem(flaky, 0.5, max_elements=5000)
     assert len(err.value.trace) >= 1
     assert err.value.phase in ("solve", "estimate")
+
+
+def _counting(problem, names):
+    """Copy of ``problem`` whose coefficients ``names`` count their calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    return dataclasses.replace(problem, **{name: counted(name) for name in names}), calls
+
+
+def test_coefficients_sampled_once_per_mesh():
+    # a linear run samples the volume data once per iteration, for assembly
+    # and the estimator together
+    volume = ("source", "advection", "reaction", "diffusion_div")
+    problem, calls = _counting(varying_linear_problem(), volume)
+    result = run_afem(problem, 0.5, max_elements=300, keep_history=False)
+    assert len(result.trace) > 3
+    assert calls == dict.fromkeys(volume, len(result.trace))
+
+    problem, calls = _counting(builtin_problem("magnetostatics_nl"), ("source",))
+    result = run_afem(problem, 0.5, max_elements=200, keep_history=False)
+    assert calls["source"] == len(result.trace)
+
+    # and one solve, with all its residuals and Jacobians, samples once
+    calls["source"] = 0
+    mesh = uniform_refine(problem.make_initial_mesh(), 3)
+    _, info = solve_nonlinear(mesh, problem, full_output=True)
+    assert info["newton_iterations"] >= 2
+    assert calls["source"] == 1
 
 
 def test_audit_failure_names_its_phase(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers_mesh import write_mesh_per_line
 
 from triafem.mesh import (
     Mesh,
@@ -291,6 +292,49 @@ def test_read_mesh_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.mesh"
     path.write_text("")
     with pytest.raises(MeshError, match="truncated mesh file"):
+        read_mesh(path)
+
+
+def _awkward_mesh():
+    """Negative, tiny and inexact coordinates, refined once more."""
+    third = 0.1 + 0.2
+    vertices = [(-1e-17, 1e-17), (third, -1e-17), (third, 0.7), (-third, 0.7)]
+    return uniform_refine(load_initial_mesh(vertices, [(0, 1, 2), (0, 2, 3)]), 2)
+
+
+def _random_lshape_refinement(seed):
+    rng = np.random.default_rng(seed)
+    mesh = lshape_mesh()
+    for _ in range(6):
+        marked = rng.choice(mesh.n_elements, size=max(1, mesh.n_elements // 4), replace=False)
+        mesh, _ = refine_nvb(mesh, marked)
+    return mesh
+
+
+@pytest.mark.parametrize("make", [
+    lshape_mesh, unit_square_mesh, lambda: unit_square_mesh(cross=True), _awkward_mesh,
+    lambda: _random_lshape_refinement(0), lambda: _random_lshape_refinement(1),
+], ids=["lshape", "square", "cross", "awkward", "lshape-refined-0", "lshape-refined-1"])
+def test_write_mesh_matches_per_line_writer(make, tmp_path):
+    mesh = make()
+    write_mesh(mesh, tmp_path / "block.mesh")
+    write_mesh_per_line(mesh, tmp_path / "lines.mesh")
+    assert (tmp_path / "block.mesh").read_bytes() == (tmp_path / "lines.mesh").read_bytes()
+
+
+@pytest.mark.parametrize("lines,lineno", [
+    (["3"], 1),
+    (["3 1 7"], 1),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2"], 5),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0 5"], 5),
+    (["3 1", "0.0 0.0", "1.0", "0.0 1.0", "0 1 2 0"], 3),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0", "", "0 1"], 7),
+], ids=["short-header", "long-header", "short-triangle", "long-triangle", "short-vertex",
+        "short-boundary-edge"])
+def test_read_mesh_names_the_malformed_line(lines, lineno, tmp_path):
+    path = tmp_path / "bad.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=f"line {lineno}: "):
         read_mesh(path)
 
 
