@@ -26,7 +26,6 @@ from . import quadrature
 from .mesh import Mesh
 from .problems import LinearProblem
 
-DIRECT_SOLVER_LIMIT = 200_000
 # w_q lambda_qi and w_q lambda_qi lambda_qj of the volume rule: the load and
 # mass tables that contract a per-point sample against the P1 basis
 _W_LAM = quadrature.TRI_WEIGHTS[:, None] * quadrature.TRI_BARY
@@ -246,13 +245,12 @@ def _expand(mesh, interior_values):
     return values
 
 
-def solve_linear(system, method="auto", maxiter=None):
-    """Solve the assembled system to a relative residual of 1e-10.
+def solve_linear(system):
+    """Solve the assembled system by sparse LU (SuperLU) to a relative
+    residual of 1e-10.
 
-    Uses a sparse direct factorisation up to ``DIRECT_SOLVER_LIMIT``
-    unknowns and ILU-preconditioned BiCGSTAB beyond (the convection term
-    rules out CG). Raises :class:`SolverError` with the achieved residual
-    when the contract is missed.
+    Raises :class:`SolverError` with the achieved residual when the
+    contract is missed, as for a singular matrix.
     """
     mesh = system.mesh
     n = system.rhs.shape[0]
@@ -262,25 +260,12 @@ def solve_linear(system, method="auto", maxiter=None):
     if rhs_norm == 0.0:
         return DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
 
-    if method == "direct" or (method == "auto" and n <= DIRECT_SOLVER_LIMIT):
-        x = spla.spsolve(system.matrix.tocsc(), system.rhs)
-    else:
-        # the convection term is non-symmetric, so BiCGSTAB with a strong
-        # incomplete factorisation; the residual contract is checked below
-        ilu = spla.spilu(system.matrix.tocsc(), drop_tol=1e-5, fill_factor=20.0)
-        precond = spla.LinearOperator((n, n), ilu.solve)
-        x, _ = spla.bicgstab(
-            system.matrix,
-            system.rhs,
-            rtol=1e-13,
-            atol=0.0,
-            maxiter=maxiter if maxiter is not None else 500,
-            M=precond,
-        )
+    x = spla.spsolve(system.matrix.tocsc(), system.rhs)
     achieved = float(np.linalg.norm(system.rhs - system.matrix @ x)) / rhs_norm
     if not np.isfinite(achieved) or achieved > 1e-10:
         raise SolverError(
-            f"linear solve stagnated at relative residual {achieved:.3e}", achieved=achieved
+            f"linear solve missed the residual contract: relative residual {achieved:.3e}",
+            achieved=achieved,
         )
     return DiscreteSolution(mesh, _expand(mesh, x))
 
@@ -509,7 +494,7 @@ def transfer(sol, finer):
     known = (idx < coarse.vertex_gids.size) & (coarse.vertex_gids[idx_clip] == fine_gids)
     pending = fine_gids[~known]
     while pending.size:
-        parents = forest.vertex_parents(pending)
+        parents = forest.vparent[pending]
         ready = ~np.isnan(buf[parents[:, 0]]) & ~np.isnan(buf[parents[:, 1]])
         if not ready.any():
             raise RuntimeError("prolongation could not resolve midpoint ancestry")

@@ -8,7 +8,8 @@ former non-reference edges and the new vertex is the sons' newest vertex.
 
 Every mesh obtained by refinement keeps a handle to a shared
 :class:`MeshForest`, the genealogy of all bisections performed since the
-initial triangulation. The forest makes three things exact and cheap:
+initial triangulation, held as plain exact-size arrays that each
+refinement extends. The forest makes three things exact and cheap:
 overlays (coarsest common refinements) are computed on the binary trees
 instead of by geometric intersection, nodal prolongation between nested
 meshes follows midpoint creation records, and structural audits (son areas,
@@ -62,118 +63,41 @@ class RefinementRecord:
 class MeshForest:
     """Genealogy ledger shared by all meshes refined from one initial mesh.
 
-    Vertices and triangle nodes are append-only; node ids and vertex ids
-    are stable, so a mesh is just a selection of leaf node ids. Midpoint
-    vertices are found through one sorted table of int64 edge keys
-    ``lo * 2**31 + hi``, shared by every mesh of the forest.
+    A record of exact-size arrays: per vertex ``coords``, ``vparent`` (the
+    edge whose midpoint it is, ``-1`` for initial vertices) and
+    ``vboundary``; per node ``tri``, ``parent``, ``gen`` and ``sons``
+    (``-1`` until bisected). Refinement appends rows and fills in the sons
+    of the nodes it bisects, so node ids and vertex ids are stable and a
+    mesh is just a selection of leaf node ids. Midpoint vertices are found
+    through one sorted table of int64 edge keys ``lo * 2**31 + hi``
+    (``mid_keys``, with the vertex ids in ``mid_gids``), shared by every
+    mesh of the forest.
     """
 
-    __slots__ = (
-        "_coords",
-        "_vparent",
-        "_vboundary",
-        "_nv",
-        "_tri",
-        "_parent",
-        "_gen",
-        "_sons",
-        "_nn",
-        "_mid_keys",
-        "_mid_gids",
-    )
-
     def __init__(self, coords, triangles):
-        coords = np.asarray(coords, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.int64)
-        nv = coords.shape[0]
-        nn = triangles.shape[0]
-        self._coords = np.empty((max(2 * nv, 16), 2))
-        self._coords[:nv] = coords
-        self._vparent = np.full((max(2 * nv, 16), 2), -1, dtype=np.int64)
-        self._vboundary = np.zeros(max(2 * nv, 16), dtype=bool)
-        self._nv = nv
-        self._tri = np.empty((max(2 * nn, 16), 3), dtype=np.int64)
-        self._tri[:nn] = triangles
-        self._parent = np.full(max(2 * nn, 16), -1, dtype=np.int64)
-        self._gen = np.zeros(max(2 * nn, 16), dtype=np.int64)
-        self._sons = np.full((max(2 * nn, 16), 2), -1, dtype=np.int64)
-        self._nn = nn
-        self._mid_keys = np.empty(0, dtype=np.int64)
-        self._mid_gids = np.empty(0, dtype=np.int64)
-
-    # -- growth helpers -------------------------------------------------
-
-    def _ensure_vertex_capacity(self, extra):
-        need = self._nv + extra
-        cap = self._coords.shape[0]
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap)
-        for name in ("_coords", "_vparent"):
-            old = getattr(self, name)
-            grown = np.empty((new_cap, 2), dtype=old.dtype)
-            grown[: self._nv] = old[: self._nv]
-            if name == "_vparent":
-                grown[self._nv:] = -1
-            setattr(self, name, grown)
-        vb = np.zeros(new_cap, dtype=bool)
-        vb[: self._nv] = self._vboundary[: self._nv]
-        self._vboundary = vb
-
-    def _ensure_node_capacity(self, extra):
-        need = self._nn + extra
-        cap = self._tri.shape[0]
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap)
-        tri = np.empty((new_cap, 3), dtype=np.int64)
-        tri[: self._nn] = self._tri[: self._nn]
-        self._tri = tri
-        sons = np.full((new_cap, 2), -1, dtype=np.int64)
-        sons[: self._nn] = self._sons[: self._nn]
-        self._sons = sons
-        for name in ("_parent", "_gen"):
-            old = getattr(self, name)
-            grown = np.empty(new_cap, dtype=old.dtype)
-            grown[: self._nn] = old[: self._nn]
-            setattr(self, name, grown)
-
-    # -- queries ---------------------------------------------------------
+        self.coords = np.asarray(coords, dtype=float)
+        self.vparent = np.full((self.coords.shape[0], 2), -1, dtype=np.int64)
+        self.vboundary = np.zeros(self.coords.shape[0], dtype=bool)
+        self.tri = np.asarray(triangles, dtype=np.int64)
+        self.parent = np.full(self.tri.shape[0], -1, dtype=np.int64)
+        self.gen = np.zeros(self.tri.shape[0], dtype=np.int64)
+        self.sons = np.full((self.tri.shape[0], 2), -1, dtype=np.int64)
+        self.mid_keys = np.empty(0, dtype=np.int64)
+        self.mid_gids = np.empty(0, dtype=np.int64)
 
     @property
     def n_vertices(self):
-        return self._nv
+        return self.coords.shape[0]
 
     @property
     def n_nodes(self):
-        return self._nn
-
-    def coords(self, gids=None):
-        view = self._coords[: self._nv]
-        return view if gids is None else view[gids]
-
-    def vertex_parents(self, gids=None):
-        view = self._vparent[: self._nv]
-        return view if gids is None else view[gids]
-
-    def vertex_on_boundary(self, gids=None):
-        view = self._vboundary[: self._nv]
-        return view if gids is None else view[gids]
-
-    def node_triple(self, nids):
-        return self._tri[nids]
-
-    def node_parent(self, nids):
-        return self._parent[nids]
-
-    def node_generation(self, nids):
-        return self._gen[nids]
+        return self.tri.shape[0]
 
     def node_area(self, nids):
-        tri = self._tri[nids]
-        p0 = self._coords[tri[..., 0]]
-        p1 = self._coords[tri[..., 1]]
-        p2 = self._coords[tri[..., 2]]
+        tri = self.tri[nids]
+        p0 = self.coords[tri[..., 0]]
+        p1 = self.coords[tri[..., 1]]
+        p2 = self.coords[tri[..., 2]]
         return 0.5 * np.abs(
             (p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1])
             - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0])
@@ -185,13 +109,13 @@ class MeshForest:
         Walks all nodes up one generation per pass against a boolean mask
         of the leaf set; a node leaves the walk at a hit or at its root.
         """
-        in_leaves = np.zeros(self._nn, dtype=bool)
+        in_leaves = np.zeros(self.n_nodes, dtype=bool)
         in_leaves[leaves] = True
         cur = np.array(nids, dtype=np.int64)
         hit = in_leaves[cur]
         open_ = np.flatnonzero(~hit)
         while open_.size:
-            up = self._parent[cur[open_]]
+            up = self.parent[cur[open_]]
             has_parent = up >= 0
             open_, up = open_[has_parent], up[has_parent]
             cur[open_] = up
@@ -211,12 +135,12 @@ class MeshForest:
         the same edge agree on the new vertex.
         """
         keys = pairs[:, 0] * _KEY_BASE + pairs[:, 1]
-        table = self._mid_keys
+        table = self.mid_keys
         pos = np.searchsorted(table, keys)
         found = pos < table.size
         found[found] = table[pos[found]] == keys[found]
         out = np.empty(keys.size, dtype=np.int64)
-        out[found] = self._mid_gids[pos[found]]
+        out[found] = self.mid_gids[pos[found]]
         missing = np.flatnonzero(~found)
         new_keys, first, inverse = np.unique(
             keys[missing], return_index=True, return_inverse=True
@@ -226,20 +150,17 @@ class MeshForest:
             return out
         order = np.argsort(first)
         new_gids = np.empty(n, dtype=np.int64)
-        new_gids[order] = self._nv + np.arange(n)
+        new_gids[order] = self.n_vertices + np.arange(n)
         out[missing] = new_gids[inverse]
 
         rows = missing[first[order]]
-        self._ensure_vertex_capacity(n)
-        span = slice(self._nv, self._nv + n)
         lo, hi = pairs[rows, 0], pairs[rows, 1]
-        self._coords[span] = 0.5 * (self._coords[lo] + self._coords[hi])
-        self._vparent[span] = pairs[rows]
-        self._vboundary[span] = on_boundary[rows]
-        self._nv += n
+        self.coords = np.concatenate([self.coords, 0.5 * (self.coords[lo] + self.coords[hi])])
+        self.vparent = np.concatenate([self.vparent, pairs[rows]])
+        self.vboundary = np.concatenate([self.vboundary, on_boundary[rows]])
         at = np.searchsorted(table, new_keys)
-        self._mid_keys = np.insert(table, at, new_keys)
-        self._mid_gids = np.insert(self._mid_gids, at, new_gids)
+        self.mid_keys = np.insert(table, at, new_keys)
+        self.mid_gids = np.insert(self.mid_gids, at, new_gids)
         return out
 
     def split(self, targets, triples, gens, mids):
@@ -251,15 +172,14 @@ class MeshForest:
         ``n_nodes + 2k + 1``, so a target may be a son made by this call.
         """
         k = targets.size
-        self._ensure_node_capacity(2 * k)
-        span = slice(self._nn, self._nn + 2 * k)
+        first = self.n_nodes
         a, b, c = triples.T
         sons = np.stack([np.column_stack([c, a, mids]), np.column_stack([b, c, mids])], axis=1)
-        self._tri[span] = sons.reshape(-1, 3)
-        self._parent[span] = np.repeat(targets, 2)
-        self._gen[span] = np.repeat(gens + 1, 2)
-        self._sons[targets] = np.arange(span.start, span.stop).reshape(k, 2)
-        self._nn += 2 * k
+        self.tri = np.concatenate([self.tri, sons.reshape(-1, 3)])
+        self.parent = np.concatenate([self.parent, np.repeat(targets, 2)])
+        self.gen = np.concatenate([self.gen, np.repeat(gens + 1, 2)])
+        self.sons = np.concatenate([self.sons, np.full((2 * k, 2), -1, dtype=np.int64)])
+        self.sons[targets] = np.arange(first, first + 2 * k).reshape(k, 2)
 
 
 class Mesh:
@@ -289,7 +209,7 @@ class Mesh:
 
     @cached_property
     def tri_gids(self):
-        t = self.forest.node_triple(self.node_ids)
+        t = self.forest.tri[self.node_ids]
         t.setflags(write=False)
         return t
 
@@ -311,13 +231,13 @@ class Mesh:
 
     @cached_property
     def vertices(self):
-        v = self.forest.coords(self.vertex_gids)
+        v = self.forest.coords[self.vertex_gids]
         v.setflags(write=False)
         return v
 
     @cached_property
     def generations(self):
-        g = self.forest.node_generation(self.node_ids)
+        g = self.forest.gen[self.node_ids]
         g.setflags(write=False)
         return g
 
@@ -442,7 +362,7 @@ class Mesh:
         if np.any((counts < 1) | (counts > 2)):
             raise MeshError("edge incidence outside {1, 2}")
         incidence_boundary = self.is_boundary_vertex
-        ledger_boundary = self.forest.vertex_on_boundary(self.vertex_gids)
+        ledger_boundary = self.forest.vboundary[self.vertex_gids]
         if not np.array_equal(incidence_boundary, ledger_boundary):
             raise MeshError("incidence-1 edges do not match the domain boundary")
 
@@ -469,10 +389,13 @@ def _assign_reference_edges(coords, triangles):
 
 
 def _validate_initial(coords, triangles):
-    coords = np.ascontiguousarray(np.asarray(coords, dtype=float))
-    triangles = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
+    # copies: the orientation fix below writes to ``triangles``
+    coords = np.array(coords, dtype=float)
+    triangles = np.array(triangles, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise MeshError("vertex array must have shape (NV, 2)")
+    if not np.isfinite(coords).all():
+        raise MeshError("non-finite vertex coordinate")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("triangle array must have shape (NT, 3)")
     nv = coords.shape[0]
@@ -526,7 +449,7 @@ def _finish_initial(coords, triangles, boundary_spec):
         given = np.unique(np.sort(spec[:, :2], axis=1), axis=0)
         if given.shape != boundary.shape or not np.array_equal(given, boundary):
             raise MeshError("inconsistent boundary spec: edges do not match the mesh boundary")
-    forest._vboundary[: forest.n_vertices] = mesh.is_boundary_vertex
+    forest.vboundary = mesh.is_boundary_vertex.copy()
     mesh.validate()
     return mesh
 
@@ -591,7 +514,7 @@ def refine_nvb(mesh, marked):
     split_b = pattern[refined_idx, 1]
     forest = mesh.forest
     nid = mesh.node_ids[refined_idx]
-    tri = forest.node_triple(nid)
+    tri = forest.tri[nid]
     a, b, c = tri.T
 
     # bisection events, in order: (element, kind) with kind 0 = the element
@@ -603,9 +526,9 @@ def refine_nvb(mesh, marked):
 
     # an event creates two sons unless its target node already has them;
     # a son of an element without sons does not exist yet (id -1)
-    old_sons = forest._sons[nid]
+    old_sons = forest.sons[nid]
     known = np.column_stack([nid, old_sons])[ev_t, ev_kind]
-    creating = (known < 0) | (forest._sons[known, 0] < 0)
+    creating = (known < 0) | (forest.sons[known, 0] < 0)
     first_new = forest.n_nodes + 2 * (np.cumsum(creating) - 1)
     sons = old_sons.copy()
     fresh = (ev_kind == 0) & creating
@@ -614,14 +537,14 @@ def refine_nvb(mesh, marked):
     target_tri = np.stack(
         [tri, np.column_stack([c, a, m0]), np.column_stack([b, c, m0])], axis=1
     )[ev_t, ev_kind]
-    target_gen = forest.node_generation(nid)[ev_t] + (ev_kind > 0)
+    target_gen = forest.gen[nid][ev_t] + (ev_kind > 0)
     forest.split(targets[creating], target_tri[creating], target_gen[creating], mids[creating])
 
     # leaves per refined element: son A or its two sons, then son B or its two sons
     leaves = np.full((refined_idx.size, 2, 2), -1, dtype=np.int64)
     for side, split in ((0, split_a), (1, split_b)):
         leaves[:, side, 0] = sons[:, side]
-        leaves[split, side] = forest._sons[sons[split, side]]
+        leaves[split, side] = forest.sons[sons[split, side]]
     leaves = leaves[leaves >= 0]
     refined_mesh = Mesh(forest, np.concatenate([kept_ids, leaves]))
     record = RefinementRecord(
@@ -701,14 +624,14 @@ def audit_refinement(old_mesh, new_mesh, record):
     nodes = new_mesh.node_ids[~seen[new_mesh.node_ids]]
     seen[nodes] = True
     while nodes.size:
-        parents = forest.node_parent(nodes)
+        parents = forest.parent[nodes]
         has_parent = parents >= 0
         nodes, parents = nodes[has_parent], parents[has_parent]
         a_child = forest.node_area(nodes)
         a_parent = forest.node_area(parents)
         if np.any(np.abs(a_child - 0.5 * a_parent) > 1e-12 * a_parent):
             raise MeshError("bisection did not halve the element area")
-        if np.any(forest.node_generation(nodes) != forest.node_generation(parents) + 1):
+        if np.any(forest.gen[nodes] != forest.gen[parents] + 1):
             raise MeshError("son generation is not parent generation + 1")
         nodes = np.unique(parents[~seen[parents]])
         seen[nodes] = True

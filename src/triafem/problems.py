@@ -37,7 +37,6 @@ class LinearProblem:
     exact_grad: Optional[Callable] = None
     make_initial_mesh: Callable = unit_square_mesh
     ellipticity_const: Optional[float] = None
-    continuity_const: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ def _square_smooth():
         exact_grad=exact_grad,
         make_initial_mesh=lambda: unit_square_mesh(cross=True),
         ellipticity_const=1.0,
-        continuity_const=1.0,
     )
 
 
@@ -123,7 +121,6 @@ def _convection_diffusion():
     # so the form is elliptic with constant 1 even though the sampled
     # sufficient condition is far from sharp here
     b = np.array([3.0, 2.5])
-    c_omega = np.sqrt(2.0) / np.pi
     return LinearProblem(
         name="convection_diffusion",
         diffusion=_constant_matrix(np.eye(2)),
@@ -132,7 +129,6 @@ def _convection_diffusion():
         source=_constant_scalar(1.0),
         make_initial_mesh=lambda: unit_square_mesh(cross=True),
         ellipticity_const=1.0,
-        continuity_const=1.0 + c_omega * float(np.linalg.norm(b)) + c_omega**2,
     )
 
 
@@ -197,7 +193,6 @@ def _lshape_poisson():
         exact_grad=exact_grad,
         make_initial_mesh=lshape_mesh,
         ellipticity_const=1.0,
-        continuity_const=1.0,
     )
 
 

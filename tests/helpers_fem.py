@@ -21,7 +21,7 @@ def restrict_functional(fine_mesh, coarse_mesh, fine_vector):
     buf[fine_mesh.vertex_gids] = fine_vector
     coarse_gids = coarse_mesh.vertex_gids
     coarse_set = set(int(g) for g in coarse_gids)
-    parents = forest.vertex_parents()
+    parents = forest.vparent
     for g in fine_mesh.vertex_gids[::-1]:
         g = int(g)
         if g in coarse_set or buf[g] == 0.0:

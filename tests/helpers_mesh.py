@@ -25,37 +25,33 @@ class ScalarForest:
         gid = self.midpoint_of.get(key)
         if gid is not None:
             return gid
-        f._ensure_vertex_capacity(1)
-        gid = f._nv
-        f._coords[gid] = 0.5 * (f._coords[ga] + f._coords[gb])
-        f._vparent[gid, 0] = key[0]
-        f._vparent[gid, 1] = key[1]
-        f._vboundary[gid] = on_boundary
-        f._nv += 1
+        gid = f.n_vertices
+        f.coords = np.vstack([f.coords, 0.5 * (f.coords[ga] + f.coords[gb])])
+        f.vparent = np.vstack([f.vparent, key])
+        f.vboundary = np.append(f.vboundary, on_boundary)
         self.midpoint_of[key] = gid
         return gid
 
     def _add_node(self, triple, parent):
         f = self.forest
-        f._ensure_node_capacity(1)
-        nid = f._nn
-        f._tri[nid] = triple
-        f._parent[nid] = parent
-        f._gen[nid] = f._gen[parent] + 1
-        f._nn += 1
+        nid = f.n_nodes
+        f.tri = np.vstack([f.tri, triple])
+        f.parent = np.append(f.parent, parent)
+        f.gen = np.append(f.gen, f.gen[parent] + 1)
+        f.sons = np.vstack([f.sons, (-1, -1)])
         return nid
 
     def bisect(self, nid, ref_on_boundary):
         f = self.forest
-        sons = f._sons[nid]
+        sons = f.sons[nid]
         if sons[0] >= 0:
             return int(sons[0]), int(sons[1])
-        a, b, c = (int(v) for v in f._tri[nid])
+        a, b, c = (int(v) for v in f.tri[nid])
         m = self.midpoint(a, b, ref_on_boundary)
         son_a = self._add_node((c, a, m), nid)
         son_b = self._add_node((b, c, m), nid)
-        f._sons[nid, 0] = son_a
-        f._sons[nid, 1] = son_b
+        f.sons[nid, 0] = son_a
+        f.sons[nid, 1] = son_b
         return son_a, son_b
 
 
@@ -149,7 +145,7 @@ def covered(source, target_leafset, forest):
     """Leaves of ``source`` that lie inside (or equal) a leaf of the target set."""
     out = []
     cache = {}
-    parent = forest._parent
+    parent = forest.parent
     for nid in source:
         nid = int(nid)
         path = []
@@ -188,17 +184,9 @@ def overlay_ids(m1, m2):
 
 
 def forest_arrays(forest):
-    """Every ledger array, cut to its used length."""
-    nn, nv = forest.n_nodes, forest.n_vertices
-    return {
-        "_tri": forest._tri[:nn],
-        "_parent": forest._parent[:nn],
-        "_gen": forest._gen[:nn],
-        "_sons": forest._sons[:nn],
-        "_coords": forest._coords[:nv],
-        "_vparent": forest._vparent[:nv],
-        "_vboundary": forest._vboundary[:nv],
-    }
+    """Every ledger array of the forest."""
+    names = ("tri", "parent", "gen", "sons", "coords", "vparent", "vboundary")
+    return {name: getattr(forest, name) for name in names}
 
 
 def write_mesh_per_line(mesh, path):

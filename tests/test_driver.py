@@ -270,6 +270,17 @@ def test_trace_csv_roundtrip(tmp_path, smooth_run):
         assert np.array_equal(col, back.columns[name], equal_nan=True), name
 
 
+def test_trace_csv_roundtrips_non_finite_values(tmp_path):
+    # every column, the integer ones included, carries NaN, +inf and -inf
+    values = np.array([np.nan, np.inf, -np.inf, 3.0])
+    trace = AfemTrace(columns={name: values.copy() for name in driver.TRACE_COLUMNS})
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    back = AfemTrace.from_csv(path)
+    for name in driver.TRACE_COLUMNS:
+        assert np.array_equal(back.columns[name], values, equal_nan=True), name
+
+
 def test_trace_csv_empty_and_header_only(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -21,7 +21,7 @@ from triafem.problems import _constant_matrix, _constant_scalar
 def poisson(source):
     return LinearProblem(
         name="poisson", diffusion=_constant_matrix(np.eye(2)), source=source,
-        ellipticity_const=1.0, continuity_const=1.0,
+        ellipticity_const=1.0,
     )
 
 

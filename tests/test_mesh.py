@@ -83,8 +83,22 @@ def test_explicit_boundary_spec_accepted():
 
 
 def test_negative_orientation_is_fixed():
-    mesh = load_initial_mesh(SQUARE_VERTICES, [(0, 2, 1), (0, 2, 3)])
+    triangles = np.array([(0, 2, 1), (0, 2, 3)])
+    mesh = load_initial_mesh(SQUARE_VERTICES, triangles)
     assert np.all(mesh.signed_areas > 0)
+    # the caller's array is left as it was
+    assert triangles.tolist() == [[0, 2, 1], [0, 2, 3]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_coordinate_rejected(bad, tmp_path):
+    vertices = SQUARE_VERTICES[:3] + [(0.0, bad)]
+    with pytest.raises(MeshError, match="non-finite"):
+        load_initial_mesh(vertices, SQUARE_TRIANGLES)
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"4 2\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 {bad}\n0 2 1 0\n0 2 3 0\n")
+    with pytest.raises(MeshError, match="non-finite"):
+        read_mesh(path)
 
 
 def test_reference_edge_is_longest_edge():
@@ -112,7 +126,7 @@ def test_refine_single_triangle():
     # the new vertex is the midpoint of the reference edge (the hypotenuse)
     new_gid = np.setdiff1d(refined.vertex_gids, mesh.vertex_gids)
     assert new_gid.shape[0] == 1
-    mid = refined.forest.coords(new_gid[0])
+    mid = refined.forest.coords[new_gid[0]]
     assert mid == pytest.approx([0.5, 0.5])
     assert record.refined.tolist() == [0]
     assert record.sons_of.tolist() == [2]
@@ -384,14 +398,14 @@ def test_audit_rejects_unhalved_area():
     fresh_mesh = Mesh(refined.forest, refined.node_ids)  # no cached geometry
     new_gid = np.setdiff1d(refined.vertex_gids, mesh.vertex_gids)[0]
     # slide the midpoint along the hypotenuse: still conforming, areas 0.255 / 0.245
-    refined.forest._coords[new_gid] += (0.01, -0.01)
+    refined.forest.coords[new_gid] += (0.01, -0.01)
     with pytest.raises(MeshError, match="halve"):
         audit_refinement(mesh, fresh_mesh, record)
 
 
 def test_audit_rejects_generation_jump():
     mesh, refined, record = _refined_single_triangle()
-    refined.forest._gen[refined.node_ids[0]] += 1
+    refined.forest.gen[refined.node_ids[0]] += 1
     with pytest.raises(MeshError, match="generation"):
         audit_refinement(mesh, refined, record)
 
