@@ -124,16 +124,14 @@ def element_gradients(mesh, values):
 
 
 def p1_at_quadrature(mesh, values):
-    """A P1 function at the volume quadrature points.
+    """Values (NT, q) of a P1 function at the volume quadrature points."""
+    return values[mesh.triangles] @ quadrature.TRI_BARY.T
 
-    Returns its values per element and point (NT, q), its gradient per
-    element (NT, 2) and that gradient repeated per point (NT * q, 2), the
-    layout the coefficient closures take.
-    """
-    u_q = values[mesh.triangles] @ quadrature.TRI_BARY.T
-    grad_u = element_gradients(mesh, values)
-    y_q = np.repeat(grad_u[:, None, :], u_q.shape[1], axis=1).reshape(-1, 2)
-    return u_q, grad_u, y_q
+
+def _repeat_to_points(element_values):
+    """Element values (NT, ...) repeated to the volume quadrature points,
+    (NT * q, ...), the layout the coefficient closures take."""
+    return np.repeat(element_values, quadrature.TRI_WEIGHTS.size, axis=0)
 
 
 def grad_norm_sq(mesh, values):
@@ -272,6 +270,34 @@ def solve_linear(system):
 
 # -- nonlinear Galerkin systems ------------------------------------------------
 
+def _flux_closure(problem, name, points, grad_u):
+    """``problem.flux`` or ``problem.flux_jacobian`` at the quadrature
+    ``points`` (NT * q, 2) of a P1 function with element gradients
+    ``grad_u``: (NT, 1, ...) from one call per element for a gradient-only
+    problem, (NT, q, ...) from one call per point otherwise."""
+    nt = grad_u.shape[0]
+    nq = quadrature.TRI_WEIGHTS.size
+    fn = getattr(problem, name)
+    if problem.grad_only:
+        values = fn(points[::nq], grad_u)[:, None]
+    else:
+        values = fn(points, _repeat_to_points(grad_u))
+        values = values.reshape(nt, nq, *values.shape[1:])
+    _check_finite(name, values)
+    return values
+
+
+def _expand_points(values):
+    """A :func:`_flux_closure` result with its point axis filled, (NT, q, ...).
+
+    The per-point gradients are copies of the element gradient, so summing
+    over repeated element values keeps the operands, order and bits of a
+    per-point evaluation (``notes/decisions.md``).
+    """
+    shape = (values.shape[0], quadrature.TRI_WEIGHTS.size) + values.shape[2:]
+    return np.ascontiguousarray(np.broadcast_to(values, shape))
+
+
 def nonlinear_residual(mesh, problem, values, samples=None):
     """Galerkin residual F_i = <L u - f, phi_i> over interior vertices.
 
@@ -281,17 +307,17 @@ def nonlinear_residual(mesh, problem, values, samples=None):
     """
     if samples is None:
         samples = volume_samples(mesh, problem)
-    u_q, _, y_q = p1_at_quadrature(mesh, values)
-    n, nq = u_q.shape
     w = quadrature.TRI_WEIGHTS
     flat = samples.points
+    grad_u = element_gradients(mesh, values)
 
-    flux_q = problem.flux(flat, y_q).reshape(n, nq, 2)
-    _check_finite("flux", flux_q)
+    flux_q = _expand_points(_flux_closure(problem, "flux", flat, grad_u))
     local = np.einsum("q,nqa,nia->ni", w, flux_q, mesh.basis_gradients)
     lower = -samples.source
     if problem.lower_order is not None:
-        g_q = problem.lower_order(flat, u_q.reshape(-1), y_q).reshape(n, nq)
+        u_q = p1_at_quadrature(mesh, values)
+        g_q = problem.lower_order(flat, u_q.reshape(-1), _repeat_to_points(grad_u))
+        g_q = g_q.reshape(u_q.shape)
         _check_finite("lower_order", g_q)
         lower = lower + g_q
     local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
@@ -304,20 +330,21 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
     """Jacobian of the Galerkin residual, restricted to interior vertices."""
     if samples is None:
         samples = volume_samples(mesh, problem)
-    u_q, _, y_q = p1_at_quadrature(mesh, values)
-    n, nq = u_q.shape
     w = quadrature.TRI_WEIGHTS
     grads = mesh.basis_gradients
     flat = samples.points
+    grad_u = element_gradients(mesh, values)
 
-    jac_q = problem.flux_jacobian(flat, y_q).reshape(n, nq, 2, 2)
-    _check_finite("flux_jacobian", jac_q)
+    jac_q = _expand_points(_flux_closure(problem, "flux_jacobian", flat, grad_u))
     local = _stiffness(grads, _contract(w, jac_q))
+    if problem.lower_order_du is not None or problem.lower_order_dgrad is not None:
+        u_q = p1_at_quadrature(mesh, values)
+        u_flat, y_q = u_q.reshape(-1), _repeat_to_points(grad_u)
     if problem.lower_order_du is not None:
-        gu_q = problem.lower_order_du(flat, u_q.reshape(-1), y_q).reshape(n, nq)
-        local += (gu_q @ _W_LAM_LAM).reshape(n, 3, 3)
+        gu_q = problem.lower_order_du(flat, u_flat, y_q).reshape(u_q.shape)
+        local += (gu_q @ _W_LAM_LAM).reshape(-1, 3, 3)
     if problem.lower_order_dgrad is not None:
-        gy_q = problem.lower_order_dgrad(flat, u_q.reshape(-1), y_q).reshape(n, nq, 2)
+        gy_q = problem.lower_order_dgrad(flat, u_flat, y_q).reshape(*u_q.shape, 2)
         local += np.einsum("qi,nqa->nia", _W_LAM, gy_q) @ grads.transpose(0, 2, 1)
     local *= mesh.areas[:, None, None]
     return _scatter(mesh, local)
@@ -419,15 +446,20 @@ def solve_nonlinear(
 
 def flux_terms(mesh, problem, values, points=None):
     """A P1 function at the volume quadrature points, for nonlinear energy
-    products: (points, values (NT, q), gradient (NT, 2), flux (NT * q, 2),
-    lower-order term (NT * q,) or None)."""
+    products: (points (NT * q, 2), values (NT, q) or None, gradient
+    (NT, 2), flux (NT, 1, 2) for a gradient-only problem or (NT, q, 2),
+    lower-order term (NT, q) or None). The values are taken only for a
+    lower-order term, which reads them."""
     if points is None:
         points = mesh.quadrature_points().reshape(-1, 2)
-    u_q, grad_u, y_q = p1_at_quadrature(mesh, values)
-    lower = None
+    grad_u = element_gradients(mesh, values)
+    flux = _flux_closure(problem, "flux", points, grad_u)
+    u_q = lower = None
     if problem.lower_order is not None:
-        lower = problem.lower_order(points, u_q.reshape(-1), y_q)
-    return points, u_q, grad_u, problem.flux(points, y_q), lower
+        u_q = p1_at_quadrature(mesh, values)
+        lower = problem.lower_order(points, u_q.reshape(-1), _repeat_to_points(grad_u))
+        lower = lower.reshape(u_q.shape)
+    return points, u_q, grad_u, flux, lower
 
 
 def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
@@ -456,12 +488,11 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
         w_terms = flux_terms(mesh, problem, w_sol.values)
     points, uw, grad_w, flux_w, lower_w = w_terms
     _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
-    n, nq = uw.shape
-    flux_diff = (flux_w - flux_v).reshape(n, nq, 2)
-    grad_diff = (grad_w - grad_v)[:, None, :]
-    integrand = np.sum(flux_diff * grad_diff, axis=2)
+    # (NT, 1) for a gradient-only flux: formed once per element, then
+    # broadcast to the points by the sum below, which keeps its operands
+    integrand = np.sum((flux_w - flux_v) * (grad_w - grad_v)[:, None, :], axis=2)
     if lower_w is not None:
-        integrand = integrand + (lower_w - lower_v).reshape(n, nq) * (uw - uv)
+        integrand = integrand + (lower_w - lower_v) * (uw - uv)
     dl_sq = float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
     return None, dl_sq
 

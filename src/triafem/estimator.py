@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .assembly import p1_at_quadrature, volume_samples
+from .assembly import element_gradients, p1_at_quadrature, volume_samples
 from .problems import LinearProblem
 
 
@@ -41,8 +41,10 @@ class EstimatorReport:
         self.osc_sq.setflags(write=False)
 
 
-def _volume_residual_at_quadrature(problem, samples, u_q, grad_u, y_q):
-    """Residual of the strong form at the volume quadrature points, (NT, q)."""
+def _volume_residual_at_quadrature(problem, samples, mesh, values, grad_u):
+    """Residual of the strong form at the volume quadrature points, (NT, q),
+    of the P1 function with nodal ``values`` and element gradients
+    ``grad_u``."""
     residual = -samples.source
     if isinstance(problem, LinearProblem):
         if samples.diffusion_div is not None:
@@ -50,7 +52,7 @@ def _volume_residual_at_quadrature(problem, samples, u_q, grad_u, y_q):
         if samples.advection is not None:
             residual = residual + np.einsum("nqa,na->nq", samples.advection, grad_u)
         if samples.reaction is not None:
-            residual = residual + samples.reaction * u_q
+            residual = residual + samples.reaction * p1_at_quadrature(mesh, values)
         return residual
 
     if not problem.grad_only:
@@ -60,6 +62,8 @@ def _volume_residual_at_quadrature(problem, samples, u_q, grad_u, y_q):
         )
     # gradient-only flux is piecewise constant, so its divergence drops out
     if problem.lower_order is not None:
+        u_q = p1_at_quadrature(mesh, values)
+        y_q = np.repeat(grad_u, u_q.shape[1], axis=0)
         lower = problem.lower_order(samples.points, u_q.reshape(-1), y_q)
         residual = residual + lower.reshape(u_q.shape)
     return residual
@@ -108,8 +112,8 @@ def estimate(mesh, sol, problem, samples=None):
         raise EstimatorError("solution does not live on the given mesh")
     if samples is None:
         samples = volume_samples(mesh, problem)
-    u_q, grad_u, y_q = p1_at_quadrature(mesh, sol.values)
-    residual = _volume_residual_at_quadrature(problem, samples, u_q, grad_u, y_q)
+    grad_u = element_gradients(mesh, sol.values)
+    residual = _volume_residual_at_quadrature(problem, samples, mesh, sol.values, grad_u)
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas
     volume_sq = areas**2 * (residual**2 @ w)

@@ -690,11 +690,15 @@ def read_mesh(path):
         raise MeshError("truncated mesh file")
     coords = np.array([[float(v) for v in row]
                        for row in _fields(rows[1: 1 + nv], 2, "vertex")])
+    tri_rows = rows[1 + nv: 1 + nv + nt]
     tris = np.empty((nt, 3), dtype=np.int64)
-    for i, row in enumerate(_fields(rows[1 + nv: 1 + nv + nt], 4, "triangle")):
-        v0, v1, v2, slot = (int(v) for v in row)
-        order = [(slot + k) % 3 for k in range(3)]
-        tris[i] = np.array([v0, v1, v2], dtype=np.int64)[order]
+    for i, ((lineno, _), row) in enumerate(zip(tri_rows, _fields(tri_rows, 4, "triangle"))):
+        *triple, slot = (int(v) for v in row)
+        if not all(0 <= v < nv for v in triple):
+            raise MeshError(f"line {lineno}: triangle vertex index out of range 0..{nv - 1}")
+        if slot not in (0, 1, 2):
+            raise MeshError(f"line {lineno}: ref_slot must be 0, 1 or 2, got {slot}")
+        tris[i] = [triple[(slot + k) % 3] for k in range(3)]
     boundary = None
     rest = rows[1 + nv + nt:]
     if rest:

@@ -48,7 +48,10 @@ class NonlinearProblem:
     they drive the step size of the damped-gradient fallback solver.
     ``grad_only`` states that the flux depends on the gradient argument
     only, which makes the elementwise flux divergence of a P1 function
-    vanish exactly.
+    vanish exactly, and lets assembly evaluate ``flux`` and
+    ``flux_jacobian`` once per element, where the gradient of a P1
+    function is constant. Building the problem checks the claim: both
+    closures must return the same values at two point sets.
     """
 
     name: str
@@ -64,6 +67,26 @@ class NonlinearProblem:
     exact_u: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
     make_initial_mesh: Callable = unit_square_mesh
+
+    def __post_init__(self):
+        if not self.grad_only:
+            return
+        for name in ("flux", "flux_jacobian"):
+            fn = getattr(self, name)
+            first, second = (np.asarray(fn(x, _PROBE_GRADIENTS.copy())) for x in _PROBE_POINTS)
+            if not np.array_equal(first, second, equal_nan=True):
+                raise ValueError(
+                    f"problem {self.name!r} declares grad_only, but its {name} "
+                    "depends on the point"
+                )
+
+
+# fixed gradients and two point sets, across the built-in domains, at which
+# a gradient-only flux and its Jacobian must not tell the point sets apart
+_rng = np.random.default_rng(12108369)
+_PROBE_GRADIENTS = 3.0 * _rng.standard_normal((32, 2))
+_PROBE_POINTS = _rng.uniform(-1.0, 1.0, (2, 32, 2))
+del _rng
 
 
 # -- builtin problems -------------------------------------------------------

@@ -4,7 +4,7 @@
 import numpy as np
 
 from triafem import quadrature
-from triafem.assembly import p1_at_quadrature
+from triafem.assembly import element_gradients, volume_samples
 from triafem.mesh import unit_square_mesh
 from triafem.problems import LinearProblem, NonlinearProblem
 
@@ -85,10 +85,87 @@ def element_system_per_point(mesh, problem):
     return local, rhs
 
 
+def p1_per_point(mesh, values):
+    """A P1 function's values (NT, q), element gradient (NT, 2) and that
+    gradient repeated to every quadrature point (NT * q, 2)."""
+    u_q = values[mesh.triangles] @ quadrature.TRI_BARY.T
+    grad_u = element_gradients(mesh, values)
+    y_q = np.repeat(grad_u[:, None, :], u_q.shape[1], axis=1).reshape(-1, 2)
+    return u_q, grad_u, y_q
+
+
+def residual_per_point(mesh, problem, values):
+    """Interior Galerkin residual of a nonlinear problem with every closure
+    called at every quadrature point, summed point by point."""
+    samples = volume_samples(mesh, problem)
+    u_q, _, y_q = p1_per_point(mesh, values)
+    n, nq = u_q.shape
+    w = quadrature.TRI_WEIGHTS
+    flat = samples.points
+
+    flux_q = problem.flux(flat, y_q).reshape(n, nq, 2)
+    local = np.einsum("q,nqa,nia->ni", w, flux_q, mesh.basis_gradients)
+    lower = -samples.source
+    if problem.lower_order is not None:
+        lower = lower + problem.lower_order(flat, u_q.reshape(-1), y_q).reshape(n, nq)
+    local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
+    local *= mesh.areas[:, None]
+    full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
+    return full[mesh.interior_vertices]
+
+
+def contracted_jacobian_per_point(mesh, problem, values):
+    """Local Newton Jacobians (NT, 3, 3) with every closure called at every
+    quadrature point and the quadrature contracted before the local
+    product, in the order of ``nonlinear_jacobian``."""
+    u_q, _, y_q = p1_per_point(mesh, values)
+    n, nq = u_q.shape
+    w = quadrature.TRI_WEIGHTS
+    w_lam = w[:, None] * quadrature.TRI_BARY
+    w_lam_lam = (w_lam[:, :, None] * quadrature.TRI_BARY[:, None, :]).reshape(-1, 9)
+    grads = mesh.basis_gradients
+    flat = mesh.quadrature_points().reshape(-1, 2)
+
+    jac_q = problem.flux_jacobian(flat, y_q).reshape(n, nq, 2, 2)
+    local = grads @ np.einsum("q,nq...->n...", w, jac_q) @ grads.transpose(0, 2, 1)
+    if problem.lower_order_du is not None:
+        gu_q = problem.lower_order_du(flat, u_q.reshape(-1), y_q).reshape(n, nq)
+        local += (gu_q @ w_lam_lam).reshape(n, 3, 3)
+    if problem.lower_order_dgrad is not None:
+        gy_q = problem.lower_order_dgrad(flat, u_q.reshape(-1), y_q).reshape(n, nq, 2)
+        local += np.einsum("qi,nqa->nia", w_lam, gy_q) @ grads.transpose(0, 2, 1)
+    return local * mesh.areas[:, None, None]
+
+
+def flux_terms_per_point(mesh, problem, values):
+    """Values (NT, q), gradient (NT, 2), flux (NT * q, 2) and lower-order
+    term (NT * q,) or None of a P1 function, every closure called at every
+    quadrature point."""
+    points = mesh.quadrature_points().reshape(-1, 2)
+    u_q, grad_u, y_q = p1_per_point(mesh, values)
+    lower = None
+    if problem.lower_order is not None:
+        lower = problem.lower_order(points, u_q.reshape(-1), y_q)
+    return u_q, grad_u, problem.flux(points, y_q), lower
+
+
+def energy_per_point(mesh, problem, w_values, v_values):
+    """<L w - L v, w - v> of a nonlinear problem from per-point flux terms."""
+    uw, grad_w, flux_w, lower_w = flux_terms_per_point(mesh, problem, w_values)
+    uv, grad_v, flux_v, lower_v = flux_terms_per_point(mesh, problem, v_values)
+    n, nq = uw.shape
+    flux_diff = (flux_w - flux_v).reshape(n, nq, 2)
+    grad_diff = (grad_w - grad_v)[:, None, :]
+    integrand = np.sum(flux_diff * grad_diff, axis=2)
+    if lower_w is not None:
+        integrand = integrand + (lower_w - lower_v).reshape(n, nq) * (uw - uv)
+    return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
+
+
 def jacobian_per_point(mesh, problem, values):
     """Local Newton Jacobians (NT, 3, 3) of a nonlinear problem, summed
     point by point (no contraction)."""
-    u_q, _, y_q = p1_at_quadrature(mesh, values)
+    u_q, _, y_q = p1_per_point(mesh, values)
     n, nq = u_q.shape
     w = quadrature.TRI_WEIGHTS
     lam = quadrature.TRI_BARY

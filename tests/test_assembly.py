@@ -3,9 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 from helpers_fem import (
+    contracted_jacobian_per_point,
     element_system_per_point,
+    energy_per_point,
     evaluate,
+    flux_terms_per_point,
     jacobian_per_point,
+    residual_per_point,
     restrict_functional,
     varying_linear_problem,
     varying_nonlinear_problem,
@@ -22,6 +26,7 @@ from triafem.assembly import (
     assemble_operator,
     element_gradients,
     energy_products,
+    flux_terms,
     grad_norm_sq,
     h1_error_sq,
     l2_norm,
@@ -33,7 +38,7 @@ from triafem.assembly import (
     transfer,
     volume_samples,
 )
-from triafem.mesh import refine_nvb, uniform_refine, unit_square_mesh
+from triafem.mesh import lshape_mesh, refine_nvb, uniform_refine, unit_square_mesh
 from triafem.problems import (
     LinearProblem,
     NonlinearProblem,
@@ -460,3 +465,87 @@ def test_contracted_jacobian_matches_per_point_oracle():
     oracle = _scatter(mesh, jacobian_per_point(mesh, problem, values)).toarray()
     _assert_close_in_max_norm(jac, oracle)
     assert np.abs(oracle - oracle.T).max() > 1e-3
+
+
+def _random_p1(mesh, seed):
+    values = np.zeros(mesh.n_vertices)
+    rng = np.random.default_rng(seed)
+    values[mesh.interior_vertices] = rng.normal(0.0, 0.7, mesh.interior_vertices.size)
+    return values
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: builtin_problem("magnetostatics_nl"), varying_nonlinear_problem,
+], ids=["magnetostatics_nl", "varying_nl"])
+@pytest.mark.parametrize("make_mesh", [
+    lambda: uniform_refine(unit_square_mesh(cross=True), 3),
+    lambda: _graded_mesh(builtin_problem("magnetostatics_nl")),
+    lambda: uniform_refine(lshape_mesh(), 3),
+], ids=["cross-uniform", "cross-graded", "lshape"])
+def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, make_mesh):
+    # a gradient-only flux is evaluated once per element and repeated to the
+    # points; every sum must keep the per-point operands and order exactly
+    problem = make_problem()
+    mesh = make_mesh()
+    w_values = _random_p1(mesh, 3)
+
+    assert np.array_equal(nonlinear_residual(mesh, problem, w_values),
+                          residual_per_point(mesh, problem, w_values))
+    jac = nonlinear_jacobian(mesh, problem, w_values)
+    oracle = _scatter(mesh, contracted_jacobian_per_point(mesh, problem, w_values))
+    assert np.array_equal(jac.indptr, oracle.indptr)
+    assert np.array_equal(jac.indices, oracle.indices)
+    assert np.array_equal(jac.data, oracle.data)
+
+    points, u_q, grad_u, flux, lower = flux_terms(mesh, problem, w_values)
+    oracle_u, oracle_grad, oracle_flux, oracle_lower = flux_terms_per_point(
+        mesh, problem, w_values)
+    assert np.array_equal(points, mesh.quadrature_points().reshape(-1, 2))
+    assert np.array_equal(grad_u, oracle_grad)
+    assert flux.shape[1] == (1 if problem.grad_only else oracle_u.shape[1])
+    per_point = np.broadcast_to(flux, (mesh.n_elements, oracle_u.shape[1], 2))
+    assert np.array_equal(per_point.reshape(-1, 2), oracle_flux)
+    if problem.lower_order is None:
+        assert u_q is None and lower is None and oracle_lower is None
+    else:
+        assert np.array_equal(u_q, oracle_u)
+        assert np.array_equal(lower.reshape(-1), oracle_lower)
+
+    # one energy's last bits seldom show a change of summation order, so
+    # one solution is paired with several, as a run pairs its reference
+    # solution with every iterate
+    w_sol = DiscreteSolution(mesh, w_values)
+    w_terms = (points, u_q, grad_u, flux, lower)
+    for seed in range(4, 12):
+        v_values = _random_p1(mesh, seed)
+        v_sol = DiscreteSolution(mesh, v_values)
+        expected = (None, energy_per_point(mesh, problem, w_values, v_values))
+        assert energy_products(mesh, problem, w_sol, v_sol) == expected
+        assert energy_products(mesh, problem, w_sol, v_sol, w_terms=w_terms) == expected
+
+
+@pytest.mark.parametrize("make_problem,points_per_element", [
+    (lambda: builtin_problem("magnetostatics_nl"), 1), (varying_nonlinear_problem, 7),
+], ids=["magnetostatics_nl", "varying_nl"])
+def test_gradient_only_flux_is_called_once_per_element(make_problem, points_per_element):
+    rows = {"flux": [], "flux_jacobian": []}
+
+    def counted(name, fn):
+        def wrapper(x, y):
+            assert x.shape[0] == y.shape[0]
+            rows[name].append(x.shape[0])
+            return fn(x, y)
+
+        return wrapper
+
+    problem = make_problem()
+    problem = dataclasses.replace(
+        problem, **{name: counted(name, getattr(problem, name)) for name in rows})
+    mesh = _graded_mesh(problem)
+    values = _random_p1(mesh, 5)
+    rows["flux"].clear()
+    rows["flux_jacobian"].clear()
+    nonlinear_residual(mesh, problem, values)
+    nonlinear_jacobian(mesh, problem, values)
+    expected = [points_per_element * mesh.n_elements]
+    assert rows == {"flux": expected, "flux_jacobian": expected}

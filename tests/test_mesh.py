@@ -343,8 +343,11 @@ def test_write_mesh_matches_per_line_writer(make, tmp_path):
     (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0 5"], 5),
     (["3 1", "0.0 0.0", "1.0", "0.0 1.0", "0 1 2 0"], 3),
     (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0", "", "0 1"], 7),
+    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 0", "0 2 7 0"], 7),
+    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 5", "0 2 3 0"], 6),
+    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 0", "0 2 3 -1"], 7),
 ], ids=["short-header", "long-header", "short-triangle", "long-triangle", "short-vertex",
-        "short-boundary-edge"])
+        "short-boundary-edge", "vertex-index-out-of-range", "ref-slot-5", "ref-slot-negative"])
 def test_read_mesh_names_the_malformed_line(lines, lineno, tmp_path):
     path = tmp_path / "bad.mesh"
     path.write_text("\n".join(lines) + "\n")

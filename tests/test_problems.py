@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers_fem import varying_nonlinear_problem
 
 from triafem.mesh import uniform_refine, unit_square_mesh
 from triafem.problems import (
@@ -25,6 +28,17 @@ def test_catalogue_names():
     assert set(builtin_names()) == {
         "convection_diffusion", "lshape_poisson", "magnetostatics_nl", "square_smooth",
     }
+
+
+def test_grad_only_is_checked_when_a_problem_is_built():
+    magnetostatics = builtin_problem("magnetostatics_nl")
+    assert magnetostatics.grad_only
+    varying = varying_nonlinear_problem()
+    with pytest.raises(ValueError, match="'varying_nl' declares grad_only, but its flux "):
+        dataclasses.replace(varying, grad_only=True)
+    # a point-free flux with a Jacobian that reads the point is caught as well
+    with pytest.raises(ValueError, match="'varying_nl' declares grad_only, but its flux_jacobian"):
+        dataclasses.replace(varying, flux=magnetostatics.flux, grad_only=True)
 
 
 def test_magnetostatics_flux_values():
