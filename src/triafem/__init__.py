@@ -13,10 +13,8 @@ from .assembly import (
     SolverError,
     SparseSystem,
     assemble_linear,
-    assemble_operator,
     energy_products,
     grad_norm_sq,
-    h1_error_sq,
     solve_linear,
     solve_nonlinear,
     transfer,
@@ -80,7 +78,6 @@ __all__ = [
     "SolverError",
     "SparseSystem",
     "assemble_linear",
-    "assemble_operator",
     "builtin_names",
     "builtin_problem",
     "check_convergence",
@@ -95,7 +92,6 @@ __all__ = [
     "estimate",
     "fit_rate",
     "grad_norm_sq",
-    "h1_error_sq",
     "load_initial_mesh",
     "local_sum",
     "lshape_mesh",

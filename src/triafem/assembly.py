@@ -4,9 +4,12 @@ The nodal basis lives on all mesh vertices; homogeneous Dirichlet
 conditions are imposed by restricting systems to interior vertices and
 keeping solution vectors at full length with exact zeros on the boundary.
 Element data has one source per mesh: basis gradients are cached on the
-mesh (:attr:`Mesh.basis_gradients`); the quadrature points and the
-coefficient samples are taken once by :func:`volume_samples` and passed as
-an argument to assembly, the nonlinear solver and the estimator. Every
+mesh (:attr:`Mesh.basis_gradients`); the quadrature points, the
+coefficient samples and a linear problem's element matrices and loads are
+taken by :func:`volume_samples` and passed as an argument to assembly, the
+nonlinear solver and the estimator. The adaptive loop carries them through
+refinement, sampling and integrating only the new elements, and drops them
+before the reference build. Every
 bilinear form contracts its quadrature before the local product,
 ``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is summed from
 local element matrices by one scatter. Assembly is strictly sequential, so
@@ -82,13 +85,16 @@ class SparseSystem:
 
 @dataclass(frozen=True)
 class VolumeSamples:
-    """A problem's data at the volume quadrature points of one mesh.
+    """A problem's data on one mesh that does not depend on the solution.
 
-    ``points`` is flat, (NT * q, 2), the layout the closures take; every
-    sample is per element and point, (NT, q) or (NT, q, 2). Advection,
-    reaction and the diffusion divergence are sampled for linear problems
-    that define them. Built once per mesh and passed as an argument, never
-    cached on the mesh: a run that keeps its history keeps every mesh.
+    ``points`` are the volume quadrature points, flat (NT * q, 2), the
+    layout the closures take; every sample is per element and point,
+    (NT, q) or (NT, q, 2). Advection, reaction and the diffusion divergence
+    are sampled for linear problems that define them, and a linear problem
+    also gets its element matrices ``local`` (NT, 3, 3) and loads ``load``
+    (NT, 3). Passed as an argument, never cached on the mesh (a run that
+    keeps its history keeps every mesh); the adaptive loop carries them
+    through refinement and drops them before the reference build.
     """
 
     points: np.ndarray
@@ -96,26 +102,62 @@ class VolumeSamples:
     advection: Optional[np.ndarray] = None
     reaction: Optional[np.ndarray] = None
     diffusion_div: Optional[np.ndarray] = None
+    local: Optional[np.ndarray] = None
+    load: Optional[np.ndarray] = None
 
 
-def volume_samples(mesh, problem):
-    """Sample the source and, for linear problems, the advection, reaction
-    and diffusion divergence at the volume quadrature points of ``mesh``."""
-    points = mesh.quadrature_points()
+def volume_samples(mesh, problem, carry=None):
+    """The problem's :class:`VolumeSamples` on ``mesh``.
+
+    ``carry = (coarse, samples, record)`` gives the mesh that ``mesh``
+    refines, its samples and the :class:`~triafem.mesh.RefinementRecord`
+    of that refinement. The kept elements come first in ``mesh``, in their
+    old order, so their rows are taken from ``samples`` and only the new
+    elements are sampled and integrated. Per-element arithmetic does not
+    depend on the batch, so every row has the bits of a fresh call
+    (``notes/decisions.md``).
+    """
+    if carry is None:
+        return _volume_samples(_element_data(mesh, problem, 0))
+    coarse, samples, record = carry
+    kept = record.kept
+    if (record.nt_before != coarse.n_elements or samples.source.shape[0] != coarse.n_elements
+            or not np.array_equal(mesh.node_ids[:kept.size], coarse.node_ids[kept])):
+        raise ValueError("mesh does not start with the kept elements of the carried mesh")
+    fresh = _element_data(mesh, problem, kept.size)
+    return _volume_samples({
+        name: np.concatenate([getattr(samples, name).reshape(-1, *new.shape[1:])[kept], new])
+        for name, new in fresh.items()
+    })
+
+
+def _volume_samples(fields):
+    """:class:`VolumeSamples` of :func:`_element_data` fields."""
+    return VolumeSamples(**{**fields, "points": fields["points"].reshape(-1, 2)})
+
+
+def _element_data(mesh, problem, first):
+    """The fields of :class:`VolumeSamples` on the elements ``first:`` of
+    ``mesh``, with the points per element, (n, q, 2)."""
+    points = mesh.quadrature_points(slice(first, None))
     shape = points.shape[:2]
-    points = points.reshape(-1, 2)
+    flat = points.reshape(-1, 2)
 
     def sample(name, *tail):
-        values = getattr(problem, name)(points).reshape(*shape, *tail)
+        values = getattr(problem, name)(flat).reshape(*shape, *tail)
         _check_finite(name, values)
         return values
 
-    samples = {"source": sample("source")}
+    fields = {"points": points, "source": sample("source")}
     if isinstance(problem, LinearProblem):
         for name, tail in (("advection", (2,)), ("reaction", ()), ("diffusion_div", (2,))):
             if getattr(problem, name) is not None:
-                samples[name] = sample(name, *tail)
-    return VolumeSamples(points=points, **samples)
+                fields[name] = sample(name, *tail)
+        fields["local"], fields["load"] = _element_system(
+            sample("diffusion", 2, 2), fields,
+            mesh.basis_gradients[first:], mesh.areas[first:],
+        )
+    return fields
 
 
 def element_gradients(mesh, values):
@@ -140,39 +182,25 @@ def grad_norm_sq(mesh, values):
     return float(np.sum(mesh.areas * np.sum(g * g, axis=1)))
 
 
-def l2_norm(mesh, fn):
-    """L2 norm of a coefficient function by elementwise quadrature."""
-    vals = fn(mesh.quadrature_points().reshape(-1, 2)).reshape(mesh.n_elements, -1)
-    return float(np.sqrt(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * vals**2)))
-
-
-def h1_error_sq(mesh, values, exact_grad):
-    """Squared H1-seminorm distance of a P1 function to an exact gradient."""
-    pts = mesh.quadrature_points()
-    eg = exact_grad(pts.reshape(-1, 2)).reshape(mesh.n_elements, -1, 2)
-    diff = eg - element_gradients(mesh, values)[:, None, :]
-    return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * np.sum(diff**2, axis=2)))
-
-
 def _check_finite(name, arr):
     if not np.all(np.isfinite(arr)):
         raise AssemblyError(f"quadrature failure: coefficient {name!r} returned a non-finite sample")
 
 
-def _scatter(mesh, local, keep=None):
-    """Sum local (NT, 3, 3) element matrices into a CSR matrix.
+def _scatter(mesh, local):
+    """Sum local (NT, 3, 3) element matrices into the interior CSR matrix.
 
     Entry (i, j) of element n goes to row ``triangles[n, i]`` and column
     ``triangles[n, j]``. The COO matrix over all vertices is summed into
-    CSR first and the block of the vertices ``keep`` (default: the
-    interior ones) is cut out after, so every run sums in the same order.
+    CSR first and the interior block is cut out after, so every run sums
+    in the same order.
     """
     t = mesh.triangles
     matrix = sp.coo_matrix(
         (local.reshape(-1), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())),
         shape=(mesh.n_vertices, mesh.n_vertices),
     ).tocsr()
-    keep = mesh.interior_vertices if keep is None else keep
+    keep = mesh.interior_vertices
     return matrix[keep][:, keep].tocsr()
 
 
@@ -186,45 +214,32 @@ def _contract(w, values):
     return np.einsum("q,nq...->n...", w, values)
 
 
-def _element_system(mesh, problem, samples):
-    """Local element matrices (NT, 3, 3) and the load over all vertices."""
-    nt = mesh.n_elements
-    w = quadrature.TRI_WEIGHTS
-    grads = mesh.basis_gradients
-    a_q = problem.diffusion(samples.points).reshape(nt, w.size, 2, 2)
-    _check_finite("diffusion", a_q)
-    local = _stiffness(grads, _contract(w, a_q))
-    if samples.advection is not None:
-        b_bar = np.einsum("qi,nqa->nia", _W_LAM, samples.advection)
+def _element_system(a_q, samples, grads, areas):
+    """Element matrices (n, 3, 3) and loads (n, 3) of a linear problem on n
+    elements, from its diffusion ``a_q`` (n, q, 2, 2) and the other
+    ``samples`` there, with basis gradients ``grads`` and ``areas``."""
+    local = _stiffness(grads, _contract(quadrature.TRI_WEIGHTS, a_q))
+    if "advection" in samples:
+        b_bar = np.einsum("qi,nqa->nia", _W_LAM, samples["advection"])
         local += b_bar @ grads.transpose(0, 2, 1)
-    if samples.reaction is not None:
-        local += (samples.reaction @ _W_LAM_LAM).reshape(nt, 3, 3)
-    local *= mesh.areas[:, None, None]
-    f_loc = (samples.source @ _W_LAM) * mesh.areas[:, None]
-    rhs = np.bincount(mesh.triangles.ravel(), weights=f_loc.ravel(), minlength=mesh.n_vertices)
-    return local, rhs
-
-
-def assemble_operator(mesh, problem):
-    """Full bilinear form and load of a linear problem over all vertices.
-
-    Entry (i, j) of the matrix is b(phi_j, phi_i); the system including
-    Dirichlet restriction is produced by :func:`assemble_linear`.
-    """
-    local, rhs = _element_system(mesh, problem, volume_samples(mesh, problem))
-    return _scatter(mesh, local, keep=slice(None)), rhs
+    if "reaction" in samples:
+        local += (samples["reaction"] @ _W_LAM_LAM).reshape(-1, 3, 3)
+    local *= areas[:, None, None]
+    return local, (samples["source"] @ _W_LAM) * areas[:, None]
 
 
 def assemble_linear(mesh, problem, samples=None):
     """Interior-restricted system of the discrete weak form.
 
     ``samples`` are the problem's :func:`volume_samples` on ``mesh``,
-    taken here when not given.
+    taken here when not given; they hold the element matrices and loads,
+    so this only sums them.
     """
     if samples is None:
         samples = volume_samples(mesh, problem)
-    local, rhs = _element_system(mesh, problem, samples)
-    restricted = _scatter(mesh, local)
+    rhs = np.bincount(
+        mesh.triangles.ravel(), weights=samples.load.ravel(), minlength=mesh.n_vertices)
+    restricted = _scatter(mesh, samples.local)
     interior = mesh.interior_vertices
     if interior.size and np.any(restricted.diagonal() == 0.0):
         raise AssemblyError("zero diagonal entry on an interior row")

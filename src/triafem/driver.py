@@ -183,6 +183,8 @@ def _run_loop(
     records = []
     solutions = []
     previous = None
+    # (coarse mesh, its samples, refinement record) of the last refinement
+    carry = None
 
     @contextmanager
     def _phase(name):
@@ -211,7 +213,7 @@ def _run_loop(
             with _phase("transfer"):
                 moved = transfer(previous, mesh)
         with _phase("solve"):
-            samples = volume_samples(mesh, problem)
+            samples, carry = volume_samples(mesh, problem, carry), None
             sol, system = _solve_on(mesh, problem, moved, samples)
         if moved is not None:
             # the increment U_l - U_{l-1}, measured on the finer mesh
@@ -221,7 +223,6 @@ def _run_loop(
                 rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
         with _phase("estimate"):
             report = estimate(mesh, sol, problem, samples)
-        del samples  # not held through refinement and the reference solve
         rows.append(
             {
                 "ell": float(ell),
@@ -268,8 +269,11 @@ def _run_loop(
         rows[-1]["refined_eta_sq"] = local_sum(report, record.refined)
         rows[-1]["wall_time_s"] = time.perf_counter() - tic
         previous = sol
+        # carried through refinement: the next mesh samples only its new elements
+        carry = (mesh, samples, record)
         mesh = refined_mesh
 
+    del samples  # dropped before the reference build
     meta["gamma_max"] = gamma_max
     if records:
         meta["closure_constant"] = closure_audit(records)

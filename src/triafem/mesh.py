@@ -59,6 +59,14 @@ class RefinementRecord:
     nt_before: int = 0
     nt_after: int = 0
 
+    @property
+    def kept(self):
+        """Sorted old-mesh indices of the triangles left whole; they are the
+        first ``len(kept)`` triangles of the new mesh, in this order."""
+        keep = np.ones(self.nt_before, dtype=bool)
+        keep[self.refined] = False
+        return np.flatnonzero(keep)
+
 
 class MeshForest:
     """Genealogy ledger shared by all meshes refined from one initial mesh.
@@ -270,14 +278,18 @@ class Mesh:
         grads.setflags(write=False)
         return grads
 
-    def quadrature_points(self):
-        """Physical volume quadrature points per element, (NT, 7, 2).
+    def quadrature_points(self, elements=slice(None)):
+        """Physical volume quadrature points of ``elements`` (default: all),
+        (n, 7, 2).
 
         Not cached: at 112 bytes per element they would be the largest
         cached array, and a run that keeps its history keeps every mesh
-        (each kept solution holds its mesh).
+        (each kept solution holds its mesh). The adaptive loop instead
+        carries them, with the coefficient samples, through each refinement
+        and drops them before the reference build
+        (:func:`triafem.assembly.volume_samples`).
         """
-        p = self.vertices[self.triangles]
+        p = self.vertices[self.triangles[elements]]
         return quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
 
     # -- edge table ---------------------------------------------------------

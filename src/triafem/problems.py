@@ -162,28 +162,29 @@ def _corner_angle(x):
 
 
 def _singular_part(x):
-    """s = r^(2/3) sin(2 phi / 3) and its gradient; s is harmonic and
-    vanishes on both legs of the reentrant corner."""
+    """s = r^(2/3) sin(2 phi / 3) and the components of its gradient; s is
+    harmonic and vanishes on both legs of the reentrant corner."""
     r = np.hypot(x[..., 0], x[..., 1])
     phi = _corner_angle(x)
-    safe_r = np.where(r > 0.0, r, 1.0)
+    inside = r > 0.0
     sin_t, cos_t = np.sin(2.0 * phi / 3.0), np.cos(2.0 * phi / 3.0)
     s = r ** (2.0 / 3.0) * sin_t
-    radial = (2.0 / 3.0) * safe_r ** (-1.0 / 3.0) * sin_t
-    angular = (2.0 / 3.0) * safe_r ** (-1.0 / 3.0) * cos_t
-    e_r = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    e_phi = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-    grad = radial[..., None] * e_r + angular[..., None] * e_phi
-    grad = np.where((r > 0.0)[..., None], grad, 0.0)
-    return s, grad
+    scale = (2.0 / 3.0) * np.where(inside, r, 1.0) ** (-1.0 / 3.0)
+    radial, angular = scale * sin_t, scale * cos_t
+    # radial e_r + angular e_phi, e_r = (cos, sin), e_phi = (-sin, cos)
+    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    gx = np.where(inside, radial * cos_p - angular * sin_p, 0.0)
+    gy = np.where(inside, radial * sin_p + angular * cos_p, 0.0)
+    return s, (gx, gy)
 
 
 def _boundary_bump(x):
-    """P = (1 - x^2)(1 - y^2) with gradient and Laplacian: kills the trace
-    on the outer square; the legs are handled by the singular factor."""
+    """P = (1 - x^2)(1 - y^2) with the components of its gradient and its
+    Laplacian: kills the trace on the outer square; the legs are handled
+    by the singular factor."""
     xx, yy = x[..., 0], x[..., 1]
     p = (1.0 - xx**2) * (1.0 - yy**2)
-    grad = np.stack([-2.0 * xx * (1.0 - yy**2), -2.0 * yy * (1.0 - xx**2)], axis=-1)
+    grad = (-2.0 * xx * (1.0 - yy**2), -2.0 * yy * (1.0 - xx**2))
     lap = -2.0 * (1.0 - yy**2) - 2.0 * (1.0 - xx**2)
     return p, grad, lap
 
@@ -199,14 +200,14 @@ def _lshape_poisson():
         return s * p
 
     def exact_grad(x):
-        s, grad_s = _singular_part(x)
-        p, grad_p, _ = _boundary_bump(x)
-        return p[..., None] * grad_s + s[..., None] * grad_p
+        s, (sx, sy) = _singular_part(x)
+        p, (px, py), _ = _boundary_bump(x)
+        return np.stack([p * sx + s * px, p * sy + s * py], axis=-1)
 
     def source(x):
-        s, grad_s = _singular_part(x)
-        _, grad_p, lap_p = _boundary_bump(x)
-        return -(2.0 * np.sum(grad_s * grad_p, axis=-1) + s * lap_p)
+        s, (sx, sy) = _singular_part(x)
+        _, (px, py), lap_p = _boundary_bump(x)
+        return -(2.0 * (sx * px + sy * py) + s * lap_p)
 
     return LinearProblem(
         name="lshape_poisson",
@@ -244,20 +245,16 @@ def _magnetostatics():
     def source(x):
         sx, cx = np.sin(np.pi * x[..., 0]), np.cos(np.pi * x[..., 0])
         sy, cy = np.sin(np.pi * x[..., 1]), np.cos(np.pi * x[..., 1])
-        grad = np.pi * np.stack([cx * sy, sx * cy], axis=-1)
-        t = np.sum(grad * grad, axis=-1)
+        gx, gy = np.pi * (cx * sy), np.pi * (sx * cy)
+        t = gx * gx + gy * gy
         lap = -2.0 * np.pi**2 * sx * sy
-        # hessian of sin(pi x) sin(pi y)
+        # hessian of sin(pi x) sin(pi y), applied to the gradient
         hxx = -np.pi**2 * sx * sy
         hxy = np.pi**2 * cx * cy
-        h_grad = np.stack(
-            [hxx * grad[..., 0] + hxy * grad[..., 1],
-             hxy * grad[..., 0] + hxx * grad[..., 1]],
-            axis=-1,
-        )
+        hx, hy = hxx * gx + hxy * gy, hxy * gx + hxx * gy
         phi = 1.0 + 1.0 / (1.0 + t)
         dphi = -1.0 / (1.0 + t) ** 2
-        return -(2.0 * dphi * np.sum(h_grad * grad, axis=-1) + phi * lap)
+        return -(2.0 * dphi * (hx * gx + hy * gy) + phi * lap)
 
     return NonlinearProblem(
         name="magnetostatics_nl",
@@ -327,125 +324,3 @@ def check_ellipticity(problem, samples=4096):
             stacklevel=2,
         )
     return margin
-
-
-def flux_monotonicity_infimum(problem, n_pairs=10_000, scale=3.0, seed=0):
-    """Observed infimum of (F(y) - F(z)) . (y - z) / |y - z|^2 over random pairs."""
-    rng = np.random.default_rng(seed)
-    y = rng.normal(0.0, scale, size=(n_pairs, 2))
-    z = rng.normal(0.0, scale, size=(n_pairs, 2))
-    x = rng.uniform(0.0, 1.0, size=(n_pairs, 2))
-    d = y - z
-    norm_sq = np.sum(d * d, axis=1)
-    keep = norm_sq > 1e-12
-    num = np.sum((problem.flux(x, y) - problem.flux(x, z)) * d, axis=1)
-    return float((num[keep] / norm_sq[keep]).min())
-
-
-def flux_jacobian_fd_error(problem, n_samples=100, scale=2.0, seed=0, step=1e-6):
-    """Max relative error of the declared flux Jacobian vs central differences."""
-    rng = np.random.default_rng(seed)
-    y = rng.normal(0.0, scale, size=(n_samples, 2))
-    x = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-    jac = problem.flux_jacobian(x, y)
-    fd = np.empty_like(jac)
-    for k in range(2):
-        dy = np.zeros_like(y)
-        dy[:, k] = step
-        fd[:, :, k] = (problem.flux(x, y + dy) - problem.flux(x, y - dy)) / (2.0 * step)
-    scale_ref = np.abs(jac).max()
-    return float(np.abs(fd - jac).max() / scale_ref)
-
-
-def flux_jacobian_asymmetry(problem, n_samples=100, scale=2.0, seed=0):
-    """Max entrywise asymmetry of the flux Jacobian over random samples."""
-    rng = np.random.default_rng(seed)
-    y = rng.normal(0.0, scale, size=(n_samples, 2))
-    x = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-    jac = problem.flux_jacobian(x, y)
-    return float(np.abs(jac - np.swapaxes(jac, -1, -2)).max())
-
-
-# -- manufactured-solution residual ------------------------------------------
-
-def _square_bump(x):
-    xx, yy = x[..., 0], x[..., 1]
-    w = xx * (1.0 - xx) * yy * (1.0 - yy)
-    grad = np.stack(
-        [(1.0 - 2.0 * xx) * yy * (1.0 - yy), xx * (1.0 - xx) * (1.0 - 2.0 * yy)],
-        axis=-1,
-    )
-    return w, grad
-
-
-def _lshape_bump(x):
-    # vanishes on the whole L-shape boundary (legs included) and to second
-    # order at the reentrant corner, keeping the integrand regular there
-    xx, yy = x[..., 0], x[..., 1]
-    w = xx**2 * yy**2 * (1.0 - xx**2) * (1.0 - yy**2)
-    gx = (2.0 * xx - 4.0 * xx**3) * yy**2 * (1.0 - yy**2)
-    gy = xx**2 * (1.0 - xx**2) * (2.0 * yy - 4.0 * yy**3)
-    return w, np.stack([gx, gy], axis=-1)
-
-
-def manufactured_weak_residual(problem, mesh, n_tests=20, seed=0, gauss_order=None):
-    """Largest relative weak residual of the exact solution.
-
-    Tests the consistency of a manufactured right-hand side: for each of
-    ``n_tests`` random smooth test functions vanishing on the boundary,
-    integrates the weak form of the exact solution minus the load by
-    quadrature on ``mesh`` and reports ``max |residual| / scale``.
-    ``gauss_order`` switches from the default degree-5 rule to an n-by-n
-    tensor rule per triangle.
-    """
-    if problem.exact_u is None or problem.exact_grad is None:
-        raise ValueError("problem has no exact solution to test")
-    rng = np.random.default_rng(seed)
-    if gauss_order is None:
-        bary, weights = quadrature.TRI_BARY, quadrature.TRI_WEIGHTS
-    else:
-        bary, weights = quadrature.duffy_rule(gauss_order)
-    p = mesh.vertices[mesh.triangles]
-    pts = (
-        bary[:, 0][None, :, None] * p[:, None, 0, :]
-        + bary[:, 1][None, :, None] * p[:, None, 1, :]
-        + bary[:, 2][None, :, None] * p[:, None, 2, :]
-    )
-    w_q = weights * mesh.areas[:, None]
-    flat = pts.reshape(-1, 2)
-
-    grad_u = problem.exact_grad(flat)
-    u_val = problem.exact_u(flat)
-    f_val = problem.source(flat)
-    if isinstance(problem, LinearProblem):
-        flux = np.einsum("nij,nj->ni", problem.diffusion(flat), grad_u)
-        lower = np.zeros_like(u_val)
-        if problem.advection is not None:
-            lower += np.sum(problem.advection(flat) * grad_u, axis=-1)
-        if problem.reaction is not None:
-            lower += problem.reaction(flat) * u_val
-    else:
-        flux = problem.flux(flat, grad_u)
-        lower = np.zeros_like(u_val)
-        if problem.lower_order is not None:
-            lower += problem.lower_order(flat, u_val, grad_u)
-
-    bump = _lshape_bump if mesh.vertices.min() < -0.5 else _square_bump
-    w_val, w_grad = bump(flat)
-
-    worst = 0.0
-    for _ in range(n_tests):
-        coeff = rng.uniform(-1.0, 1.0, size=4)
-        sigma = coeff[0] + coeff[1] * flat[:, 0] + coeff[2] * flat[:, 1] \
-            + coeff[3] * flat[:, 0] * flat[:, 1]
-        sigma_grad = np.stack(
-            [coeff[1] + coeff[3] * flat[:, 1], coeff[2] + coeff[3] * flat[:, 0]], axis=-1
-        )
-        v = w_val * sigma
-        v_grad = sigma[:, None] * w_grad + w_val[:, None] * sigma_grad
-        integrand = np.sum(flux * v_grad, axis=-1) + (lower - f_val) * v
-        scale_int = np.abs(np.sum(flux * v_grad, axis=-1)) + np.abs(f_val * v)
-        residual = float(np.sum(w_q * integrand.reshape(w_q.shape)))
-        scale = float(np.sum(w_q * scale_int.reshape(w_q.shape)))
-        worst = max(worst, abs(residual) / scale)
-    return worst

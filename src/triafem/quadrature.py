@@ -55,21 +55,3 @@ def edge_points(pa, pb):
     """Physical Gauss points on segments; ``pa, pb`` of shape (n, 2) -> (n, 3, 2)."""
     s = EDGE_POINTS
     return (1.0 - s)[None, :, None] * pa[:, None, :] + s[None, :, None] * pb[:, None, :]
-
-
-def duffy_rule(n):
-    """High-order tensor rule on the triangle via the collapsed-square map.
-
-    Returns barycentric points (n*n, 3) and weights summing to 1. Used only
-    where accuracy beyond the fixed degree-5 rule is wanted (consistency
-    checks), not in assembly.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    ww = 2.0 * np.outer(wu * (1.0 - u), wu).ravel()
-    lam1 = uu.ravel()
-    lam2 = (vv * (1.0 - uu)).ravel()
-    lam3 = 1.0 - lam1 - lam2
-    return np.stack([lam1, lam2, lam3], axis=1), ww

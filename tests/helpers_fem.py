@@ -2,6 +2,7 @@
 (test scale only)."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from triafem import quadrature
 from triafem.assembly import element_gradients, volume_samples
@@ -55,6 +56,32 @@ def evaluate(sol, points):
         vals = sol.values[t[i]]
         out[k] = lam0[i] * vals[0] + lam1[i] * vals[1] + lam2[i] * vals[2]
     return out if np.asarray(points).ndim > 1 else float(out[0])
+
+
+def assemble_operator(mesh, problem):
+    """Full bilinear form and load of a linear problem over all vertices;
+    entry (i, j) of the matrix is b(phi_j, phi_i)."""
+    samples = volume_samples(mesh, problem)
+    t = mesh.triangles
+    rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+    matrix = sp.coo_matrix((samples.local.reshape(-1), (rows, cols)),
+                           shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+    rhs = np.bincount(t.ravel(), weights=samples.load.ravel(), minlength=mesh.n_vertices)
+    return matrix, rhs
+
+
+def l2_norm(mesh, fn):
+    """L2 norm of a coefficient function by elementwise quadrature."""
+    vals = fn(mesh.quadrature_points().reshape(-1, 2)).reshape(mesh.n_elements, -1)
+    return float(np.sqrt(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * vals**2)))
+
+
+def h1_error_sq(mesh, values, exact_grad):
+    """Squared H1-seminorm distance of a P1 function to an exact gradient."""
+    pts = mesh.quadrature_points()
+    eg = exact_grad(pts.reshape(-1, 2)).reshape(mesh.n_elements, -1, 2)
+    diff = eg - element_gradients(mesh, values)[:, None, :]
+    return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * np.sum(diff**2, axis=2)))
 
 
 def element_system_per_point(mesh, problem):
@@ -236,3 +263,64 @@ def varying_nonlinear_problem():
         grad_only=False,
         make_initial_mesh=lambda: unit_square_mesh(cross=True),
     )
+
+
+# -- the built-in source closures as first written, with the gradients
+# stacked and every dot product summed by np.sum ----------------------------
+
+def _corner_angle(x):
+    phi = np.arctan2(x[..., 1], x[..., 0])
+    return np.where(phi < 0.0, phi + 2.0 * np.pi, phi)
+
+
+def _singular_part(x):
+    r = np.hypot(x[..., 0], x[..., 1])
+    phi = _corner_angle(x)
+    safe_r = np.where(r > 0.0, r, 1.0)
+    sin_t, cos_t = np.sin(2.0 * phi / 3.0), np.cos(2.0 * phi / 3.0)
+    s = r ** (2.0 / 3.0) * sin_t
+    radial = (2.0 / 3.0) * safe_r ** (-1.0 / 3.0) * sin_t
+    angular = (2.0 / 3.0) * safe_r ** (-1.0 / 3.0) * cos_t
+    e_r = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    e_phi = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+    grad = radial[..., None] * e_r + angular[..., None] * e_phi
+    grad = np.where((r > 0.0)[..., None], grad, 0.0)
+    return s, grad
+
+
+def _boundary_bump(x):
+    xx, yy = x[..., 0], x[..., 1]
+    p = (1.0 - xx**2) * (1.0 - yy**2)
+    grad = np.stack([-2.0 * xx * (1.0 - yy**2), -2.0 * yy * (1.0 - xx**2)], axis=-1)
+    lap = -2.0 * (1.0 - yy**2) - 2.0 * (1.0 - xx**2)
+    return p, grad, lap
+
+
+def lshape_exact_grad_stacked(x):
+    s, grad_s = _singular_part(x)
+    p, grad_p, _ = _boundary_bump(x)
+    return p[..., None] * grad_s + s[..., None] * grad_p
+
+
+def lshape_source_stacked(x):
+    s, grad_s = _singular_part(x)
+    _, grad_p, lap_p = _boundary_bump(x)
+    return -(2.0 * np.sum(grad_s * grad_p, axis=-1) + s * lap_p)
+
+
+def magnetostatics_source_stacked(x):
+    sx, cx = np.sin(np.pi * x[..., 0]), np.cos(np.pi * x[..., 0])
+    sy, cy = np.sin(np.pi * x[..., 1]), np.cos(np.pi * x[..., 1])
+    grad = np.pi * np.stack([cx * sy, sx * cy], axis=-1)
+    t = np.sum(grad * grad, axis=-1)
+    lap = -2.0 * np.pi**2 * sx * sy
+    hxx = -np.pi**2 * sx * sy
+    hxy = np.pi**2 * cx * cy
+    h_grad = np.stack(
+        [hxx * grad[..., 0] + hxy * grad[..., 1],
+         hxy * grad[..., 0] + hxx * grad[..., 1]],
+        axis=-1,
+    )
+    phi = 1.0 + 1.0 / (1.0 + t)
+    dphi = -1.0 / (1.0 + t) ** 2
+    return -(2.0 * dphi * np.sum(h_grad * grad, axis=-1) + phi * lap)

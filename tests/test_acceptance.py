@@ -14,13 +14,14 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from scipy.optimize import nnls
+from helpers_fem import h1_error_sq
 from helpers_marking import oracle_min_cardinality
+from helpers_problems import flux_jacobian_fd_error, manufactured_weak_residual
 
 from triafem.assembly import (
     DiscreteSolution,
     energy_products,
     grad_norm_sq,
-    h1_error_sq,
     nonlinear_jacobian,
     nonlinear_residual,
     solve_nonlinear,
@@ -43,8 +44,6 @@ from triafem.mesh import overlay, refine_nvb, uniform_refine
 from triafem.problems import (
     builtin_names,
     builtin_problem,
-    flux_jacobian_fd_error,
-    manufactured_weak_residual,
 )
 
 THETA_SET = (0.3, 0.5, 0.8)

@@ -2,13 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers_fem import (
+    assemble_operator,
     contracted_jacobian_per_point,
     element_system_per_point,
     energy_per_point,
     evaluate,
     flux_terms_per_point,
+    h1_error_sq,
     jacobian_per_point,
+    l2_norm,
     residual_per_point,
     restrict_functional,
     varying_linear_problem,
@@ -20,16 +25,12 @@ from triafem.assembly import (
     DiscreteSolution,
     NonlinearSolveError,
     SolverError,
-    _element_system,
     _scatter,
     assemble_linear,
-    assemble_operator,
     element_gradients,
     energy_products,
     flux_terms,
     grad_norm_sq,
-    h1_error_sq,
-    l2_norm,
     laplace_stiffness,
     nonlinear_jacobian,
     nonlinear_residual,
@@ -38,7 +39,7 @@ from triafem.assembly import (
     transfer,
     volume_samples,
 )
-from triafem.mesh import lshape_mesh, refine_nvb, uniform_refine, unit_square_mesh
+from triafem.mesh import Mesh, lshape_mesh, refine_nvb, uniform_refine, unit_square_mesh
 from triafem.problems import (
     LinearProblem,
     NonlinearProblem,
@@ -447,7 +448,10 @@ def _assert_close_in_max_norm(actual, expected, rel=1e-13):
 def test_contracted_element_system_matches_per_point_oracle():
     problem = varying_linear_problem()
     mesh = _graded_mesh(problem)
-    local, rhs = _element_system(mesh, problem, volume_samples(mesh, problem))
+    samples = volume_samples(mesh, problem)
+    local = samples.local
+    rhs = np.bincount(
+        mesh.triangles.ravel(), weights=samples.load.ravel(), minlength=mesh.n_vertices)
     oracle_local, oracle_rhs = element_system_per_point(mesh, problem)
     _assert_close_in_max_norm(local, oracle_local)
     _assert_close_in_max_norm(rhs, oracle_rhs)
@@ -549,3 +553,55 @@ def test_gradient_only_flux_is_called_once_per_element(make_problem, points_per_
     nonlinear_jacobian(mesh, problem, values)
     expected = [points_per_element * mesh.n_elements]
     assert rows == {"flux": expected, "flux_jacobian": expected}
+
+
+CARRY_PROBLEMS = {
+    "lshape_poisson": lambda: builtin_problem("lshape_poisson"),
+    "convection_diffusion": lambda: builtin_problem("convection_diffusion"),
+    "varying": varying_linear_problem,
+    "magnetostatics_nl": lambda: builtin_problem("magnetostatics_nl"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_PROBLEMS))
+@settings(max_examples=10, derandomize=True)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=4),
+       all_marked_step=st.integers(0, 3))
+def test_carried_samples_equal_fresh_ones(name, seeds, all_marked_step):
+    # the kept rows come from the coarse mesh, the new ones are sampled on
+    # their own batch; both must hold the bits of one call on the whole mesh
+    problem = CARRY_PROBLEMS[name]()
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    samples = volume_samples(mesh, problem)
+    for step, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if step == all_marked_step:
+            marked = np.arange(mesh.n_elements)
+        else:
+            count = rng.integers(1, mesh.n_elements // 4 + 2)
+            marked = rng.choice(mesh.n_elements, size=count, replace=False)
+        refined, record = refine_nvb(mesh, marked)
+        samples = volume_samples(refined, problem, (mesh, samples, record))
+        fresh = volume_samples(refined, problem)
+        for field in dataclasses.fields(fresh):
+            carried, expected = getattr(samples, field.name), getattr(fresh, field.name)
+            if expected is None:
+                assert carried is None, field.name
+            else:
+                assert np.array_equal(carried, expected), field.name
+        assert (samples.local is None) == (name == "magnetostatics_nl")
+        mesh = refined
+
+
+def test_carry_rejects_permuted_kept_rows():
+    problem = builtin_problem("lshape_poisson")
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    samples = volume_samples(mesh, problem)
+    refined, record = refine_nvb(mesh, [0])
+    assert record.kept.size >= 2
+    volume_samples(refined, problem, (mesh, samples, record))
+    ids = refined.node_ids.copy()
+    ids[[0, 1]] = ids[[1, 0]]
+    with pytest.raises(ValueError, match="kept elements"):
+        volume_samples(Mesh(refined.forest, ids), problem, (mesh, samples, record))
+

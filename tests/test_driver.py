@@ -21,7 +21,7 @@ from triafem.driver import (
 from triafem import driver
 from triafem.assembly import solve_nonlinear, transfer
 from triafem.mesh import MeshError, uniform_refine
-from triafem.problems import builtin_problem
+from triafem.problems import LinearProblem, builtin_problem
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,45 @@ def test_coefficients_sampled_once_per_mesh():
     _, info = solve_nonlinear(mesh, problem, full_output=True)
     assert info["newton_iterations"] >= 2
     assert calls["source"] == 1
+
+
+@pytest.mark.parametrize("name", ["lshape_poisson", "convection_diffusion", "magnetostatics_nl"])
+def test_only_new_elements_are_sampled(monkeypatch, name):
+    # after the first mesh, the source and the diffusion are evaluated at
+    # the 7 volume points of each new element only; the estimator's edge
+    # samples of the diffusion are not counted
+    problem = builtin_problem(name)
+    names = ("source", "diffusion") if isinstance(problem, LinearProblem) else ("source",)
+    points = {n: [] for n in names}
+    counting = [True]
+
+    def counted(n):
+        fn = getattr(problem, n)
+
+        def wrapper(x, *args):
+            if counting[0]:
+                points[n].append(x.shape[0])
+            return fn(x, *args)
+
+        return wrapper
+
+    estimate = driver.estimate
+
+    def estimate_uncounted(*args):
+        counting[0] = False
+        try:
+            return estimate(*args)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(driver, "estimate", estimate_uncounted)
+    problem = dataclasses.replace(problem, **{n: counted(n) for n in names})
+    result = run_afem(problem, 0.5, max_elements=600, keep_history=False)
+    assert len(result.records) >= 4
+    new = [result.trace.n_elements[0]] + [
+        r.nt_after - (r.nt_before - r.refined.size) for r in result.records]
+    for n in names:
+        assert points[n] == [7 * int(k) for k in new], n
 
 
 def test_audit_failure_names_its_phase(monkeypatch):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from helpers_fem import h1_error_sq
 
 from triafem.assembly import (
     DiscreteSolution,
     assemble_linear,
-    h1_error_sq,
     solve_linear,
     solve_nonlinear,
 )

@@ -2,7 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers_fem import varying_nonlinear_problem
+from helpers_fem import (
+    lshape_exact_grad_stacked,
+    lshape_source_stacked,
+    magnetostatics_source_stacked,
+    varying_nonlinear_problem,
+)
+from helpers_problems import (
+    flux_jacobian_asymmetry,
+    flux_jacobian_fd_error,
+    flux_monotonicity_infimum,
+    manufactured_weak_residual,
+)
 
 from triafem.mesh import uniform_refine, unit_square_mesh
 from triafem.problems import (
@@ -11,10 +22,6 @@ from triafem.problems import (
     builtin_names,
     builtin_problem,
     check_ellipticity,
-    flux_jacobian_asymmetry,
-    flux_jacobian_fd_error,
-    flux_monotonicity_infimum,
-    manufactured_weak_residual,
 )
 from triafem.problems import _constant_matrix, _constant_scalar
 
@@ -191,3 +198,22 @@ def test_ellipticity_positive_margin_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_ellipticity(plain) == pytest.approx(1.0)
+
+
+def test_source_closures_match_stacked_oracles_bit_for_bit():
+    # the closures write each dot product as x0 * y0 + x1 * y1; the oracles
+    # stack the vectors and sum them, with the same operands in the same order
+    rng = np.random.default_rng(17)
+    corner_and_axes = np.array([
+        [0.0, 0.0], [-0.5, 0.0], [-0.5, -0.0], [0.0, 0.5], [0.0, -0.5],
+        [0.5, 0.0], [-1.0, -1.0], [1.0, 1.0],
+    ])
+    pts = np.concatenate([corner_and_axes, rng.uniform(-1.0, 1.0, (120_000, 2))])
+    assert np.count_nonzero(np.arctan2(pts[:, 1], pts[:, 0]) < 0.0) > 10_000
+    lshape = builtin_problem("lshape_poisson")
+    assert np.array_equal(lshape.source(pts), lshape_source_stacked(pts))
+    assert np.array_equal(lshape.exact_grad(pts), lshape_exact_grad_stacked(pts))
+    square = np.concatenate([corner_and_axes[:1], rng.uniform(0.0, 1.0, (120_000, 2))])
+    magnetostatics = builtin_problem("magnetostatics_nl")
+    assert np.array_equal(magnetostatics.source(square), magnetostatics_source_stacked(square))
+
