@@ -9,7 +9,9 @@ coefficient samples and a linear problem's element matrices and loads are
 taken by :func:`volume_samples` and passed as an argument to assembly, the
 nonlinear solver and the estimator. The adaptive loop carries them through
 refinement, sampling and integrating only the new elements, and drops them
-before the reference build. Every
+before the reference build. A nonlinear problem's flux and lower-order
+term at a P1 function come from one function, :func:`flux_terms`, which
+the residual, the estimator and the energy products read. Every
 bilinear form contracts its quadrature before the local product,
 ``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is summed from
 local element matrices by one scatter. Assembly is strictly sequential, so
@@ -323,18 +325,9 @@ def nonlinear_residual(mesh, problem, values, samples=None):
     if samples is None:
         samples = volume_samples(mesh, problem)
     w = quadrature.TRI_WEIGHTS
-    flat = samples.points
-    grad_u = element_gradients(mesh, values)
-
-    flux_q = _expand_points(_flux_closure(problem, "flux", flat, grad_u))
-    local = np.einsum("q,nqa,nia->ni", w, flux_q, mesh.basis_gradients)
-    lower = -samples.source
-    if problem.lower_order is not None:
-        u_q = p1_at_quadrature(mesh, values)
-        g_q = problem.lower_order(flat, u_q.reshape(-1), _repeat_to_points(grad_u))
-        g_q = g_q.reshape(u_q.shape)
-        _check_finite("lower_order", g_q)
-        lower = lower + g_q
+    _, _, _, flux, g_q = flux_terms(mesh, problem, values, samples.points)
+    local = np.einsum("q,nqa,nia->ni", w, _expand_points(flux), mesh.basis_gradients)
+    lower = -samples.source if g_q is None else -samples.source + g_q
     local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
     local *= mesh.areas[:, None]
     full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
@@ -372,7 +365,6 @@ def solve_nonlinear(
     tol=1e-10,
     max_newton=200,
     max_fallback=10_000,
-    method="newton",
     full_output=False,
     samples=None,
 ):
@@ -381,13 +373,11 @@ def solve_nonlinear(
     Damped Newton (step halving until the residual decreases) with a
     guaranteed fallback to the damped Riesz iteration
     ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))``, which converges for any
-    strongly monotone Lipschitz operator; ``method='zarantonello'`` runs
-    the fallback only. Every residual and Jacobian reads one set of
+    strongly monotone Lipschitz operator; ``max_newton=0`` runs the
+    fallback only. Every residual and Jacobian reads one set of
     :func:`volume_samples`, taken here when not given. Raises
     :class:`NonlinearSolveError` when the iteration budget is exhausted.
     """
-    if method not in ("newton", "zarantonello"):
-        raise ValueError(f"unknown nonlinear method {method!r}")
     interior = mesh.interior_vertices
     info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
     if initial_guess is not None:
@@ -414,27 +404,26 @@ def solve_nonlinear(
     best = res_norm
     info["residuals"].append(res_norm)
 
-    if method == "newton":
-        while res_norm > target and info["newton_iterations"] < max_newton:
-            jac = nonlinear_jacobian(mesh, problem, values, samples)
-            delta = spla.spsolve(jac.tocsc(), residual)
-            accepted = False
-            step = 1.0
-            while step >= 2.0**-12:
-                trial = values.copy()
-                trial[interior] -= step * delta
-                trial_residual = nonlinear_residual(mesh, problem, trial, samples)
-                trial_norm = float(np.linalg.norm(trial_residual))
-                if np.isfinite(trial_norm) and trial_norm < res_norm:
-                    values, residual, res_norm = trial, trial_residual, trial_norm
-                    accepted = True
-                    break
-                step *= 0.5
-            info["newton_iterations"] += 1
-            info["residuals"].append(res_norm)
-            best = min(best, res_norm)
-            if not accepted:
+    while res_norm > target and info["newton_iterations"] < max_newton:
+        jac = nonlinear_jacobian(mesh, problem, values, samples)
+        delta = spla.spsolve(jac.tocsc(), residual)
+        accepted = False
+        step = 1.0
+        while step >= 2.0**-12:
+            trial = values.copy()
+            trial[interior] -= step * delta
+            trial_residual = nonlinear_residual(mesh, problem, trial, samples)
+            trial_norm = float(np.linalg.norm(trial_residual))
+            if np.isfinite(trial_norm) and trial_norm < res_norm:
+                values, residual, res_norm = trial, trial_residual, trial_norm
+                accepted = True
                 break
+            step *= 0.5
+        info["newton_iterations"] += 1
+        info["residuals"].append(res_norm)
+        best = min(best, res_norm)
+        if not accepted:
+            break
 
     if res_norm > target:
         step_size = problem.monotone_const / problem.lipschitz_const**2
@@ -460,11 +449,11 @@ def solve_nonlinear(
 # -- energy products and transfer ----------------------------------------------
 
 def flux_terms(mesh, problem, values, points=None):
-    """A P1 function at the volume quadrature points, for nonlinear energy
-    products: (points (NT * q, 2), values (NT, q) or None, gradient
-    (NT, 2), flux (NT, 1, 2) for a gradient-only problem or (NT, q, 2),
-    lower-order term (NT, q) or None). The values are taken only for a
-    lower-order term, which reads them."""
+    """A P1 function at the volume quadrature ``points`` (NT * q, 2):
+    (points, values (NT, q) or None, gradient (NT, 2), flux (NT, 1, 2) for
+    a gradient-only problem or (NT, q, 2), lower-order term (NT, q) or
+    None). The values are taken only for a lower-order term, which reads
+    them."""
     if points is None:
         points = mesh.quadrature_points().reshape(-1, 2)
     grad_u = element_gradients(mesh, values)
@@ -474,30 +463,26 @@ def flux_terms(mesh, problem, values, points=None):
         u_q = p1_at_quadrature(mesh, values)
         lower = problem.lower_order(points, u_q.reshape(-1), _repeat_to_points(grad_u))
         lower = lower.reshape(u_q.shape)
+        _check_finite("lower_order", lower)
     return points, u_q, grad_u, flux, lower
 
 
 def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
-    """Energy pairing b(w, v) and squared distance of two solutions.
+    """Squared energy distance of two solutions.
 
-    For linear problems returns ``(b(w, v), b(w - v, w - v))``, from the
-    assembled ``system`` when given; for nonlinear ones
-    ``(None, <L w - L v, w - v>)``, the squared quasi-metric induced by the
-    strongly monotone operator, from ``w_terms = flux_terms(mesh, problem,
-    w_sol.values)`` when given (one solution paired with many).
+    For linear problems returns ``b(w - v, w - v)``, from the assembled
+    ``system`` when given; for nonlinear ones ``<L w - L v, w - v>``, the
+    squared quasi-metric induced by the strongly monotone operator, from
+    ``w_terms = flux_terms(mesh, problem, w_sol.values)`` when given (one
+    solution paired with many).
     """
     if not (w_sol.mesh.same_elements(mesh) and v_sol.mesh.same_elements(mesh)):
         raise ValueError("energy products need both solutions on the given mesh")
     if isinstance(problem, LinearProblem):
         if system is None:
             system = assemble_linear(mesh, problem)
-        interior = system.interior
-        wi = w_sol.values[interior]
-        vi = v_sol.values[interior]
-        b_wv = float(vi @ (system.matrix @ wi))
-        d = wi - vi
-        dl_sq = float(d @ (system.matrix @ d))
-        return b_wv, dl_sq
+        d = w_sol.values[system.interior] - v_sol.values[system.interior]
+        return float(d @ (system.matrix @ d))
 
     if w_terms is None:
         w_terms = flux_terms(mesh, problem, w_sol.values)
@@ -508,8 +493,7 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
     integrand = np.sum((flux_w - flux_v) * (grad_w - grad_v)[:, None, :], axis=2)
     if lower_w is not None:
         integrand = integrand + (lower_w - lower_v) * (uw - uv)
-    dl_sq = float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
-    return None, dl_sq
+    return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
 
 
 def _refines(coarse, fine):

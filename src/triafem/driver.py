@@ -138,7 +138,6 @@ class AfemResult:
     final_solution: DiscreteSolution
     records: list
     solutions: Optional[list] = None
-    reference: Optional[ReferenceSolution] = None
 
 
 def _solve_on(mesh, problem, guess=None, samples=None):
@@ -219,7 +218,7 @@ def _run_loop(
             # the increment U_l - U_{l-1}, measured on the finer mesh
             with _phase("transfer"):
                 rows[-1]["grad_diff_sq"] = grad_norm_sq(mesh, sol.values - moved.values)
-                _, dl_sq = energy_products(mesh, problem, sol, moved, system=system)
+                dl_sq = energy_products(mesh, problem, sol, moved, system=system)
                 rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
         with _phase("estimate"):
             report = estimate(mesh, sol, problem, samples)
@@ -278,7 +277,6 @@ def _run_loop(
     if records:
         meta["closure_constant"] = closure_audit(records)
 
-    reference = None
     if compute_reference:
         with _phase("reference"):
             reference = build_reference(problem, mesh, previous)
@@ -288,7 +286,7 @@ def _run_loop(
                 ref_terms = flux_terms(reference.mesh, problem, reference.solution.values)
             for k, sol_k in enumerate(solutions):
                 moved = transfer(sol_k, reference.mesh)
-                _, dl_sq = energy_products(
+                dl_sq = energy_products(
                     reference.mesh, problem, reference.solution, moved,
                     system=reference.system, w_terms=ref_terms,
                 )
@@ -302,7 +300,6 @@ def _run_loop(
         final_solution=previous,
         records=records,
         solutions=solutions if keep_history else None,
-        reference=reference,
     )
 
 

@@ -8,6 +8,10 @@ where the volume residual is the strong operator applied elementwise to
 the P1 solution minus the load, and each interior edge contributes its
 full jump term to both neighbouring elements (no halving). Oscillations
 are the elementwise mean-free part of the volume residual.
+
+A nonlinear problem needs a gradient-only flux F, constant per element;
+its residual ``g(x, U, grad U) - f`` and jump ``(F[T1] - F[T2]) . n`` come
+from one :func:`~triafem.assembly.flux_terms` call.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .assembly import element_gradients, p1_at_quadrature, volume_samples
+from .assembly import element_gradients, flux_terms, p1_at_quadrature, volume_samples
 from .problems import LinearProblem
 
 
@@ -41,36 +45,26 @@ class EstimatorReport:
         self.osc_sq.setflags(write=False)
 
 
-def _volume_residual_at_quadrature(problem, samples, mesh, values, grad_u):
-    """Residual of the strong form at the volume quadrature points, (NT, q),
-    of the P1 function with nodal ``values`` and element gradients
-    ``grad_u``."""
+def _linear_residual(samples, mesh, values, grad_u):
+    """Residual of the strong form of a linear problem at the volume
+    quadrature points, (NT, q), of the P1 function with nodal ``values``
+    and element gradients ``grad_u``."""
     residual = -samples.source
-    if isinstance(problem, LinearProblem):
-        if samples.diffusion_div is not None:
-            residual = residual - np.einsum("nqa,na->nq", samples.diffusion_div, grad_u)
-        if samples.advection is not None:
-            residual = residual + np.einsum("nqa,na->nq", samples.advection, grad_u)
-        if samples.reaction is not None:
-            residual = residual + samples.reaction * p1_at_quadrature(mesh, values)
-        return residual
-
-    if not problem.grad_only:
-        raise EstimatorError(
-            "nonlinear estimator requires a gradient-only flux: the elementwise "
-            "flux divergence of a P1 function vanishes only in that case"
-        )
-    # gradient-only flux is piecewise constant, so its divergence drops out
-    if problem.lower_order is not None:
-        u_q = p1_at_quadrature(mesh, values)
-        y_q = np.repeat(grad_u, u_q.shape[1], axis=0)
-        lower = problem.lower_order(samples.points, u_q.reshape(-1), y_q)
-        residual = residual + lower.reshape(u_q.shape)
+    if samples.diffusion_div is not None:
+        residual = residual - np.einsum("nqa,na->nq", samples.diffusion_div, grad_u)
+    if samples.advection is not None:
+        residual = residual + np.einsum("nqa,na->nq", samples.advection, grad_u)
+    if samples.reaction is not None:
+        residual = residual + samples.reaction * p1_at_quadrature(mesh, values)
     return residual
 
 
-def _jump_terms(mesh, problem, grad_u):
-    """Squared normal-flux jump integrals accumulated per element, (NT,)."""
+def _jump_terms(mesh, problem, vectors):
+    """Squared normal-flux jump integrals accumulated per element, (NT,).
+
+    ``vectors`` (NT, 2) are the element gradients of a linear problem,
+    whose diffusion is sampled at the edge Gauss points, or the element
+    fluxes of a nonlinear one, which are constant per element."""
     edges, _, edge_tris, counts = mesh._edge_data
     interior = counts == 2
     per_element = np.zeros(mesh.n_elements)
@@ -84,17 +78,16 @@ def _jump_terms(mesh, problem, grad_u):
     tangent = pb - pa
     lengths = np.hypot(tangent[:, 0], tangent[:, 1])
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / lengths[:, None]
+    delta = vectors[t1] - vectors[t2]
 
     if isinstance(problem, LinearProblem):
         gpts = quadrature.edge_points(pa, pb)
         a_q = problem.diffusion(gpts.reshape(-1, 2)).reshape(e_idx.size, 3, 2, 2)
-        diff = np.einsum("eqab,eb->eqa", a_q, grad_u[t1] - grad_u[t2])
+        diff = np.einsum("eqab,eb->eqa", a_q, delta)
         jump = np.einsum("eqa,ea->eq", diff, normal)
         integral = lengths * (quadrature.EDGE_WEIGHTS @ (jump.T**2))
     else:
-        centroids = 0.5 * (pa + pb)
-        flux_diff = problem.flux(centroids, grad_u[t1]) - problem.flux(centroids, grad_u[t2])
-        jump = np.sum(flux_diff * normal, axis=1)
+        jump = np.sum(delta * normal, axis=1)
         integral = lengths * jump**2
 
     np.add.at(per_element, t1, integral)
@@ -112,14 +105,26 @@ def estimate(mesh, sol, problem, samples=None):
         raise EstimatorError("solution does not live on the given mesh")
     if samples is None:
         samples = volume_samples(mesh, problem)
-    grad_u = element_gradients(mesh, sol.values)
-    residual = _volume_residual_at_quadrature(problem, samples, mesh, sol.values, grad_u)
+    if isinstance(problem, LinearProblem):
+        grad_u = element_gradients(mesh, sol.values)
+        residual = _linear_residual(samples, mesh, sol.values, grad_u)
+        vectors = grad_u
+    else:
+        if not problem.grad_only:
+            raise EstimatorError(
+                "nonlinear estimator requires a gradient-only flux: the elementwise "
+                "flux divergence of a P1 function vanishes only in that case"
+            )
+        # the flux is piecewise constant, so its divergence drops out
+        _, _, _, flux, lower = flux_terms(mesh, problem, sol.values, samples.points)
+        residual = -samples.source if lower is None else -samples.source + lower
+        vectors = flux[:, 0]
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas
     volume_sq = areas**2 * (residual**2 @ w)
     mean = residual @ w
     osc_sq = areas**2 * ((residual - mean[:, None]) ** 2 @ w)
-    jumps = _jump_terms(mesh, problem, grad_u)
+    jumps = _jump_terms(mesh, problem, vectors)
     indicators_sq = volume_sq + np.sqrt(areas) * jumps
     return EstimatorReport(
         indicators_sq=indicators_sq,

@@ -42,6 +42,20 @@ class MeshError(ValueError):
     """Raised for invalid triangulations or refusal of a mesh operation."""
 
 
+def _corner_geometry(coords, triangles):
+    """Twice the signed area (n,) and the edge vectors (n, 3, 2) of the
+    triangles with vertex triples ``triangles`` (n, 3) into ``coords``.
+
+    Edge i lies opposite corner i and runs from corner i + 1 to corner
+    i + 2 (mod 3); the area is e1 x e2 = (p0 - p2) x (p1 - p0), the same
+    products as (p1 - p0) x (p2 - p0).
+    """
+    p = np.take(coords, triangles, axis=0)
+    edges = np.take(p, [2, 0, 1], axis=1) - np.take(p, [1, 2, 0], axis=1)
+    area2 = edges[:, 1, 0] * edges[:, 2, 1] - edges[:, 1, 1] * edges[:, 2, 0]
+    return area2, edges
+
+
 @dataclass(frozen=True)
 class RefinementRecord:
     """Bookkeeping of one refinement call.
@@ -102,14 +116,7 @@ class MeshForest:
         return self.tri.shape[0]
 
     def node_area(self, nids):
-        tri = self.tri[nids]
-        p0 = self.coords[tri[..., 0]]
-        p1 = self.coords[tri[..., 1]]
-        p2 = self.coords[tri[..., 2]]
-        return 0.5 * np.abs(
-            (p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1])
-            - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0])
-        )
+        return 0.5 * np.abs(_corner_geometry(self.coords, self.tri[nids])[0])
 
     def covered(self, nids, leaves):
         """Per node of ``nids``: is it, or one of its ancestors, in ``leaves``?
@@ -251,11 +258,7 @@ class Mesh:
 
     @cached_property
     def signed_areas(self):
-        p = self.vertices
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        a = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        a = 0.5 * _corner_geometry(self.vertices, self.triangles)[0]
         a.setflags(write=False)
         return a
 
@@ -268,13 +271,8 @@ class Mesh:
     @cached_property
     def basis_gradients(self):
         """Gradients of the three nodal basis functions per element, (NT, 3, 2)."""
-        p = self.vertices[self.triangles]
-        s2 = 2.0 * self.signed_areas
-        grads = np.empty((self.n_elements, 3, 2))
-        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-            edge = p[:, k] - p[:, j]
-            grads[:, i, 0] = -edge[:, 1] / s2
-            grads[:, i, 1] = edge[:, 0] / s2
+        s2, edges = _corner_geometry(self.vertices, self.triangles)
+        grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / s2[:, None, None]
         grads.setflags(write=False)
         return grads
 
@@ -385,19 +383,12 @@ def _assign_reference_edges(coords, triangles):
     Ties are broken by the smallest opposite-vertex index, using exact
     comparisons of squared lengths so the choice is deterministic.
     """
-    p = coords[triangles]
-    sq = np.empty((triangles.shape[0], 3))
-    for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-        d = p[:, j] - p[:, i]
-        sq[:, k] = d[:, 0] ** 2 + d[:, 1] ** 2
-    opposite = triangles[:, [2, 0, 1]]
-    best = np.where(sq == sq.max(axis=1, keepdims=True), opposite, np.iinfo(np.int64).max)
-    slot = np.argmin(best, axis=1)
-    rotated = np.empty_like(triangles)
-    for r in range(3):
-        rows = slot == r
-        rotated[rows] = triangles[np.ix_(np.nonzero(rows)[0], [(r + k) % 3 for k in range(3)])]
-    return rotated
+    edges = _corner_geometry(coords, triangles)[1]
+    sq = edges[..., 0] ** 2 + edges[..., 1] ** 2
+    best = np.where(sq == sq.max(axis=1, keepdims=True), triangles, np.iinfo(np.int64).max)
+    # the corner opposite the chosen edge becomes the newest vertex, slot 2
+    corner = np.argmin(best, axis=1)
+    return np.take_along_axis(triangles, (corner[:, None] + [1, 2, 3]) % 3, axis=1)
 
 
 def _validate_initial(coords, triangles):
@@ -417,9 +408,7 @@ def _validate_initial(coords, triangles):
         raise MeshError("non-conforming mesh: unused vertex")
 
     # positive orientation; a zero area is a degenerate input
-    d1 = coords[triangles[:, 1]] - coords[triangles[:, 0]]
-    d2 = coords[triangles[:, 2]] - coords[triangles[:, 0]]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    area2 = _corner_geometry(coords, triangles)[0]
     if np.any(area2 == 0.0):
         raise MeshError("degenerate triangle with zero area")
     flip = area2 < 0.0
@@ -594,12 +583,8 @@ def overlay(m1, m2):
 
 def shape_regularity(mesh):
     """Smallest gamma with gamma^-1 sqrt(|T|) <= diam(T) <= gamma sqrt(|T|) for all T."""
-    t = mesh.triangles
-    p = mesh.vertices
-    diam = np.zeros(mesh.n_elements)
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        d = p[t[:, j]] - p[t[:, i]]
-        diam = np.maximum(diam, np.hypot(d[:, 0], d[:, 1]))
+    edges = _corner_geometry(mesh.vertices, mesh.triangles)[1]
+    diam = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
     root_area = np.sqrt(mesh.areas)
     return float(np.max(np.maximum(diam / root_area, root_area / diam)))
 
@@ -719,10 +704,7 @@ def read_mesh(path):
 
     # fix orientation before validating so the reference edge stays in slot
     # (0, 1): swapping its endpoints flips the sign and keeps the edge
-    d1 = coords[tris[:, 1]] - coords[tris[:, 0]]
-    d2 = coords[tris[:, 2]] - coords[tris[:, 0]]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    flip = area2 < 0.0
+    flip = _corner_geometry(coords, tris)[0] < 0.0
     tris[flip] = tris[np.ix_(np.nonzero(flip)[0], [1, 0, 2])]
 
     return _finish_initial(*_validate_initial(coords, tris), boundary)

@@ -1,13 +1,15 @@
 """Per-point and per-vertex oracles for P1 functions and element matrices
 (test scale only)."""
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 
 from triafem import quadrature
 from triafem.assembly import element_gradients, volume_samples
 from triafem.mesh import unit_square_mesh
-from triafem.problems import LinearProblem, NonlinearProblem
+from triafem.problems import LinearProblem, NonlinearProblem, builtin_problem
 
 
 def restrict_functional(fine_mesh, coarse_mesh, fine_vector):
@@ -189,6 +191,39 @@ def energy_per_point(mesh, problem, w_values, v_values):
     return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
 
 
+def nonlinear_estimate_at_centroids(mesh, problem, values, samples):
+    """Squared indicators and oscillations of a gradient-only nonlinear
+    problem with the lower-order term sampled on its own and the flux of
+    both neighbours evaluated at the centroid of every interior edge."""
+    grad_u = element_gradients(mesh, values)
+    residual = -samples.source
+    if problem.lower_order is not None:
+        u_q = values[mesh.triangles] @ quadrature.TRI_BARY.T
+        y_q = np.repeat(grad_u, u_q.shape[1], axis=0)
+        lower = problem.lower_order(samples.points, u_q.reshape(-1), y_q)
+        residual = residual + lower.reshape(u_q.shape)
+    w = quadrature.TRI_WEIGHTS
+    areas = mesh.areas
+    volume_sq = areas**2 * (residual**2 @ w)
+    mean = residual @ w
+    osc_sq = areas**2 * ((residual - mean[:, None]) ** 2 @ w)
+
+    edges, _, edge_tris, counts = mesh._edge_data
+    e_idx = np.nonzero(counts == 2)[0]
+    t1, t2 = edge_tris[e_idx, 0], edge_tris[e_idx, 1]
+    pa, pb = mesh.vertices[edges[e_idx, 0]], mesh.vertices[edges[e_idx, 1]]
+    tangent = pb - pa
+    lengths = np.hypot(tangent[:, 0], tangent[:, 1])
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / lengths[:, None]
+    centroids = 0.5 * (pa + pb)
+    flux_diff = problem.flux(centroids, grad_u[t1]) - problem.flux(centroids, grad_u[t2])
+    integral = lengths * np.sum(flux_diff * normal, axis=1) ** 2
+    jumps = np.zeros(mesh.n_elements)
+    np.add.at(jumps, t1, integral)
+    np.add.at(jumps, t2, integral)
+    return volume_sq + np.sqrt(areas) * jumps, osc_sq
+
+
 def jacobian_per_point(mesh, problem, values):
     """Local Newton Jacobians (NT, 3, 3) of a nonlinear problem, summed
     point by point (no contraction)."""
@@ -262,6 +297,18 @@ def varying_nonlinear_problem():
         lower_order_dgrad=lambda x, u, y: np.stack([x[:, 0], np.zeros_like(u)], axis=1),
         grad_only=False,
         make_initial_mesh=lambda: unit_square_mesh(cross=True),
+    )
+
+
+def gradient_only_lower_order_problem():
+    """The magnetostatics flux, which depends on the gradient only, with an
+    x-dependent lower-order term and both its derivatives."""
+    return dataclasses.replace(
+        builtin_problem("magnetostatics_nl"),
+        name="magnetostatics_lower",
+        lower_order=lambda x, u, y: (1.0 + x[:, 1]) * u**3 + x[:, 0] * y[:, 0],
+        lower_order_du=lambda x, u, y: 3.0 * (1.0 + x[:, 1]) * u**2,
+        lower_order_dgrad=lambda x, u, y: np.stack([x[:, 0], np.zeros_like(u)], axis=1),
     )
 
 

@@ -2,10 +2,13 @@
 
 This is the element-by-element refinement the array code in
 ``triafem.mesh`` replaced: a worklist closure, per-element bisection and a
-Python dict of midpoints; plus the pairwise edge table and the cached
-per-node ancestry walk. The oracle mutates its own forest, which must not
-be refined by the array code as well (its midpoint table stays empty).
+Python dict of midpoints; plus the pairwise edge table, the cached
+per-node ancestry walk and the triangle geometry as one loop or formula
+per use. The oracle mutates its own forest, which must not be refined by
+the array code as well (its midpoint table stays empty).
 """
+
+import copy
 
 import numpy as np
 
@@ -201,3 +204,82 @@ def write_mesh_per_line(mesh, path):
         lines.append(f"{a} {b} 1")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# -- the triangle geometry as first written, one loop or formula per use ------
+
+def off_grid(mesh):
+    """The mesh on a copy of its forest whose vertices are moved by an
+    affine map off the dyadic grid: refinement of the built-in meshes keeps
+    every vertex on it, where any formula for an area or an edge is exact."""
+    forest = copy.copy(mesh.forest)
+    forest.coords = forest.coords @ np.array([[0.7, 0.1], [0.2, 0.9]]) + np.array([0.1, 0.3])
+    return Mesh(forest, mesh.node_ids)
+
+
+def node_area(forest, nids):
+    """Areas of forest nodes from three gathered corners."""
+    tri = forest.tri[nids]
+    p0 = forest.coords[tri[..., 0]]
+    p1 = forest.coords[tri[..., 1]]
+    p2 = forest.coords[tri[..., 2]]
+    return 0.5 * np.abs(
+        (p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1])
+        - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0])
+    )
+
+
+def signed_areas(mesh):
+    p = mesh.vertices
+    t = mesh.triangles
+    d1 = p[t[:, 1]] - p[t[:, 0]]
+    d2 = p[t[:, 2]] - p[t[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def basis_gradients(mesh):
+    p = mesh.vertices[mesh.triangles]
+    s2 = 2.0 * signed_areas(mesh)
+    grads = np.empty((mesh.n_elements, 3, 2))
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        edge = p[:, k] - p[:, j]
+        grads[:, i, 0] = -edge[:, 1] / s2
+        grads[:, i, 1] = edge[:, 0] / s2
+    return grads
+
+
+def shape_regularity(mesh):
+    t = mesh.triangles
+    p = mesh.vertices
+    diam = np.zeros(mesh.n_elements)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        d = p[t[:, j]] - p[t[:, i]]
+        diam = np.maximum(diam, np.hypot(d[:, 0], d[:, 1]))
+    root_area = np.sqrt(np.abs(signed_areas(mesh)))
+    return float(np.max(np.maximum(diam / root_area, root_area / diam)))
+
+
+def assign_reference_edges(coords, triangles):
+    """Triples rotated so the longest edge sits in slot (0, 1), ties to the
+    smallest opposite vertex, by a loop over slots."""
+    p = coords[triangles]
+    sq = np.empty((triangles.shape[0], 3))
+    for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+        d = p[:, j] - p[:, i]
+        sq[:, k] = d[:, 0] ** 2 + d[:, 1] ** 2
+    opposite = triangles[:, [2, 0, 1]]
+    best = np.where(sq == sq.max(axis=1, keepdims=True), opposite, np.iinfo(np.int64).max)
+    slot = np.argmin(best, axis=1)
+    rotated = np.empty_like(triangles)
+    for r in range(3):
+        rows = slot == r
+        rotated[rows] = triangles[np.ix_(np.nonzero(rows)[0], [(r + k) % 3 for k in range(3)])]
+    return rotated
+
+
+def orientation(coords, triangles):
+    """Twice the signed areas of raw triples, as the initial-mesh checks
+    of ``load_initial_mesh`` and ``read_mesh`` formed them."""
+    d1 = coords[triangles[:, 1]] - coords[triangles[:, 0]]
+    d2 = coords[triangles[:, 2]] - coords[triangles[:, 0]]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]

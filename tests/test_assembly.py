@@ -11,9 +11,11 @@ from helpers_fem import (
     energy_per_point,
     evaluate,
     flux_terms_per_point,
+    gradient_only_lower_order_problem,
     h1_error_sq,
     jacobian_per_point,
     l2_norm,
+    nonlinear_estimate_at_centroids,
     residual_per_point,
     restrict_functional,
     varying_linear_problem,
@@ -22,6 +24,7 @@ from helpers_fem import (
 from scipy.sparse.linalg import MatrixRankWarning
 
 from triafem.assembly import (
+    AssemblyError,
     DiscreteSolution,
     NonlinearSolveError,
     SolverError,
@@ -39,6 +42,7 @@ from triafem.assembly import (
     transfer,
     volume_samples,
 )
+from triafem.estimator import estimate
 from triafem.mesh import Mesh, lshape_mesh, refine_nvb, uniform_refine, unit_square_mesh
 from triafem.problems import (
     LinearProblem,
@@ -221,7 +225,7 @@ def test_magnetostatics_converges_under_refinement():
 def test_zarantonello_only_converges():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    sol, info = solve_nonlinear(mesh, problem, method="zarantonello", full_output=True)
+    sol, info = solve_nonlinear(mesh, problem, max_newton=0, full_output=True)
     assert info["newton_iterations"] == 0
     assert 0 < info["fallback_iterations"] <= 10_000
     newton = solve_nonlinear(mesh, problem)
@@ -232,7 +236,7 @@ def test_nonlinear_budget_exhaustion_carries_best_residual():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     with pytest.raises(NonlinearSolveError) as err:
-        solve_nonlinear(mesh, problem, method="zarantonello", max_fallback=3)
+        solve_nonlinear(mesh, problem, max_newton=0, max_fallback=3)
     assert 0.0 < err.value.best_residual < 1.0
 
 
@@ -265,13 +269,11 @@ def test_energy_products_linear():
     w[mesh.interior_vertices] = rng.normal(size=mesh.interior_vertices.size)
     v[mesh.interior_vertices] = rng.normal(size=mesh.interior_vertices.size)
     ws, vs = DiscreteSolution(mesh, w), DiscreteSolution(mesh, v)
-    _, zero = energy_products(mesh, problem, ws, ws)
+    zero = energy_products(mesh, problem, ws, ws)
     assert zero == pytest.approx(0.0, abs=1e-14)
     # for A = I the energy distance is the squared H1 seminorm
-    _, dl_sq = energy_products(mesh, problem, ws, vs)
+    dl_sq = energy_products(mesh, problem, ws, vs)
     assert dl_sq == pytest.approx(grad_norm_sq(mesh, w - v), rel=1e-12)
-    b_wv, _ = energy_products(mesh, problem, ws, vs)
-    assert np.isfinite(b_wv)
 
 
 def test_energy_products_mesh_mismatch():
@@ -294,7 +296,7 @@ def test_nonlinear_energy_distance_band():
         v = np.zeros(mesh.n_vertices)
         w[mesh.interior_vertices] = rng.normal(0.0, 0.5, mesh.interior_vertices.size)
         v[mesh.interior_vertices] = rng.normal(0.0, 0.5, mesh.interior_vertices.size)
-        _, dl_sq = energy_products(
+        dl_sq = energy_products(
             mesh, problem, DiscreteSolution(mesh, w), DiscreteSolution(mesh, v)
         )
         h1 = grad_norm_sq(mesh, w - v)
@@ -480,7 +482,8 @@ def _random_p1(mesh, seed):
 
 @pytest.mark.parametrize("make_problem", [
     lambda: builtin_problem("magnetostatics_nl"), varying_nonlinear_problem,
-], ids=["magnetostatics_nl", "varying_nl"])
+    gradient_only_lower_order_problem,
+], ids=["magnetostatics_nl", "varying_nl", "magnetostatics_lower"])
 @pytest.mark.parametrize("make_mesh", [
     lambda: uniform_refine(unit_square_mesh(cross=True), 3),
     lambda: _graded_mesh(builtin_problem("magnetostatics_nl")),
@@ -488,7 +491,8 @@ def _random_p1(mesh, seed):
 ], ids=["cross-uniform", "cross-graded", "lshape"])
 def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, make_mesh):
     # a gradient-only flux is evaluated once per element and repeated to the
-    # points; every sum must keep the per-point operands and order exactly
+    # points, and the estimator reads it from the same call; every sum must
+    # keep the per-point (or per-edge) operands and order exactly
     problem = make_problem()
     mesh = make_mesh()
     w_values = _random_p1(mesh, 3)
@@ -523,15 +527,33 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
     for seed in range(4, 12):
         v_values = _random_p1(mesh, seed)
         v_sol = DiscreteSolution(mesh, v_values)
-        expected = (None, energy_per_point(mesh, problem, w_values, v_values))
+        expected = energy_per_point(mesh, problem, w_values, v_values)
         assert energy_products(mesh, problem, w_sol, v_sol) == expected
         assert energy_products(mesh, problem, w_sol, v_sol, w_terms=w_terms) == expected
 
+    if problem.grad_only:
+        samples = volume_samples(mesh, problem)
+        report = estimate(mesh, w_sol, problem, samples)
+        indicators_sq, osc_sq = nonlinear_estimate_at_centroids(mesh, problem, w_values, samples)
+        assert np.array_equal(report.indicators_sq, indicators_sq)
+        assert np.array_equal(report.osc_sq, osc_sq)
 
-@pytest.mark.parametrize("make_problem,points_per_element", [
-    (lambda: builtin_problem("magnetostatics_nl"), 1), (varying_nonlinear_problem, 7),
-], ids=["magnetostatics_nl", "varying_nl"])
-def test_gradient_only_flux_is_called_once_per_element(make_problem, points_per_element):
+
+def _galerkin(mesh, problem, values):
+    nonlinear_residual(mesh, problem, values)
+    nonlinear_jacobian(mesh, problem, values)
+
+
+def _estimate(mesh, problem, values):
+    estimate(mesh, DiscreteSolution(mesh, values), problem)
+
+
+@pytest.mark.parametrize("make_problem,kernel,points_per_element", [
+    (lambda: builtin_problem("magnetostatics_nl"), _galerkin, {"flux": 1, "flux_jacobian": 1}),
+    (varying_nonlinear_problem, _galerkin, {"flux": 7, "flux_jacobian": 7}),
+    (lambda: builtin_problem("magnetostatics_nl"), _estimate, {"flux": 1}),
+], ids=["magnetostatics_nl", "varying_nl", "magnetostatics_nl-estimate"])
+def test_gradient_only_flux_is_called_once_per_element(make_problem, kernel, points_per_element):
     rows = {"flux": [], "flux_jacobian": []}
 
     def counted(name, fn):
@@ -549,10 +571,24 @@ def test_gradient_only_flux_is_called_once_per_element(make_problem, points_per_
     values = _random_p1(mesh, 5)
     rows["flux"].clear()
     rows["flux_jacobian"].clear()
-    nonlinear_residual(mesh, problem, values)
-    nonlinear_jacobian(mesh, problem, values)
-    expected = [points_per_element * mesh.n_elements]
-    assert rows == {"flux": expected, "flux_jacobian": expected}
+    kernel(mesh, problem, values)
+    expected = {name: [k * mesh.n_elements] for name, k in points_per_element.items()}
+    assert rows == {name: expected.get(name, []) for name in rows}
+
+
+@pytest.mark.parametrize("kernel", [energy_products, estimate], ids=lambda f: f.__name__)
+def test_non_finite_lower_order_term_is_rejected(kernel):
+    problem = dataclasses.replace(
+        builtin_problem("magnetostatics_nl"),
+        lower_order=lambda x, u, y: np.where(u > 0.5, np.nan, u),
+    )
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    values = np.zeros(mesh.n_vertices)
+    values[mesh.interior_vertices] = 1.0
+    w_sol, v_sol = DiscreteSolution(mesh, values), DiscreteSolution(mesh, 0.5 * values)
+    args = (mesh, problem, w_sol, v_sol) if kernel is energy_products else (mesh, w_sol, problem)
+    with pytest.raises(AssemblyError, match="lower_order"):
+        kernel(*args)
 
 
 CARRY_PROBLEMS = {

@@ -5,7 +5,8 @@ refined by :func:`refine_nvb` and one by the oracle, through two branches
 of refinements; the second branch starts from an earlier mesh, so it
 reuses sons and midpoints the first branch created. Node ids, every
 forest array, the refinement records, the edge tables and the overlays
-must agree exactly.
+must agree exactly, and the triangle geometry of every mesh must have the
+bits of the per-use loops it was folded from.
 """
 
 import numpy as np
@@ -14,7 +15,16 @@ from hypothesis import strategies as st
 
 import helpers_mesh as oracle
 from triafem.assembly import _refines
-from triafem.mesh import Mesh, lshape_mesh, overlay, refine_nvb, unit_square_mesh
+from triafem.mesh import (
+    Mesh,
+    _assign_reference_edges,
+    _corner_geometry,
+    lshape_mesh,
+    overlay,
+    refine_nvb,
+    shape_regularity,
+    unit_square_mesh,
+)
 
 INITIAL_MESHES = {
     "square": unit_square_mesh,
@@ -32,6 +42,22 @@ def draw_marking(data, mesh):
     )
 
 
+def assert_same_geometry(mesh):
+    assert np.array_equal(mesh.signed_areas, oracle.signed_areas(mesh))
+    assert np.array_equal(mesh.basis_gradients, oracle.basis_gradients(mesh))
+    assert shape_regularity(mesh) == oracle.shape_regularity(mesh)
+    nids = np.arange(mesh.forest.n_nodes)
+    assert np.array_equal(mesh.forest.node_area(nids), oracle.node_area(mesh.forest, nids))
+    # every rotation of the triples, in both orientations
+    for shift in range(3):
+        rolled = np.roll(mesh.triangles, shift, axis=1)
+        for tris in (rolled, rolled[:, ::-1]):
+            assert np.array_equal(_corner_geometry(mesh.vertices, tris)[0],
+                                  oracle.orientation(mesh.vertices, tris))
+            assert np.array_equal(_assign_reference_edges(mesh.vertices, tris),
+                                  oracle.assign_reference_edges(mesh.vertices, tris))
+
+
 def assert_same(bulk, scalar):
     for a, b in zip(oracle.edge_data(bulk), bulk._edge_data):
         assert a.dtype == b.dtype
@@ -41,6 +67,7 @@ def assert_same(bulk, scalar):
     ref = oracle.forest_arrays(scalar.forest)
     for name in ref:
         assert np.array_equal(mine[name], ref[name]), name
+    assert_same_geometry(oracle.off_grid(bulk))
 
 
 @settings(max_examples=100)
