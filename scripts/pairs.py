@@ -9,10 +9,12 @@ each checkout, one after the other; which side runs first alternates from
 pair to pair. A repetition runs in a fresh process in its checkout, with
 that checkout's ``src`` on ``PYTHONPATH`` and one BLAS thread. Times are
 normalised to the host's speed as ``perfbench/run.py`` does (scaled by
-``CALIB_REF_S / calib_s``). The script prints per pair the normalised
-``wall_s`` and the ``peak_rss_mb`` of both sides, then per metric the
+``CALIB_REF_S / calib_s``), and ``elements_per_s`` is the element count
+summed over the run's meshes per normalised wall second. The script prints
+per pair the four end-to-end metrics of both sides, then per metric the
 parent's median and quartiles, the change's median, the median of the
-per-pair ratios change/parent and the number of pairs the change wins.
+per-pair ratios change/parent and the number of pairs the change wins
+(lower is better, except for ``elements_per_s``).
 A repetition that fails or misses the correctness gate is reported and
 left out of the statistics.
 """
@@ -32,7 +34,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import BLAS_THREADS, CALIB_REF_S  # noqa: E402
 
-METRICS = ("wall_s", "peak_rss_mb")
+# end-to-end metric -> True where higher is better
+METRICS = {"wall_s": False, "setup_s": False, "elements_per_s": True, "peak_rss_mb": False}
 
 
 def run_rep(checkout, workload):
@@ -57,8 +60,11 @@ def run_rep(checkout, workload):
         return record["error"].strip().splitlines()[-1]
     if record["reasons"]:
         return "gate: " + "; ".join(record["reasons"])
+    scale = CALIB_REF_S / record["calib_s"]
     return {
-        "wall_s": record["wall_s"] * CALIB_REF_S / record["calib_s"],
+        "wall_s": record["wall_s"] * scale,
+        "setup_s": record["setup_s"] * scale,
+        "elements_per_s": record["elements_sum"] / (record["wall_s"] * scale),
         "peak_rss_mb": record["peak_rss_mb"],
     }
 
@@ -66,7 +72,7 @@ def run_rep(checkout, workload):
 def summarise(pairs):
     """Per metric: parent quartiles, change median, median ratio, wins."""
     lines = []
-    for name in METRICS:
+    for name, higher_better in METRICS.items():
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         if len(parent) > 1:
@@ -74,7 +80,7 @@ def summarise(pairs):
         else:
             q1 = q3 = parent[0]
         ratio = statistics.median(c / p for p, c in zip(parent, change))
-        wins = sum(c < p for p, c in zip(parent, change))
+        wins = sum((c > p) if higher_better else (c < p) for p, c in zip(parent, change))
         lines.append(
             f"{name}: parent median {statistics.median(parent):.4g} [q1 {q1:.4g}, q3 {q3:.4g}]"
             f" -> change median {statistics.median(change):.4g};"
@@ -103,8 +109,8 @@ def main(argv=None):
             print(f"pair {k + 1} ({order[0]} first) FAILED: " + " | ".join(failed))
             continue
         p, c = result["parent"], result["change"]
-        print(f"pair {k + 1} ({order[0]} first): wall_s {p['wall_s']:.4f} / {c['wall_s']:.4f},"
-              f" peak_rss_mb {p['peak_rss_mb']:.1f} / {c['peak_rss_mb']:.1f}")
+        print(f"pair {k + 1} ({order[0]} first): "
+              + ", ".join(f"{name} {p[name]:.4g} / {c[name]:.4g}" for name in METRICS))
         pairs.append((p, c))
     if not pairs:
         print("no pair completed")

@@ -262,7 +262,9 @@ def _run_loop(
         records.append(record)
         with _phase("audit"):
             audit_refinement(mesh, refined_mesh, record)
-            gamma_max = max(gamma_max, shape_regularity(refined_mesh))
+            # kept elements were measured on an earlier mesh: only the new ones
+            new_elements = slice(record.nt_before - len(record.refined), None)
+            gamma_max = max(gamma_max, shape_regularity(refined_mesh, new_elements))
         rows[-1]["n_marked"] = float(len(record.marked))
         rows[-1]["n_refined"] = float(len(record.refined))
         rows[-1]["refined_eta_sq"] = local_sum(report, record.refined)

@@ -73,18 +73,22 @@ def _jump_terms(mesh, problem, vectors):
     e_idx = np.nonzero(interior)[0]
     t1 = edge_tris[e_idx, 0]
     t2 = edge_tris[e_idx, 1]
-    pa = mesh.vertices[edges[e_idx, 0]]
-    pb = mesh.vertices[edges[e_idx, 1]]
+    pa = np.take(mesh.vertices, edges[e_idx, 0], axis=0)
+    pb = np.take(mesh.vertices, edges[e_idx, 1], axis=0)
     tangent = pb - pa
     lengths = np.hypot(tangent[:, 0], tangent[:, 1])
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / lengths[:, None]
-    delta = vectors[t1] - vectors[t2]
+    delta = np.take(vectors, t1, axis=0) - np.take(vectors, t2, axis=0)
 
     if isinstance(problem, LinearProblem):
         gpts = quadrature.edge_points(pa, pb)
         a_q = problem.diffusion(gpts.reshape(-1, 2)).reshape(e_idx.size, 3, 2, 2)
-        diff = np.einsum("eqab,eb->eqa", a_q, delta)
-        jump = np.einsum("eqa,ea->eq", diff, normal)
+        # (A delta) . n per component: the products and sums of the 2-term
+        # contractions, in their order (notes/decisions.md, bit-exact kernels)
+        d0, d1 = delta[:, None, 0], delta[:, None, 1]
+        diff0 = a_q[..., 0, 0] * d0 + a_q[..., 0, 1] * d1
+        diff1 = a_q[..., 1, 0] * d0 + a_q[..., 1, 1] * d1
+        jump = diff0 * normal[:, None, 0] + diff1 * normal[:, None, 1]
         integral = lengths * (quadrature.EDGE_WEIGHTS @ (jump.T**2))
     else:
         jump = np.sum(delta * normal, axis=1)

@@ -56,6 +56,24 @@ def _corner_geometry(coords, triangles):
     return area2, edges
 
 
+def _signed_areas(coords, triangles):
+    return 0.5 * _corner_geometry(coords, triangles)[0]
+
+
+def _basis_gradients(coords, triangles):
+    s2, edges = _corner_geometry(coords, triangles)
+    return np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / s2[:, None, None]
+
+
+# cached per-element geometry that a refinement carries, with its formula
+_CARRIED_GEOMETRY = {"signed_areas": _signed_areas, "basis_gradients": _basis_gradients}
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class RefinementRecord:
     """Bookkeeping of one refinement call.
@@ -203,7 +221,8 @@ class Mesh:
     Vertices are numbered locally (0..NV-1) in increasing order of their
     forest vertex id, which makes vertex sets of nested meshes comparable.
     Derived structures (edge table, areas, basis gradients, boundary data)
-    are computed lazily and cached.
+    are computed lazily and cached; :func:`refine_nvb` carries the cached
+    geometry of the elements it keeps.
     """
 
     def __init__(self, forest, node_ids):
@@ -224,57 +243,40 @@ class Mesh:
 
     @cached_property
     def tri_gids(self):
-        t = self.forest.tri[self.node_ids]
-        t.setflags(write=False)
-        return t
+        return _read_only(self.forest.tri[self.node_ids])
 
     @cached_property
     def vertex_gids(self):
         used = np.zeros(self.forest.n_vertices, dtype=bool)
         used[self.tri_gids] = True
-        g = np.flatnonzero(used)
-        g.setflags(write=False)
-        return g
+        return _read_only(np.flatnonzero(used))
 
     @cached_property
     def triangles(self):
         local = np.empty(self.forest.n_vertices, dtype=np.int64)
         local[self.vertex_gids] = np.arange(self.vertex_gids.size)
-        t = local[self.tri_gids]
-        t.setflags(write=False)
-        return t
+        return _read_only(local[self.tri_gids])
 
     @cached_property
     def vertices(self):
-        v = self.forest.coords[self.vertex_gids]
-        v.setflags(write=False)
-        return v
+        return _read_only(np.take(self.forest.coords, self.vertex_gids, axis=0))
 
     @cached_property
     def generations(self):
-        g = self.forest.gen[self.node_ids]
-        g.setflags(write=False)
-        return g
+        return _read_only(self.forest.gen[self.node_ids])
 
     @cached_property
     def signed_areas(self):
-        a = 0.5 * _corner_geometry(self.vertices, self.triangles)[0]
-        a.setflags(write=False)
-        return a
+        return _read_only(_signed_areas(self.vertices, self.triangles))
 
     @cached_property
     def areas(self):
-        a = np.abs(self.signed_areas)
-        a.setflags(write=False)
-        return a
+        return _read_only(np.abs(self.signed_areas))
 
     @cached_property
     def basis_gradients(self):
         """Gradients of the three nodal basis functions per element, (NT, 3, 2)."""
-        s2, edges = _corner_geometry(self.vertices, self.triangles)
-        grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / s2[:, None, None]
-        grads.setflags(write=False)
-        return grads
+        return _read_only(_basis_gradients(self.vertices, self.triangles))
 
     def quadrature_points(self, elements=slice(None)):
         """Physical volume quadrature points of ``elements`` (default: all),
@@ -287,8 +289,8 @@ class Mesh:
         and drops them before the reference build
         (:func:`triafem.assembly.volume_samples`).
         """
-        p = self.vertices[self.triangles[elements]]
-        return quadrature.triangle_points(p[:, 0], p[:, 1], p[:, 2])
+        p = np.take(self.vertices, self.triangles[elements].T, axis=0)
+        return quadrature.triangle_points(p[0], p[1], p[2])
 
     # -- edge table ---------------------------------------------------------
 
@@ -340,29 +342,23 @@ class Mesh:
     @cached_property
     def boundary_edges(self):
         """Boundary edges as sorted local vertex pairs."""
-        be = self.edges[self.edge_counts == 1]
-        be.setflags(write=False)
-        return be
+        return _read_only(self.edges[self.edge_counts == 1])
 
     @cached_property
     def is_boundary_vertex(self):
         mask = np.zeros(self.n_vertices, dtype=bool)
         mask[self.boundary_edges.ravel()] = True
-        mask.setflags(write=False)
-        return mask
+        return _read_only(mask)
 
     @cached_property
     def interior_vertices(self):
-        iv = np.nonzero(~self.is_boundary_vertex)[0]
-        iv.setflags(write=False)
-        return iv
+        return _read_only(np.nonzero(~self.is_boundary_vertex)[0])
 
     def same_elements(self, other):
         if other is self:
             return True
-        return self.forest is other.forest and np.array_equal(
-            np.sort(self.node_ids), np.sort(other.node_ids)
-        )
+        return (self.forest is other.forest and self.n_elements == other.n_elements
+                and np.array_equal(np.sort(self.node_ids), np.sort(other.node_ids)))
 
     def validate(self):
         """Check the structural invariants; raises :class:`MeshError` on failure."""
@@ -510,7 +506,7 @@ def refine_nvb(mesh, marked):
     pattern = edge_marked[tri_edges]
     any_marked = pattern.any(axis=1)
     refined_idx = np.flatnonzero(any_marked)
-    kept_ids = mesh.node_ids[~any_marked]
+    kept = np.flatnonzero(~any_marked)
     split_a = pattern[refined_idx, 2]
     split_b = pattern[refined_idx, 1]
     forest = mesh.forest
@@ -547,7 +543,14 @@ def refine_nvb(mesh, marked):
         leaves[:, side, 0] = sons[:, side]
         leaves[split, side] = forest.sons[sons[split, side]]
     leaves = leaves[leaves >= 0]
-    refined_mesh = Mesh(forest, np.concatenate([kept_ids, leaves]))
+    refined_mesh = Mesh(forest, np.concatenate([mesh.node_ids[kept], leaves]))
+    # the kept elements come first: copy the rows of the geometry the coarse
+    # mesh holds, compute only the sons'
+    for name, formula in _CARRIED_GEOMETRY.items():
+        if kept.size and name in vars(mesh):
+            sons = formula(forest.coords, forest.tri[leaves])
+            rows = np.concatenate([np.take(vars(mesh)[name], kept, axis=0), sons])
+            setattr(refined_mesh, name, _read_only(rows))
     record = RefinementRecord(
         marked=marked,
         refined=refined_idx,
@@ -581,11 +584,12 @@ def overlay(m1, m2):
     return Mesh(forest, np.concatenate([from_m1, from_m2]))
 
 
-def shape_regularity(mesh):
-    """Smallest gamma with gamma^-1 sqrt(|T|) <= diam(T) <= gamma sqrt(|T|) for all T."""
-    edges = _corner_geometry(mesh.vertices, mesh.triangles)[1]
+def shape_regularity(mesh, elements=slice(None)):
+    """Smallest gamma with gamma^-1 sqrt(|T|) <= diam(T) <= gamma sqrt(|T|)
+    for all T of ``elements`` (default: all)."""
+    edges = _corner_geometry(mesh.vertices, mesh.triangles[elements])[1]
     diam = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
-    root_area = np.sqrt(mesh.areas)
+    root_area = np.sqrt(mesh.areas[elements])
     return float(np.max(np.maximum(diam / root_area, root_area / diam)))
 
 
@@ -638,13 +642,12 @@ def audit_refinement(old_mesh, new_mesh, record):
 
 # -- plain-text mesh files --------------------------------------------------
 
-def _text_rows(array, suffix=""):
-    """Rows of a 2-D array as lines of space-separated fields, ``suffix``
-    appended to each; floats in their shortest round-trip form."""
+def _text_rows(array, row_format):
+    """Rows of a 2-D array as lines ``row_format % row``, in one format
+    call; ``%r`` gives a float its shortest round-trip form."""
     if len(array) == 0:
         return []
-    text = repr(array.tolist())[2:-2]
-    return [text.replace("], [", suffix + "\n").replace(", ", " ") + suffix]
+    return ["\n".join([row_format] * len(array)) % tuple(array.ravel().tolist())]
 
 
 def write_mesh(mesh, path):
@@ -655,9 +658,9 @@ def write_mesh(mesh, path):
     Triples are stored with their reference edge normalised to slot 0.
     """
     lines = [f"{mesh.n_vertices} {mesh.n_elements}",
-             *_text_rows(mesh.vertices),
-             *_text_rows(mesh.triangles, " 0"),
-             *_text_rows(mesh.boundary_edges, " 1")]
+             *_text_rows(mesh.vertices, "%r %r"),
+             *_text_rows(mesh.triangles, "%d %d %d 0"),
+             *_text_rows(mesh.boundary_edges, "%d %d 1")]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -42,16 +42,18 @@ def triangle_points(p0, p1, p2):
     """Physical quadrature points for triangles given as corner arrays.
 
     Each of ``p0, p1, p2`` has shape (n, 2); the result has shape (n, 7, 2).
+    Every product runs over whole corner arrays along a leading point axis;
+    the last sum writes into the per-element layout.
     """
-    lam = TRI_BARY
-    return (
-        lam[:, 0][None, :, None] * p0[:, None, :]
-        + lam[:, 1][None, :, None] * p1[:, None, :]
-        + lam[:, 2][None, :, None] * p2[:, None, :]
-    )
+    lam = TRI_BARY.T[:, :, None, None]
+    points = np.empty((p0.shape[0], lam.shape[1], 2))
+    np.add(lam[0] * p0 + lam[1] * p1, lam[2] * p2, out=points.transpose(1, 0, 2))
+    return points
 
 
 def edge_points(pa, pb):
     """Physical Gauss points on segments; ``pa, pb`` of shape (n, 2) -> (n, 3, 2)."""
-    s = EDGE_POINTS
-    return (1.0 - s)[None, :, None] * pa[:, None, :] + s[None, :, None] * pb[:, None, :]
+    s = EDGE_POINTS[:, None, None]
+    points = np.empty((pa.shape[0], s.shape[0], 2))
+    np.add((1.0 - s) * pa, s * pb, out=points.transpose(1, 0, 2))
+    return points

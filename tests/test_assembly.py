@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import helpers_mesh
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from helpers_fem import (
     assemble_operator,
@@ -337,6 +338,57 @@ def test_transfer_rejects_non_refinement():
     sol = DiscreteSolution(m1, np.zeros(m1.n_vertices))
     with pytest.raises(ValueError, match="refinement"):
         transfer(sol, m2)
+
+
+def random_refinement(rng, mesh):
+    count = rng.integers(1, mesh.n_elements // 3 + 2)
+    return refine_nvb(mesh, rng.choice(mesh.n_elements, size=count, replace=False))[0]
+
+
+def random_p1(rng, mesh):
+    values = np.zeros(mesh.n_vertices)
+    values[mesh.interior_vertices] = rng.normal(size=mesh.interior_vertices.size)
+    return DiscreteSolution(mesh, values)
+
+
+SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3)
+
+
+@settings(max_examples=20)
+@given(seeds=SEEDS)
+def test_transfer_keeps_the_affine_values_on_random_refinements(seeds):
+    # a P1 function is affine on every coarse element (the zero boundary
+    # values rule out one global affine function); each fine vertex must get
+    # the value of that affine function
+    mesh_rng, fine_rng, value_rng = (np.random.default_rng(s) for s in seeds)
+    coarse = random_refinement(mesh_rng, uniform_refine(lshape_mesh(), 1))
+    fine = random_refinement(fine_rng, random_refinement(fine_rng, coarse))
+    sol = random_p1(value_rng, coarse)
+    assert np.abs(transfer(sol, fine).values - evaluate(sol, fine.vertices)).max() < 1e-14
+
+
+@settings(max_examples=20)
+@given(seeds=SEEDS)
+def test_transfer_composes_over_random_refinements(seeds):
+    mesh_rng, fine_rng, value_rng = (np.random.default_rng(s) for s in seeds)
+    m0 = random_refinement(mesh_rng, lshape_mesh())
+    m1 = random_refinement(fine_rng, m0)
+    m2 = random_refinement(fine_rng, m1)
+    sol = random_p1(value_rng, m0)
+    assert np.array_equal(transfer(transfer(sol, m1), m2).values, transfer(sol, m2).values)
+
+
+@settings(max_examples=20)
+@given(seeds=SEEDS)
+def test_transfer_rejects_random_siblings_that_are_not_nested(seeds):
+    base_rng, sibling_rng, value_rng = (np.random.default_rng(s) for s in seeds)
+    base = random_refinement(base_rng, unit_square_mesh(cross=True))
+    m1 = random_refinement(sibling_rng, base)
+    m2 = random_refinement(sibling_rng, base)
+    nested = len(helpers_mesh.covered(m2.node_ids, set(m1.node_ids.tolist()), m2.forest))
+    assume(nested < m2.n_elements)
+    with pytest.raises(ValueError, match="refinement"):
+        transfer(random_p1(value_rng, m1), m2)
 
 
 def test_galerkin_orthogonality_against_reference():

@@ -20,7 +20,7 @@ from triafem.driver import (
 )
 from triafem import driver
 from triafem.assembly import solve_nonlinear, transfer
-from triafem.mesh import MeshError, uniform_refine
+from triafem.mesh import MeshError, load_initial_mesh, shape_regularity, uniform_refine
 from triafem.problems import LinearProblem, builtin_problem
 
 
@@ -126,6 +126,20 @@ def test_run_afem_records_are_consistent(smooth_run):
     assert len(smooth_run.records) == len(tr) - 1
     assert tr.meta["gamma_max"] <= 2.0 * tr.meta["gamma_initial"]
     assert tr.meta["closure_constant"] <= 20.0
+
+
+@pytest.mark.parametrize("max_elements", [3, 5, 500])
+def test_gamma_max_is_the_max_over_every_mesh(max_elements):
+    # the driver measures only the new elements of each refinement; from two
+    # equilateral triangles the first two refinements each raise gamma
+    h = np.sqrt(3.0) / 2.0
+    initial = load_initial_mesh([(0.0, 0.0), (1.0, 0.0), (0.5, h), (1.5, h)],
+                                [(0, 1, 2), (1, 3, 2)])
+    result = run_afem(builtin_problem("square_smooth"), 0.5, max_elements=max_elements,
+                      initial_mesh=initial)
+    gammas = [shape_regularity(sol.mesh) for sol in result.solutions]
+    assert max(gammas) > gammas[0]
+    assert result.trace.meta["gamma_max"] == max(gammas)
 
 
 def test_eta_tol_met_immediately():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from helpers_fem import h1_error_sq
+from helpers_fem import h1_error_sq, linear_jump_terms_einsum, varying_linear_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triafem.assembly import (
     DiscreteSolution,
@@ -10,6 +12,7 @@ from triafem.assembly import (
 )
 from triafem.estimator import (
     EstimatorError,
+    _jump_terms,
     estimate,
     local_sum,
 )
@@ -49,6 +52,30 @@ def test_hand_computed_jump_indicator():
     assert report.indicators_sq == pytest.approx(np.full(4, 4.0 * np.sqrt(2.0)), rel=1e-12)
     assert report.eta_sq_total == pytest.approx(16.0 * np.sqrt(2.0), rel=1e-12)
     assert np.all(report.osc_sq == 0.0)
+
+
+JUMP_PROBLEMS = {
+    "lshape_poisson": lambda: builtin_problem("lshape_poisson"),
+    "varying": varying_linear_problem,
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_PROBLEMS))
+@settings(max_examples=10)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_jump_terms_have_the_bits_of_einsum(name, seeds):
+    # the contractions written per component keep the products and sums of
+    # the 2-term einsums, for broadcast (constant) and sampled diffusion
+    problem = JUMP_PROBLEMS[name]()
+    mesh = problem.make_initial_mesh()
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        marked = rng.choice(mesh.n_elements, size=rng.integers(1, mesh.n_elements // 3 + 2),
+                            replace=False)
+        mesh, _ = refine_nvb(mesh, marked)
+        vectors = rng.normal(size=(mesh.n_elements, 2))
+        assert np.array_equal(_jump_terms(mesh, problem, vectors),
+                              linear_jump_terms_einsum(mesh, problem, vectors))
 
 
 def test_total_is_sum_of_indicators():

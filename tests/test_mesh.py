@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers_mesh import write_mesh_per_line
 
+from triafem.driver import run_afem
 from triafem.mesh import (
     Mesh,
     MeshError,
@@ -20,6 +21,7 @@ from triafem.mesh import (
     unit_square_mesh,
     write_mesh,
 )
+from triafem.problems import builtin_problem
 
 SQUARE_VERTICES = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_TRIANGLES = [(0, 1, 2), (0, 2, 3)]
@@ -210,6 +212,17 @@ def test_overlay_of_distinct_refinements():
     assert overlay(ov, m2).same_elements(ov)
 
 
+def test_same_elements_compares_counts_before_sorting(monkeypatch):
+    coarse = lshape_mesh()
+    fine, _ = refine_nvb(coarse, {0})
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted the node ids of meshes of different sizes")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    assert not coarse.same_elements(fine)
+
+
 def test_overlay_cardinality_bound_random():
     rng = np.random.default_rng(3)
     base = lshape_mesh()
@@ -325,10 +338,19 @@ def _random_lshape_refinement(seed):
     return mesh
 
 
+def _adaptive_mesh(name, initial=None):
+    """Final mesh of a short adaptive run of a built-in problem."""
+    return run_afem(builtin_problem(name), 0.5, max_elements=600, keep_history=False,
+                    initial_mesh=initial).final_mesh
+
+
 @pytest.mark.parametrize("make", [
     lshape_mesh, unit_square_mesh, lambda: unit_square_mesh(cross=True), _awkward_mesh,
     lambda: _random_lshape_refinement(0), lambda: _random_lshape_refinement(1),
-], ids=["lshape", "square", "cross", "awkward", "lshape-refined-0", "lshape-refined-1"])
+    lambda: _adaptive_mesh("lshape_poisson"), lambda: _adaptive_mesh("convection_diffusion"),
+    lambda: _adaptive_mesh("square_smooth", _awkward_mesh()),
+], ids=["lshape", "square", "cross", "awkward", "lshape-refined-0", "lshape-refined-1",
+        "lshape-adaptive", "convection-adaptive", "awkward-adaptive"])
 def test_write_mesh_matches_per_line_writer(make, tmp_path):
     mesh = make()
     write_mesh(mesh, tmp_path / "block.mesh")

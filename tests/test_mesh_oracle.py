@@ -5,8 +5,9 @@ refined by :func:`refine_nvb` and one by the oracle, through two branches
 of refinements; the second branch starts from an earlier mesh, so it
 reuses sons and midpoints the first branch created. Node ids, every
 forest array, the refinement records, the edge tables and the overlays
-must agree exactly, and the triangle geometry of every mesh must have the
-bits of the per-use loops it was folded from.
+must agree exactly, and the triangle geometry and quadrature points of
+every mesh must have the bits of the per-use loops and broadcast forms
+they were folded from.
 """
 
 import numpy as np
@@ -14,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers_mesh as oracle
+from helpers_fem import edge_points_broadcast, triangle_points_broadcast
+from triafem import quadrature
 from triafem.assembly import _refines
 from triafem.mesh import (
     Mesh,
     _assign_reference_edges,
     _corner_geometry,
+    load_initial_mesh,
     lshape_mesh,
     overlay,
     refine_nvb,
@@ -43,6 +47,12 @@ def draw_marking(data, mesh):
 
 
 def assert_same_geometry(mesh):
+    p = mesh.vertices[mesh.triangles]
+    points = triangle_points_broadcast(p[:, 0], p[:, 1], p[:, 2])
+    assert np.array_equal(mesh.quadrature_points(), points)
+    assert np.array_equal(mesh.quadrature_points(slice(1, None)), points[1:])
+    pa, pb = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    assert np.array_equal(quadrature.edge_points(pa, pb), edge_points_broadcast(pa, pb))
     assert np.array_equal(mesh.signed_areas, oracle.signed_areas(mesh))
     assert np.array_equal(mesh.basis_gradients, oracle.basis_gradients(mesh))
     assert shape_regularity(mesh) == oracle.shape_regularity(mesh)
@@ -101,3 +111,36 @@ def test_bulk_refine_matches_scalar_oracle(data, name, steps, branch_from, branc
         expected = len(oracle.covered(fine.node_ids, set(coarse.node_ids.tolist()),
                                       fine.forest)) == fine.n_elements
         assert _refines(coarse, fine) == expected
+
+
+def skewed_lshape():
+    """The L-shape moved off the dyadic grid by an affine map, so that its
+    refinements round in the geometry's arithmetic."""
+    base = lshape_mesh()
+    coords = base.vertices @ np.array([[0.7, 0.1], [0.2, 0.9]]) + np.array([0.1, 0.3])
+    return load_initial_mesh(coords, base.triangles)
+
+
+@settings(max_examples=30)
+@given(data=st.data(), steps=st.integers(1, 6))
+def test_carried_geometry_equals_fresh_geometry(data, steps):
+    # a refinement copies the kept rows from the coarse mesh and computes the
+    # sons' rows on their own; every row must hold the bits of a fresh mesh,
+    # and the driver's max over new elements must be the max over all
+    mesh = skewed_lshape()
+    gamma_max = gamma_all = shape_regularity(mesh)
+    for _ in range(steps):
+        mesh.signed_areas, mesh.basis_gradients  # held by the coarse mesh, so carried
+        refined, record = refine_nvb(mesh, draw_marking(data, mesh))
+        for name in ("signed_areas", "basis_gradients"):
+            assert (name in vars(refined)) == (record.kept.size > 0)
+        fresh = Mesh(refined.forest, refined.node_ids)
+        assert np.array_equal(refined.signed_areas, fresh.signed_areas)
+        assert np.array_equal(refined.basis_gradients, fresh.basis_gradients)
+        assert np.array_equal(refined.signed_areas, oracle.signed_areas(fresh))
+        assert np.array_equal(refined.basis_gradients, oracle.basis_gradients(fresh))
+        assert not refined.basis_gradients.flags.writeable
+        gamma_max = max(gamma_max, shape_regularity(refined, slice(record.kept.size, None)))
+        gamma_all = max(gamma_all, oracle.shape_regularity(fresh))
+        assert gamma_max == gamma_all
+        mesh = refined
