@@ -16,7 +16,10 @@ parent's median and quartiles, the change's median, the median of the
 per-pair ratios change/parent and the number of pairs the change wins
 (lower is better, except for ``elements_per_s``).
 A repetition that fails or misses the correctness gate is reported and
-left out of the statistics.
+left out of the statistics. The CLI artefacts of the two sides of a pair
+are compared byte for byte, ``trace.csv`` without its ``wall_time_s``
+column; the first file that differs is printed with the pair, and the
+summary counts the pairs whose artefacts agree.
 """
 
 from __future__ import annotations
@@ -38,20 +41,17 @@ from run import BLAS_THREADS, CALIB_REF_S  # noqa: E402
 METRICS = {"wall_s": False, "setup_s": False, "elements_per_s": True, "peak_rss_mb": False}
 
 
-def run_rep(checkout, workload):
-    """One repetition in ``checkout``: its normalised metrics, or a failure string."""
+def run_rep(checkout, workload, out):
+    """One repetition in ``checkout``, writing its artefacts to ``out``: its
+    normalised metrics, or a failure string."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = BLAS_THREADS
-    out = tempfile.mkdtemp(prefix="pairs-")
-    try:
-        proc = subprocess.run(
-            [sys.executable, os.path.join(checkout, "perfbench", "rep.py"),
-             "--workload", workload, "--out", out],
-            cwd=checkout, env=env, capture_output=True, text=True,
-        )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(checkout, "perfbench", "rep.py"),
+         "--workload", workload, "--out", out],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
     try:
         record = json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
@@ -67,6 +67,33 @@ def run_rep(checkout, workload):
         "elements_per_s": record["elements_sum"] / (record["wall_s"] * scale),
         "peak_rss_mb": record["peak_rss_mb"],
     }
+
+
+def artefact_bytes(path):
+    """The bytes of one artefact; ``trace.csv`` without its ``wall_time_s`` column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) != "trace.csv":
+        return data
+    rows = [line.split(b",") for line in data.split(b"\n")]
+    drop = rows[0].index(b"wall_time_s")
+    return b"\n".join(b",".join(r[:drop] + r[drop + 1:]) for r in rows)
+
+
+def first_difference(parent_out, change_out):
+    """The first artefact (relative path, sorted) that differs between the
+    two artefact directories, or None when all agree."""
+    names = set()
+    for out in (parent_out, change_out):
+        for folder, _, files in os.walk(out):
+            names.update(os.path.relpath(os.path.join(folder, f), out) for f in files)
+    for name in sorted(names):
+        paths = [os.path.join(out, name) for out in (parent_out, change_out)]
+        if not all(os.path.isfile(p) for p in paths):
+            return name
+        if artefact_bytes(paths[0]) != artefact_bytes(paths[1]):
+            return name
+    return None
 
 
 def summarise(pairs):
@@ -100,23 +127,33 @@ def main(argv=None):
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     pairs = []
+    same_artefacts = 0
     print(f"workload {args.workload}, {args.pairs} pairs, BLAS threads {BLAS_THREADS}")
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        result = {side: run_rep(sides[side], args.workload) for side in order}
-        failed = [f"{side}: {r}" for side, r in result.items() if isinstance(r, str)]
+        outs = {side: tempfile.mkdtemp(prefix=f"pairs-{side}-") for side in sides}
+        try:
+            result = {side: run_rep(sides[side], args.workload, outs[side]) for side in order}
+            failed = [f"{side}: {r}" for side, r in result.items() if isinstance(r, str)]
+            differs = None if failed else first_difference(outs["parent"], outs["change"])
+        finally:
+            for out in outs.values():
+                shutil.rmtree(out, ignore_errors=True)
         if failed:
             print(f"pair {k + 1} ({order[0]} first) FAILED: " + " | ".join(failed))
             continue
         p, c = result["parent"], result["change"]
+        same_artefacts += differs is None
         print(f"pair {k + 1} ({order[0]} first): "
-              + ", ".join(f"{name} {p[name]:.4g} / {c[name]:.4g}" for name in METRICS))
+              + ", ".join(f"{name} {p[name]:.4g} / {c[name]:.4g}" for name in METRICS)
+              + ("; artefacts identical" if differs is None else f"; artefacts differ: {differs}"))
         pairs.append((p, c))
     if not pairs:
         print("no pair completed")
         return 1
     for line in summarise(pairs):
         print(line)
+    print(f"artefacts identical in {same_artefacts}/{len(pairs)} pairs")
     return 0 if len(pairs) == args.pairs else 1
 
 

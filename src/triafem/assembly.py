@@ -304,15 +304,11 @@ def _flux_closure(problem, name, points, grad_u):
     return values
 
 
-def _expand_points(values):
-    """A :func:`_flux_closure` result with its point axis filled, (NT, q, ...).
-
-    The per-point gradients are copies of the element gradient, so summing
-    over repeated element values keeps the operands, order and bits of a
-    per-point evaluation (``notes/decisions.md``).
-    """
+def _at_points(values):
+    """A :func:`_flux_closure` result as a (NT, q, ...) view: the (NT, 1, ...)
+    element values of a gradient-only flux are broadcast, not copied."""
     shape = (values.shape[0], quadrature.TRI_WEIGHTS.size) + values.shape[2:]
-    return np.ascontiguousarray(np.broadcast_to(values, shape))
+    return np.broadcast_to(values, shape)
 
 
 def nonlinear_residual(mesh, problem, values, samples=None):
@@ -320,13 +316,24 @@ def nonlinear_residual(mesh, problem, values, samples=None):
 
     The quadrature is summed per point, not contracted first: on meshes
     with mirror-symmetric elements the last bits of the residual decide
-    ties in the marking (see ``notes/decisions.md``).
+    ties in the marking (see ``notes/decisions.md``). The flux part adds
+    the terms ``(w_q F_qa) G_ia`` one at a time, points outer and
+    components inner, which is the order of ``einsum("q,nqa,nia->ni")``;
+    a gradient-only flux is read as its (NT, 1, 2) element values.
     """
     if samples is None:
         samples = volume_samples(mesh, problem)
     w = quadrature.TRI_WEIGHTS
     _, _, _, flux, g_q = flux_terms(mesh, problem, values, samples.points)
-    local = np.einsum("q,nqa,nia->ni", w, _expand_points(flux), mesh.basis_gradients)
+    flux = _at_points(flux)
+    # component-major rows (2, 3, NT), so that every term is a product of
+    # contiguous rows
+    grads = mesh.basis_gradients.transpose(2, 1, 0).copy()
+    local = np.zeros((3, mesh.n_elements))
+    for q, w_q in enumerate(w):
+        for a in range(2):
+            local += (w_q * flux[:, q, a]) * grads[a]
+    local = local.T
     lower = -samples.source if g_q is None else -samples.source + g_q
     local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
     local *= mesh.areas[:, None]
@@ -335,7 +342,13 @@ def nonlinear_residual(mesh, problem, values, samples=None):
 
 
 def nonlinear_jacobian(mesh, problem, values, samples=None):
-    """Jacobian of the Galerkin residual, restricted to interior vertices."""
+    """Jacobian of the Galerkin residual, restricted to interior vertices.
+
+    The flux Jacobian is contracted before the local product, as
+    ``w_0 DF_0 + w_1 DF_1 + ...``, the order of einsum's quadrature sum;
+    a gradient-only flux Jacobian is read as its (NT, 1, 2, 2) element
+    values.
+    """
     if samples is None:
         samples = volume_samples(mesh, problem)
     w = quadrature.TRI_WEIGHTS
@@ -343,8 +356,11 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
     flat = samples.points
     grad_u = element_gradients(mesh, values)
 
-    jac_q = _expand_points(_flux_closure(problem, "flux_jacobian", flat, grad_u))
-    local = _stiffness(grads, _contract(w, jac_q))
+    jac_q = _at_points(_flux_closure(problem, "flux_jacobian", flat, grad_u))
+    jac_bar = np.zeros((mesh.n_elements, 2, 2))
+    for q, w_q in enumerate(w):
+        jac_bar += w_q * jac_q[:, q]
+    local = _stiffness(grads, jac_bar)
     if problem.lower_order_du is not None or problem.lower_order_dgrad is not None:
         u_q = p1_at_quadrature(mesh, values)
         u_flat, y_q = u_q.reshape(-1), _repeat_to_points(grad_u)
@@ -356,6 +372,27 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
         local += np.einsum("qi,nqa->nia", _W_LAM, gy_q) @ grads.transpose(0, 2, 1)
     local *= mesh.areas[:, None, None]
     return _scatter(mesh, local)
+
+
+def _lu_solve(matrix, rhs, order=None):
+    """Solve ``matrix @ x = rhs`` (CSC) by SuperLU: ``x`` and the column
+    order ``np.argsort(perm_c)`` of the factor.
+
+    Without ``order`` SuperLU orders the columns itself (COLAMD, then the
+    postorder of the elimination tree), as ``spsolve`` does. Given the
+    order of such a factor of a matrix with the same sparsity pattern, the
+    columns are permuted into it and factored with no reordering
+    (``NATURAL``). This replays SuperLU's own elimination, with the same
+    pivots and the bits of a fresh ordering, and skips the COLAMD pass
+    (``notes/decisions.md``). The factor is freed on return. Raises
+    ``RuntimeError`` when the matrix is exactly singular.
+    """
+    if order is None:
+        lu = spla.splu(matrix)
+        return lu.solve(rhs), np.argsort(lu.perm_c)
+    x = np.empty_like(rhs)
+    x[order] = spla.splu(matrix[:, order], permc_spec="NATURAL").solve(rhs)
+    return x, order
 
 
 def solve_nonlinear(
@@ -373,9 +410,13 @@ def solve_nonlinear(
     Damped Newton (step halving until the residual decreases) with a
     guaranteed fallback to the damped Riesz iteration
     ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))``, which converges for any
-    strongly monotone Lipschitz operator; ``max_newton=0`` runs the
+    strongly monotone Lipschitz operator; the fallback also takes over
+    when a Jacobian is exactly singular. ``max_newton=0`` runs the
     fallback only. Every residual and Jacobian reads one set of
-    :func:`volume_samples`, taken here when not given. Raises
+    :func:`volume_samples`, taken here when not given. All Jacobians on
+    the mesh share one sparsity pattern, so only the first is ordered by
+    SuperLU (COLAMD); the later ones are factored in that column order,
+    which gives the bits of a fresh ordering (:func:`_lu_solve`). Raises
     :class:`NonlinearSolveError` when the iteration budget is exhausted.
     """
     interior = mesh.interior_vertices
@@ -404,9 +445,14 @@ def solve_nonlinear(
     best = res_norm
     info["residuals"].append(res_norm)
 
+    order = None
     while res_norm > target and info["newton_iterations"] < max_newton:
-        jac = nonlinear_jacobian(mesh, problem, values, samples)
-        delta = spla.spsolve(jac.tocsc(), residual)
+        jac = nonlinear_jacobian(mesh, problem, values, samples).tocsc()
+        try:
+            delta, order = _lu_solve(jac, residual, order)
+        except RuntimeError:
+            # SuperLU found the Jacobian exactly singular
+            break
         accepted = False
         step = 1.0
         while step >= 2.0**-12:

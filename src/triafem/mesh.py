@@ -139,23 +139,16 @@ class MeshForest:
     def covered(self, nids, leaves):
         """Per node of ``nids``: is it, or one of its ancestors, in ``leaves``?
 
-        Walks all nodes up one generation per pass against a boolean mask
-        of the leaf set; a node leaves the walk at a hit or at its root.
+        Marks ``leaves`` and all their descendants, one generation per pass
+        down through ``sons``, then reads the marks of ``nids``.
         """
-        in_leaves = np.zeros(self.n_nodes, dtype=bool)
-        in_leaves[leaves] = True
-        cur = np.array(nids, dtype=np.int64)
-        hit = in_leaves[cur]
-        open_ = np.flatnonzero(~hit)
-        while open_.size:
-            up = self.parent[cur[open_]]
-            has_parent = up >= 0
-            open_, up = open_[has_parent], up[has_parent]
-            cur[open_] = up
-            found = in_leaves[up]
-            hit[open_[found]] = True
-            open_ = open_[~found]
-        return hit
+        inside = np.zeros(self.n_nodes, dtype=bool)
+        front = np.asarray(leaves, dtype=np.int64)
+        while front.size:
+            inside[front] = True
+            front = np.take(self.sons, front, axis=0).ravel()
+            front = front[front >= 0]
+        return inside[np.asarray(nids, dtype=np.int64)]
 
     # -- mutation (refinement only) ---------------------------------------
 

@@ -22,13 +22,16 @@ from helpers_fem import (
     varying_linear_problem,
     varying_nonlinear_problem,
 )
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import MatrixRankWarning
 
+from triafem import driver
 from triafem.assembly import (
     AssemblyError,
     DiscreteSolution,
     NonlinearSolveError,
     SolverError,
+    _lu_solve,
     _scatter,
     assemble_linear,
     element_gradients,
@@ -231,6 +234,22 @@ def test_zarantonello_only_converges():
     assert 0 < info["fallback_iterations"] <= 10_000
     newton = solve_nonlinear(mesh, problem)
     assert np.abs(sol.values - newton.values).max() < 1e-7
+
+
+def test_singular_jacobian_falls_back_to_the_riesz_iteration():
+    # SuperLU finds a zero Jacobian exactly singular; Newton must hand over
+    # to the fallback instead of stepping along a NaN direction
+    problem = builtin_problem("magnetostatics_nl")
+    singular = dataclasses.replace(
+        problem, flux_jacobian=lambda x, y: np.zeros((y.shape[0], 2, 2)))
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    sol, info = solve_nonlinear(mesh, singular, full_output=True)
+    assert info["newton_iterations"] == 0
+    assert info["fallback_iterations"] > 0
+    zero = np.zeros(mesh.n_vertices)
+    assert (np.linalg.norm(nonlinear_residual(mesh, problem, sol.values))
+            <= 1e-10 * np.linalg.norm(nonlinear_residual(mesh, problem, zero)))
+    assert np.abs(sol.values - solve_nonlinear(mesh, problem).values).max() < 1e-7
 
 
 def test_nonlinear_budget_exhaustion_carries_best_residual():
@@ -540,11 +559,16 @@ def _random_p1(mesh, seed):
     lambda: uniform_refine(unit_square_mesh(cross=True), 3),
     lambda: _graded_mesh(builtin_problem("magnetostatics_nl")),
     lambda: uniform_refine(lshape_mesh(), 3),
-], ids=["cross-uniform", "cross-graded", "lshape"])
+    lambda: helpers_mesh.off_grid(_graded_mesh(builtin_problem("magnetostatics_nl"))),
+], ids=["cross-uniform", "cross-graded", "lshape", "graded-off-grid"])
 def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, make_mesh):
-    # a gradient-only flux is evaluated once per element and repeated to the
-    # points, and the estimator reads it from the same call; every sum must
-    # keep the per-point (or per-edge) operands and order exactly
+    # a gradient-only flux is evaluated once per element, and the residual
+    # and Jacobian read it without copies to the points; the estimator
+    # reads it from the same call; every sum must keep the per-point (or
+    # per-edge) operands and order of the einsum oracles exactly. On the
+    # dyadic meshes every basis gradient is a power of two, so a product
+    # with it is exact in any association; the last mesh is moved off that
+    # grid
     problem = make_problem()
     mesh = make_mesh()
     w_values = _random_p1(mesh, 3)
@@ -589,6 +613,67 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
         indicators_sq, osc_sq = nonlinear_estimate_at_centroids(mesh, problem, w_values, samples)
         assert np.array_equal(report.indicators_sq, indicators_sq)
         assert np.array_equal(report.osc_sq, osc_sq)
+
+
+NEWTON_PROBLEMS = {
+    "magnetostatics_nl": lambda: builtin_problem("magnetostatics_nl"),
+    "magnetostatics_lower": gradient_only_lower_order_problem,
+    "varying_nl": varying_nonlinear_problem,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
+@pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "off-grid"])
+@settings(max_examples=30)
+@given(seeds=SEEDS)
+def test_replayed_factor_solves_with_the_bits_of_spsolve(name, dyadic, seeds):
+    # the first Jacobian on a mesh fixes the column order; a later one,
+    # factored in that order, must pivot as a fresh COLAMD factor would,
+    # also among the equal entries of a mirror-symmetric dyadic mesh
+    mesh_rng, first_rng, later_rng = (np.random.default_rng(s) for s in seeds)
+    problem = NEWTON_PROBLEMS[name]()
+    mesh = uniform_refine(problem.make_initial_mesh(), 4)
+    mesh = random_refinement(mesh_rng, random_refinement(mesh_rng, mesh))
+    if not dyadic:
+        mesh = helpers_mesh.off_grid(mesh)
+    first = random_p1(first_rng, mesh).values
+    jac = nonlinear_jacobian(mesh, problem, first).tocsc()
+    rhs = nonlinear_residual(mesh, problem, first)
+    delta, order = _lu_solve(jac, rhs)
+    assert np.array_equal(delta, spla.spsolve(jac, rhs))
+
+    later = random_p1(later_rng, mesh).values
+    jac = nonlinear_jacobian(mesh, problem, later).tocsc()
+    rhs = nonlinear_residual(mesh, problem, later)
+    replay = spla.splu(jac[:, order], permc_spec="NATURAL")
+    assert np.array_equal(replay.perm_c, np.arange(rhs.size))
+    delta, again = _lu_solve(jac, rhs, order)
+    assert again is order
+    assert np.array_equal(delta, spla.spsolve(jac, rhs))
+
+
+def test_newton_orders_the_columns_once_per_mesh(monkeypatch):
+    # every solve_nonlinear call is one mesh: its first factor is ordered by
+    # COLAMD (permc_spec None), every later one replays that order
+    calls = []
+    splu, solve = spla.splu, driver.solve_nonlinear
+
+    def counted_splu(matrix, permc_spec=None, **kwargs):
+        calls[-1].append(permc_spec)
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls.append([])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(driver, "solve_nonlinear", counted_solve)
+    result = driver.run_afem(builtin_problem("magnetostatics_nl"), 0.5, max_elements=300,
+                             compute_reference=True)
+    assert len(calls) == len(result.trace) + 1
+    assert all(mesh_calls[:1] == [None] for mesh_calls in calls)
+    assert all(spec == "NATURAL" for mesh_calls in calls for spec in mesh_calls[1:])
+    assert sum(len(mesh_calls) - 1 for mesh_calls in calls) > 0
 
 
 def _galerkin(mesh, problem, values):

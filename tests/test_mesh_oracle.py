@@ -113,6 +113,25 @@ def test_bulk_refine_matches_scalar_oracle(data, name, steps, branch_from, branc
         assert _refines(coarse, fine) == expected
 
 
+@settings(max_examples=50)
+@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 6))
+def test_covered_matches_scalar_oracle(data, name, steps):
+    # meshes on several branches of one forest; every node of the forest is
+    # asked against the leaves of each mesh and against a random node set,
+    # which may hold a node together with its ancestors
+    meshes = [INITIAL_MESHES[name]()]
+    for _ in range(steps):
+        base = meshes[data.draw(st.integers(0, len(meshes) - 1), label="base")]
+        meshes.append(refine_nvb(base, draw_marking(data, base))[0])
+    forest = meshes[0].forest
+    nids = np.arange(forest.n_nodes)
+    random_set = data.draw(st.lists(st.integers(0, forest.n_nodes - 1), max_size=20),
+                           label="node set")
+    for leaves in [m.node_ids for m in meshes] + [np.array(random_set, dtype=np.int64)]:
+        expected = oracle.covered(nids, set(leaves.tolist()), forest)
+        assert nids[forest.covered(nids, leaves)].tolist() == expected
+
+
 def skewed_lshape():
     """The L-shape moved off the dyadic grid by an affine map, so that its
     refinements round in the geometry's arithmetic."""
