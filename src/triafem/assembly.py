@@ -287,28 +287,12 @@ def solve_linear(system):
 
 # -- nonlinear Galerkin systems ------------------------------------------------
 
-def _flux_closure(problem, name, points, grad_u):
-    """``problem.flux`` or ``problem.flux_jacobian`` at the quadrature
-    ``points`` (NT * q, 2) of a P1 function with element gradients
-    ``grad_u``: (NT, 1, ...) from one call per element for a gradient-only
-    problem, (NT, q, ...) from one call per point otherwise."""
-    nt = grad_u.shape[0]
-    nq = quadrature.TRI_WEIGHTS.size
-    fn = getattr(problem, name)
-    if problem.grad_only:
-        values = fn(points[::nq], grad_u)[:, None]
-    else:
-        values = fn(points, _repeat_to_points(grad_u))
-        values = values.reshape(nt, nq, *values.shape[1:])
+def _flux_closure(problem, name, grad_u):
+    """``problem.flux`` (NT, 2) or ``problem.flux_jacobian`` (NT, 2, 2) of
+    a P1 function with element gradients ``grad_u``, one call per element."""
+    values = getattr(problem, name)(grad_u)
     _check_finite(name, values)
     return values
-
-
-def _at_points(values):
-    """A :func:`_flux_closure` result as a (NT, q, ...) view: the (NT, 1, ...)
-    element values of a gradient-only flux are broadcast, not copied."""
-    shape = (values.shape[0], quadrature.TRI_WEIGHTS.size) + values.shape[2:]
-    return np.broadcast_to(values, shape)
 
 
 def nonlinear_residual(mesh, problem, values, samples=None):
@@ -318,21 +302,20 @@ def nonlinear_residual(mesh, problem, values, samples=None):
     with mirror-symmetric elements the last bits of the residual decide
     ties in the marking (see ``notes/decisions.md``). The flux part adds
     the terms ``(w_q F_qa) G_ia`` one at a time, points outer and
-    components inner, which is the order of ``einsum("q,nqa,nia->ni")``;
-    a gradient-only flux is read as its (NT, 1, 2) element values.
+    components inner, which is the order of ``einsum("q,nqa,nia->ni")``
+    with the element flux at every point.
     """
     if samples is None:
         samples = volume_samples(mesh, problem)
     w = quadrature.TRI_WEIGHTS
     _, _, _, flux, g_q = flux_terms(mesh, problem, values, samples.points)
-    flux = _at_points(flux)
     # component-major rows (2, 3, NT), so that every term is a product of
     # contiguous rows
     grads = mesh.basis_gradients.transpose(2, 1, 0).copy()
     local = np.zeros((3, mesh.n_elements))
-    for q, w_q in enumerate(w):
+    for w_q in w:
         for a in range(2):
-            local += (w_q * flux[:, q, a]) * grads[a]
+            local += (w_q * flux[:, a]) * grads[a]
     local = local.T
     lower = -samples.source if g_q is None else -samples.source + g_q
     local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
@@ -345,9 +328,8 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
     """Jacobian of the Galerkin residual, restricted to interior vertices.
 
     The flux Jacobian is contracted before the local product, as
-    ``w_0 DF_0 + w_1 DF_1 + ...``, the order of einsum's quadrature sum;
-    a gradient-only flux Jacobian is read as its (NT, 1, 2, 2) element
-    values.
+    ``w_0 DF + w_1 DF + ...`` with the element flux Jacobian ``DF``, the
+    order of einsum's quadrature sum.
     """
     if samples is None:
         samples = volume_samples(mesh, problem)
@@ -356,10 +338,10 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
     flat = samples.points
     grad_u = element_gradients(mesh, values)
 
-    jac_q = _at_points(_flux_closure(problem, "flux_jacobian", flat, grad_u))
+    jac = _flux_closure(problem, "flux_jacobian", grad_u)
     jac_bar = np.zeros((mesh.n_elements, 2, 2))
-    for q, w_q in enumerate(w):
-        jac_bar += w_q * jac_q[:, q]
+    for w_q in w:
+        jac_bar += w_q * jac
     local = _stiffness(grads, jac_bar)
     if problem.lower_order_du is not None or problem.lower_order_dgrad is not None:
         u_q = p1_at_quadrature(mesh, values)
@@ -495,17 +477,17 @@ def solve_nonlinear(
 # -- energy products and transfer ----------------------------------------------
 
 def flux_terms(mesh, problem, values, points=None):
-    """A P1 function at the volume quadrature ``points`` (NT * q, 2):
-    (points, values (NT, q) or None, gradient (NT, 2), flux (NT, 1, 2) for
-    a gradient-only problem or (NT, q, 2), lower-order term (NT, q) or
-    None). The values are taken only for a lower-order term, which reads
-    them."""
-    if points is None:
-        points = mesh.quadrature_points().reshape(-1, 2)
+    """A P1 function's (points, values (NT, q) or None, gradient (NT, 2),
+    flux (NT, 2), lower-order term (NT, q) or None). The volume quadrature
+    ``points`` (NT * q, 2), taken here when not given, and the values are
+    read only for a lower-order term; without one, ``points`` is returned
+    as given."""
     grad_u = element_gradients(mesh, values)
-    flux = _flux_closure(problem, "flux", points, grad_u)
+    flux = _flux_closure(problem, "flux", grad_u)
     u_q = lower = None
     if problem.lower_order is not None:
+        if points is None:
+            points = mesh.quadrature_points().reshape(-1, 2)
         u_q = p1_at_quadrature(mesh, values)
         lower = problem.lower_order(points, u_q.reshape(-1), _repeat_to_points(grad_u))
         lower = lower.reshape(u_q.shape)
@@ -534,9 +516,9 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
         w_terms = flux_terms(mesh, problem, w_sol.values)
     points, uw, grad_w, flux_w, lower_w = w_terms
     _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
-    # (NT, 1) for a gradient-only flux: formed once per element, then
-    # broadcast to the points by the sum below, which keeps its operands
-    integrand = np.sum((flux_w - flux_v) * (grad_w - grad_v)[:, None, :], axis=2)
+    # (NT, 1): formed once per element, then broadcast to the points by the
+    # sum below, which keeps its operands
+    integrand = np.sum((flux_w - flux_v) * (grad_w - grad_v), axis=1)[:, None]
     if lower_w is not None:
         integrand = integrand + (lower_w - lower_v) * (uw - uv)
     return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))

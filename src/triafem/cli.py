@@ -347,9 +347,6 @@ def _execute_single(config):
     """One run (single theta); returns the list of failing checks."""
     problem = builtin_problem(config.problem)
     initial_mesh = problem.make_initial_mesh()
-    if config.max_elements is not None:
-        if config.max_elements < initial_mesh.n_elements:
-            raise ConfigError("key 'max_elements': below the initial element count")
     out = config.out
     os.makedirs(out, exist_ok=True)
     os.makedirs(os.path.join(out, "meshes"), exist_ok=True)
@@ -425,7 +422,14 @@ def _sweep_worker(payload):
 
 
 def execute(config):
-    """Run the configured job (or theta sweep); 0 exit iff no check failed."""
+    """Run the configured job (or theta sweep); 0 exit iff no check failed.
+
+    Raises :class:`ConfigError` before any run when ``max_elements`` is
+    below the initial element count.
+    """
+    initial = builtin_problem(config.problem).make_initial_mesh()
+    if config.max_elements is not None and config.max_elements < initial.n_elements:
+        raise ConfigError("key 'max_elements': below the initial element count")
     if len(config.theta) == 1:
         return 1 if _execute_single(config) else 0
     payloads = [(dataclasses.asdict(config), theta) for theta in config.theta]
@@ -439,11 +443,10 @@ def execute(config):
 
 def main(argv=None):
     try:
-        config = parse_config(argv if argv is not None else sys.argv[1:])
+        return execute(parse_config(argv if argv is not None else sys.argv[1:]))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    return execute(config)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ the P1 solution minus the load, and each interior edge contributes its
 full jump term to both neighbouring elements (no halving). Oscillations
 are the elementwise mean-free part of the volume residual.
 
-A nonlinear problem needs a gradient-only flux F, constant per element;
-its residual ``g(x, U, grad U) - f`` and jump ``(F[T1] - F[T2]) . n`` come
-from one :func:`~triafem.assembly.flux_terms` call.
+A nonlinear flux F depends on the gradient only, so it is constant on
+each element and its elementwise divergence vanishes; the residual
+``g(x, U, grad U) - f`` and jump ``(F[T1] - F[T2]) . n`` come from one
+:func:`~triafem.assembly.flux_terms` call.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .assembly import element_gradients, flux_terms, p1_at_quadrature, volume_samples
+from .assembly import (
+    _check_finite, element_gradients, flux_terms, p1_at_quadrature, volume_samples,
+)
 from .problems import LinearProblem
 
 
 class EstimatorError(ValueError):
-    """Estimator input mismatch or unsupported operator form."""
+    """Estimator input mismatch, or a negative or non-finite indicator."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,8 @@ class EstimatorReport:
     osc_sq_total: float
 
     def __post_init__(self):
+        if not (np.all(np.isfinite(self.indicators_sq)) and np.all(np.isfinite(self.osc_sq))):
+            raise EstimatorError("non-finite squared indicator")
         if np.any(self.indicators_sq < 0.0) or np.any(self.osc_sq < 0.0):
             raise EstimatorError("negative squared indicator")
         self.indicators_sq.setflags(write=False)
@@ -83,6 +88,7 @@ def _jump_terms(mesh, problem, vectors):
     if isinstance(problem, LinearProblem):
         gpts = quadrature.edge_points(pa, pb)
         a_q = problem.diffusion(gpts.reshape(-1, 2)).reshape(e_idx.size, 3, 2, 2)
+        _check_finite("diffusion", a_q)
         # (A delta) . n per component: the products and sums of the 2-term
         # contractions, in their order (notes/decisions.md, bit-exact kernels)
         d0, d1 = delta[:, None, 0], delta[:, None, 1]
@@ -114,15 +120,9 @@ def estimate(mesh, sol, problem, samples=None):
         residual = _linear_residual(samples, mesh, sol.values, grad_u)
         vectors = grad_u
     else:
-        if not problem.grad_only:
-            raise EstimatorError(
-                "nonlinear estimator requires a gradient-only flux: the elementwise "
-                "flux divergence of a P1 function vanishes only in that case"
-            )
         # the flux is piecewise constant, so its divergence drops out
-        _, _, _, flux, lower = flux_terms(mesh, problem, sol.values, samples.points)
+        _, _, _, vectors, lower = flux_terms(mesh, problem, sol.values, samples.points)
         residual = -samples.source if lower is None else -samples.source + lower
-        vectors = flux[:, 0]
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas
     volume_sq = areas**2 * (residual**2 @ w)

@@ -18,8 +18,8 @@ generations, boundary flags) can be checked for every node ever created.
 Refinement, audit and ancestry queries are array operations over the
 forest, with no Python loop over elements, nodes or edges: the closure runs
 as a frontier loop over edge marks, all sons and midpoints of one refinement
-are created in bulk, the audit walks the new genealogy edges one generation
-per pass, and :meth:`MeshForest.covered` is the one ancestry primitive.
+are created in bulk, and :meth:`MeshForest.covered` is the one ancestry
+primitive, which the audit, overlays and the nesting check of transfer read.
 Bulk creation keeps the order of the per-element bisection it replaced, so
 node ids, vertex ids and element order are those of that scalar code.
 """
@@ -604,31 +604,28 @@ def audit_refinement(old_mesh, new_mesh, record):
     """Structural checks after one refinement step; raises on violation.
 
     Verifies conformity of the result, the two-sons inequality
-    ``#refined <= #new - #old``, exact area halving along every new
-    genealogy edge, and generation increments of one per bisection. The
-    genealogy edges are walked up from the new leaves, one generation per
-    pass, until the old leaves are reached.
+    ``#refined <= #new - #old``, that every new leaf lies in an old leaf,
+    exact area halving at every node below the old leaves, and generation
+    increments of one per bisection. One :meth:`MeshForest.covered` pass
+    down from the old leaves finds those nodes.
     """
     new_mesh.validate()
     if len(record.refined) > record.nt_after - record.nt_before:
         raise MeshError("refined elements exceed the element-count growth")
     forest = new_mesh.forest
-    seen = np.zeros(forest.n_nodes, dtype=bool)
-    seen[old_mesh.node_ids] = True
-    nodes = new_mesh.node_ids[~seen[new_mesh.node_ids]]
-    seen[nodes] = True
-    while nodes.size:
-        parents = forest.parent[nodes]
-        has_parent = parents >= 0
-        nodes, parents = nodes[has_parent], parents[has_parent]
-        a_child = forest.node_area(nodes)
-        a_parent = forest.node_area(parents)
-        if np.any(np.abs(a_child - 0.5 * a_parent) > 1e-12 * a_parent):
-            raise MeshError("bisection did not halve the element area")
-        if np.any(forest.gen[nodes] != forest.gen[parents] + 1):
-            raise MeshError("son generation is not parent generation + 1")
-        nodes = np.unique(parents[~seen[parents]])
-        seen[nodes] = True
+    if old_mesh.forest is not forest:
+        raise MeshError("new mesh does not share the old mesh's genealogy")
+    below = forest.covered(np.arange(forest.n_nodes), old_mesh.node_ids)
+    if not np.all(below[new_mesh.node_ids]):
+        raise MeshError("new mesh does not refine the old mesh")
+    below[old_mesh.node_ids] = False
+    nodes = np.flatnonzero(below)
+    parents = forest.parent[nodes]
+    a_parent = forest.node_area(parents)
+    if np.any(np.abs(forest.node_area(nodes) - 0.5 * a_parent) > 1e-12 * a_parent):
+        raise MeshError("bisection did not halve the element area")
+    if np.any(forest.gen[nodes] != forest.gen[parents] + 1):
+        raise MeshError("son generation is not parent generation + 1")
     if np.any(record.sons_of < 2):
         raise MeshError("refined triangle with fewer than two sons")
 

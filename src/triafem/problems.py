@@ -2,9 +2,11 @@
 
 Linear problems describe ``-div(A grad u) + b . grad u + c u = f`` through
 coefficient closures; nonlinear problems describe
-``-div F(x, grad u) + g(x, u, grad u) = f`` for a strongly monotone flux
-``F``. All closures are vectorised over arrays of points: a coefficient
-receives points of shape (n, 2) and returns (n,), (n, 2) or (n, 2, 2).
+``-div F(grad u) + g(x, u, grad u) = f`` for a strongly monotone flux
+``F``. All closures are vectorised: a coefficient receives points of shape
+(n, 2) and returns (n,), (n, 2) or (n, 2, 2); the flux and its Jacobian
+receive gradients (n, 2) and return (n, 2) or (n, 2, 2); the lower-order
+term and its derivatives receive points, values (n,) and gradients.
 """
 
 from __future__ import annotations
@@ -46,12 +48,9 @@ class NonlinearProblem:
     ``lipschitz_const`` and ``monotone_const`` are the declared Lipschitz
     and strong-monotonicity constants of the flux (plus lower-order term);
     they drive the step size of the damped-gradient fallback solver.
-    ``grad_only`` states that the flux depends on the gradient argument
-    only, which makes the elementwise flux divergence of a P1 function
-    vanish exactly, and lets assembly evaluate ``flux`` and
-    ``flux_jacobian`` once per element, where the gradient of a P1
-    function is constant. Building the problem checks the claim: both
-    closures must return the same values at two point sets.
+    ``flux(y)`` and ``flux_jacobian(y)`` depend on the gradient only, so
+    the elementwise flux divergence of a P1 function vanishes exactly and
+    both are evaluated once per element, where that gradient is constant.
     """
 
     name: str
@@ -63,30 +62,9 @@ class NonlinearProblem:
     lower_order: Optional[Callable] = None
     lower_order_du: Optional[Callable] = None
     lower_order_dgrad: Optional[Callable] = None
-    grad_only: bool = True
     exact_u: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
     make_initial_mesh: Callable = unit_square_mesh
-
-    def __post_init__(self):
-        if not self.grad_only:
-            return
-        for name in ("flux", "flux_jacobian"):
-            fn = getattr(self, name)
-            first, second = (np.asarray(fn(x, _PROBE_GRADIENTS.copy())) for x in _PROBE_POINTS)
-            if not np.array_equal(first, second, equal_nan=True):
-                raise ValueError(
-                    f"problem {self.name!r} declares grad_only, but its {name} "
-                    "depends on the point"
-                )
-
-
-# fixed gradients and two point sets, across the built-in domains, at which
-# a gradient-only flux and its Jacobian must not tell the point sets apart
-_rng = np.random.default_rng(12108369)
-_PROBE_GRADIENTS = 3.0 * _rng.standard_normal((32, 2))
-_PROBE_POINTS = _rng.uniform(-1.0, 1.0, (2, 32, 2))
-del _rng
 
 
 # -- builtin problems -------------------------------------------------------
@@ -223,11 +201,11 @@ def _lshape_poisson():
 def _magnetostatics():
     # flux F(y) = (1 + 1/(1 + |y|^2)) y; its smallest directional
     # derivative is 7/8 (attained at |y|^2 = 3) and the largest is 2
-    def flux(x, y):
+    def flux(y):
         factor = 1.0 + 1.0 / (1.0 + np.sum(y * y, axis=-1))
         return factor[..., None] * y
 
-    def flux_jacobian(x, y):
+    def flux_jacobian(y):
         norm_sq = np.sum(y * y, axis=-1)
         denom = (1.0 + norm_sq) ** 2
         outer = -2.0 * y[..., :, None] * y[..., None, :] / denom[..., None, None]

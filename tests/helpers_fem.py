@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from triafem import quadrature
 from triafem.assembly import element_gradients, volume_samples
 from triafem.mesh import unit_square_mesh
-from triafem.problems import LinearProblem, NonlinearProblem, builtin_problem
+from triafem.problems import LinearProblem, builtin_problem
 
 
 def restrict_functional(fine_mesh, coarse_mesh, fine_vector):
@@ -132,7 +132,7 @@ def residual_per_point(mesh, problem, values):
     w = quadrature.TRI_WEIGHTS
     flat = samples.points
 
-    flux_q = problem.flux(flat, y_q).reshape(n, nq, 2)
+    flux_q = problem.flux(y_q).reshape(n, nq, 2)
     local = np.einsum("q,nqa,nia->ni", w, flux_q, mesh.basis_gradients)
     lower = -samples.source
     if problem.lower_order is not None:
@@ -155,7 +155,7 @@ def contracted_jacobian_per_point(mesh, problem, values):
     grads = mesh.basis_gradients
     flat = mesh.quadrature_points().reshape(-1, 2)
 
-    jac_q = problem.flux_jacobian(flat, y_q).reshape(n, nq, 2, 2)
+    jac_q = problem.flux_jacobian(y_q).reshape(n, nq, 2, 2)
     local = grads @ np.einsum("q,nq...->n...", w, jac_q) @ grads.transpose(0, 2, 1)
     if problem.lower_order_du is not None:
         gu_q = problem.lower_order_du(flat, u_q.reshape(-1), y_q).reshape(n, nq)
@@ -175,7 +175,7 @@ def flux_terms_per_point(mesh, problem, values):
     lower = None
     if problem.lower_order is not None:
         lower = problem.lower_order(points, u_q.reshape(-1), y_q)
-    return u_q, grad_u, problem.flux(points, y_q), lower
+    return u_q, grad_u, problem.flux(y_q), lower
 
 
 def energy_per_point(mesh, problem, w_values, v_values):
@@ -192,9 +192,9 @@ def energy_per_point(mesh, problem, w_values, v_values):
 
 
 def nonlinear_estimate_at_centroids(mesh, problem, values, samples):
-    """Squared indicators and oscillations of a gradient-only nonlinear
-    problem with the lower-order term sampled on its own and the flux of
-    both neighbours evaluated at the centroid of every interior edge."""
+    """Squared indicators and oscillations of a nonlinear problem with the
+    lower-order term sampled on its own and the flux of both neighbours
+    evaluated on every interior edge."""
     grad_u = element_gradients(mesh, values)
     residual = -samples.source
     if problem.lower_order is not None:
@@ -215,8 +215,7 @@ def nonlinear_estimate_at_centroids(mesh, problem, values, samples):
     tangent = pb - pa
     lengths = np.hypot(tangent[:, 0], tangent[:, 1])
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / lengths[:, None]
-    centroids = 0.5 * (pa + pb)
-    flux_diff = problem.flux(centroids, grad_u[t1]) - problem.flux(centroids, grad_u[t2])
+    flux_diff = problem.flux(grad_u[t1]) - problem.flux(grad_u[t2])
     integral = lengths * np.sum(flux_diff * normal, axis=1) ** 2
     jumps = np.zeros(mesh.n_elements)
     np.add.at(jumps, t1, integral)
@@ -234,7 +233,7 @@ def jacobian_per_point(mesh, problem, values):
     grads = mesh.basis_gradients
     flat = mesh.quadrature_points().reshape(-1, 2)
 
-    jac_q = problem.flux_jacobian(flat, y_q).reshape(n, nq, 2, 2)
+    jac_q = problem.flux_jacobian(y_q).reshape(n, nq, 2, 2)
     jac_grad = np.einsum("nqab,njb->nqja", jac_q, grads)
     local = np.einsum("q,nqja,nia->nij", w, jac_grad, grads)
     if problem.lower_order_du is not None:
@@ -273,36 +272,9 @@ def varying_linear_problem():
     )
 
 
-def varying_nonlinear_problem():
-    """A nonlinear problem with an x-dependent flux and both lower-order
-    derivatives, for the Newton Jacobian."""
-
-    def stiffness(x, y):
-        return 1.0 + 0.5 * x[:, 0] + 1.0 / (1.0 + np.sum(y * y, axis=-1))
-
-    def flux_jacobian(x, y):
-        denom = (1.0 + np.sum(y * y, axis=-1)) ** 2
-        return (stiffness(x, y)[:, None, None] * np.eye(2)
-                - 2.0 * y[:, :, None] * y[:, None, :] / denom[:, None, None])
-
-    return NonlinearProblem(
-        name="varying_nl",
-        flux=lambda x, y: stiffness(x, y)[:, None] * y,
-        flux_jacobian=flux_jacobian,
-        source=lambda x: 1.0 + x[:, 0],
-        lipschitz_const=3.0,
-        monotone_const=0.5,
-        lower_order=lambda x, u, y: (1.0 + x[:, 1]) * u**3 + x[:, 0] * y[:, 0],
-        lower_order_du=lambda x, u, y: 3.0 * (1.0 + x[:, 1]) * u**2,
-        lower_order_dgrad=lambda x, u, y: np.stack([x[:, 0], np.zeros_like(u)], axis=1),
-        grad_only=False,
-        make_initial_mesh=lambda: unit_square_mesh(cross=True),
-    )
-
-
 def gradient_only_lower_order_problem():
-    """The magnetostatics flux, which depends on the gradient only, with an
-    x-dependent lower-order term and both its derivatives."""
+    """The magnetostatics flux with an x-dependent lower-order term and
+    both its derivatives."""
     return dataclasses.replace(
         builtin_problem("magnetostatics_nl"),
         name="magnetostatics_lower",

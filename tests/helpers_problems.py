@@ -29,11 +29,10 @@ def flux_monotonicity_infimum(problem, n_pairs=10_000, scale=3.0, seed=0):
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, scale, size=(n_pairs, 2))
     z = rng.normal(0.0, scale, size=(n_pairs, 2))
-    x = rng.uniform(0.0, 1.0, size=(n_pairs, 2))
     d = y - z
     norm_sq = np.sum(d * d, axis=1)
     keep = norm_sq > 1e-12
-    num = np.sum((problem.flux(x, y) - problem.flux(x, z)) * d, axis=1)
+    num = np.sum((problem.flux(y) - problem.flux(z)) * d, axis=1)
     return float((num[keep] / norm_sq[keep]).min())
 
 
@@ -41,13 +40,12 @@ def flux_jacobian_fd_error(problem, n_samples=100, scale=2.0, seed=0, step=1e-6)
     """Max relative error of the declared flux Jacobian vs central differences."""
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, scale, size=(n_samples, 2))
-    x = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-    jac = problem.flux_jacobian(x, y)
+    jac = problem.flux_jacobian(y)
     fd = np.empty_like(jac)
     for k in range(2):
         dy = np.zeros_like(y)
         dy[:, k] = step
-        fd[:, :, k] = (problem.flux(x, y + dy) - problem.flux(x, y - dy)) / (2.0 * step)
+        fd[:, :, k] = (problem.flux(y + dy) - problem.flux(y - dy)) / (2.0 * step)
     scale_ref = np.abs(jac).max()
     return float(np.abs(fd - jac).max() / scale_ref)
 
@@ -56,8 +54,7 @@ def flux_jacobian_asymmetry(problem, n_samples=100, scale=2.0, seed=0):
     """Max entrywise asymmetry of the flux Jacobian over random samples."""
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, scale, size=(n_samples, 2))
-    x = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-    jac = problem.flux_jacobian(x, y)
+    jac = problem.flux_jacobian(y)
     return float(np.abs(jac - np.swapaxes(jac, -1, -2)).max())
 
 
@@ -120,7 +117,7 @@ def manufactured_weak_residual(problem, mesh, n_tests=20, seed=0, gauss_order=No
         if problem.reaction is not None:
             lower += problem.reaction(flat) * u_val
     else:
-        flux = problem.flux(flat, grad_u)
+        flux = problem.flux(grad_u)
         lower = np.zeros_like(u_val)
         if problem.lower_order is not None:
             lower += problem.lower_order(flat, u_val, grad_u)

@@ -20,7 +20,6 @@ from helpers_fem import (
     residual_per_point,
     restrict_functional,
     varying_linear_problem,
-    varying_nonlinear_problem,
 )
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import MatrixRankWarning
@@ -174,10 +173,10 @@ def test_singular_system_reports_residual():
 
 
 def wrapped_linear_as_nonlinear():
-    def flux(x, y):
+    def flux(y):
         return y
 
-    def flux_jacobian(x, y):
+    def flux_jacobian(y):
         return np.broadcast_to(np.eye(2), y.shape + (2,))
 
     smooth = builtin_problem("square_smooth")
@@ -241,7 +240,7 @@ def test_singular_jacobian_falls_back_to_the_riesz_iteration():
     # to the fallback instead of stepping along a NaN direction
     problem = builtin_problem("magnetostatics_nl")
     singular = dataclasses.replace(
-        problem, flux_jacobian=lambda x, y: np.zeros((y.shape[0], 2, 2)))
+        problem, flux_jacobian=lambda y: np.zeros((y.shape[0], 2, 2)))
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     sol, info = solve_nonlinear(mesh, singular, full_output=True)
     assert info["newton_iterations"] == 0
@@ -533,7 +532,7 @@ def test_contracted_element_system_matches_per_point_oracle():
 
 
 def test_contracted_jacobian_matches_per_point_oracle():
-    problem = varying_nonlinear_problem()
+    problem = gradient_only_lower_order_problem()
     mesh = _graded_mesh(problem)
     rng = np.random.default_rng(8)
     values = np.zeros(mesh.n_vertices)
@@ -552,9 +551,8 @@ def _random_p1(mesh, seed):
 
 
 @pytest.mark.parametrize("make_problem", [
-    lambda: builtin_problem("magnetostatics_nl"), varying_nonlinear_problem,
-    gradient_only_lower_order_problem,
-], ids=["magnetostatics_nl", "varying_nl", "magnetostatics_lower"])
+    lambda: builtin_problem("magnetostatics_nl"), gradient_only_lower_order_problem,
+], ids=["magnetostatics_nl", "magnetostatics_lower"])
 @pytest.mark.parametrize("make_mesh", [
     lambda: uniform_refine(unit_square_mesh(cross=True), 3),
     lambda: _graded_mesh(builtin_problem("magnetostatics_nl")),
@@ -562,13 +560,12 @@ def _random_p1(mesh, seed):
     lambda: helpers_mesh.off_grid(_graded_mesh(builtin_problem("magnetostatics_nl"))),
 ], ids=["cross-uniform", "cross-graded", "lshape", "graded-off-grid"])
 def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, make_mesh):
-    # a gradient-only flux is evaluated once per element, and the residual
-    # and Jacobian read it without copies to the points; the estimator
-    # reads it from the same call; every sum must keep the per-point (or
-    # per-edge) operands and order of the einsum oracles exactly. On the
-    # dyadic meshes every basis gradient is a power of two, so a product
-    # with it is exact in any association; the last mesh is moved off that
-    # grid
+    # the flux is evaluated once per element, and the residual and Jacobian
+    # read it without copies to the points; the estimator reads it from the
+    # same call; every sum must keep the per-point (or per-edge) operands
+    # and order of the einsum oracles exactly. On the dyadic meshes every
+    # basis gradient is a power of two, so a product with it is exact in
+    # any association; the last mesh is moved off that grid
     problem = make_problem()
     mesh = make_mesh()
     w_values = _random_p1(mesh, 3)
@@ -584,14 +581,14 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
     points, u_q, grad_u, flux, lower = flux_terms(mesh, problem, w_values)
     oracle_u, oracle_grad, oracle_flux, oracle_lower = flux_terms_per_point(
         mesh, problem, w_values)
-    assert np.array_equal(points, mesh.quadrature_points().reshape(-1, 2))
     assert np.array_equal(grad_u, oracle_grad)
-    assert flux.shape[1] == (1 if problem.grad_only else oracle_u.shape[1])
-    per_point = np.broadcast_to(flux, (mesh.n_elements, oracle_u.shape[1], 2))
+    assert flux.shape == (mesh.n_elements, 2)
+    per_point = np.broadcast_to(flux[:, None], (mesh.n_elements, oracle_u.shape[1], 2))
     assert np.array_equal(per_point.reshape(-1, 2), oracle_flux)
     if problem.lower_order is None:
-        assert u_q is None and lower is None and oracle_lower is None
+        assert points is None and u_q is None and lower is None and oracle_lower is None
     else:
+        assert np.array_equal(points, mesh.quadrature_points().reshape(-1, 2))
         assert np.array_equal(u_q, oracle_u)
         assert np.array_equal(lower.reshape(-1), oracle_lower)
 
@@ -607,18 +604,16 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
         assert energy_products(mesh, problem, w_sol, v_sol) == expected
         assert energy_products(mesh, problem, w_sol, v_sol, w_terms=w_terms) == expected
 
-    if problem.grad_only:
-        samples = volume_samples(mesh, problem)
-        report = estimate(mesh, w_sol, problem, samples)
-        indicators_sq, osc_sq = nonlinear_estimate_at_centroids(mesh, problem, w_values, samples)
-        assert np.array_equal(report.indicators_sq, indicators_sq)
-        assert np.array_equal(report.osc_sq, osc_sq)
+    samples = volume_samples(mesh, problem)
+    report = estimate(mesh, w_sol, problem, samples)
+    indicators_sq, osc_sq = nonlinear_estimate_at_centroids(mesh, problem, w_values, samples)
+    assert np.array_equal(report.indicators_sq, indicators_sq)
+    assert np.array_equal(report.osc_sq, osc_sq)
 
 
 NEWTON_PROBLEMS = {
     "magnetostatics_nl": lambda: builtin_problem("magnetostatics_nl"),
     "magnetostatics_lower": gradient_only_lower_order_problem,
-    "varying_nl": varying_nonlinear_problem,
 }
 
 
@@ -685,32 +680,28 @@ def _estimate(mesh, problem, values):
     estimate(mesh, DiscreteSolution(mesh, values), problem)
 
 
-@pytest.mark.parametrize("make_problem,kernel,points_per_element", [
-    (lambda: builtin_problem("magnetostatics_nl"), _galerkin, {"flux": 1, "flux_jacobian": 1}),
-    (varying_nonlinear_problem, _galerkin, {"flux": 7, "flux_jacobian": 7}),
-    (lambda: builtin_problem("magnetostatics_nl"), _estimate, {"flux": 1}),
-], ids=["magnetostatics_nl", "varying_nl", "magnetostatics_nl-estimate"])
-def test_gradient_only_flux_is_called_once_per_element(make_problem, kernel, points_per_element):
-    rows = {"flux": [], "flux_jacobian": []}
+@pytest.mark.parametrize("kernel,closures", [
+    (_galerkin, ("flux", "flux_jacobian")),
+    (_estimate, ("flux",)),
+], ids=["magnetostatics_nl", "magnetostatics_nl-estimate"])
+def test_gradient_only_flux_is_called_once_per_element(kernel, closures):
+    shapes = {"flux": [], "flux_jacobian": []}
 
     def counted(name, fn):
-        def wrapper(x, y):
-            assert x.shape[0] == y.shape[0]
-            rows[name].append(x.shape[0])
-            return fn(x, y)
+        def wrapper(y):
+            shapes[name].append(y.shape)
+            return fn(y)
 
         return wrapper
 
-    problem = make_problem()
+    problem = builtin_problem("magnetostatics_nl")
     problem = dataclasses.replace(
-        problem, **{name: counted(name, getattr(problem, name)) for name in rows})
+        problem, **{name: counted(name, getattr(problem, name)) for name in shapes})
     mesh = _graded_mesh(problem)
     values = _random_p1(mesh, 5)
-    rows["flux"].clear()
-    rows["flux_jacobian"].clear()
     kernel(mesh, problem, values)
-    expected = {name: [k * mesh.n_elements] for name, k in points_per_element.items()}
-    assert rows == {name: expected.get(name, []) for name in rows}
+    expected = [(mesh.n_elements, 2)]
+    assert shapes == {name: expected if name in closures else [] for name in shapes}
 
 
 @pytest.mark.parametrize("kernel", [energy_products, estimate], ids=lambda f: f.__name__)

@@ -176,6 +176,16 @@ def test_max_elements_below_initial_mesh(tmp_path):
         execute(config)
 
 
+@pytest.mark.parametrize("theta", ["0.5", "0.3,0.7"], ids=["single", "sweep"])
+def test_max_elements_below_initial_mesh_exits_2_and_writes_nothing(tmp_path, capsys, theta):
+    out = tmp_path / "x"
+    code = main(["--problem", "lshape_poisson", "--theta", theta, "--max-elements", "3",
+                 "--out", str(out)])
+    assert code == 2
+    assert "key 'max_elements'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _strip_time(path):
     """Trace lines without the wall-time column, the one nondeterministic one."""
     lines = path.read_text().strip().splitlines()

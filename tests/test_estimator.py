@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers_fem import h1_error_sq, linear_jump_terms_einsum, varying_linear_problem
@@ -10,8 +12,10 @@ from triafem.assembly import (
     solve_linear,
     solve_nonlinear,
 )
+from triafem.driver import AfemRunError, run_afem
 from triafem.estimator import (
     EstimatorError,
+    EstimatorReport,
     _jump_terms,
     estimate,
     local_sum,
@@ -161,13 +165,29 @@ def test_mesh_solution_mismatch():
         estimate(other, sol, problem)
 
 
-def test_nonlinear_estimator_requires_grad_only_flux():
-    problem = builtin_problem("magnetostatics_nl")
-    bad = problem.__class__(**{**problem.__dict__, "grad_only": False})
-    mesh = problem.make_initial_mesh()
-    sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
-    with pytest.raises(EstimatorError, match="gradient-only"):
-        estimate(mesh, sol, bad)
+def test_non_finite_indicators_are_rejected():
+    # NaN < 0 is false, so a sign check alone lets NaN through
+    for bad in (np.nan, np.inf):
+        with pytest.raises(EstimatorError, match="non-finite"):
+            EstimatorReport(np.array([1.0, bad]), np.zeros(2), bad, 0.0)
+        with pytest.raises(EstimatorError, match="non-finite"):
+            EstimatorReport(np.ones(2), np.array([bad, 0.0]), 2.0, bad)
+
+
+def test_non_finite_edge_diffusion_stops_the_run_in_estimate():
+    # the diffusion is infinite on the line x = 0.5, which carries mesh
+    # edges (and so edge Gauss points) but no volume quadrature point
+    def diffusion(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (1.0 + 1.0 / np.abs(x[:, 0] - 0.5))[:, None, None] * np.eye(2)
+
+    problem = dataclasses.replace(builtin_problem("square_smooth"), diffusion=diffusion)
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    for max_elements in (10, 10_000):
+        with pytest.raises(AfemRunError, match="'diffusion'") as err:
+            run_afem(problem, 0.5, max_elements=max_elements, initial_mesh=mesh)
+        assert err.value.phase == "estimate"
+        assert len(err.value.trace) == 0
 
 
 def test_nonlinear_estimator_volume_term_for_zero_solution():

@@ -449,6 +449,44 @@ def test_audit_rejects_single_son():
         audit_refinement(mesh, refined, one_son)
 
 
+def test_audit_checks_the_nodes_between_old_and_new_leaves():
+    # marking element 6 bisects one triangle twice, so one node of the new
+    # genealogy is neither an old nor a new leaf; a generation jump above
+    # it, with its sons shifted along, shows only there
+    mesh, _ = refine_nvb(uniform_refine(unit_square_mesh(cross=True), 1), {0})
+    refined, record = refine_nvb(mesh, {6})
+    forest = refined.forest
+    new = np.setdiff1d(refined.node_ids, mesh.node_ids)
+    between = np.setdiff1d(forest.parent[new], mesh.node_ids)
+    assert between.size == 1
+    audit_refinement(mesh, refined, record)
+    forest.gen[between] += 1
+    forest.gen[forest.sons[between[0]]] += 1
+    with pytest.raises(MeshError, match="generation"):
+        audit_refinement(mesh, refined, record)
+
+
+def test_audit_rejects_a_coarser_mesh():
+    mesh = uniform_refine(unit_square_mesh(cross=True), 2)
+    refined, record = refine_nvb(mesh, {0, 5})
+    audit_refinement(mesh, refined, record)
+    with pytest.raises(MeshError, match="does not refine"):
+        audit_refinement(refined, mesh, record)
+
+
+def test_audit_rejects_a_sibling_branch():
+    # two refinements of one mesh share its forest, but neither refines
+    # the other
+    mesh = uniform_refine(unit_square_mesh(cross=True), 2)
+    left, _ = refine_nvb(mesh, {0})
+    right, record = refine_nvb(mesh, {9})
+    audit_refinement(mesh, right, record)
+    with pytest.raises(MeshError, match="does not refine"):
+        audit_refinement(left, right, record)
+    with pytest.raises(MeshError, match="genealogy"):
+        audit_refinement(uniform_refine(unit_square_mesh(cross=True), 2), right, record)
+
+
 def test_closure_pass_bound():
     mesh = uniform_refine(unit_square_mesh(), 1)
     mesh, _ = refine_nvb(mesh, {0})
