@@ -18,14 +18,17 @@ per-pair ratios change/parent and the number of pairs the change wins
 A repetition that fails or misses the correctness gate is reported and
 left out of the statistics. The CLI artefacts of the two sides of a pair
 are compared byte for byte, ``trace.csv`` without its ``wall_time_s``
-column; the first file that differs is printed with the pair, and the
-summary counts the pairs whose artefacts agree.
+column, and the summary counts the pairs whose artefacts agree. Where they
+differ, the pair's line says what differs: each ``trace.csv`` column that
+differs with its largest relative difference, the ``meta.json`` keys whose
+values differ, and the name of every other file that differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -80,20 +83,81 @@ def artefact_bytes(path):
     return b"\n".join(b",".join(r[:drop] + r[drop + 1:]) for r in rows)
 
 
-def first_difference(parent_out, change_out):
-    """The first artefact (relative path, sorted) that differs between the
-    two artefact directories, or None when all agree."""
+def _trace_columns(data):
+    """Header name -> list of cell strings of a ``trace.csv``."""
+    rows = [line.split(",") for line in data.decode().splitlines() if line]
+    return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def _relative_difference(parent_cells, change_cells):
+    """Largest ``|a - b| / max(|a|, |b|)`` over two columns of cells; equal
+    cells (two NaNs included) count 0, other non-finite pairs inf."""
+    worst = 0.0
+    for a, b in zip(map(float, parent_cells), map(float, change_cells)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return math.inf
+        worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    return worst
+
+
+def trace_differences(parent_data, change_data):
+    """``column (largest relative difference)`` per differing ``trace.csv``
+    column, ``wall_time_s`` left out."""
+    parent, change = _trace_columns(parent_data), _trace_columns(change_data)
+    out = []
+    for name in sorted(set(parent) | set(change)):
+        if name == "wall_time_s" or parent.get(name) == change.get(name):
+            continue
+        if name not in parent or name not in change:
+            out.append(f"{name} (only in the {'change' if name in change else 'parent'})")
+        elif len(parent[name]) != len(change[name]):
+            out.append(f"{name} ({len(parent[name])} rows against {len(change[name])})")
+        else:
+            out.append(f"{name} ({_relative_difference(parent[name], change[name]):.2e})")
+    return out
+
+
+def _leaves(value, name=""):
+    """Dotted key -> JSON text of every value of a JSON object that is not
+    itself a non-empty object."""
+    if isinstance(value, dict) and value:
+        return {key: text for part, item in value.items()
+                for key, text in _leaves(item, f"{name}.{part}" if name else part).items()}
+    return {name: json.dumps(value, sort_keys=True)}
+
+
+def meta_differences(parent_data, change_data):
+    """The ``meta.json`` keys, dotted into nested objects, whose values
+    differ or that one side lacks."""
+    parent, change = _leaves(json.loads(parent_data)), _leaves(json.loads(change_data))
+    return sorted(k for k in set(parent) | set(change) if parent.get(k) != change.get(k))
+
+
+def differences(parent_out, change_out):
+    """What differs between two artefact directories, one string per file
+    (relative paths, sorted); an empty list when all agree."""
     names = set()
     for out in (parent_out, change_out):
         for folder, _, files in os.walk(out):
             names.update(os.path.relpath(os.path.join(folder, f), out) for f in files)
+    out = []
     for name in sorted(names):
-        paths = [os.path.join(out, name) for out in (parent_out, change_out)]
+        paths = [os.path.join(side, name) for side in (parent_out, change_out)]
         if not all(os.path.isfile(p) for p in paths):
-            return name
-        if artefact_bytes(paths[0]) != artefact_bytes(paths[1]):
-            return name
-    return None
+            out.append(f"{name} (only on one side)")
+            continue
+        if artefact_bytes(paths[0]) == artefact_bytes(paths[1]):
+            continue
+        data = []
+        for path in paths:
+            with open(path, "rb") as fh:
+                data.append(fh.read())
+        what = {"trace.csv": trace_differences, "meta.json": meta_differences}.get(name)
+        details = what(*data) if what else []
+        out.append(f"{name}: {', '.join(details)}" if details else name)
+    return out
 
 
 def summarise(pairs):
@@ -135,7 +199,7 @@ def main(argv=None):
         try:
             result = {side: run_rep(sides[side], args.workload, outs[side]) for side in order}
             failed = [f"{side}: {r}" for side, r in result.items() if isinstance(r, str)]
-            differs = None if failed else first_difference(outs["parent"], outs["change"])
+            differs = None if failed else differences(outs["parent"], outs["change"])
         finally:
             for out in outs.values():
                 shutil.rmtree(out, ignore_errors=True)
@@ -143,10 +207,11 @@ def main(argv=None):
             print(f"pair {k + 1} ({order[0]} first) FAILED: " + " | ".join(failed))
             continue
         p, c = result["parent"], result["change"]
-        same_artefacts += differs is None
+        same_artefacts += not differs
         print(f"pair {k + 1} ({order[0]} first): "
               + ", ".join(f"{name} {p[name]:.4g} / {c[name]:.4g}" for name in METRICS)
-              + ("; artefacts identical" if differs is None else f"; artefacts differ: {differs}"))
+              + ("; artefacts differ: " + "; ".join(differs) if differs
+                 else "; artefacts identical"))
         pairs.append((p, c))
     if not pairs:
         print("no pair completed")

@@ -94,13 +94,17 @@ class VolumeSamples:
     (NT, q) or (NT, q, 2). Advection, reaction and the diffusion divergence
     are sampled for linear problems that define them, and a linear problem
     also gets its element matrices ``local`` (NT, 3, 3) and loads ``load``
-    (NT, 3). Passed as an argument, never cached on the mesh (a run that
-    keeps its history keeps every mesh); the adaptive loop carries them
-    through refinement and drops them before the reference build.
+    (NT, 3). A nonlinear problem without a lower-order term gets its source
+    moments ``source_moments`` (NT, 3), ``sum_q w_q f(x_q) lambda_qi``
+    without the area, which every residual on the mesh subtracts. Passed
+    as an argument, never cached on the mesh (a run that keeps its history
+    keeps every mesh); the adaptive loop carries them through refinement
+    and drops them before the reference build.
     """
 
     points: np.ndarray
     source: np.ndarray
+    source_moments: Optional[np.ndarray] = None
     advection: Optional[np.ndarray] = None
     reaction: Optional[np.ndarray] = None
     diffusion_div: Optional[np.ndarray] = None
@@ -159,6 +163,9 @@ def _element_data(mesh, problem, first):
             sample("diffusion", 2, 2), fields,
             mesh.basis_gradients[first:], mesh.areas[first:],
         )
+    elif problem.lower_order is None:
+        fields["source_moments"] = np.einsum(
+            "q,nq,qi->ni", quadrature.TRI_WEIGHTS, fields["source"], quadrature.TRI_BARY)
     return fields
 
 
@@ -303,7 +310,10 @@ def nonlinear_residual(mesh, problem, values, samples=None):
     ties in the marking (see ``notes/decisions.md``). The flux part adds
     the terms ``(w_q F_qa) G_ia`` one at a time, points outer and
     components inner, which is the order of ``einsum("q,nqa,nia->ni")``
-    with the element flux at every point.
+    with the element flux at every point. Without a lower-order term the
+    samples' ``source_moments`` are subtracted; they are the contraction
+    of ``-source`` negated, which is exact, so the bits are those of
+    contracting ``-source`` here.
     """
     if samples is None:
         samples = volume_samples(mesh, problem)
@@ -317,8 +327,10 @@ def nonlinear_residual(mesh, problem, values, samples=None):
         for a in range(2):
             local += (w_q * flux[:, a]) * grads[a]
     local = local.T
-    lower = -samples.source if g_q is None else -samples.source + g_q
-    local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
+    if g_q is None:
+        local -= samples.source_moments
+    else:
+        local += np.einsum("q,nq,qi->ni", w, -samples.source + g_q, quadrature.TRI_BARY)
     local *= mesh.areas[:, None]
     full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
     return full[mesh.interior_vertices]
@@ -356,9 +368,9 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
     return _scatter(mesh, local)
 
 
-def _lu_solve(matrix, rhs, order=None):
-    """Solve ``matrix @ x = rhs`` (CSC) by SuperLU: ``x`` and the column
-    order ``np.argsort(perm_c)`` of the factor.
+def _lu_factor(matrix, order=None):
+    """SuperLU factor of ``matrix`` (CSC): a function ``solve(rhs)`` and the
+    column order ``np.argsort(perm_c)`` of the factor.
 
     Without ``order`` SuperLU orders the columns itself (COLAMD, then the
     postorder of the elimination tree), as ``spsolve`` does. Given the
@@ -366,15 +378,20 @@ def _lu_solve(matrix, rhs, order=None):
     columns are permuted into it and factored with no reordering
     (``NATURAL``). This replays SuperLU's own elimination, with the same
     pivots and the bits of a fresh ordering, and skips the COLAMD pass
-    (``notes/decisions.md``). The factor is freed on return. Raises
-    ``RuntimeError`` when the matrix is exactly singular.
+    (``notes/decisions.md``). The factor lives as long as ``solve``.
+    Raises ``RuntimeError`` when the matrix is exactly singular.
     """
     if order is None:
         lu = spla.splu(matrix)
-        return lu.solve(rhs), np.argsort(lu.perm_c)
-    x = np.empty_like(rhs)
-    x[order] = spla.splu(matrix[:, order], permc_spec="NATURAL").solve(rhs)
-    return x, order
+        return lu.solve, np.argsort(lu.perm_c)
+    lu = spla.splu(matrix[:, order], permc_spec="NATURAL")
+
+    def solve(rhs):
+        x = np.empty_like(rhs)
+        x[order] = lu.solve(rhs)
+        return x
+
+    return solve, order
 
 
 def solve_nonlinear(
@@ -386,6 +403,7 @@ def solve_nonlinear(
     max_fallback=10_000,
     full_output=False,
     samples=None,
+    frozen_factor=False,
 ):
     """Solve the nonlinear Galerkin system to ``|F(U)| <= tol * |F(0)|``.
 
@@ -398,8 +416,17 @@ def solve_nonlinear(
     :func:`volume_samples`, taken here when not given. All Jacobians on
     the mesh share one sparsity pattern, so only the first is ordered by
     SuperLU (COLAMD); the later ones are factored in that column order,
-    which gives the bits of a fresh ordering (:func:`_lu_solve`). Raises
-    :class:`NonlinearSolveError` when the iteration budget is exhausted.
+    which gives the bits of a fresh ordering (:func:`_lu_factor`).
+
+    ``frozen_factor=True`` runs simplified Newton: the LU factor of a
+    Newton step is kept and solves the later steps, each taken at full
+    length. A step that would need damping or does not halve the residual
+    is not taken; the factor is dropped, and a Newton step with a fresh
+    Jacobian at the same iterate follows. The iterates then differ from
+    full Newton's in the last bits: the reference solve uses it, the
+    adaptive loop does not, because its iterates decide ties in the
+    marking (``notes/decisions.md``). Raises :class:`NonlinearSolveError`
+    when the iteration budget is exhausted.
     """
     interior = mesh.interior_vertices
     info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
@@ -428,13 +455,30 @@ def solve_nonlinear(
     info["residuals"].append(res_norm)
 
     order = None
+    kept = None
     while res_norm > target and info["newton_iterations"] < max_newton:
+        if kept is not None:
+            trial = values.copy()
+            trial[interior] -= kept(residual)
+            trial_residual = nonlinear_residual(mesh, problem, trial, samples)
+            trial_norm = float(np.linalg.norm(trial_residual))
+            if trial_norm <= 0.5 * res_norm:
+                values, residual, res_norm = trial, trial_residual, trial_norm
+                info["newton_iterations"] += 1
+                info["residuals"].append(res_norm)
+                best = min(best, res_norm)
+                continue
+            kept = None
         jac = nonlinear_jacobian(mesh, problem, values, samples).tocsc()
         try:
-            delta, order = _lu_solve(jac, residual, order)
+            solve, order = _lu_factor(jac, order)
         except RuntimeError:
             # SuperLU found the Jacobian exactly singular
             break
+        delta = solve(residual)
+        # simplified Newton keeps the factor; full Newton frees it here
+        kept = solve if frozen_factor else None
+        del solve
         accepted = False
         step = 1.0
         while step >= 2.0**-12:
@@ -532,31 +576,45 @@ def _refines(coarse, fine):
 
 
 def transfer(sol, finer):
-    """Exact prolongation of a P1 function to a refining mesh.
+    """Exact prolongation of a P1 function to a refining mesh: the
+    one-solution case of :func:`transfer_many`."""
+    return transfer_many([sol], finer)[0]
+
+
+def transfer_many(solutions, finer):
+    """Exact prolongation of P1 functions, each on a mesh that ``finer``
+    refines, to ``finer``; one :class:`DiscreteSolution` per solution.
 
     New vertices are edge midpoints; their value is the average of the
-    edge endpoints, which reproduces the function pointwise.
+    edge endpoints, which reproduces each function pointwise. All
+    solutions share one NaN-filled buffer over the forest's vertices, one
+    column each. It is resolved one midpoint generation per pass: a pass
+    takes the vertices whose endpoints have values in every column and
+    fills the columns whose solution's mesh lacks them, so every value has
+    the bits of a prolongation of its solution alone.
     """
-    coarse = sol.mesh
-    if coarse.same_elements(finer):
-        return DiscreteSolution(finer, sol.values.copy())
-    if not _refines(coarse, finer):
+    if not all(_refines(sol.mesh, finer) for sol in solutions):
         raise ValueError("target mesh is not a refinement of the solution's mesh")
+    if not all(np.isfinite(sol.values).all() for sol in solutions):
+        raise ValueError("cannot prolong a solution with non-finite values")
     forest = finer.forest
-    buf = np.full(forest.n_vertices, np.nan)
-    buf[coarse.vertex_gids] = sol.values
+    buf = np.full((forest.n_vertices, len(solutions)), np.nan)
+    for k, sol in enumerate(solutions):
+        buf[sol.mesh.vertex_gids, k] = sol.values
 
     fine_gids = finer.vertex_gids
-    idx = np.searchsorted(coarse.vertex_gids, fine_gids)
-    idx_clip = np.minimum(idx, coarse.vertex_gids.size - 1)
-    known = (idx < coarse.vertex_gids.size) & (coarse.vertex_gids[idx_clip] == fine_gids)
-    pending = fine_gids[~known]
+    done = ~np.isnan(buf).any(axis=1)
+    pending = fine_gids[~done[fine_gids]]
     while pending.size:
         parents = forest.vparent[pending]
-        ready = ~np.isnan(buf[parents[:, 0]]) & ~np.isnan(buf[parents[:, 1]])
+        ready = done[parents[:, 0]] & done[parents[:, 1]]
         if not ready.any():
             raise RuntimeError("prolongation could not resolve midpoint ancestry")
-        sel = pending[ready]
-        buf[sel] = 0.5 * (buf[parents[ready, 0]] + buf[parents[ready, 1]])
+        sel, parents = pending[ready], parents[ready]
+        known = buf[sel]
+        buf[sel] = np.where(
+            np.isnan(known), 0.5 * (buf[parents[:, 0]] + buf[parents[:, 1]]), known)
+        done[sel] = True
         pending = pending[~ready]
-    return DiscreteSolution(finer, buf[fine_gids])
+    values = buf[fine_gids].T.copy()
+    return [DiscreteSolution(finer, row) for row in values]

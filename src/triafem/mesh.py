@@ -605,9 +605,11 @@ def audit_refinement(old_mesh, new_mesh, record):
 
     Verifies conformity of the result, the two-sons inequality
     ``#refined <= #new - #old``, that every new leaf lies in an old leaf,
-    exact area halving at every node below the old leaves, and generation
-    increments of one per bisection. One :meth:`MeshForest.covered` pass
-    down from the old leaves finds those nodes.
+    exact area halving at every node below the old leaves down to the new
+    leaves, and generation increments of one per bisection. One
+    :meth:`MeshForest.covered` pass down from the old leaves finds those
+    nodes, and a second one from the sons of the new leaves drops the
+    nodes below them, which other meshes of a shared forest refined.
     """
     new_mesh.validate()
     if len(record.refined) > record.nt_after - record.nt_before:
@@ -619,6 +621,8 @@ def audit_refinement(old_mesh, new_mesh, record):
     if not np.all(below[new_mesh.node_ids]):
         raise MeshError("new mesh does not refine the old mesh")
     below[old_mesh.node_ids] = False
+    sons = forest.sons[new_mesh.node_ids].ravel()
+    below &= ~forest.covered(np.arange(forest.n_nodes), sons[sons >= 0])
     nodes = np.flatnonzero(below)
     parents = forest.parent[nodes]
     a_parent = forest.node_area(parents)

@@ -208,6 +208,22 @@ def write_mesh_per_line(mesh, path):
 
 # -- the triangle geometry as first written, one loop or formula per use ------
 
+def prolong_per_vertex(sol, finer):
+    """Nodal values of ``sol`` prolonged to ``finer``, vertex by vertex: a
+    vertex of the solution's mesh keeps its value, a new one gets
+    ``0.5 * (a + b)`` of its edge endpoints' values."""
+    forest = finer.forest
+    values = dict(zip(sol.mesh.vertex_gids.tolist(), sol.values.tolist()))
+
+    def value(gid):
+        if gid not in values:
+            a, b = forest.vparent[gid].tolist()
+            values[gid] = 0.5 * (value(a) + value(b))
+        return values[gid]
+
+    return np.array([value(gid) for gid in finer.vertex_gids.tolist()])
+
+
 def off_grid(mesh):
     """The mesh on a copy of its forest whose vertices are moved by an
     affine map off the dyadic grid: refinement of the built-in meshes keeps

@@ -30,7 +30,7 @@ from triafem.assembly import (
     DiscreteSolution,
     NonlinearSolveError,
     SolverError,
-    _lu_solve,
+    _lu_factor,
     _scatter,
     assemble_linear,
     element_gradients,
@@ -43,6 +43,7 @@ from triafem.assembly import (
     solve_linear,
     solve_nonlinear,
     transfer,
+    transfer_many,
     volume_samples,
 )
 from triafem.estimator import estimate
@@ -349,6 +350,14 @@ def test_transfer_zero_and_composition():
     assert np.array_equal(direct.values, stepped.values)
 
 
+def test_transfer_rejects_non_finite_values():
+    mesh = unit_square_mesh(cross=True)
+    values = np.zeros(mesh.n_vertices)
+    values[mesh.interior_vertices] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        transfer(DiscreteSolution(mesh, values), uniform_refine(mesh, 1))
+
+
 def test_transfer_rejects_non_refinement():
     base = unit_square_mesh(cross=True)
     m1, _ = refine_nvb(base, {0})
@@ -398,6 +407,27 @@ def test_transfer_composes_over_random_refinements(seeds):
 
 @settings(max_examples=20)
 @given(seeds=SEEDS)
+def test_transfer_many_gives_each_solution_the_bits_of_its_own_pass(seeds):
+    # the iterates of a run, on a chain of meshes, prolonged in one pass;
+    # each column must hold what a vertex-by-vertex prolongation of its
+    # solution alone gives, bit for bit
+    mesh_rng, fine_rng, value_rng = (np.random.default_rng(s) for s in seeds)
+    meshes = [random_refinement(mesh_rng, lshape_mesh())]
+    for _ in range(3):
+        meshes.append(random_refinement(fine_rng, meshes[-1]))
+    fine = uniform_refine(meshes[-1], 1)
+    solutions = [random_p1(value_rng, m) for m in meshes] + [random_p1(value_rng, fine)]
+    moved = transfer_many(solutions, fine)
+    assert len(moved) == len(solutions)
+    for sol, got in zip(solutions, moved):
+        assert got.mesh is fine
+        expected = helpers_mesh.prolong_per_vertex(sol, fine)
+        assert np.array_equal(got.values, expected)
+        assert np.array_equal(transfer(sol, fine).values, expected)
+
+
+@settings(max_examples=20)
+@given(seeds=SEEDS)
 def test_transfer_rejects_random_siblings_that_are_not_nested(seeds):
     base_rng, sibling_rng, value_rng = (np.random.default_rng(s) for s in seeds)
     base = random_refinement(base_rng, unit_square_mesh(cross=True))
@@ -407,6 +437,11 @@ def test_transfer_rejects_random_siblings_that_are_not_nested(seeds):
     assume(nested < m2.n_elements)
     with pytest.raises(ValueError, match="refinement"):
         transfer(random_p1(value_rng, m1), m2)
+    # one solution that is not nested spoils the whole pass
+    nested_sol = random_p1(value_rng, base)
+    with pytest.raises(ValueError, match="refinement"):
+        transfer_many([nested_sol, random_p1(value_rng, m1)], m2)
+    assert len(transfer_many([nested_sol], m2)) == 1
 
 
 def test_galerkin_orthogonality_against_reference():
@@ -570,7 +605,11 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
     mesh = make_mesh()
     w_values = _random_p1(mesh, 3)
 
-    assert np.array_equal(nonlinear_residual(mesh, problem, w_values),
+    # without a lower-order term the residual subtracts the samples' source
+    # moments; with one it contracts the source with that term
+    samples = volume_samples(mesh, problem)
+    assert (samples.source_moments is None) == (problem.lower_order is not None)
+    assert np.array_equal(nonlinear_residual(mesh, problem, w_values, samples),
                           residual_per_point(mesh, problem, w_values))
     jac = nonlinear_jacobian(mesh, problem, w_values)
     oracle = _scatter(mesh, contracted_jacobian_per_point(mesh, problem, w_values))
@@ -604,7 +643,6 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
         assert energy_products(mesh, problem, w_sol, v_sol) == expected
         assert energy_products(mesh, problem, w_sol, v_sol, w_terms=w_terms) == expected
 
-    samples = volume_samples(mesh, problem)
     report = estimate(mesh, w_sol, problem, samples)
     indicators_sq, osc_sq = nonlinear_estimate_at_centroids(mesh, problem, w_values, samples)
     assert np.array_equal(report.indicators_sq, indicators_sq)
@@ -634,17 +672,17 @@ def test_replayed_factor_solves_with_the_bits_of_spsolve(name, dyadic, seeds):
     first = random_p1(first_rng, mesh).values
     jac = nonlinear_jacobian(mesh, problem, first).tocsc()
     rhs = nonlinear_residual(mesh, problem, first)
-    delta, order = _lu_solve(jac, rhs)
-    assert np.array_equal(delta, spla.spsolve(jac, rhs))
+    solve, order = _lu_factor(jac)
+    assert np.array_equal(solve(rhs), spla.spsolve(jac, rhs))
 
     later = random_p1(later_rng, mesh).values
     jac = nonlinear_jacobian(mesh, problem, later).tocsc()
     rhs = nonlinear_residual(mesh, problem, later)
     replay = spla.splu(jac[:, order], permc_spec="NATURAL")
     assert np.array_equal(replay.perm_c, np.arange(rhs.size))
-    delta, again = _lu_solve(jac, rhs, order)
+    solve, again = _lu_factor(jac, order)
     assert again is order
-    assert np.array_equal(delta, spla.spsolve(jac, rhs))
+    assert np.array_equal(solve(rhs), spla.spsolve(jac, rhs))
 
 
 def test_newton_orders_the_columns_once_per_mesh(monkeypatch):
@@ -669,6 +707,67 @@ def test_newton_orders_the_columns_once_per_mesh(monkeypatch):
     assert all(mesh_calls[:1] == [None] for mesh_calls in calls)
     assert all(spec == "NATURAL" for mesh_calls in calls for spec in mesh_calls[1:])
     assert sum(len(mesh_calls) - 1 for mesh_calls in calls) > 0
+
+
+@pytest.fixture(scope="module")
+def reference_setting():
+    # the reference solve of a short magnetostatics run: its mesh and guess
+    problem = builtin_problem("magnetostatics_nl")
+    result = driver.run_afem(problem, 0.5, max_elements=300, keep_history=False)
+    mesh = uniform_refine(result.final_mesh, driver.REFERENCE_LEVELS)
+    return problem, mesh, transfer(result.final_solution, mesh)
+
+
+def _factor_specs(monkeypatch):
+    """The ``permc_spec`` of every SuperLU factor made from here on."""
+    specs = []
+    splu = spla.splu
+
+    def counted_splu(matrix, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    return specs
+
+
+def _meets_the_contract(mesh, problem, sol):
+    zero = nonlinear_residual(mesh, problem, np.zeros(mesh.n_vertices))
+    residual = nonlinear_residual(mesh, problem, sol.values)
+    return np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(zero)
+
+
+def test_frozen_factor_reference_solve_meets_the_contract(monkeypatch, reference_setting):
+    problem, mesh, guess = reference_setting
+    newton = solve_nonlinear(mesh, problem, guess)
+    specs = _factor_specs(monkeypatch)
+    frozen, info = solve_nonlinear(mesh, problem, guess, full_output=True, frozen_factor=True)
+    assert specs == [None]
+    assert info["fallback_iterations"] == 0 and info["newton_iterations"] > 1
+    assert _meets_the_contract(mesh, problem, frozen)
+    scale = np.abs(newton.values).max()
+    assert np.abs(frozen.values - newton.values).max() <= 1e-12 * scale
+
+
+def test_poor_first_factor_is_replaced(monkeypatch, reference_setting):
+    # a first Jacobian four times too large gives steps a quarter of
+    # Newton's, which do not halve the residual: its factor must go after
+    # the first step
+    problem, mesh, guess = reference_setting
+    calls = []
+
+    def poor_first(y):
+        calls.append(y.shape)
+        jac = problem.flux_jacobian(y)
+        return 4.0 * jac if len(calls) == 1 else jac
+
+    poor = dataclasses.replace(problem, flux_jacobian=poor_first)
+    specs = _factor_specs(monkeypatch)
+    sol, info = solve_nonlinear(mesh, poor, guess, full_output=True, frozen_factor=True)
+    assert len(calls) == len(specs) >= 2
+    assert specs[0] is None and all(spec == "NATURAL" for spec in specs[1:])
+    assert info["fallback_iterations"] == 0
+    assert _meets_the_contract(mesh, problem, sol)
 
 
 def _galerkin(mesh, problem, values):
@@ -754,6 +853,7 @@ def test_carried_samples_equal_fresh_ones(name, seeds, all_marked_step):
             else:
                 assert np.array_equal(carried, expected), field.name
         assert (samples.local is None) == (name == "magnetostatics_nl")
+        assert (samples.source_moments is None) == (name != "magnetostatics_nl")
         mesh = refined
 
 

@@ -19,7 +19,7 @@ from triafem.driver import (
     run_uniform,
 )
 from triafem import driver
-from triafem.assembly import solve_nonlinear, transfer
+from triafem.assembly import solve_nonlinear, transfer, transfer_many
 from triafem.mesh import MeshError, load_initial_mesh, shape_regularity, uniform_refine
 from triafem.problems import LinearProblem, builtin_problem
 
@@ -377,16 +377,22 @@ def test_binned_marking_run_completes():
 
 def test_one_transfer_per_iteration(monkeypatch):
     # per refinement step one transfer serves as Newton guess and increment;
-    # the reference adds one for its guess and one per iterate
-    calls = []
+    # the reference adds one for its guess and one pass for all iterates
+    calls, passes = [], []
 
     def counting_transfer(sol, finer):
         calls.append(finer.n_elements)
         return transfer(sol, finer)
 
+    def counting_transfer_many(solutions, finer):
+        passes.append(len(solutions))
+        return transfer_many(solutions, finer)
+
     monkeypatch.setattr(driver, "transfer", counting_transfer)
+    monkeypatch.setattr(driver, "transfer_many", counting_transfer_many)
     result = run_afem(builtin_problem("magnetostatics_nl"), 0.5, max_elements=2000,
                       compute_reference=True)
     n = len(result.trace)
     assert n == 19
-    assert len(calls) == (n - 1) + 1 + n == 38
+    assert len(calls) == (n - 1) + 1 == 19
+    assert passes == [n]

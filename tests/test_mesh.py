@@ -466,6 +466,37 @@ def test_audit_checks_the_nodes_between_old_and_new_leaves():
         audit_refinement(mesh, refined, record)
 
 
+def test_audit_on_a_shared_forest_examines_only_the_nodes_between_old_and_new_leaves(
+        monkeypatch):
+    # a first branch bisects every element twice; a second refinement of
+    # the same mesh then has forest nodes below its new leaves, which the
+    # audit must leave alone
+    mesh = uniform_refine(unit_square_mesh(cross=True), 1)
+    uniform_refine(mesh, 2)
+    refined, record = refine_nvb(mesh, {0, 5})
+    forest = refined.forest
+    old = set(mesh.node_ids.tolist())
+    between = set()
+    for node in refined.node_ids.tolist():
+        while node not in old:
+            between.add(node)
+            node = int(forest.parent[node])
+    assert between and (forest.sons[refined.node_ids] >= 0).any()
+
+    examined = []
+    node_area = forest.node_area
+
+    def spy(nids):
+        examined.append(np.asarray(nids).copy())
+        return node_area(nids)
+
+    monkeypatch.setattr(forest, "node_area", spy)
+    audit_refinement(mesh, refined, record)
+    parents, nodes = examined
+    assert sorted(nodes.tolist()) == sorted(between)
+    assert np.array_equal(parents, forest.parent[nodes])
+
+
 def test_audit_rejects_a_coarser_mesh():
     mesh = uniform_refine(unit_square_mesh(cross=True), 2)
     refined, record = refine_nvb(mesh, {0, 5})

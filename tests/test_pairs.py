@@ -1,0 +1,65 @@
+"""The artefact comparison of ``scripts/pairs.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pairs.py"
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACE = ("ell,eta_sq,err_energy_sq,wall_time_s\n"
+         "0,0.5,{err0},0.1\n"
+         "1,0.25,{err1},{wall}\n")
+
+
+def _artefacts(folder, err0, err1, meta, wall="0.2"):
+    folder.mkdir()
+    (folder / "trace.csv").write_text(TRACE.format(err0=err0, err1=err1, wall=wall))
+    (folder / "meta.json").write_text(json.dumps(meta))
+    (folder / "report.txt").write_text("rate: pass\n")
+    return str(folder)
+
+
+def test_identical_artefacts_have_no_differences(pairs, tmp_path):
+    meta = {"theta": 0.5, "noise_floor_err_sq": float("nan")}
+    parent = _artefacts(tmp_path / "parent", "nan", "1.0", meta)
+    change = _artefacts(tmp_path / "change", "nan", "1.0", meta, wall="0.3")
+    assert pairs.differences(parent, change) == []
+
+
+def test_differences_name_the_columns_and_keys(pairs, tmp_path):
+    parent = _artefacts(tmp_path / "parent", "2.0", "4.0",
+                        {"theta": 0.5, "trace_meta": {"noise_floor_err_sq": 1.0, "n": 2},
+                         "gamma_max": 3.0})
+    change = _artefacts(tmp_path / "change", "2.0", "4.000000000004",
+                        {"theta": 0.5, "trace_meta": {"noise_floor_err_sq": 1.5, "n": 2},
+                         "closure_constant": 1})
+    (tmp_path / "change" / "report.txt").write_text("rate: fail\n")
+    (tmp_path / "change" / "extra.csv").write_text("x\n")
+    assert pairs.differences(parent, change) == [
+        "extra.csv (only on one side)",
+        "meta.json: closure_constant, gamma_max, trace_meta.noise_floor_err_sq",
+        "report.txt",
+        "trace.csv: err_energy_sq (1.00e-12)",
+    ]
+
+
+def test_trace_differences_of_shapes_and_non_finite_cells(pairs):
+    parent = b"ell,a,b,wall_time_s\n0,1.0,nan,0.1\n"
+    assert pairs.trace_differences(parent, b"ell,a,b,wall_time_s\n0,1.0,2.0,0.1\n") == [
+        "b (inf)"]
+    assert pairs.trace_differences(parent, b"ell,a,wall_time_s\n0,1.0,0.1\n") == [
+        "b (only in the parent)"]
+    assert pairs.trace_differences(
+        parent, b"ell,a,b,wall_time_s\n0,1.0,nan,0.1\n1,1.0,nan,0.1\n") == [
+        "a (1 rows against 2)", "b (1 rows against 2)", "ell (1 rows against 2)"]
