@@ -21,7 +21,9 @@ are compared byte for byte, ``trace.csv`` without its ``wall_time_s``
 column, and the summary counts the pairs whose artefacts agree. Where they
 differ, the pair's line says what differs: each ``trace.csv`` column that
 differs with its largest relative difference, the ``meta.json`` keys whose
-values differ, and the name of every other file that differs.
+values differ, for a ``.mesh`` file the vertex and triangle counts of each
+side and the number of vertices on one side only, and the name of every
+other file that differs.
 """
 
 from __future__ import annotations
@@ -135,6 +137,24 @@ def meta_differences(parent_data, change_data):
     return sorted(k for k in set(parent) | set(change) if parent.get(k) != change.get(k))
 
 
+def _mesh_counts(data):
+    """Vertex count, triangle count and the set of vertex lines of a mesh
+    file (header ``NV NT``, then one line per vertex)."""
+    lines = data.decode().splitlines()
+    nv, nt = (int(v) for v in lines[0].split())
+    return nv, nt, set(lines[1:1 + nv])
+
+
+def mesh_differences(parent_data, change_data):
+    """Each side's vertex and triangle counts and the number of vertices,
+    compared by their written coordinates, on one side only."""
+    (pv, pt, parent), (cv, ct, change) = _mesh_counts(parent_data), _mesh_counts(change_data)
+    return [f"parent {pv} vertices and {pt} triangles",
+            f"change {cv} vertices and {ct} triangles",
+            f"{len(parent - change)} vertices only in the parent"
+            f" and {len(change - parent)} only in the change"]
+
+
 def differences(parent_out, change_out):
     """What differs between two artefact directories, one string per file
     (relative paths, sorted); an empty list when all agree."""
@@ -154,7 +174,8 @@ def differences(parent_out, change_out):
         for path in paths:
             with open(path, "rb") as fh:
                 data.append(fh.read())
-        what = {"trace.csv": trace_differences, "meta.json": meta_differences}.get(name)
+        what = mesh_differences if name.endswith(".mesh") else {
+            "trace.csv": trace_differences, "meta.json": meta_differences}.get(name)
         details = what(*data) if what else []
         out.append(f"{name}: {', '.join(details)}" if details else name)
     return out

@@ -96,14 +96,15 @@ class VolumeSamples:
     also gets its element matrices ``local`` (NT, 3, 3) and loads ``load``
     (NT, 3). A nonlinear problem without a lower-order term gets its source
     moments ``source_moments`` (NT, 3), ``sum_q w_q f(x_q) lambda_qi``
-    without the area, which every residual on the mesh subtracts. Passed
-    as an argument, never cached on the mesh (a run that keeps its history
-    keeps every mesh); the adaptive loop carries them through refinement
-    and drops them before the reference build.
+    without the area, which every residual on the mesh subtracts, and no
+    ``points``, which no kernel reads then. Passed as an argument, never
+    cached on the mesh (a run that keeps its history keeps every mesh); the
+    adaptive loop carries them through refinement and drops them before the
+    reference build.
     """
 
-    points: np.ndarray
     source: np.ndarray
+    points: Optional[np.ndarray] = None
     source_moments: Optional[np.ndarray] = None
     advection: Optional[np.ndarray] = None
     reaction: Optional[np.ndarray] = None
@@ -139,12 +140,14 @@ def volume_samples(mesh, problem, carry=None):
 
 def _volume_samples(fields):
     """:class:`VolumeSamples` of :func:`_element_data` fields."""
-    return VolumeSamples(**{**fields, "points": fields["points"].reshape(-1, 2)})
+    if "points" in fields:
+        fields = {**fields, "points": fields["points"].reshape(-1, 2)}
+    return VolumeSamples(**fields)
 
 
 def _element_data(mesh, problem, first):
     """The fields of :class:`VolumeSamples` on the elements ``first:`` of
-    ``mesh``, with the points per element, (n, q, 2)."""
+    ``mesh``, with the points, where kept, per element, (n, q, 2)."""
     points = mesh.quadrature_points(slice(first, None))
     shape = points.shape[:2]
     flat = points.reshape(-1, 2)
@@ -164,6 +167,7 @@ def _element_data(mesh, problem, first):
             mesh.basis_gradients[first:], mesh.areas[first:],
         )
     elif problem.lower_order is None:
+        del fields["points"]
         fields["source_moments"] = np.einsum(
             "q,nq,qi->ni", quadrature.TRI_WEIGHTS, fields["source"], quadrature.TRI_BARY)
     return fields
@@ -271,8 +275,14 @@ def solve_linear(system):
     """Solve the assembled system by sparse LU (SuperLU) to a relative
     residual of 1e-10.
 
+    The unknowns are presorted by the coordinates of their vertices (x,
+    then y), and SuperLU factors that symmetric permutation in a minimum
+    degree order of ``A + A^T`` in symmetric mode, preferring the diagonal
+    pivot. The presort removes the cost that minimum degree has on the
+    vertex numbering of newest-vertex bisection (``notes/decisions.md``).
+
     Raises :class:`SolverError` with the achieved residual when the
-    contract is missed, as for a singular matrix.
+    contract is missed, and when SuperLU finds the matrix exactly singular.
     """
     mesh = system.mesh
     n = system.rhs.shape[0]
@@ -282,7 +292,18 @@ def solve_linear(system):
     if rhs_norm == 0.0:
         return DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
 
-    x = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    x_coord, y_coord = mesh.vertices[system.interior].T
+    order = np.lexsort((y_coord, x_coord))
+    try:
+        lu = spla.splu(system.matrix[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        # SuperLU found the matrix exactly singular
+        raise SolverError(
+            f"linear solve missed the residual contract: {exc}", achieved=float("nan"),
+        ) from exc
+    x = np.empty(n)
+    x[order] = lu.solve(system.rhs[order])
     achieved = float(np.linalg.norm(system.rhs - system.matrix @ x)) / rhs_norm
     if not np.isfinite(achieved) or achieved > 1e-10:
         raise SolverError(
@@ -570,9 +591,25 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
 
 def _refines(coarse, fine):
     """True when every leaf of ``fine`` lies in (or is) a leaf of ``coarse``."""
-    return coarse.forest is fine.forest and bool(
-        fine.forest.covered(fine.node_ids, coarse.node_ids).all()
-    )
+    return _refine_all([coarse], fine)
+
+
+def _refine_all(meshes, fine):
+    """True when ``fine`` refines every mesh of ``meshes``.
+
+    All are meshes of one forest, so ``fine`` refines a mesh when every
+    leaf of that mesh is a leaf of ``fine`` or an ancestor of one. One walk
+    up from the leaves of ``fine`` marks those; it stops at the leaves that
+    all ``meshes`` share, since no ancestor of such a leaf is a leaf of any
+    of them.
+    """
+    forest = fine.forest
+    if any(mesh.forest is not forest for mesh in meshes):
+        return False
+    shared = np.bincount(np.concatenate([mesh.node_ids for mesh in meshes]),
+                         minlength=forest.n_nodes) == len(meshes)
+    above = forest.ancestors(fine.node_ids, stop=shared)
+    return all(above[mesh.node_ids].all() for mesh in meshes)
 
 
 def transfer(sol, finer):
@@ -593,7 +630,7 @@ def transfer_many(solutions, finer):
     fills the columns whose solution's mesh lacks them, so every value has
     the bits of a prolongation of its solution alone.
     """
-    if not all(_refines(sol.mesh, finer) for sol in solutions):
+    if not _refine_all([sol.mesh for sol in solutions], finer):
         raise ValueError("target mesh is not a refinement of the solution's mesh")
     if not all(np.isfinite(sol.values).all() for sol in solutions):
         raise ValueError("cannot prolong a solution with non-finite values")

@@ -18,8 +18,10 @@ generations, boundary flags) can be checked for every node ever created.
 Refinement, audit and ancestry queries are array operations over the
 forest, with no Python loop over elements, nodes or edges: the closure runs
 as a frontier loop over edge marks, all sons and midpoints of one refinement
-are created in bulk, and :meth:`MeshForest.covered` is the one ancestry
-primitive, which the audit, overlays and the nesting check of transfer read.
+are created in bulk, and two ancestry passes serve the rest:
+:meth:`MeshForest.covered` walks down from a set of nodes for the audit
+and overlays, :meth:`MeshForest.ancestors` walks up from one for the
+nesting check of transfer.
 Bulk creation keeps the order of the per-element bisection it replaced, so
 node ids, vertex ids and element order are those of that scalar code.
 """
@@ -149,6 +151,33 @@ class MeshForest:
             front = np.take(self.sons, front, axis=0).ravel()
             front = front[front >= 0]
         return inside[np.asarray(nids, dtype=np.int64)]
+
+    def ancestors(self, leaves, stop=None):
+        """Per node of the forest: is it in ``leaves`` (distinct node ids)
+        or an ancestor of one of them?
+
+        Marks ``leaves``, then walks up through ``parent`` one pass per
+        generation. A walk stops at a marked node, and of two sons in one
+        front only the first son's walk goes on, so no node is visited
+        twice. A walk also stops at the nodes that the mask ``stop`` sets;
+        the marks of their ancestors are then undefined, so a caller that
+        reads none of them saves the walk above.
+        """
+        marked = np.zeros(self.n_nodes, dtype=bool)
+        front = np.asarray(leaves, dtype=np.int64)
+        while front.size:
+            marked[front] = True
+            if stop is not None:
+                front = front[~stop[front]]
+            up = self.parent[front]
+            keep = up >= 0
+            keep[keep] = ~marked[up[keep]]
+            front, up = front[keep], up[keep]
+            first = self.sons[up, 0]
+            # a first son marked in an earlier pass has marked its parent
+            # already, or is a stop node
+            front = up[(first == front) | ~marked[first]]
+        return marked
 
     # -- mutation (refinement only) ---------------------------------------
 

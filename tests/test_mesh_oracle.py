@@ -132,6 +132,41 @@ def test_covered_matches_scalar_oracle(data, name, steps):
         assert nids[forest.covered(nids, leaves)].tolist() == expected
 
 
+@settings(max_examples=50)
+@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 6))
+def test_ancestors_match_a_walk_up_the_parents(data, name, steps):
+    # the leaves of meshes on several branches of one forest, and a random
+    # node set that may hold a node together with its ancestors
+    meshes = [INITIAL_MESHES[name]()]
+    for _ in range(steps):
+        base = meshes[data.draw(st.integers(0, len(meshes) - 1), label="base")]
+        meshes.append(refine_nvb(base, draw_marking(data, base))[0])
+    forest = meshes[0].forest
+    random_set = data.draw(st.lists(st.integers(0, forest.n_nodes - 1), max_size=20, unique=True),
+                           label="node set")
+
+    def walk_up(nids):
+        seen = set()
+        for nid in nids:
+            while nid >= 0 and nid not in seen:
+                seen.add(nid)
+                nid = int(forest.parent[nid])
+        return seen
+
+    # a walk stops at the leaves of a mesh; only the marks of their strict
+    # ancestors may then differ
+    stop_mesh = meshes[data.draw(st.integers(0, len(meshes) - 1), label="stop")]
+    stop = np.zeros(forest.n_nodes, dtype=bool)
+    stop[stop_mesh.node_ids] = True
+    defined = np.ones(forest.n_nodes, dtype=bool)
+    defined[list(walk_up(forest.parent[stop_mesh.node_ids].tolist()))] = False
+    for leaves in [m.node_ids for m in meshes] + [np.array(random_set, dtype=np.int64)]:
+        expected = np.zeros(forest.n_nodes, dtype=bool)
+        expected[list(walk_up(leaves.tolist()))] = True
+        assert np.array_equal(forest.ancestors(leaves), expected)
+        assert np.array_equal(forest.ancestors(leaves, stop)[defined], expected[defined])
+
+
 def skewed_lshape():
     """The L-shape moved off the dyadic grid by an affine map, so that its
     refinements round in the geometry's arithmetic."""
