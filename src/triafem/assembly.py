@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .mesh import Mesh
+from .mesh import Mesh, refines
 from .problems import LinearProblem
 
 # w_q lambda_qi and w_q lambda_qi lambda_qj of the volume rule: the load and
@@ -589,29 +589,6 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
     return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
 
 
-def _refines(coarse, fine):
-    """True when every leaf of ``fine`` lies in (or is) a leaf of ``coarse``."""
-    return _refine_all([coarse], fine)
-
-
-def _refine_all(meshes, fine):
-    """True when ``fine`` refines every mesh of ``meshes``.
-
-    All are meshes of one forest, so ``fine`` refines a mesh when every
-    leaf of that mesh is a leaf of ``fine`` or an ancestor of one. One walk
-    up from the leaves of ``fine`` marks those; it stops at the leaves that
-    all ``meshes`` share, since no ancestor of such a leaf is a leaf of any
-    of them.
-    """
-    forest = fine.forest
-    if any(mesh.forest is not forest for mesh in meshes):
-        return False
-    shared = np.bincount(np.concatenate([mesh.node_ids for mesh in meshes]),
-                         minlength=forest.n_nodes) == len(meshes)
-    above = forest.ancestors(fine.node_ids, stop=shared)
-    return all(above[mesh.node_ids].all() for mesh in meshes)
-
-
 def transfer(sol, finer):
     """Exact prolongation of a P1 function to a refining mesh: the
     one-solution case of :func:`transfer_many`."""
@@ -630,7 +607,7 @@ def transfer_many(solutions, finer):
     fills the columns whose solution's mesh lacks them, so every value has
     the bits of a prolongation of its solution alone.
     """
-    if not _refine_all([sol.mesh for sol in solutions], finer):
+    if refines(finer, [sol.mesh for sol in solutions]) is None:
         raise ValueError("target mesh is not a refinement of the solution's mesh")
     if not all(np.isfinite(sol.values).all() for sol in solutions):
         raise ValueError("cannot prolong a solution with non-finite values")

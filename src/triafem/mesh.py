@@ -18,10 +18,10 @@ generations, boundary flags) can be checked for every node ever created.
 Refinement, audit and ancestry queries are array operations over the
 forest, with no Python loop over elements, nodes or edges: the closure runs
 as a frontier loop over edge marks, all sons and midpoints of one refinement
-are created in bulk, and two ancestry passes serve the rest:
-:meth:`MeshForest.covered` walks down from a set of nodes for the audit
-and overlays, :meth:`MeshForest.ancestors` walks up from one for the
-nesting check of transfer.
+are created in bulk, and one ancestry walk serves the rest:
+:meth:`MeshForest.ancestors` walks up through ``parent``, for overlays and
+for :func:`refines`, the one nesting decision that the audit and transfer
+share.
 Bulk creation keeps the order of the per-element bisection it replaced, so
 node ids, vertex ids and element order are those of that scalar code.
 """
@@ -137,20 +137,6 @@ class MeshForest:
 
     def node_area(self, nids):
         return 0.5 * np.abs(_corner_geometry(self.coords, self.tri[nids])[0])
-
-    def covered(self, nids, leaves):
-        """Per node of ``nids``: is it, or one of its ancestors, in ``leaves``?
-
-        Marks ``leaves`` and all their descendants, one generation per pass
-        down through ``sons``, then reads the marks of ``nids``.
-        """
-        inside = np.zeros(self.n_nodes, dtype=bool)
-        front = np.asarray(leaves, dtype=np.int64)
-        while front.size:
-            inside[front] = True
-            front = np.take(self.sons, front, axis=0).ravel()
-            front = front[front >= 0]
-        return inside[np.asarray(nids, dtype=np.int64)]
 
     def ancestors(self, leaves, stop=None):
         """Per node of the forest: is it in ``leaves`` (distinct node ids)
@@ -590,19 +576,45 @@ def uniform_refine(mesh, times=1):
     return mesh
 
 
+def refines(fine, meshes):
+    """The marks of one :meth:`MeshForest.ancestors` walk up from the
+    leaves of ``fine`` when ``fine`` refines every mesh of ``meshes``;
+    ``None`` otherwise, also when a mesh belongs to another forest.
+
+    ``fine`` refines a mesh when every leaf of that mesh is a leaf of
+    ``fine`` or an ancestor of one. The walk stops at the leaves that all
+    ``meshes`` share, since no ancestor of such a leaf is a leaf of any of
+    them. For one mesh it then marks exactly the nodes from its leaves down
+    to the leaves of ``fine``.
+    """
+    forest = fine.forest
+    if any(mesh.forest is not forest for mesh in meshes):
+        return None
+    shared = np.bincount(np.concatenate([mesh.node_ids for mesh in meshes]),
+                         minlength=forest.n_nodes) == len(meshes)
+    marks = forest.ancestors(fine.node_ids, stop=shared)
+    if all(marks[mesh.node_ids].all() for mesh in meshes):
+        return marks
+    return None
+
+
 def overlay(m1, m2):
     """Coarsest common refinement of two meshes from the same initial mesh.
 
     Computed on the genealogy: per region the deeper of the two leaves
-    wins. The result refines both inputs and satisfies
+    wins, so a leaf stays unless it is a strict ancestor of a leaf of the
+    other mesh; one walk up from the parents of both leaf sets marks those.
+    The result refines both inputs and satisfies
     ``#(m1 + m2) <= #m1 + #m2 - #initial``.
     """
     if m1.forest is not m2.forest:
         raise MeshError("genealogy mismatch: meshes do not share an initial triangulation")
     forest = m1.forest
-    from_m1 = m1.node_ids[forest.covered(m1.node_ids, m2.node_ids)]
-    from_m2 = m2.node_ids[forest.covered(m2.node_ids, m1.node_ids)]
-    from_m2 = from_m2[~np.isin(from_m2, m1.node_ids)]
+    up = forest.parent[np.concatenate([m1.node_ids, m2.node_ids])]
+    skip = forest.ancestors(np.unique(up[up >= 0]))
+    from_m1 = m1.node_ids[~skip[m1.node_ids]]
+    skip[m1.node_ids] = True  # a leaf of both meshes is taken once
+    from_m2 = m2.node_ids[~skip[m2.node_ids]]
     return Mesh(forest, np.concatenate([from_m1, from_m2]))
 
 
@@ -635,10 +647,10 @@ def audit_refinement(old_mesh, new_mesh, record):
     Verifies conformity of the result, the two-sons inequality
     ``#refined <= #new - #old``, that every new leaf lies in an old leaf,
     exact area halving at every node below the old leaves down to the new
-    leaves, and generation increments of one per bisection. One
-    :meth:`MeshForest.covered` pass down from the old leaves finds those
-    nodes, and a second one from the sons of the new leaves drops the
-    nodes below them, which other meshes of a shared forest refined.
+    leaves, and generation increments of one per bisection. Once the new
+    mesh refines the old one, the marks of :func:`refines` are exactly the
+    old leaves and those nodes, whatever other meshes of a shared forest
+    refined below the new leaves (``notes/decisions.md``).
     """
     new_mesh.validate()
     if len(record.refined) > record.nt_after - record.nt_before:
@@ -646,13 +658,11 @@ def audit_refinement(old_mesh, new_mesh, record):
     forest = new_mesh.forest
     if old_mesh.forest is not forest:
         raise MeshError("new mesh does not share the old mesh's genealogy")
-    below = forest.covered(np.arange(forest.n_nodes), old_mesh.node_ids)
-    if not np.all(below[new_mesh.node_ids]):
+    between = refines(new_mesh, [old_mesh])
+    if between is None:
         raise MeshError("new mesh does not refine the old mesh")
-    below[old_mesh.node_ids] = False
-    sons = forest.sons[new_mesh.node_ids].ravel()
-    below &= ~forest.covered(np.arange(forest.n_nodes), sons[sons >= 0])
-    nodes = np.flatnonzero(below)
+    between[old_mesh.node_ids] = False
+    nodes = np.flatnonzero(between)
     parents = forest.parent[nodes]
     a_parent = forest.node_area(parents)
     if np.any(np.abs(forest.node_area(nodes) - 0.5 * a_parent) > 1e-12 * a_parent):
@@ -688,13 +698,20 @@ def write_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _fields(rows, width, kind):
-    """The token lists of ``rows`` ((line number, tokens) pairs); raises
-    :class:`MeshError` naming the first line without ``width`` fields."""
+def _fields(rows, width, kind, number=int):
+    """The fields of ``rows`` ((line number, tokens) pairs), read by
+    ``number``; raises :class:`MeshError` naming the first line without
+    ``width`` fields or with a field that ``number`` cannot read."""
+    out = []
     for lineno, row in rows:
         if len(row) != width:
             raise MeshError(f"line {lineno}: {kind} needs {width} fields, got {len(row)}")
-    return [row for _, row in rows]
+        try:
+            out.append([number(v) for v in row])
+        except ValueError:
+            raise MeshError(f"line {lineno}: {kind} needs {number.__name__} fields, "
+                            f"got {' '.join(row)!r}") from None
+    return out
 
 
 def read_mesh(path):
@@ -708,15 +725,16 @@ def read_mesh(path):
         rows = [(k, line.split()) for k, line in enumerate(fh, 1) if line.strip()]
     if not rows:
         raise MeshError("truncated mesh file")
-    nv, nt = (int(v) for v in _fields(rows[:1], 2, "header")[0])
+    nv, nt = _fields(rows[:1], 2, "header")[0]
+    if nv < 0 or nt < 0:
+        raise MeshError(f"line {rows[0][0]}: header counts must be non-negative, got {nv} {nt}")
     if len(rows) < 1 + nv + nt:
         raise MeshError("truncated mesh file")
-    coords = np.array([[float(v) for v in row]
-                       for row in _fields(rows[1: 1 + nv], 2, "vertex")])
+    coords = np.array(_fields(rows[1: 1 + nv], 2, "vertex", float))
     tri_rows = rows[1 + nv: 1 + nv + nt]
     tris = np.empty((nt, 3), dtype=np.int64)
     for i, ((lineno, _), row) in enumerate(zip(tri_rows, _fields(tri_rows, 4, "triangle"))):
-        *triple, slot = (int(v) for v in row)
+        *triple, slot = row
         if not all(0 <= v < nv for v in triple):
             raise MeshError(f"line {lineno}: triangle vertex index out of range 0..{nv - 1}")
         if slot not in (0, 1, 2):
@@ -725,8 +743,7 @@ def read_mesh(path):
     boundary = None
     rest = rows[1 + nv + nt:]
     if rest:
-        boundary = np.array([[int(v) for v in row] for row in _fields(rest, 3, "boundary edge")],
-                            dtype=np.int64)
+        boundary = np.array(_fields(rest, 3, "boundary edge"), dtype=np.int64)
 
     # fix orientation before validating so the reference edge stays in slot
     # (0, 1): swapping its endpoints flips the sign and keeps the edge

@@ -5,14 +5,50 @@ This is the element-by-element refinement the array code in
 Python dict of midpoints; plus the pairwise edge table, the cached
 per-node ancestry walk and the triangle geometry as one loop or formula
 per use. The oracle mutates its own forest, which must not be refined by
-the array code as well (its midpoint table stays empty).
+the array code as well (its midpoint table stays empty). The hypothesis
+draws of random markings and of meshes on several branches of one forest,
+which the mesh tests share, live here too.
 """
 
 import copy
 
 import numpy as np
+from hypothesis import strategies as st
 
-from triafem.mesh import Mesh, MeshError, RefinementRecord
+from triafem.mesh import (
+    Mesh,
+    MeshError,
+    RefinementRecord,
+    lshape_mesh,
+    refine_nvb,
+    unit_square_mesh,
+)
+
+INITIAL_MESHES = {
+    "square": unit_square_mesh,
+    "cross": lambda: unit_square_mesh(cross=True),
+    "lshape": lshape_mesh,
+}
+
+
+def draw_marking(data, mesh):
+    """A hypothesis draw of a non-empty marking of at most a third of ``mesh``."""
+    nt = mesh.n_elements
+    size = data.draw(st.integers(1, max(1, nt // 3)), label="n_marked")
+    return data.draw(
+        st.lists(st.integers(0, nt - 1), min_size=1, max_size=size, unique=True),
+        label="marked",
+    )
+
+
+def draw_branches(data, name, steps):
+    """The initial mesh ``name`` and ``steps`` refinements, each of a drawn
+    earlier mesh: meshes on several branches of one forest."""
+    meshes = [INITIAL_MESHES[name]()]
+    for _ in range(steps):
+        base = meshes[data.draw(st.integers(0, len(meshes) - 1), label="base")]
+        meshes.append(refine_nvb(base, draw_marking(data, base))[0])
+    return meshes
 
 
 class ScalarForest:
@@ -171,6 +207,18 @@ def covered(source, target_leafset, forest):
         if hit:
             out.append(nid)
     return out
+
+
+def between_ids(old, new):
+    """Nodes met on the walk up from each leaf of ``new`` to the leaf of
+    ``old`` above it, the old leaves left out; ``new`` refines ``old``."""
+    leaves = set(old.node_ids.tolist())
+    found = set()
+    for nid in new.node_ids.tolist():
+        while nid not in leaves:
+            found.add(nid)
+            nid = int(new.forest.parent[nid])
+    return found
 
 
 def overlay_ids(m1, m2):

@@ -2,7 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers_mesh import write_mesh_per_line
+from helpers_mesh import (
+    INITIAL_MESHES,
+    between_ids,
+    draw_branches,
+    draw_marking,
+    write_mesh_per_line,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triafem.driver import run_afem
 from triafem.mesh import (
@@ -358,22 +366,33 @@ def test_write_mesh_matches_per_line_writer(make, tmp_path):
     assert (tmp_path / "block.mesh").read_bytes() == (tmp_path / "lines.mesh").read_bytes()
 
 
-@pytest.mark.parametrize("lines,lineno", [
-    (["3"], 1),
-    (["3 1 7"], 1),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2"], 5),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0 5"], 5),
-    (["3 1", "0.0 0.0", "1.0", "0.0 1.0", "0 1 2 0"], 3),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0", "", "0 1"], 7),
-    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 0", "0 2 7 0"], 7),
-    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 5", "0 2 3 0"], 6),
-    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 0", "0 2 3 -1"], 7),
+@pytest.mark.parametrize("lines,lineno,fault", [
+    (["3"], 1, "header needs 2 fields"),
+    (["3 1 7"], 1, "header needs 2 fields"),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2"], 5, "triangle needs 4 fields"),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0 5"], 5, "triangle needs 4 fields"),
+    (["3 1", "0.0 0.0", "1.0", "0.0 1.0", "0 1 2 0"], 3, "vertex needs 2 fields"),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0", "", "0 1"], 7,
+     "boundary edge needs 3 fields"),
+    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 0", "0 2 7 0"], 7,
+     "out of range"),
+    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 5", "0 2 3 0"], 6, "ref_slot"),
+    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 0", "0 2 3 -1"], 7, "ref_slot"),
+    (["-1 2", "0.0 0.0", "0 1 2 0", "0 2 3 0"], 1, "non-negative"),
+    (["3 -1", "0.0 0.0", "1.0 0.0", "0.0 1.0"], 1, "non-negative"),
+    (["a b"], 1, "header needs int fields"),
+    (["3 1", "0.0 0.0", "0.0 x", "0.0 1.0", "0 1 2 0"], 3, "vertex needs float fields"),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2.0 0"], 5, "triangle needs int fields"),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0", "0 1 one"], 6,
+     "boundary edge needs int fields"),
 ], ids=["short-header", "long-header", "short-triangle", "long-triangle", "short-vertex",
-        "short-boundary-edge", "vertex-index-out-of-range", "ref-slot-5", "ref-slot-negative"])
-def test_read_mesh_names_the_malformed_line(lines, lineno, tmp_path):
+        "short-boundary-edge", "vertex-index-out-of-range", "ref-slot-5", "ref-slot-negative",
+        "negative-vertex-count", "negative-triangle-count", "non-numeric-header",
+        "non-numeric-vertex", "non-integer-triangle", "non-numeric-boundary-edge"])
+def test_read_mesh_names_the_malformed_line(lines, lineno, fault, tmp_path):
     path = tmp_path / "bad.mesh"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshError, match=f"line {lineno}: "):
+    with pytest.raises(MeshError, match=f"line {lineno}: .*{fault}"):
         read_mesh(path)
 
 
@@ -466,23 +485,17 @@ def test_audit_checks_the_nodes_between_old_and_new_leaves():
         audit_refinement(mesh, refined, record)
 
 
+@settings(max_examples=50)
+@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 6))
 def test_audit_on_a_shared_forest_examines_only_the_nodes_between_old_and_new_leaves(
-        monkeypatch):
-    # a first branch bisects every element twice; a second refinement of
-    # the same mesh then has forest nodes below its new leaves, which the
+        data, name, steps):
+    # a refinement of a mesh on one of several branches of a forest: the
+    # other branches may have made nodes below its new leaves, which the
     # audit must leave alone
-    mesh = uniform_refine(unit_square_mesh(cross=True), 1)
-    uniform_refine(mesh, 2)
-    refined, record = refine_nvb(mesh, {0, 5})
+    meshes = draw_branches(data, name, steps)
+    mesh = meshes[data.draw(st.integers(0, len(meshes) - 1), label="old")]
+    refined, record = refine_nvb(mesh, draw_marking(data, mesh))
     forest = refined.forest
-    old = set(mesh.node_ids.tolist())
-    between = set()
-    for node in refined.node_ids.tolist():
-        while node not in old:
-            between.add(node)
-            node = int(forest.parent[node])
-    assert between and (forest.sons[refined.node_ids] >= 0).any()
-
     examined = []
     node_area = forest.node_area
 
@@ -490,10 +503,10 @@ def test_audit_on_a_shared_forest_examines_only_the_nodes_between_old_and_new_le
         examined.append(np.asarray(nids).copy())
         return node_area(nids)
 
-    monkeypatch.setattr(forest, "node_area", spy)
+    forest.node_area = spy
     audit_refinement(mesh, refined, record)
     parents, nodes = examined
-    assert sorted(nodes.tolist()) == sorted(between)
+    assert sorted(nodes.tolist()) == sorted(between_ids(mesh, refined))
     assert np.array_equal(parents, forest.parent[nodes])
 
 

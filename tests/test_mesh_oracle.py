@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import helpers_mesh as oracle
 from helpers_fem import edge_points_broadcast, triangle_points_broadcast
+from helpers_mesh import INITIAL_MESHES, draw_branches, draw_marking
 from triafem import quadrature
-from triafem.assembly import _refines
 from triafem.mesh import (
     Mesh,
     _assign_reference_edges,
@@ -26,24 +26,9 @@ from triafem.mesh import (
     lshape_mesh,
     overlay,
     refine_nvb,
+    refines,
     shape_regularity,
-    unit_square_mesh,
 )
-
-INITIAL_MESHES = {
-    "square": unit_square_mesh,
-    "cross": lambda: unit_square_mesh(cross=True),
-    "lshape": lshape_mesh,
-}
-
-
-def draw_marking(data, mesh):
-    nt = mesh.n_elements
-    size = data.draw(st.integers(1, max(1, nt // 3)), label="n_marked")
-    return data.draw(
-        st.lists(st.integers(0, nt - 1), min_size=1, max_size=size, unique=True),
-        label="marked",
-    )
 
 
 def assert_same_geometry(mesh):
@@ -108,28 +93,14 @@ def test_bulk_refine_matches_scalar_oracle(data, name, steps, branch_from, branc
     assert np.array_equal(overlay(first, bulk).node_ids, oracle.overlay_ids(first, bulk))
     assert np.array_equal(overlay(bulk, first).node_ids, oracle.overlay_ids(bulk, first))
     for coarse, fine in ((history[0][0], first), (first, bulk), (bulk, first)):
-        expected = len(oracle.covered(fine.node_ids, set(coarse.node_ids.tolist()),
-                                      fine.forest)) == fine.n_elements
-        assert _refines(coarse, fine) == expected
+        assert (refines(fine, [coarse]) is not None) == nested(fine, coarse)
 
 
-@settings(max_examples=50)
-@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 6))
-def test_covered_matches_scalar_oracle(data, name, steps):
-    # meshes on several branches of one forest; every node of the forest is
-    # asked against the leaves of each mesh and against a random node set,
-    # which may hold a node together with its ancestors
-    meshes = [INITIAL_MESHES[name]()]
-    for _ in range(steps):
-        base = meshes[data.draw(st.integers(0, len(meshes) - 1), label="base")]
-        meshes.append(refine_nvb(base, draw_marking(data, base))[0])
-    forest = meshes[0].forest
-    nids = np.arange(forest.n_nodes)
-    random_set = data.draw(st.lists(st.integers(0, forest.n_nodes - 1), max_size=20),
-                           label="node set")
-    for leaves in [m.node_ids for m in meshes] + [np.array(random_set, dtype=np.int64)]:
-        expected = oracle.covered(nids, set(leaves.tolist()), forest)
-        assert nids[forest.covered(nids, leaves)].tolist() == expected
+def nested(fine, coarse):
+    """Does every leaf of ``fine`` lie in (or equal) a leaf of ``coarse``?
+    By the scalar oracle's per-node walk."""
+    leaves = set(coarse.node_ids.tolist())
+    return len(oracle.covered(fine.node_ids, leaves, fine.forest)) == fine.n_elements
 
 
 @settings(max_examples=50)
@@ -137,10 +108,7 @@ def test_covered_matches_scalar_oracle(data, name, steps):
 def test_ancestors_match_a_walk_up_the_parents(data, name, steps):
     # the leaves of meshes on several branches of one forest, and a random
     # node set that may hold a node together with its ancestors
-    meshes = [INITIAL_MESHES[name]()]
-    for _ in range(steps):
-        base = meshes[data.draw(st.integers(0, len(meshes) - 1), label="base")]
-        meshes.append(refine_nvb(base, draw_marking(data, base))[0])
+    meshes = draw_branches(data, name, steps)
     forest = meshes[0].forest
     random_set = data.draw(st.lists(st.integers(0, forest.n_nodes - 1), max_size=20, unique=True),
                            label="node set")
@@ -165,6 +133,31 @@ def test_ancestors_match_a_walk_up_the_parents(data, name, steps):
         expected[list(walk_up(leaves.tolist()))] = True
         assert np.array_equal(forest.ancestors(leaves), expected)
         assert np.array_equal(forest.ancestors(leaves, stop)[defined], expected[defined])
+
+
+@settings(max_examples=50)
+@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 6))
+def test_refines_matches_scalar_oracle(data, name, steps):
+    # meshes on several branches of one forest: every ordered pair, then
+    # random sets of two or more meshes, where the walk stops at the leaves
+    # they all share; one set is drawn from the meshes that a drawn mesh
+    # refines, so that its verdict is yes
+    meshes = draw_branches(data, name, steps)
+    for fine in meshes:
+        for coarse in meshes:
+            assert (refines(fine, [coarse]) is not None) == nested(fine, coarse)
+    indices = st.integers(0, len(meshes) - 1)
+    for _ in range(3):
+        fine = meshes[data.draw(indices, label="fine")]
+        coarser = [mesh for mesh in meshes if nested(fine, mesh)]
+        for pool in (meshes, coarser):
+            if len(pool) < 2:
+                continue
+            picked = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=len(pool),
+                                        unique=True),
+                               label="meshes")
+            expected = all(nested(fine, mesh) for mesh in picked)
+            assert (refines(fine, picked) is not None) == expected
 
 
 def skewed_lshape():
