@@ -155,6 +155,16 @@ def mesh_differences(parent_data, change_data):
             f" and {len(change - parent)} only in the change"]
 
 
+def file_differences(name, parent_data, change_data):
+    """What differs between two versions of the artefact ``name``:
+    :func:`mesh_differences` for a ``.mesh`` file, :func:`trace_differences`
+    for ``trace.csv``, :func:`meta_differences` for ``meta.json``, and an
+    empty list for any other file."""
+    what = mesh_differences if name.endswith(".mesh") else {
+        "trace.csv": trace_differences, "meta.json": meta_differences}.get(name)
+    return what(parent_data, change_data) if what else []
+
+
 def differences(parent_out, change_out):
     """What differs between two artefact directories, one string per file
     (relative paths, sorted); an empty list when all agree."""
@@ -174,9 +184,7 @@ def differences(parent_out, change_out):
         for path in paths:
             with open(path, "rb") as fh:
                 data.append(fh.read())
-        what = mesh_differences if name.endswith(".mesh") else {
-            "trace.csv": trace_differences, "meta.json": meta_differences}.get(name)
-        details = what(*data) if what else []
+        details = file_differences(name, *data)
         out.append(f"{name}: {', '.join(details)}" if details else name)
     return out
 

@@ -271,39 +271,38 @@ def _expand(mesh, interior_values):
     return values
 
 
+def _symmetric_factor(matrix, coords):
+    """SuperLU factor of ``matrix`` over unknowns at ``coords`` (n, 2): a
+    function ``solve(rhs)``. The unknowns are sorted by coordinates (x, then
+    y), and that symmetric permutation is factored in a minimum degree order
+    of ``A + A^T`` in symmetric mode, preferring the diagonal pivot; the
+    presort removes the cost that minimum degree has on the vertex numbering
+    of newest-vertex bisection (``notes/decisions.md``). Raises
+    ``RuntimeError`` when the matrix is exactly singular."""
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    lu = spla.splu(matrix[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    inverse = np.argsort(order)
+    return lambda rhs: lu.solve(rhs[order])[inverse]
+
+
 def solve_linear(system):
-    """Solve the assembled system by sparse LU (SuperLU) to a relative
-    residual of 1e-10.
-
-    The unknowns are presorted by the coordinates of their vertices (x,
-    then y), and SuperLU factors that symmetric permutation in a minimum
-    degree order of ``A + A^T`` in symmetric mode, preferring the diagonal
-    pivot. The presort removes the cost that minimum degree has on the
-    vertex numbering of newest-vertex bisection (``notes/decisions.md``).
-
-    Raises :class:`SolverError` with the achieved residual when the
-    contract is missed, and when SuperLU finds the matrix exactly singular.
-    """
+    """Solve the assembled system by sparse LU (:func:`_symmetric_factor`)
+    to a relative residual of 1e-10. Raises :class:`SolverError` with the
+    achieved residual when the contract is missed, and when SuperLU finds
+    the matrix exactly singular."""
     mesh = system.mesh
-    n = system.rhs.shape[0]
-    if n == 0:
+    if not np.any(system.rhs):
         return DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
     rhs_norm = float(np.linalg.norm(system.rhs))
-    if rhs_norm == 0.0:
-        return DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
-
-    x_coord, y_coord = mesh.vertices[system.interior].T
-    order = np.lexsort((y_coord, x_coord))
     try:
-        lu = spla.splu(system.matrix[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+        solve = _symmetric_factor(system.matrix, mesh.vertices[system.interior])
     except RuntimeError as exc:
         # SuperLU found the matrix exactly singular
         raise SolverError(
             f"linear solve missed the residual contract: {exc}", achieved=float("nan"),
         ) from exc
-    x = np.empty(n)
-    x[order] = lu.solve(system.rhs[order])
+    x = solve(system.rhs)
     achieved = float(np.linalg.norm(system.rhs - system.matrix @ x)) / rhs_norm
     if not np.isfinite(achieved) or achieved > 1e-10:
         raise SolverError(
@@ -390,8 +389,8 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
 
 
 def _lu_factor(matrix, order=None):
-    """SuperLU factor of ``matrix`` (CSC): a function ``solve(rhs)`` and the
-    column order ``np.argsort(perm_c)`` of the factor.
+    """Full Newton's SuperLU factor of ``matrix`` (CSC), the adaptive loop's
+    only one: a function ``solve(rhs)`` and its order ``np.argsort(perm_c)``.
 
     Without ``order`` SuperLU orders the columns itself (COLAMD, then the
     postorder of the elimination tree), as ``spsolve`` does. Given the
@@ -434,20 +433,21 @@ def solve_nonlinear(
     strongly monotone Lipschitz operator; the fallback also takes over
     when a Jacobian is exactly singular. ``max_newton=0`` runs the
     fallback only. Every residual and Jacobian reads one set of
-    :func:`volume_samples`, taken here when not given. All Jacobians on
-    the mesh share one sparsity pattern, so only the first is ordered by
-    SuperLU (COLAMD); the later ones are factored in that column order,
-    which gives the bits of a fresh ordering (:func:`_lu_factor`).
+    :func:`volume_samples`, taken here when not given. Full Newton, the
+    adaptive loop's solve, orders only the first Jacobian on the mesh
+    (COLAMD) and factors the later ones in that column order, which gives
+    the bits of a fresh ordering (:func:`_lu_factor`).
 
     ``frozen_factor=True`` runs simplified Newton: the LU factor of a
     Newton step is kept and solves the later steps, each taken at full
     length. A step that would need damping or does not halve the residual
     is not taken; the factor is dropped, and a Newton step with a fresh
-    Jacobian at the same iterate follows. The iterates then differ from
-    full Newton's in the last bits: the reference solve uses it, the
-    adaptive loop does not, because its iterates decide ties in the
-    marking (``notes/decisions.md``). Raises :class:`NonlinearSolveError`
-    when the iteration budget is exhausted.
+    Jacobian at the same iterate follows. Each fresh Jacobian is factored
+    as a linear system is (:func:`_symmetric_factor`), with about half of
+    COLAMD's fill. The iterates differ from full Newton's in the last bits:
+    the reference solve uses it, the loop does not, because its iterates
+    decide ties in the marking (``notes/decisions.md``). Raises
+    :class:`NonlinearSolveError` when the iteration budget is exhausted.
     """
     interior = mesh.interior_vertices
     info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
@@ -490,9 +490,12 @@ def solve_nonlinear(
                 best = min(best, res_norm)
                 continue
             kept = None
-        jac = nonlinear_jacobian(mesh, problem, values, samples).tocsc()
+        jac = nonlinear_jacobian(mesh, problem, values, samples)
         try:
-            solve, order = _lu_factor(jac, order)
+            if frozen_factor:
+                solve = _symmetric_factor(jac, mesh.vertices[interior])
+            else:
+                solve, order = _lu_factor(jac.tocsc(), order)
         except RuntimeError:
             # SuperLU found the Jacobian exactly singular
             break
@@ -560,14 +563,19 @@ def flux_terms(mesh, problem, values, points=None):
     return points, u_q, grad_u, flux, lower
 
 
+def pairing_terms(mesh, problem, values):
+    """``w_terms`` of :func:`energy_products`: :func:`flux_terms` and ``|T| w_q``."""
+    return flux_terms(mesh, problem, values), mesh.areas[:, None] * quadrature.TRI_WEIGHTS
+
+
 def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
     """Squared energy distance of two solutions.
 
     For linear problems returns ``b(w - v, w - v)``, from the assembled
     ``system`` when given; for nonlinear ones ``<L w - L v, w - v>``, the
     squared quasi-metric induced by the strongly monotone operator, from
-    ``w_terms = flux_terms(mesh, problem, w_sol.values)`` when given (one
-    solution paired with many).
+    ``w_terms = pairing_terms(mesh, problem, w_sol.values)`` when given
+    (one solution paired with many: its terms and the weights, once).
     """
     if not (w_sol.mesh.same_elements(mesh) and v_sol.mesh.same_elements(mesh)):
         raise ValueError("energy products need both solutions on the given mesh")
@@ -578,15 +586,15 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
         return float(d @ (system.matrix @ d))
 
     if w_terms is None:
-        w_terms = flux_terms(mesh, problem, w_sol.values)
-    points, uw, grad_w, flux_w, lower_w = w_terms
+        w_terms = pairing_terms(mesh, problem, w_sol.values)
+    (points, uw, grad_w, flux_w, lower_w), weights = w_terms
     _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
     # (NT, 1): formed once per element, then broadcast to the points by the
     # sum below, which keeps its operands
     integrand = np.sum((flux_w - flux_v) * (grad_w - grad_v), axis=1)[:, None]
     if lower_w is not None:
         integrand = integrand + (lower_w - lower_v) * (uw - uv)
-    return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
+    return float(np.sum(weights * integrand))
 
 
 def transfer(sol, finer):

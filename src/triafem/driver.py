@@ -21,8 +21,8 @@ from .assembly import (
     DiscreteSolution,
     assemble_linear,
     energy_products,
-    flux_terms,
     grad_norm_sq,
+    pairing_terms,
     solve_linear,
     solve_nonlinear,
     transfer,
@@ -288,9 +288,8 @@ def _run_loop(
         with _phase("reference"):
             reference = build_reference(problem, mesh, previous)
             # the reference side of every pairing, computed once
-            ref_terms = None
-            if not isinstance(problem, LinearProblem):
-                ref_terms = flux_terms(reference.mesh, problem, reference.solution.values)
+            ref_terms = None if isinstance(problem, LinearProblem) else pairing_terms(
+                reference.mesh, problem, reference.solution.values)
             for k, moved in enumerate(transfer_many(solutions, reference.mesh)):
                 dl_sq = energy_products(
                     reference.mesh, problem, reference.solution, moved,

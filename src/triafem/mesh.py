@@ -701,7 +701,7 @@ def write_mesh(mesh, path):
 def _fields(rows, width, kind, number=int):
     """The fields of ``rows`` ((line number, tokens) pairs), read by
     ``number``; raises :class:`MeshError` naming the first line without
-    ``width`` fields or with a field that ``number`` cannot read."""
+    ``width`` fields, with one ``number`` cannot read or a non-finite float."""
     out = []
     for lineno, row in rows:
         if len(row) != width:
@@ -711,6 +711,8 @@ def _fields(rows, width, kind, number=int):
         except ValueError:
             raise MeshError(f"line {lineno}: {kind} needs {number.__name__} fields, "
                             f"got {' '.join(row)!r}") from None
+        if number is float and not np.isfinite(out[-1]).all():
+            raise MeshError(f"line {lineno}: non-finite {kind} field, got {' '.join(row)!r}")
     return out
 
 

@@ -141,3 +141,20 @@ def manufactured_weak_residual(problem, mesh, n_tests=20, seed=0, gauss_order=No
         scale = float(np.sum(w_q * scale_int.reshape(w_q.shape)))
         worst = max(worst, abs(residual) / scale)
     return worst
+
+
+def magnetostatics_source_plain(x):
+    """The ``magnetostatics_nl`` source as first written: every intermediate
+    is named and lives until the return."""
+    sx, cx = np.sin(np.pi * x[..., 0]), np.cos(np.pi * x[..., 0])
+    sy, cy = np.sin(np.pi * x[..., 1]), np.cos(np.pi * x[..., 1])
+    gx, gy = np.pi * (cx * sy), np.pi * (sx * cy)
+    t = gx * gx + gy * gy
+    lap = -2.0 * np.pi**2 * sx * sy
+    # hessian of sin(pi x) sin(pi y), applied to the gradient
+    hxx = -np.pi**2 * sx * sy
+    hxy = np.pi**2 * cx * cy
+    hx, hy = hxx * gx + hxy * gy, hxy * gx + hxx * gy
+    phi = 1.0 + 1.0 / (1.0 + t)
+    dphi = -1.0 / (1.0 + t) ** 2
+    return -(2.0 * dphi * (hx * gx + hy * gy) + phi * lap)

@@ -40,6 +40,7 @@ from triafem.assembly import (
     laplace_stiffness,
     nonlinear_jacobian,
     nonlinear_residual,
+    pairing_terms,
     solve_linear,
     solve_nonlinear,
     transfer,
@@ -287,20 +288,30 @@ def test_zarantonello_only_converges():
     assert np.abs(sol.values - newton.values).max() < 1e-7
 
 
-def test_singular_jacobian_falls_back_to_the_riesz_iteration():
-    # SuperLU finds a zero Jacobian exactly singular; Newton must hand over
-    # to the fallback instead of stepping along a NaN direction
+def _falls_back_on_a_zero_jacobian(frozen_factor):
     problem = builtin_problem("magnetostatics_nl")
     singular = dataclasses.replace(
         problem, flux_jacobian=lambda y: np.zeros((y.shape[0], 2, 2)))
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    sol, info = solve_nonlinear(mesh, singular, full_output=True)
+    sol, info = solve_nonlinear(mesh, singular, full_output=True, frozen_factor=frozen_factor)
     assert info["newton_iterations"] == 0
     assert info["fallback_iterations"] > 0
     zero = np.zeros(mesh.n_vertices)
     assert (np.linalg.norm(nonlinear_residual(mesh, problem, sol.values))
             <= 1e-10 * np.linalg.norm(nonlinear_residual(mesh, problem, zero)))
     assert np.abs(sol.values - solve_nonlinear(mesh, problem).values).max() < 1e-7
+
+
+def test_singular_jacobian_falls_back_to_the_riesz_iteration():
+    # SuperLU finds a zero Jacobian exactly singular; Newton must hand over
+    # to the fallback instead of stepping along a NaN direction
+    _falls_back_on_a_zero_jacobian(frozen_factor=False)
+
+
+def test_singular_jacobian_falls_back_with_a_frozen_factor():
+    # the reference solve's symmetric factor meets the same singular
+    # Jacobian and must hand over to the same fallback
+    _falls_back_on_a_zero_jacobian(frozen_factor=True)
 
 
 def test_nonlinear_budget_exhaustion_carries_best_residual():
@@ -686,7 +697,7 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
     # one solution is paired with several, as a run pairs its reference
     # solution with every iterate
     w_sol = DiscreteSolution(mesh, w_values)
-    w_terms = (points, u_q, grad_u, flux, lower)
+    w_terms = pairing_terms(mesh, problem, w_values)
     for seed in range(4, 12):
         v_values = _random_p1(mesh, seed)
         v_sol = DiscreteSolution(mesh, v_values)
@@ -737,8 +748,10 @@ def test_replayed_factor_solves_with_the_bits_of_spsolve(name, dyadic, seeds):
 
 
 def test_newton_orders_the_columns_once_per_mesh(monkeypatch):
-    # every solve_nonlinear call is one mesh: its first factor is ordered by
-    # COLAMD (permc_spec None), every later one replays that order
+    # every solve_nonlinear call is one mesh. In the loop its first factor
+    # is ordered by COLAMD (permc_spec None), every later one replays that
+    # order; the reference solve, the last call, factors in the presorted
+    # symmetric order of the linear solve
     calls = []
     splu, solve = spla.splu, driver.solve_nonlinear
 
@@ -754,10 +767,38 @@ def test_newton_orders_the_columns_once_per_mesh(monkeypatch):
     monkeypatch.setattr(driver, "solve_nonlinear", counted_solve)
     result = driver.run_afem(builtin_problem("magnetostatics_nl"), 0.5, max_elements=300,
                              compute_reference=True)
-    assert len(calls) == len(result.trace) + 1
-    assert all(mesh_calls[:1] == [None] for mesh_calls in calls)
-    assert all(spec == "NATURAL" for mesh_calls in calls for spec in mesh_calls[1:])
-    assert sum(len(mesh_calls) - 1 for mesh_calls in calls) > 0
+    *loop, reference = calls
+    assert len(loop) == len(result.trace)
+    assert all(mesh_calls[:1] == [None] for mesh_calls in loop)
+    assert all(spec == "NATURAL" for mesh_calls in loop for spec in mesh_calls[1:])
+    assert sum(len(mesh_calls) - 1 for mesh_calls in loop) > 0
+    assert reference and all(spec == "MMD_AT_PLUS_A" for spec in reference)
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
+def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, name):
+    # the run computes the reference side of every pairing once, its
+    # quadrature weights included; each energy must have the bits of a call
+    # that computes that side itself, and of the per-point oracle. Off the
+    # dyadic grid, where areas are not powers of two and so the association
+    # of the weights shows in the last bits
+    pairs = []
+    energy = driver.energy_products
+
+    def recorded(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
+        value = energy(mesh, problem, w_sol, v_sol, system=system, w_terms=w_terms)
+        if w_terms is not None:
+            pairs.append((value, energy(mesh, problem, w_sol, v_sol),
+                          energy_per_point(mesh, problem, w_sol.values, v_sol.values)))
+        return value
+
+    monkeypatch.setattr(driver, "energy_products", recorded)
+    problem = NEWTON_PROBLEMS[name]()
+    result = driver.run_afem(problem, 0.5, max_elements=300, compute_reference=True,
+                             initial_mesh=helpers_mesh.off_grid(problem.make_initial_mesh()))
+    assert len(pairs) == len(result.trace)
+    assert all(hoisted == per_call == oracle for hoisted, per_call, oracle in pairs)
+    assert np.array_equal(result.trace.err_energy_sq, [max(0.0, v) for v, _, _ in pairs])
 
 
 @pytest.fixture(scope="module")
@@ -793,7 +834,7 @@ def test_frozen_factor_reference_solve_meets_the_contract(monkeypatch, reference
     newton = solve_nonlinear(mesh, problem, guess)
     specs = _factor_specs(monkeypatch)
     frozen, info = solve_nonlinear(mesh, problem, guess, full_output=True, frozen_factor=True)
-    assert specs == [None]
+    assert specs == ["MMD_AT_PLUS_A"]
     assert info["fallback_iterations"] == 0 and info["newton_iterations"] > 1
     assert _meets_the_contract(mesh, problem, frozen)
     scale = np.abs(newton.values).max()
@@ -816,7 +857,7 @@ def test_poor_first_factor_is_replaced(monkeypatch, reference_setting):
     specs = _factor_specs(monkeypatch)
     sol, info = solve_nonlinear(mesh, poor, guess, full_output=True, frozen_factor=True)
     assert len(calls) == len(specs) >= 2
-    assert specs[0] is None and all(spec == "NATURAL" for spec in specs[1:])
+    assert all(spec == "MMD_AT_PLUS_A" for spec in specs)
     assert info["fallback_iterations"] == 0
     assert _meets_the_contract(mesh, problem, sol)
 

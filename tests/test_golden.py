@@ -5,9 +5,13 @@
 ``plotdata.csv``, ``failures.json``, ``meta.json`` and both mesh files. A
 change that claims to leave the arithmetic alone must keep all of them byte
 for byte; a change that means to alter them re-records the files with
-``PYTHONPATH=src python tests/test_golden.py`` and says why.
+``PYTHONPATH=src python tests/test_golden.py`` and says why. A failure, and
+the re-recording, name what moved: each differing ``trace.csv`` column with
+its largest relative difference and each differing ``meta.json`` key, as
+``scripts/pairs.py`` reports them.
 """
 
+import importlib.util
 import tempfile
 from pathlib import Path
 
@@ -26,6 +30,16 @@ RUNS = {
 }
 ARTEFACTS = ("trace.csv", "report.txt", "plotdata.csv", "failures.json", "meta.json",
              "meshes/initial.mesh", "meshes/final.mesh")
+PAIRS = Path(__file__).resolve().parents[1] / "scripts" / "pairs.py"
+
+
+def _moved(problem, name, recorded, produced):
+    """What moved in one artefact from its recorded golden to this run."""
+    spec = importlib.util.spec_from_file_location("pairs", PAIRS)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    details = ", ".join(pairs.file_differences(name, recorded, produced))
+    return f"{problem}/{name} moved from its golden" + (f": {details}" if details else "")
 
 
 def _without_wall_time(text):
@@ -49,12 +63,16 @@ def _run(problem, out):
 def test_cli_run_matches_golden_trace(problem, tmp_path):
     files = _run(problem, tmp_path / problem)
     for name in ARTEFACTS:
-        assert files[name] == (GOLDEN / problem / name).read_bytes(), name
+        recorded = (GOLDEN / problem / name).read_bytes()
+        assert files[name] == recorded, _moved(problem, name, recorded, files[name])
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for problem in sorted(RUNS):
             for name, data in _run(problem, Path(scratch) / problem).items():
-                (GOLDEN / problem / name).parent.mkdir(parents=True, exist_ok=True)
-                (GOLDEN / problem / name).write_bytes(data)
+                path = GOLDEN / problem / name
+                if path.is_file() and path.read_bytes() != data:
+                    print(_moved(problem, name, path.read_bytes(), data))
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(data)

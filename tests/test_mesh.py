@@ -385,10 +385,13 @@ def test_write_mesh_matches_per_line_writer(make, tmp_path):
     (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2.0 0"], 5, "triangle needs int fields"),
     (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0", "0 1 one"], 6,
      "boundary edge needs int fields"),
+    (["3 1", "0.0 0.0", "nan 0.0", "0.0 1.0", "0 1 2 0"], 3, "non-finite vertex field"),
+    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 -inf", "0 1 2 0"], 4, "non-finite vertex field"),
 ], ids=["short-header", "long-header", "short-triangle", "long-triangle", "short-vertex",
         "short-boundary-edge", "vertex-index-out-of-range", "ref-slot-5", "ref-slot-negative",
         "negative-vertex-count", "negative-triangle-count", "non-numeric-header",
-        "non-numeric-vertex", "non-integer-triangle", "non-numeric-boundary-edge"])
+        "non-numeric-vertex", "non-integer-triangle", "non-numeric-boundary-edge",
+        "nan-vertex", "inf-vertex"])
 def test_read_mesh_names_the_malformed_line(lines, lineno, fault, tmp_path):
     path = tmp_path / "bad.mesh"
     path.write_text("\n".join(lines) + "\n")
