@@ -22,8 +22,8 @@ column, and the summary counts the pairs whose artefacts agree. Where they
 differ, the pair's line says what differs: each ``trace.csv`` column that
 differs with its largest relative difference, the ``meta.json`` keys whose
 values differ, for a ``.mesh`` file the vertex and triangle counts of each
-side and the number of vertices on one side only, and the name of every
-other file that differs.
+side and the number of vertices and of triangles on one side only, and
+the name of every other file that differs.
 """
 
 from __future__ import annotations
@@ -138,21 +138,30 @@ def meta_differences(parent_data, change_data):
 
 
 def _mesh_counts(data):
-    """Vertex count, triangle count and the set of vertex lines of a mesh
-    file (header ``NV NT``, then one line per vertex)."""
+    """Vertex count, triangle count, the set of vertex lines and the set of
+    triangles, each the tuple of its corners' vertex lines, of a mesh file
+    (header ``NV NT``, one line per vertex, then one per triangle)."""
     lines = data.decode().splitlines()
     nv, nt = (int(v) for v in lines[0].split())
-    return nv, nt, set(lines[1:1 + nv])
+    vertices = lines[1:1 + nv]
+    triangles = {tuple(vertices[int(v)] for v in line.split()[:3])
+                 for line in lines[1 + nv:1 + nv + nt]}
+    return nv, nt, set(vertices), triangles
 
 
 def mesh_differences(parent_data, change_data):
-    """Each side's vertex and triangle counts and the number of vertices,
-    compared by their written coordinates, on one side only."""
-    (pv, pt, parent), (cv, ct, change) = _mesh_counts(parent_data), _mesh_counts(change_data)
+    """Each side's vertex and triangle counts, and the number of vertices
+    and of triangles on one side only, compared by their written
+    coordinates, so a renumbering alone shows no vertex or triangle on
+    one side only."""
+    pv, pt, p_vertices, p_triangles = _mesh_counts(parent_data)
+    cv, ct, c_vertices, c_triangles = _mesh_counts(change_data)
     return [f"parent {pv} vertices and {pt} triangles",
             f"change {cv} vertices and {ct} triangles",
-            f"{len(parent - change)} vertices only in the parent"
-            f" and {len(change - parent)} only in the change"]
+            f"{len(p_vertices - c_vertices)} vertices only in the parent"
+            f" and {len(c_vertices - p_vertices)} only in the change",
+            f"{len(p_triangles - c_triangles)} triangles only in the parent"
+            f" and {len(c_triangles - p_triangles)} only in the change"]
 
 
 def file_differences(name, parent_data, change_data):

@@ -14,8 +14,9 @@ term at a P1 function come from one function, :func:`flux_terms`, which
 the residual, the estimator and the energy products read. Every
 bilinear form contracts its quadrature before the local product,
 ``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is summed from
-local element matrices by one scatter. Assembly is strictly sequential, so
-repeated runs are bit-reproducible.
+local element matrices by one scatter. Every sparse system, linear, Newton
+or Riesz, is factored by one routine, :func:`_symmetric_factor`. Assembly
+is strictly sequential, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -277,8 +278,10 @@ def _symmetric_factor(matrix, coords):
     y), and that symmetric permutation is factored in a minimum degree order
     of ``A + A^T`` in symmetric mode, preferring the diagonal pivot; the
     presort removes the cost that minimum degree has on the vertex numbering
-    of newest-vertex bisection (``notes/decisions.md``). Raises
-    ``RuntimeError`` when the matrix is exactly singular."""
+    of newest-vertex bisection (``notes/decisions.md``). The one sparse LU
+    of the package: linear systems, Newton's Jacobians and the Riesz map
+    are factored here. Raises ``RuntimeError`` when the matrix is exactly
+    singular."""
     order = np.lexsort((coords[:, 1], coords[:, 0]))
     lu = spla.splu(matrix[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.1, options={"SymmetricMode": True})
@@ -388,32 +391,6 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
     return _scatter(mesh, local)
 
 
-def _lu_factor(matrix, order=None):
-    """Full Newton's SuperLU factor of ``matrix`` (CSC), the adaptive loop's
-    only one: a function ``solve(rhs)`` and its order ``np.argsort(perm_c)``.
-
-    Without ``order`` SuperLU orders the columns itself (COLAMD, then the
-    postorder of the elimination tree), as ``spsolve`` does. Given the
-    order of such a factor of a matrix with the same sparsity pattern, the
-    columns are permuted into it and factored with no reordering
-    (``NATURAL``). This replays SuperLU's own elimination, with the same
-    pivots and the bits of a fresh ordering, and skips the COLAMD pass
-    (``notes/decisions.md``). The factor lives as long as ``solve``.
-    Raises ``RuntimeError`` when the matrix is exactly singular.
-    """
-    if order is None:
-        lu = spla.splu(matrix)
-        return lu.solve, np.argsort(lu.perm_c)
-    lu = spla.splu(matrix[:, order], permc_spec="NATURAL")
-
-    def solve(rhs):
-        x = np.empty_like(rhs)
-        x[order] = lu.solve(rhs)
-        return x
-
-    return solve, order
-
-
 def solve_nonlinear(
     mesh,
     problem,
@@ -433,21 +410,19 @@ def solve_nonlinear(
     strongly monotone Lipschitz operator; the fallback also takes over
     when a Jacobian is exactly singular. ``max_newton=0`` runs the
     fallback only. Every residual and Jacobian reads one set of
-    :func:`volume_samples`, taken here when not given. Full Newton, the
-    adaptive loop's solve, orders only the first Jacobian on the mesh
-    (COLAMD) and factors the later ones in that column order, which gives
-    the bits of a fresh ordering (:func:`_lu_factor`).
+    :func:`volume_samples`, taken here when not given. Every Jacobian, and
+    the fallback's Laplacian, is factored as a linear system is
+    (:func:`_symmetric_factor`).
 
     ``frozen_factor=True`` runs simplified Newton: the LU factor of a
     Newton step is kept and solves the later steps, each taken at full
     length. A step that would need damping or does not halve the residual
     is not taken; the factor is dropped, and a Newton step with a fresh
-    Jacobian at the same iterate follows. Each fresh Jacobian is factored
-    as a linear system is (:func:`_symmetric_factor`), with about half of
-    COLAMD's fill. The iterates differ from full Newton's in the last bits:
-    the reference solve uses it, the loop does not, because its iterates
-    decide ties in the marking (``notes/decisions.md``). Raises
-    :class:`NonlinearSolveError` when the iteration budget is exhausted.
+    Jacobian at the same iterate follows. The iterates differ from full
+    Newton's in the last bits: the reference solve uses it, the loop does
+    not, because its iterates decide ties in the marking
+    (``notes/decisions.md``). Raises :class:`NonlinearSolveError` when the
+    iteration budget is exhausted.
     """
     interior = mesh.interior_vertices
     info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
@@ -475,7 +450,7 @@ def solve_nonlinear(
     best = res_norm
     info["residuals"].append(res_norm)
 
-    order = None
+    coords = mesh.vertices[interior]
     kept = None
     while res_norm > target and info["newton_iterations"] < max_newton:
         if kept is not None:
@@ -492,10 +467,7 @@ def solve_nonlinear(
             kept = None
         jac = nonlinear_jacobian(mesh, problem, values, samples)
         try:
-            if frozen_factor:
-                solve = _symmetric_factor(jac, mesh.vertices[interior])
-            else:
-                solve, order = _lu_factor(jac.tocsc(), order)
+            solve = _symmetric_factor(jac, coords)
         except RuntimeError:
             # SuperLU found the Jacobian exactly singular
             break
@@ -523,7 +495,7 @@ def solve_nonlinear(
 
     if res_norm > target:
         step_size = problem.monotone_const / problem.lipschitz_const**2
-        riesz = spla.factorized(laplace_stiffness(mesh).tocsc())
+        riesz = _symmetric_factor(laplace_stiffness(mesh), coords)
         while res_norm > target and info["fallback_iterations"] < max_fallback:
             values[interior] -= step_size * riesz(residual)
             residual = nonlinear_residual(mesh, problem, values, samples)

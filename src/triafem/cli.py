@@ -140,6 +140,10 @@ def _theta(raw):
     for value in values:
         if not 0.0 < value <= 1.0:
             raise ValueError(f"value {value} outside (0, 1]")
+    names = [_sweep_dir(value) for value in values]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise ValueError(f"values share the sweep directory {', '.join(shared)}")
     return values
 
 
@@ -413,10 +417,15 @@ def _json_safe(value):
     return isinstance(value, (int, float, str, bool, type(None), np.floating, np.integer))
 
 
+def _sweep_dir(theta):
+    """The subdirectory of ``out`` that a sweep writes the run of ``theta`` to."""
+    return f"theta={theta:g}"
+
+
 def _sweep_worker(payload):
     config_dict, theta = payload
     config = RunConfig(**{**config_dict, "theta": (theta,),
-                          "out": os.path.join(config_dict["out"], f"theta={theta:g}")})
+                          "out": os.path.join(config_dict["out"], _sweep_dir(theta))})
     return theta, _execute_single(config)
 
 

@@ -487,7 +487,9 @@ def refine_nvb(mesh, marked):
     marks the reference edge of every triangle that received a marked edge
     until the edge set is compatible, then all triangles are split in one
     pass (into 2, 3 or 4 sons depending on how many of their edges are
-    marked). Returns the refined mesh and a :class:`RefinementRecord`.
+    marked). ``marked`` holds triangle indices, as integers or a set;
+    a boolean mask or floats raise :class:`MeshError`. Returns the refined
+    mesh and a :class:`RefinementRecord`.
 
     Nodes and vertices are created in bulk, in the order of bisection
     events per refined triangle (ascending): the triangle itself, then son
@@ -495,9 +497,10 @@ def refine_nvb(mesh, marked):
     and midpoints that already exist in the forest are reused.
     """
     nt = mesh.n_elements
-    if isinstance(marked, (set, frozenset)):
-        marked = np.fromiter(marked, dtype=np.int64, count=len(marked))
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    marked = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked)
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise MeshError(f"marked triangles must be integer indices, got dtype {marked.dtype}")
+    marked = np.unique(marked.astype(np.int64))
     if marked.size and (marked[0] < 0 or marked[-1] >= nt):
         raise MeshError("marked triangle index out of range")
     if marked.size == 0:

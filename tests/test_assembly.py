@@ -30,8 +30,8 @@ from triafem.assembly import (
     DiscreteSolution,
     NonlinearSolveError,
     SolverError,
-    _lu_factor,
     _scatter,
+    _symmetric_factor,
     assemble_linear,
     element_gradients,
     energy_products,
@@ -721,58 +721,39 @@ NEWTON_PROBLEMS = {
 @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "off-grid"])
 @settings(max_examples=30)
 @given(seeds=SEEDS)
-def test_replayed_factor_solves_with_the_bits_of_spsolve(name, dyadic, seeds):
-    # the first Jacobian on a mesh fixes the column order; a later one,
-    # factored in that order, must pivot as a fresh COLAMD factor would,
-    # also among the equal entries of a mirror-symmetric dyadic mesh
+def test_newton_factor_solves_near_spsolve(name, dyadic, seeds):
+    # Newton factors its Jacobians as a linear system is, in the presorted
+    # symmetric order; each step must agree with spsolve's (COLAMD) to 1e-12
+    # relative, also among the equal entries of a mirror-symmetric dyadic mesh
     mesh_rng, first_rng, later_rng = (np.random.default_rng(s) for s in seeds)
     problem = NEWTON_PROBLEMS[name]()
     mesh = uniform_refine(problem.make_initial_mesh(), 4)
     mesh = random_refinement(mesh_rng, random_refinement(mesh_rng, mesh))
     if not dyadic:
         mesh = helpers_mesh.off_grid(mesh)
-    first = random_p1(first_rng, mesh).values
-    jac = nonlinear_jacobian(mesh, problem, first).tocsc()
-    rhs = nonlinear_residual(mesh, problem, first)
-    solve, order = _lu_factor(jac)
-    assert np.array_equal(solve(rhs), spla.spsolve(jac, rhs))
-
-    later = random_p1(later_rng, mesh).values
-    jac = nonlinear_jacobian(mesh, problem, later).tocsc()
-    rhs = nonlinear_residual(mesh, problem, later)
-    replay = spla.splu(jac[:, order], permc_spec="NATURAL")
-    assert np.array_equal(replay.perm_c, np.arange(rhs.size))
-    solve, again = _lu_factor(jac, order)
-    assert again is order
-    assert np.array_equal(solve(rhs), spla.spsolve(jac, rhs))
+    coords = mesh.vertices[mesh.interior_vertices]
+    for rng in (first_rng, later_rng):
+        values = random_p1(rng, mesh).values
+        jac = nonlinear_jacobian(mesh, problem, values)
+        rhs = nonlinear_residual(mesh, problem, values)
+        expected = spla.spsolve(jac.tocsc(), rhs)
+        step = _symmetric_factor(jac, coords)(rhs)
+        assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_newton_orders_the_columns_once_per_mesh(monkeypatch):
-    # every solve_nonlinear call is one mesh. In the loop its first factor
-    # is ordered by COLAMD (permc_spec None), every later one replays that
-    # order; the reference solve, the last call, factors in the presorted
-    # symmetric order of the linear solve
-    calls = []
-    splu, solve = spla.splu, driver.solve_nonlinear
-
-    def counted_splu(matrix, permc_spec=None, **kwargs):
-        calls[-1].append(permc_spec)
-        return splu(matrix, permc_spec=permc_spec, **kwargs)
-
-    def counted_solve(*args, **kwargs):
-        calls.append([])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted_splu)
-    monkeypatch.setattr(driver, "solve_nonlinear", counted_solve)
-    result = driver.run_afem(builtin_problem("magnetostatics_nl"), 0.5, max_elements=300,
-                             compute_reference=True)
-    *loop, reference = calls
-    assert len(loop) == len(result.trace)
-    assert all(mesh_calls[:1] == [None] for mesh_calls in loop)
-    assert all(spec == "NATURAL" for mesh_calls in loop for spec in mesh_calls[1:])
-    assert sum(len(mesh_calls) - 1 for mesh_calls in loop) > 0
-    assert reference and all(spec == "MMD_AT_PLUS_A" for spec in reference)
+def test_every_factor_takes_the_symmetric_order(monkeypatch):
+    # the loop's Newton steps, the reference solve and the damped-Riesz
+    # fallback all factor through _symmetric_factor
+    specs = _factor_specs(monkeypatch)
+    problem = builtin_problem("magnetostatics_nl")
+    result = driver.run_afem(problem, 0.5, max_elements=300, compute_reference=True)
+    newton = len(specs)
+    assert newton > len(result.trace)
+    _, info = solve_nonlinear(uniform_refine(problem.make_initial_mesh(), 2), problem,
+                              max_newton=0, full_output=True)
+    assert info["newton_iterations"] == 0 and info["fallback_iterations"] > 0
+    assert len(specs) == newton + 1
+    assert set(specs) == {"MMD_AT_PLUS_A"}
 
 
 @pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))

@@ -51,13 +51,15 @@ def test_unknown_config_file_key(tmp_path):
 @pytest.mark.parametrize("key,flags,file_lines", [
     ("theta", ["--theta", "abc"], ""),
     ("theta", ["--theta", "0.5,"], ""),
+    # both values would write to the sweep directory theta=0.5
+    ("theta", ["--theta", "0.5,0.5000001"], ""),
     ("max_elements", [], "max_elements = abc\n"),
     ("marking", [], "marking = foo\n"),
     ("qo_epsilon", ["--qo-epsilon", "1.5"], ""),
     ("eta_tol", ["--eta-tol", "-1"], ""),
     ("eta_tol", ["--eta-tol", "nan"], ""),
-], ids=["theta-abc", "theta-trailing-comma", "max_elements-file-abc", "marking-file-foo",
-        "qo_epsilon-1.5", "eta_tol-negative", "eta_tol-nan"])
+], ids=["theta-abc", "theta-trailing-comma", "theta-shared-directory", "max_elements-file-abc",
+        "marking-file-foo", "qo_epsilon-1.5", "eta_tol-negative", "eta_tol-nan"])
 def test_bad_value_names_key(key, flags, file_lines, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = square_smooth\n" + file_lines)

@@ -162,6 +162,15 @@ def test_refine_out_of_range():
         refine_nvb(unit_square_mesh(), {5})
 
 
+@pytest.mark.parametrize("marked", [[0.7], [True, False], np.ones(6, dtype=bool), {1.0}],
+                         ids=["float", "bool-list", "mask", "float-set"])
+def test_refine_rejects_marks_that_are_not_indices(marked):
+    # a mask or a float would be read as the indices {0, 1} or [0]
+    with pytest.raises(MeshError, match="integer indices"):
+        refine_nvb(lshape_mesh(), marked)
+    assert refine_nvb(lshape_mesh(), [])[1].marked.size == 0
+
+
 def test_two_sons_inequality_and_area_halving():
     rng = np.random.default_rng(7)
     mesh = lshape_mesh()

@@ -67,14 +67,17 @@ def test_trace_differences_of_shapes_and_non_finite_cells(pairs):
 
 def test_mesh_differences_count_vertices_and_triangles(pairs, tmp_path):
     # the change has one vertex at the mirror image of the parent's and one
-    # more vertex and triangle; the initial meshes agree
+    # more vertex and triangle; the renumbered side has the parent's
+    # vertices and triangles in reverse order; the initial meshes agree
     meta = {"theta": 0.5}
     parent = _artefacts(tmp_path / "parent", "2.0", "4.0", meta)
     change = _artefacts(tmp_path / "change", "2.0", "4.0", meta)
+    renumbered = _artefacts(tmp_path / "renumbered", "2.0", "4.0", meta)
     meshes = {
         parent: "4 2\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.25 0.75\n0 1 2 0\n0 2 3 0\n0 1 1\n",
         change: ("5 3\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.75 0.25\n0.5 0.5\n"
                  "0 1 2 0\n0 2 3 0\n2 3 4 0\n0 1 1\n"),
+        renumbered: "4 2\n0.25 0.75\n1.0 1.0\n1.0 0.0\n0.0 0.0\n3 1 0 0\n3 2 1 0\n3 2 1\n",
     }
     for folder, text in meshes.items():
         (Path(folder) / "meshes").mkdir()
@@ -82,5 +85,11 @@ def test_mesh_differences_count_vertices_and_triangles(pairs, tmp_path):
         (Path(folder) / "meshes" / "initial.mesh").write_text("1 0\n0.0 0.0\n")
     assert pairs.differences(parent, change) == [
         "meshes/final.mesh: parent 4 vertices and 2 triangles, change 5 vertices and 3 triangles,"
-        " 1 vertices only in the parent and 2 only in the change",
+        " 1 vertices only in the parent and 2 only in the change,"
+        " 1 triangles only in the parent and 2 only in the change",
+    ]
+    assert pairs.differences(parent, renumbered) == [
+        "meshes/final.mesh: parent 4 vertices and 2 triangles, change 4 vertices and 2 triangles,"
+        " 0 vertices only in the parent and 0 only in the change,"
+        " 0 triangles only in the parent and 0 only in the change",
     ]
