@@ -3,6 +3,8 @@
 The nodal basis lives on all mesh vertices; homogeneous Dirichlet
 conditions are imposed by restricting systems to interior vertices and
 keeping solution vectors at full length with exact zeros on the boundary.
+Every system numbers its unknowns in one order, the mesh's
+:attr:`Mesh.interior_vertices`, which is also the order the factor wants.
 Element data has one source per mesh: basis gradients are cached on the
 mesh (:attr:`Mesh.basis_gradients`); the quadrature points, the
 coefficient samples and a linear problem's element matrices and loads are
@@ -78,11 +80,11 @@ class DiscreteSolution:
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Assembled bilinear form and load restricted to interior vertices."""
+    """Assembled bilinear form and load restricted to interior vertices,
+    row and column ``k`` at vertex ``mesh.interior_vertices[k]``."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    interior: np.ndarray
     mesh: Mesh
 
 
@@ -206,8 +208,8 @@ def _scatter(mesh, local):
 
     Entry (i, j) of element n goes to row ``triangles[n, i]`` and column
     ``triangles[n, j]``. The COO matrix over all vertices is summed into
-    CSR first and the interior block is cut out after, so every run sums
-    in the same order.
+    CSR first and the interior block is cut out after, in the order of
+    :attr:`Mesh.interior_vertices`, so every run sums in the same order.
     """
     t = mesh.triangles
     matrix = sp.coo_matrix(
@@ -257,7 +259,7 @@ def assemble_linear(mesh, problem, samples=None):
     interior = mesh.interior_vertices
     if interior.size and np.any(restricted.diagonal() == 0.0):
         raise AssemblyError("zero diagonal entry on an interior row")
-    return SparseSystem(matrix=restricted, rhs=rhs[interior], interior=interior, mesh=mesh)
+    return SparseSystem(matrix=restricted, rhs=rhs[interior], mesh=mesh)
 
 
 def laplace_stiffness(mesh):
@@ -272,21 +274,15 @@ def _expand(mesh, interior_values):
     return values
 
 
-def _symmetric_factor(matrix, coords):
-    """SuperLU factor of ``matrix`` over unknowns at ``coords`` (n, 2): a
-    function ``solve(rhs)``. The unknowns are sorted by coordinates (x, then
-    y), and that symmetric permutation is factored in a minimum degree order
-    of ``A + A^T`` in symmetric mode, preferring the diagonal pivot; the
-    presort removes the cost that minimum degree has on the vertex numbering
-    of newest-vertex bisection (``notes/decisions.md``). The one sparse LU
-    of the package: linear systems, Newton's Jacobians and the Riesz map
-    are factored here. Raises ``RuntimeError`` when the matrix is exactly
-    singular."""
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
-    lu = spla.splu(matrix[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.1, options={"SymmetricMode": True})
-    inverse = np.argsort(order)
-    return lambda rhs: lu.solve(rhs[order])[inverse]
+def _symmetric_factor(matrix):
+    """SuperLU factor of ``matrix``, a function ``solve(rhs)``: a minimum
+    degree order of ``A + A^T`` in symmetric mode, preferring the diagonal
+    pivot, taken on the unknowns in the order :attr:`Mesh.interior_vertices`
+    gives them (``notes/decisions.md``). The one sparse LU of the package:
+    linear systems, Newton's Jacobians and the Riesz map are factored here.
+    Raises ``RuntimeError`` when the matrix is exactly singular."""
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     options={"SymmetricMode": True}).solve
 
 
 def solve_linear(system):
@@ -299,7 +295,7 @@ def solve_linear(system):
         return DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
     rhs_norm = float(np.linalg.norm(system.rhs))
     try:
-        solve = _symmetric_factor(system.matrix, mesh.vertices[system.interior])
+        solve = _symmetric_factor(system.matrix)
     except RuntimeError as exc:
         # SuperLU found the matrix exactly singular
         raise SolverError(
@@ -395,14 +391,13 @@ def solve_nonlinear(
     mesh,
     problem,
     initial_guess=None,
-    tol=1e-10,
     max_newton=200,
     max_fallback=10_000,
     full_output=False,
     samples=None,
     frozen_factor=False,
 ):
-    """Solve the nonlinear Galerkin system to ``|F(U)| <= tol * |F(0)|``.
+    """Solve the nonlinear Galerkin system to ``|F(U)| <= 1e-10 |F(0)|``.
 
     Damped Newton (step halving until the residual decreases) with a
     guaranteed fallback to the damped Riesz iteration
@@ -443,14 +438,13 @@ def solve_nonlinear(
     if ref_norm == 0.0:
         sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
         return (sol, info) if full_output else sol
-    target = tol * ref_norm
+    target = 1e-10 * ref_norm
 
     residual = nonlinear_residual(mesh, problem, values, samples)
     res_norm = float(np.linalg.norm(residual))
     best = res_norm
     info["residuals"].append(res_norm)
 
-    coords = mesh.vertices[interior]
     kept = None
     while res_norm > target and info["newton_iterations"] < max_newton:
         if kept is not None:
@@ -467,7 +461,7 @@ def solve_nonlinear(
             kept = None
         jac = nonlinear_jacobian(mesh, problem, values, samples)
         try:
-            solve = _symmetric_factor(jac, coords)
+            solve = _symmetric_factor(jac)
         except RuntimeError:
             # SuperLU found the Jacobian exactly singular
             break
@@ -495,7 +489,7 @@ def solve_nonlinear(
 
     if res_norm > target:
         step_size = problem.monotone_const / problem.lipschitz_const**2
-        riesz = _symmetric_factor(laplace_stiffness(mesh), coords)
+        riesz = _symmetric_factor(laplace_stiffness(mesh))
         while res_norm > target and info["fallback_iterations"] < max_fallback:
             values[interior] -= step_size * riesz(residual)
             residual = nonlinear_residual(mesh, problem, values, samples)
@@ -554,7 +548,8 @@ def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
     if isinstance(problem, LinearProblem):
         if system is None:
             system = assemble_linear(mesh, problem)
-        d = w_sol.values[system.interior] - v_sol.values[system.interior]
+        interior = system.mesh.interior_vertices
+        d = w_sol.values[interior] - v_sol.values[interior]
         return float(d @ (system.matrix @ d))
 
     if w_terms is None:
@@ -587,6 +582,8 @@ def transfer_many(solutions, finer):
     fills the columns whose solution's mesh lacks them, so every value has
     the bits of a prolongation of its solution alone.
     """
+    if not solutions:
+        return []
     if refines(finer, [sol.mesh for sol in solutions]) is None:
         raise ValueError("target mesh is not a refinement of the solution's mesh")
     if not all(np.isfinite(sol.values).all() for sol in solutions):

@@ -111,14 +111,21 @@ class AfemTrace:
 
     @classmethod
     def from_csv(cls, path, meta=None):
+        """Read :meth:`to_csv`'s file; a bad row raises ``ValueError("line N: ...")``."""
         with open(path) as fh:
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = [(k, line.strip().split(",")) for k, line in enumerate(fh, 1) if line.strip()]
         if not rows:
             raise ValueError("empty trace file")
-        if tuple(rows[0]) != TRACE_COLUMNS:
+        if tuple(rows[0][1]) != TRACE_COLUMNS:
             raise ValueError("unexpected trace header")
-        data = np.array([[float(v) for v in row] for row in rows[1:]]).reshape(
-            len(rows) - 1, len(TRACE_COLUMNS))
+        data = np.empty((len(rows) - 1, len(TRACE_COLUMNS)))
+        for out, (lineno, row) in zip(data, rows[1:]):
+            try:
+                if len(row) != out.size:
+                    raise ValueError(f"a trace row needs {out.size} fields, got {len(row)}")
+                out[:] = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         columns = {name: data[:, i].copy() for i, name in enumerate(TRACE_COLUMNS)}
         return cls(columns=columns, meta=dict(meta or {}))
 
@@ -356,14 +363,13 @@ def run_uniform(
     max_elements=None,
     eta_tol=None,
     keep_history=True,
-    compute_reference=False,
     initial_mesh=None,
 ):
     """Uniform-refinement baseline: every element is marked each step."""
     mark_fn = lambda report: np.arange(report.indicators_sq.shape[0])
     return _run_loop(
         problem, mark_fn, 1.0, max_elements, eta_tol, "uniform", keep_history,
-        compute_reference, initial_mesh,
+        False, initial_mesh,
     )
 
 
@@ -380,10 +386,10 @@ class EstimatorReductionFit:
         return not self.violations and self.q_fit < 1.0
 
 
-def check_estimator_reduction(trace, c_cap=1e6):
+def check_estimator_reduction(trace):
     """Fit (q, C) with eta_{l+1}^2 <= q eta_l^2 + C |grad diff|^2 per step.
 
-    ``q_fit`` is the smallest q that works with C bounded by ``c_cap``;
+    ``q_fit`` is the smallest q that works with C bounded by 1e6;
     steps that no q < 1 can satisfy even at the cap are violations.
     """
     if len(trace) < 3:
@@ -394,7 +400,7 @@ def check_estimator_reduction(trace, c_cap=1e6):
     violations = []
     for k in range(len(trace) - 1):
         d = diff[k] if math.isfinite(diff[k]) else 0.0
-        slack = eta[k + 1] - c_cap * d
+        slack = eta[k + 1] - 1e6 * d
         if eta[k] > 0.0:
             q = slack / eta[k]
             q_needed.append(q)
@@ -418,13 +424,13 @@ class RLinearFit:
     passed: bool
 
 
-def check_rlinear(trace, c_cap=100.0):
+def check_rlinear(trace):
     """Geometric envelope eta_{l+k}^2 <= C q^k eta_l^2 over all pairs.
 
     The slope of a least-squares fit of log eta^2 gives the rate q; the
     check fails when that rate is not below one (stagnation) or when no
-    q < 1 at or above it keeps the envelope constant within ``c_cap``.
-    A finite trace always admits *some* q < 1 at C = c_cap, so the fitted
+    q < 1 at or above it keeps the envelope constant within 100.
+    A finite trace always admits *some* q < 1 at C = 100, so the fitted
     rate, not bare envelope feasibility, carries the pass decision.
     """
     if len(trace) < 5:
@@ -450,7 +456,7 @@ def check_rlinear(trace, c_cap=100.0):
     def log_c(q):
         return float(np.max(max_gap - ks * math.log(q)))
 
-    log_cap = math.log(c_cap)
+    log_cap = math.log(100.0)
     if q_ls >= 1.0:
         c_at_one = math.exp(float(np.max(max_gap)))
         return RLinearFit(q_fit=q_ls, c_fit=c_at_one, passed=False)
@@ -481,18 +487,15 @@ class RateFit:
         return -self.slope
 
 
-def fit_rate(trace, window=None, min_extra=100):
+def fit_rate(trace, min_extra=100):
     """Least-squares slope of log eta against log(#elements - #initial).
 
-    The default window drops the preasymptotic iterations with fewer than
+    The window drops the preasymptotic iterations with fewer than
     ``min_extra`` extra elements.
     """
     eta = np.sqrt(trace.eta_sq)
     extra = trace.n_elements - trace.n_elements[0]
-    if window is None:
-        idx = np.nonzero((extra >= min_extra) & (eta > 0.0))[0]
-    else:
-        idx = np.asarray(window, dtype=np.int64)
+    idx = np.nonzero((extra >= min_extra) & (eta > 0.0))[0]
     if idx.size < 6:
         raise ValueError("rate fit needs at least 6 points in the window")
     x = np.log(extra[idx])
@@ -510,13 +513,13 @@ class QuasiOrthogonalityReport:
     slack: dict
 
 
-def check_quasi_orthogonality(trace, epsilon, noise_mult=10.0):
+def check_quasi_orthogonality(trace, epsilon):
     """First index from which the quasi-Pythagoras inequality always holds.
 
     Checks ``|U_{l+1} - U_l|^2 <= E_l^2 / (1 - eps) - E_{l+1}^2`` in the
     recorded energy (or nonlinear quasi-metric) against the reference
-    solution, using only iterations whose error exceeds ``noise_mult``
-    times the reference noise floor. ``epsilon = 0`` asks for the exact
+    solution, using only iterations whose error exceeds 10 times the
+    reference noise floor. ``epsilon = 0`` asks for the exact
     Pythagoras identity; on non-symmetric problems the report then lists
     the failing steps instead of asserting.
     """
@@ -527,7 +530,7 @@ def check_quasi_orthogonality(trace, epsilon, noise_mult=10.0):
     if not np.any(np.isfinite(err)):
         raise ValueError("trace has no reference energies; run with compute_reference")
     noise = trace.meta.get("noise_floor_err_sq", 0.0)
-    floor = noise_mult**2 * noise
+    floor = 10.0**2 * noise
     usable, failures, slack = [], [], {}
     for k in range(len(trace) - 1):
         if not (math.isfinite(err[k]) and math.isfinite(err[k + 1]) and math.isfinite(diff[k])):
@@ -553,15 +556,16 @@ class MarkingOptimalityRow:
     passed: bool
 
 
-def check_marking_optimality(trace, q_values=(0.5, 0.7, 0.9), theta=None):
+def check_marking_optimality(trace, q_values=(0.5, 0.7, 0.9)):
     """Doerfler-optimality implication table (refined set carries theta).
 
     For each step where the estimator contracted by at least a factor
     ``q_d``, checks that the indicators of the refined elements reach the
     theta fraction of the total; steps without that much contraction are
-    vacuously passing and reported as not applicable.
+    vacuously passing and reported as not applicable. Theta is the run's,
+    ``trace.meta["theta"]``.
     """
-    theta = trace.meta.get("theta") if theta is None else theta
+    theta = trace.meta.get("theta")
     if theta is None:
         raise ValueError("marking optimality needs the run's theta")
     rows = []

@@ -334,16 +334,6 @@ class Mesh:
         return self._edge_data[0]
 
     @property
-    def tri_edges(self):
-        """Edge ids per triangle, shape (NT, 3); slot 0 is the reference edge."""
-        return self._edge_data[1]
-
-    @property
-    def edge_tris(self):
-        """Adjacent triangle ids per edge (-1 when on the boundary), shape (NE, 2)."""
-        return self._edge_data[2]
-
-    @property
     def edge_counts(self):
         return self._edge_data[3]
 
@@ -360,7 +350,14 @@ class Mesh:
 
     @cached_property
     def interior_vertices(self):
-        return _read_only(np.nonzero(~self.is_boundary_vertex)[0])
+        """The interior vertices sorted by coordinates (x, then y): the
+        unknowns of every system on the mesh, in this order. Minimum degree
+        is slow on the vertex numbering of newest-vertex bisection and fast
+        on this one (``notes/decisions.md``), so the factor takes the
+        assembled systems as they are."""
+        interior = np.flatnonzero(~self.is_boundary_vertex)
+        coords = self.vertices[interior]
+        return _read_only(interior[np.lexsort((coords[:, 1], coords[:, 0]))])
 
     def same_elements(self, other):
         if other is self:

@@ -277,19 +277,19 @@ def builtin_names():
 
 # -- sampled consistency checks ----------------------------------------------
 
-def check_ellipticity(problem, samples=4096):
+def check_ellipticity(problem):
     """Sampled sufficient ellipticity condition for linear problems.
 
     Returns ``lambda_min(A) - C * |b| - C^2 * max(0, -c)`` minimised over
-    quadrature points of a uniformly refined initial mesh, with ``C`` the
-    domain diameter. A declared ellipticity constant short-circuits the
-    check. A non-positive margin only warns: the condition is sufficient,
-    not necessary.
+    the quadrature points, at least 4096, of a uniformly refined initial
+    mesh, with ``C`` the domain diameter. A declared ellipticity constant
+    short-circuits the check. A non-positive margin only warns: the
+    condition is sufficient, not necessary.
     """
     if problem.ellipticity_const is not None:
         return float(problem.ellipticity_const)
     mesh = problem.make_initial_mesh()
-    while mesh.n_elements * quadrature.TRI_BARY.shape[0] < samples:
+    while mesh.n_elements * quadrature.TRI_BARY.shape[0] < 4096:
         mesh = uniform_refine(mesh, 1)
     pts = mesh.quadrature_points().reshape(-1, 2)
     box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from triafem import quadrature
 from triafem.assembly import element_gradients, volume_samples
@@ -380,3 +381,26 @@ def linear_jump_terms_einsum(mesh, problem, vectors):
     np.add.at(per_element, t1, integral)
     np.add.at(per_element, t2, integral)
     return per_element
+
+
+def presorted_solve(mesh, problem):
+    """Nodal values of a linear problem's solution with the interior
+    vertices numbered by id: the system is assembled in that order, sorted
+    by coordinates (x, then y) and copied into the sorted order, factored
+    there, and the solution is scattered back through the order."""
+    samples = volume_samples(mesh, problem)
+    t = mesh.triangles
+    full = sp.coo_matrix(
+        (samples.local.reshape(-1), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())),
+        shape=(mesh.n_vertices, mesh.n_vertices),
+    ).tocsr()
+    interior = np.flatnonzero(~mesh.is_boundary_vertex)
+    matrix = full[interior][:, interior].tocsr()
+    rhs = np.bincount(t.ravel(), weights=samples.load.ravel(), minlength=mesh.n_vertices)
+    coords = mesh.vertices[interior]
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    lu = spla.splu(matrix[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    values = np.zeros(mesh.n_vertices)
+    values[interior] = lu.solve(rhs[interior][order])[np.argsort(order)]
+    return values

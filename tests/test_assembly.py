@@ -18,6 +18,7 @@ from helpers_fem import (
     jacobian_per_point,
     l2_norm,
     nonlinear_estimate_at_centroids,
+    presorted_solve,
     residual_per_point,
     restrict_functional,
     varying_linear_problem,
@@ -100,7 +101,7 @@ def test_stiffness_row_sums():
     system = assemble_linear(mesh, poisson())
     row_sums = np.asarray(system.matrix.sum(axis=1)).ravel()
     full_csr = matrix.tocsr()
-    for k, v in enumerate(system.interior):
+    for k, v in enumerate(mesh.interior_vertices):
         neighbours = full_csr.indices[full_csr.indptr[v]: full_csr.indptr[v + 1]]
         if not np.any(mesh.is_boundary_vertex[neighbours]):
             assert abs(row_sums[k]) < 1e-12
@@ -183,7 +184,7 @@ def test_linear_solve_matches_spsolve_on_random_refinements(name, seeds):
     for seed in seeds:
         mesh = random_refinement(np.random.default_rng(seed), mesh)
     system = assemble_linear(mesh, problem)
-    x = solve_linear(system).values[system.interior]
+    x = solve_linear(system).values[mesh.interior_vertices]
     expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.linalg.norm(system.rhs - system.matrix @ x) <= 1e-10 * np.linalg.norm(system.rhs)
@@ -506,6 +507,10 @@ def test_transfer_rejects_random_siblings_that_are_not_nested(seeds):
     assert len(transfer_many([nested_sol], m2)) == 1
 
 
+def test_transfer_of_no_solutions_is_empty():
+    assert transfer_many([], uniform_refine(unit_square_mesh(cross=True), 1)) == []
+
+
 def test_galerkin_orthogonality_against_reference():
     # f = 1 keeps all quadratures exact, so the discrete orthogonality
     # b(u_ref - U, phi_coarse) = 0 holds to solver precision
@@ -722,8 +727,8 @@ NEWTON_PROBLEMS = {
 @settings(max_examples=30)
 @given(seeds=SEEDS)
 def test_newton_factor_solves_near_spsolve(name, dyadic, seeds):
-    # Newton factors its Jacobians as a linear system is, in the presorted
-    # symmetric order; each step must agree with spsolve's (COLAMD) to 1e-12
+    # Newton factors its Jacobians as a linear system is, in the mesh's
+    # interior order; each step must agree with spsolve's (COLAMD) to 1e-12
     # relative, also among the equal entries of a mirror-symmetric dyadic mesh
     mesh_rng, first_rng, later_rng = (np.random.default_rng(s) for s in seeds)
     problem = NEWTON_PROBLEMS[name]()
@@ -731,29 +736,64 @@ def test_newton_factor_solves_near_spsolve(name, dyadic, seeds):
     mesh = random_refinement(mesh_rng, random_refinement(mesh_rng, mesh))
     if not dyadic:
         mesh = helpers_mesh.off_grid(mesh)
-    coords = mesh.vertices[mesh.interior_vertices]
     for rng in (first_rng, later_rng):
         values = random_p1(rng, mesh).values
         jac = nonlinear_jacobian(mesh, problem, values)
         rhs = nonlinear_residual(mesh, problem, values)
         expected = spla.spsolve(jac.tocsc(), rhs)
-        step = _symmetric_factor(jac, coords)(rhs)
+        step = _symmetric_factor(jac)(rhs)
         assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_every_factor_takes_the_symmetric_order(monkeypatch):
     # the loop's Newton steps, the reference solve and the damped-Riesz
     # fallback all factor through _symmetric_factor
-    specs = _factor_specs(monkeypatch)
+    factors = _factors(monkeypatch)
     problem = builtin_problem("magnetostatics_nl")
     result = driver.run_afem(problem, 0.5, max_elements=300, compute_reference=True)
-    newton = len(specs)
+    newton = len(factors)
     assert newton > len(result.trace)
     _, info = solve_nonlinear(uniform_refine(problem.make_initial_mesh(), 2), problem,
                               max_newton=0, full_output=True)
     assert info["newton_iterations"] == 0 and info["fallback_iterations"] > 0
-    assert len(specs) == newton + 1
-    assert set(specs) == {"MMD_AT_PLUS_A"}
+    assert len(factors) == newton + 1
+    assert {spec for _, spec in factors} == {"MMD_AT_PLUS_A"}
+
+
+def test_the_factor_takes_the_system_as_assembled(monkeypatch):
+    # the mesh numbers the unknowns in the factor's order, so SuperLU gets
+    # the CSC form of the assembled matrix itself: no permuted copy, for a
+    # linear solve and for a Newton step
+    factors = _factors(monkeypatch)
+    linear = builtin_problem("lshape_poisson")
+    mesh = random_refinement(np.random.default_rng(5), uniform_refine(linear.make_initial_mesh(), 4))
+    system = assemble_linear(mesh, linear)
+    solve_linear(system)
+    problem = builtin_problem("magnetostatics_nl")
+    mesh = random_refinement(np.random.default_rng(6), uniform_refine(problem.make_initial_mesh(), 3))
+    solve_nonlinear(mesh, problem)
+    newton = nonlinear_jacobian(mesh, problem, np.zeros(mesh.n_vertices))
+    assert len(factors) > 2
+    for (factored, _), matrix in zip(factors, (system.matrix, newton)):
+        expected = matrix.tocsc()
+        assert factored.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(factored, name), getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("name", ["convection_diffusion", "lshape_poisson", "square_smooth"])
+@pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "off-grid"])
+def test_linear_solve_keeps_the_bits_of_the_presorted_vertex_numbering(name, dyadic):
+    # the interior order moved from around the factor into the mesh; the
+    # solution keeps every bit
+    problem = builtin_problem(name)
+    mesh = uniform_refine(problem.make_initial_mesh(), 3)
+    for seed in range(3):
+        mesh = random_refinement(np.random.default_rng(seed), mesh)
+    if not dyadic:
+        mesh = helpers_mesh.off_grid(mesh)
+    sol = solve_linear(assemble_linear(mesh, problem))
+    assert np.array_equal(sol.values, presorted_solve(mesh, problem))
 
 
 @pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
@@ -791,17 +831,17 @@ def reference_setting():
     return problem, mesh, transfer(result.final_solution, mesh)
 
 
-def _factor_specs(monkeypatch):
-    """The ``permc_spec`` of every SuperLU factor made from here on."""
-    specs = []
+def _factors(monkeypatch):
+    """The matrix and ``permc_spec`` of every SuperLU factor made from here on."""
+    factors = []
     splu = spla.splu
 
     def counted_splu(matrix, permc_spec=None, **kwargs):
-        specs.append(permc_spec)
+        factors.append((matrix, permc_spec))
         return splu(matrix, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted_splu)
-    return specs
+    return factors
 
 
 def _meets_the_contract(mesh, problem, sol):
@@ -813,9 +853,9 @@ def _meets_the_contract(mesh, problem, sol):
 def test_frozen_factor_reference_solve_meets_the_contract(monkeypatch, reference_setting):
     problem, mesh, guess = reference_setting
     newton = solve_nonlinear(mesh, problem, guess)
-    specs = _factor_specs(monkeypatch)
+    factors = _factors(monkeypatch)
     frozen, info = solve_nonlinear(mesh, problem, guess, full_output=True, frozen_factor=True)
-    assert specs == ["MMD_AT_PLUS_A"]
+    assert [spec for _, spec in factors] == ["MMD_AT_PLUS_A"]
     assert info["fallback_iterations"] == 0 and info["newton_iterations"] > 1
     assert _meets_the_contract(mesh, problem, frozen)
     scale = np.abs(newton.values).max()
@@ -835,10 +875,10 @@ def test_poor_first_factor_is_replaced(monkeypatch, reference_setting):
         return 4.0 * jac if len(calls) == 1 else jac
 
     poor = dataclasses.replace(problem, flux_jacobian=poor_first)
-    specs = _factor_specs(monkeypatch)
+    factors = _factors(monkeypatch)
     sol, info = solve_nonlinear(mesh, poor, guess, full_output=True, frozen_factor=True)
-    assert len(calls) == len(specs) >= 2
-    assert all(spec == "MMD_AT_PLUS_A" for spec in specs)
+    assert len(calls) == len(factors) >= 2
+    assert all(spec == "MMD_AT_PLUS_A" for _, spec in factors)
     assert info["fallback_iterations"] == 0
     assert _meets_the_contract(mesh, problem, sol)
 

@@ -347,6 +347,20 @@ def test_trace_csv_empty_and_header_only(tmp_path):
     assert set(back.columns) == set(driver.TRACE_COLUMNS)
 
 
+@pytest.mark.parametrize("row,fault", [
+    ("0,4,5", "12 fields, got 3"),
+    (",".join(["1.0"] * 13), "12 fields, got 13"),
+    ("0,4,5,2,2,0.5,0.0,0.3,nan,nan,abc,0.01", "could not convert string to float: 'abc'"),
+], ids=["short", "long", "not-a-number"])
+def test_trace_csv_names_the_malformed_line(row, fault, tmp_path):
+    # the bad row is the third line of the file, after a good one
+    good = ",".join(["1.0"] * len(driver.TRACE_COLUMNS))
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([",".join(driver.TRACE_COLUMNS), good, row]) + "\n")
+    with pytest.raises(ValueError, match=f"^line 3: .*{fault}"):
+        AfemTrace.from_csv(path)
+
+
 def test_checkers_are_pure_functions_of_the_trace(tmp_path, smooth_run):
     path = tmp_path / "trace.csv"
     smooth_run.trace.to_csv(path)

@@ -7,6 +7,7 @@ from helpers_mesh import (
     between_ids,
     draw_branches,
     draw_marking,
+    off_grid,
     write_mesh_per_line,
 )
 from hypothesis import given, settings
@@ -520,6 +521,21 @@ def test_audit_on_a_shared_forest_examines_only_the_nodes_between_old_and_new_le
     parents, nodes = examined
     assert sorted(nodes.tolist()) == sorted(between_ids(mesh, refined))
     assert np.array_equal(parents, forest.parent[nodes])
+
+
+@settings(max_examples=50)
+@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 6),
+       dyadic=st.booleans())
+def test_interior_vertices_are_the_non_boundary_vertices_by_coordinates(data, name, steps, dyadic):
+    # every system numbers its unknowns in this order, and the factor takes
+    # it as it is: x first, then y
+    mesh = draw_branches(data, name, steps)[-1]
+    if not dyadic:
+        mesh = off_grid(mesh)
+    interior = mesh.interior_vertices
+    assert np.array_equal(np.sort(interior), np.flatnonzero(~mesh.is_boundary_vertex))
+    x, y = mesh.vertices[interior].T
+    assert np.all((x[:-1] < x[1:]) | ((x[:-1] == x[1:]) & (y[:-1] < y[1:])))
 
 
 def test_audit_rejects_a_coarser_mesh():
