@@ -17,10 +17,11 @@ per-pair ratios change/parent and the number of pairs the change wins
 (lower is better, except for ``elements_per_s``).
 A repetition that fails or misses the correctness gate is reported and
 left out of the statistics. The CLI artefacts of the two sides of a pair
-are compared byte for byte, ``trace.csv`` without its ``wall_time_s``
-column, and the summary counts the pairs whose artefacts agree. Where they
-differ, the pair's line says what differs: each ``trace.csv`` column that
-differs with its largest relative difference, the ``meta.json`` keys whose
+are compared byte for byte, the traces (``trace.csv`` and
+``trace_uniform.csv``) without their ``wall_time_s`` column, and the
+summary counts the pairs whose artefacts agree. Where they differ, the
+pair's line says what differs: each trace column that differs with its
+largest relative difference, the ``meta.json`` keys whose
 values differ, for a ``.mesh`` file the vertex and triangle counts of each
 side and the number of vertices and of triangles on one side only, and
 the name of every other file that differs.
@@ -42,6 +43,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import BLAS_THREADS, CALIB_REF_S  # noqa: E402
 
+# the artefacts that are traces, compared without their wall_time_s column
+TRACES = ("trace.csv", "trace_uniform.csv")
 # end-to-end metric -> True where higher is better
 METRICS = {"wall_s": False, "setup_s": False, "elements_per_s": True, "peak_rss_mb": False}
 
@@ -75,10 +78,10 @@ def run_rep(checkout, workload, out):
 
 
 def artefact_bytes(path):
-    """The bytes of one artefact; ``trace.csv`` without its ``wall_time_s`` column."""
+    """The bytes of one artefact; a trace without its ``wall_time_s`` column."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if os.path.basename(path) != "trace.csv":
+    if os.path.basename(path) not in TRACES:
         return data
     rows = [line.split(b",") for line in data.split(b"\n")]
     drop = rows[0].index(b"wall_time_s")
@@ -105,8 +108,8 @@ def _relative_difference(parent_cells, change_cells):
 
 
 def trace_differences(parent_data, change_data):
-    """``column (largest relative difference)`` per differing ``trace.csv``
-    column, ``wall_time_s`` left out."""
+    """``column (largest relative difference)`` per differing column of a
+    trace, ``wall_time_s`` left out."""
     parent, change = _trace_columns(parent_data), _trace_columns(change_data)
     out = []
     for name in sorted(set(parent) | set(change)):
@@ -167,10 +170,10 @@ def mesh_differences(parent_data, change_data):
 def file_differences(name, parent_data, change_data):
     """What differs between two versions of the artefact ``name``:
     :func:`mesh_differences` for a ``.mesh`` file, :func:`trace_differences`
-    for ``trace.csv``, :func:`meta_differences` for ``meta.json``, and an
-    empty list for any other file."""
+    for a trace, :func:`meta_differences` for ``meta.json``, and an empty
+    list for any other file."""
     what = mesh_differences if name.endswith(".mesh") else {
-        "trace.csv": trace_differences, "meta.json": meta_differences}.get(name)
+        **dict.fromkeys(TRACES, trace_differences), "meta.json": meta_differences}.get(name)
     return what(parent_data, change_data) if what else []
 
 

@@ -8,17 +8,16 @@ Every system numbers its unknowns in one order, the mesh's
 Element data has one source per mesh: basis gradients are cached on the
 mesh (:attr:`Mesh.basis_gradients`); the quadrature points, the
 coefficient samples and a linear problem's element matrices and loads are
-taken by :func:`volume_samples` and passed as an argument to assembly, the
-nonlinear solver and the estimator. The adaptive loop carries them through
-refinement, sampling and integrating only the new elements, and drops them
-before the reference build. A nonlinear problem's flux and lower-order
-term at a P1 function come from one function, :func:`flux_terms`, which
-the residual, the estimator and the energy products read. Every
-bilinear form contracts its quadrature before the local product,
-``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is summed from
-local element matrices by one scatter. Every sparse system, linear, Newton
-or Riesz, is factored by one routine, :func:`_symmetric_factor`. Assembly
-is strictly sequential, so repeated runs are bit-reproducible.
+taken by :func:`volume_samples` and passed to assembly, the nonlinear
+solver and the estimator; the adaptive loop carries them through
+refinement. A nonlinear problem's flux and lower-order term at a P1
+function come from one function, :func:`flux_terms`, which the residual,
+the estimator and :func:`energy_products` (one solution paired with many)
+read. Every bilinear form contracts its quadrature before the local
+product, ``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is
+summed from local element matrices by one scatter. Every sparse system is
+factored by :func:`_symmetric_factor`; full and simplified Newton share
+one step block. Assembly is sequential, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ from .problems import LinearProblem
 # mass tables that contract a per-point sample against the P1 basis
 _W_LAM = quadrature.TRI_WEIGHTS[:, None] * quadrature.TRI_BARY
 _W_LAM_LAM = (_W_LAM[:, :, None] * quadrature.TRI_BARY[:, None, :]).reshape(-1, 9)
+# the damped Newton steps of a fresh factor, 1 down to 2**-12
+_NEWTON_STEPS = tuple(0.5**k for k in range(13))
 
 
 class AssemblyError(RuntimeError):
@@ -399,8 +400,7 @@ def solve_nonlinear(
 ):
     """Solve the nonlinear Galerkin system to ``|F(U)| <= 1e-10 |F(0)|``.
 
-    Damped Newton (step halving until the residual decreases) with a
-    guaranteed fallback to the damped Riesz iteration
+    Damped Newton with a guaranteed fallback to the damped Riesz iteration
     ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))``, which converges for any
     strongly monotone Lipschitz operator; the fallback also takes over
     when a Jacobian is exactly singular. ``max_newton=0`` runs the
@@ -409,78 +409,62 @@ def solve_nonlinear(
     the fallback's Laplacian, is factored as a linear system is
     (:func:`_symmetric_factor`).
 
-    ``frozen_factor=True`` runs simplified Newton: the LU factor of a
-    Newton step is kept and solves the later steps, each taken at full
-    length. A step that would need damping or does not halve the residual
-    is not taken; the factor is dropped, and a Newton step with a fresh
-    Jacobian at the same iterate follows. The iterates differ from full
-    Newton's in the last bits: the reference solve uses it, the loop does
-    not, because its iterates decide ties in the marking
-    (``notes/decisions.md``). Raises :class:`NonlinearSolveError` when the
-    iteration budget is exhausted.
+    A Newton step factors a fresh Jacobian only when no factor is kept,
+    and halves its step from 1 down to ``2**-12`` until the residual
+    decreases; when none does, the fallback takes over. Full Newton frees
+    each factor before that line search. ``frozen_factor=True`` runs
+    simplified Newton: the factor is kept and solves the later steps, each
+    taken at full length only when it halves the residual; otherwise the
+    factor is dropped, and the same iterate gets a fresh Jacobian. Its
+    iterates differ from full Newton's in the last bits: the reference
+    solve uses it, the loop does not, because its iterates decide ties in
+    the marking (``notes/decisions.md``). Raises
+    :class:`NonlinearSolveError` when the iteration budget is exhausted.
     """
-    interior = mesh.interior_vertices
-    info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
-    if initial_guess is not None:
-        if not initial_guess.mesh.same_elements(mesh):
-            raise ValueError("initial guess lives on a different mesh")
-        values = initial_guess.values.copy()
-    else:
-        values = np.zeros(mesh.n_vertices)
-    if interior.size == 0:
-        sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
-        return (sol, info) if full_output else sol
+    if initial_guess is not None and not initial_guess.mesh.same_elements(mesh):
+        raise ValueError("initial guess lives on a different mesh")
     if samples is None:
         samples = volume_samples(mesh, problem)
-
-    ref_norm = float(np.linalg.norm(
-        nonlinear_residual(mesh, problem, np.zeros(mesh.n_vertices), samples)))
-    if ref_norm == 0.0:
-        sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
-        return (sol, info) if full_output else sol
+    interior = mesh.interior_vertices
+    info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
+    values = np.zeros(mesh.n_vertices)
+    ref_norm = float(np.linalg.norm(nonlinear_residual(mesh, problem, values, samples)))
     target = 1e-10 * ref_norm
+    res_norm = best = 0.0
+    # otherwise zero solves F(0) = 0, also when nothing is unknown
+    if ref_norm != 0.0:
+        if initial_guess is not None:
+            values = initial_guess.values.copy()
+        residual = nonlinear_residual(mesh, problem, values, samples)
+        res_norm = best = float(np.linalg.norm(residual))
+        info["residuals"].append(res_norm)
 
-    residual = nonlinear_residual(mesh, problem, values, samples)
-    res_norm = float(np.linalg.norm(residual))
-    best = res_norm
-    info["residuals"].append(res_norm)
-
-    kept = None
+    solve = None
     while res_norm > target and info["newton_iterations"] < max_newton:
-        if kept is not None:
-            trial = values.copy()
-            trial[interior] -= kept(residual)
-            trial_residual = nonlinear_residual(mesh, problem, trial, samples)
-            trial_norm = float(np.linalg.norm(trial_residual))
-            if trial_norm <= 0.5 * res_norm:
-                values, residual, res_norm = trial, trial_residual, trial_norm
-                info["newton_iterations"] += 1
-                info["residuals"].append(res_norm)
-                best = min(best, res_norm)
-                continue
-            kept = None
-        jac = nonlinear_jacobian(mesh, problem, values, samples)
-        try:
-            solve = _symmetric_factor(jac)
-        except RuntimeError:
-            # SuperLU found the Jacobian exactly singular
-            break
+        fresh = solve is None
+        if fresh:
+            try:
+                solve = _symmetric_factor(nonlinear_jacobian(mesh, problem, values, samples))
+            except RuntimeError:
+                # SuperLU found the Jacobian exactly singular
+                break
         delta = solve(residual)
-        # simplified Newton keeps the factor; full Newton frees it here
-        kept = solve if frozen_factor else None
-        del solve
+        if not frozen_factor:
+            solve = None  # full Newton frees the factor before the line search
         accepted = False
-        step = 1.0
-        while step >= 2.0**-12:
+        for step in _NEWTON_STEPS if fresh else _NEWTON_STEPS[:1]:
             trial = values.copy()
             trial[interior] -= step * delta
             trial_residual = nonlinear_residual(mesh, problem, trial, samples)
             trial_norm = float(np.linalg.norm(trial_residual))
-            if np.isfinite(trial_norm) and trial_norm < res_norm:
+            if (np.isfinite(trial_norm) and trial_norm < res_norm if fresh
+                    else trial_norm <= 0.5 * res_norm):
                 values, residual, res_norm = trial, trial_residual, trial_norm
                 accepted = True
                 break
-            step *= 0.5
+        if not (accepted or fresh):
+            solve = None  # a fresh Jacobian at the same iterate
+            continue
         info["newton_iterations"] += 1
         info["residuals"].append(res_norm)
         best = min(best, res_norm)
@@ -529,39 +513,35 @@ def flux_terms(mesh, problem, values, points=None):
     return points, u_q, grad_u, flux, lower
 
 
-def pairing_terms(mesh, problem, values):
-    """``w_terms`` of :func:`energy_products`: :func:`flux_terms` and ``|T| w_q``."""
-    return flux_terms(mesh, problem, values), mesh.areas[:, None] * quadrature.TRI_WEIGHTS
+def energy_products(mesh, problem, w_sol, v_sols, system=None):
+    """Squared energy distances of ``w_sol`` to each of ``v_sols``, a list.
 
-
-def energy_products(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
-    """Squared energy distance of two solutions.
-
-    For linear problems returns ``b(w - v, w - v)``, from the assembled
-    ``system`` when given; for nonlinear ones ``<L w - L v, w - v>``, the
-    squared quasi-metric induced by the strongly monotone operator, from
-    ``w_terms = pairing_terms(mesh, problem, w_sol.values)`` when given
-    (one solution paired with many: its terms and the weights, once).
+    For linear problems ``b(w - v, w - v)``, from the assembled ``system``
+    when given; for nonlinear ones ``<L w - L v, w - v>``, the squared
+    quasi-metric induced by the strongly monotone operator, with the
+    :func:`flux_terms` of ``w`` and the weights ``|T| w_q`` taken once.
     """
-    if not (w_sol.mesh.same_elements(mesh) and v_sol.mesh.same_elements(mesh)):
-        raise ValueError("energy products need both solutions on the given mesh")
+    if not all(sol.mesh.same_elements(mesh) for sol in (w_sol, *v_sols)):
+        raise ValueError("energy products need every solution on the given mesh")
     if isinstance(problem, LinearProblem):
         if system is None:
             system = assemble_linear(mesh, problem)
         interior = system.mesh.interior_vertices
-        d = w_sol.values[interior] - v_sol.values[interior]
-        return float(d @ (system.matrix @ d))
+        w = w_sol.values[interior]
+        return [float(d @ (system.matrix @ d)) for d in (w - v.values[interior] for v in v_sols)]
 
-    if w_terms is None:
-        w_terms = pairing_terms(mesh, problem, w_sol.values)
-    (points, uw, grad_w, flux_w, lower_w), weights = w_terms
-    _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
-    # (NT, 1): formed once per element, then broadcast to the points by the
-    # sum below, which keeps its operands
-    integrand = np.sum((flux_w - flux_v) * (grad_w - grad_v), axis=1)[:, None]
-    if lower_w is not None:
-        integrand = integrand + (lower_w - lower_v) * (uw - uv)
-    return float(np.sum(weights * integrand))
+    points, uw, grad_w, flux_w, lower_w = flux_terms(mesh, problem, w_sol.values)
+    weights = mesh.areas[:, None] * quadrature.TRI_WEIGHTS
+    products = []
+    for v_sol in v_sols:
+        _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
+        # (NT, 1): formed once per element, then broadcast to the points by
+        # the sum below, which keeps its operands
+        integrand = np.sum((flux_w - flux_v) * (grad_w - grad_v), axis=1)[:, None]
+        if lower_w is not None:
+            integrand = integrand + (lower_w - lower_v) * (uw - uv)
+        products.append(float(np.sum(weights * integrand)))
+    return products
 
 
 def transfer(sol, finer):

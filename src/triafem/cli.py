@@ -43,6 +43,9 @@ DEFAULT_CHECKS = (
     "discrete_reliability",
     "mesh_audit",
 )
+# every file a run writes into its directory
+ARTEFACTS = ("trace.csv", "trace_uniform.csv", "meta.json", "report.txt", "failures.json",
+             "plotdata.csv", "plot_traces.py", "meshes/initial.mesh", "meshes/final.mesh")
 
 
 class ConfigError(ValueError):
@@ -71,7 +74,10 @@ def _rate(result, config, uniform_result):
     fit = fit_rate(result.trace)
     detail = f"rate={fit.rate:.4f} residual={fit.residual:.3g}"
     if uniform_result is not None:
-        detail += f" uniform_rate={fit_rate(uniform_result.trace).rate:.4f}"
+        try:
+            detail += f" uniform_rate={fit_rate(uniform_result.trace).rate:.4f}"
+        except ValueError as exc:
+            detail += f" uniform_rate=skipped ({exc})"
     return "pass", detail
 
 
@@ -351,8 +357,10 @@ def _execute_single(config):
     problem = builtin_problem(config.problem)
     initial_mesh = problem.make_initial_mesh()
     out = config.out
-    os.makedirs(out, exist_ok=True)
     os.makedirs(os.path.join(out, "meshes"), exist_ok=True)
+    for name in ARTEFACTS:  # a reused directory keeps none of an earlier run's
+        if os.path.exists(os.path.join(out, name)):
+            os.remove(os.path.join(out, name))
 
     needs_reference = "quasi_orthogonality" in config.checks
     try:

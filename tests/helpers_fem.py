@@ -8,7 +8,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from triafem import quadrature
-from triafem.assembly import element_gradients, volume_samples
+from triafem.assembly import (
+    _symmetric_factor,
+    element_gradients,
+    laplace_stiffness,
+    nonlinear_jacobian,
+    nonlinear_residual,
+    volume_samples,
+)
 from triafem.mesh import unit_square_mesh
 from triafem.problems import LinearProblem, builtin_problem
 
@@ -404,3 +411,69 @@ def presorted_solve(mesh, problem):
     values = np.zeros(mesh.n_vertices)
     values[interior] = lu.solve(rhs[interior][order])[np.argsort(order)]
     return values
+
+
+def two_block_newton(mesh, problem, initial_guess=None, frozen_factor=False):
+    """Nodal values and info of ``solve_nonlinear`` as first written, with
+    one step block for a kept factor and another for a fresh Jacobian (an
+    exhausted budget returns None)."""
+    interior = mesh.interior_vertices
+    info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
+    values = np.zeros(mesh.n_vertices) if initial_guess is None else initial_guess.values.copy()
+    samples = volume_samples(mesh, problem)
+    ref_norm = float(np.linalg.norm(
+        nonlinear_residual(mesh, problem, np.zeros(mesh.n_vertices), samples)))
+    if interior.size == 0 or ref_norm == 0.0:
+        return np.zeros(mesh.n_vertices), info
+    target = 1e-10 * ref_norm
+    residual = nonlinear_residual(mesh, problem, values, samples)
+    res_norm = float(np.linalg.norm(residual))
+    info["residuals"].append(res_norm)
+
+    kept = None
+    while res_norm > target and info["newton_iterations"] < 200:
+        if kept is not None:
+            trial = values.copy()
+            trial[interior] -= kept(residual)
+            trial_residual = nonlinear_residual(mesh, problem, trial, samples)
+            trial_norm = float(np.linalg.norm(trial_residual))
+            if trial_norm <= 0.5 * res_norm:
+                values, residual, res_norm = trial, trial_residual, trial_norm
+                info["newton_iterations"] += 1
+                info["residuals"].append(res_norm)
+                continue
+            kept = None
+        jac = nonlinear_jacobian(mesh, problem, values, samples)
+        try:
+            solve = _symmetric_factor(jac)
+        except RuntimeError:
+            break
+        delta = solve(residual)
+        kept = solve if frozen_factor else None
+        accepted = False
+        step = 1.0
+        while step >= 2.0**-12:
+            trial = values.copy()
+            trial[interior] -= step * delta
+            trial_residual = nonlinear_residual(mesh, problem, trial, samples)
+            trial_norm = float(np.linalg.norm(trial_residual))
+            if np.isfinite(trial_norm) and trial_norm < res_norm:
+                values, residual, res_norm = trial, trial_residual, trial_norm
+                accepted = True
+                break
+            step *= 0.5
+        info["newton_iterations"] += 1
+        info["residuals"].append(res_norm)
+        if not accepted:
+            break
+
+    if res_norm > target:
+        step_size = problem.monotone_const / problem.lipschitz_const**2
+        riesz = _symmetric_factor(laplace_stiffness(mesh))
+        while res_norm > target and info["fallback_iterations"] < 10_000:
+            values[interior] -= step_size * riesz(residual)
+            residual = nonlinear_residual(mesh, problem, values, samples)
+            res_norm = float(np.linalg.norm(residual))
+            info["fallback_iterations"] += 1
+        info["residuals"].append(res_norm)
+    return (values, info) if res_norm <= target else None

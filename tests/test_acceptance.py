@@ -388,8 +388,8 @@ def test_criterion_9_cross_checks():
         v = np.zeros(mesh.n_vertices)
         w[mesh.interior_vertices] = rng.normal(0.0, 0.7, mesh.interior_vertices.size)
         v[mesh.interior_vertices] = rng.normal(0.0, 0.7, mesh.interior_vertices.size)
-        dl_sq = energy_products(
-            mesh, problem, DiscreteSolution(mesh, w), DiscreteSolution(mesh, v)
+        [dl_sq] = energy_products(
+            mesh, problem, DiscreteSolution(mesh, w), [DiscreteSolution(mesh, v)]
         )
         h1 = grad_norm_sq(mesh, w - v)
         assert lo_band * h1 - 1e-12 <= dl_sq <= hi_band * h1 + 1e-12

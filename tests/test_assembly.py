@@ -21,6 +21,7 @@ from helpers_fem import (
     presorted_solve,
     residual_per_point,
     restrict_functional,
+    two_block_newton,
     varying_linear_problem,
 )
 import scipy.sparse.linalg as spla
@@ -41,7 +42,6 @@ from triafem.assembly import (
     laplace_stiffness,
     nonlinear_jacobian,
     nonlinear_residual,
-    pairing_terms,
     solve_linear,
     solve_nonlinear,
     transfer,
@@ -352,11 +352,13 @@ def test_energy_products_linear():
     w[mesh.interior_vertices] = rng.normal(size=mesh.interior_vertices.size)
     v[mesh.interior_vertices] = rng.normal(size=mesh.interior_vertices.size)
     ws, vs = DiscreteSolution(mesh, w), DiscreteSolution(mesh, v)
-    zero = energy_products(mesh, problem, ws, ws)
+    # one float per paired solution, in their order
+    assert energy_products(mesh, problem, ws, []) == []
+    zero, dl_sq = energy_products(mesh, problem, ws, [ws, vs])
     assert zero == pytest.approx(0.0, abs=1e-14)
     # for A = I the energy distance is the squared H1 seminorm
-    dl_sq = energy_products(mesh, problem, ws, vs)
     assert dl_sq == pytest.approx(grad_norm_sq(mesh, w - v), rel=1e-12)
+    assert energy_products(mesh, problem, ws, [vs]) == [dl_sq]
 
 
 def test_energy_products_mesh_mismatch():
@@ -365,8 +367,12 @@ def test_energy_products_mesh_mismatch():
     finer = uniform_refine(mesh, 1)
     a = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
     b = DiscreteSolution(finer, np.zeros(finer.n_vertices))
+    # any paired solution off the mesh is rejected, the first one or a later
+    for v_sols in ([b], [a, b]):
+        with pytest.raises(ValueError, match="mesh"):
+            energy_products(mesh, problem, a, v_sols)
     with pytest.raises(ValueError, match="mesh"):
-        energy_products(mesh, problem, a, b)
+        energy_products(mesh, problem, b, [a])
 
 
 def test_nonlinear_energy_distance_band():
@@ -379,8 +385,8 @@ def test_nonlinear_energy_distance_band():
         v = np.zeros(mesh.n_vertices)
         w[mesh.interior_vertices] = rng.normal(0.0, 0.5, mesh.interior_vertices.size)
         v[mesh.interior_vertices] = rng.normal(0.0, 0.5, mesh.interior_vertices.size)
-        dl_sq = energy_products(
-            mesh, problem, DiscreteSolution(mesh, w), DiscreteSolution(mesh, v)
+        [dl_sq] = energy_products(
+            mesh, problem, DiscreteSolution(mesh, w), [DiscreteSolution(mesh, v)]
         )
         h1 = grad_norm_sq(mesh, w - v)
         assert problem.monotone_const * h1 - 1e-12 <= dl_sq
@@ -700,15 +706,12 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
 
     # one energy's last bits seldom show a change of summation order, so
     # one solution is paired with several, as a run pairs its reference
-    # solution with every iterate
+    # solution with every iterate: in one call and one call each
     w_sol = DiscreteSolution(mesh, w_values)
-    w_terms = pairing_terms(mesh, problem, w_values)
-    for seed in range(4, 12):
-        v_values = _random_p1(mesh, seed)
-        v_sol = DiscreteSolution(mesh, v_values)
-        expected = energy_per_point(mesh, problem, w_values, v_values)
-        assert energy_products(mesh, problem, w_sol, v_sol) == expected
-        assert energy_products(mesh, problem, w_sol, v_sol, w_terms=w_terms) == expected
+    v_sols = [DiscreteSolution(mesh, _random_p1(mesh, seed)) for seed in range(4, 12)]
+    expected = [energy_per_point(mesh, problem, w_values, v.values) for v in v_sols]
+    assert energy_products(mesh, problem, w_sol, v_sols) == expected
+    assert [energy_products(mesh, problem, w_sol, [v])[0] for v in v_sols] == expected
 
     report = estimate(mesh, w_sol, problem, samples)
     indicators_sq, osc_sq = nonlinear_estimate_at_centroids(mesh, problem, w_values, samples)
@@ -798,28 +801,30 @@ def test_linear_solve_keeps_the_bits_of_the_presorted_vertex_numbering(name, dya
 
 @pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
 def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, name):
-    # the run computes the reference side of every pairing once, its
-    # quadrature weights included; each energy must have the bits of a call
-    # that computes that side itself, and of the per-point oracle. Off the
-    # dyadic grid, where areas are not powers of two and so the association
-    # of the weights shows in the last bits
-    pairs = []
+    # the reference build pairs the reference solution with every iterate
+    # in one call, which takes the reference side once, its quadrature
+    # weights included; each energy must have the bits of a call for that
+    # iterate alone, and of the per-point oracle. Off the dyadic grid, where
+    # areas are not powers of two and so the association of the weights
+    # shows in the last bits
+    calls = []
     energy = driver.energy_products
 
-    def recorded(mesh, problem, w_sol, v_sol, system=None, w_terms=None):
-        value = energy(mesh, problem, w_sol, v_sol, system=system, w_terms=w_terms)
-        if w_terms is not None:
-            pairs.append((value, energy(mesh, problem, w_sol, v_sol),
-                          energy_per_point(mesh, problem, w_sol.values, v_sol.values)))
-        return value
+    def recorded(mesh, problem, w_sol, v_sols, system=None):
+        values = energy(mesh, problem, w_sol, v_sols, system=system)
+        calls.append((values, [energy(mesh, problem, w_sol, [v])[0] for v in v_sols],
+                      [energy_per_point(mesh, problem, w_sol.values, v.values) for v in v_sols]))
+        return values
 
     monkeypatch.setattr(driver, "energy_products", recorded)
     problem = NEWTON_PROBLEMS[name]()
     result = driver.run_afem(problem, 0.5, max_elements=300, compute_reference=True,
                              initial_mesh=helpers_mesh.off_grid(problem.make_initial_mesh()))
-    assert len(pairs) == len(result.trace)
-    assert all(hoisted == per_call == oracle for hoisted, per_call, oracle in pairs)
-    assert np.array_equal(result.trace.err_energy_sq, [max(0.0, v) for v, _, _ in pairs])
+    # one call per increment of the loop, then one for the reference
+    assert [len(values) for values, _, _ in calls] == [1] * (len(result.trace) - 1) + [
+        len(result.trace)]
+    assert all(values == per_call == oracle for values, per_call, oracle in calls)
+    assert np.array_equal(result.trace.err_energy_sq, [max(0.0, v) for v in calls[-1][0]])
 
 
 @pytest.fixture(scope="module")
@@ -883,6 +888,75 @@ def test_poor_first_factor_is_replaced(monkeypatch, reference_setting):
     assert _meets_the_contract(mesh, problem, sol)
 
 
+def _same_as_two_blocks(mesh, make_problem, guess, frozen):
+    """``solve_nonlinear`` gives the values, bit for bit, and the info of
+    the two-block oracle; ``make_problem()`` gives a fresh problem per solve."""
+    sol, info = solve_nonlinear(mesh, make_problem(), guess, full_output=True,
+                                frozen_factor=frozen)
+    values, expected = two_block_newton(mesh, make_problem(), guess, frozen)
+    assert np.array_equal(sol.values, values)
+    assert info == expected
+    return info
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["full", "frozen"])
+@pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
+def test_newton_keeps_the_bits_of_the_two_block_loop(name, frozen):
+    # one step block serves a fresh and a kept factor; every iterate and
+    # count must be those of the loop with a block for each, from zero, from
+    # the prolonged solution of a coarser mesh and from a far guess, off
+    # the dyadic grid
+    problem = NEWTON_PROBLEMS[name]()
+    coarse = helpers_mesh.off_grid(random_refinement(
+        np.random.default_rng(8), uniform_refine(problem.make_initial_mesh(), 4)))
+    mesh = random_refinement(np.random.default_rng(9), coarse)
+    guesses = (None, transfer(solve_nonlinear(coarse, problem), mesh),
+               DiscreteSolution(mesh, 10.0 * _random_p1(mesh, 10)))
+    for guess in guesses:
+        info = _same_as_two_blocks(mesh, lambda: problem, guess, frozen)
+        assert info["newton_iterations"] > 1 and info["fallback_iterations"] == 0
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["full", "frozen"])
+@pytest.mark.parametrize("scale", [4.0, 0.25, -1.0], ids=["short", "damped", "ascent"])
+def test_poor_first_factor_keeps_the_bits_of_the_two_block_loop(reference_setting, scale, frozen):
+    # the first Jacobian scaled: its steps are a quarter of Newton's, which
+    # a kept factor drops after one step; four times Newton's, which the
+    # line search halves; or uphill, so that no step is taken and the
+    # fallback takes over
+    problem, mesh, guess = reference_setting
+
+    def make_poor():
+        calls = []
+
+        def poor_first(y):
+            calls.append(y.shape)
+            jac = problem.flux_jacobian(y)
+            return scale * jac if len(calls) == 1 else jac
+
+        return dataclasses.replace(problem, flux_jacobian=poor_first)
+
+    info = _same_as_two_blocks(mesh, make_poor, guess, frozen)
+    assert (info["fallback_iterations"] > 0) == (scale < 0.0)
+
+
+def test_zero_residual_leaves_zero_from_the_one_exit():
+    # F(0) = 0, from a zero source or because nothing is unknown, returns
+    # zero and an empty residual record, whatever the guess
+    from triafem.mesh import load_initial_mesh
+
+    problem = builtin_problem("magnetostatics_nl")
+    unforced = dataclasses.replace(problem, source=lambda x: np.zeros(x.shape[0]))
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    single = load_initial_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+    cases = [(mesh, unforced, DiscreteSolution(mesh, _random_p1(mesh, 3))),
+             (mesh, unforced, None), (single, problem, None)]
+    for frozen in (False, True):
+        for case_mesh, case_problem, guess in cases:
+            info = _same_as_two_blocks(case_mesh, lambda: case_problem, guess, frozen)
+            assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
+
+
 def _galerkin(mesh, problem, values):
     nonlinear_residual(mesh, problem, values)
     nonlinear_jacobian(mesh, problem, values)
@@ -926,7 +1000,7 @@ def test_non_finite_lower_order_term_is_rejected(kernel):
     values = np.zeros(mesh.n_vertices)
     values[mesh.interior_vertices] = 1.0
     w_sol, v_sol = DiscreteSolution(mesh, values), DiscreteSolution(mesh, 0.5 * values)
-    args = (mesh, problem, w_sol, v_sol) if kernel is energy_products else (mesh, w_sol, problem)
+    args = (mesh, problem, w_sol, [v_sol]) if kernel is energy_products else (mesh, w_sol, problem)
     with pytest.raises(AssemblyError, match="lower_order"):
         kernel(*args)
 

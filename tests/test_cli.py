@@ -295,3 +295,53 @@ def test_checks_look_up_their_checkers_at_call_time(tmp_path, monkeypatch):
                            "--checks", ",".join(cli.KNOWN_CHECKS)])
     execute(config)
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_rate_with_uniform_baseline_reports_the_adaptive_rate(tmp_path):
+    # the uniform run is too short for its own rate fit: the adaptive rate
+    # still passes, and the uniform rate is marked as skipped with the reason
+    out = tmp_path / "rate"
+    config = parse_config(
+        ["--problem", "lshape_poisson", "--max-elements", "2000", "--checks", "rate",
+         "--uniform-baseline", "--out", str(out)]
+    )
+    assert execute(config) == 0
+    report = (out / "report.txt").read_text()
+    assert ("CHECK rate: PASS rate=0.4654 residual=0.0185 uniform_rate=skipped "
+            "(rate fit needs at least 6 points in the window)\n") in report
+
+
+def test_reused_out_keeps_no_artefact_of_an_earlier_run(tmp_path):
+    # the L-shape run writes a uniform trace, the square run does not
+    out = tmp_path / "reused"
+    (tmp_path / "reused").mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    first = ["--problem", "lshape_poisson", "--max-elements", "500", "--uniform-baseline",
+             "--out", str(out)]
+    assert execute(parse_config(first)) == 0
+    assert (out / "trace_uniform.csv").exists()
+    assert execute(parse_config(["--problem", "square_smooth", "--max-elements", "200",
+                                 "--out", str(out)])) == 0
+    assert not (out / "trace_uniform.csv").exists()
+    assert "problem=square_smooth" in (out / "report.txt").read_text()
+    assert "uniform" not in (out / "plotdata.csv").read_text()
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_failing_run_leaves_no_artefact_of_an_earlier_run(tmp_path, monkeypatch):
+    from triafem import driver
+    from triafem.mesh import MeshError
+
+    out = tmp_path / "reused"
+    flags = ["--problem", "square_smooth", "--max-elements", "200", "--uniform-baseline",
+             "--out", str(out)]
+    assert execute(parse_config(flags)) == 0
+
+    def broken_audit(old_mesh, new_mesh, record):
+        raise MeshError("bisection did not halve the element area")
+
+    monkeypatch.setattr(driver, "audit_refinement", broken_audit)
+    assert execute(parse_config(flags)) == 1
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == ["failures.json", "report.txt", "trace.csv"]
+    assert len((out / "trace.csv").read_text().strip().splitlines()) == 2

@@ -291,6 +291,21 @@ def test_quasi_orthogonality_symmetric_tight(smooth_run):
     assert len(report.usable) >= 3
 
 
+@pytest.mark.parametrize("max_elements,any_usable", [(300, False), (2000, True)])
+def test_quasi_orthogonality_verdict_survives_the_trace_file(tmp_path, max_elements, any_usable):
+    # the noise floor is read from the trace itself, so the trace read back
+    # from trace.csv, without meta, gets the verdict of the run in memory
+    result = run_afem(builtin_problem("magnetostatics_nl"), 0.5, max_elements=max_elements,
+                      compute_reference=True)
+    path = tmp_path / "trace.csv"
+    result.trace.to_csv(path)
+    in_memory = check_quasi_orthogonality(result.trace, 0.5)
+    read_back = check_quasi_orthogonality(AfemTrace.from_csv(path), 0.5)
+    assert read_back.usable == in_memory.usable
+    assert read_back.failures == in_memory.failures
+    assert bool(in_memory.usable) == any_usable
+
+
 def test_marking_optimality_rows():
     trace = synthetic_trace(
         np.array([1.0, 0.9]),

@@ -93,3 +93,18 @@ def test_mesh_differences_count_vertices_and_triangles(pairs, tmp_path):
         " 0 vertices only in the parent and 0 only in the change,"
         " 0 triangles only in the parent and 0 only in the change",
     ]
+
+
+def test_the_uniform_trace_is_compared_as_a_trace(pairs, tmp_path):
+    # a run with a uniform baseline writes trace_uniform.csv: its wall
+    # times may differ, and a differing column is named as in trace.csv
+    meta = {"theta": 0.5}
+    parent = _artefacts(tmp_path / "parent", "2.0", "4.0", meta)
+    change = _artefacts(tmp_path / "change", "2.0", "4.0", meta)
+    same = _artefacts(tmp_path / "same", "2.0", "4.0", meta)
+    for folder, err1, wall in ((parent, "4.0", "0.2"), (change, "4.000000000004", "0.2"),
+                               (same, "4.0", "0.3")):
+        (Path(folder) / "trace_uniform.csv").write_text(
+            TRACE.format(err0="2.0", err1=err1, wall=wall))
+    assert pairs.differences(parent, same) == []
+    assert pairs.differences(parent, change) == ["trace_uniform.csv: err_energy_sq (1.00e-12)"]
