@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -358,22 +359,11 @@ def _execute_single(config):
     initial_mesh = problem.make_initial_mesh()
     out = config.out
     os.makedirs(os.path.join(out, "meshes"), exist_ok=True)
-    for name in ARTEFACTS:  # a reused directory keeps none of an earlier run's
-        if os.path.exists(os.path.join(out, name)):
-            os.remove(os.path.join(out, name))
-
-    needs_reference = "quasi_orthogonality" in config.checks
     try:
         result = run_afem(
-            problem,
-            config.theta[0],
-            max_elements=config.max_elements,
-            eta_tol=config.eta_tol,
-            marking=config.marking,
-            keep_history=needs_reference,
-            compute_reference=needs_reference,
-            initial_mesh=initial_mesh,
-        )
+            problem, config.theta[0], config.max_elements, config.eta_tol, config.marking,
+            keep_history=False, compute_reference="quasi_orthogonality" in config.checks,
+            initial_mesh=initial_mesh)
     except Exception as exc:
         return _write_run_failure(out, "run", exc, "trace.csv")
 
@@ -392,7 +382,7 @@ def _execute_single(config):
     if uniform_result is not None:
         uniform_result.trace.to_csv(os.path.join(out, "trace_uniform.csv"))
     write_mesh(initial_mesh, os.path.join(out, "meshes", "initial.mesh"))
-    write_mesh(result.final_mesh, os.path.join(out, "meshes", "final.mesh"))
+    write_mesh(result.final_solution.mesh, os.path.join(out, "meshes", "final.mesh"))
     _write_plotdata(os.path.join(out, "plotdata.csv"), result, uniform_result)
     with open(os.path.join(out, "plot_traces.py"), "w") as fh:
         fh.write(_PLOT_SCRIPT)
@@ -430,6 +420,23 @@ def _sweep_dir(theta):
     return f"theta={theta:g}"
 
 
+def _clear_artefacts(out):
+    """Remove the ``ARTEFACTS`` of an earlier run or sweep from ``out`` and
+    from its sweep directories, then every directory this leaves empty;
+    any other file stays where it is."""
+    sweeps = glob.glob(os.path.join(glob.escape(out), "theta=*"))  # every _sweep_dir
+    for run_dir in [*sweeps, out]:
+        found = [path for path in (os.path.join(run_dir, name) for name in ARTEFACTS)
+                 if os.path.isfile(path)]
+        for path in found:
+            os.remove(path)
+        if not found:
+            continue
+        for directory in (os.path.join(run_dir, "meshes"), run_dir):
+            if directory != out and os.path.isdir(directory) and not os.listdir(directory):
+                os.rmdir(directory)
+
+
 def _sweep_worker(payload):
     config_dict, theta = payload
     config = RunConfig(**{**config_dict, "theta": (theta,),
@@ -441,11 +448,13 @@ def execute(config):
     """Run the configured job (or theta sweep); 0 exit iff no check failed.
 
     Raises :class:`ConfigError` before any run when ``max_elements`` is
-    below the initial element count.
+    below the initial element count. Otherwise ``out`` first loses the
+    artefacts of any earlier run or sweep (:func:`_clear_artefacts`).
     """
     initial = builtin_problem(config.problem).make_initial_mesh()
     if config.max_elements is not None and config.max_elements < initial.n_elements:
         raise ConfigError("key 'max_elements': below the initial element count")
+    _clear_artefacts(config.out)
     if len(config.theta) == 1:
         return 1 if _execute_single(config) else 0
     payloads = [(dataclasses.asdict(config), theta) for theta in config.theta]

@@ -131,8 +131,10 @@ class AfemTrace:
 
 @dataclass
 class AfemResult:
+    """One run: its trace, the last solution (its mesh is the final mesh),
+    the record of every refinement and, with ``keep_history``, every solution."""
+
     trace: AfemTrace
-    final_mesh: object
     final_solution: DiscreteSolution
     records: list
     solutions: Optional[list] = None
@@ -165,23 +167,47 @@ def build_reference(problem, solutions):
         ref_mesh, problem, reference, transfer_many(solutions, ref_mesh), system=system)
 
 
-def _run_loop(
-    problem,
-    mark_fn,
-    theta,
-    max_elements,
-    eta_tol,
-    marking_name,
-    keep_history,
-    compute_reference,
-    initial_mesh,
-):
+def _mark(marking, report, theta):
+    """Indices of the elements that the variant ``marking`` marks."""
+    if marking == "min":
+        return mark_min(report.indicators_sq, theta).marked
+    if marking == "binned":
+        return mark_binned(report.indicators_sq, theta).marked
+    return np.arange(report.indicators_sq.shape[0])
+
+
+def _rows_to_trace(rows, meta):
+    columns = {
+        name: np.array([row[name] for row in rows], dtype=float) for name in TRACE_COLUMNS
+    }
+    return AfemTrace(columns=columns, meta=dict(meta))
+
+
+def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
+             keep_history=True, compute_reference=False, initial_mesh=None):
+    """Adaptive run, solve - estimate - mark - refine; returns an
+    :class:`AfemResult`.
+
+    ``marking`` is ``"min"`` (minimal Doerfler set), ``"binned"`` (binned
+    Doerfler set) or ``"uniform"`` (every element, whatever ``theta``).
+    Stops when the estimator drops below ``eta_tol``, the mesh reaches
+    ``max_elements``, the indicators vanish or after ``MAX_ITERATIONS``
+    refinements. Every refinement is audited. ``keep_history`` keeps the
+    solution of every iteration in ``solutions``. With
+    ``compute_reference=True`` the run is followed by a reference solve on
+    ``REFERENCE_LEVELS`` uniform refinements of the final mesh and the
+    energy errors of all iterates are recorded; the run holds its iterates
+    for that whether or not it returns them. ``initial_mesh`` overrides
+    the problem's default, which lets several runs share one genealogy.
+    """
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    if marking not in ("min", "binned", "uniform"):
+        raise ValueError(f"unknown marking variant {marking!r}")
     if max_elements is None and eta_tol is None:
         raise ValueError("need a stopping rule: max_elements or eta_tol")
     if isinstance(problem, LinearProblem):
         check_ellipticity(problem)
-    if compute_reference and not keep_history:
-        raise ValueError("reference energies need the run history")
 
     mesh = problem.make_initial_mesh() if initial_mesh is None else initial_mesh
     gamma0 = shape_regularity(mesh)
@@ -189,7 +215,6 @@ def _run_loop(
     rows = []
     records = []
     solutions = []
-    previous = None
     # (coarse mesh, its samples, refinement record) of the last refinement
     carry = None
 
@@ -206,7 +231,7 @@ def _run_loop(
     meta = {
         "problem": problem.name,
         "theta": theta,
-        "marking": marking_name,
+        "marking": marking,
         "stop_max_elements": max_elements,
         "stop_eta_tol": eta_tol,
         "n_initial_elements": mesh.n_elements,
@@ -216,9 +241,9 @@ def _run_loop(
     for ell in range(MAX_ITERATIONS + 1):
         tic = time.perf_counter()
         moved = None
-        if previous is not None:
+        if ell:  # the last iterate, prolonged: Newton's guess and the increment's base
             with _phase("transfer"):
-                moved = transfer(previous, mesh)
+                moved = transfer(sol, mesh)
         with _phase("solve"):
             samples, carry = volume_samples(mesh, problem, carry), None
             sol, system = _solve_on(mesh, problem, moved, samples)
@@ -230,23 +255,12 @@ def _run_loop(
                 rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
         with _phase("estimate"):
             report = estimate(mesh, sol, problem, samples)
-        rows.append(
-            {
-                "ell": float(ell),
-                "n_elements": float(mesh.n_elements),
-                "n_vertices": float(mesh.n_vertices),
-                "n_marked": np.nan,
-                "n_refined": np.nan,
-                "eta_sq": report.eta_sq_total,
-                "osc_sq": report.osc_sq_total,
-                "refined_eta_sq": np.nan,
-                "grad_diff_sq": np.nan,
-                "energy_diff_sq": np.nan,
-                "err_energy_sq": np.nan,
-                "wall_time_s": 0.0,
-            }
-        )
-        if keep_history:
+        row = dict.fromkeys(TRACE_COLUMNS, np.nan)
+        row.update(ell=float(ell), n_elements=float(mesh.n_elements),
+                   n_vertices=float(mesh.n_vertices), eta_sq=report.eta_sq_total,
+                   osc_sq=report.osc_sq_total)
+        rows.append(row)
+        if keep_history or compute_reference:
             solutions.append(sol)
 
         stop = (
@@ -257,27 +271,23 @@ def _run_loop(
         if not stop:
             with _phase("mark"):
                 try:
-                    marked = mark_fn(report)
+                    marked = _mark(marking, report, theta)
                 except AllZeroIndicators:
                     stop = True
+        if not stop:
+            with _phase("refine"):
+                refined_mesh, record = refine_nvb(mesh, marked)
+            records.append(record)
+            with _phase("audit"):
+                audit_refinement(mesh, refined_mesh, record)
+                # kept elements were measured on an earlier mesh: only the new ones
+                new_elements = slice(record.nt_before - len(record.refined), None)
+                gamma_max = max(gamma_max, shape_regularity(refined_mesh, new_elements))
+            row.update(n_marked=float(len(record.marked)), n_refined=float(len(record.refined)),
+                       refined_eta_sq=local_sum(report, record.refined))
+        row["wall_time_s"] = time.perf_counter() - tic
         if stop:
-            rows[-1]["wall_time_s"] = time.perf_counter() - tic
-            previous = sol
             break
-
-        with _phase("refine"):
-            refined_mesh, record = refine_nvb(mesh, marked)
-        records.append(record)
-        with _phase("audit"):
-            audit_refinement(mesh, refined_mesh, record)
-            # kept elements were measured on an earlier mesh: only the new ones
-            new_elements = slice(record.nt_before - len(record.refined), None)
-            gamma_max = max(gamma_max, shape_regularity(refined_mesh, new_elements))
-        rows[-1]["n_marked"] = float(len(record.marked))
-        rows[-1]["n_refined"] = float(len(record.refined))
-        rows[-1]["refined_eta_sq"] = local_sum(report, record.refined)
-        rows[-1]["wall_time_s"] = time.perf_counter() - tic
-        previous = sol
         # carried through refinement: the next mesh samples only its new elements
         carry = (mesh, samples, record)
         mesh = refined_mesh
@@ -293,72 +303,19 @@ def _run_loop(
                 row["err_energy_sq"] = max(0.0, err_sq)
         meta["noise_floor_err_sq"] = rows[-1]["err_energy_sq"]
 
-    trace = _rows_to_trace(rows, meta)
     return AfemResult(
-        trace=trace,
-        final_mesh=mesh,
-        final_solution=previous,
+        trace=_rows_to_trace(rows, meta),
+        final_solution=sol,
         records=records,
         solutions=solutions if keep_history else None,
     )
 
 
-def _rows_to_trace(rows, meta):
-    columns = {
-        name: np.array([row[name] for row in rows], dtype=float) for name in TRACE_COLUMNS
-    }
-    return AfemTrace(columns=columns, meta=dict(meta))
-
-
-def run_afem(
-    problem,
-    theta,
-    max_elements=None,
-    eta_tol=None,
-    marking="min",
-    keep_history=True,
-    compute_reference=False,
-    initial_mesh=None,
-):
-    """Adaptive run with Doerfler marking; returns an :class:`AfemResult`.
-
-    Stops when the estimator drops below ``eta_tol``, the mesh reaches
-    ``max_elements``, the indicators vanish or after ``MAX_ITERATIONS``
-    refinements. Every refinement is audited. ``keep_history`` keeps the
-    solution of every iteration in ``solutions``. With
-    ``compute_reference=True`` (which needs that history) the run is
-    followed by a reference solve on ``REFERENCE_LEVELS`` uniform
-    refinements of the final mesh and the energy errors of all iterates are
-    recorded. ``initial_mesh`` overrides the problem's default, which lets
-    several runs share one genealogy.
-    """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    if marking == "min":
-        mark_fn = lambda report: mark_min(report.indicators_sq, theta).marked
-    elif marking == "binned":
-        mark_fn = lambda report: mark_binned(report.indicators_sq, theta).marked
-    else:
-        raise ValueError(f"unknown marking variant {marking!r}")
-    return _run_loop(
-        problem, mark_fn, theta, max_elements, eta_tol, marking, keep_history,
-        compute_reference, initial_mesh,
-    )
-
-
-def run_uniform(
-    problem,
-    max_elements=None,
-    eta_tol=None,
-    keep_history=True,
-    initial_mesh=None,
-):
-    """Uniform-refinement baseline: every element is marked each step."""
-    mark_fn = lambda report: np.arange(report.indicators_sq.shape[0])
-    return _run_loop(
-        problem, mark_fn, 1.0, max_elements, eta_tol, "uniform", keep_history,
-        False, initial_mesh,
-    )
+def run_uniform(problem, max_elements=None, eta_tol=None, keep_history=True, initial_mesh=None):
+    """Uniform-refinement baseline: :func:`run_afem` with every element
+    marked in every step (``marking="uniform"``, ``theta`` 1)."""
+    return run_afem(problem, 1.0, max_elements, eta_tol, marking="uniform",
+                    keep_history=keep_history, initial_mesh=initial_mesh)
 
 
 # -- checkers -------------------------------------------------------------------

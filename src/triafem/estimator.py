@@ -139,10 +139,13 @@ def estimate(mesh, sol, problem, samples=None):
 
 
 def local_sum(report, subset):
-    """Sum of squared indicators over a subset of elements."""
-    idx = np.asarray(subset, dtype=np.int64)
+    """Sum of squared indicators over a subset of elements, given as integer
+    indices; a boolean mask or floats raise :class:`EstimatorError`."""
+    idx = np.asarray(subset)
     if idx.size == 0:
         return 0.0
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise EstimatorError(f"elements must be integer indices, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= report.indicators_sq.shape[0]:
         raise IndexError("element index out of range")
     return float(report.indicators_sq[idx].sum())

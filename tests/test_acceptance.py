@@ -278,7 +278,7 @@ def test_criterion_6_structural_suite(theta_runs, lshape_runs, reference_runs):
     shared = problem.make_initial_mesh()
     run_a = run_afem(problem, 0.3, max_elements=1500, initial_mesh=shared)
     run_b = run_afem(problem, 0.8, max_elements=1500, initial_mesh=shared)
-    m_a, m_b = run_a.final_mesh, run_b.final_mesh
+    m_a, m_b = run_a.final_solution.mesh, run_b.final_solution.mesh
     ov = overlay(m_a, m_b)
     ov.validate()
     assert ov.n_elements <= m_a.n_elements + m_b.n_elements - shared.n_elements

@@ -832,7 +832,7 @@ def reference_setting():
     # the reference solve of a short magnetostatics run: its mesh and guess
     problem = builtin_problem("magnetostatics_nl")
     result = driver.run_afem(problem, 0.5, max_elements=300, keep_history=False)
-    mesh = uniform_refine(result.final_mesh, driver.REFERENCE_LEVELS)
+    mesh = uniform_refine(result.final_solution.mesh, driver.REFERENCE_LEVELS)
     return problem, mesh, transfer(result.final_solution, mesh)
 
 

@@ -311,6 +311,10 @@ def test_rate_with_uniform_baseline_reports_the_adaptive_rate(tmp_path):
             "(rate fit needs at least 6 points in the window)\n") in report
 
 
+def _files(out):
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+
+
 def test_reused_out_keeps_no_artefact_of_an_earlier_run(tmp_path):
     # the L-shape run writes a uniform trace, the square run does not
     out = tmp_path / "reused"
@@ -342,6 +346,35 @@ def test_failing_run_leaves_no_artefact_of_an_earlier_run(tmp_path, monkeypatch)
 
     monkeypatch.setattr(driver, "audit_refinement", broken_audit)
     assert execute(parse_config(flags)) == 1
-    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
-    assert written == ["failures.json", "report.txt", "trace.csv"]
+    assert _files(out) == ["failures.json", "report.txt", "trace.csv"]
     assert len((out / "trace.csv").read_text().strip().splitlines()) == 2
+
+
+def test_sweep_after_a_single_run_keeps_none_of_its_artefacts(tmp_path):
+    out = tmp_path / "reused"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    single = ["--problem", "square_smooth", "--max-elements", "200", "--uniform-baseline",
+              "--out", str(out)]
+    assert execute(parse_config(single)) == 0
+    assert (out / "meshes" / "final.mesh").exists()
+    assert execute(parse_config(["--problem", "square_smooth", "--max-elements", "200",
+                                 "--theta", "0.3,0.5", "--out", str(out)])) == 0
+    top = sorted(p.name for p in out.iterdir())
+    assert top == ["notes.txt", "theta=0.3", "theta=0.5"]
+    assert _files(out / "theta=0.3") == sorted(set(cli.ARTEFACTS) - {"trace_uniform.csv"})
+
+
+def test_single_run_after_a_sweep_keeps_none_of_its_directories(tmp_path):
+    out = tmp_path / "reused"
+    sweep = ["--problem", "square_smooth", "--max-elements", "200", "--theta", "0.3,0.5",
+             "--out", str(out)]
+    assert execute(parse_config(sweep)) == 0
+    (out / "theta=0.5" / "meshes" / "notes.txt").write_text("kept\n")
+    (out / "theta=other").mkdir()
+    assert execute(parse_config(["--problem", "square_smooth", "--max-elements", "200",
+                                 "--out", str(out)])) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+        "meshes", "theta=0.5", "theta=other"]
+    assert _files(out / "theta=0.5") == ["meshes/notes.txt"]
+    assert "problem=square_smooth theta=0.5 " in (out / "report.txt").read_text()

@@ -148,6 +148,32 @@ def test_eta_tol_met_immediately():
     assert np.isnan(result.trace.n_marked[0])
 
 
+def test_vanishing_indicators_stop_the_run():
+    # zero data: every indicator of the first solution vanishes, marking
+    # raises AllZeroIndicators and the run ends on its first row
+    problem = dataclasses.replace(builtin_problem("square_smooth"),
+                                  source=lambda x: np.zeros(x.shape[0]))
+    result = run_afem(problem, 0.5, max_elements=1000)
+    tr = result.trace
+    assert len(tr) == 1 and tr.ell[0] == 0 and tr.eta_sq[0] == 0.0
+    assert np.isnan(tr.n_marked[0]) and np.isnan(tr.refined_eta_sq[0])
+    assert tr.wall_time_s[0] > 0.0
+    assert result.records == [] and "closure_constant" not in tr.meta
+    assert np.all(result.final_solution.values == 0.0)
+    assert result.final_solution.mesh.n_elements == 4
+
+
+def test_reference_without_history():
+    # the reference needs every iterate; the run holds them without returning them
+    problem = builtin_problem("square_smooth")
+    kept = run_afem(problem, 0.5, max_elements=300, compute_reference=True)
+    dropped = run_afem(problem, 0.5, max_elements=300, compute_reference=True,
+                       keep_history=False)
+    assert dropped.solutions is None and len(kept.solutions) == len(kept.trace)
+    assert np.all(np.isfinite(dropped.trace.err_energy_sq))
+    assert np.array_equal(dropped.trace.err_energy_sq, kept.trace.err_energy_sq)
+
+
 def test_theta_one_marks_everything():
     result = run_afem(builtin_problem("square_smooth"), 1.0, max_elements=50)
     tr = result.trace

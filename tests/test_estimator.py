@@ -154,6 +154,12 @@ def test_local_sum():
     )
     with pytest.raises(IndexError):
         local_sum(report, [mesh.n_elements])
+    # a mask or floats are no indices: read as such they sum the wrong elements
+    mask = np.zeros(mesh.n_elements, dtype=bool)
+    mask[[0, 2]] = True
+    for subset in (mask, [False, False, True, True], np.array([0.0, 2.0]), [2.7]):
+        with pytest.raises(EstimatorError, match="integer indices"):
+            local_sum(report, subset)
 
 
 def test_mesh_solution_mismatch():

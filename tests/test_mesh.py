@@ -359,7 +359,7 @@ def _random_lshape_refinement(seed):
 def _adaptive_mesh(name, initial=None):
     """Final mesh of a short adaptive run of a built-in problem."""
     return run_afem(builtin_problem(name), 0.5, max_elements=600, keep_history=False,
-                    initial_mesh=initial).final_mesh
+                    initial_mesh=initial).final_solution.mesh
 
 
 @pytest.mark.parametrize("make", [
