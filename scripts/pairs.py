@@ -4,13 +4,18 @@ Usage, with two checkouts of the repository::
 
     python3 scripts/pairs.py --parent ../parent --change . --workload lshape_adaptive --pairs 10
 
-Each pair runs one repetition of the workload (``perfbench/rep.py``) in
-each checkout, one after the other; which side runs first alternates from
-pair to pair. A repetition runs in a fresh process in its checkout, with
-that checkout's ``src`` on ``PYTHONPATH`` and one BLAS thread. Times are
-normalised to the host's speed as ``perfbench/run.py`` does (scaled by
-``CALIB_REF_S / calib_s``), and ``elements_per_s`` is the element count
-summed over the run's meshes per normalised wall second. The script prints
+Before the first pair, both checkouts' ``src/triafem`` are compiled to
+bytecode, as ``perfbench/run.py`` compiles its own: a checkout made by
+``git archive`` has none, and with ``PYTHONDONTWRITEBYTECODE`` set no
+repetition would write it, so that side would compile triafem in every
+repetition. Each pair runs one repetition of the workload
+(``perfbench/rep.py``) in each checkout, one after the other; which side
+runs first alternates from pair to pair. A repetition runs in a fresh
+process in its checkout, with that checkout's ``src`` on ``PYTHONPATH``
+and one BLAS thread. Times are normalised to the host's speed as
+``perfbench/run.py`` does (scaled by ``CALIB_REF_S / calib_s``), and
+``elements_per_s`` is the element count summed over the run's meshes per
+normalised wall second. The script prints
 per pair the four end-to-end metrics of both sides, then per metric the
 parent's median and quartiles, the change's median, the median of the
 per-pair ratios change/parent and the number of pairs the change wins
@@ -30,6 +35,7 @@ the name of every other file that differs.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import math
 import os
@@ -231,6 +237,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
+    for checkout in sides.values():
+        compileall.compile_dir(os.path.join(checkout, "src", "triafem"), quiet=1)
     pairs = []
     same_artefacts = 0
     print(f"workload {args.workload}, {args.pairs} pairs, BLAS threads {BLAS_THREADS}")

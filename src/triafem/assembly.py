@@ -131,10 +131,9 @@ def volume_samples(mesh, problem, carry=None):
     if carry is None:
         return _volume_samples(_element_data(mesh, problem, 0))
     coarse, samples, record = carry
-    kept = record.kept
-    if (record.nt_before != coarse.n_elements or samples.source.shape[0] != coarse.n_elements
-            or not np.array_equal(mesh.node_ids[:kept.size], coarse.node_ids[kept])):
+    if samples.source.shape[0] != coarse.n_elements or not record.joins(coarse, mesh):
         raise ValueError("mesh does not start with the kept elements of the carried mesh")
+    kept = record.kept
     fresh = _element_data(mesh, problem, kept.size)
     return _volume_samples({
         name: np.concatenate([getattr(samples, name).reshape(-1, *new.shape[1:])[kept], new])
@@ -513,15 +512,33 @@ def flux_terms(mesh, problem, values, points=None):
     return points, u_q, grad_u, flux, lower
 
 
-def energy_products(mesh, problem, w_sol, v_sols, system=None):
+def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
     """Squared energy distances of ``w_sol`` to each of ``v_sols``, a list.
+
+    ``w_sol`` lives on ``mesh``, and so do the ``v_sols`` unless
+    ``parents`` is given: then ``v_sols[k]`` lives on a mesh that ``mesh``
+    refines, and ``parents[k]`` holds, per element of ``mesh``, the element
+    of that mesh that holds it (:func:`~triafem.mesh.element_maps`).
 
     For linear problems ``b(w - v, w - v)``, from the assembled ``system``
     when given; for nonlinear ones ``<L w - L v, w - v>``, the squared
     quasi-metric induced by the strongly monotone operator, with the
-    :func:`flux_terms` of ``w`` and the weights ``|T| w_q`` taken once.
+    :func:`flux_terms` of ``w`` and the weights ``|T| w_q`` taken once. A
+    P1 function's gradient and flux are constant on each element of its
+    own mesh, so without a lower-order term the ``v_sols`` on coarser
+    meshes get theirs there and gathered through their maps; a linear
+    problem or a lower-order term needs their point values, so they are
+    prolonged to ``mesh`` first, in one :func:`transfer_many` pass.
     """
-    if not all(sol.mesh.same_elements(mesh) for sol in (w_sol, *v_sols)):
+    if parents is not None:
+        if len(parents) != len(v_sols) or any(
+                np.shape(p) != (mesh.n_elements,) or p.min(initial=0) < 0
+                or p.max(initial=-1) >= v.mesh.n_elements for p, v in zip(parents, v_sols)):
+            raise ValueError("energy products need one element map per solution, over the mesh")
+        if isinstance(problem, LinearProblem) or problem.lower_order is not None:
+            v_sols, parents = transfer_many(v_sols, mesh), None
+    on_mesh = [w_sol, *(v_sols if parents is None else [])]
+    if not all(sol.mesh.same_elements(mesh) for sol in on_mesh):
         raise ValueError("energy products need every solution on the given mesh")
     if isinstance(problem, LinearProblem):
         if system is None:
@@ -533,11 +550,17 @@ def energy_products(mesh, problem, w_sol, v_sols, system=None):
     points, uw, grad_w, flux_w, lower_w = flux_terms(mesh, problem, w_sol.values)
     weights = mesh.areas[:, None] * quadrature.TRI_WEIGHTS
     products = []
-    for v_sol in v_sols:
-        _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
+    for v_sol, parent in zip(v_sols, parents or [None] * len(v_sols)):
+        if parent is None:
+            _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
+        else:
+            _, _, grad_v, flux_v, _ = flux_terms(v_sol.mesh, problem, v_sol.values)
+            grad_v, flux_v = np.take(grad_v, parent, axis=0), np.take(flux_v, parent, axis=0)
         # (NT, 1): formed once per element, then broadcast to the points by
-        # the sum below, which keeps its operands
-        integrand = np.sum((flux_w - flux_v) * (grad_w - grad_v), axis=1)[:, None]
+        # the sum below, which keeps its operands; the two components are
+        # added as written, the bits of np.sum over them at a third of its cost
+        terms = (flux_w - flux_v) * (grad_w - grad_v)
+        integrand = (terms[:, 0] + terms[:, 1])[:, None]
         if lower_w is not None:
             integrand = integrand + (lower_w - lower_v) * (uw - uv)
         products.append(float(np.sum(weights * integrand)))

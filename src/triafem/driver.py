@@ -25,12 +25,11 @@ from .assembly import (
     solve_linear,
     solve_nonlinear,
     transfer,
-    transfer_many,
     volume_samples,
 )
 from .estimator import estimate, local_sum
 from .marking import AllZeroIndicators, mark_binned, mark_min
-from .mesh import audit_refinement, closure_audit, refine_nvb, shape_regularity, uniform_refine
+from .mesh import audit_refinement, closure_audit, element_maps, refine_nvb, shape_regularity
 from .problems import LinearProblem, check_ellipticity
 
 TRACE_COLUMNS = (
@@ -150,21 +149,35 @@ def _solve_on(mesh, problem, guess=None, samples=None):
     return solve_nonlinear(mesh, problem, initial_guess=guess, samples=samples), None
 
 
-def build_reference(problem, solutions):
+def build_reference(problem, solutions, records):
     """Squared energy errors of the iterates ``solutions``, one float each,
     against the solution on ``REFERENCE_LEVELS`` uniform refinements of the
-    last iterate's mesh. Every iterate is prolonged after the solve, so
-    none is held on the reference mesh through the factor's peak."""
+    last iterate's mesh. ``records`` are the refinements between the
+    iterates' meshes, ``records[k]`` from that of ``solutions[k]`` to that
+    of ``solutions[k + 1]``; records that do not chain them raise
+    ``ValueError``. Their element maps, composed with that of the
+    reference refinements after the solve, so that only the latter is held
+    through the factor's peak, let :func:`energy_products` read each
+    iterate on its own mesh."""
+    if len(records) != len(solutions) - 1 or not all(
+            record.joins(coarse.mesh, fine.mesh)
+            for record, coarse, fine in zip(records, solutions, solutions[1:])):
+        raise ValueError("the records do not chain the iterates' meshes")
     final = solutions[-1]
-    ref_mesh = uniform_refine(final.mesh, REFERENCE_LEVELS)
+    # per reference element, the element of the final mesh that holds it
+    ref_mesh, cover = final.mesh, np.arange(final.mesh.n_elements)
+    for _ in range(REFERENCE_LEVELS):
+        ref_mesh, record = refine_nvb(ref_mesh, np.arange(ref_mesh.n_elements))
+        cover = cover[record.parents]
+    del record  # not held through the solve
     if isinstance(problem, LinearProblem):
         reference, system = _solve_on(ref_mesh, problem)
     else:
         # its bits reach only the error column, so it reuses one factor
         reference, system = solve_nonlinear(
             ref_mesh, problem, transfer(final, ref_mesh), frozen_factor=True), None
-    return energy_products(
-        ref_mesh, problem, reference, transfer_many(solutions, ref_mesh), system=system)
+    return energy_products(ref_mesh, problem, reference, solutions, system=system,
+                           parents=element_maps(records, cover))
 
 
 def _mark(marking, report, theta):
@@ -299,7 +312,7 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
 
     if compute_reference:
         with _phase("reference"):
-            for row, err_sq in zip(rows, build_reference(problem, solutions)):
+            for row, err_sq in zip(rows, build_reference(problem, solutions, records)):
                 row["err_energy_sq"] = max(0.0, err_sq)
         meta["noise_floor_err_sq"] = rows[-1]["err_energy_sq"]
 

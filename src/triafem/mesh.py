@@ -21,7 +21,9 @@ as a frontier loop over edge marks, all sons and midpoints of one refinement
 are created in bulk, and one ancestry walk serves the rest:
 :meth:`MeshForest.ancestors` walks up through ``parent``, for overlays and
 for :func:`refines`, the one nesting decision that the audit and transfer
-share.
+share. The element that holds each element of a finer mesh of one chain of
+refinements needs no walk: :func:`element_maps` reads it off the
+refinement records.
 Bulk creation keeps the order of the per-element bisection it replaced, so
 node ids, vertex ids and element order are those of that scalar code.
 """
@@ -84,7 +86,9 @@ class RefinementRecord:
     indices; ``refined`` includes the triangles forced by the conformity
     closure. ``sons_of`` holds, per refined triangle, the number of new-mesh
     triangles covering it (2, 3 or 4); they follow the kept triangles in
-    the new mesh, in the order of ``refined``.
+    the new mesh, in the order of ``refined``. That layout gives the
+    element map :attr:`parents` without a walk through the forest, and
+    :func:`element_maps` composes the maps of a chain of records.
     """
 
     marked: np.ndarray
@@ -100,6 +104,21 @@ class RefinementRecord:
         keep = np.ones(self.nt_before, dtype=bool)
         keep[self.refined] = False
         return np.flatnonzero(keep)
+
+    @property
+    def parents(self):
+        """Old-mesh index of the element that holds each new-mesh element,
+        (nt_after,): the kept elements, then every refined element once
+        per son."""
+        return np.concatenate([self.kept, np.repeat(self.refined, self.sons_of)])
+
+    def joins(self, coarse, fine):
+        """Whether this records the refinement of ``coarse`` into ``fine``:
+        the element counts agree and ``fine`` starts with the kept elements
+        of ``coarse``, in their order."""
+        kept = self.kept
+        return (self.nt_before == coarse.n_elements and self.nt_after == fine.n_elements
+                and np.array_equal(fine.node_ids[:kept.size], coarse.node_ids[kept]))
 
 
 class MeshForest:
@@ -567,6 +586,19 @@ def refine_nvb(mesh, marked):
         nt_after=refined_mesh.n_elements,
     )
     return refined_mesh, record
+
+
+def element_maps(records, cover):
+    """Per mesh of a chain of refinements, the index of its element that
+    holds each element of a finer mesh: ``len(records) + 1`` arrays, the
+    first mesh's first and ``cover`` last. ``records[k]`` refines mesh
+    ``k`` into mesh ``k + 1``, and ``cover`` maps the finer mesh to the
+    last mesh of the chain (``arange`` for that mesh itself); the maps are
+    composed from the records' :attr:`~RefinementRecord.parents`."""
+    maps = [cover]
+    for record in reversed(records):
+        maps.append(record.parents[maps[-1]])
+    return maps[::-1]
 
 
 def uniform_refine(mesh, times=1):

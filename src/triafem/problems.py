@@ -203,16 +203,21 @@ def _lshape_poisson():
 
 def _magnetostatics():
     # flux F(y) = (1 + 1/(1 + |y|^2)) y; its smallest directional
-    # derivative is 7/8 (attained at |y|^2 = 3) and the largest is 2
+    # derivative is 7/8 (attained at |y|^2 = 3) and the largest is 2.
+    # |y|^2 is the sum of the two squares written out, which has the bits
+    # of np.sum over the length-2 axis at a third of its cost
+    def norm_sq(y):
+        return y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1]
+
     def flux(y):
-        factor = 1.0 + 1.0 / (1.0 + np.sum(y * y, axis=-1))
+        factor = 1.0 + 1.0 / (1.0 + norm_sq(y))
         return factor[..., None] * y
 
     def flux_jacobian(y):
-        norm_sq = np.sum(y * y, axis=-1)
-        denom = (1.0 + norm_sq) ** 2
+        norm_sq_y = norm_sq(y)
+        denom = (1.0 + norm_sq_y) ** 2
         outer = -2.0 * y[..., :, None] * y[..., None, :] / denom[..., None, None]
-        diag = (1.0 + 1.0 / (1.0 + norm_sq))[..., None, None] * np.eye(2)
+        diag = (1.0 + 1.0 / (1.0 + norm_sq_y))[..., None, None] * np.eye(2)
         return outer + diag
 
     def source(x):

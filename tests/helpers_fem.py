@@ -186,11 +186,19 @@ def flux_terms_per_point(mesh, problem, values):
     return u_q, grad_u, problem.flux(y_q), lower
 
 
-def energy_per_point(mesh, problem, w_values, v_values):
-    """<L w - L v, w - v> of a nonlinear problem from per-point flux terms."""
+def energy_per_point(mesh, problem, w_values, v_values, v_mesh=None, parent=None):
+    """<L w - L v, w - v> of a nonlinear problem from per-point flux terms.
+    With ``v_mesh``, a mesh that ``mesh`` refines, ``v`` lives there and
+    element ``n`` of ``mesh`` reads the terms of element ``parent[n]`` of
+    ``v_mesh`` at its points (a problem without lower-order term)."""
     uw, grad_w, flux_w, lower_w = flux_terms_per_point(mesh, problem, w_values)
-    uv, grad_v, flux_v, lower_v = flux_terms_per_point(mesh, problem, v_values)
     n, nq = uw.shape
+    if v_mesh is None:
+        uv, grad_v, flux_v, lower_v = flux_terms_per_point(mesh, problem, v_values)
+    else:
+        assert lower_w is None
+        _, grad_v, flux_v, _ = flux_terms_per_point(v_mesh, problem, v_values)
+        grad_v, flux_v = grad_v[parent], flux_v.reshape(-1, nq, 2)[parent].reshape(-1, 2)
     flux_diff = (flux_w - flux_v).reshape(n, nq, 2)
     grad_diff = (grad_w - grad_v)[:, None, :]
     integrand = np.sum(flux_diff * grad_diff, axis=2)

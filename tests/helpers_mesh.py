@@ -221,6 +221,20 @@ def between_ids(old, new):
     return found
 
 
+def parents_by_walk(coarse, fine):
+    """Per element of ``fine``, the index of the element of ``coarse`` that
+    holds it, by a walk up ``forest.parent`` from each leaf of ``fine``;
+    ``fine`` refines ``coarse``."""
+    index = {nid: k for k, nid in enumerate(coarse.node_ids.tolist())}
+    out = []
+    for nid in fine.node_ids.tolist():
+        while nid not in index:
+            assert nid >= 0, "fine does not refine coarse"
+            nid = int(fine.forest.parent[nid])
+        out.append(index[nid])
+    return np.array(out, dtype=np.int64)
+
+
 def overlay_ids(m1, m2):
     """Node ids of the overlay, by the per-node walk of :func:`covered`."""
     set1 = set(int(n) for n in m1.node_ids)

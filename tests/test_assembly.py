@@ -49,7 +49,14 @@ from triafem.assembly import (
     volume_samples,
 )
 from triafem.estimator import estimate
-from triafem.mesh import Mesh, lshape_mesh, refine_nvb, uniform_refine, unit_square_mesh
+from triafem.mesh import (
+    Mesh,
+    element_maps,
+    lshape_mesh,
+    refine_nvb,
+    uniform_refine,
+    unit_square_mesh,
+)
 from triafem.problems import (
     LinearProblem,
     NonlinearProblem,
@@ -373,6 +380,41 @@ def test_energy_products_mesh_mismatch():
             energy_products(mesh, problem, a, v_sols)
     with pytest.raises(ValueError, match="mesh"):
         energy_products(mesh, problem, b, [a])
+
+
+@pytest.mark.parametrize("name", ["magnetostatics_nl", "magnetostatics_lower", "square_smooth"])
+def test_energy_products_read_coarser_solutions_through_their_maps(name):
+    # solutions on coarser meshes, each with the element map of its chain
+    # of records, give the energies of their prolongations: the same bits
+    # for a linear problem or a lower-order term, which are prolonged, and
+    # to rounding for a gradient-only problem, which reads each on its own
+    # mesh
+    problem = (gradient_only_lower_order_problem() if name == "magnetostatics_lower"
+               else builtin_problem(name))
+    rng = np.random.default_rng(3)
+    meshes, records = [uniform_refine(problem.make_initial_mesh(), 2)], []
+    for _ in range(3):
+        count = rng.integers(1, meshes[-1].n_elements // 3 + 2)
+        marked = rng.choice(meshes[-1].n_elements, size=count, replace=False)
+        mesh, record = refine_nvb(meshes[-1], marked)
+        meshes.append(mesh)
+        records.append(record)
+    mesh = meshes[-1]
+    parents = element_maps(records, np.arange(mesh.n_elements))
+    w_sol = random_p1(rng, mesh)
+    v_sols = [random_p1(rng, m) for m in meshes]
+    mapped = energy_products(mesh, problem, w_sol, v_sols, parents=parents)
+    prolonged = energy_products(mesh, problem, w_sol, transfer_many(v_sols, mesh))
+    if name == "magnetostatics_nl":
+        assert mapped == pytest.approx(prolonged, rel=1e-13)
+    else:
+        assert mapped == prolonged
+    # one map per solution, one entry per element, each inside its mesh
+    bad_maps = (parents[1:], [*parents[:-1], parents[-1][1:]],
+                [*parents[:-1], parents[-1] + 1], [-1 - parents[0], *parents[1:]])
+    for bad in bad_maps:
+        with pytest.raises(ValueError, match="element map"):
+            energy_products(mesh, problem, w_sol, v_sols, parents=bad)
 
 
 def test_nonlinear_energy_distance_band():
@@ -804,16 +846,32 @@ def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, n
     # the reference build pairs the reference solution with every iterate
     # in one call, which takes the reference side once, its quadrature
     # weights included; each energy must have the bits of a call for that
-    # iterate alone, and of the per-point oracle. Off the dyadic grid, where
-    # areas are not powers of two and so the association of the weights
-    # shows in the last bits
+    # iterate alone, and of the per-point oracle. The iterates come on their
+    # own meshes with the records' element maps, which must be those of a
+    # walk up the forest: without a lower-order term the oracle reads each
+    # iterate on its own mesh through that walk, with one it reads the
+    # iterate prolonged vertex by vertex. Off the dyadic grid, where areas
+    # are not powers of two and so the association of the weights shows in
+    # the last bits
     calls = []
     energy = driver.energy_products
 
-    def recorded(mesh, problem, w_sol, v_sols, system=None):
-        values = energy(mesh, problem, w_sol, v_sols, system=system)
-        calls.append((values, [energy(mesh, problem, w_sol, [v])[0] for v in v_sols],
-                      [energy_per_point(mesh, problem, w_sol.values, v.values) for v in v_sols]))
+    def oracle(mesh, problem, w_sol, v_sol, parent):
+        if parent is None:
+            return energy_per_point(mesh, problem, w_sol.values, v_sol.values)
+        assert np.array_equal(parent, helpers_mesh.parents_by_walk(v_sol.mesh, mesh))
+        if problem.lower_order is None:
+            return energy_per_point(mesh, problem, w_sol.values, v_sol.values, v_sol.mesh, parent)
+        return energy_per_point(mesh, problem, w_sol.values,
+                                helpers_mesh.prolong_per_vertex(v_sol, mesh))
+
+    def recorded(mesh, problem, w_sol, v_sols, system=None, parents=None):
+        values = energy(mesh, problem, w_sol, v_sols, system=system, parents=parents)
+        maps = [None] * len(v_sols) if parents is None else parents
+        per_call = [energy(mesh, problem, w_sol, [v], parents=None if p is None else [p])[0]
+                    for v, p in zip(v_sols, maps)]
+        calls.append((values, per_call,
+                      [oracle(mesh, problem, w_sol, v, p) for v, p in zip(v_sols, maps)]))
         return values
 
     monkeypatch.setattr(driver, "energy_products", recorded)

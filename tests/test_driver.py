@@ -18,7 +18,7 @@ from triafem.driver import (
     run_afem,
     run_uniform,
 )
-from triafem import driver
+from triafem import assembly, driver
 from triafem.assembly import solve_nonlinear, transfer, transfer_many
 from triafem.mesh import MeshError, load_initial_mesh, shape_regularity, uniform_refine
 from triafem.problems import LinearProblem, builtin_problem
@@ -430,9 +430,9 @@ def test_binned_marking_run_completes():
     assert check_estimator_reduction(result.trace).passed
 
 
-def test_one_transfer_per_iteration(monkeypatch):
-    # per refinement step one transfer serves as Newton guess and increment;
-    # the reference adds one for its guess and one pass for all iterates
+def _count_transfers(monkeypatch, name, max_elements):
+    """A reference run's length, the target sizes of its transfers and the
+    solution count of every transfer_many pass, transfers included."""
     calls, passes = [], []
 
     def counting_transfer(sol, finer):
@@ -444,10 +444,48 @@ def test_one_transfer_per_iteration(monkeypatch):
         return transfer_many(solutions, finer)
 
     monkeypatch.setattr(driver, "transfer", counting_transfer)
-    monkeypatch.setattr(driver, "transfer_many", counting_transfer_many)
-    result = run_afem(builtin_problem("magnetostatics_nl"), 0.5, max_elements=2000,
+    # every transfer is a one-solution pass of transfer_many
+    monkeypatch.setattr(assembly, "transfer_many", counting_transfer_many)
+    result = run_afem(builtin_problem(name), 0.5, max_elements=max_elements,
                       compute_reference=True)
-    n = len(result.trace)
+    return len(result.trace), calls, passes
+
+
+def test_one_transfer_per_iteration(monkeypatch):
+    # per refinement step one transfer serves as Newton guess and increment;
+    # the reference adds one for its guess and reads the iterates of a
+    # gradient-only problem on their own meshes, with no prolongation pass
+    n, calls, passes = _count_transfers(monkeypatch, "magnetostatics_nl", 2000)
     assert n == 19
     assert len(calls) == (n - 1) + 1 == 19
-    assert passes == [n]
+    assert passes == [1] * 19
+
+
+def test_linear_reference_prolongs_the_iterates_in_one_pass(monkeypatch):
+    # a linear reference solve needs no guess; its energies read the
+    # iterates' point values, so they are prolonged, all in one pass
+    n, calls, passes = _count_transfers(monkeypatch, "convection_diffusion", 1000)
+    assert n > 3
+    assert len(calls) == n - 1
+    assert passes == [1] * (n - 1) + [n]
+
+
+def test_build_reference_needs_records_that_chain_the_iterates():
+    # the records' element maps reach the iterates only through a chain of
+    # refinements: a missing record, one out of place, or one whose counts
+    # agree but whose kept elements differ is refused
+    problem = builtin_problem("magnetostatics_nl")
+    result = run_afem(problem, 0.5, max_elements=150)
+    solutions, records = result.solutions, result.records
+    last = records[-1]
+    kept = last.kept
+    # the same counts, one kept element swapped for a refined one
+    refined = np.sort(np.append(last.refined[1:], kept[0]))
+    moved = dataclasses.replace(last, refined=refined)
+    assert (moved.nt_before, moved.nt_after) == (last.nt_before, last.nt_after)
+    for bad in (records[1:], records[:-1] + [records[0]], records[:-1] + [moved],
+                records + [last]):
+        with pytest.raises(ValueError, match="do not chain"):
+            driver.build_reference(problem, solutions, bad)
+    errors = driver.build_reference(problem, solutions, records)
+    assert len(errors) == len(solutions)

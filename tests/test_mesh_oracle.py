@@ -22,6 +22,7 @@ from triafem.mesh import (
     Mesh,
     _assign_reference_edges,
     _corner_geometry,
+    element_maps,
     load_initial_mesh,
     lshape_mesh,
     overlay,
@@ -191,3 +192,32 @@ def test_carried_geometry_equals_fresh_geometry(data, steps):
         gamma_all = max(gamma_all, oracle.shape_regularity(fresh))
         assert gamma_max == gamma_all
         mesh = refined
+
+
+@settings(max_examples=50)
+@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 5))
+def test_element_maps_match_a_walk_up_the_parents(data, name, steps):
+    # every record's map and their compositions against a walk up
+    # forest.parent: random markings with one step that marks every
+    # element, then a second branch from an earlier mesh, which reuses sons
+    # the first branch created
+    meshes = [INITIAL_MESHES[name]()]
+    records = []
+    all_marked = data.draw(st.integers(0, steps - 1), label="all_marked")
+    for k in range(steps):
+        mesh = meshes[-1]
+        marked = np.arange(mesh.n_elements) if k == all_marked else draw_marking(data, mesh)
+        fine, record = refine_nvb(mesh, marked)
+        assert record.parents.dtype == np.int64
+        assert np.array_equal(record.parents, oracle.parents_by_walk(mesh, fine))
+        assert record.joins(mesh, fine)
+        meshes.append(fine)
+        records.append(record)
+    maps = element_maps(records, np.arange(meshes[-1].n_elements))
+    assert len(maps) == len(meshes)
+    for coarse, parents in zip(meshes, maps):
+        assert np.array_equal(parents, oracle.parents_by_walk(coarse, meshes[-1]))
+    base = data.draw(st.integers(0, steps - 1), label="branch_from")
+    branch, record = refine_nvb(meshes[base], draw_marking(data, meshes[base]))
+    assert np.array_equal(record.parents, oracle.parents_by_walk(meshes[base], branch))
+    assert not record.joins(meshes[base + 1], branch)

@@ -108,3 +108,28 @@ def test_the_uniform_trace_is_compared_as_a_trace(pairs, tmp_path):
             TRACE.format(err0="2.0", err1=err1, wall=wall))
     assert pairs.differences(parent, same) == []
     assert pairs.differences(parent, change) == ["trace_uniform.csv: err_energy_sq (1.00e-12)"]
+
+
+def test_both_checkouts_are_compiled_before_the_first_pair(pairs, tmp_path, monkeypatch):
+    # a checkout made by git archive has no bytecode, and with
+    # PYTHONDONTWRITEBYTECODE set no repetition writes it: both sides'
+    # src/triafem must be compiled before the first repetition runs
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr("sys.dont_write_bytecode", True)
+    checkouts = {}
+    for side in ("parent", "change"):
+        package = tmp_path / side / "src" / "triafem"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("VALUE = 1\n")
+        checkouts[side] = tmp_path / side
+    seen = []
+
+    def fake_rep(checkout, workload, out):
+        seen.append(sorted(p.name.split(".")[0] for p in
+                           (Path(checkout) / "src" / "triafem" / "__pycache__").glob("*.pyc")))
+        return {"wall_s": 1.0, "setup_s": 0.5, "elements_per_s": 10.0, "peak_rss_mb": 50.0}
+
+    monkeypatch.setattr(pairs, "run_rep", fake_rep)
+    assert pairs.main(["--parent", str(checkouts["parent"]), "--change",
+                       str(checkouts["change"]), "--workload", "w", "--pairs", "1"]) == 0
+    assert seen == [["__init__"], ["__init__"]]

@@ -228,3 +228,27 @@ def test_magnetostatics_source_keeps_the_plain_bits_in_half_the_memory():
         assert np.array_equal(source(x), magnetostatics_source_plain(x))
     x = rng.uniform(0.0, 1.0, (137_536, 2))
     assert _peak_bytes(source, x) <= 0.5 * _peak_bytes(magnetostatics_source_plain, x)
+
+
+def test_magnetostatics_norm_keeps_the_bits_of_a_sum_over_the_last_axis():
+    # flux and flux_jacobian form |y|^2 as y0 * y0 + y1 * y1; it must have
+    # the bits of np.sum(y * y, axis=-1), on random gradients of every
+    # magnitude, zeros, and squares that overflow
+    problem = builtin_problem("magnetostatics_nl")
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=(4000, 2)) * 10.0 ** rng.uniform(-160, 160, size=(4000, 1))
+    y = np.concatenate([y, np.zeros((3, 2)), [[0.0, 1e200], [-1e155, 3.0], [1e-170, 0.0]]])
+
+    def flux(y):
+        return (1.0 + 1.0 / (1.0 + np.sum(y * y, axis=-1)))[..., None] * y
+
+    def flux_jacobian(y):
+        norm_sq = np.sum(y * y, axis=-1)
+        outer = -2.0 * y[..., :, None] * y[..., None, :] / ((1.0 + norm_sq) ** 2)[..., None, None]
+        return outer + (1.0 + 1.0 / (1.0 + norm_sq))[..., None, None] * np.eye(2)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for grads in (y, y[:3000].reshape(-1, 3, 2)):
+            assert np.array_equal(problem.flux(grads), flux(grads), equal_nan=True)
+            assert np.array_equal(problem.flux_jacobian(grads), flux_jacobian(grads),
+                                  equal_nan=True)
