@@ -27,7 +27,8 @@ are compared byte for byte, the traces (``trace.csv`` and
 summary counts the pairs whose artefacts agree. Where they differ, the
 pair's line says what differs: each trace column that differs with its
 largest relative difference, the ``meta.json`` keys whose
-values differ, for a ``.mesh`` file the vertex and triangle counts of each
+values differ, each check whose ``CHECK`` line of ``report.txt`` differs
+with its verdict on both sides, for a ``.mesh`` file the vertex and triangle counts of each
 side and the number of vertices and of triangles on one side only, and
 the name of every other file that differs.
 """
@@ -146,6 +147,36 @@ def meta_differences(parent_data, change_data):
     return sorted(k for k in set(parent) | set(change) if parent.get(k) != change.get(k))
 
 
+def _check_lines(data):
+    """Check name -> (verdict, detail) of each ``CHECK name: VERDICT detail``
+    line of a ``report.txt``."""
+    checks = {}
+    for line in data.decode().splitlines():
+        if line.startswith("CHECK "):
+            name, _, rest = line[len("CHECK "):].partition(": ")
+            verdict, _, detail = rest.partition(" ")
+            checks[name] = (verdict, detail)
+    return checks
+
+
+def report_differences(parent_data, change_data):
+    """Each check whose ``CHECK`` line of ``report.txt`` differs, with its
+    verdict: ``name (verdict PASS -> FAIL)`` where that changed,
+    ``name (verdict PASS unchanged)`` where only the detail did."""
+    parent, change = _check_lines(parent_data), _check_lines(change_data)
+    out = []
+    for name in sorted(set(parent) | set(change)):
+        if parent.get(name) == change.get(name):
+            continue
+        if name not in parent or name not in change:
+            out.append(f"{name} (only in the {'change' if name in change else 'parent'})")
+        elif parent[name][0] != change[name][0]:
+            out.append(f"{name} (verdict {parent[name][0]} -> {change[name][0]})")
+        else:
+            out.append(f"{name} (verdict {parent[name][0]} unchanged)")
+    return out
+
+
 def _mesh_counts(data):
     """Vertex count, triangle count, the set of vertex lines and the set of
     triangles, each the tuple of its corners' vertex lines, of a mesh file
@@ -176,10 +207,12 @@ def mesh_differences(parent_data, change_data):
 def file_differences(name, parent_data, change_data):
     """What differs between two versions of the artefact ``name``:
     :func:`mesh_differences` for a ``.mesh`` file, :func:`trace_differences`
-    for a trace, :func:`meta_differences` for ``meta.json``, and an empty
-    list for any other file."""
+    for a trace, :func:`meta_differences` for ``meta.json``,
+    :func:`report_differences` for ``report.txt``, and an empty list for
+    any other file."""
     what = mesh_differences if name.endswith(".mesh") else {
-        **dict.fromkeys(TRACES, trace_differences), "meta.json": meta_differences}.get(name)
+        **dict.fromkeys(TRACES, trace_differences), "meta.json": meta_differences,
+        "report.txt": report_differences}.get(name)
     return what(parent_data, change_data) if what else []
 
 

@@ -70,7 +70,7 @@ class DiscreteSolution:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy: the caller's array stays its own
         if values.shape != (self.mesh.n_vertices,):
             raise ValueError("solution length does not match the mesh vertex count")
         if np.any(values[self.mesh.is_boundary_vertex] != 0.0):
@@ -195,7 +195,7 @@ def _repeat_to_points(element_values):
 def grad_norm_sq(mesh, values):
     """Squared H1 seminorm of a P1 function."""
     g = element_gradients(mesh, values)
-    return float(np.sum(mesh.areas * np.sum(g * g, axis=1)))
+    return float(np.sum(mesh.areas * (g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1])))
 
 
 def _check_finite(name, arr):
@@ -610,5 +610,4 @@ def transfer_many(solutions, finer):
             np.isnan(known), 0.5 * (buf[parents[:, 0]] + buf[parents[:, 1]]), known)
         done[sel] = True
         pending = pending[~ready]
-    values = buf[fine_gids].T.copy()
-    return [DiscreteSolution(finer, row) for row in values]
+    return [DiscreteSolution(finer, row) for row in buf[fine_gids].T]

@@ -24,10 +24,12 @@ import numpy as np
 
 from .driver import (
     AfemRunError,
+    CheckResult,
     check_convergence,
     check_discrete_reliability,
     check_estimator_reduction,
     check_marking_optimality,
+    check_mesh_audit,
     check_quasi_orthogonality,
     check_rlinear,
     fit_rate,
@@ -54,22 +56,7 @@ class ConfigError(ValueError):
 
 
 # -- checks: name -> function of (result, config, uniform_result) returning
-# (status, detail); each looks its checker up in this module when it runs
-
-def _verdict(passed):
-    return "pass" if passed else "fail"
-
-
-def _estimator_reduction(result, config, uniform_result):
-    fit = check_estimator_reduction(result.trace)
-    return _verdict(fit.passed), (f"q_fit={fit.q_fit:.6g} C_fit={fit.c_fit:.6g} "
-                                  f"violations={list(fit.violations)}")
-
-
-def _rlinear(result, config, uniform_result):
-    fit = check_rlinear(result.trace)
-    return _verdict(fit.passed), f"q_fit={fit.q_fit:.6g} C_fit={fit.c_fit:.6g}"
-
+# a CheckResult; each looks its checker up in this module when it runs
 
 def _rate(result, config, uniform_result):
     fit = fit_rate(result.trace)
@@ -79,56 +66,19 @@ def _rate(result, config, uniform_result):
             detail += f" uniform_rate={fit_rate(uniform_result.trace).rate:.4f}"
         except ValueError as exc:
             detail += f" uniform_rate=skipped ({exc})"
-    return "pass", detail
-
-
-def _quasi_orthogonality(result, config, uniform_result):
-    report = check_quasi_orthogonality(result.trace, config.qo_epsilon)
-    if not report.usable:
-        return "skip", "no iterations above the reference noise floor"
-    return _verdict(not report.failures), (
-        f"epsilon={config.qo_epsilon} ell0={report.ell0} "
-        f"failures={list(report.failures)} usable={len(report.usable)}")
-
-
-def _marking_optimality(result, config, uniform_result):
-    rows = check_marking_optimality(result.trace)
-    bad = [r for r in rows if not r.passed]
-    applicable = sum(1 for r in rows if r.applicable)
-    return _verdict(not bad), f"applicable={applicable} failing={len(bad)}"
-
-
-def _discrete_reliability(result, config, uniform_result):
-    report = check_discrete_reliability(result.trace, min_extra=100)
-    if report.ratios.size == 0:
-        return "skip", "no refinement pairs past the fit window"
-    ok = math.isfinite(report.max_ratio) and report.spread < 10.0
-    return _verdict(ok), f"max={report.max_ratio:.6g} spread={report.spread:.3g}"
-
-
-def _convergence(result, config, uniform_result):
-    report = check_convergence(result.trace)
-    return _verdict(report.passed), f"reduction={report.reduction:.6g}"
-
-
-def _mesh_audit(result, config, uniform_result):
-    meta = result.trace.meta
-    gamma0 = meta["gamma_initial"]
-    gamma_max = meta.get("gamma_max", gamma0)
-    closure = meta.get("closure_constant", 0.0)
-    return _verdict(gamma_max <= 2.0 * gamma0 and closure <= 20.0), (
-        f"gamma0={gamma0:.4g} gamma_max={gamma_max:.4g} closure={closure:.4g}")
+    return CheckResult("pass", detail)
 
 
 CHECKS = {
-    "estimator_reduction": _estimator_reduction,
-    "rlinear": _rlinear,
+    "estimator_reduction": lambda result, *_: check_estimator_reduction(result.trace),
+    "rlinear": lambda result, *_: check_rlinear(result.trace),
     "rate": _rate,
-    "quasi_orthogonality": _quasi_orthogonality,
-    "marking_optimality": _marking_optimality,
-    "discrete_reliability": _discrete_reliability,
-    "convergence": _convergence,
-    "mesh_audit": _mesh_audit,
+    "quasi_orthogonality": lambda result, config, _: check_quasi_orthogonality(
+        result.trace, config.qo_epsilon),
+    "marking_optimality": lambda result, *_: check_marking_optimality(result.trace),
+    "discrete_reliability": lambda result, *_: check_discrete_reliability(result.trace),
+    "convergence": lambda result, *_: check_convergence(result.trace),
+    "mesh_audit": lambda result, *_: check_mesh_audit(result.trace),
 }
 KNOWN_CHECKS = tuple(CHECKS)
 
@@ -284,10 +234,10 @@ def _run_checks(result, config, uniform_result):
     outcomes = []
     for name in config.checks:
         try:
-            status, detail = CHECKS[name](result, config, uniform_result)
+            check = CHECKS[name](result, config, uniform_result)
         except ValueError as exc:
-            status, detail = "skip", str(exc)
-        outcomes.append({"check": name, "status": status, "detail": detail})
+            check = CheckResult("skip", str(exc))
+        outcomes.append({"check": name, "status": check.status, "detail": check.detail})
     return outcomes
 
 

@@ -97,7 +97,7 @@ def _jump_terms(mesh, problem, vectors):
         jump = diff0 * normal[:, None, 0] + diff1 * normal[:, None, 1]
         integral = lengths * (quadrature.EDGE_WEIGHTS @ (jump.T**2))
     else:
-        jump = np.sum(delta * normal, axis=1)
+        jump = delta[:, 0] * normal[:, 0] + delta[:, 1] * normal[:, 1]
         integral = lengths * jump**2
 
     np.add.at(per_element, t1, integral)

@@ -398,6 +398,31 @@ def linear_jump_terms_einsum(mesh, problem, vectors):
     return per_element
 
 
+def nonlinear_jump_terms_sum(mesh, vectors):
+    """The nonlinear jump integrals per element of the element fluxes
+    ``vectors``, the normal component summed by ``np.sum`` over its
+    length-2 axis."""
+    edges, _, edge_tris, counts = mesh._edge_data
+    e_idx = np.nonzero(counts == 2)[0]
+    t1, t2 = edge_tris[e_idx, 0], edge_tris[e_idx, 1]
+    tangent = mesh.vertices[edges[e_idx, 1]] - mesh.vertices[edges[e_idx, 0]]
+    lengths = np.hypot(tangent[:, 0], tangent[:, 1])
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / lengths[:, None]
+    integral = lengths * np.sum((vectors[t1] - vectors[t2]) * normal, axis=1) ** 2
+    per_element = np.zeros(mesh.n_elements)
+    np.add.at(per_element, t1, integral)
+    np.add.at(per_element, t2, integral)
+    return per_element
+
+
+def wide_magnitudes(rng, shape):
+    """Random signed floats of magnitudes 1e-160 to 1e160, a tenth of them
+    zero: their squares underflow and overflow."""
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-160.0, 160.0, size=shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    return values
+
+
 def presorted_solve(mesh, problem):
     """Nodal values of a linear problem's solution with the interior
     vertices numbered by id: the system is assembled in that order, sorted

@@ -294,7 +294,7 @@ def test_criterion_6_structural_suite(theta_runs, lshape_runs, reference_runs):
 
 def test_criterion_7_discrete_reliability(theta_runs):
     for name in builtin_names():
-        report = check_discrete_reliability(theta_runs[name, 0.5].trace, min_extra=100)
+        report = check_discrete_reliability(theta_runs[name, 0.5].trace)
         print(f"\n{name}: max={report.max_ratio:.4f} min={report.min_ratio:.4f} "
               f"spread={report.spread:.2f}")
         assert report.ratios.size >= 3, name
@@ -426,7 +426,7 @@ def test_marking_variants_agree_on_rates():
 
 def test_marking_optimality_on_acceptance_runs(theta_runs):
     for (name, theta), result in theta_runs.items():
-        rows = check_marking_optimality(result.trace)
+        rows = check_marking_optimality(result.trace).rows
         applicable = [r for r in rows if r.applicable]
         failing = [r for r in rows if not r.passed]
         assert not failing, (name, theta, failing[:3])

@@ -23,6 +23,7 @@ from helpers_fem import (
     restrict_functional,
     two_block_newton,
     varying_linear_problem,
+    wide_magnitudes,
 )
 import scipy.sparse.linalg as spla
 
@@ -76,6 +77,32 @@ def interpolate(mesh, fn):
     values = fn(mesh.vertices)
     values[mesh.is_boundary_vertex] = 0.0
     return DiscreteSolution(mesh, values)
+
+
+def test_solution_copies_the_callers_values():
+    # the caller's array stays writable and its own; the solution's copy
+    # keeps its bits and is read-only
+    mesh = uniform_refine(unit_square_mesh(cross=True), 1)
+    values = np.where(mesh.is_boundary_vertex, 0.0, np.linspace(-1.0, 1.0, mesh.n_vertices))
+    kept = values.copy()
+    sol = DiscreteSolution(mesh, values)
+    assert sol.values is not values and values.flags.writeable
+    assert not sol.values.flags.writeable
+    values += 1.0
+    assert np.array_equal(sol.values, kept)
+
+
+def test_grad_norm_sq_has_the_bits_of_the_axis_sum():
+    # the length-2 sum written out as two terms, with squares that
+    # underflow and overflow
+    mesh = uniform_refine(unit_square_mesh(cross=True), 1)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        values = wide_magnitudes(rng, mesh.n_vertices)
+        g = element_gradients(mesh, values)
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.array_equal(grad_norm_sq(mesh, values),
+                                  float(np.sum(mesh.areas * np.sum(g * g, axis=1))))
 
 
 def test_p1_gradients_reference_triangle():

@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from triafem import cli
 from triafem.cli import ConfigError, execute, main, parse_config
+from triafem.driver import AfemTrace
 from triafem.mesh import write_mesh
 from triafem.problems import builtin_problem
 
@@ -109,6 +111,32 @@ def test_eta_tol_met_immediately_exits_zero(tmp_path):
     # short-trace checks are skipped, not failed
     report = (out / "report.txt").read_text()
     assert "SKIP" in report
+
+
+def test_a_run_without_refinement_skips_the_checks_that_need_one(tmp_path):
+    # square_smooth starts from 4 elements: the trace has a single row
+    out = tmp_path / "tiny"
+    assert main(["--problem", "square_smooth", "--max-elements", "4", "--out", str(out),
+                 "--checks", "marking_optimality,convergence,mesh_audit"]) == 0
+    assert (out / "report.txt").read_text().splitlines()[1:] == [
+        f"CHECK {name}: SKIP the trace has no refinement step"
+        for name in ("marking_optimality", "convergence", "mesh_audit")]
+
+
+def test_every_check_line_prints_its_checkers_result(tmp_path):
+    # each line is the status and detail of the check's result, recomputed
+    # here from the written traces and meta.json
+    out = tmp_path / "all"
+    config = parse_config(["--problem", "square_smooth", "--max-elements", "2500",
+                           "--out", str(out), "--uniform-baseline", "--qo-epsilon", "0.01",
+                           "--checks", ",".join(cli.KNOWN_CHECKS)])
+    execute(config)
+    meta = json.loads((out / "meta.json").read_text())["trace_meta"]
+    result, uniform = (SimpleNamespace(trace=AfemTrace.from_csv(out / name, meta=meta))
+                       for name in ("trace.csv", "trace_uniform.csv"))
+    checks = {name: cli.CHECKS[name](result, config, uniform) for name in cli.KNOWN_CHECKS}
+    assert (out / "report.txt").read_text().splitlines()[1:] == [
+        f"CHECK {name}: {check.status.upper()} {check.detail}" for name, check in checks.items()]
 
 
 def test_failing_check_gives_nonzero_exit(tmp_path):

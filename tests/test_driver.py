@@ -8,10 +8,12 @@ from helpers_trace import synthetic_trace
 from triafem.driver import (
     AfemRunError,
     AfemTrace,
+    CheckResult,
     check_convergence,
     check_discrete_reliability,
     check_estimator_reduction,
     check_marking_optimality,
+    check_mesh_audit,
     check_quasi_orthogonality,
     check_rlinear,
     fit_rate,
@@ -338,20 +340,20 @@ def test_marking_optimality_rows():
         refined_eta_sq=np.array([0.1, np.nan]),
         meta={"theta": 0.3},
     )
-    rows = check_marking_optimality(trace, q_values=(0.5, 0.9))
+    rows = check_marking_optimality(trace, q_values=(0.5, 0.9)).rows
     by_q = {r.q_d: r for r in rows}
     assert not by_q[0.5].applicable and by_q[0.5].passed
     assert by_q[0.9].applicable and not by_q[0.9].passed
 
 
 def test_marking_optimality_on_run(smooth_run):
-    rows = check_marking_optimality(smooth_run.trace)
+    rows = check_marking_optimality(smooth_run.trace).rows
     assert rows
     assert all(r.passed for r in rows)
 
 
 def test_discrete_reliability_on_run(smooth_run):
-    report = check_discrete_reliability(smooth_run.trace, min_extra=100)
+    report = check_discrete_reliability(smooth_run.trace)
     assert np.isfinite(report.max_ratio)
     assert report.spread < 10.0
 
@@ -420,6 +422,58 @@ def test_convergence_report():
     assert check_convergence(good).passed
     bad = synthetic_trace(np.array([1.0, 0.9, 0.8, 0.7]))
     assert not check_convergence(bad).passed
+
+
+def test_check_result_reads_its_values_as_attributes():
+    check = CheckResult("pass", "q=0.5", {"q_fit": 0.5})
+    assert check.passed and check.q_fit == 0.5
+    assert not CheckResult("skip", "").passed
+    with pytest.raises(AttributeError):
+        check.c_fit
+
+
+def test_checks_that_read_a_refinement_skip_a_one_row_trace():
+    trace = synthetic_trace(np.array([1.0]), meta={
+        "theta": 0.5, "gamma_initial": 1.0, "gamma_max": 1.0, "closure_constant": 0.0})
+    for check in (check_convergence, check_marking_optimality, check_mesh_audit):
+        with pytest.raises(ValueError, match="no refinement step"):
+            check(trace)
+
+
+@pytest.mark.parametrize("gamma_max, closure, status", [
+    (2.6, 20.0, "pass"),
+    (np.nextafter(2.6, np.inf), 20.0, "fail"),
+    (2.6, np.nextafter(20.0, np.inf), "fail"),
+])
+def test_mesh_audit_bounds(gamma_max, closure, status):
+    # gamma_max up to twice gamma_initial, the closure constant up to 20
+    trace = synthetic_trace(np.array([1.0, 0.5]), meta={
+        "gamma_initial": 1.3, "gamma_max": gamma_max, "closure_constant": closure})
+    check = check_mesh_audit(trace)
+    assert check.status == status
+    assert check.detail == f"gamma0=1.3 gamma_max={gamma_max:.4g} closure={closure:.4g}"
+
+
+@pytest.mark.parametrize("largest, status", [(np.nextafter(10.0, 0.0), "pass"), (10.0, "fail")])
+def test_discrete_reliability_spread_bound(largest, status):
+    # the first step lies before the fit window and has the smallest ratio
+    trace = synthetic_trace(
+        np.ones(4), n_elements=np.array([4.0, 200.0, 400.0, 800.0]),
+        grad_diff_sq=np.array([0.01, 1.0, largest, np.nan]),
+        refined_eta_sq=np.array([1.0, 1.0, 1.0, np.nan]))
+    check = check_discrete_reliability(trace)
+    assert check.status == status
+    assert check.spread == largest
+    assert list(check.ratios) == [1.0, largest]
+
+
+def test_quasi_orthogonality_skips_without_a_usable_step():
+    # every error lies within ten times the final one: no step is usable
+    trace = synthetic_trace(np.ones(3), err_energy_sq=np.array([4.0, 2.0, 1.0]),
+                            energy_diff_sq=np.array([1.0, 1.0, np.nan]))
+    check = check_quasi_orthogonality(trace, 0.5)
+    assert check.status == "skip"
+    assert check.usable == ()
 
 
 def test_binned_marking_run_completes():

@@ -2,7 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers_fem import h1_error_sq, linear_jump_terms_einsum, varying_linear_problem
+from helpers_fem import (
+    h1_error_sq,
+    linear_jump_terms_einsum,
+    nonlinear_jump_terms_sum,
+    varying_linear_problem,
+    wide_magnitudes,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +86,19 @@ def test_jump_terms_have_the_bits_of_einsum(name, seeds):
         vectors = rng.normal(size=(mesh.n_elements, 2))
         assert np.array_equal(_jump_terms(mesh, problem, vectors),
                               linear_jump_terms_einsum(mesh, problem, vectors))
+
+
+def test_nonlinear_jump_terms_have_the_bits_of_the_axis_sum():
+    # the normal flux written out as two terms, with squares that
+    # underflow and overflow
+    problem = builtin_problem("magnetostatics_nl")
+    mesh = uniform_refine(problem.make_initial_mesh(), 3)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        vectors = wide_magnitudes(rng, (mesh.n_elements, 2))
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.array_equal(_jump_terms(mesh, problem, vectors),
+                                  nonlinear_jump_terms_sum(mesh, vectors))
 
 
 def test_total_is_sum_of_indicators():

@@ -54,6 +54,21 @@ def test_differences_name_the_columns_and_keys(pairs, tmp_path):
     ]
 
 
+def test_report_differences_name_the_checks_and_their_verdicts(pairs, tmp_path):
+    meta = {"theta": 0.5}
+    parent = _artefacts(tmp_path / "parent", "2.0", "4.0", meta)
+    change = _artefacts(tmp_path / "change", "2.0", "4.0", meta)
+    (tmp_path / "parent" / "report.txt").write_text(
+        "problem=p iterations=3\nCHECK rlinear: PASS q_fit=0.5\nCHECK rate: PASS rate=0.5\n"
+        "CHECK mesh_audit: PASS closure=1\nCHECK convergence: FAIL reduction=2\n")
+    (tmp_path / "change" / "report.txt").write_text(
+        "problem=p iterations=3\nCHECK rlinear: FAIL q_fit=1\nCHECK rate: PASS rate=0.51\n"
+        "CHECK mesh_audit: PASS closure=1\nCHECK discrete_reliability: SKIP no pairs\n")
+    assert pairs.differences(parent, change) == [
+        "report.txt: convergence (only in the parent), discrete_reliability (only in the change),"
+        " rate (verdict PASS unchanged), rlinear (verdict PASS -> FAIL)"]
+
+
 def test_trace_differences_of_shapes_and_non_finite_cells(pairs):
     parent = b"ell,a,b,wall_time_s\n0,1.0,nan,0.1\n"
     assert pairs.trace_differences(parent, b"ell,a,b,wall_time_s\n0,1.0,2.0,0.1\n") == [
