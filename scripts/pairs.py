@@ -19,7 +19,10 @@ normalised wall second. The script prints
 per pair the four end-to-end metrics of both sides, then per metric the
 parent's median and quartiles, the change's median, the median of the
 per-pair ratios change/parent and the number of pairs the change wins
-(lower is better, except for ``elements_per_s``).
+(lower is better, except for ``elements_per_s``), and whether the claim
+rule holds: the change wins at least nine tenths of the pairs, ties
+counting for neither side, and its median is better than the parent's by
+more than the parent's quartile spread.
 A repetition that fails or misses the correctness gate is reported and
 left out of the statistics. The CLI artefacts of the two sides of a pair
 are compared byte for byte, the traces (``trace.csv`` and
@@ -240,8 +243,22 @@ def differences(parent_out, change_out):
     return out
 
 
+def claim_rule(wins, n_pairs, gain, spread):
+    """Whether a gain may be claimed: the change wins at least nine tenths
+    of the pairs, ties counting for neither side, and its median is better
+    than the parent's by more than the parent's quartile spread."""
+    misses = []
+    if 10 * wins < 9 * n_pairs:
+        misses.append(f"{wins}/{n_pairs} wins, below nine tenths")
+    if not gain > spread:
+        misses.append(f"median gain {gain:.4g} not above the parent's quartile spread"
+                      f" {spread:.4g}")
+    return "not met: " + "; ".join(misses) if misses else "met"
+
+
 def summarise(pairs):
-    """Per metric: parent quartiles, change median, median ratio, wins."""
+    """Per metric: parent quartiles, change median, median ratio, wins,
+    then whether the claim rule (:func:`claim_rule`) holds."""
     lines = []
     for name, higher_better in METRICS.items():
         parent = [p[name] for p, _ in pairs]
@@ -252,11 +269,14 @@ def summarise(pairs):
             q1 = q3 = parent[0]
         ratio = statistics.median(c / p for p, c in zip(parent, change))
         wins = sum((c > p) if higher_better else (c < p) for p, c in zip(parent, change))
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        gain = change_median - parent_median if higher_better else parent_median - change_median
         lines.append(
-            f"{name}: parent median {statistics.median(parent):.4g} [q1 {q1:.4g}, q3 {q3:.4g}]"
-            f" -> change median {statistics.median(change):.4g};"
+            f"{name}: parent median {parent_median:.4g} [q1 {q1:.4g}, q3 {q3:.4g}]"
+            f" -> change median {change_median:.4g};"
             f" median pair ratio {ratio:.4f}; change better in {wins}/{len(pairs)} pairs"
         )
+        lines.append(f"{name}: claim rule {claim_rule(wins, len(pairs), gain, q3 - q1)}")
     return lines
 
 

@@ -21,10 +21,7 @@ from .assembly import (
     transfer_many,
     volume_samples,
 )
-from .driver import (
-    AfemResult,
-    AfemRunError,
-    AfemTrace,
+from .checks import (
     CheckResult,
     RateFit,
     check_convergence,
@@ -35,9 +32,8 @@ from .driver import (
     check_quasi_orthogonality,
     check_rlinear,
     fit_rate,
-    run_afem,
-    run_uniform,
 )
+from .driver import AfemResult, AfemRunError, AfemTrace, run_afem, run_uniform
 from .estimator import EstimatorReport, estimate, local_sum
 from .marking import AllZeroIndicators, MarkingResult, mark_binned, mark_min
 from .mesh import (

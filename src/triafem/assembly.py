@@ -6,16 +6,17 @@ keeping solution vectors at full length with exact zeros on the boundary.
 Every system numbers its unknowns in one order, the mesh's
 :attr:`Mesh.interior_vertices`, which is also the order the factor wants.
 Element data has one source per mesh: basis gradients are cached on the
-mesh (:attr:`Mesh.basis_gradients`); the quadrature points, the
-coefficient samples and a linear problem's element matrices and loads are
-taken by :func:`volume_samples` and passed to assembly, the nonlinear
-solver and the estimator; the adaptive loop carries them through
-refinement. A nonlinear problem's flux and lower-order term at a P1
-function come from one function, :func:`flux_terms`, which the residual,
-the estimator and :func:`energy_products` (one solution paired with many)
-read. Every bilinear form contracts its quadrature before the local
-product, ``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is
-summed from local element matrices by one scatter. Every sparse system is
+mesh (:attr:`Mesh.basis_gradients`); the coefficient samples, the
+quadrature points that a nonlinear lower-order term reads and a linear
+problem's element matrices and loads are taken by :func:`volume_samples`
+and passed to assembly, the nonlinear solver and the estimator; the
+adaptive loop carries them through refinement. A nonlinear problem's
+flux and lower-order term at a P1 function come from one function,
+:func:`flux_terms`, which the residual, the estimator and
+:func:`energy_products` (one solution paired with many) read. Every
+bilinear form contracts its quadrature before the local product,
+``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is summed
+from local element matrices by one scatter. Every sparse system is
 factored by :func:`_symmetric_factor`; full and simplified Newton share
 one step block. Assembly is sequential, so runs are bit-reproducible.
 """
@@ -93,18 +94,18 @@ class SparseSystem:
 class VolumeSamples:
     """A problem's data on one mesh that does not depend on the solution.
 
-    ``points`` are the volume quadrature points, flat (NT * q, 2), the
-    layout the closures take; every sample is per element and point,
-    (NT, q) or (NT, q, 2). Advection, reaction and the diffusion divergence
-    are sampled for linear problems that define them, and a linear problem
-    also gets its element matrices ``local`` (NT, 3, 3) and loads ``load``
-    (NT, 3). A nonlinear problem without a lower-order term gets its source
-    moments ``source_moments`` (NT, 3), ``sum_q w_q f(x_q) lambda_qi``
-    without the area, which every residual on the mesh subtracts, and no
-    ``points``, which no kernel reads then. Passed as an argument, never
-    cached on the mesh (a run that keeps its history keeps every mesh); the
-    adaptive loop carries them through refinement and drops them before the
-    reference build.
+    Every sample is per element and point, (NT, q) or (NT, q, 2).
+    Advection, reaction and the diffusion divergence are sampled for
+    linear problems that define them, and a linear problem also gets its
+    element matrices ``local`` (NT, 3, 3) and loads ``load`` (NT, 3). A
+    nonlinear problem without a lower-order term gets its source moments
+    ``source_moments`` (NT, 3), ``sum_q w_q f(x_q) lambda_qi`` without the
+    area, which every residual on the mesh subtracts. Only a nonlinear
+    problem with a lower-order term keeps ``points``, the volume quadrature
+    points, flat (NT * q, 2), the layout the closures take: no other kernel
+    reads them. Passed as an argument, never cached on the mesh (a run that
+    keeps its history keeps every mesh); the adaptive loop carries them
+    through refinement and drops them before the reference build.
     """
 
     source: np.ndarray
@@ -160,7 +161,7 @@ def _element_data(mesh, problem, first):
         _check_finite(name, values)
         return values
 
-    fields = {"points": points, "source": sample("source")}
+    fields = {"source": sample("source")}
     if isinstance(problem, LinearProblem):
         for name, tail in (("advection", (2,)), ("reaction", ()), ("diffusion_div", (2,))):
             if getattr(problem, name) is not None:
@@ -170,9 +171,10 @@ def _element_data(mesh, problem, first):
             mesh.basis_gradients[first:], mesh.areas[first:],
         )
     elif problem.lower_order is None:
-        del fields["points"]
         fields["source_moments"] = np.einsum(
             "q,nq,qi->ni", quadrature.TRI_WEIGHTS, fields["source"], quadrature.TRI_BARY)
+    else:
+        fields["points"] = points
     return fields
 
 

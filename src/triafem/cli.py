@@ -22,8 +22,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .driver import (
-    AfemRunError,
+from .checks import (
     CheckResult,
     check_convergence,
     check_discrete_reliability,
@@ -33,9 +32,8 @@ from .driver import (
     check_quasi_orthogonality,
     check_rlinear,
     fit_rate,
-    run_afem,
-    run_uniform,
 )
+from .driver import AfemRunError, run_afem, run_uniform
 from .mesh import write_mesh
 from .problems import builtin_names, builtin_problem
 

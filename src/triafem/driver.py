@@ -1,11 +1,10 @@
-"""The adaptive loop and the empirical verification checkers.
+"""The adaptive loop, its trace and the reference build.
 
 ``run_afem`` iterates solve - estimate - mark - refine and records one row
-per iteration. The checkers are pure functions of the recorded trace and
-its ``meta`` (estimator reduction, R-linear decay, quasi-orthogonality,
-marking optimality, discrete reliability, convergence, mesh audit), and
-each returns a :class:`CheckResult` that holds its verdict; ``fit_rate``
-fits the log-log rate.
+per iteration in an :class:`AfemTrace`; with ``compute_reference`` it
+then measures every iterate's energy error against
+:func:`build_reference`. The checks that read the trace are in
+:mod:`triafem.checks`.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ _INT_COLUMNS = frozenset(("ell", "n_elements", "n_vertices", "n_marked", "n_refi
 REFERENCE_LEVELS = 3
 # iteration cap of every run, on top of its own stopping rule
 MAX_ITERATIONS = 200
-# extra elements over the initial mesh from which the fits read a trace:
-# the steps before are preasymptotic
-FIT_WINDOW = 100
 
 
 class AfemRunError(RuntimeError):
@@ -333,275 +329,3 @@ def run_uniform(problem, max_elements=None, eta_tol=None, keep_history=True, ini
     marked in every step (``marking="uniform"``, ``theta`` 1)."""
     return run_afem(problem, 1.0, max_elements, eta_tol, marking="uniform",
                     keep_history=keep_history, initial_mesh=initial_mesh)
-
-
-# -- checkers -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Verdict of one check: ``status`` is ``"pass"``, ``"fail"`` or
-    ``"skip"``, ``detail`` the text that ``report.txt`` prints after it, and
-    the numbers in ``values`` read as attributes (``fit.q_fit``)."""
-
-    status: str
-    detail: str
-    values: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-    def __getattr__(self, name):
-        try:
-            return self.__dict__["values"][name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
-def _verdict(passed, detail, **values):
-    return CheckResult("pass" if passed else "fail", detail, values)
-
-
-def _needs_refinement(trace):
-    # every row after the first is the mesh of one refinement step
-    if len(trace) < 2:
-        raise ValueError("the trace has no refinement step")
-
-
-def check_estimator_reduction(trace):
-    """Fit (q, C) with eta_{l+1}^2 <= q eta_l^2 + C |grad diff|^2 per step.
-
-    ``q_fit`` is the smallest q that works with C bounded by 1e6;
-    steps that no q < 1 can satisfy even at the cap are violations. Passes
-    without violations and with ``q_fit < 1``.
-    """
-    if len(trace) < 3:
-        raise ValueError("estimator reduction needs a trace of length >= 3")
-    eta = trace.eta_sq
-    diff = np.where(np.isfinite(trace.grad_diff_sq), trace.grad_diff_sq, 0.0)
-    q_needed = []
-    violations = []
-    for k in range(len(trace) - 1):
-        slack = eta[k + 1] - 1e6 * diff[k]
-        if eta[k] > 0.0:
-            q = slack / eta[k]
-            q_needed.append(q)
-            if q >= 1.0:
-                violations.append(k)
-        elif slack > 0.0:
-            violations.append(k)
-    q_fit = max(0.0, max(q_needed, default=0.0))
-    c_fit = 0.0
-    for k in range(len(trace) - 1):
-        if diff[k] > 0.0:
-            c_fit = max(c_fit, (eta[k + 1] - q_fit * eta[k]) / diff[k])
-    return _verdict(not violations and q_fit < 1.0,
-                    f"q_fit={q_fit:.6g} C_fit={c_fit:.6g} violations={violations}",
-                    q_fit=q_fit, c_fit=c_fit, violations=tuple(violations))
-
-
-def check_rlinear(trace):
-    """Geometric envelope eta_{l+k}^2 <= C q^k eta_l^2 over all pairs.
-
-    The slope of a least-squares fit of log eta^2 gives the rate q; the
-    check fails when that rate is not below one (stagnation) or when no
-    q < 1 at or above it keeps the envelope constant within 100.
-    A finite trace always admits *some* q < 1 at C = 100, so the fitted
-    rate, not bare envelope feasibility, carries the pass decision.
-    """
-    if len(trace) < 5:
-        raise ValueError("R-linear check needs a trace of length >= 5")
-
-    def verdict(passed, q_fit, c_fit):
-        return _verdict(passed, f"q_fit={q_fit:.6g} C_fit={c_fit:.6g}", q_fit=q_fit, c_fit=c_fit)
-
-    eta2 = trace.eta_sq
-    pos = eta2 > 0.0
-    if not pos.all():
-        # a trailing zero estimator is a converged run; pairs into the zero
-        # tail hold for any q, pairs out of it would be infinite
-        first_zero = int(np.argmin(pos))
-        if np.any(eta2[first_zero:] > 0.0):
-            return verdict(False, 1.0, math.inf)
-        eta2 = eta2[:first_zero]
-        if eta2.size < 3:
-            return verdict(True, 0.0, 1.0)
-    y = np.log(eta2)
-    slope = np.polyfit(np.arange(y.size), y, 1)[0]
-    q_ls = float(np.exp(slope))
-
-    max_gap = np.array([np.max(y[k:] - y[:-k]) for k in range(1, y.size)])
-    ks = np.arange(1, y.size)
-
-    def log_c(q):
-        return float(np.max(max_gap - ks * math.log(q)))
-
-    log_cap = math.log(100.0)
-    if q_ls >= 1.0:
-        return verdict(False, q_ls, math.exp(float(np.max(max_gap))))
-    if log_c(q_ls) <= log_cap:
-        return verdict(True, q_ls, math.exp(log_c(q_ls)))
-    lo, hi = q_ls, 1.0 - 1e-12
-    if log_c(hi) > log_cap:
-        return verdict(False, 1.0, math.exp(log_c(hi)))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if log_c(mid) <= log_cap:
-            hi = mid
-        else:
-            lo = mid
-    return verdict(True, hi, math.exp(log_c(hi)))
-
-
-@dataclass(frozen=True)
-class RateFit:
-    slope: float
-    intercept: float
-    residual: float
-    window: np.ndarray
-
-    @property
-    def rate(self):
-        """Observed s in eta ~ (#elements - #initial)^(-s)."""
-        return -self.slope
-
-
-def fit_rate(trace):
-    """Least-squares slope of log eta against log(#elements - #initial).
-
-    The window drops the preasymptotic iterations with fewer than
-    ``FIT_WINDOW`` extra elements.
-    """
-    eta = np.sqrt(trace.eta_sq)
-    extra = trace.n_elements - trace.n_elements[0]
-    idx = np.nonzero((extra >= FIT_WINDOW) & (eta > 0.0))[0]
-    if idx.size < 6:
-        raise ValueError("rate fit needs at least 6 points in the window")
-    x = np.log(extra[idx])
-    y = np.log(eta[idx])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(slope=float(slope), intercept=float(intercept), residual=resid, window=idx)
-
-
-def check_quasi_orthogonality(trace, epsilon):
-    """First index ``ell0`` from which the quasi-Pythagoras inequality
-    always holds.
-
-    Checks ``|U_{l+1} - U_l|^2 <= E_l^2 / (1 - eps) - E_{l+1}^2`` in the
-    recorded energy (or nonlinear quasi-metric) against the reference
-    solution, using only iterations whose error exceeds 10 times the
-    reference noise floor, the final iterate's error (``meta.json`` copies
-    it as ``noise_floor_err_sq``), so a trace read back from its file gets
-    the same verdict. Skips when no step is usable and passes when no
-    usable step fails. ``epsilon = 0`` asks for the exact Pythagoras
-    identity; on non-symmetric problems the result then lists the failing
-    steps.
-    """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
-    err = trace.err_energy_sq
-    diff = trace.energy_diff_sq
-    if not np.any(np.isfinite(err)):
-        raise ValueError("trace has no reference energies; run with compute_reference")
-    floor = 10.0**2 * err[-1]
-    usable, failures, slack = [], [], {}
-    for k in range(len(trace) - 1):
-        if not (math.isfinite(err[k]) and math.isfinite(err[k + 1]) and math.isfinite(diff[k])):
-            continue
-        if err[k] <= floor or err[k + 1] <= floor:
-            continue
-        usable.append(k)
-        s = err[k] / (1.0 - epsilon) - err[k + 1] - diff[k]
-        slack[k] = s
-        if s < 0.0:
-            failures.append(k)
-    ell0 = (max(failures) + 1) if failures else 0
-    values = dict(ell0=ell0, failures=tuple(failures), usable=tuple(usable), slack=slack)
-    if not usable:
-        return CheckResult("skip", "no iterations above the reference noise floor", values)
-    return _verdict(not failures, f"epsilon={epsilon} ell0={ell0} failures={failures} "
-                    f"usable={len(usable)}", **values)
-
-
-@dataclass(frozen=True)
-class MarkingOptimalityRow:
-    ell: int
-    q_d: float
-    applicable: bool
-    passed: bool
-
-
-def check_marking_optimality(trace, q_values=(0.5, 0.7, 0.9)):
-    """Doerfler-optimality implication table (refined set carries theta).
-
-    For each step where the estimator contracted by at least a factor
-    ``q_d``, checks that the indicators of the refined elements reach the
-    theta fraction of the total; steps without that much contraction are
-    vacuously passing and reported as not applicable. Theta is the run's,
-    ``trace.meta["theta"]``. The result keeps one
-    :class:`MarkingOptimalityRow` per step and ``q_d`` in ``.rows``.
-    """
-    theta = trace.meta.get("theta")
-    if theta is None:
-        raise ValueError("marking optimality needs the run's theta")
-    _needs_refinement(trace)
-    rows = []
-    eta = trace.eta_sq
-    refined = trace.refined_eta_sq
-    for k in range(len(trace) - 1):
-        if not math.isfinite(refined[k]):
-            continue
-        for q_d in q_values:
-            applicable = eta[k + 1] <= q_d * eta[k]
-            ok = (not applicable) or refined[k] >= theta * eta[k] * (1.0 - 1e-12)
-            rows.append(MarkingOptimalityRow(ell=k, q_d=q_d, applicable=applicable, passed=ok))
-    failing = sum(1 for r in rows if not r.passed)
-    applicable = sum(1 for r in rows if r.applicable)
-    return _verdict(not failing, f"applicable={applicable} failing={failing}", rows=tuple(rows))
-
-
-def check_discrete_reliability(trace):
-    """Per-step ratios |grad(U_{l+1} - U_l)|^2 / sum of refined indicators
-    over the steps from ``FIT_WINDOW`` extra elements on.
-
-    Skips when there is no such step and passes when the largest ratio is
-    finite and the spread, largest over smallest positive ratio, is
-    below 10.
-    """
-    num, den = trace.grad_diff_sq, trace.refined_eta_sq
-    extra = trace.n_elements - trace.n_elements[0]
-    ratios = np.array([
-        num[k] / den[k] if den[k] > 0.0 else 0.0 for k in range(len(trace) - 1)
-        if math.isfinite(num[k]) and math.isfinite(den[k]) and extra[k] >= FIT_WINDOW])
-    positive = ratios[ratios > 0.0]
-    max_ratio = float(ratios.max()) if ratios.size else 0.0
-    min_ratio = float(positive.min()) if positive.size else 0.0
-    spread = max_ratio / min_ratio if min_ratio > 0 else math.inf
-    values = dict(ratios=ratios, max_ratio=max_ratio, min_ratio=min_ratio, spread=spread)
-    if not ratios.size:
-        return CheckResult("skip", "no refinement pairs past the fit window", values)
-    return _verdict(math.isfinite(max_ratio) and spread < 10.0,
-                    f"max={max_ratio:.6g} spread={spread:.3g}", **values)
-
-
-def check_convergence(trace, factor=100.0):
-    """Final estimator must drop below the initial one by ``factor``."""
-    _needs_refinement(trace)
-    eta0 = math.sqrt(trace.eta_sq[0])
-    eta_last = math.sqrt(trace.eta_sq[-1])
-    reduction = math.inf if eta0 == 0.0 else eta0 / max(eta_last, 1e-300)
-    return _verdict(eta0 == 0.0 or eta_last <= eta0 / factor, f"reduction={reduction:.6g}",
-                    reduction=reduction)
-
-
-def check_mesh_audit(trace):
-    """Shape regularity and closure of the run's refinements, read from
-    ``trace.meta``: passes when ``gamma_max <= 2 gamma_initial`` and the
-    closure constant is at most 20."""
-    _needs_refinement(trace)
-    gamma0, gamma_max, closure = (
-        trace.meta[key] for key in ("gamma_initial", "gamma_max", "closure_constant"))
-    return _verdict(gamma_max <= 2.0 * gamma0 and closure <= 20.0,
-                    f"gamma0={gamma0:.4g} gamma_max={gamma_max:.4g} closure={closure:.4g}",
-                    gamma0=gamma0, gamma_max=gamma_max, closure=closure)

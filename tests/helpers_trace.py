@@ -1,7 +1,10 @@
-"""Synthetic traces for the checker tests."""
+"""Synthetic traces and reference forms of the checks for the checker tests."""
+
+import math
 
 import numpy as np
 
+from triafem.checks import FIT_WINDOW, CheckResult, _verdict
 from triafem.driver import AfemTrace
 
 
@@ -32,3 +35,124 @@ def synthetic_trace(eta_sq, **overrides):
             raise ValueError(f"column {name!r} has wrong length")
         columns[name] = arr.astype(float)
     return AfemTrace(columns=columns, meta=dict(meta))
+
+
+# -- loop forms of the checks that triafem.checks computes over arrays,
+# kept as the references its oracle tests compare against
+
+def estimator_reduction_loop(trace):
+    """Per-step loop form of :func:`triafem.checks.check_estimator_reduction`."""
+    if len(trace) < 3:
+        raise ValueError("estimator reduction needs a trace of length >= 3")
+    eta = trace.eta_sq
+    diff = np.where(np.isfinite(trace.grad_diff_sq), trace.grad_diff_sq, 0.0)
+    q_needed = []
+    violations = []
+    for k in range(len(trace) - 1):
+        slack = eta[k + 1] - 1e6 * diff[k]
+        if eta[k] > 0.0:
+            q = slack / eta[k]
+            q_needed.append(q)
+            if q >= 1.0:
+                violations.append(k)
+        elif slack > 0.0:
+            violations.append(k)
+    q_fit = max(0.0, max(q_needed, default=0.0))
+    c_fit = 0.0
+    for k in range(len(trace) - 1):
+        if diff[k] > 0.0:
+            c_fit = max(c_fit, (eta[k + 1] - q_fit * eta[k]) / diff[k])
+    return _verdict(not violations and q_fit < 1.0,
+                    f"q_fit={q_fit:.6g} C_fit={c_fit:.6g} violations={violations}",
+                    q_fit=q_fit, c_fit=c_fit, violations=tuple(violations))
+
+
+def rlinear_bisection(trace):
+    """:func:`triafem.checks.check_rlinear` with its smallest admissible
+    rate found by an 80-step bisection; returns the upper bracket."""
+    if len(trace) < 5:
+        raise ValueError("R-linear check needs a trace of length >= 5")
+
+    def verdict(passed, q_fit, c_fit):
+        return _verdict(passed, f"q_fit={q_fit:.6g} C_fit={c_fit:.6g}", q_fit=q_fit, c_fit=c_fit)
+
+    eta2 = trace.eta_sq
+    pos = eta2 > 0.0
+    if not pos.all():
+        first_zero = int(np.argmin(pos))
+        if np.any(eta2[first_zero:] > 0.0):
+            return verdict(False, 1.0, math.inf)
+        eta2 = eta2[:first_zero]
+        if eta2.size < 3:
+            return verdict(True, 0.0, 1.0)
+    y = np.log(eta2)
+    slope = np.polyfit(np.arange(y.size), y, 1)[0]
+    q_ls = float(np.exp(slope))
+
+    max_gap = np.array([np.max(y[k:] - y[:-k]) for k in range(1, y.size)])
+    ks = np.arange(1, y.size)
+
+    def log_c(q):
+        return float(np.max(max_gap - ks * math.log(q)))
+
+    log_cap = math.log(100.0)
+    if q_ls >= 1.0:
+        return verdict(False, q_ls, math.exp(float(np.max(max_gap))))
+    if log_c(q_ls) <= log_cap:
+        return verdict(True, q_ls, math.exp(log_c(q_ls)))
+    lo, hi = q_ls, 1.0 - 1e-12
+    if log_c(hi) > log_cap:
+        return verdict(False, 1.0, math.exp(log_c(hi)))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if log_c(mid) <= log_cap:
+            hi = mid
+        else:
+            lo = mid
+    return verdict(True, hi, math.exp(log_c(hi)))
+
+
+def quasi_orthogonality_loop(trace, epsilon):
+    """Per-step loop form of :func:`triafem.checks.check_quasi_orthogonality`."""
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError("epsilon must lie in [0, 1)")
+    err = trace.err_energy_sq
+    diff = trace.energy_diff_sq
+    if not np.any(np.isfinite(err)):
+        raise ValueError("trace has no reference energies; run with compute_reference")
+    floor = 10.0**2 * err[-1]
+    usable, failures, slack = [], [], {}
+    for k in range(len(trace) - 1):
+        if not (math.isfinite(err[k]) and math.isfinite(err[k + 1]) and math.isfinite(diff[k])):
+            continue
+        if err[k] <= floor or err[k + 1] <= floor:
+            continue
+        usable.append(k)
+        s = err[k] / (1.0 - epsilon) - err[k + 1] - diff[k]
+        slack[k] = s
+        if s < 0.0:
+            failures.append(k)
+    ell0 = (max(failures) + 1) if failures else 0
+    values = dict(ell0=ell0, failures=tuple(failures), usable=tuple(usable), slack=slack)
+    if not usable:
+        return CheckResult("skip", "no iterations above the reference noise floor", values)
+    return _verdict(not failures, f"epsilon={epsilon} ell0={ell0} failures={failures} "
+                    f"usable={len(usable)}", **values)
+
+
+def discrete_reliability_loop(trace):
+    """Per-step loop form of :func:`triafem.checks.check_discrete_reliability`."""
+    num, den = trace.grad_diff_sq, trace.refined_eta_sq
+    extra = trace.n_elements - trace.n_elements[0]
+    ratios = np.array([
+        num[k] / den[k] if den[k] > 0.0 else 0.0 for k in range(len(trace) - 1)
+        if math.isfinite(num[k]) and math.isfinite(den[k]) and extra[k] >= FIT_WINDOW])
+    positive = ratios[ratios > 0.0]
+    max_ratio = float(ratios.max()) if ratios.size else 0.0
+    min_ratio = float(positive.min()) if positive.size else 0.0
+    spread = max_ratio / min_ratio if min_ratio > 0 else math.inf
+    values = dict(ratios=ratios, max_ratio=max_ratio, min_ratio=min_ratio, spread=spread)
+    if not ratios.size:
+        return CheckResult("skip", "no refinement pairs past the fit window", values)
+    return _verdict(math.isfinite(max_ratio) and spread < 10.0,
+                    f"max={max_ratio:.6g} spread={spread:.3g}", **values)

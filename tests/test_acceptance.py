@@ -27,7 +27,7 @@ from triafem.assembly import (
     solve_nonlinear,
     transfer,
 )
-from triafem.driver import (
+from triafem.checks import (
     check_convergence,
     check_discrete_reliability,
     check_estimator_reduction,
@@ -35,9 +35,8 @@ from triafem.driver import (
     check_quasi_orthogonality,
     check_rlinear,
     fit_rate,
-    run_afem,
-    run_uniform,
 )
+from triafem.driver import run_afem, run_uniform
 from triafem.estimator import estimate
 from triafem.marking import mark_binned, mark_min
 from triafem.mesh import overlay, refine_nvb, uniform_refine

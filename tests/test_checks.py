@@ -1,0 +1,118 @@
+"""The array forms of the checks against their per-step loop forms."""
+
+import math
+
+import numpy as np
+from helpers_trace import (
+    discrete_reliability_loop,
+    estimator_reduction_loop,
+    quasi_orthogonality_loop,
+    rlinear_bisection,
+    synthetic_trace,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triafem.checks import (
+    check_discrete_reliability,
+    check_estimator_reduction,
+    check_quasi_orthogonality,
+    check_rlinear,
+)
+
+SPECIAL = (0.0, math.nan, math.inf, -math.inf)
+COLUMNS = ("eta_sq", "grad_diff_sq", "refined_eta_sq", "energy_diff_sq", "err_energy_sq")
+
+
+def _cells(special=SPECIAL):
+    return st.one_of(st.sampled_from(special), st.floats(1e-12, 1e3), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def traces(draw, special=SPECIAL):
+    """A trace of 1 to 40 rows drawn, with repetition, from up to 40
+    distinct rows whose cells include zeros, NaN and infinities; element
+    counts meet the fit window's edge."""
+    counts = st.sampled_from((math.nan, 0.0, 50.0, 100.0, 150.0, 200.0, 300.0))
+    rows = draw(st.lists(st.tuples(*[_cells(special)] * len(COLUMNS), counts),
+                         min_size=1, max_size=40))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
+    data = np.array([rows[i] for i in picks], dtype=float)
+    return synthetic_trace(data[:, 0], n_elements=data[:, -1], **{
+        name: data[:, i] for i, name in enumerate(COLUMNS) if i})
+
+
+def _outcome(check, trace, *args):
+    """The check's result, or the type of the ``ValueError`` it raised;
+    infinite and subnormal cells may overflow without a warning."""
+    try:
+        with np.errstate(all="ignore"):
+            return check(trace, *args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return a == b
+
+
+@settings(max_examples=300)
+@given(trace=traces(), epsilon=st.sampled_from((0.0, 0.1, 0.5)))
+def test_array_checks_match_their_loop_forms(trace, epsilon):
+    for check, loop, args in (
+            (check_estimator_reduction, estimator_reduction_loop, ()),
+            (check_quasi_orthogonality, quasi_orthogonality_loop, (epsilon,)),
+            (check_discrete_reliability, discrete_reliability_loop, ())):
+        new, old = _outcome(check, trace, *args), _outcome(loop, trace, *args)
+        if isinstance(old, type):
+            assert new is old
+            continue
+        assert (new.status, new.detail) == (old.status, old.detail)
+        assert new.values.keys() == old.values.keys()
+        for name in old.values:
+            assert _same(new.values[name], old.values[name]), (check.__name__, name)
+
+
+def _close(a, b):
+    return a == b or math.isclose(a, b, rel_tol=1e-12) or (math.isnan(a) and math.isnan(b))
+
+
+# +inf in eta_sq makes the least-squares rate NaN, where the bisection's
+# bracket has no lower end and the loop form returns its start
+@settings(max_examples=300)
+@given(trace=traces(special=(0.0, math.nan, -math.inf)))
+def test_rlinear_closed_form_matches_the_bisection(trace):
+    new, old = _outcome(check_rlinear, trace), _outcome(rlinear_bisection, trace)
+    if isinstance(old, type):
+        assert new is old
+        return
+    assert (new.status, new.detail) == (old.status, old.detail)
+    assert _close(new.q_fit, old.q_fit) and _close(new.c_fit, old.c_fit)
+
+
+def _log_envelope(y, q):
+    """log of the smallest C with exp(y_m) <= C q^(m - l) exp(y_l) for all l < m."""
+    return max(y[m] - y[l] - (m - l) * math.log(q)
+               for m in range(len(y)) for l in range(m))
+
+
+@settings(max_examples=300)
+@given(rate=st.floats(0.05, 0.95), noise=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=40))
+def test_rlinear_rate_above_the_least_squares_rate_is_minimal(rate, noise):
+    # a geometric decay with noise: about one draw in six needs a rate
+    # above the least-squares one to keep the envelope within 100
+    eta_sq = np.exp(np.arange(len(noise)) * math.log(rate) + np.array(noise))
+    check = check_rlinear(synthetic_trace(eta_sq))
+    y = np.log(eta_sq)
+    q_ls = float(np.exp(np.polyfit(np.arange(y.size), y, 1)[0]))  # as the check takes it
+    if not (check.passed and check.q_fit > q_ls):
+        return
+    log_cap = math.log(100.0)
+    assert _log_envelope(y, check.q_fit) <= log_cap + 1e-12
+    assert _log_envelope(y, check.q_fit * (1.0 - 1e-9)) > log_cap

@@ -5,9 +5,7 @@ import pytest
 from helpers_fem import varying_linear_problem
 from helpers_trace import synthetic_trace
 
-from triafem.driver import (
-    AfemRunError,
-    AfemTrace,
+from triafem.checks import (
     CheckResult,
     check_convergence,
     check_discrete_reliability,
@@ -17,9 +15,8 @@ from triafem.driver import (
     check_quasi_orthogonality,
     check_rlinear,
     fit_rate,
-    run_afem,
-    run_uniform,
 )
+from triafem.driver import AfemRunError, AfemTrace, run_afem, run_uniform
 from triafem import assembly, driver
 from triafem.assembly import solve_nonlinear, transfer, transfer_many
 from triafem.mesh import MeshError, load_initial_mesh, shape_regularity, uniform_refine

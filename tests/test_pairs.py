@@ -148,3 +148,30 @@ def test_both_checkouts_are_compiled_before_the_first_pair(pairs, tmp_path, monk
     assert pairs.main(["--parent", str(checkouts["parent"]), "--change",
                        str(checkouts["change"]), "--workload", "w", "--pairs", "1"]) == 0
     assert seen == [["__init__"], ["__init__"]]
+
+
+def _claim_lines(pairs, parent_wall, change_wall):
+    """The ``wall_s`` claim line of pairs that differ only in ``wall_s``."""
+    other = {"setup_s": 0.5, "elements_per_s": 10.0, "peak_rss_mb": 50.0}
+    lines = pairs.summarise([({**other, "wall_s": p}, {**other, "wall_s": c})
+                             for p, c in zip(parent_wall, change_wall)])
+    # ties win for neither side
+    assert ("elements_per_s: claim rule not met: 0/10 wins, below nine tenths; median gain 0"
+            " not above the parent's quartile spread 0") in lines
+    return [line for line in lines if line.startswith("wall_s: claim rule")]
+
+
+@pytest.mark.parametrize("change_wall, verdict", [
+    # nine wins and a tie, the medians 0.19 apart against a quartile spread of 0.055
+    ([1.0] + [p - 0.2 for p in (1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09)],
+     "met"),
+    # eight wins; the median gain 0.18 stays above the spread
+    ([1.2, 1.21] + [p - 0.2 for p in (1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09)],
+     "not met: 8/10 wins, below nine tenths"),
+    # ten wins by 0.01, less than the quartile spread
+    ([p - 0.01 for p in (1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09)],
+     "not met: median gain 0.01 not above the parent's quartile spread 0.055"),
+])
+def test_summary_states_the_claim_rule(pairs, change_wall, verdict):
+    parent_wall = [1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    assert _claim_lines(pairs, parent_wall, change_wall) == [f"wall_s: claim rule {verdict}"]
