@@ -102,10 +102,10 @@ class VolumeSamples:
     ``source_moments`` (NT, 3), ``sum_q w_q f(x_q) lambda_qi`` without the
     area, which every residual on the mesh subtracts. Only a nonlinear
     problem with a lower-order term keeps ``points``, the volume quadrature
-    points, flat (NT * q, 2), the layout the closures take: no other kernel
-    reads them. Passed as an argument, never cached on the mesh (a run that
-    keeps its history keeps every mesh); the adaptive loop carries them
-    through refinement and drops them before the reference build.
+    points, per element like every other field: no other kernel reads them.
+    Passed as an argument, never cached on the mesh (a run that keeps its
+    history keeps every mesh); the adaptive loop carries them through
+    refinement and drops them before the reference build.
     """
 
     source: np.ndarray
@@ -123,36 +123,27 @@ def volume_samples(mesh, problem, carry=None):
 
     ``carry = (coarse, samples, record)`` gives the mesh that ``mesh``
     refines, its samples and the :class:`~triafem.mesh.RefinementRecord`
-    of that refinement. The kept elements come first in ``mesh``, in their
-    old order, so their rows are taken from ``samples`` and only the new
+    of that refinement. Every field's kept rows are taken from ``samples``
+    (:meth:`~triafem.mesh.RefinementRecord.carry`), and only the new
     elements are sampled and integrated. Per-element arithmetic does not
     depend on the batch, so every row has the bits of a fresh call
     (``notes/decisions.md``).
     """
     if carry is None:
-        return _volume_samples(_element_data(mesh, problem, 0))
+        return VolumeSamples(**_element_data(mesh, problem, slice(None)))
     coarse, samples, record = carry
-    if samples.source.shape[0] != coarse.n_elements or not record.joins(coarse, mesh):
+    if not record.joins(coarse, mesh):
         raise ValueError("mesh does not start with the kept elements of the carried mesh")
-    kept = record.kept
-    fresh = _element_data(mesh, problem, kept.size)
-    return _volume_samples({
-        name: np.concatenate([getattr(samples, name).reshape(-1, *new.shape[1:])[kept], new])
-        for name, new in fresh.items()
+    return VolumeSamples(**{
+        name: record.carry(getattr(samples, name), new)
+        for name, new in _element_data(mesh, problem, record.new_elements).items()
     })
 
 
-def _volume_samples(fields):
-    """:class:`VolumeSamples` of :func:`_element_data` fields."""
-    if "points" in fields:
-        fields = {**fields, "points": fields["points"].reshape(-1, 2)}
-    return VolumeSamples(**fields)
-
-
-def _element_data(mesh, problem, first):
-    """The fields of :class:`VolumeSamples` on the elements ``first:`` of
-    ``mesh``, with the points, where kept, per element, (n, q, 2)."""
-    points = mesh.quadrature_points(slice(first, None))
+def _element_data(mesh, problem, elements):
+    """The fields of :class:`VolumeSamples` on the slice ``elements`` of
+    ``mesh``."""
+    points = mesh.quadrature_points(elements)
     shape = points.shape[:2]
     flat = points.reshape(-1, 2)
 
@@ -168,7 +159,7 @@ def _element_data(mesh, problem, first):
                 fields[name] = sample(name, *tail)
         fields["local"], fields["load"] = _element_system(
             sample("diffusion", 2, 2), fields,
-            mesh.basis_gradients[first:], mesh.areas[first:],
+            mesh.basis_gradients[elements], mesh.areas[elements],
         )
     elif problem.lower_order is None:
         fields["source_moments"] = np.einsum(
@@ -368,7 +359,6 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
         samples = volume_samples(mesh, problem)
     w = quadrature.TRI_WEIGHTS
     grads = mesh.basis_gradients
-    flat = samples.points
     grad_u = element_gradients(mesh, values)
 
     jac = _flux_closure(problem, "flux_jacobian", grad_u)
@@ -378,12 +368,12 @@ def nonlinear_jacobian(mesh, problem, values, samples=None):
     local = _stiffness(grads, jac_bar)
     if problem.lower_order_du is not None or problem.lower_order_dgrad is not None:
         u_q = p1_at_quadrature(mesh, values)
-        u_flat, y_q = u_q.reshape(-1), _repeat_to_points(grad_u)
+        args = samples.points.reshape(-1, 2), u_q.reshape(-1), _repeat_to_points(grad_u)
     if problem.lower_order_du is not None:
-        gu_q = problem.lower_order_du(flat, u_flat, y_q).reshape(u_q.shape)
+        gu_q = problem.lower_order_du(*args).reshape(u_q.shape)
         local += (gu_q @ _W_LAM_LAM).reshape(-1, 3, 3)
     if problem.lower_order_dgrad is not None:
-        gy_q = problem.lower_order_dgrad(flat, u_flat, y_q).reshape(*u_q.shape, 2)
+        gy_q = problem.lower_order_dgrad(*args).reshape(*u_q.shape, 2)
         local += np.einsum("qi,nqa->nia", _W_LAM, gy_q) @ grads.transpose(0, 2, 1)
     local *= mesh.areas[:, None, None]
     return _scatter(mesh, local)
@@ -498,17 +488,18 @@ def solve_nonlinear(
 def flux_terms(mesh, problem, values, points=None):
     """A P1 function's (points, values (NT, q) or None, gradient (NT, 2),
     flux (NT, 2), lower-order term (NT, q) or None). The volume quadrature
-    ``points`` (NT * q, 2), taken here when not given, and the values are
-    read only for a lower-order term; without one, ``points`` is returned
-    as given."""
+    ``points`` (NT, q, 2), taken here when not given, and the values are
+    read only for a lower-order term, whose closure takes the points flat;
+    without one, ``points`` is returned as given."""
     grad_u = element_gradients(mesh, values)
     flux = _flux_closure(problem, "flux", grad_u)
     u_q = lower = None
     if problem.lower_order is not None:
         if points is None:
-            points = mesh.quadrature_points().reshape(-1, 2)
+            points = mesh.quadrature_points()
         u_q = p1_at_quadrature(mesh, values)
-        lower = problem.lower_order(points, u_q.reshape(-1), _repeat_to_points(grad_u))
+        lower = problem.lower_order(points.reshape(-1, 2), u_q.reshape(-1),
+                                    _repeat_to_points(grad_u))
         lower = lower.reshape(u_q.shape)
         _check_finite("lower_order", lower)
     return points, u_q, grad_u, flux, lower

@@ -18,6 +18,8 @@ import numpy as np
 # extra elements over the initial mesh from which the fits read a trace:
 # the steps before are preasymptotic
 FIT_WINDOW = 100
+# the largest x whose math.exp does not overflow
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,13 @@ def _verdict(passed, detail, **values):
     return CheckResult("pass" if passed else "fail", detail, values)
 
 
+def _nonfinite_estimator(trace):
+    """A failing result naming the first row whose eta^2 is NaN or
+    infinite, or None: such a row fails every check that reads eta^2."""
+    rows = np.flatnonzero(~np.isfinite(trace.eta_sq))
+    return CheckResult("fail", f"non-finite eta_sq in row {rows[0]}") if rows.size else None
+
+
 def _needs_refinement(trace):
     # every row after the first is the mesh of one refinement step
     if len(trace) < 2:
@@ -60,15 +69,15 @@ def check_estimator_reduction(trace):
     """
     if len(trace) < 3:
         raise ValueError("estimator reduction needs a trace of length >= 3")
+    if failed := _nonfinite_estimator(trace):
+        return failed
     eta, after = trace.eta_sq[:-1], trace.eta_sq[1:]
     diff = np.where(np.isfinite(trace.grad_diff_sq), trace.grad_diff_sq, 0.0)[:-1]
     slack = after - 1e6 * diff
     positive = eta > 0.0
     q_needed = np.divide(slack, eta, out=np.zeros_like(slack), where=positive)
     violations = np.flatnonzero(np.where(positive, q_needed >= 1.0, slack > 0.0)).tolist()
-    # Python's max, not np.max, as the loop form took it: a NaN is passed
-    # over, though a NaN first q makes q_fit 0
-    q_fit = max(0.0, max(q_needed[positive].tolist(), default=0.0))
+    q_fit = max([0.0, *q_needed[positive].tolist()])
     moved = diff > 0.0
     c_fit = max([0.0, *((after[moved] - q_fit * eta[moved]) / diff[moved]).tolist()])
     return _verdict(not violations and q_fit < 1.0,
@@ -90,8 +99,12 @@ def check_rlinear(trace):
     """
     if len(trace) < 5:
         raise ValueError("R-linear check needs a trace of length >= 5")
+    if failed := _nonfinite_estimator(trace):
+        return failed
 
-    def verdict(passed, q_fit, c_fit):
+    def verdict(passed, q_fit, log_c_fit):
+        # C_fit is +inf past the float range, where math.exp raises
+        c_fit = math.exp(log_c_fit) if log_c_fit <= _LOG_FLOAT_MAX else math.inf
         return _verdict(passed, f"q_fit={q_fit:.6g} C_fit={c_fit:.6g}", q_fit=q_fit, c_fit=c_fit)
 
     eta2 = trace.eta_sq
@@ -104,7 +117,7 @@ def check_rlinear(trace):
             return verdict(False, 1.0, math.inf)
         eta2 = eta2[:first_zero]
         if eta2.size < 3:
-            return verdict(True, 0.0, 1.0)
+            return verdict(True, 0.0, 0.0)
     y = np.log(eta2)
     slope = np.polyfit(np.arange(y.size), y, 1)[0]
     q_ls = float(np.exp(slope))
@@ -119,13 +132,13 @@ def check_rlinear(trace):
 
     log_cap = math.log(100.0)
     if q_ls >= 1.0:
-        return verdict(False, q_ls, math.exp(float(np.max(max_gap))))
+        return verdict(False, q_ls, float(np.max(max_gap)))
     if log_c(q_ls) <= log_cap:
-        return verdict(True, q_ls, math.exp(log_c(q_ls)))
+        return verdict(True, q_ls, log_c(q_ls))
     if log_c(1.0 - 1e-12) > log_cap:
-        return verdict(False, 1.0, math.exp(log_c(1.0 - 1e-12)))
+        return verdict(False, 1.0, log_c(1.0 - 1e-12))
     q_min = math.exp(float(np.max((max_gap - log_cap) / ks)))
-    return verdict(True, q_min, math.exp(log_c(q_min)))
+    return verdict(True, q_min, log_c(q_min))
 
 
 @dataclass(frozen=True)
@@ -145,8 +158,10 @@ def fit_rate(trace):
     """Least-squares slope of log eta against log(#elements - #initial).
 
     The window drops the preasymptotic iterations with fewer than
-    ``FIT_WINDOW`` extra elements.
+    ``FIT_WINDOW`` extra elements. A NaN or infinite eta^2 raises.
     """
+    if failed := _nonfinite_estimator(trace):
+        raise ValueError(failed.detail)
     eta = np.sqrt(trace.eta_sq)
     extra = trace.n_elements - trace.n_elements[0]
     idx = np.nonzero((extra >= FIT_WINDOW) & (eta > 0.0))[0]
@@ -216,6 +231,8 @@ def check_marking_optimality(trace, q_values=(0.5, 0.7, 0.9)):
     if theta is None:
         raise ValueError("marking optimality needs the run's theta")
     _needs_refinement(trace)
+    if failed := _nonfinite_estimator(trace):
+        return failed
     rows = []
     eta = trace.eta_sq
     refined = trace.refined_eta_sq
@@ -258,6 +275,8 @@ def check_discrete_reliability(trace):
 def check_convergence(trace, factor=100.0):
     """Final estimator must drop below the initial one by ``factor``."""
     _needs_refinement(trace)
+    if failed := _nonfinite_estimator(trace):
+        return failed
     eta0 = math.sqrt(trace.eta_sq[0])
     eta_last = math.sqrt(trace.eta_sq[-1])
     reduction = math.inf if eta0 == 0.0 else eta0 / max(eta_last, 1e-300)

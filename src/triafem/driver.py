@@ -294,8 +294,7 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
             with _phase("audit"):
                 audit_refinement(mesh, refined_mesh, record)
                 # kept elements were measured on an earlier mesh: only the new ones
-                new_elements = slice(record.nt_before - len(record.refined), None)
-                gamma_max = max(gamma_max, shape_regularity(refined_mesh, new_elements))
+                gamma_max = max(gamma_max, shape_regularity(refined_mesh, record.new_elements))
             row.update(n_marked=float(len(record.marked)), n_refined=float(len(record.refined)),
                        refined_eta_sq=local_sum(report, record.refined))
         row["wall_time_s"] = time.perf_counter() - tic

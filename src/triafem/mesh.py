@@ -60,17 +60,9 @@ def _corner_geometry(coords, triangles):
     return area2, edges
 
 
-def _signed_areas(coords, triangles):
-    return 0.5 * _corner_geometry(coords, triangles)[0]
-
-
-def _basis_gradients(coords, triangles):
-    s2, edges = _corner_geometry(coords, triangles)
-    return np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / s2[:, None, None]
-
-
-# cached per-element geometry that a refinement carries, with its formula
-_CARRIED_GEOMETRY = {"signed_areas": _signed_areas, "basis_gradients": _basis_gradients}
+def _basis_gradients(area2, edges):
+    """Basis gradients (n, 3, 2) of n triangles from their :func:`_corner_geometry`."""
+    return np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / area2[:, None, None]
 
 
 def _read_only(a):
@@ -86,9 +78,10 @@ class RefinementRecord:
     indices; ``refined`` includes the triangles forced by the conformity
     closure. ``sons_of`` holds, per refined triangle, the number of new-mesh
     triangles covering it (2, 3 or 4); they follow the kept triangles in
-    the new mesh, in the order of ``refined``. That layout gives the
-    element map :attr:`parents` without a walk through the forest, and
-    :func:`element_maps` composes the maps of a chain of records.
+    the new mesh, in the order of ``refined``. The record owns that layout:
+    :meth:`carry` takes a per-element array to the new mesh,
+    :attr:`new_elements` selects the sons and :attr:`parents` is the element
+    map, composed over a chain of records by :func:`element_maps`.
     """
 
     marked: np.ndarray
@@ -106,11 +99,24 @@ class RefinementRecord:
         return np.flatnonzero(keep)
 
     @property
+    def new_elements(self):
+        """The sons in the new mesh, the slice after the kept elements."""
+        return slice(self.nt_before - self.refined.size, None)
+
+    def carry(self, old_rows, new_rows):
+        """Rows over the new mesh: the kept rows of ``old_rows``, an array
+        over the old mesh, then ``new_rows``, one per son. Raises
+        ``ValueError`` when either has the wrong number of rows."""
+        kept = self.kept
+        if len(old_rows) != self.nt_before or len(new_rows) != self.nt_after - kept.size:
+            raise ValueError("carried rows do not match the element counts of the refinement")
+        return np.concatenate([np.take(old_rows, kept, axis=0), new_rows])
+
+    @property
     def parents(self):
-        """Old-mesh index of the element that holds each new-mesh element,
-        (nt_after,): the kept elements, then every refined element once
-        per son."""
-        return np.concatenate([self.kept, np.repeat(self.refined, self.sons_of)])
+        """Old-mesh index of the element holding each new-mesh element,
+        (nt_after,): the kept elements, then each refined one once per son."""
+        return self.carry(np.arange(self.nt_before), np.repeat(self.refined, self.sons_of))
 
     def joins(self, coarse, fine):
         """Whether this records the refinement of ``coarse`` into ``fine``:
@@ -294,7 +300,7 @@ class Mesh:
 
     @cached_property
     def signed_areas(self):
-        return _read_only(_signed_areas(self.vertices, self.triangles))
+        return _read_only(0.5 * _corner_geometry(self.vertices, self.triangles)[0])
 
     @cached_property
     def areas(self):
@@ -303,19 +309,13 @@ class Mesh:
     @cached_property
     def basis_gradients(self):
         """Gradients of the three nodal basis functions per element, (NT, 3, 2)."""
-        return _read_only(_basis_gradients(self.vertices, self.triangles))
+        return _read_only(_basis_gradients(*_corner_geometry(self.vertices, self.triangles)))
 
     def quadrature_points(self, elements=slice(None)):
         """Physical volume quadrature points of ``elements`` (default: all),
-        (n, 7, 2).
-
-        Not cached: at 112 bytes per element they would be the largest
-        cached array, and a run that keeps its history keeps every mesh
-        (each kept solution holds its mesh). The adaptive loop instead
-        carries them, with the coefficient samples, through each refinement
-        and drops them before the reference build
-        (:func:`triafem.assembly.volume_samples`).
-        """
+        (n, 7, 2). Not cached: at 112 bytes per element they would be the
+        largest cached array, and a run that keeps its history keeps every
+        mesh; :func:`triafem.assembly.volume_samples` samples at them."""
         p = np.take(self.vertices, self.triangles[elements].T, axis=0)
         return quadrature.triangle_points(p[0], p[1], p[2])
 
@@ -531,9 +531,7 @@ def refine_nvb(mesh, marked):
     _close(edge_marked, ref_edge, edge_tris, max_passes=nt)
 
     pattern = edge_marked[tri_edges]
-    any_marked = pattern.any(axis=1)
-    refined_idx = np.flatnonzero(any_marked)
-    kept = np.flatnonzero(~any_marked)
+    refined_idx = np.flatnonzero(pattern.any(axis=1))
     split_a = pattern[refined_idx, 2]
     split_b = pattern[refined_idx, 1]
     forest = mesh.forest
@@ -570,21 +568,17 @@ def refine_nvb(mesh, marked):
         leaves[:, side, 0] = sons[:, side]
         leaves[split, side] = forest.sons[sons[split, side]]
     leaves = leaves[leaves >= 0]
-    refined_mesh = Mesh(forest, np.concatenate([mesh.node_ids[kept], leaves]))
-    # the kept elements come first: copy the rows of the geometry the coarse
-    # mesh holds, compute only the sons'
-    for name, formula in _CARRIED_GEOMETRY.items():
-        if kept.size and name in vars(mesh):
-            sons = formula(forest.coords, forest.tri[leaves])
-            rows = np.concatenate([np.take(vars(mesh)[name], kept, axis=0), sons])
-            setattr(refined_mesh, name, _read_only(rows))
-    record = RefinementRecord(
-        marked=marked,
-        refined=refined_idx,
-        sons_of=2 + split_a + split_b,
-        nt_before=nt,
-        nt_after=refined_mesh.n_elements,
-    )
+    record = RefinementRecord(marked=marked, refined=refined_idx, sons_of=2 + split_a + split_b,
+                              nt_before=nt, nt_after=nt - refined_idx.size + leaves.size)
+    # the kept elements, then the sons: the record's layout
+    refined_mesh = Mesh(forest, record.carry(mesh.node_ids, leaves))
+    # carry the geometry the coarse mesh holds; only the sons' is computed
+    held = [name for name in ("signed_areas", "basis_gradients") if name in vars(mesh)]
+    if refined_idx.size < nt and held:
+        area2, edges = _corner_geometry(forest.coords, forest.tri[leaves])
+        sons = {"signed_areas": 0.5 * area2, "basis_gradients": _basis_gradients(area2, edges)}
+        for name in held:
+            setattr(refined_mesh, name, _read_only(record.carry(vars(mesh)[name], sons[name])))
     return refined_mesh, record
 
 
@@ -663,14 +657,9 @@ def closure_audit(records):
     """Smallest C with #T_l - #T_0 <= C * sum of #marked over earlier steps."""
     if not records:
         raise MeshError("closure audit needs at least one refinement record")
-    nt0 = records[0].nt_before
-    marked_sum = 0
-    best = 0.0
-    for rec in records:
-        marked_sum += len(rec.marked)
-        if marked_sum > 0:
-            best = max(best, (rec.nt_after - nt0) / marked_sum)
-    return best
+    marked = np.cumsum([len(rec.marked) for rec in records])
+    growth = np.array([rec.nt_after for rec in records]) - records[0].nt_before
+    return float(np.max(growth[marked > 0] / marked[marked > 0], initial=0.0))
 
 
 def audit_refinement(old_mesh, new_mesh, record):

@@ -138,12 +138,12 @@ def residual_per_point(mesh, problem, values):
     u_q, _, y_q = p1_per_point(mesh, values)
     n, nq = u_q.shape
     w = quadrature.TRI_WEIGHTS
-    flat = samples.points
 
     flux_q = problem.flux(y_q).reshape(n, nq, 2)
     local = np.einsum("q,nqa,nia->ni", w, flux_q, mesh.basis_gradients)
     lower = -samples.source
     if problem.lower_order is not None:
+        flat = samples.points.reshape(-1, 2)
         lower = lower + problem.lower_order(flat, u_q.reshape(-1), y_q).reshape(n, nq)
     local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
     local *= mesh.areas[:, None]
@@ -216,7 +216,7 @@ def nonlinear_estimate_at_centroids(mesh, problem, values, samples):
     if problem.lower_order is not None:
         u_q = values[mesh.triangles] @ quadrature.TRI_BARY.T
         y_q = np.repeat(grad_u, u_q.shape[1], axis=0)
-        lower = problem.lower_order(samples.points, u_q.reshape(-1), y_q)
+        lower = problem.lower_order(samples.points.reshape(-1, 2), u_q.reshape(-1), y_q)
         residual = residual + lower.reshape(u_q.shape)
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas

@@ -40,10 +40,21 @@ def synthetic_trace(eta_sq, **overrides):
 # -- loop forms of the checks that triafem.checks computes over arrays,
 # kept as the references its oracle tests compare against
 
+def nonfinite_estimator_loop(trace):
+    """The failing result of a trace whose eta^2 is NaN or infinite on some
+    row, naming the first such row, or None."""
+    for k, eta_sq in enumerate(trace.eta_sq):
+        if not math.isfinite(eta_sq):
+            return CheckResult("fail", f"non-finite eta_sq in row {k}")
+    return None
+
+
 def estimator_reduction_loop(trace):
     """Per-step loop form of :func:`triafem.checks.check_estimator_reduction`."""
     if len(trace) < 3:
         raise ValueError("estimator reduction needs a trace of length >= 3")
+    if failed := nonfinite_estimator_loop(trace):
+        return failed
     eta = trace.eta_sq
     diff = np.where(np.isfinite(trace.grad_diff_sq), trace.grad_diff_sq, 0.0)
     q_needed = []
@@ -67,11 +78,21 @@ def estimator_reduction_loop(trace):
                     q_fit=q_fit, c_fit=c_fit, violations=tuple(violations))
 
 
+def _exp(x):
+    """``math.exp``, +inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def rlinear_bisection(trace):
     """:func:`triafem.checks.check_rlinear` with its smallest admissible
     rate found by an 80-step bisection; returns the upper bracket."""
     if len(trace) < 5:
         raise ValueError("R-linear check needs a trace of length >= 5")
+    if failed := nonfinite_estimator_loop(trace):
+        return failed
 
     def verdict(passed, q_fit, c_fit):
         return _verdict(passed, f"q_fit={q_fit:.6g} C_fit={c_fit:.6g}", q_fit=q_fit, c_fit=c_fit)
@@ -97,12 +118,12 @@ def rlinear_bisection(trace):
 
     log_cap = math.log(100.0)
     if q_ls >= 1.0:
-        return verdict(False, q_ls, math.exp(float(np.max(max_gap))))
+        return verdict(False, q_ls, _exp(float(np.max(max_gap))))
     if log_c(q_ls) <= log_cap:
         return verdict(True, q_ls, math.exp(log_c(q_ls)))
     lo, hi = q_ls, 1.0 - 1e-12
     if log_c(hi) > log_cap:
-        return verdict(False, 1.0, math.exp(log_c(hi)))
+        return verdict(False, 1.0, _exp(log_c(hi)))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if log_c(mid) <= log_cap:

@@ -769,7 +769,7 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
     if problem.lower_order is None:
         assert points is None and u_q is None and lower is None and oracle_lower is None
     else:
-        assert np.array_equal(points, mesh.quadrature_points().reshape(-1, 2))
+        assert np.array_equal(points, mesh.quadrature_points())
         assert np.array_equal(u_q, oracle_u)
         assert np.array_equal(lower.reshape(-1), oracle_lower)
 

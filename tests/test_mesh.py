@@ -312,6 +312,12 @@ def test_closure_audit_run():
         mesh, rec = refine_nvb(mesh, marked)
         records.append(rec)
     assert closure_audit(records) <= 20.0
+    # the same bits as the loop over the records
+    marked_sum, best = 0, 0.0
+    for rec in records:
+        marked_sum += len(rec.marked)
+        best = max(best, (rec.nt_after - records[0].nt_before) / marked_sum)
+    assert closure_audit(records) == best
 
 
 def test_closure_audit_empty():

@@ -11,6 +11,7 @@ they were folded from.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +193,33 @@ def test_carried_geometry_equals_fresh_geometry(data, steps):
         gamma_all = max(gamma_all, oracle.shape_regularity(fresh))
         assert gamma_max == gamma_all
         mesh = refined
+
+
+@settings(max_examples=50)
+@given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 5))
+def test_record_carries_rows_through_the_refined_layout(data, name, steps):
+    # the refined mesh holds the kept elements, then the sons: carry takes
+    # an array over the coarse mesh to the fine one, random markings and
+    # one step that marks every element
+    mesh = INITIAL_MESHES[name]()
+    all_marked = data.draw(st.integers(0, steps - 1), label="all_marked")
+    rng = np.random.default_rng(0)
+    for k in range(steps):
+        marked = np.arange(mesh.n_elements) if k == all_marked else draw_marking(data, mesh)
+        fine, record = refine_nvb(mesh, marked)
+        kept, sons = record.kept, record.new_elements
+        assert sons.start == kept.size and sons.stop is None
+        assert np.array_equal(record.parents[sons], np.repeat(record.refined, record.sons_of))
+        n_sons = fine.n_elements - kept.size
+        for tail in ((), (3, 2)):
+            rows, new = rng.random((mesh.n_elements, *tail)), rng.random((n_sons, *tail))
+            assert np.array_equal(record.carry(rows, new), np.concatenate([rows[kept], new]))
+        for bad_rows, bad_new in ((rows[1:], new), (rows, new[1:]),
+                                  (np.concatenate([rows, rows[:1]]), new),
+                                  (rows, np.concatenate([new, new[:1]]))):
+            with pytest.raises(ValueError, match="element counts"):
+                record.carry(bad_rows, bad_new)
+        mesh = fine
 
 
 @settings(max_examples=50)
