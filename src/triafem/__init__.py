@@ -44,7 +44,6 @@ from .mesh import (
     load_initial_mesh,
     lshape_mesh,
     overlay,
-    read_mesh,
     refine_nvb,
     shape_regularity,
     uniform_refine,
@@ -99,7 +98,6 @@ __all__ = [
     "mark_binned",
     "mark_min",
     "overlay",
-    "read_mesh",
     "refine_nvb",
     "run_afem",
     "run_uniform",

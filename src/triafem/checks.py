@@ -289,8 +289,10 @@ def check_mesh_audit(trace):
     ``trace.meta``: passes when ``gamma_max <= 2 gamma_initial`` and the
     closure constant is at most 20."""
     _needs_refinement(trace)
-    gamma0, gamma_max, closure = (
-        trace.meta[key] for key in ("gamma_initial", "gamma_max", "closure_constant"))
+    keys = ("gamma_initial", "gamma_max", "closure_constant")
+    if missing := [key for key in keys if key not in trace.meta]:
+        raise ValueError(f"mesh audit needs the run's {', '.join(missing)}")
+    gamma0, gamma_max, closure = (trace.meta[key] for key in keys)
     return _verdict(gamma_max <= 2.0 * gamma0 and closure <= 20.0,
                     f"gamma0={gamma0:.4g} gamma_max={gamma_max:.4g} closure={closure:.4g}",
                     gamma0=gamma0, gamma_max=gamma_max, closure=closure)

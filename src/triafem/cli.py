@@ -127,6 +127,9 @@ def _checks(raw):
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; known: {', '.join(KNOWN_CHECKS)}")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        raise ValueError(f"checks named more than once: {', '.join(repeated)}")
     return checks
 
 

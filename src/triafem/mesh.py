@@ -414,7 +414,10 @@ def _assign_reference_edges(coords, triangles):
 def _validate_initial(coords, triangles):
     # copies: the orientation fix below writes to ``triangles``
     coords = np.array(coords, dtype=float)
-    triangles = np.array(triangles, dtype=np.int64)
+    triangles = np.asarray(triangles)
+    if triangles.size and not np.issubdtype(triangles.dtype, np.integer):
+        raise MeshError(f"triangle vertex indices must be integers, got dtype {triangles.dtype}")
+    triangles = triangles.astype(np.int64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise MeshError("vertex array must have shape (NV, 2)")
     if not np.isfinite(coords).all():
@@ -440,36 +443,16 @@ def _validate_initial(coords, triangles):
     return coords, triangles
 
 
-def load_initial_mesh(vertex_array, triangle_array, boundary_spec=None):
+def load_initial_mesh(vertex_array, triangle_array):
     """Build an initial mesh from raw arrays, assigning reference edges.
 
-    The boundary is homogeneous Dirichlet throughout. ``boundary_spec``
-    may list the boundary edges (rows ``va vb`` or ``va vb marker``) and is
-    validated against the edge incidence of the triangulation; ``None``
-    derives it.
+    The boundary is homogeneous Dirichlet throughout, derived from the edge
+    table. Every vertex is used, so local vertex numbers are the forest's ids.
     """
     coords, triangles = _validate_initial(vertex_array, triangle_array)
     triangles = _assign_reference_edges(coords, triangles)
-    return _finish_initial(coords, triangles, boundary_spec)
-
-
-def _finish_initial(coords, triangles, boundary_spec):
-    """Initial mesh of validated arrays; its edge table gives the boundary.
-
-    Every vertex is used, so local vertex numbers are the forest's ids.
-    """
     forest = MeshForest(coords, triangles)
     mesh = Mesh(forest, np.arange(triangles.shape[0], dtype=np.int64))
-    boundary = mesh.boundary_edges
-    if boundary_spec is not None:
-        spec = np.asarray(boundary_spec, dtype=np.int64)
-        if spec.ndim != 2 or spec.shape[1] not in (2, 3):
-            raise MeshError("inconsistent boundary spec: expected rows (va, vb[, marker])")
-        if spec.shape[1] == 3 and np.any(spec[:, 2] != 1):
-            raise MeshError("inconsistent boundary spec: only Dirichlet marker 1 is supported")
-        given = np.unique(np.sort(spec[:, :2], axis=1), axis=0)
-        if given.shape != boundary.shape or not np.array_equal(given, boundary):
-            raise MeshError("inconsistent boundary spec: edges do not match the mesh boundary")
     forest.vboundary = mesh.is_boundary_vertex.copy()
     mesh.validate()
     return mesh
@@ -717,63 +700,6 @@ def write_mesh(mesh, path):
              *_text_rows(mesh.boundary_edges, "%d %d 1")]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _fields(rows, width, kind, number=int):
-    """The fields of ``rows`` ((line number, tokens) pairs), read by
-    ``number``; raises :class:`MeshError` naming the first line without
-    ``width`` fields, with one ``number`` cannot read or a non-finite float."""
-    out = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise MeshError(f"line {lineno}: {kind} needs {width} fields, got {len(row)}")
-        try:
-            out.append([number(v) for v in row])
-        except ValueError:
-            raise MeshError(f"line {lineno}: {kind} needs {number.__name__} fields, "
-                            f"got {' '.join(row)!r}") from None
-        if number is float and not np.isfinite(out[-1]).all():
-            raise MeshError(f"line {lineno}: non-finite {kind} field, got {' '.join(row)!r}")
-    return out
-
-
-def read_mesh(path):
-    """Read the plain-text mesh format written by :func:`write_mesh`.
-
-    Reference edges are taken from the file (``ref_slot`` rotates the
-    triple), not re-derived, so writer and reader round-trip the integer
-    fields exactly.
-    """
-    with open(path) as fh:
-        rows = [(k, line.split()) for k, line in enumerate(fh, 1) if line.strip()]
-    if not rows:
-        raise MeshError("truncated mesh file")
-    nv, nt = _fields(rows[:1], 2, "header")[0]
-    if nv < 0 or nt < 0:
-        raise MeshError(f"line {rows[0][0]}: header counts must be non-negative, got {nv} {nt}")
-    if len(rows) < 1 + nv + nt:
-        raise MeshError("truncated mesh file")
-    coords = np.array(_fields(rows[1: 1 + nv], 2, "vertex", float))
-    tri_rows = rows[1 + nv: 1 + nv + nt]
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i, ((lineno, _), row) in enumerate(zip(tri_rows, _fields(tri_rows, 4, "triangle"))):
-        *triple, slot = row
-        if not all(0 <= v < nv for v in triple):
-            raise MeshError(f"line {lineno}: triangle vertex index out of range 0..{nv - 1}")
-        if slot not in (0, 1, 2):
-            raise MeshError(f"line {lineno}: ref_slot must be 0, 1 or 2, got {slot}")
-        tris[i] = [triple[(slot + k) % 3] for k in range(3)]
-    boundary = None
-    rest = rows[1 + nv + nt:]
-    if rest:
-        boundary = np.array(_fields(rest, 3, "boundary edge"), dtype=np.int64)
-
-    # fix orientation before validating so the reference edge stays in slot
-    # (0, 1): swapping its endpoints flips the sign and keeps the edge
-    flip = _corner_geometry(coords, tris)[0] < 0.0
-    tris[flip] = tris[np.ix_(np.nonzero(flip)[0], [1, 0, 2])]
-
-    return _finish_initial(*_validate_initial(coords, tris), boundary)
 
 
 # -- builtin initial meshes ---------------------------------------------------

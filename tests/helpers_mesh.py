@@ -357,7 +357,7 @@ def assign_reference_edges(coords, triangles):
 
 def orientation(coords, triangles):
     """Twice the signed areas of raw triples, as the initial-mesh checks
-    of ``load_initial_mesh`` and ``read_mesh`` formed them."""
+    of ``load_initial_mesh`` form them."""
     d1 = coords[triangles[:, 1]] - coords[triangles[:, 0]]
     d2 = coords[triangles[:, 2]] - coords[triangles[:, 0]]
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]

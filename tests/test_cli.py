@@ -60,8 +60,11 @@ def test_unknown_config_file_key(tmp_path):
     ("qo_epsilon", ["--qo-epsilon", "1.5"], ""),
     ("eta_tol", ["--eta-tol", "-1"], ""),
     ("eta_tol", ["--eta-tol", "nan"], ""),
+    # a repeated check would run twice and write two CHECK lines
+    ("checks", ["--checks", "rate,rlinear,rate"], ""),
 ], ids=["theta-abc", "theta-trailing-comma", "theta-shared-directory", "max_elements-file-abc",
-        "marking-file-foo", "qo_epsilon-1.5", "eta_tol-negative", "eta_tol-nan"])
+        "marking-file-foo", "qo_epsilon-1.5", "eta_tol-negative", "eta_tol-nan",
+        "checks-repeated"])
 def test_bad_value_names_key(key, flags, file_lines, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = square_smooth\n" + file_lines)

@@ -437,6 +437,18 @@ def test_checks_that_read_a_refinement_skip_a_one_row_trace():
             check(trace)
 
 
+def test_checks_that_read_run_meta_raise_on_a_trace_without_it(tmp_path, smooth_run):
+    # a trace read back without its meta; the CLI reports these as SKIP
+    path = tmp_path / "trace.csv"
+    smooth_run.trace.to_csv(path)
+    back = AfemTrace.from_csv(path)
+    with pytest.raises(ValueError, match="gamma_initial, gamma_max, closure_constant$"):
+        check_mesh_audit(back)
+    with pytest.raises(ValueError, match="theta"):
+        check_marking_optimality(back)
+    assert check_mesh_audit(AfemTrace.from_csv(path, meta=smooth_run.trace.meta)).passed
+
+
 @pytest.mark.parametrize("gamma_max, closure, status", [
     (2.6, 20.0, "pass"),
     (np.nextafter(2.6, np.inf), 20.0, "fail"),

@@ -23,7 +23,6 @@ from triafem.mesh import (
     load_initial_mesh,
     lshape_mesh,
     overlay,
-    read_mesh,
     refine_nvb,
     shape_regularity,
     uniform_refine,
@@ -76,23 +75,6 @@ def test_unused_vertex_rejected():
         load_initial_mesh(SQUARE_VERTICES + [(5.0, 5.0)], SQUARE_TRIANGLES)
 
 
-def test_inconsistent_boundary_spec_rejected():
-    with pytest.raises(MeshError, match="boundary spec"):
-        load_initial_mesh(SQUARE_VERTICES, SQUARE_TRIANGLES, boundary_spec=[(0, 1), (1, 2)])
-
-
-def test_explicit_boundary_spec_accepted():
-    spec = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)]
-    # the diagonal (0, 2) is interior, not boundary
-    with pytest.raises(MeshError, match="boundary spec"):
-        load_initial_mesh(SQUARE_VERTICES, SQUARE_TRIANGLES, boundary_spec=spec)
-    mesh = load_initial_mesh(
-        SQUARE_VERTICES, SQUARE_TRIANGLES,
-        boundary_spec=[(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)],
-    )
-    assert mesh.boundary_edges.shape[0] == 4
-
-
 def test_negative_orientation_is_fixed():
     triangles = np.array([(0, 2, 1), (0, 2, 3)])
     mesh = load_initial_mesh(SQUARE_VERTICES, triangles)
@@ -102,14 +84,39 @@ def test_negative_orientation_is_fixed():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-def test_non_finite_coordinate_rejected(bad, tmp_path):
+def test_non_finite_coordinate_rejected(bad):
     vertices = SQUARE_VERTICES[:3] + [(0.0, bad)]
     with pytest.raises(MeshError, match="non-finite"):
         load_initial_mesh(vertices, SQUARE_TRIANGLES)
-    path = tmp_path / "bad.mesh"
-    path.write_text(f"4 2\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 {bad}\n0 2 1 0\n0 2 3 0\n")
-    with pytest.raises(MeshError, match="non-finite"):
-        read_mesh(path)
+
+
+@pytest.mark.parametrize("triangles", [
+    np.array([(0, 1.9, 2), (0, 2, 3.2)]),
+    np.array([(0, 1, 2), (0, 2, 3)], dtype=float),
+    np.array([(False, True, True), (False, True, True)]),
+], ids=["fractional", "whole-floats", "bool"])
+def test_non_integer_triangle_indices_rejected(triangles):
+    # a cast would read 1.9 as 1 and True as 1
+    with pytest.raises(MeshError, match="must be integers, got dtype"):
+        load_initial_mesh(SQUARE_VERTICES, triangles)
+
+
+@pytest.mark.parametrize("vertices, triangles, fault", [
+    ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], [(0, 1, 2)], "vertex array must have shape"),
+    ([0.0, 1.0, 0.5], [(0, 1, 2)], "vertex array must have shape"),
+    (SQUARE_VERTICES, [(0, 1, 2, 0), (0, 2, 3, 0)], "triangle array must have shape"),
+    (SQUARE_VERTICES, [(0, 1), (2, 3)], "triangle array must have shape"),
+    (SQUARE_VERTICES, [0, 1, 2, 3], "triangle array must have shape"),
+    (SQUARE_VERTICES, [], "triangle array must have shape"),
+    (SQUARE_VERTICES, [(0, 1, 2), (0, 2, 4)], "out of range"),
+    (SQUARE_VERTICES, [(0, 1, 2), (0, 2, -1)], "out of range"),
+    (SQUARE_VERTICES, [("0", "1", "2"), ("0", "2", "3")], "must be integers, got dtype"),
+], ids=["vertex-3-columns", "vertex-flat", "triangle-4-columns", "triangle-2-columns",
+        "triangle-flat", "no-triangles", "index-past-the-end", "index-negative", "index-strings"])
+def test_malformed_initial_arrays_rejected(vertices, triangles, fault):
+    # the array forms of a malformed line of a mesh file
+    with pytest.raises(MeshError, match=fault):
+        load_initial_mesh(vertices, triangles)
 
 
 def test_reference_edge_is_longest_edge():
@@ -325,27 +332,6 @@ def test_closure_audit_empty():
         closure_audit([])
 
 
-def test_mesh_file_roundtrip(tmp_path):
-    mesh = uniform_refine(lshape_mesh(), 2)
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    # writing again reproduces the file byte for byte
-    path2 = tmp_path / "again.txt"
-    write_mesh(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_read_mesh_rejects_empty_file(tmp_path):
-    path = tmp_path / "empty.mesh"
-    path.write_text("")
-    with pytest.raises(MeshError, match="truncated mesh file"):
-        read_mesh(path)
-
-
 def _awkward_mesh():
     """Negative, tiny and inexact coordinates, refined once more."""
     third = 0.1 + 0.2
@@ -368,61 +354,46 @@ def _adaptive_mesh(name, initial=None):
                     initial_mesh=initial).final_solution.mesh
 
 
-@pytest.mark.parametrize("make", [
+# meshes written to file: built-in, uniformly, randomly and adaptively refined
+WRITTEN_MESHES = [
     lshape_mesh, unit_square_mesh, lambda: unit_square_mesh(cross=True), _awkward_mesh,
+    lambda: uniform_refine(lshape_mesh(), 2),
     lambda: _random_lshape_refinement(0), lambda: _random_lshape_refinement(1),
     lambda: _adaptive_mesh("lshape_poisson"), lambda: _adaptive_mesh("convection_diffusion"),
     lambda: _adaptive_mesh("square_smooth", _awkward_mesh()),
-], ids=["lshape", "square", "cross", "awkward", "lshape-refined-0", "lshape-refined-1",
-        "lshape-adaptive", "convection-adaptive", "awkward-adaptive"])
+]
+WRITTEN_MESH_IDS = ["lshape", "square", "cross", "awkward", "lshape-uniform-2",
+                    "lshape-refined-0", "lshape-refined-1", "lshape-adaptive",
+                    "convection-adaptive", "awkward-adaptive"]
+
+
+@pytest.mark.parametrize("make", WRITTEN_MESHES, ids=WRITTEN_MESH_IDS)
+def test_mesh_file_roundtrip(make, tmp_path):
+    mesh = make()
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    rows = [line.split() for line in path.read_text().splitlines()]
+    nv, nt = map(int, rows[0])
+    assert (nv, nt) == (mesh.n_vertices, mesh.n_elements)
+    vertex_rows, triangle_rows = rows[1: 1 + nv], rows[1 + nv: 1 + nv + nt]
+    boundary_rows = rows[1 + nv + nt:]
+    # %r writes the shortest form that reads back as the same float
+    vertices = np.array([[float(v) for v in row] for row in vertex_rows])
+    assert np.array_equal(vertices, mesh.vertices)
+    triangles = np.array([[int(v) for v in row] for row in triangle_rows])
+    assert np.array_equal(triangles[:, :3], mesh.triangles)
+    assert np.all(triangles[:, 3] == 0)  # the reference edge is in slot 0
+    boundary = np.array([[int(v) for v in row] for row in boundary_rows])
+    assert np.array_equal(boundary[:, :2], mesh.boundary_edges)
+    assert np.all(boundary[:, 2] == 1)  # homogeneous Dirichlet, the only marker
+
+
+@pytest.mark.parametrize("make", WRITTEN_MESHES, ids=WRITTEN_MESH_IDS)
 def test_write_mesh_matches_per_line_writer(make, tmp_path):
     mesh = make()
     write_mesh(mesh, tmp_path / "block.mesh")
     write_mesh_per_line(mesh, tmp_path / "lines.mesh")
     assert (tmp_path / "block.mesh").read_bytes() == (tmp_path / "lines.mesh").read_bytes()
-
-
-@pytest.mark.parametrize("lines,lineno,fault", [
-    (["3"], 1, "header needs 2 fields"),
-    (["3 1 7"], 1, "header needs 2 fields"),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2"], 5, "triangle needs 4 fields"),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0 5"], 5, "triangle needs 4 fields"),
-    (["3 1", "0.0 0.0", "1.0", "0.0 1.0", "0 1 2 0"], 3, "vertex needs 2 fields"),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0", "", "0 1"], 7,
-     "boundary edge needs 3 fields"),
-    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 0", "0 2 7 0"], 7,
-     "out of range"),
-    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 5", "0 2 3 0"], 6, "ref_slot"),
-    (["4 2", "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0", "0 1 2 0", "0 2 3 -1"], 7, "ref_slot"),
-    (["-1 2", "0.0 0.0", "0 1 2 0", "0 2 3 0"], 1, "non-negative"),
-    (["3 -1", "0.0 0.0", "1.0 0.0", "0.0 1.0"], 1, "non-negative"),
-    (["a b"], 1, "header needs int fields"),
-    (["3 1", "0.0 0.0", "0.0 x", "0.0 1.0", "0 1 2 0"], 3, "vertex needs float fields"),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2.0 0"], 5, "triangle needs int fields"),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 1.0", "0 1 2 0", "0 1 one"], 6,
-     "boundary edge needs int fields"),
-    (["3 1", "0.0 0.0", "nan 0.0", "0.0 1.0", "0 1 2 0"], 3, "non-finite vertex field"),
-    (["3 1", "0.0 0.0", "1.0 0.0", "0.0 -inf", "0 1 2 0"], 4, "non-finite vertex field"),
-], ids=["short-header", "long-header", "short-triangle", "long-triangle", "short-vertex",
-        "short-boundary-edge", "vertex-index-out-of-range", "ref-slot-5", "ref-slot-negative",
-        "negative-vertex-count", "negative-triangle-count", "non-numeric-header",
-        "non-numeric-vertex", "non-integer-triangle", "non-numeric-boundary-edge",
-        "nan-vertex", "inf-vertex"])
-def test_read_mesh_names_the_malformed_line(lines, lineno, fault, tmp_path):
-    path = tmp_path / "bad.mesh"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshError, match=f"line {lineno}: .*{fault}"):
-        read_mesh(path)
-
-
-def test_read_mesh_respects_ref_slot(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text(
-        "3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n1 2 0 1\n0 1 1\n1 2 1\n0 2 1\n"
-    )
-    mesh = read_mesh(path)
-    # ref_slot 1 of (1, 2, 0) selects edge (2, 0); rotated triple is (2, 0, 1)
-    assert np.array_equal(mesh.tri_gids, [[2, 0, 1]])
 
 
 def test_boundary_flags_propagate():
