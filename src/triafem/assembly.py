@@ -5,20 +5,7 @@ conditions are imposed by restricting systems to interior vertices and
 keeping solution vectors at full length with exact zeros on the boundary.
 Every system numbers its unknowns in one order, the mesh's
 :attr:`Mesh.interior_vertices`, which is also the order the factor wants.
-Element data has one source per mesh: basis gradients are cached on the
-mesh (:attr:`Mesh.basis_gradients`); the coefficient samples, the
-quadrature points that a nonlinear lower-order term reads and a linear
-problem's element matrices and loads are taken by :func:`volume_samples`
-and passed to assembly, the nonlinear solver and the estimator; the
-adaptive loop carries them through refinement. A nonlinear problem's
-flux and lower-order term at a P1 function come from one function,
-:func:`flux_terms`, which the residual, the estimator and
-:func:`energy_products` (one solution paired with many) read. Every
-bilinear form contracts its quadrature before the local product,
-``local = |T| * G (sum_q w_q A(x_q)) G^T``, and every matrix is summed
-from local element matrices by one scatter. Every sparse system is
-factored by :func:`_symmetric_factor`; full and simplified Newton share
-one step block. Assembly is sequential, so runs are bit-reproducible.
+Assembly is sequential, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -330,7 +317,7 @@ def nonlinear_residual(mesh, problem, values, samples=None):
     if samples is None:
         samples = volume_samples(mesh, problem)
     w = quadrature.TRI_WEIGHTS
-    _, _, _, flux, g_q = flux_terms(mesh, problem, values, samples.points)
+    _, _, flux, g_q = flux_terms(mesh, problem, values, samples.points)
     # component-major rows (2, 3, NT), so that every term is a product of
     # contiguous rows
     grads = mesh.basis_gradients.transpose(2, 1, 0).copy()
@@ -485,24 +472,21 @@ def solve_nonlinear(
 
 # -- energy products and transfer ----------------------------------------------
 
-def flux_terms(mesh, problem, values, points=None):
-    """A P1 function's (points, values (NT, q) or None, gradient (NT, 2),
-    flux (NT, 2), lower-order term (NT, q) or None). The volume quadrature
-    ``points`` (NT, q, 2), taken here when not given, and the values are
-    read only for a lower-order term, whose closure takes the points flat;
-    without one, ``points`` is returned as given."""
+def flux_terms(mesh, problem, values, points):
+    """A P1 function's (values (NT, q) or None, gradient (NT, 2), flux
+    (NT, 2), lower-order term (NT, q) or None). The volume quadrature
+    ``points`` (NT, q, 2) and the values are read only for a lower-order
+    term, whose closure takes the points flat."""
     grad_u = element_gradients(mesh, values)
     flux = _flux_closure(problem, "flux", grad_u)
     u_q = lower = None
     if problem.lower_order is not None:
-        if points is None:
-            points = mesh.quadrature_points()
         u_q = p1_at_quadrature(mesh, values)
         lower = problem.lower_order(points.reshape(-1, 2), u_q.reshape(-1),
                                     _repeat_to_points(grad_u))
         lower = lower.reshape(u_q.shape)
         _check_finite("lower_order", lower)
-    return points, u_q, grad_u, flux, lower
+    return u_q, grad_u, flux, lower
 
 
 def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
@@ -540,14 +524,15 @@ def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
         w = w_sol.values[interior]
         return [float(d @ (system.matrix @ d)) for d in (w - v.values[interior] for v in v_sols)]
 
-    points, uw, grad_w, flux_w, lower_w = flux_terms(mesh, problem, w_sol.values)
+    points = None if problem.lower_order is None else mesh.quadrature_points()
+    uw, grad_w, flux_w, lower_w = flux_terms(mesh, problem, w_sol.values, points)
     weights = mesh.areas[:, None] * quadrature.TRI_WEIGHTS
     products = []
     for v_sol, parent in zip(v_sols, parents or [None] * len(v_sols)):
         if parent is None:
-            _, uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
+            uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
         else:
-            _, _, grad_v, flux_v, _ = flux_terms(v_sol.mesh, problem, v_sol.values)
+            _, grad_v, flux_v, _ = flux_terms(v_sol.mesh, problem, v_sol.values, None)
             grad_v, flux_v = np.take(grad_v, parent, axis=0), np.take(flux_v, parent, axis=0)
         # (NT, 1): formed once per element, then broadcast to the points by
         # the sum below, which keeps its operands; the two components are

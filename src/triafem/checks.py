@@ -143,15 +143,11 @@ def check_rlinear(trace):
 
 @dataclass(frozen=True)
 class RateFit:
-    slope: float
-    intercept: float
-    residual: float
-    window: np.ndarray
+    """Observed ``rate`` s in eta ~ (#elements - #initial)^(-s) and the
+    root mean square ``residual`` of the log-log fit."""
 
-    @property
-    def rate(self):
-        """Observed s in eta ~ (#elements - #initial)^(-s)."""
-        return -self.slope
+    rate: float
+    residual: float
 
 
 def fit_rate(trace):
@@ -163,7 +159,7 @@ def fit_rate(trace):
     if failed := _nonfinite_estimator(trace):
         raise ValueError(failed.detail)
     eta = np.sqrt(trace.eta_sq)
-    extra = trace.n_elements - trace.n_elements[0]
+    extra = trace.n_elements - trace.n_elements[:1]
     idx = np.nonzero((extra >= FIT_WINDOW) & (eta > 0.0))[0]
     if idx.size < 6:
         raise ValueError("rate fit needs at least 6 points in the window")
@@ -171,7 +167,7 @@ def fit_rate(trace):
     y = np.log(eta[idx])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(slope=float(slope), intercept=float(intercept), residual=resid, window=idx)
+    return RateFit(rate=-float(slope), residual=resid)
 
 
 def check_quasi_orthogonality(trace, epsilon):
@@ -258,7 +254,7 @@ def check_discrete_reliability(trace):
     below 10.
     """
     num, den = trace.grad_diff_sq[:-1], trace.refined_eta_sq[:-1]
-    extra = (trace.n_elements - trace.n_elements[0])[:-1]
+    extra = (trace.n_elements - trace.n_elements[:1])[:-1]
     steps = np.isfinite(num) & np.isfinite(den) & (extra >= FIT_WINDOW)
     ratios = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)[steps]
     positive = ratios[ratios > 0.0]

@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-import numpy as np
-
 from .checks import (
     CheckResult,
     check_convergence,
@@ -78,7 +76,6 @@ CHECKS = {
     "convergence": lambda result, *_: check_convergence(result.trace),
     "mesh_audit": lambda result, *_: check_mesh_audit(result.trace),
 }
-KNOWN_CHECKS = tuple(CHECKS)
 
 
 # -- configuration keys: each parser turns the raw text of a flag or a
@@ -126,7 +123,7 @@ def _checks(raw):
     checks = tuple(part.strip() for part in raw.split(",") if part.strip())
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks {unknown}; known: {', '.join(KNOWN_CHECKS)}")
+        raise ValueError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
     repeated = sorted({c for c in checks if checks.count(c) > 1})
     if repeated:
         raise ValueError(f"checks named more than once: {', '.join(repeated)}")
@@ -343,12 +340,7 @@ def _execute_single(config):
 
     config_dump = dataclasses.asdict(config)
     config_dump.pop("out")  # implicit in the file location; keeps runs comparable
-    meta = {
-        "config": config_dump,
-        "trace_meta": {
-            k: v for k, v in result.trace.meta.items() if _json_safe(v)
-        },
-    }
+    meta = {"config": config_dump, "trace_meta": result.trace.meta}
     with open(os.path.join(out, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=float)
     with open(os.path.join(out, "failures.json"), "w") as fh:
@@ -360,10 +352,6 @@ def _execute_single(config):
         for o in outcomes:
             fh.write(f"CHECK {o['check']}: {o['status'].upper()} {o['detail']}\n")
     return failures
-
-
-def _json_safe(value):
-    return isinstance(value, (int, float, str, bool, type(None), np.floating, np.integer))
 
 
 def _sweep_dir(theta):

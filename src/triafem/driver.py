@@ -46,6 +46,8 @@ TRACE_COLUMNS = (
     "err_energy_sq",
     "wall_time_s",
 )
+# the columns that differ between two runs of one configuration
+VARYING_COLUMNS = ("wall_time_s",)
 _INT_COLUMNS = frozenset(("ell", "n_elements", "n_vertices", "n_marked", "n_refined"))
 # uniform refinements of the final mesh that give the reference solution
 REFERENCE_LEVELS = 3

@@ -121,7 +121,7 @@ def estimate(mesh, sol, problem, samples=None):
         vectors = grad_u
     else:
         # the flux is piecewise constant, so its divergence drops out
-        _, _, _, vectors, lower = flux_terms(mesh, problem, sol.values, samples.points)
+        _, _, vectors, lower = flux_terms(mesh, problem, sol.values, samples.points)
         residual = -samples.source if lower is None else -samples.source + lower
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas

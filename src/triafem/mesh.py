@@ -15,17 +15,7 @@ instead of by geometric intersection, nodal prolongation between nested
 meshes follows midpoint creation records, and structural audits (son areas,
 generations, boundary flags) can be checked for every node ever created.
 
-Refinement, audit and ancestry queries are array operations over the
-forest, with no Python loop over elements, nodes or edges: the closure runs
-as a frontier loop over edge marks, all sons and midpoints of one refinement
-are created in bulk, and one ancestry walk serves the rest:
-:meth:`MeshForest.ancestors` walks up through ``parent``, for overlays and
-for :func:`refines`, the one nesting decision that the audit and transfer
-share. The element that holds each element of a finer mesh of one chain of
-refinements needs no walk: :func:`element_maps` reads it off the
-refinement records.
-Bulk creation keeps the order of the per-element bisection it replaced, so
-node ids, vertex ids and element order are those of that scalar code.
+Refinement and ancestry are array operations (``notes/decisions.md``).
 """
 
 from __future__ import annotations
@@ -293,10 +283,6 @@ class Mesh:
     @cached_property
     def vertices(self):
         return _read_only(np.take(self.forest.coords, self.vertex_gids, axis=0))
-
-    @cached_property
-    def generations(self):
-        return _read_only(self.forest.gen[self.node_ids])
 
     @cached_property
     def signed_areas(self):

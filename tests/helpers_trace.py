@@ -1,31 +1,45 @@
-"""Synthetic traces and reference forms of the checks for the checker tests."""
+"""Traces for the tests: synthetic ones, an aborted run's, a trace file
+without its run-varying columns, and reference forms of the checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 
 from triafem.checks import FIT_WINDOW, CheckResult, _verdict
-from triafem.driver import AfemTrace
+from triafem.driver import TRACE_COLUMNS, VARYING_COLUMNS, AfemRunError, AfemTrace, run_afem
+from triafem.problems import builtin_problem
+
+
+def without_varying_columns(text):
+    """A trace file's text without its ``VARYING_COLUMNS``."""
+    rows = [line.split(",") for line in text.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in VARYING_COLUMNS]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows) + "\n"
+
+
+def aborted_at_the_first_solve():
+    """The partial trace, with no rows, of a run whose first solve fails
+    on a NaN source."""
+    problem = dataclasses.replace(builtin_problem("square_smooth"),
+                                  source=lambda x: np.full(x.shape[0], np.nan))
+    try:
+        run_afem(problem, 0.5, max_elements=100)
+    except AfemRunError as exc:
+        assert str(exc).startswith("solve failed at iteration 0")
+        return exc.trace
+    raise AssertionError("the run did not abort")
 
 
 def synthetic_trace(eta_sq, **overrides):
-    """Trace from raw columns; anything not supplied is padded."""
+    """Trace from raw columns; anything not supplied is padded, with NaN
+    where no default is set here."""
     eta_sq = np.asarray(eta_sq, dtype=float)
     n = eta_sq.size
-    columns = {
-        "ell": np.arange(n, dtype=float),
-        "n_elements": overrides.pop("n_elements", 4.0 * 2.0 ** np.arange(n)),
-        "n_vertices": np.full(n, np.nan),
-        "n_marked": np.full(n, np.nan),
-        "n_refined": np.full(n, np.nan),
-        "eta_sq": eta_sq,
-        "osc_sq": np.zeros(n),
-        "refined_eta_sq": np.full(n, np.nan),
-        "grad_diff_sq": np.full(n, np.nan),
-        "energy_diff_sq": np.full(n, np.nan),
-        "err_energy_sq": np.full(n, np.nan),
-        "wall_time_s": np.zeros(n),
-    }
+    columns = {name: np.full(n, np.nan) for name in TRACE_COLUMNS}
+    columns.update(ell=np.arange(n, dtype=float),
+                   n_elements=overrides.pop("n_elements", 4.0 * 2.0 ** np.arange(n)),
+                   eta_sq=eta_sq, osc_sq=np.zeros(n), wall_time_s=np.zeros(n))
     meta = overrides.pop("meta", {})
     for name, value in overrides.items():
         if name not in columns:

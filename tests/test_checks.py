@@ -1,5 +1,6 @@
 """The array forms of the checks against their per-step loop forms, and the
-verdicts on estimators that are not finite or span more than the float range."""
+verdicts on estimators that are not finite or span more than the float range,
+and on an empty trace."""
 
 import math
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from helpers_trace import (
+    aborted_at_the_first_solve,
     discrete_reliability_loop,
     estimator_reduction_loop,
     quasi_orthogonality_loop,
@@ -23,6 +25,7 @@ from triafem.checks import (
     check_quasi_orthogonality,
     check_rlinear,
 )
+from triafem.driver import TRACE_COLUMNS, AfemTrace
 
 SPECIAL = (0.0, math.nan, math.inf, -math.inf)
 COLUMNS = ("eta_sq", "grad_diff_sq", "refined_eta_sq", "energy_diff_sq", "err_energy_sq")
@@ -152,3 +155,18 @@ def test_rlinear_envelope_past_the_float_range_is_infinite(eta_sq):
     # log C_fit is about 744, past the float range, where math.exp raised
     result = check_rlinear(synthetic_trace(eta_sq))
     assert result.status == "fail" and result.c_fit == math.inf
+
+
+@pytest.mark.parametrize("source", ("header-only file", "first solve failed"))
+def test_every_check_skips_an_empty_trace(source, tmp_path):
+    if source == "header-only file":
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n")
+        trace = AfemTrace.from_csv(path)
+    else:
+        trace = aborted_at_the_first_solve()
+    assert len(trace) == 0
+    config = SimpleNamespace(checks=tuple(cli.CHECKS), qo_epsilon=0.5)
+    outcomes = cli._run_checks(SimpleNamespace(trace=trace), config, None)
+    assert [(o["check"], o["status"]) for o in outcomes] == [
+        (name, "skip") for name in cli.CHECKS]

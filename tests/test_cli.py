@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers_trace import without_varying_columns
 from triafem import cli
 from triafem.cli import ConfigError, execute, main, parse_config
 from triafem.driver import AfemTrace
@@ -132,12 +133,12 @@ def test_every_check_line_prints_its_checkers_result(tmp_path):
     out = tmp_path / "all"
     config = parse_config(["--problem", "square_smooth", "--max-elements", "2500",
                            "--out", str(out), "--uniform-baseline", "--qo-epsilon", "0.01",
-                           "--checks", ",".join(cli.KNOWN_CHECKS)])
+                           "--checks", ",".join(cli.CHECKS)])
     execute(config)
     meta = json.loads((out / "meta.json").read_text())["trace_meta"]
     result, uniform = (SimpleNamespace(trace=AfemTrace.from_csv(out / name, meta=meta))
                        for name in ("trace.csv", "trace_uniform.csv"))
-    checks = {name: cli.CHECKS[name](result, config, uniform) for name in cli.KNOWN_CHECKS}
+    checks = {name: cli.CHECKS[name](result, config, uniform) for name in cli.CHECKS}
     assert (out / "report.txt").read_text().splitlines()[1:] == [
         f"CHECK {name}: {check.status.upper()} {check.detail}" for name, check in checks.items()]
 
@@ -219,13 +220,6 @@ def test_max_elements_below_initial_mesh_exits_2_and_writes_nothing(tmp_path, ca
     assert not out.exists()
 
 
-def _strip_time(path):
-    """Trace lines without the wall-time column, the one nondeterministic one."""
-    lines = path.read_text().strip().splitlines()
-    drop = lines[0].split(",").index("wall_time_s")
-    return [",".join(v for i, v in enumerate(line.split(",")) if i != drop) for line in lines]
-
-
 def test_determinism_of_sequential_runs(tmp_path):
     argv = ["--problem", "convection_diffusion", "--theta", "0.4", "--max-elements", "600"]
     outs = []
@@ -234,7 +228,8 @@ def test_determinism_of_sequential_runs(tmp_path):
         assert execute(parse_config(argv + ["--out", str(out)])) == 0
         outs.append(out)
     # everything but the wall time must agree byte for byte
-    assert _strip_time(outs[0] / "trace.csv") == _strip_time(outs[1] / "trace.csv")
+    traces = [without_varying_columns((out / "trace.csv").read_text()) for out in outs]
+    assert traces[0] == traces[1]
     assert (outs[0] / "plotdata.csv").read_bytes() == (outs[1] / "plotdata.csv").read_bytes()
     assert (outs[0] / "meta.json").read_bytes() == (outs[1] / "meta.json").read_bytes()
 
@@ -246,11 +241,12 @@ def test_determinism_of_sequential_runs(tmp_path):
         assert execute(parse_config(sweep + ["--jobs", jobs, "--out", str(out)])) == 0
     for theta in ("theta=0.4", "theta=0.7"):
         one, two = tmp_path / "jobs1" / theta, tmp_path / "jobs2" / theta
-        assert _strip_time(one / "trace.csv") == _strip_time(two / "trace.csv")
+        assert without_varying_columns((one / "trace.csv").read_text()) == \
+            without_varying_columns((two / "trace.csv").read_text())
         for name in ("report.txt", "plotdata.csv"):
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
-    assert _strip_time(tmp_path / "jobs1" / "theta=0.4" / "trace.csv") == \
-        _strip_time(outs[0] / "trace.csv")
+    assert without_varying_columns(
+        (tmp_path / "jobs1" / "theta=0.4" / "trace.csv").read_text()) == traces[0]
 
 
 def test_initial_mesh_artifact_is_the_problem_mesh(tmp_path):
@@ -323,7 +319,7 @@ def test_checks_look_up_their_checkers_at_call_time(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     config = parse_config(["--problem", "square_smooth", "--theta", "0.5",
                            "--max-elements", "300", "--out", str(tmp_path / "run"),
-                           "--checks", ",".join(cli.KNOWN_CHECKS)])
+                           "--checks", ",".join(cli.CHECKS)])
     execute(config)
     assert calls == dict.fromkeys(names, 1)
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from helpers_fem import varying_linear_problem
-from helpers_trace import synthetic_trace
+from helpers_trace import aborted_at_the_first_solve, synthetic_trace
 
 from triafem.checks import (
     CheckResult,
@@ -20,7 +20,7 @@ from triafem.driver import AfemRunError, AfemTrace, run_afem, run_uniform
 from triafem import assembly, driver
 from triafem.assembly import solve_nonlinear, transfer, transfer_many
 from triafem.mesh import MeshError, load_initial_mesh, shape_regularity, uniform_refine
-from triafem.problems import LinearProblem, builtin_problem
+from triafem.problems import LinearProblem, builtin_names, builtin_problem
 
 
 @pytest.fixture(scope="module")
@@ -552,3 +552,23 @@ def test_build_reference_needs_records_that_chain_the_iterates():
             driver.build_reference(problem, solutions, bad)
     errors = driver.build_reference(problem, solutions, records)
     assert len(errors) == len(solutions)
+
+
+def _assert_json_scalars(meta):
+    # meta.json writes the trace meta unfiltered
+    for key, value in meta.items():
+        assert isinstance(value, (str, int, float, bool, type(None))), (key, type(value))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_run_meta_holds_json_scalars_only(name):
+    result = run_afem(builtin_problem(name), 0.5, max_elements=200,
+                      compute_reference=name == "magnetostatics_nl")
+    assert ("noise_floor_err_sq" in result.trace.meta) == (name == "magnetostatics_nl")
+    _assert_json_scalars(result.trace.meta)
+
+
+def test_aborted_run_meta_holds_json_scalars_only():
+    meta = aborted_at_the_first_solve().meta
+    assert "aborted" in meta
+    _assert_json_scalars(meta)

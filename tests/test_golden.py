@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers_trace import without_varying_columns
 from triafem.cli import execute, parse_config
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,12 +43,6 @@ def _moved(problem, name, recorded, produced):
     return f"{problem}/{name} moved from its golden" + (f": {details}" if details else "")
 
 
-def _without_wall_time(text):
-    rows = [line.split(",") for line in text.splitlines()]
-    drop = rows[0].index("wall_time_s")
-    return "\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows) + "\n"
-
-
 def _run(problem, out):
     """Run one golden configuration into ``out``; returns artefact name -> bytes."""
     max_elements, checks = RUNS[problem]
@@ -55,7 +50,7 @@ def _run(problem, out):
                           "--max-elements", max_elements, "--checks", checks,
                           "--out", str(out)]))
     files = {name: (out / name).read_bytes() for name in ARTEFACTS}
-    files["trace.csv"] = _without_wall_time(files["trace.csv"].decode()).encode()
+    files["trace.csv"] = without_varying_columns(files["trace.csv"].decode()).encode()
     return files
 
 

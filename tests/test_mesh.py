@@ -148,7 +148,7 @@ def test_refine_single_triangle():
     assert mid == pytest.approx([0.5, 0.5])
     assert record.refined.tolist() == [0]
     assert record.sons_of.tolist() == [2]
-    assert np.all(refined.generations == 1)
+    assert np.all(refined.forest.gen[refined.node_ids] == 1)
     refined.validate()
 
 
@@ -204,7 +204,7 @@ def test_generation_increments():
     mesh = single_triangle()
     m1, _ = refine_nvb(mesh, {0})
     m2, _ = refine_nvb(m1, {0, 1})
-    assert set(m2.generations) <= {2, 3}
+    assert set(m2.forest.gen[m2.node_ids]) <= {2, 3}
 
 
 def test_overlay_idempotent():
