@@ -34,7 +34,7 @@ from .checks import (
     fit_rate,
 )
 from .driver import AfemResult, AfemRunError, AfemTrace, run_afem, run_uniform
-from .estimator import EstimatorReport, estimate, local_sum
+from .estimator import EstimatorReport, estimate
 from .marking import AllZeroIndicators, MarkingResult, mark_binned, mark_min
 from .mesh import (
     Mesh,
@@ -50,13 +50,7 @@ from .mesh import (
     unit_square_mesh,
     write_mesh,
 )
-from .problems import (
-    LinearProblem,
-    NonlinearProblem,
-    builtin_names,
-    builtin_problem,
-    check_ellipticity,
-)
+from .problems import LinearProblem, NonlinearProblem, builtin_names, builtin_problem
 
 __all__ = [
     "AfemResult",
@@ -81,7 +75,6 @@ __all__ = [
     "builtin_problem",
     "check_convergence",
     "check_discrete_reliability",
-    "check_ellipticity",
     "check_estimator_reduction",
     "check_marking_optimality",
     "check_mesh_audit",
@@ -93,7 +86,6 @@ __all__ = [
     "fit_rate",
     "grad_norm_sq",
     "load_initial_mesh",
-    "local_sum",
     "lshape_mesh",
     "mark_binned",
     "mark_min",

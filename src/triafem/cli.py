@@ -398,7 +398,7 @@ def execute(config):
         return 1 if _execute_single(config) else 0
     payloads = [(dataclasses.asdict(config), theta) for theta in config.theta]
     if config.jobs > 1:
-        with get_context("spawn").Pool(config.jobs) as pool:
+        with get_context("spawn").Pool(min(config.jobs, len(payloads))) as pool:
             results = pool.map(_sweep_worker, payloads)
     else:
         results = [_sweep_worker(p) for p in payloads]

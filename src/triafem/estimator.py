@@ -136,16 +136,3 @@ def estimate(mesh, sol, problem, samples=None):
         eta_sq_total=float(indicators_sq.sum()),
         osc_sq_total=float(osc_sq.sum()),
     )
-
-
-def local_sum(report, subset):
-    """Sum of squared indicators over a subset of elements, given as integer
-    indices; a boolean mask or floats raise :class:`EstimatorError`."""
-    idx = np.asarray(subset)
-    if idx.size == 0:
-        return 0.0
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise EstimatorError(f"elements must be integer indices, got dtype {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= report.indicators_sq.shape[0]:
-        raise IndexError("element index out of range")
-    return float(report.indicators_sq[idx].sum())

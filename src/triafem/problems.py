@@ -11,23 +11,22 @@ term and its derivatives receive points, values (n,) and gradients.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import quadrature
-from .mesh import lshape_mesh, uniform_refine, unit_square_mesh
-
-
-class EllipticityWarning(UserWarning):
-    """The sampled sufficient condition for ellipticity failed."""
+from .mesh import lshape_mesh, unit_square_mesh
 
 
 @dataclass(frozen=True)
 class LinearProblem:
-    """Coefficients of a (possibly non-symmetric) linear elliptic operator."""
+    """Coefficients of a (possibly non-symmetric) linear elliptic operator.
+
+    The form need only satisfy a Garding inequality. ``ellipticity_const``
+    is a declared coercivity constant, where one is known; no loop code
+    reads it.
+    """
 
     name: str
     diffusion: Callable
@@ -122,8 +121,7 @@ def _square_smooth():
 
 def _convection_diffusion():
     # constant advection is divergence free and the reaction is positive,
-    # so the form is elliptic with constant 1 even though the sampled
-    # sufficient condition is far from sharp here
+    # so the form is elliptic with constant 1
     b = np.array([3.0, 2.5])
     return LinearProblem(
         name="convection_diffusion",
@@ -278,38 +276,3 @@ def builtin_problem(name):
 
 def builtin_names():
     return tuple(sorted(_BUILTINS))
-
-
-# -- sampled consistency checks ----------------------------------------------
-
-def check_ellipticity(problem):
-    """Sampled sufficient ellipticity condition for linear problems.
-
-    Returns ``lambda_min(A) - C * |b| - C^2 * max(0, -c)`` minimised over
-    the quadrature points, at least 4096, of a uniformly refined initial
-    mesh, with ``C`` the domain diameter. A declared ellipticity constant
-    short-circuits the check. A non-positive margin only warns: the
-    condition is sufficient, not necessary.
-    """
-    if problem.ellipticity_const is not None:
-        return float(problem.ellipticity_const)
-    mesh = problem.make_initial_mesh()
-    while mesh.n_elements * quadrature.TRI_BARY.shape[0] < 4096:
-        mesh = uniform_refine(mesh, 1)
-    pts = mesh.quadrature_points().reshape(-1, 2)
-    box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-    diameter = float(np.hypot(box[0], box[1]))
-    lam_min = np.linalg.eigvalsh(problem.diffusion(pts)).min()
-    margin = float(lam_min)
-    if problem.advection is not None:
-        margin -= diameter * float(np.linalg.norm(problem.advection(pts), axis=1).max())
-    if problem.reaction is not None:
-        margin -= diameter**2 * float(np.maximum(0.0, -problem.reaction(pts)).max())
-    if margin <= 0.0:
-        warnings.warn(
-            f"problem {problem.name!r}: sampled ellipticity margin {margin:.3g} <= 0; "
-            "the operator may be indefinite",
-            EllipticityWarning,
-            stacklevel=2,
-        )
-    return margin

@@ -284,6 +284,33 @@ def test_theta_sweep_with_worker_pool(tmp_path):
     assert (out / "theta=0.7" / "failures.json").exists()
 
 
+@pytest.mark.parametrize("jobs, thetas, size", [("64", "0.3,0.5", 2), ("2", "0.3,0.5,0.7", 2)])
+def test_sweep_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch, jobs, thetas, size):
+    # a pool starts all its workers at once; this fake starts none and maps in-process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    config = parse_config(
+        ["--problem", "square_smooth", "--theta", thetas, "--max-elements", "100",
+         "--out", str(tmp_path / "pool"), "--jobs", jobs, "--checks", "estimator_reduction"]
+    )
+    assert execute(config) == 0
+    assert sizes == [size]
+
+
 def test_main_reports_config_errors():
     assert main(["--problem", "square_smooth", "--theta", "2.0",
                  "--max-elements", "100"]) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,15 @@ from triafem.checks import (
 from triafem.driver import AfemRunError, AfemTrace, run_afem, run_uniform
 from triafem import assembly, driver
 from triafem.assembly import solve_nonlinear, transfer, transfer_many
-from triafem.mesh import MeshError, load_initial_mesh, shape_regularity, uniform_refine
+from triafem.mesh import (
+    MeshError,
+    load_initial_mesh,
+    shape_regularity,
+    uniform_refine,
+    unit_square_mesh,
+)
 from triafem.problems import LinearProblem, builtin_names, builtin_problem
+from triafem.problems import _constant_matrix, _constant_scalar
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +168,51 @@ def test_vanishing_indicators_stop_the_run():
     assert result.records == [] and "closure_constant" not in tr.meta
     assert np.all(result.final_solution.values == 0.0)
     assert result.final_solution.mesh.n_elements == 4
+
+
+def _garding_problem():
+    # -Laplace u - 25 u = 1: 25 lies above the first Dirichlet eigenvalue
+    # 2 pi^2 of the unit square, so the form satisfies a Garding inequality
+    # but is not coercive
+    return LinearProblem(
+        name="garding",
+        diffusion=_constant_matrix(np.eye(2)),
+        reaction=_constant_scalar(-25.0),
+        source=_constant_scalar(1.0),
+        make_initial_mesh=lambda: unit_square_mesh(cross=True),
+    )
+
+
+def _undeclared_convection_diffusion():
+    # coercive, but no crude sampled bound on the coefficients shows it
+    return dataclasses.replace(builtin_problem("convection_diffusion"), ellipticity_const=None)
+
+
+@pytest.mark.parametrize("make_problem", [_garding_problem, _undeclared_convection_diffusion],
+                         ids=["reaction_minus_25", "convection_diffusion_undeclared"])
+def test_garding_operator_runs_without_a_warning(make_problem):
+    # the loop asks the form for no more than the paper does: no coercivity test
+    problem = make_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_afem(problem, 0.5, max_elements=2000)
+    tr = result.trace
+    assert tr.n_elements[-1] >= 2000
+    assert np.all(np.isfinite(tr.eta_sq)) and tr.eta_sq[-1] < tr.eta_sq[0]
+
+
+@pytest.mark.parametrize("marking", ["min", "binned"])
+def test_refined_eta_sq_is_a_doerfler_sum(marking):
+    # the refined set holds the marked one, so its indicator sum carries
+    # the Doerfler bound theta * eta^2 and never exceeds eta^2
+    theta = 0.4
+    tr = run_afem(builtin_problem("lshape_poisson"), theta, max_elements=600,
+                  marking=marking, keep_history=False).trace
+    refined, eta_sq = tr.refined_eta_sq[:-1], tr.eta_sq[:-1]
+    assert len(refined) >= 3 and np.all(np.isfinite(refined))
+    assert np.all(refined >= theta * eta_sq * (1.0 - 1e-12))
+    assert np.all(refined <= eta_sq * (1.0 + 1e-12))
+    assert np.all(tr.n_refined[:-1] >= tr.n_marked[:-1])
 
 
 def test_reference_without_history():

@@ -24,7 +24,6 @@ from triafem.estimator import (
     EstimatorReport,
     _jump_terms,
     estimate,
-    local_sum,
 )
 from triafem.mesh import load_initial_mesh, refine_nvb, uniform_refine, unit_square_mesh
 from triafem.problems import LinearProblem, builtin_problem
@@ -159,26 +158,6 @@ def test_exact_discrete_solution_leaves_pure_oscillation():
     problem = poisson(lambda x: x[..., 0] - 1.0 / 3.0)
     report = estimate(mesh, sol, problem)
     assert report.indicators_sq[0] == pytest.approx(report.osc_sq[0], rel=1e-12)
-
-
-def test_local_sum():
-    problem = builtin_problem("square_smooth")
-    mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    sol = solve_linear(assemble_linear(mesh, problem))
-    report = estimate(mesh, sol, problem)
-    assert local_sum(report, range(mesh.n_elements)) == pytest.approx(report.eta_sq_total)
-    assert local_sum(report, []) == 0.0
-    assert local_sum(report, np.array([0, 2])) == pytest.approx(
-        report.indicators_sq[0] + report.indicators_sq[2]
-    )
-    with pytest.raises(IndexError):
-        local_sum(report, [mesh.n_elements])
-    # a mask or floats are no indices: read as such they sum the wrong elements
-    mask = np.zeros(mesh.n_elements, dtype=bool)
-    mask[[0, 2]] = True
-    for subset in (mask, [False, False, True, True], np.array([0.0, 2.0]), [2.7]):
-        with pytest.raises(EstimatorError, match="integer indices"):
-            local_sum(report, subset)
 
 
 def test_mesh_solution_mismatch():

@@ -15,15 +15,8 @@ from helpers_problems import (
     manufactured_weak_residual,
 )
 
-from triafem.mesh import uniform_refine, unit_square_mesh
-from triafem.problems import (
-    EllipticityWarning,
-    LinearProblem,
-    builtin_names,
-    builtin_problem,
-    check_ellipticity,
-)
-from triafem.problems import _constant_matrix, _constant_scalar
+from triafem.mesh import uniform_refine
+from triafem.problems import builtin_names, builtin_problem
 
 
 def test_unknown_problem_name():
@@ -150,42 +143,6 @@ def test_manufactured_weak_residual(name, levels, tol):
     p = builtin_problem(name)
     mesh = uniform_refine(p.make_initial_mesh(), levels)
     assert manufactured_weak_residual(p, mesh, n_tests=20, seed=0, gauss_order=10) <= tol
-
-
-def test_ellipticity_declared_constant_short_circuits():
-    p = builtin_problem("convection_diffusion")
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert check_ellipticity(p) == 1.0
-
-
-def test_ellipticity_warning_for_indefinite_problem():
-    bad = LinearProblem(
-        name="indefinite",
-        diffusion=_constant_matrix(np.eye(2)),
-        source=_constant_scalar(1.0),
-        reaction=_constant_scalar(-1e6),
-        make_initial_mesh=lambda: unit_square_mesh(cross=True),
-    )
-    with pytest.warns(EllipticityWarning):
-        margin = check_ellipticity(bad)
-    assert margin < 0.0
-
-
-def test_ellipticity_positive_margin_no_warning():
-    import warnings
-
-    plain = LinearProblem(
-        name="plain",
-        diffusion=_constant_matrix(np.eye(2)),
-        source=_constant_scalar(1.0),
-        make_initial_mesh=lambda: unit_square_mesh(cross=True),
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert check_ellipticity(plain) == pytest.approx(1.0)
 
 
 def test_source_closures_match_stacked_oracles_bit_for_bit():
