@@ -26,7 +26,9 @@ more than the parent's quartile spread.
 A repetition that fails or misses the correctness gate is reported and
 left out of the statistics. The CLI artefacts of the two sides of a pair
 are compared byte for byte, the traces (``trace.csv`` and
-``trace_uniform.csv``) without their ``wall_time_s`` column, and the
+``trace_uniform.csv``) without the columns that vary from run to run
+(``triafem.driver.VARYING_COLUMNS``, read from the ``src`` of the
+checkout that holds this script), and the
 summary counts the pairs whose artefacts agree. Where they differ, the
 pair's line says what differs: each trace column that differs with its
 largest relative difference, the ``meta.json`` keys whose
@@ -50,10 +52,12 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 from run import BLAS_THREADS, CALIB_REF_S  # noqa: E402
 
-# the artefacts that are traces, compared without their wall_time_s column
+from triafem.driver import VARYING_COLUMNS  # noqa: E402
+
+# the artefacts that are traces, compared without their VARYING_COLUMNS
 TRACES = ("trace.csv", "trace_uniform.csv")
 # end-to-end metric -> True where higher is better
 METRICS = {"wall_s": False, "setup_s": False, "elements_per_s": True, "peak_rss_mb": False}
@@ -88,14 +92,14 @@ def run_rep(checkout, workload, out):
 
 
 def artefact_bytes(path):
-    """The bytes of one artefact; a trace without its ``wall_time_s`` column."""
+    """The bytes of one artefact; a trace without its ``VARYING_COLUMNS``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if os.path.basename(path) not in TRACES:
         return data
     rows = [line.split(b",") for line in data.split(b"\n")]
-    drop = rows[0].index(b"wall_time_s")
-    return b"\n".join(b",".join(r[:drop] + r[drop + 1:]) for r in rows)
+    drop = {i for i, name in enumerate(rows[0]) if name.decode() in VARYING_COLUMNS}
+    return b"\n".join(b",".join(c for i, c in enumerate(r) if i not in drop) for r in rows)
 
 
 def _trace_columns(data):
@@ -119,11 +123,11 @@ def _relative_difference(parent_cells, change_cells):
 
 def trace_differences(parent_data, change_data):
     """``column (largest relative difference)`` per differing column of a
-    trace, ``wall_time_s`` left out."""
+    trace, ``VARYING_COLUMNS`` left out."""
     parent, change = _trace_columns(parent_data), _trace_columns(change_data)
     out = []
     for name in sorted(set(parent) | set(change)):
-        if name == "wall_time_s" or parent.get(name) == change.get(name):
+        if name in VARYING_COLUMNS or parent.get(name) == change.get(name):
             continue
         if name not in parent or name not in change:
             out.append(f"{name} (only in the {'change' if name in change else 'parent'})")

@@ -1,4 +1,5 @@
-"""Batch entry point: configure a run or sweep, execute, emit artifacts.
+"""Batch entry point: configure a run or sweep from flags, execute, emit
+artifacts. A theta sweep runs one value after another in this process.
 
 Outputs per run directory: ``trace.csv`` (one row per iteration),
 ``meta.json`` (configuration and run constants), ``report.txt`` (fitted
@@ -18,7 +19,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .checks import (
     CheckResult,
@@ -78,8 +78,8 @@ CHECKS = {
 }
 
 
-# -- configuration keys: each parser turns the raw text of a flag or a
-# config-file line into the field value, or raises ValueError
+# -- configuration keys: each parser turns the raw text of a flag into the
+# field value, or raises ValueError
 
 def _problem(raw):
     if raw not in builtin_names():
@@ -130,14 +130,6 @@ def _checks(raw):
     return checks
 
 
-def _boolean(raw):
-    if raw.lower() in ("1", "true", "yes"):
-        return True
-    if raw.lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _qo_epsilon(raw):
     value = float(raw)
     if not 0.0 <= value < 1.0:
@@ -154,9 +146,8 @@ def _key(parse, default=dataclasses.MISSING, **flag):
 class RunConfig:
     """One run or theta sweep.
 
-    Every field is a key, set by the flag ``--<key with dashes>`` or by a
-    ``key = value`` line of the config file; both go through the key's
-    parser.
+    Every field is a key, set by the flag ``--<key with dashes>`` and
+    read by the key's parser.
     """
 
     problem: str = _key(_problem, help=f"one of: {', '.join(builtin_names())}")
@@ -166,27 +157,11 @@ class RunConfig:
     eta_tol: float | None = _key(_eta_tol, None)
     checks: tuple = _key(_checks, DEFAULT_CHECKS, help=f"comma list from: {', '.join(CHECKS)}")
     out: str = _key(str, "afem_out")
-    uniform_baseline: bool = _key(_boolean, False, action="store_const", const="true")
-    jobs: int = _key(_at_least_one, 1)
+    uniform_baseline: bool = _key(bool, False, action="store_true")
     qo_epsilon: float = _key(_qo_epsilon, 0.5)
 
 
 _KEYS = {f.name: f.metadata for f in dataclasses.fields(RunConfig)}
-
-
-def read_config_file(path):
-    """Flat key=value configuration file; '#' starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = raw
-    return values
 
 
 def _build_parser():
@@ -194,29 +169,23 @@ def _build_parser():
         prog="triafem",
         description="Adaptive P1 FEM runs with built-in verification checks.",
     )
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
     for name, key in _KEYS.items():
         parser.add_argument("--" + name.replace("_", "-"), dest=name, **key["flag"])
     return parser
 
 
 def parse_config(argv):
-    """Merge config file and command-line flags into a validated RunConfig."""
+    """The command-line flags that were given, as a validated RunConfig."""
     args = _build_parser().parse_args(argv)
-    raw = read_config_file(args.config) if args.config else {}
-    for key in raw:
-        if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-    raw.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
+    raw = {key: getattr(args, key) for key in _KEYS if getattr(args, key) is not None}
     if "problem" not in raw:
         raise ConfigError("key 'problem' is required")
     values = {}
-    for key, meta in _KEYS.items():
-        if key in raw:
-            try:
-                values[key] = meta["parse"](raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: {exc}") from None
+    for key, text in raw.items():
+        try:
+            values[key] = _KEYS[key]["parse"](text)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from None
     if "max_elements" not in values and "eta_tol" not in values:
         raise ConfigError("key 'max_elements' or 'eta_tol' is required as a stopping rule")
     return RunConfig(**values)
@@ -376,13 +345,6 @@ def _clear_artefacts(out):
                 os.rmdir(directory)
 
 
-def _sweep_worker(payload):
-    config_dict, theta = payload
-    config = RunConfig(**{**config_dict, "theta": (theta,),
-                          "out": os.path.join(config_dict["out"], _sweep_dir(theta))})
-    return theta, _execute_single(config)
-
-
 def execute(config):
     """Run the configured job (or theta sweep); 0 exit iff no check failed.
 
@@ -396,13 +358,10 @@ def execute(config):
     _clear_artefacts(config.out)
     if len(config.theta) == 1:
         return 1 if _execute_single(config) else 0
-    payloads = [(dataclasses.asdict(config), theta) for theta in config.theta]
-    if config.jobs > 1:
-        with get_context("spawn").Pool(min(config.jobs, len(payloads))) as pool:
-            results = pool.map(_sweep_worker, payloads)
-    else:
-        results = [_sweep_worker(p) for p in payloads]
-    return 1 if any(failures for _, failures in results) else 0
+    failures = [_execute_single(dataclasses.replace(
+        config, theta=(theta,), out=os.path.join(config.out, _sweep_dir(theta))))
+        for theta in config.theta]
+    return 1 if any(failures) else 0
 
 
 def main(argv=None):

@@ -44,44 +44,36 @@ def test_missing_stopping_rule():
         parse_config(["--problem", "square_smooth"])
 
 
-def test_unknown_config_file_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = square_smooth\nwidgets = 3\n")
-    with pytest.raises(ConfigError, match="widgets"):
-        parse_config(["--config", str(cfg)])
-
-
-@pytest.mark.parametrize("key,flags,file_lines", [
-    ("theta", ["--theta", "abc"], ""),
-    ("theta", ["--theta", "0.5,"], ""),
+@pytest.mark.parametrize("key,flags", [
+    ("theta", ["--theta", "abc"]),
+    ("theta", ["--theta", "0.5,"]),
     # both values would write to the sweep directory theta=0.5
-    ("theta", ["--theta", "0.5,0.5000001"], ""),
-    ("max_elements", [], "max_elements = abc\n"),
-    ("marking", [], "marking = foo\n"),
-    ("qo_epsilon", ["--qo-epsilon", "1.5"], ""),
-    ("eta_tol", ["--eta-tol", "-1"], ""),
-    ("eta_tol", ["--eta-tol", "nan"], ""),
+    ("theta", ["--theta", "0.5,0.5000001"]),
+    ("max_elements", ["--max-elements", "abc"]),
+    ("marking", ["--marking", "foo"]),
+    ("qo_epsilon", ["--qo-epsilon", "1.5"]),
+    ("eta_tol", ["--eta-tol", "-1"]),
+    ("eta_tol", ["--eta-tol", "nan"]),
     # a repeated check would run twice and write two CHECK lines
-    ("checks", ["--checks", "rate,rlinear,rate"], ""),
+    ("checks", ["--checks", "rate,rlinear,rate"]),
 ], ids=["theta-abc", "theta-trailing-comma", "theta-shared-directory", "max_elements-file-abc",
         "marking-file-foo", "qo_epsilon-1.5", "eta_tol-negative", "eta_tol-nan",
         "checks-repeated"])
-def test_bad_value_names_key(key, flags, file_lines, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = square_smooth\n" + file_lines)
-    argv = ["--config", str(cfg)] + flags
+def test_bad_value_names_key(key, flags):
+    argv = ["--problem", "square_smooth"] + flags
     if key != "max_elements":
         argv += ["--max-elements", "100"]
     with pytest.raises(ConfigError, match=f"key '{key}'"):
         parse_config(argv)
 
 
-def test_flag_overrides_file(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = square_smooth\ntheta = 0.3\nmax_elements = 500\n")
-    config = parse_config(["--config", str(cfg), "--theta", "0.5"])
-    assert config.theta == (0.5,)
-    assert config.max_elements == 500
+@pytest.mark.parametrize("flags", [["--config", "run.cfg"], ["--jobs", "2"]],
+                         ids=["config", "jobs"])
+def test_flags_that_are_not_keys_exit_2(tmp_path, flags):
+    argv = ["--problem", "square_smooth", "--max-elements", "100", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
 
 
 def test_execute_writes_artifacts_and_exits_zero(tmp_path):
@@ -221,32 +213,27 @@ def test_max_elements_below_initial_mesh_exits_2_and_writes_nothing(tmp_path, ca
 
 
 def test_determinism_of_sequential_runs(tmp_path):
-    argv = ["--problem", "convection_diffusion", "--theta", "0.4", "--max-elements", "600"]
-    outs = []
-    for name in ("a", "b"):
+    def run(theta, name):
         out = tmp_path / name
-        assert execute(parse_config(argv + ["--out", str(out)])) == 0
-        outs.append(out)
+        assert execute(parse_config(["--problem", "convection_diffusion", "--theta", theta,
+                                     "--max-elements", "600", "--out", str(out)])) == 0
+        return out
+
+    outs = [run("0.4", "a"), run("0.4", "b")]
     # everything but the wall time must agree byte for byte
     traces = [without_varying_columns((out / "trace.csv").read_text()) for out in outs]
     assert traces[0] == traces[1]
     assert (outs[0] / "plotdata.csv").read_bytes() == (outs[1] / "plotdata.csv").read_bytes()
     assert (outs[0] / "meta.json").read_bytes() == (outs[1] / "meta.json").read_bytes()
 
-    # a sweep on a worker pool writes what the sequential sweep writes
-    sweep = ["--problem", "convection_diffusion", "--theta", "0.4,0.7",
-             "--max-elements", "600"]
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert execute(parse_config(sweep + ["--jobs", jobs, "--out", str(out)])) == 0
-    for theta in ("theta=0.4", "theta=0.7"):
-        one, two = tmp_path / "jobs1" / theta, tmp_path / "jobs2" / theta
-        assert without_varying_columns((one / "trace.csv").read_text()) == \
-            without_varying_columns((two / "trace.csv").read_text())
-        for name in ("report.txt", "plotdata.csv"):
-            assert (one / name).read_bytes() == (two / name).read_bytes(), name
-    assert without_varying_columns(
-        (tmp_path / "jobs1" / "theta=0.4" / "trace.csv").read_text()) == traces[0]
+    # a sweep writes, for each theta, what that theta's single run writes
+    sweep = run("0.4,0.7", "sweep")
+    for theta, single in (("0.4", outs[0]), ("0.7", run("0.7", "c"))):
+        swept = sweep / f"theta={theta}"
+        assert without_varying_columns((swept / "trace.csv").read_text()) == \
+            without_varying_columns((single / "trace.csv").read_text())
+        for name in ("report.txt", "plotdata.csv", "meta.json"):
+            assert (swept / name).read_bytes() == (single / name).read_bytes(), name
 
 
 def test_initial_mesh_artifact_is_the_problem_mesh(tmp_path):
@@ -272,43 +259,29 @@ def test_theta_sweep_writes_subdirectories(tmp_path):
     assert (out / "theta=0.6" / "trace.csv").exists()
 
 
-def test_theta_sweep_with_worker_pool(tmp_path):
-    out = tmp_path / "pool"
-    config = parse_config(
-        ["--problem", "square_smooth", "--theta", "0.4,0.7", "--max-elements", "200",
-         "--out", str(out), "--jobs", "2", "--checks", "estimator_reduction"]
-    )
-    assert config.jobs == 2
-    assert execute(config) == 0
-    assert (out / "theta=0.4" / "failures.json").exists()
-    assert (out / "theta=0.7" / "failures.json").exists()
+def test_sweep_with_a_failing_run_exits_1_and_keeps_the_other_runs(tmp_path, monkeypatch):
+    from helpers_trace import synthetic_trace
 
+    from triafem.driver import AfemRunError
 
-@pytest.mark.parametrize("jobs, thetas, size", [("64", "0.3,0.5", 2), ("2", "0.3,0.5,0.7", 2)])
-def test_sweep_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch, jobs, thetas, size):
-    # a pool starts all its workers at once; this fake starts none and maps in-process
-    sizes = []
+    run_afem = cli.run_afem
 
-    class FakePool:
-        def __init__(self, n):
-            sizes.append(n)
+    def failing_at_07(problem, theta, *args, **kwargs):
+        if theta == 0.7:
+            partial = synthetic_trace([1.0, 0.5])
+            raise AfemRunError("solve failed at iteration 2: singular", partial, "solve")
+        return run_afem(problem, theta, *args, **kwargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items):
-            return [func(item) for item in items]
-
-    monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
-    config = parse_config(
-        ["--problem", "square_smooth", "--theta", thetas, "--max-elements", "100",
-         "--out", str(tmp_path / "pool"), "--jobs", jobs, "--checks", "estimator_reduction"]
-    )
-    assert execute(config) == 0
-    assert sizes == [size]
+    monkeypatch.setattr(cli, "run_afem", failing_at_07)
+    out = tmp_path / "sweep"
+    config = parse_config(["--problem", "square_smooth", "--theta", "0.4,0.7",
+                           "--max-elements", "200", "--out", str(out)])
+    assert execute(config) == 1
+    assert _files(out / "theta=0.4") == sorted(set(cli.ARTEFACTS) - {"trace_uniform.csv"})
+    assert json.loads((out / "theta=0.4" / "failures.json").read_text()) == []
+    failures = json.loads((out / "theta=0.7" / "failures.json").read_text())
+    assert [f["check"] for f in failures] == ["run"]
+    assert (out / "theta=0.7" / "report.txt").read_text().startswith("RUN: FAIL")
 
 
 def test_main_reports_config_errors():

@@ -175,3 +175,15 @@ def _claim_lines(pairs, parent_wall, change_wall):
 def test_summary_states_the_claim_rule(pairs, change_wall, verdict):
     parent_wall = [1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
     assert _claim_lines(pairs, parent_wall, change_wall) == [f"wall_s: claim rule {verdict}"]
+
+
+def test_every_varying_column_is_dropped(pairs, tmp_path, monkeypatch):
+    monkeypatch.setattr(pairs, "VARYING_COLUMNS", ("err_energy_sq", "wall_time_s"))
+    meta = {"theta": 0.5}
+    parent = _artefacts(tmp_path / "parent", "2.0", "4.0", meta)
+    change = _artefacts(tmp_path / "change", "2.0", "5.0", meta, wall="0.3")
+    assert pairs.artefact_bytes(str(tmp_path / "parent" / "trace.csv")) == \
+        b"ell,eta_sq\n0,0.5\n1,0.25\n"
+    assert pairs.differences(parent, change) == []
+    assert pairs.trace_differences((tmp_path / "parent" / "trace.csv").read_bytes(),
+                                   (tmp_path / "change" / "trace.csv").read_bytes()) == []
