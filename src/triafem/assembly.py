@@ -85,18 +85,15 @@ class VolumeSamples:
     Advection, reaction and the diffusion divergence are sampled for
     linear problems that define them, and a linear problem also gets its
     element matrices ``local`` (NT, 3, 3) and loads ``load`` (NT, 3). A
-    nonlinear problem without a lower-order term gets its source moments
-    ``source_moments`` (NT, 3), ``sum_q w_q f(x_q) lambda_qi`` without the
-    area, which every residual on the mesh subtracts. Only a nonlinear
-    problem with a lower-order term keeps ``points``, the volume quadrature
-    points, per element like every other field: no other kernel reads them.
-    Passed as an argument, never cached on the mesh (a run that keeps its
-    history keeps every mesh); the adaptive loop carries them through
-    refinement and drops them before the reference build.
+    nonlinear problem gets its source moments ``source_moments`` (NT, 3),
+    ``sum_q w_q f(x_q) lambda_qi`` without the area, which every residual
+    on the mesh subtracts. Passed as an argument, never cached on the mesh
+    (a run that keeps its history keeps every mesh); the adaptive loop
+    carries them through refinement and drops them before the reference
+    build.
     """
 
     source: np.ndarray
-    points: Optional[np.ndarray] = None
     source_moments: Optional[np.ndarray] = None
     advection: Optional[np.ndarray] = None
     reaction: Optional[np.ndarray] = None
@@ -108,13 +105,12 @@ class VolumeSamples:
 def volume_samples(mesh, problem, carry=None):
     """The problem's :class:`VolumeSamples` on ``mesh``.
 
-    ``carry = (coarse, samples, record)`` gives the mesh that ``mesh``
-    refines, its samples and the :class:`~triafem.mesh.RefinementRecord`
-    of that refinement. Every field's kept rows are taken from ``samples``
-    (:meth:`~triafem.mesh.RefinementRecord.carry`), and only the new
-    elements are sampled and integrated. Per-element arithmetic does not
-    depend on the batch, so every row has the bits of a fresh call
-    (``notes/decisions.md``).
+    With ``carry = (coarse, samples, record)``, ``mesh`` refines ``coarse``
+    by ``record``: the kept rows are copied from ``samples`` and only the
+    new elements are sampled (``notes/decisions.md``, "Element data is
+    carried through refinement and keeps its bits"). Raises ``ValueError``
+    when ``mesh`` does not start with the kept elements of ``coarse``, and
+    :class:`AssemblyError` on a non-finite sample.
     """
     if carry is None:
         return VolumeSamples(**_element_data(mesh, problem, slice(None)))
@@ -148,11 +144,9 @@ def _element_data(mesh, problem, elements):
             sample("diffusion", 2, 2), fields,
             mesh.basis_gradients[elements], mesh.areas[elements],
         )
-    elif problem.lower_order is None:
+    else:
         fields["source_moments"] = np.einsum(
             "q,nq,qi->ni", quadrature.TRI_WEIGHTS, fields["source"], quadrature.TRI_BARY)
-    else:
-        fields["points"] = points
     return fields
 
 
@@ -164,12 +158,6 @@ def element_gradients(mesh, values):
 def p1_at_quadrature(mesh, values):
     """Values (NT, q) of a P1 function at the volume quadrature points."""
     return values[mesh.triangles] @ quadrature.TRI_BARY.T
-
-
-def _repeat_to_points(element_values):
-    """Element values (NT, ...) repeated to the volume quadrature points,
-    (NT * q, ...), the layout the coefficient closures take."""
-    return np.repeat(element_values, quadrature.TRI_WEIGHTS.size, axis=0)
 
 
 def grad_norm_sq(mesh, values):
@@ -304,20 +292,17 @@ def _flux_closure(problem, name, grad_u):
 def nonlinear_residual(mesh, problem, values, samples=None):
     """Galerkin residual F_i = <L u - f, phi_i> over interior vertices.
 
-    The quadrature is summed per point, not contracted first: on meshes
-    with mirror-symmetric elements the last bits of the residual decide
-    ties in the marking (see ``notes/decisions.md``). The flux part adds
-    the terms ``(w_q F_qa) G_ia`` one at a time, points outer and
-    components inner, which is the order of ``einsum("q,nqa,nia->ni")``
-    with the element flux at every point. Without a lower-order term the
-    samples' ``source_moments`` are subtracted; they are the contraction
-    of ``-source`` negated, which is exact, so the bits are those of
-    contracting ``-source`` here.
+    ``samples`` are the problem's :func:`volume_samples` on ``mesh``,
+    taken here when not given. The flux part is summed point by point in
+    the order of ``einsum("q,nqa,nia->ni")``, not contracted first
+    (``notes/decisions.md``, "The nonlinear residual keeps its
+    point-by-point quadrature sum" and "Gradient-only fluxes"). Raises
+    :class:`AssemblyError` on a non-finite flux.
     """
     if samples is None:
         samples = volume_samples(mesh, problem)
     w = quadrature.TRI_WEIGHTS
-    _, _, flux, g_q = flux_terms(mesh, problem, values, samples.points)
+    _, flux = flux_terms(mesh, problem, values)
     # component-major rows (2, 3, NT), so that every term is a product of
     # contiguous rows
     grads = mesh.basis_gradients.transpose(2, 1, 0).copy()
@@ -326,42 +311,24 @@ def nonlinear_residual(mesh, problem, values, samples=None):
         for a in range(2):
             local += (w_q * flux[:, a]) * grads[a]
     local = local.T
-    if g_q is None:
-        local -= samples.source_moments
-    else:
-        local += np.einsum("q,nq,qi->ni", w, -samples.source + g_q, quadrature.TRI_BARY)
+    local -= samples.source_moments
     local *= mesh.areas[:, None]
     full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
     return full[mesh.interior_vertices]
 
 
-def nonlinear_jacobian(mesh, problem, values, samples=None):
+def nonlinear_jacobian(mesh, problem, values):
     """Jacobian of the Galerkin residual, restricted to interior vertices.
 
     The flux Jacobian is contracted before the local product, as
     ``w_0 DF + w_1 DF + ...`` with the element flux Jacobian ``DF``, the
     order of einsum's quadrature sum.
     """
-    if samples is None:
-        samples = volume_samples(mesh, problem)
-    w = quadrature.TRI_WEIGHTS
-    grads = mesh.basis_gradients
-    grad_u = element_gradients(mesh, values)
-
-    jac = _flux_closure(problem, "flux_jacobian", grad_u)
+    jac = _flux_closure(problem, "flux_jacobian", element_gradients(mesh, values))
     jac_bar = np.zeros((mesh.n_elements, 2, 2))
-    for w_q in w:
+    for w_q in quadrature.TRI_WEIGHTS:
         jac_bar += w_q * jac
-    local = _stiffness(grads, jac_bar)
-    if problem.lower_order_du is not None or problem.lower_order_dgrad is not None:
-        u_q = p1_at_quadrature(mesh, values)
-        args = samples.points.reshape(-1, 2), u_q.reshape(-1), _repeat_to_points(grad_u)
-    if problem.lower_order_du is not None:
-        gu_q = problem.lower_order_du(*args).reshape(u_q.shape)
-        local += (gu_q @ _W_LAM_LAM).reshape(-1, 3, 3)
-    if problem.lower_order_dgrad is not None:
-        gy_q = problem.lower_order_dgrad(*args).reshape(*u_q.shape, 2)
-        local += np.einsum("qi,nqa->nia", _W_LAM, gy_q) @ grads.transpose(0, 2, 1)
+    local = _stiffness(mesh.basis_gradients, jac_bar)
     local *= mesh.areas[:, None, None]
     return _scatter(mesh, local)
 
@@ -378,25 +345,17 @@ def solve_nonlinear(
 ):
     """Solve the nonlinear Galerkin system to ``|F(U)| <= 1e-10 |F(0)|``.
 
-    Damped Newton with a guaranteed fallback to the damped Riesz iteration
-    ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))``, which converges for any
-    strongly monotone Lipschitz operator; the fallback also takes over
-    when a Jacobian is exactly singular. ``max_newton=0`` runs the
-    fallback only. Every residual and Jacobian reads one set of
-    :func:`volume_samples`, taken here when not given. Every Jacobian, and
-    the fallback's Laplacian, is factored as a linear system is
-    (:func:`_symmetric_factor`).
-
-    A Newton step factors a fresh Jacobian only when no factor is kept,
-    and halves its step from 1 down to ``2**-12`` until the residual
-    decreases; when none does, the fallback takes over. Full Newton frees
-    each factor before that line search. ``frozen_factor=True`` runs
-    simplified Newton: the factor is kept and solves the later steps, each
-    taken at full length only when it halves the residual; otherwise the
-    factor is dropped, and the same iterate gets a fresh Jacobian. Its
-    iterates differ from full Newton's in the last bits: the reference
-    solve uses it, the loop does not, because its iterates decide ties in
-    the marking (``notes/decisions.md``). Raises
+    Damped Newton (steps 1 down to ``2**-12``), each Jacobian factored by
+    :func:`_symmetric_factor`; the damped Riesz iteration
+    ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))`` takes over when no step
+    decreases the residual, a Jacobian is exactly singular or
+    ``max_newton`` steps are spent. Every residual reads
+    ``samples``, the problem's :func:`volume_samples` on ``mesh``, taken
+    here when not given. ``frozen_factor=True`` keeps a factor for the
+    later steps while each halves the residual (simplified Newton, which
+    the reference solve runs: ``notes/decisions.md``, "The reference solve
+    factors once"). ``full_output=True`` also returns the iteration counts
+    and residuals. Raises ``ValueError`` for a guess on another mesh and
     :class:`NonlinearSolveError` when the iteration budget is exhausted.
     """
     if initial_guess is not None and not initial_guess.mesh.same_elements(mesh):
@@ -422,7 +381,7 @@ def solve_nonlinear(
         fresh = solve is None
         if fresh:
             try:
-                solve = _symmetric_factor(nonlinear_jacobian(mesh, problem, values, samples))
+                solve = _symmetric_factor(nonlinear_jacobian(mesh, problem, values))
             except RuntimeError:
                 # SuperLU found the Jacobian exactly singular
                 break
@@ -472,21 +431,10 @@ def solve_nonlinear(
 
 # -- energy products and transfer ----------------------------------------------
 
-def flux_terms(mesh, problem, values, points):
-    """A P1 function's (values (NT, q) or None, gradient (NT, 2), flux
-    (NT, 2), lower-order term (NT, q) or None). The volume quadrature
-    ``points`` (NT, q, 2) and the values are read only for a lower-order
-    term, whose closure takes the points flat."""
+def flux_terms(mesh, problem, values):
+    """A P1 function's element gradients (NT, 2) and fluxes (NT, 2)."""
     grad_u = element_gradients(mesh, values)
-    flux = _flux_closure(problem, "flux", grad_u)
-    u_q = lower = None
-    if problem.lower_order is not None:
-        u_q = p1_at_quadrature(mesh, values)
-        lower = problem.lower_order(points.reshape(-1, 2), u_q.reshape(-1),
-                                    _repeat_to_points(grad_u))
-        lower = lower.reshape(u_q.shape)
-        _check_finite("lower_order", lower)
-    return u_q, grad_u, flux, lower
+    return grad_u, _flux_closure(problem, "flux", grad_u)
 
 
 def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
@@ -496,23 +444,20 @@ def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
     ``parents`` is given: then ``v_sols[k]`` lives on a mesh that ``mesh``
     refines, and ``parents[k]`` holds, per element of ``mesh``, the element
     of that mesh that holds it (:func:`~triafem.mesh.element_maps`).
-
     For linear problems ``b(w - v, w - v)``, from the assembled ``system``
-    when given; for nonlinear ones ``<L w - L v, w - v>``, the squared
-    quasi-metric induced by the strongly monotone operator, with the
-    :func:`flux_terms` of ``w`` and the weights ``|T| w_q`` taken once. A
-    P1 function's gradient and flux are constant on each element of its
-    own mesh, so without a lower-order term the ``v_sols`` on coarser
-    meshes get theirs there and gathered through their maps; a linear
-    problem or a lower-order term needs their point values, so they are
-    prolonged to ``mesh`` first, in one :func:`transfer_many` pass.
+    when given, with coarser solutions prolonged by :func:`transfer_many`;
+    for nonlinear ones ``<L w - L v, w - v>``, with a coarser solution's
+    :func:`flux_terms` taken on its own mesh and gathered through its map
+    (``notes/decisions.md``, "Each iterate is read on its own mesh").
+    Raises ``ValueError`` when a solution is not on ``mesh`` or a map
+    does not fit.
     """
     if parents is not None:
         if len(parents) != len(v_sols) or any(
                 np.shape(p) != (mesh.n_elements,) or p.min(initial=0) < 0
                 or p.max(initial=-1) >= v.mesh.n_elements for p, v in zip(parents, v_sols)):
             raise ValueError("energy products need one element map per solution, over the mesh")
-        if isinstance(problem, LinearProblem) or problem.lower_order is not None:
+        if isinstance(problem, LinearProblem):
             v_sols, parents = transfer_many(v_sols, mesh), None
     on_mesh = [w_sol, *(v_sols if parents is None else [])]
     if not all(sol.mesh.same_elements(mesh) for sol in on_mesh):
@@ -524,23 +469,20 @@ def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
         w = w_sol.values[interior]
         return [float(d @ (system.matrix @ d)) for d in (w - v.values[interior] for v in v_sols)]
 
-    points = None if problem.lower_order is None else mesh.quadrature_points()
-    uw, grad_w, flux_w, lower_w = flux_terms(mesh, problem, w_sol.values, points)
+    grad_w, flux_w = flux_terms(mesh, problem, w_sol.values)
     weights = mesh.areas[:, None] * quadrature.TRI_WEIGHTS
     products = []
     for v_sol, parent in zip(v_sols, parents or [None] * len(v_sols)):
         if parent is None:
-            uv, grad_v, flux_v, lower_v = flux_terms(mesh, problem, v_sol.values, points)
+            grad_v, flux_v = flux_terms(mesh, problem, v_sol.values)
         else:
-            _, grad_v, flux_v, _ = flux_terms(v_sol.mesh, problem, v_sol.values, None)
+            grad_v, flux_v = flux_terms(v_sol.mesh, problem, v_sol.values)
             grad_v, flux_v = np.take(grad_v, parent, axis=0), np.take(flux_v, parent, axis=0)
         # (NT, 1): formed once per element, then broadcast to the points by
         # the sum below, which keeps its operands; the two components are
         # added as written, the bits of np.sum over them at a third of its cost
         terms = (flux_w - flux_v) * (grad_w - grad_v)
         integrand = (terms[:, 0] + terms[:, 1])[:, None]
-        if lower_w is not None:
-            integrand = integrand + (lower_w - lower_v) * (uw - uv)
         products.append(float(np.sum(weights * integrand)))
     return products
 
@@ -555,13 +497,12 @@ def transfer_many(solutions, finer):
     """Exact prolongation of P1 functions, each on a mesh that ``finer``
     refines, to ``finer``; one :class:`DiscreteSolution` per solution.
 
-    New vertices are edge midpoints; their value is the average of the
-    edge endpoints, which reproduces each function pointwise. All
-    solutions share one NaN-filled buffer over the forest's vertices, one
-    column each. It is resolved one midpoint generation per pass: a pass
-    takes the vertices whose endpoints have values in every column and
-    fills the columns whose solution's mesh lacks them, so every value has
-    the bits of a prolongation of its solution alone.
+    A new vertex, an edge midpoint, gets the average of the edge's
+    endpoints, one midpoint generation per pass over a buffer shared by
+    all solutions, so every value has the bits of a prolongation of its
+    solution alone (``notes/decisions.md``, "Each iterate is read on its
+    own mesh"). Raises ``ValueError`` when ``finer`` does not refine a
+    solution's mesh or a solution has a non-finite value.
     """
     if not solutions:
         return []

@@ -10,8 +10,8 @@ full jump term to both neighbouring elements (no halving). Oscillations
 are the elementwise mean-free part of the volume residual.
 
 A nonlinear flux F depends on the gradient only, so it is constant on
-each element and its elementwise divergence vanishes; the residual
-``g(x, U, grad U) - f`` and jump ``(F[T1] - F[T2]) . n`` come from one
+each element and its elementwise divergence vanishes; the residual is
+``-f`` and the jump ``(F[T1] - F[T2]) . n`` comes from one
 :func:`~triafem.assembly.flux_terms` call.
 """
 
@@ -121,8 +121,8 @@ def estimate(mesh, sol, problem, samples=None):
         vectors = grad_u
     else:
         # the flux is piecewise constant, so its divergence drops out
-        _, _, vectors, lower = flux_terms(mesh, problem, sol.values, samples.points)
-        residual = -samples.source if lower is None else -samples.source + lower
+        _, vectors = flux_terms(mesh, problem, sol.values)
+        residual = -samples.source
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas
     volume_sq = areas**2 * (residual**2 @ w)

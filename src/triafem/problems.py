@@ -1,12 +1,11 @@
 """Continuous operators and the benchmark catalogue.
 
 Linear problems describe ``-div(A grad u) + b . grad u + c u = f`` through
-coefficient closures; nonlinear problems describe
-``-div F(grad u) + g(x, u, grad u) = f`` for a strongly monotone flux
-``F``. All closures are vectorised: a coefficient receives points of shape
-(n, 2) and returns (n,), (n, 2) or (n, 2, 2); the flux and its Jacobian
-receive gradients (n, 2) and return (n, 2) or (n, 2, 2); the lower-order
-term and its derivatives receive points, values (n,) and gradients.
+coefficient closures; nonlinear problems describe ``-div F(grad u) = f``
+for a strongly monotone flux ``F``. All closures are vectorised: a
+coefficient receives points of shape (n, 2) and returns (n,), (n, 2) or
+(n, 2, 2); the flux and its Jacobian receive gradients (n, 2) and return
+(n, 2) or (n, 2, 2).
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ class NonlinearProblem:
     """Strongly monotone quasilinear operator with declared constants.
 
     ``lipschitz_const`` and ``monotone_const`` are the declared Lipschitz
-    and strong-monotonicity constants of the flux (plus lower-order term);
-    they drive the step size of the damped-gradient fallback solver.
+    and strong-monotonicity constants of the flux; they drive the step
+    size of the damped-gradient fallback solver.
     ``flux(y)`` and ``flux_jacobian(y)`` depend on the gradient only, so
     the elementwise flux divergence of a P1 function vanishes exactly and
     both are evaluated once per element, where that gradient is constant.
@@ -58,9 +57,6 @@ class NonlinearProblem:
     source: Callable
     lipschitz_const: float
     monotone_const: float
-    lower_order: Optional[Callable] = None
-    lower_order_du: Optional[Callable] = None
-    lower_order_dgrad: Optional[Callable] = None
     exact_u: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
     make_initial_mesh: Callable = unit_square_mesh

@@ -122,102 +122,67 @@ def element_system_per_point(mesh, problem):
     return local, rhs
 
 
-def p1_per_point(mesh, values):
-    """A P1 function's values (NT, q), element gradient (NT, 2) and that
-    gradient repeated to every quadrature point (NT * q, 2)."""
-    u_q = values[mesh.triangles] @ quadrature.TRI_BARY.T
+def gradients_per_point(mesh, values):
+    """A P1 function's element gradient (NT, 2) and that gradient repeated
+    to every quadrature point (NT * q, 2)."""
     grad_u = element_gradients(mesh, values)
-    y_q = np.repeat(grad_u[:, None, :], u_q.shape[1], axis=1).reshape(-1, 2)
-    return u_q, grad_u, y_q
+    return grad_u, np.repeat(grad_u, quadrature.TRI_WEIGHTS.size, axis=0)
 
 
 def residual_per_point(mesh, problem, values):
-    """Interior Galerkin residual of a nonlinear problem with every closure
+    """Interior Galerkin residual of a nonlinear problem with the flux
     called at every quadrature point, summed point by point."""
     samples = volume_samples(mesh, problem)
-    u_q, _, y_q = p1_per_point(mesh, values)
-    n, nq = u_q.shape
+    _, y_q = gradients_per_point(mesh, values)
     w = quadrature.TRI_WEIGHTS
 
-    flux_q = problem.flux(y_q).reshape(n, nq, 2)
+    flux_q = problem.flux(y_q).reshape(mesh.n_elements, w.size, 2)
     local = np.einsum("q,nqa,nia->ni", w, flux_q, mesh.basis_gradients)
-    lower = -samples.source
-    if problem.lower_order is not None:
-        flat = samples.points.reshape(-1, 2)
-        lower = lower + problem.lower_order(flat, u_q.reshape(-1), y_q).reshape(n, nq)
-    local += np.einsum("q,nq,qi->ni", w, lower, quadrature.TRI_BARY)
+    local += np.einsum("q,nq,qi->ni", w, -samples.source, quadrature.TRI_BARY)
     local *= mesh.areas[:, None]
     full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
     return full[mesh.interior_vertices]
 
 
 def contracted_jacobian_per_point(mesh, problem, values):
-    """Local Newton Jacobians (NT, 3, 3) with every closure called at every
-    quadrature point and the quadrature contracted before the local
+    """Local Newton Jacobians (NT, 3, 3) with the flux Jacobian called at
+    every quadrature point and the quadrature contracted before the local
     product, in the order of ``nonlinear_jacobian``."""
-    u_q, _, y_q = p1_per_point(mesh, values)
-    n, nq = u_q.shape
+    _, y_q = gradients_per_point(mesh, values)
     w = quadrature.TRI_WEIGHTS
-    w_lam = w[:, None] * quadrature.TRI_BARY
-    w_lam_lam = (w_lam[:, :, None] * quadrature.TRI_BARY[:, None, :]).reshape(-1, 9)
     grads = mesh.basis_gradients
-    flat = mesh.quadrature_points().reshape(-1, 2)
 
-    jac_q = problem.flux_jacobian(y_q).reshape(n, nq, 2, 2)
+    jac_q = problem.flux_jacobian(y_q).reshape(mesh.n_elements, w.size, 2, 2)
     local = grads @ np.einsum("q,nq...->n...", w, jac_q) @ grads.transpose(0, 2, 1)
-    if problem.lower_order_du is not None:
-        gu_q = problem.lower_order_du(flat, u_q.reshape(-1), y_q).reshape(n, nq)
-        local += (gu_q @ w_lam_lam).reshape(n, 3, 3)
-    if problem.lower_order_dgrad is not None:
-        gy_q = problem.lower_order_dgrad(flat, u_q.reshape(-1), y_q).reshape(n, nq, 2)
-        local += np.einsum("qi,nqa->nia", w_lam, gy_q) @ grads.transpose(0, 2, 1)
     return local * mesh.areas[:, None, None]
 
 
-def flux_terms_per_point(mesh, problem, values):
-    """Values (NT, q), gradient (NT, 2), flux (NT * q, 2) and lower-order
-    term (NT * q,) or None of a P1 function, every closure called at every
-    quadrature point."""
-    points = mesh.quadrature_points().reshape(-1, 2)
-    u_q, grad_u, y_q = p1_per_point(mesh, values)
-    lower = None
-    if problem.lower_order is not None:
-        lower = problem.lower_order(points, u_q.reshape(-1), y_q)
-    return u_q, grad_u, problem.flux(y_q), lower
-
-
 def energy_per_point(mesh, problem, w_values, v_values, v_mesh=None, parent=None):
-    """<L w - L v, w - v> of a nonlinear problem from per-point flux terms.
-    With ``v_mesh``, a mesh that ``mesh`` refines, ``v`` lives there and
-    element ``n`` of ``mesh`` reads the terms of element ``parent[n]`` of
-    ``v_mesh`` at its points (a problem without lower-order term)."""
-    uw, grad_w, flux_w, lower_w = flux_terms_per_point(mesh, problem, w_values)
-    n, nq = uw.shape
+    """<L w - L v, w - v> of a nonlinear problem with the flux called at
+    every quadrature point. With ``v_mesh``, a mesh that ``mesh`` refines,
+    ``v`` lives there and element ``n`` of ``mesh`` reads the gradient and
+    flux of element ``parent[n]`` of ``v_mesh`` at its points."""
+    n, nq = mesh.n_elements, quadrature.TRI_WEIGHTS.size
+    grad_w, y_w = gradients_per_point(mesh, w_values)
+    flux_w = problem.flux(y_w)
     if v_mesh is None:
-        uv, grad_v, flux_v, lower_v = flux_terms_per_point(mesh, problem, v_values)
+        grad_v, y_v = gradients_per_point(mesh, v_values)
+        flux_v = problem.flux(y_v)
     else:
-        assert lower_w is None
-        _, grad_v, flux_v, _ = flux_terms_per_point(v_mesh, problem, v_values)
-        grad_v, flux_v = grad_v[parent], flux_v.reshape(-1, nq, 2)[parent].reshape(-1, 2)
+        grad_v, y_v = gradients_per_point(v_mesh, v_values)
+        flux_v = problem.flux(y_v).reshape(-1, nq, 2)[parent].reshape(-1, 2)
+        grad_v = grad_v[parent]
     flux_diff = (flux_w - flux_v).reshape(n, nq, 2)
     grad_diff = (grad_w - grad_v)[:, None, :]
     integrand = np.sum(flux_diff * grad_diff, axis=2)
-    if lower_w is not None:
-        integrand = integrand + (lower_w - lower_v).reshape(n, nq) * (uw - uv)
     return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
 
 
 def nonlinear_estimate_at_centroids(mesh, problem, values, samples):
     """Squared indicators and oscillations of a nonlinear problem with the
-    lower-order term sampled on its own and the flux of both neighbours
-    evaluated on every interior edge."""
+    flux of both neighbours evaluated on every interior edge."""
     grad_u = element_gradients(mesh, values)
     residual = -samples.source
-    if problem.lower_order is not None:
-        u_q = values[mesh.triangles] @ quadrature.TRI_BARY.T
-        y_q = np.repeat(grad_u, u_q.shape[1], axis=0)
-        lower = problem.lower_order(samples.points.reshape(-1, 2), u_q.reshape(-1), y_q)
-        residual = residual + lower.reshape(u_q.shape)
     w = quadrature.TRI_WEIGHTS
     areas = mesh.areas
     volume_sq = areas**2 * (residual**2 @ w)
@@ -242,23 +207,13 @@ def nonlinear_estimate_at_centroids(mesh, problem, values, samples):
 def jacobian_per_point(mesh, problem, values):
     """Local Newton Jacobians (NT, 3, 3) of a nonlinear problem, summed
     point by point (no contraction)."""
-    u_q, _, y_q = p1_per_point(mesh, values)
-    n, nq = u_q.shape
+    _, y_q = gradients_per_point(mesh, values)
     w = quadrature.TRI_WEIGHTS
-    lam = quadrature.TRI_BARY
     grads = mesh.basis_gradients
-    flat = mesh.quadrature_points().reshape(-1, 2)
 
-    jac_q = problem.flux_jacobian(y_q).reshape(n, nq, 2, 2)
+    jac_q = problem.flux_jacobian(y_q).reshape(mesh.n_elements, w.size, 2, 2)
     jac_grad = np.einsum("nqab,njb->nqja", jac_q, grads)
     local = np.einsum("q,nqja,nia->nij", w, jac_grad, grads)
-    if problem.lower_order_du is not None:
-        gu_q = problem.lower_order_du(flat, u_q.reshape(-1), y_q).reshape(n, nq)
-        local += np.einsum("q,nq,qi,qj->nij", w, gu_q, lam, lam)
-    if problem.lower_order_dgrad is not None:
-        gy_q = problem.lower_order_dgrad(flat, u_q.reshape(-1), y_q).reshape(n, nq, 2)
-        gy_grad = np.einsum("nqa,nja->nqj", gy_q, grads)
-        local += np.einsum("q,nqj,qi->nij", w, gy_grad, lam)
     return local * mesh.areas[:, None, None]
 
 
@@ -288,16 +243,38 @@ def varying_linear_problem():
     )
 
 
-def gradient_only_lower_order_problem():
-    """The magnetostatics flux with an x-dependent lower-order term and
-    both its derivatives."""
+def skew_flux_problem():
+    """The magnetostatics flux plus ``0.75 J y / (1 + |y|^2)``,
+    ``J = [[0, 1], [-1, 0]]``: a gradient-only flux whose Jacobian is not
+    symmetric and varies with ``y``, so that the assembled Newton matrix is
+    not symmetric either (a constant skew term ``K y`` would add
+    ``(K grad u, grad v) = 0`` for ``u, v`` vanishing on the boundary).
+    With ``F(y) = y + (I + 0.75 J) y / (1 + |y|^2)`` the strong-monotonicity
+    constant is ``1 - (c - 1)^2 / (4 c) = 119/144`` with
+    ``c = 1 + |(1, 0.75)| = 9/4`` (at ``|y|^2 = 2.6``), and the Lipschitz
+    constant is ``|DF(0)| = |(2, 0.75)|``. The source is that of
+    magnetostatics; no exact solution is known."""
+    problem = builtin_problem("magnetostatics_nl")
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def decay(y):
+        return 1.0 / (1.0 + (y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1]))
+
+    def rotated(y):
+        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+    def flux(y):
+        return problem.flux(y) + (0.75 * decay(y))[..., None] * rotated(y)
+
+    def flux_jacobian(y):
+        s = decay(y)[..., None, None]
+        outer = rotated(y)[..., :, None] * y[..., None, :]
+        return problem.flux_jacobian(y) + 0.75 * (s * rotation - 2.0 * s * s * outer)
+
     return dataclasses.replace(
-        builtin_problem("magnetostatics_nl"),
-        name="magnetostatics_lower",
-        lower_order=lambda x, u, y: (1.0 + x[:, 1]) * u**3 + x[:, 0] * y[:, 0],
-        lower_order_du=lambda x, u, y: 3.0 * (1.0 + x[:, 1]) * u**2,
-        lower_order_dgrad=lambda x, u, y: np.stack([x[:, 0], np.zeros_like(u)], axis=1),
-    )
+        problem, name="magnetostatics_skew", flux=flux, flux_jacobian=flux_jacobian,
+        monotone_const=119.0 / 144.0, lipschitz_const=float(np.hypot(2.0, 0.75)),
+        exact_u=None, exact_grad=None)
 
 
 # -- the built-in source closures as first written, with the gradients
@@ -476,7 +453,7 @@ def two_block_newton(mesh, problem, initial_guess=None, frozen_factor=False):
                 info["residuals"].append(res_norm)
                 continue
             kept = None
-        jac = nonlinear_jacobian(mesh, problem, values, samples)
+        jac = nonlinear_jacobian(mesh, problem, values)
         try:
             solve = _symmetric_factor(jac)
         except RuntimeError:

@@ -109,18 +109,15 @@ def manufactured_weak_residual(problem, mesh, n_tests=20, seed=0, gauss_order=No
     grad_u = problem.exact_grad(flat)
     u_val = problem.exact_u(flat)
     f_val = problem.source(flat)
+    lower = np.zeros_like(u_val)
     if isinstance(problem, LinearProblem):
         flux = np.einsum("nij,nj->ni", problem.diffusion(flat), grad_u)
-        lower = np.zeros_like(u_val)
         if problem.advection is not None:
             lower += np.sum(problem.advection(flat) * grad_u, axis=-1)
         if problem.reaction is not None:
             lower += problem.reaction(flat) * u_val
     else:
         flux = problem.flux(grad_u)
-        lower = np.zeros_like(u_val)
-        if problem.lower_order is not None:
-            lower += problem.lower_order(flat, u_val, grad_u)
 
     bump = _lshape_bump if mesh.vertices.min() < -0.5 else _square_bump
     w_val, w_grad = bump(flat)

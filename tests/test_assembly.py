@@ -12,8 +12,7 @@ from helpers_fem import (
     element_system_per_point,
     energy_per_point,
     evaluate,
-    flux_terms_per_point,
-    gradient_only_lower_order_problem,
+    gradients_per_point,
     h1_error_sq,
     jacobian_per_point,
     l2_norm,
@@ -21,6 +20,7 @@ from helpers_fem import (
     presorted_solve,
     residual_per_point,
     restrict_functional,
+    skew_flux_problem,
     two_block_newton,
     varying_linear_problem,
     wide_magnitudes,
@@ -409,15 +409,13 @@ def test_energy_products_mesh_mismatch():
         energy_products(mesh, problem, b, [a])
 
 
-@pytest.mark.parametrize("name", ["magnetostatics_nl", "magnetostatics_lower", "square_smooth"])
+@pytest.mark.parametrize("name", ["magnetostatics_nl", "magnetostatics_skew", "square_smooth"])
 def test_energy_products_read_coarser_solutions_through_their_maps(name):
     # solutions on coarser meshes, each with the element map of its chain
     # of records, give the energies of their prolongations: the same bits
-    # for a linear problem or a lower-order term, which are prolonged, and
-    # to rounding for a gradient-only problem, which reads each on its own
-    # mesh
-    problem = (gradient_only_lower_order_problem() if name == "magnetostatics_lower"
-               else builtin_problem(name))
+    # for a linear problem, which prolongs them, and to rounding for a
+    # nonlinear one, which reads each on its own mesh
+    problem = skew_flux_problem() if name == "magnetostatics_skew" else builtin_problem(name)
     rng = np.random.default_rng(3)
     meshes, records = [uniform_refine(problem.make_initial_mesh(), 2)], []
     for _ in range(3):
@@ -432,10 +430,10 @@ def test_energy_products_read_coarser_solutions_through_their_maps(name):
     v_sols = [random_p1(rng, m) for m in meshes]
     mapped = energy_products(mesh, problem, w_sol, v_sols, parents=parents)
     prolonged = energy_products(mesh, problem, w_sol, transfer_many(v_sols, mesh))
-    if name == "magnetostatics_nl":
-        assert mapped == pytest.approx(prolonged, rel=1e-13)
-    else:
+    if name == "square_smooth":
         assert mapped == prolonged
+    else:
+        assert mapped == pytest.approx(prolonged, rel=1e-13)
     # one map per solution, one entry per element, each inside its mesh
     bad_maps = (parents[1:], [*parents[:-1], parents[-1][1:]],
                 [*parents[:-1], parents[-1] + 1], [-1 - parents[0], *parents[1:]])
@@ -709,7 +707,7 @@ def test_contracted_element_system_matches_per_point_oracle():
 
 
 def test_contracted_jacobian_matches_per_point_oracle():
-    problem = gradient_only_lower_order_problem()
+    problem = skew_flux_problem()
     mesh = _graded_mesh(problem)
     rng = np.random.default_rng(8)
     values = np.zeros(mesh.n_vertices)
@@ -728,8 +726,8 @@ def _random_p1(mesh, seed):
 
 
 @pytest.mark.parametrize("make_problem", [
-    lambda: builtin_problem("magnetostatics_nl"), gradient_only_lower_order_problem,
-], ids=["magnetostatics_nl", "magnetostatics_lower"])
+    lambda: builtin_problem("magnetostatics_nl"), skew_flux_problem,
+], ids=["magnetostatics_nl", "magnetostatics_skew"])
 @pytest.mark.parametrize("make_mesh", [
     lambda: uniform_refine(unit_square_mesh(cross=True), 3),
     lambda: _graded_mesh(builtin_problem("magnetostatics_nl")),
@@ -747,10 +745,7 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
     mesh = make_mesh()
     w_values = _random_p1(mesh, 3)
 
-    # without a lower-order term the residual subtracts the samples' source
-    # moments; with one it contracts the source with that term
     samples = volume_samples(mesh, problem)
-    assert (samples.source_moments is None) == (problem.lower_order is not None)
     assert np.array_equal(nonlinear_residual(mesh, problem, w_values, samples),
                           residual_per_point(mesh, problem, w_values))
     jac = nonlinear_jacobian(mesh, problem, w_values)
@@ -759,18 +754,12 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
     assert np.array_equal(jac.indices, oracle.indices)
     assert np.array_equal(jac.data, oracle.data)
 
-    u_q, grad_u, flux, lower = flux_terms(mesh, problem, w_values, samples.points)
-    oracle_u, oracle_grad, oracle_flux, oracle_lower = flux_terms_per_point(
-        mesh, problem, w_values)
+    grad_u, flux = flux_terms(mesh, problem, w_values)
+    oracle_grad, y_q = gradients_per_point(mesh, w_values)
     assert np.array_equal(grad_u, oracle_grad)
     assert flux.shape == (mesh.n_elements, 2)
-    per_point = np.broadcast_to(flux[:, None], (mesh.n_elements, oracle_u.shape[1], 2))
-    assert np.array_equal(per_point.reshape(-1, 2), oracle_flux)
-    if problem.lower_order is None:
-        assert u_q is None and lower is None and oracle_lower is None
-    else:
-        assert np.array_equal(u_q, oracle_u)
-        assert np.array_equal(lower.reshape(-1), oracle_lower)
+    per_point = np.repeat(flux, y_q.shape[0] // mesh.n_elements, axis=0)
+    assert np.array_equal(per_point, problem.flux(y_q))
 
     # one energy's last bits seldom show a change of summation order, so
     # one solution is paired with several, as a run pairs its reference
@@ -789,7 +778,7 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
 
 NEWTON_PROBLEMS = {
     "magnetostatics_nl": lambda: builtin_problem("magnetostatics_nl"),
-    "magnetostatics_lower": gradient_only_lower_order_problem,
+    "magnetostatics_skew": skew_flux_problem,
 }
 
 
@@ -874,9 +863,8 @@ def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, n
     # weights included; each energy must have the bits of a call for that
     # iterate alone, and of the per-point oracle. The iterates come on their
     # own meshes with the records' element maps, which must be those of a
-    # walk up the forest: without a lower-order term the oracle reads each
-    # iterate on its own mesh through that walk, with one it reads the
-    # iterate prolonged vertex by vertex. Off the dyadic grid, where areas
+    # walk up the forest; the oracle reads each iterate on its own mesh
+    # through that walk. Off the dyadic grid, where areas
     # are not powers of two and so the association of the weights shows in
     # the last bits
     calls = []
@@ -886,10 +874,7 @@ def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, n
         if parent is None:
             return energy_per_point(mesh, problem, w_sol.values, v_sol.values)
         assert np.array_equal(parent, helpers_mesh.parents_by_walk(v_sol.mesh, mesh))
-        if problem.lower_order is None:
-            return energy_per_point(mesh, problem, w_sol.values, v_sol.values, v_sol.mesh, parent)
-        return energy_per_point(mesh, problem, w_sol.values,
-                                helpers_mesh.prolong_per_vertex(v_sol, mesh))
+        return energy_per_point(mesh, problem, w_sol.values, v_sol.values, v_sol.mesh, parent)
 
     def recorded(mesh, problem, w_sol, v_sols, system=None, parents=None):
         values = energy(mesh, problem, w_sol, v_sols, system=system, parents=parents)
@@ -1074,19 +1059,33 @@ def test_gradient_only_flux_is_called_once_per_element(kernel, closures):
     assert shapes == {name: expected if name in closures else [] for name in shapes}
 
 
-@pytest.mark.parametrize("kernel", [energy_products, estimate], ids=lambda f: f.__name__)
-def test_non_finite_lower_order_term_is_rejected(kernel):
-    problem = dataclasses.replace(
-        builtin_problem("magnetostatics_nl"),
-        lower_order=lambda x, u, y: np.where(u > 0.5, np.nan, u),
-    )
+@pytest.mark.parametrize(
+    "kernel", ["nonlinear_residual", "nonlinear_jacobian", "estimate", "energy_products"])
+def test_non_finite_flux_is_rejected(kernel):
+    # a flux (the Jacobian's flux Jacobian) that returns NaN on the elements
+    # whose gradient points in +x stops the kernel with an error naming it
+    closure = "flux_jacobian" if kernel == "nonlinear_jacobian" else "flux"
+    problem = builtin_problem("magnetostatics_nl")
+    clean = getattr(problem, closure)
+
+    def broken(y):
+        values = clean(y)
+        nan_rows = (y[:, 0] > 0.0).reshape(-1, *[1] * (values.ndim - 1))
+        return np.where(nan_rows, np.nan, values)
+
+    problem = dataclasses.replace(problem, **{closure: broken})
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     values = np.zeros(mesh.n_vertices)
     values[mesh.interior_vertices] = 1.0
     w_sol, v_sol = DiscreteSolution(mesh, values), DiscreteSolution(mesh, 0.5 * values)
-    args = (mesh, problem, w_sol, [v_sol]) if kernel is energy_products else (mesh, w_sol, problem)
-    with pytest.raises(AssemblyError, match="lower_order"):
-        kernel(*args)
+    calls = {
+        "nonlinear_residual": lambda: nonlinear_residual(mesh, problem, values),
+        "nonlinear_jacobian": lambda: nonlinear_jacobian(mesh, problem, values),
+        "estimate": lambda: estimate(mesh, w_sol, problem),
+        "energy_products": lambda: energy_products(mesh, problem, w_sol, [v_sol]),
+    }
+    with pytest.raises(AssemblyError, match=f"coefficient '{closure}'"):
+        calls[kernel]()
 
 
 CARRY_PROBLEMS = {

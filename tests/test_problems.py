@@ -6,6 +6,7 @@ from helpers_fem import (
     lshape_exact_grad_stacked,
     lshape_source_stacked,
     magnetostatics_source_stacked,
+    skew_flux_problem,
 )
 from helpers_problems import (
     flux_jacobian_asymmetry,
@@ -33,7 +34,6 @@ def test_catalogue_names():
 def test_magnetostatics_flux_values():
     p = builtin_problem("magnetostatics_nl")
     assert p.flux(np.array([[1.0, 0.0]]))[0] == pytest.approx([1.5, 0.0])
-    assert p.lower_order is None
     assert p.flux(np.zeros((1, 2)))[0] == pytest.approx([0.0, 0.0])
 
 
@@ -68,6 +68,23 @@ def test_magnetostatics_jacobian_fd_consistency():
 def test_magnetostatics_jacobian_symmetry_exact():
     p = builtin_problem("magnetostatics_nl")
     assert flux_jacobian_asymmetry(p, n_samples=100, seed=3) == 0.0
+
+
+def test_skew_flux_problem_keeps_its_declared_constants():
+    # the non-symmetric test flux: its declared constants are sharp bounds,
+    # the monotonicity constant attained at |y|^2 = 2.6 and the Lipschitz
+    # constant at y = 0
+    p = skew_flux_problem()
+    assert flux_monotonicity_infimum(p, n_pairs=10_000, seed=1) >= p.monotone_const - 1e-12
+    radius = np.sqrt(2.6)
+    jac = p.flux_jacobian(np.array([[radius, 0.0], [0.0, 0.0]]))
+    assert np.linalg.eigvalsh(0.5 * (jac[0] + jac[0].T))[0] == pytest.approx(119.0 / 144.0)
+    assert np.linalg.norm(jac[1], 2) == pytest.approx(p.lipschitz_const)
+    rng = np.random.default_rng(4)
+    y = rng.normal(0.0, 3.0, size=(10_000, 2))
+    assert np.linalg.norm(p.flux_jacobian(y), 2, axis=(1, 2)).max() <= p.lipschitz_const
+    assert flux_jacobian_fd_error(p, n_samples=100, seed=2) <= 1e-6
+    assert flux_jacobian_asymmetry(p, n_samples=100, seed=3) > 1e-3
 
 
 def test_linear_pointwise_operator():
