@@ -42,7 +42,8 @@ class SolverError(RuntimeError):
 
 
 class NonlinearSolveError(RuntimeError):
-    """Nonlinear iteration budget exhausted; carries the best residual."""
+    """Nonlinear iteration budget exhausted; carries the best residual,
+    relative to the norm of the interior load."""
 
     def __init__(self, message, best_residual, iterations):
         super().__init__(message)
@@ -188,6 +189,13 @@ def _scatter(mesh, local):
     return matrix[keep][:, keep].tocsr()
 
 
+def _interior_sum(mesh, local):
+    """Sum per-element vertex values (NT, 3) into the interior vector, in
+    the order of :attr:`Mesh.interior_vertices`."""
+    full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
+    return full[mesh.interior_vertices]
+
+
 def _stiffness(grads, a_bar):
     """G A G^T per element: (NT, 3, 2) gradients, (NT, 2, 2) matrices."""
     return grads @ a_bar @ grads.transpose(0, 2, 1)
@@ -221,13 +229,10 @@ def assemble_linear(mesh, problem, samples=None):
     """
     if samples is None:
         samples = volume_samples(mesh, problem)
-    rhs = np.bincount(
-        mesh.triangles.ravel(), weights=samples.load.ravel(), minlength=mesh.n_vertices)
     restricted = _scatter(mesh, samples.local)
-    interior = mesh.interior_vertices
-    if interior.size and np.any(restricted.diagonal() == 0.0):
+    if mesh.interior_vertices.size and np.any(restricted.diagonal() == 0.0):
         raise AssemblyError("zero diagonal entry on an interior row")
-    return SparseSystem(matrix=restricted, rhs=rhs[interior], mesh=mesh)
+    return SparseSystem(matrix=restricted, rhs=_interior_sum(mesh, samples.load), mesh=mesh)
 
 
 def laplace_stiffness(mesh):
@@ -313,8 +318,7 @@ def nonlinear_residual(mesh, problem, values, samples=None):
     local = local.T
     local -= samples.source_moments
     local *= mesh.areas[:, None]
-    full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
-    return full[mesh.interior_vertices]
+    return _interior_sum(mesh, local)
 
 
 def nonlinear_jacobian(mesh, problem, values):
@@ -343,7 +347,15 @@ def solve_nonlinear(
     samples=None,
     frozen_factor=False,
 ):
-    """Solve the nonlinear Galerkin system to ``|F(U)| <= 1e-10 |F(0)|``.
+    """Solve the nonlinear Galerkin system to ``|F(U)| <= 1e-10 |l|``.
+
+    ``l_i = sum_T |T| sum_q w_q f(x_q) phi_i(x_q)`` is the interior load,
+    taken from ``samples.source_moments`` with no residual evaluation. It
+    is ``-F(0)``: the zero function's flux ``problem.flux(0)`` is one
+    constant vector, whose integral against an interior basis gradient
+    vanishes. So ``|l| = |F(0)|`` in exact arithmetic, and bit for bit
+    where that flux is exactly zero (``notes/decisions.md``, "Newton's
+    scale is the load"). A zero load returns the zero solution.
 
     Damped Newton (steps 1 down to ``2**-12``), each Jacobian factored by
     :func:`_symmetric_factor`; the damped Riesz iteration
@@ -365,10 +377,11 @@ def solve_nonlinear(
     interior = mesh.interior_vertices
     info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
     values = np.zeros(mesh.n_vertices)
-    ref_norm = float(np.linalg.norm(nonlinear_residual(mesh, problem, values, samples)))
+    load = _interior_sum(mesh, samples.source_moments * mesh.areas[:, None])
+    ref_norm = float(np.linalg.norm(load))
     target = 1e-10 * ref_norm
     res_norm = best = 0.0
-    # otherwise zero solves F(0) = 0, also when nothing is unknown
+    # otherwise zero solves F(0) = -l = 0, also when nothing is unknown
     if ref_norm != 0.0:
         if initial_guess is not None:
             values = initial_guess.values.copy()
@@ -446,7 +459,9 @@ def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
     of that mesh that holds it (:func:`~triafem.mesh.element_maps`).
     For linear problems ``b(w - v, w - v)``, from the assembled ``system``
     when given, with coarser solutions prolonged by :func:`transfer_many`;
-    for nonlinear ones ``<L w - L v, w - v>``, with a coarser solution's
+    for nonlinear ones ``<L w - L v, w - v>``, summed per element as
+    ``sum_T |T| (F(grad w) - F(grad v)) . grad(w - v)``, whose integrand is
+    constant on each element, with a coarser solution's
     :func:`flux_terms` taken on its own mesh and gathered through its map
     (``notes/decisions.md``, "Each iterate is read on its own mesh").
     Raises ``ValueError`` when a solution is not on ``mesh`` or a map
@@ -470,7 +485,6 @@ def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
         return [float(d @ (system.matrix @ d)) for d in (w - v.values[interior] for v in v_sols)]
 
     grad_w, flux_w = flux_terms(mesh, problem, w_sol.values)
-    weights = mesh.areas[:, None] * quadrature.TRI_WEIGHTS
     products = []
     for v_sol, parent in zip(v_sols, parents or [None] * len(v_sols)):
         if parent is None:
@@ -478,12 +492,13 @@ def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
         else:
             grad_v, flux_v = flux_terms(v_sol.mesh, problem, v_sol.values)
             grad_v, flux_v = np.take(grad_v, parent, axis=0), np.take(flux_v, parent, axis=0)
-        # (NT, 1): formed once per element, then broadcast to the points by
-        # the sum below, which keeps its operands; the two components are
-        # added as written, the bits of np.sum over them at a third of its cost
+        # the integrand is constant on each element and the weights sum to
+        # one, so the quadrature sum is one area-weighted sum over elements;
+        # the two components are added as written, the bits of np.sum over
+        # them at a third of its cost. np.sum, not a BLAS dot, whose bits
+        # change with the thread count
         terms = (flux_w - flux_v) * (grad_w - grad_v)
-        integrand = (terms[:, 0] + terms[:, 1])[:, None]
-        products.append(float(np.sum(weights * integrand)))
+        products.append(float(np.sum(mesh.areas * (terms[:, 0] + terms[:, 1]))))
     return products
 
 

@@ -159,7 +159,9 @@ def contracted_jacobian_per_point(mesh, problem, values):
 
 def energy_per_point(mesh, problem, w_values, v_values, v_mesh=None, parent=None):
     """<L w - L v, w - v> of a nonlinear problem with the flux called at
-    every quadrature point. With ``v_mesh``, a mesh that ``mesh`` refines,
+    every quadrature point; the point integrands of each element must be
+    equal, and their area-weighted sum over elements is the energy (the
+    weights sum to one). With ``v_mesh``, a mesh that ``mesh`` refines,
     ``v`` lives there and element ``n`` of ``mesh`` reads the gradient and
     flux of element ``parent[n]`` of ``v_mesh`` at its points."""
     n, nq = mesh.n_elements, quadrature.TRI_WEIGHTS.size
@@ -175,7 +177,8 @@ def energy_per_point(mesh, problem, w_values, v_values, v_mesh=None, parent=None
     flux_diff = (flux_w - flux_v).reshape(n, nq, 2)
     grad_diff = (grad_w - grad_v)[:, None, :]
     integrand = np.sum(flux_diff * grad_diff, axis=2)
-    return float(np.sum(mesh.areas[:, None] * quadrature.TRI_WEIGHTS * integrand))
+    assert np.array_equal(integrand, np.repeat(integrand[:, :1], nq, axis=1))
+    return float(np.sum(mesh.areas * integrand[:, 0]))
 
 
 def nonlinear_estimate_at_centroids(mesh, problem, values, samples):

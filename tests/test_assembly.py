@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import helpers_fem
 import helpers_mesh
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from helpers_fem import (
 )
 import scipy.sparse.linalg as spla
 
-from triafem import driver
+from triafem import assembly, driver
 from triafem.assembly import (
     AssemblyError,
     DiscreteSolution,
@@ -1024,6 +1025,67 @@ def test_zero_residual_leaves_zero_from_the_one_exit():
         for case_mesh, case_problem, guess in cases:
             info = _same_as_two_blocks(case_mesh, lambda: case_problem, guess, frozen)
             assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
+
+
+@pytest.mark.parametrize("mesh_name", ["cross-uniform", "lshape"])
+def test_offset_flux_without_a_load_returns_zero_at_once(mesh_name):
+    # F(y) = y + c with no source is solved by U = 0, yet its residual there
+    # is rounding noise, ~1e-16, not zero; scaled by itself, the 1e-10
+    # target could not be met and the solve ran out of budget. The load,
+    # exactly zero, is the scale, and zero comes back with no step
+    offset = np.array([0.3, -1.7])
+    problem = NonlinearProblem(
+        name="offset", flux=lambda y: y + offset,
+        flux_jacobian=lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2)),
+        source=lambda x: np.zeros(x.shape[0]), lipschitz_const=1.0, monotone_const=1.0)
+    mesh = (uniform_refine(unit_square_mesh(cross=True), 3) if mesh_name == "cross-uniform"
+            else uniform_refine(lshape_mesh(), 2))
+    zero = np.zeros(mesh.n_vertices)
+    assert 0.0 < np.linalg.norm(nonlinear_residual(mesh, problem, zero)) < 1e-15
+    for frozen in (False, True):
+        sol, info = solve_nonlinear(mesh, problem, full_output=True, frozen_factor=frozen)
+        assert np.array_equal(sol.values, zero)
+        assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
+
+
+@pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "off-grid"])
+@pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
+def test_newton_scale_is_the_load_and_costs_no_residual(monkeypatch, name, dyadic):
+    # the flux of zero is zero for these problems, so the residual at zero
+    # is the negated load, summed in the same order: with no step allowed, the best
+    # residual relative to the load is exactly 1, which a quotient of two
+    # floats is only when they are equal. The solve reads the load from
+    # its samples and evaluates the residual once fewer than the two-block
+    # oracle, which still evaluates it at zero, with the same iterates
+    problem = NEWTON_PROBLEMS[name]()
+    mesh = random_refinement(np.random.default_rng(4), uniform_refine(problem.make_initial_mesh(), 3))
+    if not dyadic:
+        mesh = helpers_mesh.off_grid(mesh)
+    with pytest.raises(NonlinearSolveError) as err:
+        solve_nonlinear(mesh, problem, max_newton=0, max_fallback=0)
+    assert err.value.best_residual == 1.0
+
+    calls = []
+
+    def counted(fn):
+        def residual(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return residual
+
+    monkeypatch.setattr(assembly, "nonlinear_residual", counted(assembly.nonlinear_residual))
+    monkeypatch.setattr(helpers_fem, "nonlinear_residual", counted(helpers_fem.nonlinear_residual))
+    guess = DiscreteSolution(mesh, _random_p1(mesh, 6))
+    for initial in (None, guess):
+        del calls[:]
+        sol, info = solve_nonlinear(mesh, problem, initial, full_output=True)
+        solve_calls = len(calls)
+        values, expected = two_block_newton(mesh, problem, initial)
+        oracle_calls = len(calls) - solve_calls
+        assert np.array_equal(sol.values, values)
+        assert info == expected and info["newton_iterations"] > 1
+        assert solve_calls == oracle_calls - 1
 
 
 def _galerkin(mesh, problem, values):
