@@ -89,9 +89,9 @@ class VolumeSamples:
     nonlinear problem gets its source moments ``source_moments`` (NT, 3),
     ``sum_q w_q f(x_q) lambda_qi`` without the area, which every residual
     on the mesh subtracts. Passed as an argument, never cached on the mesh
-    (a run that keeps its history keeps every mesh); the adaptive loop
-    carries them through refinement and drops them before the reference
-    build.
+    (a run that keeps its history keeps every mesh); the driver makes them
+    once per loop mesh, carried through refinement, and once for the
+    reference mesh.
     """
 
     source: np.ndarray
@@ -220,15 +220,12 @@ def _element_system(a_q, samples, grads, areas):
     return local, (samples["source"] @ _W_LAM) * areas[:, None]
 
 
-def assemble_linear(mesh, problem, samples=None):
+def assemble_linear(mesh, samples):
     """Interior-restricted system of the discrete weak form.
 
-    ``samples`` are the problem's :func:`volume_samples` on ``mesh``,
-    taken here when not given; they hold the element matrices and loads,
-    so this only sums them.
+    ``samples`` are a linear problem's :func:`volume_samples` on ``mesh``;
+    they hold the element matrices and loads, so this only sums them.
     """
-    if samples is None:
-        samples = volume_samples(mesh, problem)
     restricted = _scatter(mesh, samples.local)
     if mesh.interior_vertices.size and np.any(restricted.diagonal() == 0.0):
         raise AssemblyError("zero diagonal entry on an interior row")
@@ -294,18 +291,16 @@ def _flux_closure(problem, name, grad_u):
     return values
 
 
-def nonlinear_residual(mesh, problem, values, samples=None):
+def nonlinear_residual(mesh, problem, values, samples):
     """Galerkin residual F_i = <L u - f, phi_i> over interior vertices.
 
-    ``samples`` are the problem's :func:`volume_samples` on ``mesh``,
-    taken here when not given. The flux part is summed point by point in
-    the order of ``einsum("q,nqa,nia->ni")``, not contracted first
+    ``samples`` are the problem's :func:`volume_samples` on ``mesh``. The
+    flux part is summed point by point in the order of
+    ``einsum("q,nqa,nia->ni")``, not contracted first
     (``notes/decisions.md``, "The nonlinear residual keeps its
     point-by-point quadrature sum" and "Gradient-only fluxes"). Raises
     :class:`AssemblyError` on a non-finite flux.
     """
-    if samples is None:
-        samples = volume_samples(mesh, problem)
     w = quadrature.TRI_WEIGHTS
     _, flux = flux_terms(mesh, problem, values)
     # component-major rows (2, 3, NT), so that every term is a product of
@@ -340,11 +335,11 @@ def nonlinear_jacobian(mesh, problem, values):
 def solve_nonlinear(
     mesh,
     problem,
+    samples,
     initial_guess=None,
     max_newton=200,
     max_fallback=10_000,
     full_output=False,
-    samples=None,
     frozen_factor=False,
 ):
     """Solve the nonlinear Galerkin system to ``|F(U)| <= 1e-10 |l|``.
@@ -361,19 +356,17 @@ def solve_nonlinear(
     :func:`_symmetric_factor`; the damped Riesz iteration
     ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))`` takes over when no step
     decreases the residual, a Jacobian is exactly singular or
-    ``max_newton`` steps are spent. Every residual reads
-    ``samples``, the problem's :func:`volume_samples` on ``mesh``, taken
-    here when not given. ``frozen_factor=True`` keeps a factor for the
-    later steps while each halves the residual (simplified Newton, which
-    the reference solve runs: ``notes/decisions.md``, "The reference solve
-    factors once"). ``full_output=True`` also returns the iteration counts
-    and residuals. Raises ``ValueError`` for a guess on another mesh and
+    ``max_newton`` steps are spent. Every residual reads ``samples``, the
+    problem's :func:`volume_samples` on ``mesh``. ``frozen_factor=True``
+    keeps a factor for the later steps while each halves the residual
+    (simplified Newton, which the reference solve runs:
+    ``notes/decisions.md``, "The reference solve factors once").
+    ``full_output=True`` also returns the iteration counts and residuals.
+    Raises ``ValueError`` for a guess on another mesh and
     :class:`NonlinearSolveError` when the iteration budget is exhausted.
     """
     if initial_guess is not None and not initial_guess.mesh.same_elements(mesh):
         raise ValueError("initial guess lives on a different mesh")
-    if samples is None:
-        samples = volume_samples(mesh, problem)
     interior = mesh.interior_vertices
     info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
     values = np.zeros(mesh.n_vertices)
@@ -450,16 +443,19 @@ def flux_terms(mesh, problem, values):
     return grad_u, _flux_closure(problem, "flux", grad_u)
 
 
-def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
+def energy_products(mesh, problem, w_sol, v_sols, samples, parents=None):
     """Squared energy distances of ``w_sol`` to each of ``v_sols``, a list.
 
     ``w_sol`` lives on ``mesh``, and so do the ``v_sols`` unless
     ``parents`` is given: then ``v_sols[k]`` lives on a mesh that ``mesh``
     refines, and ``parents[k]`` holds, per element of ``mesh``, the element
     of that mesh that holds it (:func:`~triafem.mesh.element_maps`).
-    For linear problems ``b(w - v, w - v)``, from the assembled ``system``
-    when given, with coarser solutions prolonged by :func:`transfer_many`;
-    for nonlinear ones ``<L w - L v, w - v>``, summed per element as
+    For linear problems ``b(w - v, w - v)``, summed per element as
+    ``sum_T d_T . local_T d_T`` with ``d = w - v`` and the element matrices
+    ``samples.local`` of the problem's :func:`volume_samples` on ``mesh``,
+    with coarser solutions prolonged by :func:`transfer_many`; for
+    nonlinear ones, which do not read ``samples``, ``<L w - L v, w - v>``,
+    summed per element as
     ``sum_T |T| (F(grad w) - F(grad v)) . grad(w - v)``, whose integrand is
     constant on each element, with a coarser solution's
     :func:`flux_terms` taken on its own mesh and gathered through its map
@@ -478,11 +474,10 @@ def energy_products(mesh, problem, w_sol, v_sols, system=None, parents=None):
     if not all(sol.mesh.same_elements(mesh) for sol in on_mesh):
         raise ValueError("energy products need every solution on the given mesh")
     if isinstance(problem, LinearProblem):
-        if system is None:
-            system = assemble_linear(mesh, problem)
-        interior = system.mesh.interior_vertices
-        w = w_sol.values[interior]
-        return [float(d @ (system.matrix @ d)) for d in (w - v.values[interior] for v in v_sols)]
+        # a boundary value of d is zero, so the boundary rows of the
+        # element matrices add nothing
+        return [float(np.sum(d * np.einsum("nij,nj->ni", samples.local, d)))
+                for d in ((w_sol.values - v.values)[mesh.triangles] for v in v_sols)]
 
     grad_w, flux_w = flux_terms(mesh, problem, w_sol.values)
     products = []

@@ -270,8 +270,10 @@ def _write_run_failure(out, name, exc, trace_file):
     return failures
 
 
-def _execute_single(config):
-    """One run (single theta); returns the list of failing checks."""
+def _execute_single(config, uniform_result):
+    """One run (single theta); returns the list of failing checks.
+    ``uniform_result`` is the uniform baseline that the run writes, the
+    :class:`AfemRunError` that ended it, or None."""
     problem = builtin_problem(config.problem)
     initial_mesh = problem.make_initial_mesh()
     out = config.out
@@ -284,16 +286,9 @@ def _execute_single(config):
     except Exception as exc:
         return _write_run_failure(out, "run", exc, "trace.csv")
 
-    uniform_result = None
-    if config.uniform_baseline:
-        try:
-            uniform_result = run_uniform(
-                problem, max_elements=config.max_elements, eta_tol=config.eta_tol,
-                keep_history=False,
-            )
-        except AfemRunError as exc:
-            result.trace.to_csv(os.path.join(out, "trace.csv"))
-            return _write_run_failure(out, "uniform_run", exc, "trace_uniform.csv")
+    if isinstance(uniform_result, AfemRunError):
+        result.trace.to_csv(os.path.join(out, "trace.csv"))
+        return _write_run_failure(out, "uniform_run", uniform_result, "trace_uniform.csv")
 
     result.trace.to_csv(os.path.join(out, "trace.csv"))
     if uniform_result is not None:
@@ -350,17 +345,28 @@ def execute(config):
 
     Raises :class:`ConfigError` before any run when ``max_elements`` is
     below the initial element count. Otherwise ``out`` first loses the
-    artefacts of any earlier run or sweep (:func:`_clear_artefacts`).
+    artefacts of any earlier run or sweep (:func:`_clear_artefacts`). A
+    sweep with ``uniform_baseline`` runs the baseline once; every theta
+    writes it, or its failure.
     """
     initial = builtin_problem(config.problem).make_initial_mesh()
     if config.max_elements is not None and config.max_elements < initial.n_elements:
         raise ConfigError("key 'max_elements': below the initial element count")
     _clear_artefacts(config.out)
+    # run_uniform does not read theta: one baseline serves the whole sweep
+    uniform_result = None
+    if config.uniform_baseline:
+        try:
+            uniform_result = run_uniform(
+                builtin_problem(config.problem), max_elements=config.max_elements,
+                eta_tol=config.eta_tol, keep_history=False)
+        except AfemRunError as exc:
+            uniform_result = exc
     if len(config.theta) == 1:
-        return 1 if _execute_single(config) else 0
+        return 1 if _execute_single(config, uniform_result) else 0
     failures = [_execute_single(dataclasses.replace(
-        config, theta=(theta,), out=os.path.join(config.out, _sweep_dir(theta))))
-        for theta in config.theta]
+        config, theta=(theta,), out=os.path.join(config.out, _sweep_dir(theta))),
+        uniform_result) for theta in config.theta]
     return 1 if any(failures) else 0
 
 

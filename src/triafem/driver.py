@@ -141,14 +141,12 @@ class AfemResult:
     solutions: Optional[list] = None
 
 
-def _solve_on(mesh, problem, guess=None, samples=None):
-    """Solve on one mesh, a nonlinear problem from ``guess`` (a solution on
-    ``mesh``), reading the problem's ``samples`` on ``mesh`` when given;
-    returns (solution, system-or-None)."""
+def _solve_on(mesh, problem, samples, guess=None):
+    """The solution on one mesh from the problem's ``samples`` there, a
+    nonlinear problem's from ``guess`` (a solution on ``mesh``)."""
     if isinstance(problem, LinearProblem):
-        system = assemble_linear(mesh, problem, samples)
-        return solve_linear(system), system
-    return solve_nonlinear(mesh, problem, initial_guess=guess, samples=samples), None
+        return solve_linear(assemble_linear(mesh, samples))
+    return solve_nonlinear(mesh, problem, samples, initial_guess=guess)
 
 
 def build_reference(problem, solutions, records):
@@ -160,7 +158,8 @@ def build_reference(problem, solutions, records):
     ``ValueError``. Their element maps, composed with that of the
     reference refinements after the solve, so that only the latter is held
     through the factor's peak, let :func:`energy_products` read each
-    iterate on its own mesh."""
+    iterate on its own mesh. The reference solve and the energies read one
+    :func:`volume_samples` of the reference mesh."""
     if len(records) != len(solutions) - 1 or not all(
             record.joins(coarse.mesh, fine.mesh)
             for record, coarse, fine in zip(records, solutions, solutions[1:])):
@@ -172,13 +171,14 @@ def build_reference(problem, solutions, records):
         ref_mesh, record = refine_nvb(ref_mesh, np.arange(ref_mesh.n_elements))
         cover = cover[record.parents]
     del record  # not held through the solve
+    samples = volume_samples(ref_mesh, problem)
     if isinstance(problem, LinearProblem):
-        reference, system = _solve_on(ref_mesh, problem)
+        reference = _solve_on(ref_mesh, problem, samples)
     else:
         # its bits reach only the error column, so it reuses one factor
-        reference, system = solve_nonlinear(
-            ref_mesh, problem, transfer(final, ref_mesh), frozen_factor=True), None
-    return energy_products(ref_mesh, problem, reference, solutions, system=system,
+        reference = solve_nonlinear(
+            ref_mesh, problem, samples, transfer(final, ref_mesh), frozen_factor=True)
+    return energy_products(ref_mesh, problem, reference, solutions, samples,
                            parents=element_maps(records, cover))
 
 
@@ -259,12 +259,12 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
                 moved = transfer(sol, mesh)
         with _phase("solve"):
             samples, carry = volume_samples(mesh, problem, carry), None
-            sol, system = _solve_on(mesh, problem, moved, samples)
+            sol = _solve_on(mesh, problem, samples, moved)
         if moved is not None:
             # the increment U_l - U_{l-1}, measured on the finer mesh
             with _phase("transfer"):
                 rows[-1]["grad_diff_sq"] = grad_norm_sq(mesh, sol.values - moved.values)
-                [dl_sq] = energy_products(mesh, problem, sol, [moved], system=system)
+                [dl_sq] = energy_products(mesh, problem, sol, [moved], samples)
                 rows[-1]["energy_diff_sq"] = max(0.0, dl_sq)
         with _phase("estimate"):
             report = estimate(mesh, sol, problem, samples)

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .assembly import (
-    _check_finite, element_gradients, flux_terms, p1_at_quadrature, volume_samples,
-)
+from .assembly import _check_finite, element_gradients, flux_terms, p1_at_quadrature
 from .problems import LinearProblem
 
 
@@ -105,16 +103,14 @@ def _jump_terms(mesh, problem, vectors):
     return per_element
 
 
-def estimate(mesh, sol, problem, samples=None):
+def estimate(mesh, sol, problem, samples):
     """Per-element error indicators and oscillations for a discrete solution.
 
-    ``samples`` are the problem's :func:`volume_samples` on ``mesh``, taken
-    here when not given.
+    ``samples`` are the problem's
+    :func:`~triafem.assembly.volume_samples` on ``mesh``.
     """
     if not sol.mesh.same_elements(mesh):
         raise EstimatorError("solution does not live on the given mesh")
-    if samples is None:
-        samples = volume_samples(mesh, problem)
     if isinstance(problem, LinearProblem):
         grad_u = element_gradients(mesh, sol.values)
         residual = _linear_residual(samples, mesh, sol.values, grad_u)

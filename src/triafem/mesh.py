@@ -434,6 +434,10 @@ def load_initial_mesh(vertex_array, triangle_array):
 
     The boundary is homogeneous Dirichlet throughout, derived from the edge
     table. Every vertex is used, so local vertex numbers are the forest's ids.
+    Raises :class:`MeshError` for malformed arrays and for a mesh that is
+    not a conforming triangulation: an unused vertex, a degenerate or
+    duplicated triangle, an edge of three triangles, two vertices at one
+    point, or a fold.
     """
     coords, triangles = _validate_initial(vertex_array, triangle_array)
     triangles = _assign_reference_edges(coords, triangles)
@@ -441,6 +445,14 @@ def load_initial_mesh(vertex_array, triangle_array):
     mesh = Mesh(forest, np.arange(triangles.shape[0], dtype=np.int64))
     forest.vboundary = mesh.is_boundary_vertex.copy()
     mesh.validate()
+    # after the conformity checks, which name an edge of three triangles
+    # first: two positively oriented triangles on one side of an edge run
+    # it in the same direction
+    if np.unique(coords, axis=0).shape[0] != coords.shape[0]:
+        raise MeshError("repeated vertex coordinates")
+    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    if np.unique(directed, axis=0).shape[0] != directed.shape[0]:
+        raise MeshError("folded mesh: two triangles on one side of an edge")
     return mesh
 
 

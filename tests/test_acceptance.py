@@ -26,6 +26,7 @@ from triafem.assembly import (
     nonlinear_residual,
     solve_nonlinear,
     transfer,
+    volume_samples,
 )
 from triafem.checks import (
     check_convergence,
@@ -310,12 +311,14 @@ def test_criterion_8_nonlinear_solver():
     sizes, errors, newton_counts = [], [], []
     while mesh.n_elements < 20_000:
         guess = transfer(previous, mesh) if previous is not None else None
-        sol, info = solve_nonlinear(mesh, problem, initial_guess=guess, full_output=True)
+        samples = volume_samples(mesh, problem)
+        sol, info = solve_nonlinear(mesh, problem, samples, initial_guess=guess,
+                                    full_output=True)
         newton_counts.append(info["newton_iterations"])
         assert info["fallback_iterations"] == 0
         sizes.append(mesh.n_elements)
         errors.append(np.sqrt(h1_error_sq(mesh, sol.values, problem.exact_grad)))
-        report = estimate(mesh, sol, problem)
+        report = estimate(mesh, sol, problem, samples)
         marked = mark_min(report.indicators_sq, 0.5)
         mesh, _ = refine_nvb(mesh, marked.marked)
         previous = sol
@@ -332,13 +335,14 @@ def test_criterion_8_nonlinear_solver():
 
     # slow path: the damped Riesz fallback alone on a coarse mesh
     coarse = uniform_refine(problem.make_initial_mesh(), 2)
+    samples = volume_samples(coarse, problem)
     sol, info = solve_nonlinear(
-        coarse, problem, max_newton=0, max_fallback=10_000, full_output=True
+        coarse, problem, samples, max_newton=0, max_fallback=10_000, full_output=True
     )
     print(f"zarantonello-only iterations: {info['fallback_iterations']}")
     assert 0 < info["fallback_iterations"] <= 10_000
-    resid = nonlinear_residual(coarse, problem, sol.values)
-    ref = nonlinear_residual(coarse, problem, np.zeros(coarse.n_vertices))
+    resid = nonlinear_residual(coarse, problem, sol.values, samples)
+    ref = nonlinear_residual(coarse, problem, np.zeros(coarse.n_vertices), samples)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -349,6 +353,7 @@ def test_criterion_9_cross_checks():
 
     # assembled Newton Jacobian against finite differences of the residual
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    samples = volume_samples(mesh, problem)
     rng = np.random.default_rng(7)
     values = np.zeros(mesh.n_vertices)
     values[mesh.interior_vertices] = rng.normal(0.0, 0.3, mesh.interior_vertices.size)
@@ -360,7 +365,8 @@ def test_criterion_9_cross_checks():
         up[v] += step
         down[v] -= step
         fd[:, k] = (
-            nonlinear_residual(mesh, problem, up) - nonlinear_residual(mesh, problem, down)
+            nonlinear_residual(mesh, problem, up, samples)
+            - nonlinear_residual(mesh, problem, down, samples)
         ) / (2.0 * step)
     jac_err = np.abs(fd - jac).max() / np.abs(jac).max()
     assert jac_err <= 1e-5
@@ -379,6 +385,7 @@ def test_criterion_9_cross_checks():
 
     # quasi-metric equivalence band on random discrete pairs
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
+    samples = volume_samples(mesh, problem)
     lo_band = problem.monotone_const
     hi_band = 2.0 * problem.lipschitz_const
     rng = np.random.default_rng(13)
@@ -388,7 +395,7 @@ def test_criterion_9_cross_checks():
         w[mesh.interior_vertices] = rng.normal(0.0, 0.7, mesh.interior_vertices.size)
         v[mesh.interior_vertices] = rng.normal(0.0, 0.7, mesh.interior_vertices.size)
         [dl_sq] = energy_products(
-            mesh, problem, DiscreteSolution(mesh, w), [DiscreteSolution(mesh, v)]
+            mesh, problem, DiscreteSolution(mesh, w), [DiscreteSolution(mesh, v)], samples
         )
         h1 = grad_norm_sq(mesh, w - v)
         assert lo_band * h1 - 1e-12 <= dl_sq <= hi_band * h1 + 1e-12

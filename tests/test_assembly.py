@@ -121,7 +121,7 @@ def test_p1_gradients_reference_triangle():
 
 def test_all_boundary_mesh_gives_empty_system():
     mesh = unit_square_mesh()
-    system = assemble_linear(mesh, poisson())
+    system = assemble_linear(mesh, volume_samples(mesh, poisson()))
     assert system.rhs.shape == (0,)
     sol = solve_linear(system)
     assert np.all(sol.values == 0.0)
@@ -133,7 +133,7 @@ def test_stiffness_row_sums():
     # constants lie in the kernel of the full stiffness matrix
     assert np.abs(matrix @ np.ones(mesh.n_vertices)).max() < 1e-12
     # restricted rows sum to zero whenever no neighbour is on the boundary
-    system = assemble_linear(mesh, poisson())
+    system = assemble_linear(mesh, volume_samples(mesh, poisson()))
     row_sums = np.asarray(system.matrix.sum(axis=1)).ravel()
     full_csr = matrix.tocsr()
     for k, v in enumerate(mesh.interior_vertices):
@@ -166,7 +166,8 @@ def test_convection_matrix_against_hand_formula():
 
 def test_solve_zero_rhs():
     mesh = uniform_refine(unit_square_mesh(cross=True), 2)
-    system = assemble_linear(mesh, poisson(source=_constant_scalar(0.0)))
+    problem = poisson(source=_constant_scalar(0.0))
+    system = assemble_linear(mesh, volume_samples(mesh, problem))
     sol = solve_linear(system)
     assert np.all(sol.values == 0.0)
 
@@ -174,7 +175,7 @@ def test_solve_zero_rhs():
 def test_cross_mesh_single_dof_hand_value():
     # one interior vertex: K_cc = 4, rhs_c = 1/3, so U_c = 1/12
     mesh = unit_square_mesh(cross=True)
-    system = assemble_linear(mesh, poisson())
+    system = assemble_linear(mesh, volume_samples(mesh, poisson()))
     assert system.matrix.shape == (1, 1)
     assert system.matrix[0, 0] == pytest.approx(4.0)
     assert system.rhs[0] == pytest.approx(1.0 / 3.0)
@@ -188,7 +189,7 @@ def test_square_smooth_nodal_error_order():
     errors = []
     for levels in (4, 6):
         mesh = uniform_refine(problem.make_initial_mesh(), levels)
-        sol = solve_linear(assemble_linear(mesh, problem))
+        sol = solve_linear(assemble_linear(mesh, volume_samples(mesh, problem)))
         errors.append(np.abs(sol.values - problem.exact_u(mesh.vertices)).max())
     ratio = errors[0] / errors[1]
     assert 3.0 < ratio < 5.0
@@ -198,7 +199,7 @@ def test_singular_system_reports_residual():
     # a zero row with a nonzero load has no solution: SuperLU finds the
     # matrix exactly singular, and the solve reports the residual contract
     mesh = uniform_refine(unit_square_mesh(cross=True), 4)
-    system = assemble_linear(mesh, poisson())
+    system = assemble_linear(mesh, volume_samples(mesh, poisson()))
     matrix = system.matrix.tolil()
     matrix[0, :] = 0.0
     rhs = system.rhs.copy()
@@ -218,7 +219,7 @@ def test_linear_solve_matches_spsolve_on_random_refinements(name, seeds):
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
     for seed in seeds:
         mesh = random_refinement(np.random.default_rng(seed), mesh)
-    system = assemble_linear(mesh, problem)
+    system = assemble_linear(mesh, volume_samples(mesh, problem))
     x = solve_linear(system).values[mesh.interior_vertices]
     expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -228,7 +229,8 @@ def test_linear_solve_matches_spsolve_on_random_refinements(name, seeds):
 @pytest.fixture(scope="module")
 def uniform_lshape_system():
     problem = builtin_problem("lshape_poisson")
-    system = assemble_linear(uniform_refine(problem.make_initial_mesh(), 13), problem)
+    mesh = uniform_refine(problem.make_initial_mesh(), 13)
+    system = assemble_linear(mesh, volume_samples(mesh, problem))
     assert system.rhs.size == 24_321
     return system
 
@@ -285,18 +287,20 @@ def wrapped_linear_as_nonlinear():
 def test_newton_converges_in_one_step_for_affine_residual():
     problem = wrapped_linear_as_nonlinear()
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    sol, info = solve_nonlinear(mesh, problem, full_output=True)
+    sol, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), full_output=True)
     assert info["newton_iterations"] == 1
     assert info["fallback_iterations"] == 0
-    linear = solve_linear(assemble_linear(mesh, builtin_problem("square_smooth")))
+    linear_problem = builtin_problem("square_smooth")
+    linear = solve_linear(assemble_linear(mesh, volume_samples(mesh, linear_problem)))
     assert np.abs(sol.values - linear.values).max() < 1e-9
 
 
 def test_newton_accepts_exact_initial_guess():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    sol = solve_nonlinear(mesh, problem)
-    again, info = solve_nonlinear(mesh, problem, initial_guess=sol, full_output=True)
+    samples = volume_samples(mesh, problem)
+    sol = solve_nonlinear(mesh, problem, samples)
+    again, info = solve_nonlinear(mesh, problem, samples, initial_guess=sol, full_output=True)
     assert info["newton_iterations"] == 0
     assert np.array_equal(again.values, sol.values)
 
@@ -306,7 +310,7 @@ def test_magnetostatics_converges_under_refinement():
     distances = []
     for levels in (2, 4, 6, 8):
         mesh = uniform_refine(problem.make_initial_mesh(), levels)
-        sol = solve_nonlinear(mesh, problem)
+        sol = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
         nodal = interpolate(mesh, problem.exact_u)
         distances.append(np.sqrt(grad_norm_sq(mesh, sol.values - nodal.values)))
     ratios = [b / a for a, b in zip(distances, distances[1:])]
@@ -317,10 +321,11 @@ def test_magnetostatics_converges_under_refinement():
 def test_zarantonello_only_converges():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    sol, info = solve_nonlinear(mesh, problem, max_newton=0, full_output=True)
+    samples = volume_samples(mesh, problem)
+    sol, info = solve_nonlinear(mesh, problem, samples, max_newton=0, full_output=True)
     assert info["newton_iterations"] == 0
     assert 0 < info["fallback_iterations"] <= 10_000
-    newton = solve_nonlinear(mesh, problem)
+    newton = solve_nonlinear(mesh, problem, samples)
     assert np.abs(sol.values - newton.values).max() < 1e-7
 
 
@@ -329,13 +334,15 @@ def _falls_back_on_a_zero_jacobian(frozen_factor):
     singular = dataclasses.replace(
         problem, flux_jacobian=lambda y: np.zeros((y.shape[0], 2, 2)))
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    sol, info = solve_nonlinear(mesh, singular, full_output=True, frozen_factor=frozen_factor)
+    samples = volume_samples(mesh, problem)
+    sol, info = solve_nonlinear(mesh, singular, samples, full_output=True,
+                                frozen_factor=frozen_factor)
     assert info["newton_iterations"] == 0
     assert info["fallback_iterations"] > 0
     zero = np.zeros(mesh.n_vertices)
-    assert (np.linalg.norm(nonlinear_residual(mesh, problem, sol.values))
-            <= 1e-10 * np.linalg.norm(nonlinear_residual(mesh, problem, zero)))
-    assert np.abs(sol.values - solve_nonlinear(mesh, problem).values).max() < 1e-7
+    assert (np.linalg.norm(nonlinear_residual(mesh, problem, sol.values, samples))
+            <= 1e-10 * np.linalg.norm(nonlinear_residual(mesh, problem, zero, samples)))
+    assert np.abs(sol.values - solve_nonlinear(mesh, problem, samples).values).max() < 1e-7
 
 
 def test_singular_jacobian_falls_back_to_the_riesz_iteration():
@@ -354,13 +361,15 @@ def test_nonlinear_budget_exhaustion_carries_best_residual():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     with pytest.raises(NonlinearSolveError) as err:
-        solve_nonlinear(mesh, problem, max_newton=0, max_fallback=3)
+        solve_nonlinear(mesh, problem, volume_samples(mesh, problem), max_newton=0,
+                        max_fallback=3)
     assert 0.0 < err.value.best_residual < 1.0
 
 
 def test_nonlinear_jacobian_matches_finite_differences():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    samples = volume_samples(mesh, problem)
     rng = np.random.default_rng(0)
     values = np.zeros(mesh.n_vertices)
     values[mesh.interior_vertices] = rng.normal(0.0, 0.3, mesh.interior_vertices.size)
@@ -373,7 +382,8 @@ def test_nonlinear_jacobian_matches_finite_differences():
         up[v] += step
         down[v] -= step
         fd[:, k] = (
-            nonlinear_residual(mesh, problem, up) - nonlinear_residual(mesh, problem, down)
+            nonlinear_residual(mesh, problem, up, samples)
+            - nonlinear_residual(mesh, problem, down, samples)
         ) / (2.0 * step)
     assert np.abs(fd - jac).max() / np.abs(jac).max() < 1e-5
 
@@ -387,13 +397,14 @@ def test_energy_products_linear():
     w[mesh.interior_vertices] = rng.normal(size=mesh.interior_vertices.size)
     v[mesh.interior_vertices] = rng.normal(size=mesh.interior_vertices.size)
     ws, vs = DiscreteSolution(mesh, w), DiscreteSolution(mesh, v)
+    samples = volume_samples(mesh, problem)
     # one float per paired solution, in their order
-    assert energy_products(mesh, problem, ws, []) == []
-    zero, dl_sq = energy_products(mesh, problem, ws, [ws, vs])
+    assert energy_products(mesh, problem, ws, [], samples) == []
+    zero, dl_sq = energy_products(mesh, problem, ws, [ws, vs], samples)
     assert zero == pytest.approx(0.0, abs=1e-14)
     # for A = I the energy distance is the squared H1 seminorm
     assert dl_sq == pytest.approx(grad_norm_sq(mesh, w - v), rel=1e-12)
-    assert energy_products(mesh, problem, ws, [vs]) == [dl_sq]
+    assert energy_products(mesh, problem, ws, [vs], samples) == [dl_sq]
 
 
 def test_energy_products_mesh_mismatch():
@@ -402,12 +413,13 @@ def test_energy_products_mesh_mismatch():
     finer = uniform_refine(mesh, 1)
     a = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
     b = DiscreteSolution(finer, np.zeros(finer.n_vertices))
+    samples = volume_samples(mesh, problem)
     # any paired solution off the mesh is rejected, the first one or a later
     for v_sols in ([b], [a, b]):
         with pytest.raises(ValueError, match="mesh"):
-            energy_products(mesh, problem, a, v_sols)
+            energy_products(mesh, problem, a, v_sols, samples)
     with pytest.raises(ValueError, match="mesh"):
-        energy_products(mesh, problem, b, [a])
+        energy_products(mesh, problem, b, [a], samples)
 
 
 @pytest.mark.parametrize("name", ["magnetostatics_nl", "magnetostatics_skew", "square_smooth"])
@@ -429,8 +441,9 @@ def test_energy_products_read_coarser_solutions_through_their_maps(name):
     parents = element_maps(records, np.arange(mesh.n_elements))
     w_sol = random_p1(rng, mesh)
     v_sols = [random_p1(rng, m) for m in meshes]
-    mapped = energy_products(mesh, problem, w_sol, v_sols, parents=parents)
-    prolonged = energy_products(mesh, problem, w_sol, transfer_many(v_sols, mesh))
+    samples = volume_samples(mesh, problem)
+    mapped = energy_products(mesh, problem, w_sol, v_sols, samples, parents=parents)
+    prolonged = energy_products(mesh, problem, w_sol, transfer_many(v_sols, mesh), samples)
     if name == "square_smooth":
         assert mapped == prolonged
     else:
@@ -440,13 +453,14 @@ def test_energy_products_read_coarser_solutions_through_their_maps(name):
                 [*parents[:-1], parents[-1] + 1], [-1 - parents[0], *parents[1:]])
     for bad in bad_maps:
         with pytest.raises(ValueError, match="element map"):
-            energy_products(mesh, problem, w_sol, v_sols, parents=bad)
+            energy_products(mesh, problem, w_sol, v_sols, samples, parents=bad)
 
 
 def test_nonlinear_energy_distance_band():
     # C_mono |grad(w - v)|^2 <= dl^2 <= 2 C_lip |grad(w - v)|^2 on random pairs
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
+    samples = volume_samples(mesh, problem)
     rng = np.random.default_rng(2)
     for _ in range(100):
         w = np.zeros(mesh.n_vertices)
@@ -454,7 +468,7 @@ def test_nonlinear_energy_distance_band():
         w[mesh.interior_vertices] = rng.normal(0.0, 0.5, mesh.interior_vertices.size)
         v[mesh.interior_vertices] = rng.normal(0.0, 0.5, mesh.interior_vertices.size)
         [dl_sq] = energy_products(
-            mesh, problem, DiscreteSolution(mesh, w), [DiscreteSolution(mesh, v)]
+            mesh, problem, DiscreteSolution(mesh, w), [DiscreteSolution(mesh, v)], samples
         )
         h1 = grad_norm_sq(mesh, w - v)
         assert problem.monotone_const * h1 - 1e-12 <= dl_sq
@@ -464,7 +478,7 @@ def test_nonlinear_energy_distance_band():
 def test_transfer_is_pointwise_exact():
     problem = builtin_problem("square_smooth")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    sol = solve_linear(assemble_linear(mesh, problem))
+    sol = solve_linear(assemble_linear(mesh, volume_samples(mesh, problem)))
     fine = uniform_refine(mesh, 2)
     moved = transfer(sol, fine)
     rng = np.random.default_rng(3)
@@ -590,10 +604,10 @@ def test_galerkin_orthogonality_against_reference():
     # b(u_ref - U, phi_coarse) = 0 holds to solver precision
     problem = builtin_problem("convection_diffusion")
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    sol = solve_linear(assemble_linear(mesh, problem))
+    sol = solve_linear(assemble_linear(mesh, volume_samples(mesh, problem)))
     ref_mesh = uniform_refine(mesh, 3)
     ref_matrix, _ = assemble_operator(ref_mesh, problem)
-    ref_sol = solve_linear(assemble_linear(ref_mesh, problem))
+    ref_sol = solve_linear(assemble_linear(ref_mesh, volume_samples(ref_mesh, problem)))
     err = ref_sol.values - transfer(sol, ref_mesh).values
     functional = restrict_functional(ref_mesh, mesh, ref_matrix @ err)
     f_norm = l2_norm(ref_mesh, problem.source)
@@ -617,9 +631,9 @@ CONTINUITY = {
 def test_cea_bound_with_nodal_interpolant(name, cea_slack):
     problem = builtin_problem(name)
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    sol = solve_linear(assemble_linear(mesh, problem))
+    sol = solve_linear(assemble_linear(mesh, volume_samples(mesh, problem)))
     ref_mesh = uniform_refine(mesh, 2)
-    ref_sol = solve_linear(assemble_linear(ref_mesh, problem))
+    ref_sol = solve_linear(assemble_linear(ref_mesh, volume_samples(ref_mesh, problem)))
     moved = transfer(sol, ref_mesh)
     galerkin_err = np.sqrt(grad_norm_sq(ref_mesh, ref_sol.values - moved.values))
 
@@ -653,10 +667,10 @@ def test_residual_error_equivalence_across_levels():
     ratios = []
     for levels in (2, 4, 6, 8):
         mesh = uniform_refine(problem.make_initial_mesh(), levels)
-        sol = solve_nonlinear(mesh, problem)
+        sol = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
         fine = uniform_refine(mesh, 1)
         moved = transfer(sol, fine)
-        residual = nonlinear_residual(fine, problem, moved.values)
+        residual = nonlinear_residual(fine, problem, moved.values, volume_samples(fine, problem))
         import scipy.sparse.linalg as spla
 
         dual = float(np.sqrt(residual @ spla.spsolve(laplace_stiffness(fine).tocsc(), residual)))
@@ -768,8 +782,8 @@ def test_nonlinear_kernels_match_per_point_oracles_bit_for_bit(make_problem, mak
     w_sol = DiscreteSolution(mesh, w_values)
     v_sols = [DiscreteSolution(mesh, _random_p1(mesh, seed)) for seed in range(4, 12)]
     expected = [energy_per_point(mesh, problem, w_values, v.values) for v in v_sols]
-    assert energy_products(mesh, problem, w_sol, v_sols) == expected
-    assert [energy_products(mesh, problem, w_sol, [v])[0] for v in v_sols] == expected
+    assert energy_products(mesh, problem, w_sol, v_sols, samples) == expected
+    assert [energy_products(mesh, problem, w_sol, [v], samples)[0] for v in v_sols] == expected
 
     report = estimate(mesh, w_sol, problem, samples)
     indicators_sq, osc_sq = nonlinear_estimate_at_centroids(mesh, problem, w_values, samples)
@@ -797,10 +811,11 @@ def test_newton_factor_solves_near_spsolve(name, dyadic, seeds):
     mesh = random_refinement(mesh_rng, random_refinement(mesh_rng, mesh))
     if not dyadic:
         mesh = helpers_mesh.off_grid(mesh)
+    samples = volume_samples(mesh, problem)
     for rng in (first_rng, later_rng):
         values = random_p1(rng, mesh).values
         jac = nonlinear_jacobian(mesh, problem, values)
-        rhs = nonlinear_residual(mesh, problem, values)
+        rhs = nonlinear_residual(mesh, problem, values, samples)
         expected = spla.spsolve(jac.tocsc(), rhs)
         step = _symmetric_factor(jac)(rhs)
         assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -814,8 +829,9 @@ def test_every_factor_takes_the_symmetric_order(monkeypatch):
     result = driver.run_afem(problem, 0.5, max_elements=300, compute_reference=True)
     newton = len(factors)
     assert newton > len(result.trace)
-    _, info = solve_nonlinear(uniform_refine(problem.make_initial_mesh(), 2), problem,
-                              max_newton=0, full_output=True)
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    _, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), max_newton=0,
+                              full_output=True)
     assert info["newton_iterations"] == 0 and info["fallback_iterations"] > 0
     assert len(factors) == newton + 1
     assert {spec for _, spec in factors} == {"MMD_AT_PLUS_A"}
@@ -828,11 +844,11 @@ def test_the_factor_takes_the_system_as_assembled(monkeypatch):
     factors = _factors(monkeypatch)
     linear = builtin_problem("lshape_poisson")
     mesh = random_refinement(np.random.default_rng(5), uniform_refine(linear.make_initial_mesh(), 4))
-    system = assemble_linear(mesh, linear)
+    system = assemble_linear(mesh, volume_samples(mesh, linear))
     solve_linear(system)
     problem = builtin_problem("magnetostatics_nl")
     mesh = random_refinement(np.random.default_rng(6), uniform_refine(problem.make_initial_mesh(), 3))
-    solve_nonlinear(mesh, problem)
+    solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
     newton = nonlinear_jacobian(mesh, problem, np.zeros(mesh.n_vertices))
     assert len(factors) > 2
     for (factored, _), matrix in zip(factors, (system.matrix, newton)):
@@ -853,7 +869,7 @@ def test_linear_solve_keeps_the_bits_of_the_presorted_vertex_numbering(name, dya
         mesh = random_refinement(np.random.default_rng(seed), mesh)
     if not dyadic:
         mesh = helpers_mesh.off_grid(mesh)
-    sol = solve_linear(assemble_linear(mesh, problem))
+    sol = solve_linear(assemble_linear(mesh, volume_samples(mesh, problem)))
     assert np.array_equal(sol.values, presorted_solve(mesh, problem))
 
 
@@ -877,10 +893,11 @@ def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, n
         assert np.array_equal(parent, helpers_mesh.parents_by_walk(v_sol.mesh, mesh))
         return energy_per_point(mesh, problem, w_sol.values, v_sol.values, v_sol.mesh, parent)
 
-    def recorded(mesh, problem, w_sol, v_sols, system=None, parents=None):
-        values = energy(mesh, problem, w_sol, v_sols, system=system, parents=parents)
+    def recorded(mesh, problem, w_sol, v_sols, samples, parents=None):
+        values = energy(mesh, problem, w_sol, v_sols, samples, parents=parents)
         maps = [None] * len(v_sols) if parents is None else parents
-        per_call = [energy(mesh, problem, w_sol, [v], parents=None if p is None else [p])[0]
+        per_call = [energy(mesh, problem, w_sol, [v], samples,
+                           parents=None if p is None else [p])[0]
                     for v, p in zip(v_sols, maps)]
         calls.append((values, per_call,
                       [oracle(mesh, problem, w_sol, v, p) for v, p in zip(v_sols, maps)]))
@@ -920,16 +937,19 @@ def _factors(monkeypatch):
 
 
 def _meets_the_contract(mesh, problem, sol):
-    zero = nonlinear_residual(mesh, problem, np.zeros(mesh.n_vertices))
-    residual = nonlinear_residual(mesh, problem, sol.values)
+    samples = volume_samples(mesh, problem)
+    zero = nonlinear_residual(mesh, problem, np.zeros(mesh.n_vertices), samples)
+    residual = nonlinear_residual(mesh, problem, sol.values, samples)
     return np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(zero)
 
 
 def test_frozen_factor_reference_solve_meets_the_contract(monkeypatch, reference_setting):
     problem, mesh, guess = reference_setting
-    newton = solve_nonlinear(mesh, problem, guess)
+    samples = volume_samples(mesh, problem)
+    newton = solve_nonlinear(mesh, problem, samples, guess)
     factors = _factors(monkeypatch)
-    frozen, info = solve_nonlinear(mesh, problem, guess, full_output=True, frozen_factor=True)
+    frozen, info = solve_nonlinear(mesh, problem, samples, guess, full_output=True,
+                                   frozen_factor=True)
     assert [spec for _, spec in factors] == ["MMD_AT_PLUS_A"]
     assert info["fallback_iterations"] == 0 and info["newton_iterations"] > 1
     assert _meets_the_contract(mesh, problem, frozen)
@@ -951,7 +971,8 @@ def test_poor_first_factor_is_replaced(monkeypatch, reference_setting):
 
     poor = dataclasses.replace(problem, flux_jacobian=poor_first)
     factors = _factors(monkeypatch)
-    sol, info = solve_nonlinear(mesh, poor, guess, full_output=True, frozen_factor=True)
+    sol, info = solve_nonlinear(mesh, poor, volume_samples(mesh, poor), guess, full_output=True,
+                                frozen_factor=True)
     assert len(calls) == len(factors) >= 2
     assert all(spec == "MMD_AT_PLUS_A" for _, spec in factors)
     assert info["fallback_iterations"] == 0
@@ -961,8 +982,9 @@ def test_poor_first_factor_is_replaced(monkeypatch, reference_setting):
 def _same_as_two_blocks(mesh, make_problem, guess, frozen):
     """``solve_nonlinear`` gives the values, bit for bit, and the info of
     the two-block oracle; ``make_problem()`` gives a fresh problem per solve."""
-    sol, info = solve_nonlinear(mesh, make_problem(), guess, full_output=True,
-                                frozen_factor=frozen)
+    problem = make_problem()
+    sol, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), guess,
+                                full_output=True, frozen_factor=frozen)
     values, expected = two_block_newton(mesh, make_problem(), guess, frozen)
     assert np.array_equal(sol.values, values)
     assert info == expected
@@ -980,7 +1002,8 @@ def test_newton_keeps_the_bits_of_the_two_block_loop(name, frozen):
     coarse = helpers_mesh.off_grid(random_refinement(
         np.random.default_rng(8), uniform_refine(problem.make_initial_mesh(), 4)))
     mesh = random_refinement(np.random.default_rng(9), coarse)
-    guesses = (None, transfer(solve_nonlinear(coarse, problem), mesh),
+    coarse_sol = solve_nonlinear(coarse, problem, volume_samples(coarse, problem))
+    guesses = (None, transfer(coarse_sol, mesh),
                DiscreteSolution(mesh, 10.0 * _random_p1(mesh, 10)))
     for guess in guesses:
         info = _same_as_two_blocks(mesh, lambda: problem, guess, frozen)
@@ -1041,9 +1064,11 @@ def test_offset_flux_without_a_load_returns_zero_at_once(mesh_name):
     mesh = (uniform_refine(unit_square_mesh(cross=True), 3) if mesh_name == "cross-uniform"
             else uniform_refine(lshape_mesh(), 2))
     zero = np.zeros(mesh.n_vertices)
-    assert 0.0 < np.linalg.norm(nonlinear_residual(mesh, problem, zero)) < 1e-15
+    samples = volume_samples(mesh, problem)
+    assert 0.0 < np.linalg.norm(nonlinear_residual(mesh, problem, zero, samples)) < 1e-15
     for frozen in (False, True):
-        sol, info = solve_nonlinear(mesh, problem, full_output=True, frozen_factor=frozen)
+        sol, info = solve_nonlinear(mesh, problem, samples, full_output=True,
+                                    frozen_factor=frozen)
         assert np.array_equal(sol.values, zero)
         assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
 
@@ -1061,8 +1086,9 @@ def test_newton_scale_is_the_load_and_costs_no_residual(monkeypatch, name, dyadi
     mesh = random_refinement(np.random.default_rng(4), uniform_refine(problem.make_initial_mesh(), 3))
     if not dyadic:
         mesh = helpers_mesh.off_grid(mesh)
+    samples = volume_samples(mesh, problem)
     with pytest.raises(NonlinearSolveError) as err:
-        solve_nonlinear(mesh, problem, max_newton=0, max_fallback=0)
+        solve_nonlinear(mesh, problem, samples, max_newton=0, max_fallback=0)
     assert err.value.best_residual == 1.0
 
     calls = []
@@ -1079,7 +1105,7 @@ def test_newton_scale_is_the_load_and_costs_no_residual(monkeypatch, name, dyadi
     guess = DiscreteSolution(mesh, _random_p1(mesh, 6))
     for initial in (None, guess):
         del calls[:]
-        sol, info = solve_nonlinear(mesh, problem, initial, full_output=True)
+        sol, info = solve_nonlinear(mesh, problem, samples, initial, full_output=True)
         solve_calls = len(calls)
         values, expected = two_block_newton(mesh, problem, initial)
         oracle_calls = len(calls) - solve_calls
@@ -1089,12 +1115,12 @@ def test_newton_scale_is_the_load_and_costs_no_residual(monkeypatch, name, dyadi
 
 
 def _galerkin(mesh, problem, values):
-    nonlinear_residual(mesh, problem, values)
+    nonlinear_residual(mesh, problem, values, volume_samples(mesh, problem))
     nonlinear_jacobian(mesh, problem, values)
 
 
 def _estimate(mesh, problem, values):
-    estimate(mesh, DiscreteSolution(mesh, values), problem)
+    estimate(mesh, DiscreteSolution(mesh, values), problem, volume_samples(mesh, problem))
 
 
 @pytest.mark.parametrize("kernel,closures", [
@@ -1140,11 +1166,12 @@ def test_non_finite_flux_is_rejected(kernel):
     values = np.zeros(mesh.n_vertices)
     values[mesh.interior_vertices] = 1.0
     w_sol, v_sol = DiscreteSolution(mesh, values), DiscreteSolution(mesh, 0.5 * values)
+    samples = volume_samples(mesh, problem)
     calls = {
-        "nonlinear_residual": lambda: nonlinear_residual(mesh, problem, values),
+        "nonlinear_residual": lambda: nonlinear_residual(mesh, problem, values, samples),
         "nonlinear_jacobian": lambda: nonlinear_jacobian(mesh, problem, values),
-        "estimate": lambda: estimate(mesh, w_sol, problem),
-        "energy_products": lambda: energy_products(mesh, problem, w_sol, [v_sol]),
+        "estimate": lambda: estimate(mesh, w_sol, problem, samples),
+        "energy_products": lambda: energy_products(mesh, problem, w_sol, [v_sol], samples),
     }
     with pytest.raises(AssemblyError, match=f"coefficient '{closure}'"):
         calls[kernel]()

@@ -236,6 +236,34 @@ def test_determinism_of_sequential_runs(tmp_path):
             assert (swept / name).read_bytes() == (single / name).read_bytes(), name
 
 
+def test_sweep_runs_one_uniform_baseline(tmp_path, monkeypatch):
+    # run_uniform does not read theta: a sweep runs it once, and each theta
+    # writes what its single run writes
+    calls = []
+    run_uniform = cli.run_uniform
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return run_uniform(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_uniform", counted)
+    flags = ["--problem", "lshape_poisson", "--max-elements", "500", "--uniform-baseline"]
+    sweep = tmp_path / "sweep"
+    assert execute(parse_config(flags + ["--theta", "0.3,0.7", "--out", str(sweep)])) == 0
+    assert len(calls) == 1
+    for theta in ("0.3", "0.7"):
+        single = tmp_path / theta
+        assert execute(parse_config(flags + ["--theta", theta, "--out", str(single)])) == 0
+        swept = sweep / f"theta={theta}"
+        assert _files(swept) == _files(single) == sorted(cli.ARTEFACTS)
+        for name in _files(single):
+            if name.startswith("trace"):
+                assert without_varying_columns((swept / name).read_text()) == \
+                    without_varying_columns((single / name).read_text()), name
+            else:
+                assert (swept / name).read_bytes() == (single / name).read_bytes(), name
+
+
 def test_initial_mesh_artifact_is_the_problem_mesh(tmp_path):
     # the default checks need no run history; the initial mesh is still written
     out = tmp_path / "run"

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from triafem.checks import (
 )
 from triafem.driver import AfemRunError, AfemTrace, run_afem, run_uniform
 from triafem import assembly, driver
-from triafem.assembly import solve_nonlinear, transfer, transfer_many
+from triafem.assembly import solve_nonlinear, transfer, transfer_many, volume_samples
 from triafem.mesh import (
     MeshError,
     load_initial_mesh,
@@ -297,10 +299,11 @@ def test_coefficients_sampled_once_per_mesh():
     result = run_afem(problem, 0.5, max_elements=200, keep_history=False)
     assert calls["source"] == len(result.trace)
 
-    # and one solve, with all its residuals and Jacobians, samples once
+    # and one solve, with all its residuals and Jacobians, reads the one
+    # sampling it is given and samples nothing itself
     calls["source"] = 0
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    _, info = solve_nonlinear(mesh, problem, full_output=True)
+    _, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), full_output=True)
     assert info["newton_iterations"] >= 2
     assert calls["source"] == 1
 
@@ -605,6 +608,48 @@ def test_build_reference_needs_records_that_chain_the_iterates():
             driver.build_reference(problem, solutions, bad)
     errors = driver.build_reference(problem, solutions, records)
     assert len(errors) == len(solutions)
+
+
+def test_only_the_driver_makes_element_data():
+    # every kernel takes the mesh's samples as an argument and none makes
+    # its own: volume_samples is called from the driver alone, and no
+    # samples parameter has a default
+    callers, defaults = set(), []
+    for path in sorted(Path(driver.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "volume_samples":
+                    callers.add(path.name)
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                defaults += [(path.name, getattr(node, "name", "lambda"))
+                             for arg in with_default if arg.arg == "samples"]
+    assert callers == {"driver.py"}
+    assert defaults == []
+
+
+@pytest.mark.parametrize("name", ["lshape_poisson", "magnetostatics_nl"])
+def test_element_data_is_made_once_per_mesh(monkeypatch, name):
+    # once per loop mesh, then once for the reference mesh, whose solve
+    # and energies read the same samples
+    meshes = []
+    volume_samples = driver.volume_samples
+
+    def counted(mesh, *args):
+        meshes.append(mesh.n_elements)
+        return volume_samples(mesh, *args)
+
+    monkeypatch.setattr(driver, "volume_samples", counted)
+    result = run_afem(builtin_problem(name), 0.5, max_elements=300, compute_reference=True)
+    assert len(result.trace) > 3
+    assert meshes[:-1] == list(result.trace.n_elements)
+    reference = uniform_refine(result.final_solution.mesh, driver.REFERENCE_LEVELS)
+    assert meshes[-1] == reference.n_elements
 
 
 def _assert_json_scalars(meta):

@@ -17,6 +17,7 @@ from triafem.assembly import (
     assemble_linear,
     solve_linear,
     solve_nonlinear,
+    volume_samples,
 )
 from triafem.driver import AfemRunError, run_afem
 from triafem.estimator import (
@@ -40,7 +41,8 @@ def poisson(source):
 def test_zero_data_zero_indicators():
     mesh = uniform_refine(unit_square_mesh(cross=True), 2)
     sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
-    report = estimate(mesh, sol, poisson(_constant_scalar(0.0)))
+    problem = poisson(_constant_scalar(0.0))
+    report = estimate(mesh, sol, problem, volume_samples(mesh, problem))
     assert np.all(report.indicators_sq == 0.0)
     assert report.eta_sq_total == 0.0
     assert report.osc_sq_total == 0.0
@@ -57,7 +59,8 @@ def test_hand_computed_jump_indicator():
     values = np.zeros(mesh.n_vertices)
     values[centre] = 1.0
     sol = DiscreteSolution(mesh, values)
-    report = estimate(mesh, sol, poisson(_constant_scalar(0.0)))
+    problem = poisson(_constant_scalar(0.0))
+    report = estimate(mesh, sol, problem, volume_samples(mesh, problem))
     assert report.indicators_sq == pytest.approx(np.full(4, 4.0 * np.sqrt(2.0)), rel=1e-12)
     assert report.eta_sq_total == pytest.approx(16.0 * np.sqrt(2.0), rel=1e-12)
     assert np.all(report.osc_sq == 0.0)
@@ -103,8 +106,9 @@ def test_nonlinear_jump_terms_have_the_bits_of_the_axis_sum():
 def test_total_is_sum_of_indicators():
     problem = builtin_problem("square_smooth")
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    sol = solve_linear(assemble_linear(mesh, problem))
-    report = estimate(mesh, sol, problem)
+    samples = volume_samples(mesh, problem)
+    sol = solve_linear(assemble_linear(mesh, samples))
+    report = estimate(mesh, sol, problem, samples)
     assert report.eta_sq_total == pytest.approx(report.indicators_sq.sum(), rel=1e-12)
 
 
@@ -113,8 +117,9 @@ def test_estimator_decay_under_uniform_refinement():
     totals = []
     for levels in (4, 6):
         mesh = uniform_refine(problem.make_initial_mesh(), levels)
-        sol = solve_linear(assemble_linear(mesh, problem))
-        totals.append(estimate(mesh, sol, problem).eta_sq_total)
+        samples = volume_samples(mesh, problem)
+        sol = solve_linear(assemble_linear(mesh, samples))
+        totals.append(estimate(mesh, sol, problem, samples).eta_sq_total)
     ratio = totals[0] / totals[1]
     assert 3.0 < ratio < 5.0
 
@@ -124,7 +129,7 @@ def test_oscillation_of_linear_source_on_reference_triangle():
     mesh = load_initial_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
     sol = DiscreteSolution(mesh, np.zeros(3))
     problem = poisson(lambda x: x[..., 0])
-    report = estimate(mesh, sol, problem)
+    report = estimate(mesh, sol, problem, volume_samples(mesh, problem))
     assert report.osc_sq[0] == pytest.approx(1.0 / 72.0, rel=1e-12)
     # eta^2 = |T| * ||x||^2 = 1/2 * 1/12 (no interior edges)
     assert report.indicators_sq[0] == pytest.approx(1.0 / 24.0, rel=1e-12)
@@ -133,8 +138,9 @@ def test_oscillation_of_linear_source_on_reference_triangle():
 def test_constant_data_has_zero_oscillation():
     problem = builtin_problem("convection_diffusion")
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    sol = solve_linear(assemble_linear(mesh, problem))
-    report = estimate(mesh, sol, problem)
+    samples = volume_samples(mesh, problem)
+    sol = solve_linear(assemble_linear(mesh, samples))
+    report = estimate(mesh, sol, problem, samples)
     # f and the coefficients are constant, u_h is linear per element, so
     # the volume residual is elementwise linear; only the reaction c*u
     # contributes to oscillations here
@@ -144,8 +150,9 @@ def test_constant_data_has_zero_oscillation():
 def test_oscillation_bounded_by_volume_term():
     problem = builtin_problem("lshape_poisson")
     mesh = uniform_refine(problem.make_initial_mesh(), 4)
-    sol = solve_linear(assemble_linear(mesh, problem))
-    report = estimate(mesh, sol, problem)
+    samples = volume_samples(mesh, problem)
+    sol = solve_linear(assemble_linear(mesh, samples))
+    report = estimate(mesh, sol, problem, samples)
     assert np.all(report.osc_sq <= report.indicators_sq * (1.0 + 1e-12) + 1e-15)
     assert report.osc_sq_total <= report.eta_sq_total
 
@@ -156,7 +163,7 @@ def test_exact_discrete_solution_leaves_pure_oscillation():
     mesh = load_initial_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
     sol = DiscreteSolution(mesh, np.zeros(3))
     problem = poisson(lambda x: x[..., 0] - 1.0 / 3.0)
-    report = estimate(mesh, sol, problem)
+    report = estimate(mesh, sol, problem, volume_samples(mesh, problem))
     assert report.indicators_sq[0] == pytest.approx(report.osc_sq[0], rel=1e-12)
 
 
@@ -166,7 +173,7 @@ def test_mesh_solution_mismatch():
     other = uniform_refine(mesh, 1)
     sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
     with pytest.raises(EstimatorError):
-        estimate(other, sol, problem)
+        estimate(other, sol, problem, volume_samples(other, problem))
 
 
 def test_non_finite_indicators_are_rejected():
@@ -199,7 +206,7 @@ def test_nonlinear_estimator_volume_term_for_zero_solution():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
-    report = estimate(mesh, sol, problem)
+    report = estimate(mesh, sol, problem, volume_samples(mesh, problem))
     from triafem import quadrature
 
     p = mesh.vertices[mesh.triangles]
@@ -214,8 +221,9 @@ def test_nonlinear_estimator_on_solution():
     totals = []
     for levels in (3, 5):
         mesh = uniform_refine(problem.make_initial_mesh(), levels)
-        sol = solve_nonlinear(mesh, problem)
-        totals.append(estimate(mesh, sol, problem).eta_sq_total)
+        samples = volume_samples(mesh, problem)
+        sol = solve_nonlinear(mesh, problem, samples)
+        totals.append(estimate(mesh, sol, problem, samples).eta_sq_total)
     assert 3.0 < totals[0] / totals[1] < 5.0
 
 
@@ -226,8 +234,9 @@ def test_reliability_and_efficiency_constants():
     rel_ratios, eff_ratios = [], []
     for _ in range(6):
         mesh = uniform_refine(mesh, 2)
-        sol = solve_linear(assemble_linear(mesh, problem))
-        report = estimate(mesh, sol, problem)
+        samples = volume_samples(mesh, problem)
+        sol = solve_linear(assemble_linear(mesh, samples))
+        report = estimate(mesh, sol, problem, samples)
         err = np.sqrt(h1_error_sq(mesh, sol.values, problem.exact_grad))
         eta = np.sqrt(report.eta_sq_total)
         osc = np.sqrt(report.osc_sq_total)

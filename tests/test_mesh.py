@@ -75,6 +75,21 @@ def test_unused_vertex_rejected():
         load_initial_mesh(SQUARE_VERTICES + [(5.0, 5.0)], SQUARE_TRIANGLES)
 
 
+def test_repeated_vertex_coordinates_rejected():
+    # the unit square cut along its diagonal, with the corner (1, 1) given
+    # twice, so that no vertex is interior
+    with pytest.raises(MeshError, match="repeated vertex coordinates"):
+        load_initial_mesh(SQUARE_VERTICES + [(1.0, 1.0)], [(0, 1, 2), (0, 4, 3)])
+
+
+def test_folded_triangles_rejected():
+    # the third triangle covers the other two and lies on their side of the
+    # edge (0, 1): a total area of 1.5 over the unit square
+    vertices = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    with pytest.raises(MeshError, match="folded"):
+        load_initial_mesh(vertices, [(0, 1, 2), (1, 3, 2), (0, 1, 3)])
+
+
 def test_negative_orientation_is_fixed():
     triangles = np.array([(0, 2, 1), (0, 2, 3)])
     mesh = load_initial_mesh(SQUARE_VERTICES, triangles)
