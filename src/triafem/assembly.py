@@ -339,7 +339,6 @@ def solve_nonlinear(
     initial_guess=None,
     max_newton=200,
     max_fallback=10_000,
-    full_output=False,
     frozen_factor=False,
 ):
     """Solve the nonlinear Galerkin system to ``|F(U)| <= 1e-10 |l|``.
@@ -361,9 +360,9 @@ def solve_nonlinear(
     keeps a factor for the later steps while each halves the residual
     (simplified Newton, which the reference solve runs:
     ``notes/decisions.md``, "The reference solve factors once").
-    ``full_output=True`` also returns the iteration counts and residuals.
-    Raises ``ValueError`` for a guess on another mesh and
-    :class:`NonlinearSolveError` when the iteration budget is exhausted.
+    Returns the solution and ``info``: Newton and fallback iteration
+    counts and residual norms. Raises ``ValueError`` for a guess on another
+    mesh and :class:`NonlinearSolveError` when the budget is exhausted.
     """
     if initial_guess is not None and not initial_guess.mesh.same_elements(mesh):
         raise ValueError("initial guess lives on a different mesh")
@@ -431,8 +430,7 @@ def solve_nonlinear(
             best_residual=best / ref_norm,
             iterations=(info["newton_iterations"], info["fallback_iterations"]),
         )
-    sol = DiscreteSolution(mesh, values)
-    return (sol, info) if full_output else sol
+    return DiscreteSolution(mesh, values), info
 
 
 # -- energy products and transfer ----------------------------------------------
@@ -450,11 +448,12 @@ def energy_products(mesh, problem, w_sol, v_sols, samples, parents=None):
     ``parents`` is given: then ``v_sols[k]`` lives on a mesh that ``mesh``
     refines, and ``parents[k]`` holds, per element of ``mesh``, the element
     of that mesh that holds it (:func:`~triafem.mesh.element_maps`).
+    Only a linear problem reads ``samples``, the problem's
+    :func:`volume_samples` on ``mesh``, and of them only ``local``.
     For linear problems ``b(w - v, w - v)``, summed per element as
     ``sum_T d_T . local_T d_T`` with ``d = w - v`` and the element matrices
-    ``samples.local`` of the problem's :func:`volume_samples` on ``mesh``,
-    with coarser solutions prolonged by :func:`transfer_many`; for
-    nonlinear ones, which do not read ``samples``, ``<L w - L v, w - v>``,
+    ``samples.local``, with coarser solutions prolonged by
+    :func:`transfer_many`; for nonlinear ones ``<L w - L v, w - v>``,
     summed per element as
     ``sum_T |T| (F(grad w) - F(grad v)) . grad(w - v)``, whose integrand is
     constant on each element, with a coarser solution's

@@ -18,6 +18,9 @@ import numpy as np
 # extra elements over the initial mesh from which the fits read a trace:
 # the steps before are preasymptotic
 FIT_WINDOW = 100
+# the q_d of check_marking_optimality, the factor of check_convergence
+MARKING_Q_VALUES = (0.5, 0.7, 0.9)
+CONVERGENCE_FACTOR = 100.0
 # the largest x whose math.exp does not overflow
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -213,15 +216,15 @@ class MarkingOptimalityRow:
     passed: bool
 
 
-def check_marking_optimality(trace, q_values=(0.5, 0.7, 0.9)):
+def check_marking_optimality(trace):
     """Doerfler-optimality implication table (refined set carries theta).
 
     For each step where the estimator contracted by at least a factor
-    ``q_d``, checks that the indicators of the refined elements reach the
-    theta fraction of the total; steps without that much contraction are
-    vacuously passing and reported as not applicable. Theta is the run's,
-    ``trace.meta["theta"]``. The result keeps one
-    :class:`MarkingOptimalityRow` per step and ``q_d`` in ``.rows``.
+    ``q_d`` of ``MARKING_Q_VALUES``, checks that the indicators of the
+    refined elements reach the theta fraction of the total; steps without
+    that much contraction are vacuously passing and reported as not
+    applicable. Theta is the run's, ``trace.meta["theta"]``. The result
+    keeps one :class:`MarkingOptimalityRow` per step and ``q_d`` in ``.rows``.
     """
     theta = trace.meta.get("theta")
     if theta is None:
@@ -235,7 +238,7 @@ def check_marking_optimality(trace, q_values=(0.5, 0.7, 0.9)):
     for k in range(len(trace) - 1):
         if not math.isfinite(refined[k]):
             continue
-        for q_d in q_values:
+        for q_d in MARKING_Q_VALUES:
             applicable = eta[k + 1] <= q_d * eta[k]
             ok = (not applicable) or refined[k] >= theta * eta[k] * (1.0 - 1e-12)
             rows.append(MarkingOptimalityRow(ell=k, q_d=q_d, applicable=applicable, passed=ok))
@@ -268,16 +271,16 @@ def check_discrete_reliability(trace):
                     f"max={max_ratio:.6g} spread={spread:.3g}", **values)
 
 
-def check_convergence(trace, factor=100.0):
-    """Final estimator must drop below the initial one by ``factor``."""
+def check_convergence(trace):
+    """Final estimator must drop below the initial one by ``CONVERGENCE_FACTOR``."""
     _needs_refinement(trace)
     if failed := _nonfinite_estimator(trace):
         return failed
     eta0 = math.sqrt(trace.eta_sq[0])
     eta_last = math.sqrt(trace.eta_sq[-1])
     reduction = math.inf if eta0 == 0.0 else eta0 / max(eta_last, 1e-300)
-    return _verdict(eta0 == 0.0 or eta_last <= eta0 / factor, f"reduction={reduction:.6g}",
-                    reduction=reduction)
+    return _verdict(eta0 == 0.0 or eta_last <= eta0 / CONVERGENCE_FACTOR,
+                    f"reduction={reduction:.6g}", reduction=reduction)
 
 
 def check_mesh_audit(trace):

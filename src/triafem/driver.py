@@ -146,7 +146,7 @@ def _solve_on(mesh, problem, samples, guess=None):
     nonlinear problem's from ``guess`` (a solution on ``mesh``)."""
     if isinstance(problem, LinearProblem):
         return solve_linear(assemble_linear(mesh, samples))
-    return solve_nonlinear(mesh, problem, samples, initial_guess=guess)
+    return solve_nonlinear(mesh, problem, samples, initial_guess=guess)[0]
 
 
 def build_reference(problem, solutions, records):
@@ -176,7 +176,7 @@ def build_reference(problem, solutions, records):
         reference = _solve_on(ref_mesh, problem, samples)
     else:
         # its bits reach only the error column, so it reuses one factor
-        reference = solve_nonlinear(
+        reference, _ = solve_nonlinear(
             ref_mesh, problem, samples, transfer(final, ref_mesh), frozen_factor=True)
     return energy_products(ref_mesh, problem, reference, solutions, samples,
                            parents=element_maps(records, cover))

@@ -374,9 +374,6 @@ class Mesh:
         """Check the structural invariants; raises :class:`MeshError` on failure."""
         if np.any(self.signed_areas <= 0.0):
             raise MeshError("triangle with non-positive area")
-        counts = self.edge_counts
-        if np.any((counts < 1) | (counts > 2)):
-            raise MeshError("edge incidence outside {1, 2}")
         incidence_boundary = self.is_boundary_vertex
         ledger_boundary = self.forest.vboundary[self.vertex_gids]
         if not np.array_equal(incidence_boundary, ledger_boundary):
@@ -437,7 +434,8 @@ def load_initial_mesh(vertex_array, triangle_array):
     Raises :class:`MeshError` for malformed arrays and for a mesh that is
     not a conforming triangulation: an unused vertex, a degenerate or
     duplicated triangle, an edge of three triangles, two vertices at one
-    point, or a fold.
+    point, a fold, a vertex in a triangle it is not a corner of, or two
+    crossing edges.
     """
     coords, triangles = _validate_initial(vertex_array, triangle_array)
     triangles = _assign_reference_edges(coords, triangles)
@@ -453,7 +451,54 @@ def load_initial_mesh(vertex_array, triangle_array):
     directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     if np.unique(directed, axis=0).shape[0] != directed.shape[0]:
         raise MeshError("folded mesh: two triangles on one side of an edge")
+    _reject_overlaps(coords, triangles, mesh.edges)
     return mesh
+
+
+def _orient(a, b, c):
+    """Twice the signed area of the triangles (a, b, c), points (..., 2)."""
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
+def _box_pairs(lo, hi, lo2, hi2):
+    """Index pairs (i, j) of the boxes ``[lo, hi]`` (n, 2) and ``[lo2, hi2]``
+    (m, 2) where box j starts in the x-range of box i and the y-ranges meet."""
+    order = np.argsort(lo2[:, 0], kind="stable")
+    starts = lo2[order, 0]
+    first = np.searchsorted(starts, lo[:, 0], "left")
+    counts = np.searchsorted(starts, hi[:, 0], "right") - first
+    i = np.repeat(np.arange(lo.shape[0]), counts)
+    j = order[np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(i.size)]
+    meet = (lo2[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi2[j, 1])
+    return i[meet], j[meet]
+
+
+def _reject_overlaps(coords, triangles, edges):
+    """Raise :class:`MeshError` when a vertex lies in a closed triangle it
+    is not a corner of, or two edges cross in their interiors. Triangles
+    are positively oriented; every pair with meeting bounding boxes is
+    tested, and two boxes that meet have one start in the other's x-range."""
+    p = coords[triangles]
+    t, v = _box_pairs(p.min(axis=1), p.max(axis=1), coords, coords)
+    keep = (triangles[t] != v[:, None]).all(axis=1)
+    t, v = t[keep], v[keep]
+    q, x = p[t], coords[v]
+    inside = ((_orient(q[:, 0], q[:, 1], x) >= 0.0) & (_orient(q[:, 1], q[:, 2], x) >= 0.0)
+              & (_orient(q[:, 2], q[:, 0], x) >= 0.0))
+    if inside.any():
+        k = np.argmax(inside)
+        raise MeshError(f"overlapping triangles: vertex {v[k]} lies in triangle {t[k]}")
+    a, b = coords[edges[:, 0]], coords[edges[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    i, j = _box_pairs(lo, hi, lo, hi)
+    ai, bi, aj, bj = a[i], b[i], a[j], b[j]
+    cross = ((np.sign(_orient(ai, bi, aj)) * np.sign(_orient(ai, bi, bj)) < 0.0)
+             & (np.sign(_orient(aj, bj, ai)) * np.sign(_orient(aj, bj, bi)) < 0.0))
+    if cross.any():
+        k = np.argmax(cross)
+        raise MeshError(f"overlapping triangles: edges {edges[i[k]].tolist()} and "
+                        f"{edges[j[k]].tolist()} cross")
 
 
 def _close(edge_marked, ref_edge, edge_tris, max_passes):
@@ -484,9 +529,9 @@ def refine_nvb(mesh, marked):
     marks the reference edge of every triangle that received a marked edge
     until the edge set is compatible, then all triangles are split in one
     pass (into 2, 3 or 4 sons depending on how many of their edges are
-    marked). ``marked`` holds triangle indices, as integers or a set;
-    a boolean mask or floats raise :class:`MeshError`. Returns the refined
-    mesh and a :class:`RefinementRecord`.
+    marked). ``marked`` is an array or list of integer triangle indices;
+    a boolean mask, floats or a set raise :class:`MeshError`. Returns the
+    refined mesh and a :class:`RefinementRecord`.
 
     Nodes and vertices are created in bulk, in the order of bisection
     events per refined triangle (ascending): the triangle itself, then son
@@ -494,7 +539,7 @@ def refine_nvb(mesh, marked):
     and midpoints that already exist in the forest are reused.
     """
     nt = mesh.n_elements
-    marked = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked)
+    marked = np.asarray(marked)
     if marked.size and not np.issubdtype(marked.dtype, np.integer):
         raise MeshError(f"marked triangles must be integer indices, got dtype {marked.dtype}")
     marked = np.unique(marked.astype(np.int64))

@@ -312,8 +312,7 @@ def test_criterion_8_nonlinear_solver():
     while mesh.n_elements < 20_000:
         guess = transfer(previous, mesh) if previous is not None else None
         samples = volume_samples(mesh, problem)
-        sol, info = solve_nonlinear(mesh, problem, samples, initial_guess=guess,
-                                    full_output=True)
+        sol, info = solve_nonlinear(mesh, problem, samples, initial_guess=guess)
         newton_counts.append(info["newton_iterations"])
         assert info["fallback_iterations"] == 0
         sizes.append(mesh.n_elements)
@@ -336,9 +335,7 @@ def test_criterion_8_nonlinear_solver():
     # slow path: the damped Riesz fallback alone on a coarse mesh
     coarse = uniform_refine(problem.make_initial_mesh(), 2)
     samples = volume_samples(coarse, problem)
-    sol, info = solve_nonlinear(
-        coarse, problem, samples, max_newton=0, max_fallback=10_000, full_output=True
-    )
+    sol, info = solve_nonlinear(coarse, problem, samples, max_newton=0, max_fallback=10_000)
     print(f"zarantonello-only iterations: {info['fallback_iterations']}")
     assert 0 < info["fallback_iterations"] <= 10_000
     resid = nonlinear_residual(coarse, problem, sol.values, samples)

@@ -287,7 +287,7 @@ def wrapped_linear_as_nonlinear():
 def test_newton_converges_in_one_step_for_affine_residual():
     problem = wrapped_linear_as_nonlinear()
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    sol, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), full_output=True)
+    sol, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
     assert info["newton_iterations"] == 1
     assert info["fallback_iterations"] == 0
     linear_problem = builtin_problem("square_smooth")
@@ -299,8 +299,8 @@ def test_newton_accepts_exact_initial_guess():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
     samples = volume_samples(mesh, problem)
-    sol = solve_nonlinear(mesh, problem, samples)
-    again, info = solve_nonlinear(mesh, problem, samples, initial_guess=sol, full_output=True)
+    sol, _ = solve_nonlinear(mesh, problem, samples)
+    again, info = solve_nonlinear(mesh, problem, samples, initial_guess=sol)
     assert info["newton_iterations"] == 0
     assert np.array_equal(again.values, sol.values)
 
@@ -310,7 +310,7 @@ def test_magnetostatics_converges_under_refinement():
     distances = []
     for levels in (2, 4, 6, 8):
         mesh = uniform_refine(problem.make_initial_mesh(), levels)
-        sol = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
+        sol, _ = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
         nodal = interpolate(mesh, problem.exact_u)
         distances.append(np.sqrt(grad_norm_sq(mesh, sol.values - nodal.values)))
     ratios = [b / a for a, b in zip(distances, distances[1:])]
@@ -322,10 +322,10 @@ def test_zarantonello_only_converges():
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     samples = volume_samples(mesh, problem)
-    sol, info = solve_nonlinear(mesh, problem, samples, max_newton=0, full_output=True)
+    sol, info = solve_nonlinear(mesh, problem, samples, max_newton=0)
     assert info["newton_iterations"] == 0
     assert 0 < info["fallback_iterations"] <= 10_000
-    newton = solve_nonlinear(mesh, problem, samples)
+    newton, _ = solve_nonlinear(mesh, problem, samples)
     assert np.abs(sol.values - newton.values).max() < 1e-7
 
 
@@ -335,14 +335,13 @@ def _falls_back_on_a_zero_jacobian(frozen_factor):
         problem, flux_jacobian=lambda y: np.zeros((y.shape[0], 2, 2)))
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     samples = volume_samples(mesh, problem)
-    sol, info = solve_nonlinear(mesh, singular, samples, full_output=True,
-                                frozen_factor=frozen_factor)
+    sol, info = solve_nonlinear(mesh, singular, samples, frozen_factor=frozen_factor)
     assert info["newton_iterations"] == 0
     assert info["fallback_iterations"] > 0
     zero = np.zeros(mesh.n_vertices)
     assert (np.linalg.norm(nonlinear_residual(mesh, problem, sol.values, samples))
             <= 1e-10 * np.linalg.norm(nonlinear_residual(mesh, problem, zero, samples)))
-    assert np.abs(sol.values - solve_nonlinear(mesh, problem, samples).values).max() < 1e-7
+    assert np.abs(sol.values - solve_nonlinear(mesh, problem, samples)[0].values).max() < 1e-7
 
 
 def test_singular_jacobian_falls_back_to_the_riesz_iteration():
@@ -511,8 +510,8 @@ def test_transfer_rejects_non_finite_values():
 
 def test_transfer_rejects_non_refinement():
     base = unit_square_mesh(cross=True)
-    m1, _ = refine_nvb(base, {0})
-    m2, _ = refine_nvb(base, {1})
+    m1, _ = refine_nvb(base, [0])
+    m2, _ = refine_nvb(base, [1])
     sol = DiscreteSolution(m1, np.zeros(m1.n_vertices))
     with pytest.raises(ValueError, match="refinement"):
         transfer(sol, m2)
@@ -667,7 +666,7 @@ def test_residual_error_equivalence_across_levels():
     ratios = []
     for levels in (2, 4, 6, 8):
         mesh = uniform_refine(problem.make_initial_mesh(), levels)
-        sol = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
+        sol, _ = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
         fine = uniform_refine(mesh, 1)
         moved = transfer(sol, fine)
         residual = nonlinear_residual(fine, problem, moved.values, volume_samples(fine, problem))
@@ -830,8 +829,7 @@ def test_every_factor_takes_the_symmetric_order(monkeypatch):
     newton = len(factors)
     assert newton > len(result.trace)
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    _, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), max_newton=0,
-                              full_output=True)
+    _, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), max_newton=0)
     assert info["newton_iterations"] == 0 and info["fallback_iterations"] > 0
     assert len(factors) == newton + 1
     assert {spec for _, spec in factors} == {"MMD_AT_PLUS_A"}
@@ -946,10 +944,9 @@ def _meets_the_contract(mesh, problem, sol):
 def test_frozen_factor_reference_solve_meets_the_contract(monkeypatch, reference_setting):
     problem, mesh, guess = reference_setting
     samples = volume_samples(mesh, problem)
-    newton = solve_nonlinear(mesh, problem, samples, guess)
+    newton, _ = solve_nonlinear(mesh, problem, samples, guess)
     factors = _factors(monkeypatch)
-    frozen, info = solve_nonlinear(mesh, problem, samples, guess, full_output=True,
-                                   frozen_factor=True)
+    frozen, info = solve_nonlinear(mesh, problem, samples, guess, frozen_factor=True)
     assert [spec for _, spec in factors] == ["MMD_AT_PLUS_A"]
     assert info["fallback_iterations"] == 0 and info["newton_iterations"] > 1
     assert _meets_the_contract(mesh, problem, frozen)
@@ -971,8 +968,7 @@ def test_poor_first_factor_is_replaced(monkeypatch, reference_setting):
 
     poor = dataclasses.replace(problem, flux_jacobian=poor_first)
     factors = _factors(monkeypatch)
-    sol, info = solve_nonlinear(mesh, poor, volume_samples(mesh, poor), guess, full_output=True,
-                                frozen_factor=True)
+    sol, info = solve_nonlinear(mesh, poor, volume_samples(mesh, poor), guess, frozen_factor=True)
     assert len(calls) == len(factors) >= 2
     assert all(spec == "MMD_AT_PLUS_A" for _, spec in factors)
     assert info["fallback_iterations"] == 0
@@ -984,7 +980,7 @@ def _same_as_two_blocks(mesh, make_problem, guess, frozen):
     the two-block oracle; ``make_problem()`` gives a fresh problem per solve."""
     problem = make_problem()
     sol, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), guess,
-                                full_output=True, frozen_factor=frozen)
+                                frozen_factor=frozen)
     values, expected = two_block_newton(mesh, make_problem(), guess, frozen)
     assert np.array_equal(sol.values, values)
     assert info == expected
@@ -1002,7 +998,7 @@ def test_newton_keeps_the_bits_of_the_two_block_loop(name, frozen):
     coarse = helpers_mesh.off_grid(random_refinement(
         np.random.default_rng(8), uniform_refine(problem.make_initial_mesh(), 4)))
     mesh = random_refinement(np.random.default_rng(9), coarse)
-    coarse_sol = solve_nonlinear(coarse, problem, volume_samples(coarse, problem))
+    coarse_sol, _ = solve_nonlinear(coarse, problem, volume_samples(coarse, problem))
     guesses = (None, transfer(coarse_sol, mesh),
                DiscreteSolution(mesh, 10.0 * _random_p1(mesh, 10)))
     for guess in guesses:
@@ -1067,8 +1063,7 @@ def test_offset_flux_without_a_load_returns_zero_at_once(mesh_name):
     samples = volume_samples(mesh, problem)
     assert 0.0 < np.linalg.norm(nonlinear_residual(mesh, problem, zero, samples)) < 1e-15
     for frozen in (False, True):
-        sol, info = solve_nonlinear(mesh, problem, samples, full_output=True,
-                                    frozen_factor=frozen)
+        sol, info = solve_nonlinear(mesh, problem, samples, frozen_factor=frozen)
         assert np.array_equal(sol.values, zero)
         assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
 
@@ -1105,7 +1100,7 @@ def test_newton_scale_is_the_load_and_costs_no_residual(monkeypatch, name, dyadi
     guess = DiscreteSolution(mesh, _random_p1(mesh, 6))
     for initial in (None, guess):
         del calls[:]
-        sol, info = solve_nonlinear(mesh, problem, samples, initial, full_output=True)
+        sol, info = solve_nonlinear(mesh, problem, samples, initial)
         solve_calls = len(calls)
         values, expected = two_block_newton(mesh, problem, initial)
         oracle_calls = len(calls) - solve_calls

@@ -21,7 +21,13 @@ from triafem.checks import (
 )
 from triafem.driver import AfemRunError, AfemTrace, run_afem, run_uniform
 from triafem import assembly, driver
-from triafem.assembly import solve_nonlinear, transfer, transfer_many, volume_samples
+from triafem.assembly import (
+    DiscreteSolution,
+    solve_nonlinear,
+    transfer,
+    transfer_many,
+    volume_samples,
+)
 from triafem.mesh import (
     MeshError,
     load_initial_mesh,
@@ -123,7 +129,31 @@ def test_estimator_reduction_inequality_holds_with_fit(smooth_run):
 def test_run_afem_decreasing_estimator(smooth_run):
     eta = smooth_run.trace.eta_sq
     assert np.all(np.diff(eta) < 0.0)
-    assert check_convergence(smooth_run.trace, factor=5.0).passed
+    assert check_convergence(smooth_run.trace).reduction >= 5.0
+
+
+def test_lshape_run_keeps_its_counts_under_perturbed_linear_solves(monkeypatch):
+    # every linear solution times 1 + 1e-13 xi, xi seeded standard normal,
+    # about what a reordered sum moves: at the lshape_adaptive budget the
+    # run keeps its iteration count and final element count, and eta^2
+    # stays within the benchmark gate's relative 1e-6; its mesh may move
+    # (notes/decisions.md, "Which runs the marking ties pin")
+    problem = builtin_problem("lshape_poisson")
+    base = run_afem(problem, 0.5, max_elements=20_000, keep_history=False).trace
+    rng = np.random.default_rng(0)
+    solve = driver.solve_linear
+
+    def perturbed(system):
+        sol = solve(system)
+        xi = rng.standard_normal(sol.values.size)
+        return DiscreteSolution(sol.mesh, sol.values * (1.0 + 1e-13 * xi))
+
+    monkeypatch.setattr(driver, "solve_linear", perturbed)
+    trace = run_afem(problem, 0.5, max_elements=20_000, keep_history=False).trace
+    assert trace.eta_sq[-1] != base.eta_sq[-1]  # the perturbation reached the run
+    assert len(trace) == len(base)
+    assert trace.n_elements[-1] == base.n_elements[-1]
+    assert abs(trace.eta_sq[-1] - base.eta_sq[-1]) <= 1e-6 * base.eta_sq[-1]
 
 
 def test_run_afem_records_are_consistent(smooth_run):
@@ -303,7 +333,7 @@ def test_coefficients_sampled_once_per_mesh():
     # sampling it is given and samples nothing itself
     calls["source"] = 0
     mesh = uniform_refine(problem.make_initial_mesh(), 3)
-    _, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), full_output=True)
+    _, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
     assert info["newton_iterations"] >= 2
     assert calls["source"] == 1
 
@@ -393,7 +423,7 @@ def test_marking_optimality_rows():
         refined_eta_sq=np.array([0.1, np.nan]),
         meta={"theta": 0.3},
     )
-    rows = check_marking_optimality(trace, q_values=(0.5, 0.9)).rows
+    rows = check_marking_optimality(trace).rows
     by_q = {r.q_d: r for r in rows}
     assert not by_q[0.5].applicable and by_q[0.5].passed
     assert by_q[0.9].applicable and not by_q[0.9].passed

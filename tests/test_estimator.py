@@ -53,7 +53,7 @@ def test_hand_computed_jump_indicator():
     # centre vertex. Every interior edge has |grad U| jump of size 2*sqrt(2)
     # normal to it, every triangle carries two such edges:
     #   indicator(T)^2 = sqrt(1/4) * 2 * (sqrt(2)/2 * 8) = 4*sqrt(2)
-    mesh, _ = refine_nvb(unit_square_mesh(), {0})
+    mesh, _ = refine_nvb(unit_square_mesh(), [0])
     assert mesh.n_elements == 4
     centre = int(np.nonzero(~mesh.is_boundary_vertex)[0][0])
     values = np.zeros(mesh.n_vertices)
@@ -222,7 +222,7 @@ def test_nonlinear_estimator_on_solution():
     for levels in (3, 5):
         mesh = uniform_refine(problem.make_initial_mesh(), levels)
         samples = volume_samples(mesh, problem)
-        sol = solve_nonlinear(mesh, problem, samples)
+        sol, _ = solve_nonlinear(mesh, problem, samples)
         totals.append(estimate(mesh, sol, problem, samples).eta_sq_total)
     assert 3.0 < totals[0] / totals[1] < 5.0
 

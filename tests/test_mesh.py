@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from triafem.mesh import (
     Mesh,
     MeshError,
     _close,
+    _reject_overlaps,
     audit_refinement,
     closure_audit,
     load_initial_mesh,
@@ -90,6 +93,75 @@ def test_folded_triangles_rejected():
         load_initial_mesh(vertices, [(0, 1, 2), (1, 3, 2), (0, 1, 3)])
 
 
+def test_overlapping_triangles_without_a_shared_vertex_rejected():
+    # the second triangle lies inside the first: a total area of 2.125 over
+    # a domain of area 2, and no edge or vertex is shared
+    vertices = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (0.5, 0.25), (1.0, 0.25), (0.5, 0.75)]
+    with pytest.raises(MeshError, match="vertex 3 lies in triangle 0"):
+        load_initial_mesh(vertices, [(0, 1, 2), (3, 4, 5)])
+
+
+def test_hanging_node_rejected():
+    # vertex 4 is the midpoint of the edge (0, 1) of the upper triangle,
+    # which the two lower triangles split: all five vertices on the boundary
+    vertices = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -1.0), (1.0, 0.0)]
+    with pytest.raises(MeshError, match="vertex 4 lies in triangle 0"):
+        load_initial_mesh(vertices, [(0, 1, 2), (0, 4, 3), (4, 1, 3)])
+
+
+def test_crossing_edges_rejected():
+    # a hexagram: no vertex lies in the other triangle, but the edges cross
+    r = math.sqrt(3.0)
+    vertices = [(0.0, 0.0), (2.0, 0.0), (1.0, r), (0.0, 2.0 / r), (2.0, 2.0 / r), (1.0, -1.0 / r)]
+    with pytest.raises(MeshError, match=r"edges \[0, 1\] and \[3, 5\] cross"):
+        load_initial_mesh(vertices, [(0, 1, 2), (3, 5, 4)])
+
+
+def _overlaps_by_every_pair(coords, triangles, edges):
+    """The overlap test of ``load_initial_mesh`` over every pair, with
+    scalar arithmetic and no bounding boxes."""
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    for tri in triangles:
+        for v, x in enumerate(coords):
+            if v not in tri and all(
+                    orient(coords[tri[k]], coords[tri[k - 2]], x) >= 0.0 for k in range(3)):
+                return True
+    for (a, b), (c, d) in itertools.product(coords[edges], repeat=2):
+        if (np.sign(orient(a, b, c)) * np.sign(orient(a, b, d)) < 0.0
+                and np.sign(orient(c, d, a)) * np.sign(orient(c, d, b)) < 0.0):
+            return True
+    return False
+
+
+def test_overlap_test_sees_every_pair():
+    # triangles on a 4 x 4 grid of points, so that vertices meet edges and
+    # edges overlap on a line; the bounding-box pairs must find every
+    # overlap that the test over all pairs finds
+    rng = np.random.default_rng(11)
+    coords = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)
+    outcomes = set()
+    for _ in range(300):
+        triangles = rng.choice(16, size=(int(rng.integers(1, 5)), 3))
+        e1, e2 = (coords[triangles[:, k]] - coords[triangles[:, 0]] for k in (1, 2))
+        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        # positively oriented, as load_initial_mesh leaves them
+        triangles = np.where((area2 < 0.0)[:, None], triangles[:, [0, 2, 1]], triangles)
+        triangles = triangles[area2 != 0.0]
+        pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        edges = np.unique(pairs, axis=0)
+        expected = _overlaps_by_every_pair(coords, triangles, edges)
+        try:
+            _reject_overlaps(coords, triangles, edges)
+            found = False
+        except MeshError:
+            found = True
+        assert found == expected
+        outcomes.add(found)
+    assert outcomes == {False, True}
+
+
 def test_negative_orientation_is_fixed():
     triangles = np.array([(0, 2, 1), (0, 2, 3)])
     mesh = load_initial_mesh(SQUARE_VERTICES, triangles)
@@ -145,7 +217,7 @@ def test_reference_edge_is_longest_edge():
 
 def test_refine_empty_is_noop():
     mesh = unit_square_mesh()
-    refined, record = refine_nvb(mesh, set())
+    refined, record = refine_nvb(mesh, [])
     assert refined is mesh
     assert record.marked.dtype == record.refined.dtype == np.int64
     assert record.marked.size == record.refined.size == record.sons_of.size == 0
@@ -154,7 +226,7 @@ def test_refine_empty_is_noop():
 
 def test_refine_single_triangle():
     mesh = single_triangle()
-    refined, record = refine_nvb(mesh, {0})
+    refined, record = refine_nvb(mesh, [0])
     assert refined.n_elements == 2
     # the new vertex is the midpoint of the reference edge (the hypotenuse)
     new_gid = np.setdiff1d(refined.vertex_gids, mesh.vertex_gids)
@@ -171,7 +243,7 @@ def test_refine_closure_on_shared_diagonal():
     # both triangles of the square have the diagonal as reference edge, so
     # marking one bisects both
     mesh = unit_square_mesh()
-    refined, record = refine_nvb(mesh, {0})
+    refined, record = refine_nvb(mesh, [0])
     assert record.marked.tolist() == [0]
     assert record.refined.tolist() == [0, 1]
     assert refined.n_elements == 4
@@ -182,13 +254,14 @@ def test_refine_closure_on_shared_diagonal():
 
 def test_refine_out_of_range():
     with pytest.raises(MeshError, match="out of range"):
-        refine_nvb(unit_square_mesh(), {5})
+        refine_nvb(unit_square_mesh(), [5])
 
 
-@pytest.mark.parametrize("marked", [[0.7], [True, False], np.ones(6, dtype=bool), {1.0}],
-                         ids=["float", "bool-list", "mask", "float-set"])
+@pytest.mark.parametrize("marked", [[0.7], [True, False], np.ones(6, dtype=bool), {1.0}, {0}],
+                         ids=["float", "bool-list", "mask", "float-set", "int-set"])
 def test_refine_rejects_marks_that_are_not_indices(marked):
-    # a mask or a float would be read as the indices {0, 1} or [0]
+    # a mask or a float would be read as the indices {0, 1} or [0]; a set
+    # is an object array, not an index array
     with pytest.raises(MeshError, match="integer indices"):
         refine_nvb(lshape_mesh(), marked)
     assert refine_nvb(lshape_mesh(), [])[1].marked.size == 0
@@ -211,14 +284,14 @@ def test_two_sons_inequality_and_area_halving():
 
 def test_vertex_nestedness():
     mesh = unit_square_mesh(cross=True)
-    refined, _ = refine_nvb(mesh, {0, 2})
+    refined, _ = refine_nvb(mesh, [0, 2])
     assert np.all(np.isin(mesh.vertex_gids, refined.vertex_gids))
 
 
 def test_generation_increments():
     mesh = single_triangle()
-    m1, _ = refine_nvb(mesh, {0})
-    m2, _ = refine_nvb(m1, {0, 1})
+    m1, _ = refine_nvb(mesh, [0])
+    m2, _ = refine_nvb(m1, [0, 1])
     assert set(m2.forest.gen[m2.node_ids]) <= {2, 3}
 
 
@@ -239,8 +312,8 @@ def test_overlay_of_distinct_refinements():
     # cross mesh: every reference edge is a boundary edge, so single
     # markings bisect exactly one triangle and produce distinct meshes
     base = unit_square_mesh(cross=True)
-    m1, _ = refine_nvb(base, {0})
-    m2, _ = refine_nvb(base, {1})
+    m1, _ = refine_nvb(base, [0])
+    m2, _ = refine_nvb(base, [1])
     assert not m1.same_elements(m2)
     ov = overlay(m1, m2)
     ov.validate()
@@ -254,7 +327,7 @@ def test_overlay_of_distinct_refinements():
 
 def test_same_elements_compares_counts_before_sorting(monkeypatch):
     coarse = lshape_mesh()
-    fine, _ = refine_nvb(coarse, {0})
+    fine, _ = refine_nvb(coarse, [0])
 
     def no_sort(*args, **kwargs):
         raise AssertionError("sorted the node ids of meshes of different sizes")
@@ -312,7 +385,7 @@ def test_shape_regularity_bounded_along_refinement():
 
 def test_closure_audit_single_step():
     mesh = unit_square_mesh(cross=True)
-    _, record = refine_nvb(mesh, {0})
+    _, record = refine_nvb(mesh, [0])
     c = closure_audit([record])
     assert c == pytest.approx((record.nt_after - record.nt_before) / 1)
 
@@ -320,7 +393,7 @@ def test_closure_audit_single_step():
 def test_closure_audit_closure_free_bound():
     # every reference edge of the cross mesh is on the boundary: no closure
     mesh = unit_square_mesh(cross=True)
-    refined, record = refine_nvb(mesh, {0, 1, 2, 3})
+    refined, record = refine_nvb(mesh, [0, 1, 2, 3])
     assert np.array_equal(record.refined, record.marked)
     assert closure_audit([record]) <= 4.0
 
@@ -437,7 +510,7 @@ def test_random_refinements_stay_conforming():
 
 def _refined_single_triangle():
     mesh = single_triangle()
-    refined, record = refine_nvb(mesh, {0})
+    refined, record = refine_nvb(mesh, [0])
     audit_refinement(mesh, refined, record)
     return mesh, refined, record
 
@@ -477,8 +550,8 @@ def test_audit_checks_the_nodes_between_old_and_new_leaves():
     # marking element 6 bisects one triangle twice, so one node of the new
     # genealogy is neither an old nor a new leaf; a generation jump above
     # it, with its sons shifted along, shows only there
-    mesh, _ = refine_nvb(uniform_refine(unit_square_mesh(cross=True), 1), {0})
-    refined, record = refine_nvb(mesh, {6})
+    mesh, _ = refine_nvb(uniform_refine(unit_square_mesh(cross=True), 1), [0])
+    refined, record = refine_nvb(mesh, [6])
     forest = refined.forest
     new = np.setdiff1d(refined.node_ids, mesh.node_ids)
     between = np.setdiff1d(forest.parent[new], mesh.node_ids)
@@ -532,7 +605,7 @@ def test_interior_vertices_are_the_non_boundary_vertices_by_coordinates(data, na
 
 def test_audit_rejects_a_coarser_mesh():
     mesh = uniform_refine(unit_square_mesh(cross=True), 2)
-    refined, record = refine_nvb(mesh, {0, 5})
+    refined, record = refine_nvb(mesh, [0, 5])
     audit_refinement(mesh, refined, record)
     with pytest.raises(MeshError, match="does not refine"):
         audit_refinement(refined, mesh, record)
@@ -542,8 +615,8 @@ def test_audit_rejects_a_sibling_branch():
     # two refinements of one mesh share its forest, but neither refines
     # the other
     mesh = uniform_refine(unit_square_mesh(cross=True), 2)
-    left, _ = refine_nvb(mesh, {0})
-    right, record = refine_nvb(mesh, {9})
+    left, _ = refine_nvb(mesh, [0])
+    right, record = refine_nvb(mesh, [9])
     audit_refinement(mesh, right, record)
     with pytest.raises(MeshError, match="does not refine"):
         audit_refinement(left, right, record)
@@ -553,7 +626,7 @@ def test_audit_rejects_a_sibling_branch():
 
 def test_closure_pass_bound():
     mesh = uniform_refine(unit_square_mesh(), 1)
-    mesh, _ = refine_nvb(mesh, {0})
+    mesh, _ = refine_nvb(mesh, [0])
     # the reference edge of triangle 3 forces one more edge: two passes
     _, tri_edges, edge_tris, _ = mesh._edge_data
     ref_edge = tri_edges[:, 0]
