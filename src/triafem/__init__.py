@@ -23,7 +23,6 @@ from .assembly import (
 )
 from .checks import (
     CheckResult,
-    RateFit,
     check_convergence,
     check_discrete_reliability,
     check_estimator_reduction,
@@ -66,7 +65,6 @@ __all__ = [
     "MeshError",
     "NonlinearProblem",
     "NonlinearSolveError",
-    "RateFit",
     "RefinementRecord",
     "SolverError",
     "SparseSystem",

@@ -1,11 +1,11 @@
 """The empirical verification checks of a recorded adaptive run.
 
 Each ``check_*`` is a pure function of an :class:`~triafem.driver.AfemTrace`
-and its ``meta`` that returns a :class:`CheckResult` holding its verdict;
-``fit_rate`` fits the log-log rate. Estimator reduction,
-quasi-orthogonality and discrete reliability take their per-step
-constants over the trace's columns at once, and R-linear decay its
-smallest admissible rate in closed form.
+and its ``meta`` that returns a :class:`CheckResult` holding its verdict,
+and so does ``fit_rate``, which fits the log-log rate. Estimator
+reduction, quasi-orthogonality, marking optimality and discrete
+reliability take their per-step values over the trace's columns at once,
+and R-linear decay its smallest admissible rate in closed form.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class CheckResult:
             raise AttributeError(name) from None
 
 
-def _verdict(passed, detail, **values):
+def _verdict(passed, detail, /, **values):
     return CheckResult("pass" if passed else "fail", detail, values)
 
 
@@ -144,20 +144,13 @@ def check_rlinear(trace):
     return verdict(True, q_min, log_c(q_min))
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Observed ``rate`` s in eta ~ (#elements - #initial)^(-s) and the
-    root mean square ``residual`` of the log-log fit."""
-
-    rate: float
-    residual: float
-
-
 def fit_rate(trace):
     """Least-squares slope of log eta against log(#elements - #initial).
 
-    The window drops the preasymptotic iterations with fewer than
-    ``FIT_WINDOW`` extra elements. A NaN or infinite eta^2 raises.
+    Passes with the observed ``rate`` s in eta ~ (#elements - #initial)^(-s)
+    and the root mean square ``residual`` of the log-log fit. The window
+    drops the preasymptotic iterations with fewer than ``FIT_WINDOW`` extra
+    elements. A NaN or infinite eta^2 raises.
     """
     if failed := _nonfinite_estimator(trace):
         raise ValueError(failed.detail)
@@ -169,8 +162,10 @@ def fit_rate(trace):
     x = np.log(extra[idx])
     y = np.log(eta[idx])
     slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(rate=-float(slope), residual=resid)
+    rate = -float(slope)
+    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return _verdict(True, f"rate={rate:.4f} residual={residual:.3g}",
+                    rate=rate, residual=residual)
 
 
 def check_quasi_orthogonality(trace, epsilon):
@@ -208,14 +203,6 @@ def check_quasi_orthogonality(trace, epsilon):
                     f"usable={usable.size}", **values)
 
 
-@dataclass(frozen=True)
-class MarkingOptimalityRow:
-    ell: int
-    q_d: float
-    applicable: bool
-    passed: bool
-
-
 def check_marking_optimality(trace):
     """Doerfler-optimality implication table (refined set carries theta).
 
@@ -223,8 +210,10 @@ def check_marking_optimality(trace):
     ``q_d`` of ``MARKING_Q_VALUES``, checks that the indicators of the
     refined elements reach the theta fraction of the total; steps without
     that much contraction are vacuously passing and reported as not
-    applicable. Theta is the run's, ``trace.meta["theta"]``. The result
-    keeps one :class:`MarkingOptimalityRow` per step and ``q_d`` in ``.rows``.
+    applicable. Theta is the run's, ``trace.meta["theta"]``. The result's
+    ``values`` hold ``ell``, the steps with a finite refined sum, and
+    boolean arrays ``applicable`` and ``passed`` of shape (steps,
+    ``len(MARKING_Q_VALUES)``); ``.passed`` stays the verdict.
     """
     theta = trace.meta.get("theta")
     if theta is None:
@@ -232,19 +221,14 @@ def check_marking_optimality(trace):
     _needs_refinement(trace)
     if failed := _nonfinite_estimator(trace):
         return failed
-    rows = []
-    eta = trace.eta_sq
-    refined = trace.refined_eta_sq
-    for k in range(len(trace) - 1):
-        if not math.isfinite(refined[k]):
-            continue
-        for q_d in MARKING_Q_VALUES:
-            applicable = eta[k + 1] <= q_d * eta[k]
-            ok = (not applicable) or refined[k] >= theta * eta[k] * (1.0 - 1e-12)
-            rows.append(MarkingOptimalityRow(ell=k, q_d=q_d, applicable=applicable, passed=ok))
-    failing = sum(1 for r in rows if not r.passed)
-    applicable = sum(1 for r in rows if r.applicable)
-    return _verdict(not failing, f"applicable={applicable} failing={failing}", rows=tuple(rows))
+    eta, refined = trace.eta_sq, trace.refined_eta_sq[:-1]
+    ell = np.flatnonzero(np.isfinite(refined))
+    applicable = eta[ell + 1, None] <= np.array(MARKING_Q_VALUES) * eta[ell, None]
+    reached = refined[ell] >= (theta * eta[ell]) * (1.0 - 1e-12)
+    passed = ~applicable | reached[:, None]
+    failing = np.count_nonzero(~passed)
+    return _verdict(not failing, f"applicable={np.count_nonzero(applicable)} failing={failing}",
+                    ell=ell, applicable=applicable, passed=passed)
 
 
 def check_discrete_reliability(trace):

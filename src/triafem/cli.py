@@ -56,13 +56,13 @@ class ConfigError(ValueError):
 
 def _rate(result, config, uniform_result):
     fit = fit_rate(result.trace)
-    detail = f"rate={fit.rate:.4f} residual={fit.residual:.3g}"
-    if uniform_result is not None:
-        try:
-            detail += f" uniform_rate={fit_rate(uniform_result.trace).rate:.4f}"
-        except ValueError as exc:
-            detail += f" uniform_rate=skipped ({exc})"
-    return CheckResult("pass", detail)
+    if uniform_result is None:
+        return fit
+    try:
+        uniform = f"{fit_rate(uniform_result.trace).rate:.4f}"
+    except ValueError as exc:
+        uniform = f"skipped ({exc})"
+    return dataclasses.replace(fit, detail=f"{fit.detail} uniform_rate={uniform}")
 
 
 CHECKS = {

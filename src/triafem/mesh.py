@@ -285,12 +285,10 @@ class Mesh:
         return _read_only(np.take(self.forest.coords, self.vertex_gids, axis=0))
 
     @cached_property
-    def signed_areas(self):
-        return _read_only(0.5 * _corner_geometry(self.vertices, self.triangles)[0])
-
-    @cached_property
     def areas(self):
-        return _read_only(np.abs(self.signed_areas))
+        """Signed element areas, positive on a valid mesh: initial meshes
+        are oriented and bisection keeps the orientation."""
+        return _read_only(0.5 * _corner_geometry(self.vertices, self.triangles)[0])
 
     @cached_property
     def basis_gradients(self):
@@ -372,7 +370,7 @@ class Mesh:
 
     def validate(self):
         """Check the structural invariants; raises :class:`MeshError` on failure."""
-        if np.any(self.signed_areas <= 0.0):
+        if np.any(self.areas <= 0.0):
             raise MeshError("triangle with non-positive area")
         incidence_boundary = self.is_boundary_vertex
         ledger_boundary = self.forest.vboundary[self.vertex_gids]
@@ -461,44 +459,51 @@ def _orient(a, b, c):
             - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
 
-def _box_pairs(lo, hi, lo2, hi2):
+def _box_pairs(lo, hi, lo2, hi2, axis):
     """Index pairs (i, j) of the boxes ``[lo, hi]`` (n, 2) and ``[lo2, hi2]``
-    (m, 2) where box j starts in the x-range of box i and the y-ranges meet."""
-    order = np.argsort(lo2[:, 0], kind="stable")
-    starts = lo2[order, 0]
-    first = np.searchsorted(starts, lo[:, 0], "left")
-    counts = np.searchsorted(starts, hi[:, 0], "right") - first
+    (m, 2) where box j starts in the range of box i along ``axis`` and the
+    ranges along the other axis meet."""
+    other = 1 - axis
+    order = np.argsort(lo2[:, axis], kind="stable")
+    starts = lo2[order, axis]
+    first = np.searchsorted(starts, lo[:, axis], "left")
+    counts = np.searchsorted(starts, hi[:, axis], "right") - first
     i = np.repeat(np.arange(lo.shape[0]), counts)
     j = order[np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(i.size)]
-    meet = (lo2[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi2[j, 1])
+    meet = (lo2[j, other] <= hi[i, other]) & (lo[i, other] <= hi2[j, other])
     return i[meet], j[meet]
 
 
 def _reject_overlaps(coords, triangles, edges):
     """Raise :class:`MeshError` when a vertex lies in a closed triangle it
-    is not a corner of, or two edges cross in their interiors. Triangles
-    are positively oriented; every pair with meeting bounding boxes is
-    tested, and two boxes that meet have one start in the other's x-range."""
+    is not a corner of, or two edges cross in their interiors, naming the
+    pair with the smallest indices. Triangles are positively oriented;
+    every pair with meeting bounding boxes is tested, swept along the axis
+    on which the vertices spread more (x on a tie), so that the boxes of a
+    long strip do not all start in the range of every other."""
+    axis = int(np.ptp(coords[:, 1]) > np.ptp(coords[:, 0])) if coords.size else 0
     p = coords[triangles]
-    t, v = _box_pairs(p.min(axis=1), p.max(axis=1), coords, coords)
+    t, v = _box_pairs(p.min(axis=1), p.max(axis=1), coords, coords, axis)
     keep = (triangles[t] != v[:, None]).all(axis=1)
     t, v = t[keep], v[keep]
     q, x = p[t], coords[v]
     inside = ((_orient(q[:, 0], q[:, 1], x) >= 0.0) & (_orient(q[:, 1], q[:, 2], x) >= 0.0)
               & (_orient(q[:, 2], q[:, 0], x) >= 0.0))
     if inside.any():
-        k = np.argmax(inside)
+        t, v = t[inside], v[inside]
+        k = np.lexsort((v, t))[0]
         raise MeshError(f"overlapping triangles: vertex {v[k]} lies in triangle {t[k]}")
     a, b = coords[edges[:, 0]], coords[edges[:, 1]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    i, j = _box_pairs(lo, hi, lo, hi)
+    i, j = _box_pairs(lo, hi, lo, hi, axis)
     ai, bi, aj, bj = a[i], b[i], a[j], b[j]
     cross = ((np.sign(_orient(ai, bi, aj)) * np.sign(_orient(ai, bi, bj)) < 0.0)
              & (np.sign(_orient(aj, bj, ai)) * np.sign(_orient(aj, bj, bi)) < 0.0))
     if cross.any():
-        k = np.argmax(cross)
-        raise MeshError(f"overlapping triangles: edges {edges[i[k]].tolist()} and "
-                        f"{edges[j[k]].tolist()} cross")
+        e, f = np.minimum(i, j)[cross], np.maximum(i, j)[cross]
+        k = np.lexsort((f, e))[0]
+        raise MeshError(f"overlapping triangles: edges {edges[e[k]].tolist()} and "
+                        f"{edges[f[k]].tolist()} cross")
 
 
 def _close(edge_marked, ref_edge, edge_tris, max_passes):
@@ -599,10 +604,10 @@ def refine_nvb(mesh, marked):
     # the kept elements, then the sons: the record's layout
     refined_mesh = Mesh(forest, record.carry(mesh.node_ids, leaves))
     # carry the geometry the coarse mesh holds; only the sons' is computed
-    held = [name for name in ("signed_areas", "basis_gradients") if name in vars(mesh)]
+    held = [name for name in ("areas", "basis_gradients") if name in vars(mesh)]
     if refined_idx.size < nt and held:
         area2, edges = _corner_geometry(forest.coords, forest.tri[leaves])
-        sons = {"signed_areas": 0.5 * area2, "basis_gradients": _basis_gradients(area2, edges)}
+        sons = {"areas": 0.5 * area2, "basis_gradients": _basis_gradients(area2, edges)}
         for name in held:
             setattr(refined_mesh, name, _read_only(record.carry(vars(mesh)[name], sons[name])))
     return refined_mesh, record

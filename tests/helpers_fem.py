@@ -51,7 +51,7 @@ def evaluate(sol, points):
     p = mesh.vertices
     t = mesh.triangles
     p0, p1, p2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    s2 = 2.0 * mesh.signed_areas
+    s2 = 2.0 * mesh.areas
     out = np.empty(pts.shape[0])
     for k, x in enumerate(pts):
         d = x - p0

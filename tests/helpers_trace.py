@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from triafem.checks import FIT_WINDOW, CheckResult, _verdict
+from triafem.checks import FIT_WINDOW, MARKING_Q_VALUES, CheckResult, _verdict
 from triafem.driver import TRACE_COLUMNS, VARYING_COLUMNS, AfemRunError, AfemTrace, run_afem
 from triafem.problems import builtin_problem
 
@@ -173,6 +173,32 @@ def quasi_orthogonality_loop(trace, epsilon):
         return CheckResult("skip", "no iterations above the reference noise floor", values)
     return _verdict(not failures, f"epsilon={epsilon} ell0={ell0} failures={failures} "
                     f"usable={len(usable)}", **values)
+
+
+def marking_optimality_loop(trace):
+    """Per-step loop form of :func:`triafem.checks.check_marking_optimality`."""
+    theta = trace.meta.get("theta")
+    if theta is None:
+        raise ValueError("marking optimality needs the run's theta")
+    if len(trace) < 2:
+        raise ValueError("the trace has no refinement step")
+    if failed := nonfinite_estimator_loop(trace):
+        return failed
+    eta, refined = trace.eta_sq, trace.refined_eta_sq
+    ell, applicable, passed = [], [], []
+    for k in range(len(trace) - 1):
+        if not math.isfinite(refined[k]):
+            continue
+        ell.append(k)
+        applicable.append([eta[k + 1] <= q_d * eta[k] for q_d in MARKING_Q_VALUES])
+        passed.append([not a or refined[k] >= theta * eta[k] * (1.0 - 1e-12)
+                       for a in applicable[-1]])
+    shape = (len(ell), len(MARKING_Q_VALUES))
+    applicable = np.array(applicable, dtype=bool).reshape(shape)
+    passed = np.array(passed, dtype=bool).reshape(shape)
+    failing = int(np.sum(~passed))
+    return _verdict(not failing, f"applicable={int(np.sum(applicable))} failing={failing}",
+                    ell=np.array(ell, dtype=np.int64), applicable=applicable, passed=passed)
 
 
 def discrete_reliability_loop(trace):

@@ -29,6 +29,7 @@ from triafem.assembly import (
     volume_samples,
 )
 from triafem.checks import (
+    MARKING_Q_VALUES,
     check_convergence,
     check_discrete_reliability,
     check_estimator_reduction,
@@ -429,8 +430,8 @@ def test_marking_variants_agree_on_rates():
 
 def test_marking_optimality_on_acceptance_runs(theta_runs):
     for (name, theta), result in theta_runs.items():
-        rows = check_marking_optimality(result.trace).rows
-        applicable = [r for r in rows if r.applicable]
-        failing = [r for r in rows if not r.passed]
-        assert not failing, (name, theta, failing[:3])
-        assert applicable, (name, theta)
+        table = check_marking_optimality(result.trace).values
+        failing = np.argwhere(~table["passed"])
+        assert not failing.size, (name, theta, [(table["ell"][k], MARKING_Q_VALUES[j])
+                                                for k, j in failing[:3]])
+        assert table["applicable"].any(), (name, theta)

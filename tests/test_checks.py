@@ -11,6 +11,7 @@ from helpers_trace import (
     aborted_at_the_first_solve,
     discrete_reliability_loop,
     estimator_reduction_loop,
+    marking_optimality_loop,
     quasi_orthogonality_loop,
     rlinear_bisection,
     synthetic_trace,
@@ -22,6 +23,7 @@ from triafem import cli
 from triafem.checks import (
     check_discrete_reliability,
     check_estimator_reduction,
+    check_marking_optimality,
     check_quasi_orthogonality,
     check_rlinear,
 )
@@ -70,11 +72,14 @@ def _same(a, b):
 
 
 @settings(max_examples=300)
-@given(trace=traces(), epsilon=st.sampled_from((0.0, 0.1, 0.5)))
-def test_array_checks_match_their_loop_forms(trace, epsilon):
+@given(trace=traces(), epsilon=st.sampled_from((0.0, 0.1, 0.5)),
+       theta=st.sampled_from((0.0, 0.3, 0.5, 1.0)))
+def test_array_checks_match_their_loop_forms(trace, epsilon, theta):
+    trace.meta["theta"] = theta
     for check, loop, args in (
             (check_estimator_reduction, estimator_reduction_loop, ()),
             (check_quasi_orthogonality, quasi_orthogonality_loop, (epsilon,)),
+            (check_marking_optimality, marking_optimality_loop, ()),
             (check_discrete_reliability, discrete_reliability_loop, ())):
         new, old = _outcome(check, trace, *args), _outcome(loop, trace, *args)
         if isinstance(old, type):

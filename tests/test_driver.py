@@ -9,6 +9,7 @@ from helpers_fem import varying_linear_problem
 from helpers_trace import aborted_at_the_first_solve, synthetic_trace
 
 from triafem.checks import (
+    MARKING_Q_VALUES,
     CheckResult,
     check_convergence,
     check_discrete_reliability,
@@ -423,16 +424,18 @@ def test_marking_optimality_rows():
         refined_eta_sq=np.array([0.1, np.nan]),
         meta={"theta": 0.3},
     )
-    rows = check_marking_optimality(trace).rows
-    by_q = {r.q_d: r for r in rows}
-    assert not by_q[0.5].applicable and by_q[0.5].passed
-    assert by_q[0.9].applicable and not by_q[0.9].passed
+    table = check_marking_optimality(trace).values
+    assert table["ell"].tolist() == [0]
+    by_q = {q_d: (table["applicable"][0, j], table["passed"][0, j])
+            for j, q_d in enumerate(MARKING_Q_VALUES)}
+    assert not by_q[0.5][0] and by_q[0.5][1]
+    assert by_q[0.9][0] and not by_q[0.9][1]
 
 
 def test_marking_optimality_on_run(smooth_run):
-    rows = check_marking_optimality(smooth_run.trace).rows
-    assert rows
-    assert all(r.passed for r in rows)
+    passed = check_marking_optimality(smooth_run.trace).values["passed"]
+    assert passed.size
+    assert passed.all()
 
 
 def test_discrete_reliability_on_run(smooth_run):

@@ -15,6 +15,7 @@ from helpers_mesh import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triafem import mesh as mesh_module
 from triafem.driver import run_afem
 from triafem.mesh import (
     Mesh,
@@ -162,10 +163,33 @@ def test_overlap_test_sees_every_pair():
     assert outcomes == {False, True}
 
 
+def test_strip_along_y_tests_as_many_pairs_as_along_x(monkeypatch):
+    # a 1 x 1000 strip of unit squares, two triangles each: swept along its
+    # width, every box would start in the range of every other
+    n = 1000
+    coords = np.array([(i, j) for i in range(n + 1) for j in range(2)], dtype=float)
+    k = 2 * np.arange(n)
+    triangles = np.concatenate([np.column_stack([k, k + 2, k + 3]),
+                                np.column_stack([k, k + 3, k + 1])])
+    box_pairs = mesh_module._box_pairs
+    counts = []
+
+    def counted(*args):
+        pairs = box_pairs(*args)
+        counts[-1] += pairs[0].size
+        return pairs
+
+    monkeypatch.setattr(mesh_module, "_box_pairs", counted)
+    for laid in (coords, coords[:, ::-1]):
+        counts.append(0)
+        assert load_initial_mesh(laid, triangles).n_elements == 2 * n
+    assert counts[0] == counts[1]
+
+
 def test_negative_orientation_is_fixed():
     triangles = np.array([(0, 2, 1), (0, 2, 3)])
     mesh = load_initial_mesh(SQUARE_VERTICES, triangles)
-    assert np.all(mesh.signed_areas > 0)
+    assert np.all(mesh.areas > 0)
     # the caller's array is left as it was
     assert triangles.tolist() == [[0, 2, 1], [0, 2, 3]]
 

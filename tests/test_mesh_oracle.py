@@ -40,7 +40,7 @@ def assert_same_geometry(mesh):
     assert np.array_equal(mesh.quadrature_points(slice(1, None)), points[1:])
     pa, pb = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
     assert np.array_equal(quadrature.edge_points(pa, pb), edge_points_broadcast(pa, pb))
-    assert np.array_equal(mesh.signed_areas, oracle.signed_areas(mesh))
+    assert np.array_equal(mesh.areas, oracle.signed_areas(mesh))
     assert np.array_equal(mesh.basis_gradients, oracle.basis_gradients(mesh))
     assert shape_regularity(mesh) == oracle.shape_regularity(mesh)
     nids = np.arange(mesh.forest.n_nodes)
@@ -179,14 +179,14 @@ def test_carried_geometry_equals_fresh_geometry(data, steps):
     mesh = skewed_lshape()
     gamma_max = gamma_all = shape_regularity(mesh)
     for _ in range(steps):
-        mesh.signed_areas, mesh.basis_gradients  # held by the coarse mesh, so carried
+        mesh.areas, mesh.basis_gradients  # held by the coarse mesh, so carried
         refined, record = refine_nvb(mesh, draw_marking(data, mesh))
-        for name in ("signed_areas", "basis_gradients"):
+        for name in ("areas", "basis_gradients"):
             assert (name in vars(refined)) == (record.kept.size > 0)
         fresh = Mesh(refined.forest, refined.node_ids)
-        assert np.array_equal(refined.signed_areas, fresh.signed_areas)
+        assert np.array_equal(refined.areas, fresh.areas)
         assert np.array_equal(refined.basis_gradients, fresh.basis_gradients)
-        assert np.array_equal(refined.signed_areas, oracle.signed_areas(fresh))
+        assert np.array_equal(refined.areas, oracle.signed_areas(fresh))
         assert np.array_equal(refined.basis_gradients, oracle.basis_gradients(fresh))
         assert not refined.basis_gradients.flags.writeable
         gamma_max = max(gamma_max, shape_regularity(refined, slice(record.kept.size, None)))
