@@ -91,7 +91,7 @@ class VolumeSamples:
     on the mesh subtracts. Passed as an argument, never cached on the mesh
     (a run that keeps its history keeps every mesh); the driver makes them
     once per loop mesh, carried through refinement, and once for the
-    reference mesh.
+    reference mesh of a problem that declares no solution.
     """
 
     source: np.ndarray
@@ -128,27 +128,28 @@ def _element_data(mesh, problem, elements):
     """The fields of :class:`VolumeSamples` on the slice ``elements`` of
     ``mesh``."""
     points = mesh.quadrature_points(elements)
-    shape = points.shape[:2]
-    flat = points.reshape(-1, 2)
-
-    def sample(name, *tail):
-        values = getattr(problem, name)(flat).reshape(*shape, *tail)
-        _check_finite(name, values)
-        return values
-
-    fields = {"source": sample("source")}
+    fields = {"source": _sample(problem, "source", points)}
     if isinstance(problem, LinearProblem):
         for name, tail in (("advection", (2,)), ("reaction", ()), ("diffusion_div", (2,))):
             if getattr(problem, name) is not None:
-                fields[name] = sample(name, *tail)
+                fields[name] = _sample(problem, name, points, *tail)
         fields["local"], fields["load"] = _element_system(
-            sample("diffusion", 2, 2), fields,
+            _sample(problem, "diffusion", points, 2, 2), fields,
             mesh.basis_gradients[elements], mesh.areas[elements],
         )
     else:
         fields["source_moments"] = np.einsum(
             "q,nq,qi->ni", quadrature.TRI_WEIGHTS, fields["source"], quadrature.TRI_BARY)
     return fields
+
+
+def _sample(problem, name, x, *tail):
+    """The closure ``problem.<name>`` at ``x`` (n, q, 2), quadrature points
+    or, for a flux, gradients there, shaped (n, q, *tail); raises
+    :class:`AssemblyError` on a non-finite value."""
+    values = getattr(problem, name)(x.reshape(-1, 2)).reshape(*x.shape[:2], *tail)
+    _check_finite(name, values)
+    return values
 
 
 def element_gradients(mesh, values):
@@ -494,6 +495,38 @@ def energy_products(mesh, problem, w_sol, v_sols, samples, parents=None):
         terms = (flux_w - flux_v) * (grad_w - grad_v)
         products.append(float(np.sum(mesh.areas * (terms[:, 0] + terms[:, 1]))))
     return products
+
+
+def exact_energy_error(mesh, problem, sol, samples):
+    """Squared energy error of ``sol`` against the problem's declared
+    solution ``exact_u`` and ``exact_grad``, by the volume rule on
+    ``sol``'s own mesh ``mesh``, with no reference and no history.
+
+    For a linear problem ``b(e, e)`` with ``e = u - U``: the diffusion is
+    sampled here, the advection and reaction read from ``samples``, the
+    problem's :func:`volume_samples` on ``mesh``. For a nonlinear one
+    ``sum_T |T| sum_q w_q (F(grad u(x_q)) - F(grad U_T)) . (grad u(x_q) -
+    grad U_T)``, with ``U``'s flux taken once per element
+    (:func:`flux_terms`). Raises :class:`AssemblyError` on a non-finite
+    sample.
+    """
+    points = mesh.quadrature_points()
+    grad_u = _sample(problem, "exact_grad", points, 2)
+    if isinstance(problem, LinearProblem):
+        grad_e = grad_u - element_gradients(mesh, sol.values)[:, None, :]
+        e = _sample(problem, "exact_u", points) - p1_at_quadrature(mesh, sol.values)
+        diffusion = _sample(problem, "diffusion", points, 2, 2)
+        integrand = np.einsum("nqa,nqab,nqb->nq", grad_e, diffusion, grad_e)
+        if samples.advection is not None:
+            integrand += np.einsum("nqa,nqa->nq", samples.advection, grad_e) * e
+        if samples.reaction is not None:
+            integrand += samples.reaction * e * e
+    else:
+        grad_h, flux_h = flux_terms(mesh, problem, sol.values)
+        flux_u = _sample(problem, "flux", grad_u, 2)
+        integrand = np.einsum("nqa,nqa->nq", flux_u - flux_h[:, None, :],
+                              grad_u - grad_h[:, None, :])
+    return float(np.sum(mesh.areas * _contract(quadrature.TRI_WEIGHTS, integrand)))
 
 
 def transfer(sol, finer):

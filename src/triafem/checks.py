@@ -173,10 +173,11 @@ def check_quasi_orthogonality(trace, epsilon):
     always holds.
 
     Checks ``|U_{l+1} - U_l|^2 <= E_l^2 / (1 - eps) - E_{l+1}^2`` in the
-    recorded energy (or nonlinear quasi-metric) against the reference
-    solution, using only iterations whose error exceeds 10 times the
-    reference noise floor, the final iterate's error (``meta.json`` copies
-    it as ``noise_floor_err_sq``), so a trace read back from its file gets
+    recorded energy (or nonlinear quasi-metric), against the declared
+    solution or the reference solution (:func:`~triafem.driver.run_afem`),
+    using only iterations whose error exceeds 10 times the noise floor,
+    the final iterate's error from either source (``meta.json`` copies it
+    as ``noise_floor_err_sq``), so a trace read back from its file gets
     the same verdict. Skips when no step is usable and passes when no
     usable step fails. ``epsilon = 0`` asks for the exact Pythagoras
     identity; on non-symmetric problems the result then lists the failing

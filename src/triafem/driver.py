@@ -2,9 +2,9 @@
 
 ``run_afem`` iterates solve - estimate - mark - refine and records one row
 per iteration in an :class:`AfemTrace`; with ``compute_reference`` it
-then measures every iterate's energy error against
-:func:`build_reference`. The checks that read the trace are in
-:mod:`triafem.checks`.
+also records every iterate's energy error, against the problem's declared
+solution where it has one and against :func:`build_reference` otherwise.
+The checks that read the trace are in :mod:`triafem.checks`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .assembly import (
     DiscreteSolution,
     assemble_linear,
     energy_products,
+    exact_energy_error,
     grad_norm_sq,
     solve_linear,
     solve_nonlinear,
@@ -152,13 +153,14 @@ def _solve_on(mesh, problem, samples, guess=None):
 def build_reference(problem, solutions, records):
     """Squared energy errors of the iterates ``solutions``, one float each,
     against the solution on ``REFERENCE_LEVELS`` uniform refinements of the
-    last iterate's mesh. ``records`` are the refinements between the
-    iterates' meshes, ``records[k]`` from that of ``solutions[k]`` to that
-    of ``solutions[k + 1]``; records that do not chain them raise
-    ``ValueError``. Their element maps, composed with that of the
-    reference refinements after the solve, so that only the latter is held
-    through the factor's peak, let :func:`energy_products` read each
-    iterate on its own mesh. The reference solve and the energies read one
+    last iterate's mesh: the errors of a problem that declares no solution,
+    the last of them the run's noise floor. ``records`` are the refinements
+    between the iterates' meshes, ``records[k]`` from that of
+    ``solutions[k]`` to that of ``solutions[k + 1]``; records that do not
+    chain them raise ``ValueError``. Their element maps, composed with that
+    of the reference refinements after the solve, so that only the latter
+    is held through the factor's peak, let :func:`energy_products` read
+    each iterate on its own mesh. The reference solve and the energies read one
     :func:`volume_samples` of the reference mesh."""
     if len(records) != len(solutions) - 1 or not all(
             record.joins(coarse.mesh, fine.mesh)
@@ -208,12 +210,20 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
     Stops when the estimator drops below ``eta_tol``, the mesh reaches
     ``max_elements``, the indicators vanish or after ``MAX_ITERATIONS``
     refinements. Every refinement is audited. ``keep_history`` keeps the
-    solution of every iteration in ``solutions``. With
-    ``compute_reference=True`` the run is followed by a reference solve on
-    ``REFERENCE_LEVELS`` uniform refinements of the final mesh and the
-    energy errors of all iterates are recorded; the run holds its iterates
-    for that whether or not it returns them. ``initial_mesh`` overrides
-    the problem's default, which lets several runs share one genealogy.
+    solution of every iteration in ``solutions``.
+
+    ``compute_reference=True`` records the energy error of every iterate
+    in ``err_energy_sq``, and the final iterate's as
+    ``meta["noise_floor_err_sq"]``. A problem that declares ``exact_u``
+    and ``exact_grad`` has each iterate measured against them in the loop,
+    once its row is recorded, on its own mesh (:func:`exact_energy_error`);
+    a failure there aborts the run in the phase ``reference``. Any other problem's
+    run is followed by a reference solve on ``REFERENCE_LEVELS`` uniform
+    refinements of the final mesh (:func:`build_reference`), and holds its
+    iterates for that whether or not it returns them. The errors decide
+    no mesh, so every other column is the same either way.
+    ``initial_mesh`` overrides the problem's default, which lets several
+    runs share one genealogy.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
@@ -222,6 +232,8 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
     if max_elements is None and eta_tol is None:
         raise ValueError("need a stopping rule: max_elements or eta_tol")
 
+    # a declared solution measures each iterate on its own mesh
+    exact = compute_reference and problem.exact_u is not None and problem.exact_grad is not None
     mesh = problem.make_initial_mesh() if initial_mesh is None else initial_mesh
     gamma0 = shape_regularity(mesh)
     gamma_max = gamma0
@@ -273,7 +285,10 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
                    n_vertices=float(mesh.n_vertices), eta_sq=report.eta_sq_total,
                    osc_sq=report.osc_sq_total)
         rows.append(row)
-        if keep_history or compute_reference:
+        if exact:
+            with _phase("reference"):
+                row["err_energy_sq"] = max(0.0, exact_energy_error(mesh, problem, sol, samples))
+        if keep_history or (compute_reference and not exact):
             solutions.append(sol)
 
         stop = (
@@ -309,10 +324,11 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
     if records:
         meta["closure_constant"] = closure_audit(records)
 
-    if compute_reference:
+    if compute_reference and not exact:
         with _phase("reference"):
             for row, err_sq in zip(rows, build_reference(problem, solutions, records)):
                 row["err_energy_sq"] = max(0.0, err_sq)
+    if compute_reference:
         meta["noise_floor_err_sq"] = rows[-1]["err_energy_sq"]
 
     return AfemResult(

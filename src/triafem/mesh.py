@@ -405,8 +405,10 @@ def _validate_initial(coords, triangles):
         raise MeshError("non-finite vertex coordinate")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("triangle array must have shape (NT, 3)")
+    if not triangles.shape[0]:
+        raise MeshError("empty triangle array: a mesh needs at least one triangle")
     nv = coords.shape[0]
-    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
+    if triangles.min() < 0 or triangles.max() >= nv:
         raise MeshError("triangle vertex index out of range")
     if np.unique(triangles).shape[0] != nv:
         raise MeshError("non-conforming mesh: unused vertex")
@@ -481,7 +483,7 @@ def _reject_overlaps(coords, triangles, edges):
     every pair with meeting bounding boxes is tested, swept along the axis
     on which the vertices spread more (x on a tie), so that the boxes of a
     long strip do not all start in the range of every other."""
-    axis = int(np.ptp(coords[:, 1]) > np.ptp(coords[:, 0])) if coords.size else 0
+    axis = int(np.ptp(coords[:, 1]) > np.ptp(coords[:, 0]))
     p = coords[triangles]
     t, v = _box_pairs(p.min(axis=1), p.max(axis=1), coords, coords, axis)
     keep = (triangles[t] != v[:, None]).all(axis=1)

@@ -181,6 +181,35 @@ def energy_per_point(mesh, problem, w_values, v_values, v_mesh=None, parent=None
     return float(np.sum(mesh.areas * integrand[:, 0]))
 
 
+def exact_error_per_point(mesh, problem, values):
+    """Squared energy error of a P1 function against the problem's declared
+    solution, element by element and point by point, every closure called
+    at one point: ``b(e, e)`` with ``e = u - U`` for a linear problem,
+    ``(F(grad u) - F(grad U)) . grad(u - U)`` for a nonlinear one."""
+    w, lam = quadrature.TRI_WEIGHTS, quadrature.TRI_BARY
+    points = mesh.quadrature_points()
+    grads = element_gradients(mesh, values)
+    total = 0.0
+    for n in range(mesh.n_elements):
+        element = 0.0
+        for q in range(w.size):
+            x = points[n, q][None]
+            grad_u = problem.exact_grad(x)[0]
+            grad_e = grad_u - grads[n]
+            if isinstance(problem, LinearProblem):
+                e = problem.exact_u(x)[0] - lam[q] @ values[mesh.triangles[n]]
+                term = grad_e @ problem.diffusion(x)[0] @ grad_e
+                if problem.advection is not None:
+                    term += (problem.advection(x)[0] @ grad_e) * e
+                if problem.reaction is not None:
+                    term += problem.reaction(x)[0] * e * e
+            else:
+                term = (problem.flux(grad_u[None])[0] - problem.flux(grads[n][None])[0]) @ grad_e
+            element += w[q] * term
+        total += mesh.areas[n] * element
+    return total
+
+
 def nonlinear_estimate_at_centroids(mesh, problem, values, samples):
     """Squared indicators and oscillations of a nonlinear problem with the
     flux of both neighbours evaluated on every interior edge."""
@@ -218,6 +247,12 @@ def jacobian_per_point(mesh, problem, values):
     jac_grad = np.einsum("nqab,njb->nqja", jac_q, grads)
     local = np.einsum("q,nqja,nia->nij", w, jac_grad, grads)
     return local * mesh.areas[:, None, None]
+
+
+def without_solution(problem):
+    """``problem`` with its declared solution dropped: a run of it with
+    ``compute_reference`` measures its errors against the reference solve."""
+    return dataclasses.replace(problem, exact_u=None, exact_grad=None)
 
 
 def varying_linear_problem():

@@ -13,6 +13,7 @@ from helpers_fem import (
     element_system_per_point,
     energy_per_point,
     evaluate,
+    exact_error_per_point,
     gradients_per_point,
     h1_error_sq,
     jacobian_per_point,
@@ -25,6 +26,7 @@ from helpers_fem import (
     two_block_newton,
     varying_linear_problem,
     wide_magnitudes,
+    without_solution,
 )
 import scipy.sparse.linalg as spla
 
@@ -39,6 +41,7 @@ from triafem.assembly import (
     assemble_linear,
     element_gradients,
     energy_products,
+    exact_energy_error,
     flux_terms,
     grad_norm_sq,
     laplace_stiffness,
@@ -474,6 +477,58 @@ def test_nonlinear_energy_distance_band():
         assert dl_sq <= 2.0 * problem.lipschitz_const * h1 + 1e-12
 
 
+def _with_sine_solution(problem):
+    """``problem`` declaring sin(pi x) sin(pi y), the solution of
+    magnetostatics, whether or not it solves ``problem``."""
+    declared = builtin_problem("magnetostatics_nl")
+    return dataclasses.replace(problem, exact_u=declared.exact_u, exact_grad=declared.exact_grad)
+
+
+DECLARED_PROBLEMS = {
+    "square_smooth": lambda: builtin_problem("square_smooth"),
+    "lshape_poisson": lambda: builtin_problem("lshape_poisson"),
+    # advection and reaction, every coefficient varying in x
+    "varying": lambda: _with_sine_solution(varying_linear_problem()),
+    "magnetostatics_nl": lambda: builtin_problem("magnetostatics_nl"),
+    "magnetostatics_skew": lambda: _with_sine_solution(skew_flux_problem()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED_PROBLEMS))
+@pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "off-grid"])
+def test_exact_energy_error_matches_the_per_point_oracle(name, dyadic):
+    # the kernel samples every closure over the whole mesh at once and sums
+    # over points, then elements; the oracle calls each at one point and
+    # adds one term at a time, so the two agree to rounding only
+    problem = DECLARED_PROBLEMS[name]()
+    mesh = random_refinement(np.random.default_rng(7), uniform_refine(problem.make_initial_mesh(), 3))
+    if not dyadic:
+        mesh = helpers_mesh.off_grid(mesh)
+    samples = volume_samples(mesh, problem)
+    if isinstance(problem, LinearProblem):
+        sol = solve_linear(assemble_linear(mesh, samples))
+    else:
+        sol = solve_nonlinear(mesh, problem, samples)[0]
+    error_sq = exact_energy_error(mesh, problem, sol, samples)
+    assert error_sq > 0.0
+    assert error_sq == pytest.approx(exact_error_per_point(mesh, problem, sol.values), rel=1e-12)
+
+
+@pytest.mark.parametrize("name, closure", [
+    ("square_smooth", "exact_u"), ("square_smooth", "exact_grad"),
+    ("magnetostatics_nl", "exact_grad"),
+])
+def test_exact_energy_error_rejects_a_non_finite_sample(name, closure):
+    problem = builtin_problem(name)
+    declared = getattr(problem, closure)
+    problem = dataclasses.replace(problem, **{closure: lambda x: np.nan * declared(x)})
+    mesh = uniform_refine(problem.make_initial_mesh(), 1)
+    samples = volume_samples(mesh, problem)
+    sol = DiscreteSolution(mesh, np.zeros(mesh.n_vertices))
+    with pytest.raises(AssemblyError, match=closure):
+        exact_energy_error(mesh, problem, sol, samples)
+
+
 def test_transfer_is_pointwise_exact():
     problem = builtin_problem("square_smooth")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
@@ -881,7 +936,8 @@ def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, n
     # walk up the forest; the oracle reads each iterate on its own mesh
     # through that walk. Off the dyadic grid, where areas
     # are not powers of two and so the association of the weights shows in
-    # the last bits
+    # the last bits. The problem's declared solution is dropped, so that
+    # the run measures its errors against the reference
     calls = []
     energy = driver.energy_products
 
@@ -902,7 +958,7 @@ def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, n
         return values
 
     monkeypatch.setattr(driver, "energy_products", recorded)
-    problem = NEWTON_PROBLEMS[name]()
+    problem = without_solution(NEWTON_PROBLEMS[name]())
     result = driver.run_afem(problem, 0.5, max_elements=300, compute_reference=True,
                              initial_mesh=helpers_mesh.off_grid(problem.make_initial_mesh()))
     # one call per increment of the loop, then one for the reference

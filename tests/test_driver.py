@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers_fem import varying_linear_problem
+from helpers_fem import varying_linear_problem, without_solution
 from helpers_trace import aborted_at_the_first_solve, synthetic_trace
 
 from triafem.checks import (
@@ -301,6 +301,71 @@ def test_solver_failure_aborts_with_partial_trace():
     assert err.value.phase in ("solve", "estimate")
 
 
+def test_declared_solution_needs_no_reference_and_no_history(monkeypatch):
+    # each iterate's error is measured on its own mesh in the loop: the
+    # reference build is never reached and no iterate is held
+    def no_reference(*args):
+        raise AssertionError("build_reference called")
+
+    monkeypatch.setattr(driver, "build_reference", no_reference)
+    problem = builtin_problem("magnetostatics_nl")
+    result = run_afem(problem, 0.5, max_elements=300, keep_history=False,
+                      compute_reference=True)
+    err = result.trace.err_energy_sq
+    assert result.solutions is None
+    assert len(err) > 3 and np.isfinite(err).all()
+    assert result.trace.meta["noise_floor_err_sq"] == err[-1]
+
+
+@pytest.mark.parametrize("name", ["lshape_poisson", "magnetostatics_nl"])
+def test_exact_errors_are_those_of_each_iterate(name):
+    # the carried samples give the bits of samples made on the iterate's mesh
+    problem = builtin_problem(name)
+    result = run_afem(problem, 0.5, max_elements=300, compute_reference=True)
+    expected = [max(0.0, assembly.exact_energy_error(
+        sol.mesh, problem, sol, volume_samples(sol.mesh, problem))) for sol in result.solutions]
+    assert np.array_equal(result.trace.err_energy_sq, expected)
+
+
+def test_non_finite_declared_gradient_aborts_with_partial_trace():
+    # the first two iterates are measured; the third sample is NaN
+    problem = builtin_problem("magnetostatics_nl")
+    calls = {"n": 0}
+
+    def flaky_grad(x):
+        calls["n"] += 1
+        out = problem.exact_grad(x)
+        return np.full_like(out, np.nan) if calls["n"] > 2 else out
+
+    flaky = dataclasses.replace(problem, exact_grad=flaky_grad)
+    with pytest.raises(AfemRunError, match="reference failed at iteration 2") as err:
+        run_afem(flaky, 0.5, max_elements=300, compute_reference=True)
+    trace = err.value.trace
+    assert err.value.phase == "reference"
+    assert len(trace) == 3
+    assert np.isfinite(trace.err_energy_sq[:2]).all() and np.isnan(trace.err_energy_sq[2])
+    assert "exact_grad" in trace.meta["aborted"]
+
+
+@pytest.mark.parametrize("name", ["square_smooth", "magnetostatics_nl"])
+def test_reference_and_exact_errors_agree(name):
+    # by Galerkin orthogonality on the reference mesh, the reference error
+    # squared is about the exact one less |u - u_ref|^2. The reference mesh
+    # has about 9 times the final mesh's elements and the error squared
+    # decays like 1/N, so the final iterate reads about 1 - 1/9 of its
+    # exact error; coarser iterates read closer to 1, and above it only by
+    # the 7-point rule's own error on the coarsest meshes. Measured on
+    # these runs: 0.909 to 0.999 (square_smooth), 0.902 to 1.005
+    # (magnetostatics_nl)
+    problem = builtin_problem(name)
+    exact, reference = (
+        run_afem(p, 0.5, max_elements=2000, keep_history=False, compute_reference=True).trace
+        for p in (problem, without_solution(problem)))
+    assert np.array_equal(exact.n_elements, reference.n_elements)
+    ratio = reference.err_energy_sq / exact.err_energy_sq
+    assert 1.0 - 1.0 / 9.0 - 0.03 <= ratio.min() and ratio.max() <= 1.01
+
+
 def _counting(problem, names):
     """Copy of ``problem`` whose coefficients ``names`` count their calls."""
     calls = dict.fromkeys(names, 0)
@@ -582,7 +647,7 @@ def test_binned_marking_run_completes():
     assert check_estimator_reduction(result.trace).passed
 
 
-def _count_transfers(monkeypatch, name, max_elements):
+def _count_transfers(monkeypatch, problem, max_elements):
     """A reference run's length, the target sizes of its transfers and the
     solution count of every transfer_many pass, transfers included."""
     calls, passes = [], []
@@ -598,8 +663,7 @@ def _count_transfers(monkeypatch, name, max_elements):
     monkeypatch.setattr(driver, "transfer", counting_transfer)
     # every transfer is a one-solution pass of transfer_many
     monkeypatch.setattr(assembly, "transfer_many", counting_transfer_many)
-    result = run_afem(builtin_problem(name), 0.5, max_elements=max_elements,
-                      compute_reference=True)
+    result = run_afem(problem, 0.5, max_elements=max_elements, compute_reference=True)
     return len(result.trace), calls, passes
 
 
@@ -607,16 +671,26 @@ def test_one_transfer_per_iteration(monkeypatch):
     # per refinement step one transfer serves as Newton guess and increment;
     # the reference adds one for its guess and reads the iterates of a
     # gradient-only problem on their own meshes, with no prolongation pass
-    n, calls, passes = _count_transfers(monkeypatch, "magnetostatics_nl", 2000)
+    n, calls, passes = _count_transfers(
+        monkeypatch, without_solution(builtin_problem("magnetostatics_nl")), 2000)
     assert n == 19
     assert len(calls) == (n - 1) + 1 == 19
     assert passes == [1] * 19
 
 
+def test_declared_solution_adds_no_transfer(monkeypatch):
+    # the exact errors read each iterate on its own mesh: only the loop's
+    # one transfer per refinement step is left
+    n, calls, passes = _count_transfers(monkeypatch, builtin_problem("magnetostatics_nl"), 2000)
+    assert n == 19
+    assert len(calls) == n - 1 == 18
+    assert passes == [1] * 18
+
+
 def test_linear_reference_prolongs_the_iterates_in_one_pass(monkeypatch):
     # a linear reference solve needs no guess; its energies read the
     # iterates' point values, so they are prolonged, all in one pass
-    n, calls, passes = _count_transfers(monkeypatch, "convection_diffusion", 1000)
+    n, calls, passes = _count_transfers(monkeypatch, builtin_problem("convection_diffusion"), 1000)
     assert n > 3
     assert len(calls) == n - 1
     assert passes == [1] * (n - 1) + [n]
@@ -666,10 +740,9 @@ def test_only_the_driver_makes_element_data():
     assert defaults == []
 
 
-@pytest.mark.parametrize("name", ["lshape_poisson", "magnetostatics_nl"])
-def test_element_data_is_made_once_per_mesh(monkeypatch, name):
-    # once per loop mesh, then once for the reference mesh, whose solve
-    # and energies read the same samples
+def _sampled_meshes(monkeypatch, problem):
+    """A reference run of ``problem`` and the element count of every mesh
+    that the driver samples."""
     meshes = []
     volume_samples = driver.volume_samples
 
@@ -678,11 +751,26 @@ def test_element_data_is_made_once_per_mesh(monkeypatch, name):
         return volume_samples(mesh, *args)
 
     monkeypatch.setattr(driver, "volume_samples", counted)
-    result = run_afem(builtin_problem(name), 0.5, max_elements=300, compute_reference=True)
+    return run_afem(problem, 0.5, max_elements=300, compute_reference=True), meshes
+
+
+@pytest.mark.parametrize("name", ["lshape_poisson", "magnetostatics_nl"])
+def test_element_data_is_made_once_per_mesh(monkeypatch, name):
+    # once per loop mesh, then once for the reference mesh, whose solve
+    # and energies read the same samples
+    result, meshes = _sampled_meshes(monkeypatch, without_solution(builtin_problem(name)))
     assert len(result.trace) > 3
     assert meshes[:-1] == list(result.trace.n_elements)
     reference = uniform_refine(result.final_solution.mesh, driver.REFERENCE_LEVELS)
     assert meshes[-1] == reference.n_elements
+
+
+@pytest.mark.parametrize("name", ["lshape_poisson", "magnetostatics_nl"])
+def test_declared_solution_samples_no_reference_mesh(monkeypatch, name):
+    # the exact errors read the loop's samples: once per loop mesh, no more
+    result, meshes = _sampled_meshes(monkeypatch, builtin_problem(name))
+    assert len(result.trace) > 3
+    assert meshes == list(result.trace.n_elements)
 
 
 def _assert_json_scalars(meta):

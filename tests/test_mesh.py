@@ -222,8 +222,12 @@ def test_non_integer_triangle_indices_rejected(triangles):
     (SQUARE_VERTICES, [(0, 1, 2), (0, 2, 4)], "out of range"),
     (SQUARE_VERTICES, [(0, 1, 2), (0, 2, -1)], "out of range"),
     (SQUARE_VERTICES, [("0", "1", "2"), ("0", "2", "3")], "must be integers, got dtype"),
+    # a mesh of no elements loaded, and a run on it failed in a bare numpy reduction
+    (np.zeros((0, 2)), np.zeros((0, 3), dtype=int), "empty triangle array"),
+    (SQUARE_VERTICES, np.zeros((0, 3), dtype=int), "empty triangle array"),
 ], ids=["vertex-3-columns", "vertex-flat", "triangle-4-columns", "triangle-2-columns",
-        "triangle-flat", "no-triangles", "index-past-the-end", "index-negative", "index-strings"])
+        "triangle-flat", "no-triangles", "index-past-the-end", "index-negative", "index-strings",
+        "no-vertices-no-triangles", "vertices-no-triangles"])
 def test_malformed_initial_arrays_rejected(vertices, triangles, fault):
     # the array forms of a malformed line of a mesh file
     with pytest.raises(MeshError, match=fault):
