@@ -71,9 +71,10 @@ class DiscreteSolution:
 @dataclass(frozen=True)
 class SparseSystem:
     """Assembled bilinear form and load restricted to interior vertices,
-    row and column ``k`` at vertex ``mesh.interior_vertices[k]``."""
+    row and column ``k`` at vertex ``mesh.interior_vertices[k]``; the
+    matrix is in CSC form, the form the factor takes."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     mesh: Mesh
 
@@ -103,6 +104,22 @@ class VolumeSamples:
     load: Optional[np.ndarray] = None
 
 
+@dataclass(frozen=True)
+class DeclaredSamples:
+    """A problem's declared solution on one mesh, per element and volume
+    point: its gradient ``grad`` (NT, q, 2) and, for a nonlinear problem,
+    the flux there ``flux`` (NT, q, 2), for a linear one its value
+    ``value`` (NT, q) and the diffusion ``diffusion`` (NT, q, 2, 2).
+    :func:`exact_energy_error` reads them; the driver makes them once per
+    loop mesh, carried through refinement like :class:`VolumeSamples`.
+    """
+
+    grad: np.ndarray
+    flux: Optional[np.ndarray] = None
+    value: Optional[np.ndarray] = None
+    diffusion: Optional[np.ndarray] = None
+
+
 def volume_samples(mesh, problem, carry=None):
     """The problem's :class:`VolumeSamples` on ``mesh``.
 
@@ -113,14 +130,27 @@ def volume_samples(mesh, problem, carry=None):
     when ``mesh`` does not start with the kept elements of ``coarse``, and
     :class:`AssemblyError` on a non-finite sample.
     """
+    return _carried(VolumeSamples, _element_data, mesh, problem, carry)
+
+
+def declared_samples(mesh, problem, carry=None):
+    """The problem's :class:`DeclaredSamples` on ``mesh``, carried as
+    :func:`volume_samples` carries its samples, with the same errors; the
+    problem must declare ``exact_u`` and ``exact_grad``."""
+    return _carried(DeclaredSamples, _declared_data, mesh, problem, carry)
+
+
+def _carried(kind, data, mesh, problem, carry):
+    """``kind`` from the fields ``data(mesh, problem, elements)`` on every
+    element of ``mesh``, or with ``carry`` on its new elements only."""
     if carry is None:
-        return VolumeSamples(**_element_data(mesh, problem, slice(None)))
+        return kind(**data(mesh, problem, slice(None)))
     coarse, samples, record = carry
     if not record.joins(coarse, mesh):
         raise ValueError("mesh does not start with the kept elements of the carried mesh")
-    return VolumeSamples(**{
+    return kind(**{
         name: record.carry(getattr(samples, name), new)
-        for name, new in _element_data(mesh, problem, record.new_elements).items()
+        for name, new in data(mesh, problem, record.new_elements).items()
     })
 
 
@@ -140,6 +170,19 @@ def _element_data(mesh, problem, elements):
     else:
         fields["source_moments"] = np.einsum(
             "q,nq,qi->ni", quadrature.TRI_WEIGHTS, fields["source"], quadrature.TRI_BARY)
+    return fields
+
+
+def _declared_data(mesh, problem, elements):
+    """The fields of :class:`DeclaredSamples` on the slice ``elements`` of
+    ``mesh``."""
+    points = mesh.quadrature_points(elements)
+    fields = {"grad": _sample(problem, "exact_grad", points, 2)}
+    if isinstance(problem, LinearProblem):
+        fields["value"] = _sample(problem, "exact_u", points)
+        fields["diffusion"] = _sample(problem, "diffusion", points, 2, 2)
+    else:
+        fields["flux"] = _sample(problem, "flux", fields["grad"], 2)
     return fields
 
 
@@ -174,12 +217,15 @@ def _check_finite(name, arr):
 
 
 def _scatter(mesh, local):
-    """Sum local (NT, 3, 3) element matrices into the interior CSR matrix.
+    """Sum local (NT, 3, 3) element matrices into the interior matrix, in
+    CSC form.
 
     Entry (i, j) of element n goes to row ``triangles[n, i]`` and column
     ``triangles[n, j]``. The COO matrix over all vertices is summed into
     CSR first and the interior block is cut out after, in the order of
-    :attr:`Mesh.interior_vertices`, so every run sums in the same order.
+    :attr:`Mesh.interior_vertices`, then turned into CSC, so every run sums
+    in the same order. :class:`SparsePattern` gives the same bits by
+    gathers.
     """
     t = mesh.triangles
     matrix = sp.coo_matrix(
@@ -187,7 +233,73 @@ def _scatter(mesh, local):
         shape=(mesh.n_vertices, mesh.n_vertices),
     ).tocsr()
     keep = mesh.interior_vertices
-    return matrix[keep][:, keep].tocsr()
+    return matrix[keep][:, keep].tocsc()
+
+
+class SparsePattern:
+    """The sparse structure of :func:`_scatter` on one mesh, to assemble
+    many matrices there by gathers with its bits (``notes/decisions.md``,
+    "A per-mesh pattern for Newton's Jacobians").
+
+    Every permutation of :func:`_scatter`'s chain that does not depend on
+    the values is found once. COO to CSR buckets the entries by row,
+    keeping their order, which a sort of unique keys gives;
+    ``sort_indices`` then orders each row by column with ``std::sort``,
+    which is not stable, so the order among duplicates is found by pushing
+    positions through scipy's own sort. A matrix is the
+    local entries in that order, summed by scipy's own ``sum_duplicates``
+    on fresh copies of the sorted structure (it rewrites them in place),
+    then one gather of the sums for the interior cut in CSC form.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        t = mesh.triangles
+        n, corners = mesh.n_vertices, t.ravel()
+        # entry (i, j) of element n is entry 9n + 3i + j, so a row's bucket
+        # holds the three entries of each of its corners 3n + i in turn,
+        # the corners in their order: that of their unique keys
+        ranked = np.argsort(corners * corners.size + np.arange(corners.size))
+        bucketed = (3 * ranked[:, None] + np.arange(3)).ravel()
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(3 * np.bincount(corners, minlength=n), out=indptr[1:])
+        within = sp.csr_matrix((np.arange(bucketed.size, dtype=float),
+                                np.tile(t, (1, 3)).ravel()[bucketed], indptr), shape=(n, n))
+        within.sort_indices()
+        self._order = bucketed[within.data.astype(np.intp)]
+        self._indices, self._indptr = within.indices, within.indptr
+        # sum_duplicates adds each run of one column in a row into one entry
+        rows, cols = np.repeat(np.arange(n), np.diff(indptr)), within.indices
+        first = np.ones(cols.size, dtype=bool)
+        first[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+        # the interior cut in CSC form: the sums by interior column, then row
+        keep = mesh.interior_vertices
+        index = np.full(n, -1)
+        index[keep] = np.arange(keep.size)
+        row, col = index[rows[first]], index[cols[first]]
+        inner = np.flatnonzero((row >= 0) & (col >= 0))
+        self._gather = inner[np.argsort(col[inner] * keep.size + row[inner])]
+        dtype = within.indptr.dtype
+        cut_indptr = np.zeros(keep.size + 1, dtype=dtype)
+        np.cumsum(np.bincount(col[inner], minlength=keep.size), out=cut_indptr[1:])
+        self._cut = row[self._gather].astype(dtype), cut_indptr
+
+    def matrix(self, mesh, local):
+        """:func:`_scatter` of the element matrices ``local`` of ``mesh``,
+        which must be this pattern's mesh; ``ValueError`` otherwise."""
+        if not (mesh is self.mesh or (mesh.forest is self.mesh.forest
+                                      and np.array_equal(mesh.node_ids, self.mesh.node_ids))):
+            raise ValueError("the sparse pattern belongs to another mesh")
+        if local.shape != (mesh.n_elements, 3, 3):
+            raise ValueError("element matrices do not match the sparse pattern's mesh")
+        n, m = mesh.n_vertices, self._cut[1].size - 1
+        full = sp.csr_matrix((np.take(local.reshape(-1), self._order), self._indices.copy(),
+                              self._indptr.copy()), shape=(n, n))
+        full.has_sorted_indices = True
+        full.sum_duplicates()
+        indices, indptr = self._cut
+        return sp.csc_matrix((full.data[self._gather], indices.copy(), indptr.copy()),
+                             shape=(m, m))
 
 
 def _interior_sum(mesh, local):
@@ -251,7 +363,9 @@ def _symmetric_factor(matrix):
     pivot, taken on the unknowns in the order :attr:`Mesh.interior_vertices`
     gives them (``notes/decisions.md``). The one sparse LU of the package:
     linear systems, Newton's Jacobians and the Riesz map are factored here.
-    Raises ``RuntimeError`` when the matrix is exactly singular."""
+    Every matrix the package assembles is in CSC form and is factored as
+    it is; another form is converted to it. Raises ``RuntimeError`` when
+    the matrix is exactly singular."""
     return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                      options={"SymmetricMode": True}).solve
 
@@ -292,21 +406,27 @@ def _flux_closure(problem, name, grad_u):
     return values
 
 
-def nonlinear_residual(mesh, problem, values, samples):
+def _gradient_rows(mesh):
+    """The basis gradients in component-major rows (2, 3, NT), so that
+    every term of the residual is a product of contiguous rows."""
+    return mesh.basis_gradients.transpose(2, 1, 0).copy()
+
+
+def nonlinear_residual(mesh, problem, values, samples, grads=None):
     """Galerkin residual F_i = <L u - f, phi_i> over interior vertices.
 
-    ``samples`` are the problem's :func:`volume_samples` on ``mesh``. The
-    flux part is summed point by point in the order of
-    ``einsum("q,nqa,nia->ni")``, not contracted first
+    ``samples`` are the problem's :func:`volume_samples` on ``mesh``, and
+    ``grads`` its basis gradients as :func:`_gradient_rows` lays them out,
+    made here when not given. The flux part is summed point by point in
+    the order of ``einsum("q,nqa,nia->ni")``, not contracted first
     (``notes/decisions.md``, "The nonlinear residual keeps its
     point-by-point quadrature sum" and "Gradient-only fluxes"). Raises
     :class:`AssemblyError` on a non-finite flux.
     """
     w = quadrature.TRI_WEIGHTS
     _, flux = flux_terms(mesh, problem, values)
-    # component-major rows (2, 3, NT), so that every term is a product of
-    # contiguous rows
-    grads = mesh.basis_gradients.transpose(2, 1, 0).copy()
+    if grads is None:
+        grads = _gradient_rows(mesh)
     local = np.zeros((3, mesh.n_elements))
     for w_q in w:
         for a in range(2):
@@ -317,8 +437,10 @@ def nonlinear_residual(mesh, problem, values, samples):
     return _interior_sum(mesh, local)
 
 
-def nonlinear_jacobian(mesh, problem, values):
-    """Jacobian of the Galerkin residual, restricted to interior vertices.
+def nonlinear_jacobian(mesh, problem, values, pattern=None):
+    """Jacobian of the Galerkin residual, restricted to interior vertices,
+    in CSC form: summed by :func:`_scatter`, or with the bits of that by
+    the :class:`SparsePattern` ``pattern`` of ``mesh``.
 
     The flux Jacobian is contracted before the local product, as
     ``w_0 DF + w_1 DF + ...`` with the element flux Jacobian ``DF``, the
@@ -330,7 +452,7 @@ def nonlinear_jacobian(mesh, problem, values):
         jac_bar += w_q * jac
     local = _stiffness(mesh.basis_gradients, jac_bar)
     local *= mesh.areas[:, None, None]
-    return _scatter(mesh, local)
+    return _scatter(mesh, local) if pattern is None else pattern.matrix(mesh, local)
 
 
 def solve_nonlinear(
@@ -353,7 +475,11 @@ def solve_nonlinear(
     scale is the load"). A zero load returns the zero solution.
 
     Damped Newton (steps 1 down to ``2**-12``), each Jacobian factored by
-    :func:`_symmetric_factor`; the damped Riesz iteration
+    :func:`_symmetric_factor`. The first Jacobian is summed by
+    :func:`_scatter`; a second one builds the mesh's
+    :class:`SparsePattern`, which every later one reuses, with the same
+    bits. The residuals share one layout of the basis gradients
+    (:func:`_gradient_rows`). The damped Riesz iteration
     ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))`` takes over when no step
     decreases the residual, a Jacobian is exactly singular or
     ``max_newton`` steps are spent. Every residual reads ``samples``, the
@@ -374,20 +500,25 @@ def solve_nonlinear(
     ref_norm = float(np.linalg.norm(load))
     target = 1e-10 * ref_norm
     res_norm = best = 0.0
+    grads = _gradient_rows(mesh)
     # otherwise zero solves F(0) = -l = 0, also when nothing is unknown
     if ref_norm != 0.0:
         if initial_guess is not None:
             values = initial_guess.values.copy()
-        residual = nonlinear_residual(mesh, problem, values, samples)
+        residual = nonlinear_residual(mesh, problem, values, samples, grads)
         res_norm = best = float(np.linalg.norm(residual))
         info["residuals"].append(res_norm)
 
-    solve = None
+    solve = pattern = None
+    jacobians = 0
     while res_norm > target and info["newton_iterations"] < max_newton:
         fresh = solve is None
         if fresh:
+            if jacobians == 1:
+                pattern = SparsePattern(mesh)  # a one-Jacobian solve builds none
+            jacobians += 1
             try:
-                solve = _symmetric_factor(nonlinear_jacobian(mesh, problem, values))
+                solve = _symmetric_factor(nonlinear_jacobian(mesh, problem, values, pattern))
             except RuntimeError:
                 # SuperLU found the Jacobian exactly singular
                 break
@@ -398,7 +529,7 @@ def solve_nonlinear(
         for step in _NEWTON_STEPS if fresh else _NEWTON_STEPS[:1]:
             trial = values.copy()
             trial[interior] -= step * delta
-            trial_residual = nonlinear_residual(mesh, problem, trial, samples)
+            trial_residual = nonlinear_residual(mesh, problem, trial, samples, grads)
             trial_norm = float(np.linalg.norm(trial_residual))
             if (np.isfinite(trial_norm) and trial_norm < res_norm if fresh
                     else trial_norm <= 0.5 * res_norm):
@@ -419,7 +550,7 @@ def solve_nonlinear(
         riesz = _symmetric_factor(laplace_stiffness(mesh))
         while res_norm > target and info["fallback_iterations"] < max_fallback:
             values[interior] -= step_size * riesz(residual)
-            residual = nonlinear_residual(mesh, problem, values, samples)
+            residual = nonlinear_residual(mesh, problem, values, samples, grads)
             res_norm = float(np.linalg.norm(residual))
             best = min(best, res_norm)
             info["fallback_iterations"] += 1
@@ -497,34 +628,35 @@ def energy_products(mesh, problem, w_sol, v_sols, samples, parents=None):
     return products
 
 
-def exact_energy_error(mesh, problem, sol, samples):
+def exact_energy_error(mesh, problem, sol, samples, declared=None):
     """Squared energy error of ``sol`` against the problem's declared
     solution ``exact_u`` and ``exact_grad``, by the volume rule on
     ``sol``'s own mesh ``mesh``, with no reference and no history.
 
-    For a linear problem ``b(e, e)`` with ``e = u - U``: the diffusion is
-    sampled here, the advection and reaction read from ``samples``, the
+    ``declared`` are the problem's :func:`declared_samples` on ``mesh``,
+    the declared solution (and the diffusion) at the volume points; they
+    are sampled here when not given. For a linear problem ``b(e, e)`` with
+    ``e = u - U``, the advection and reaction read from ``samples``, the
     problem's :func:`volume_samples` on ``mesh``. For a nonlinear one
     ``sum_T |T| sum_q w_q (F(grad u(x_q)) - F(grad U_T)) . (grad u(x_q) -
     grad U_T)``, with ``U``'s flux taken once per element
     (:func:`flux_terms`). Raises :class:`AssemblyError` on a non-finite
     sample.
     """
-    points = mesh.quadrature_points()
-    grad_u = _sample(problem, "exact_grad", points, 2)
+    if declared is None:
+        declared = declared_samples(mesh, problem)
+    grad_u = declared.grad
     if isinstance(problem, LinearProblem):
         grad_e = grad_u - element_gradients(mesh, sol.values)[:, None, :]
-        e = _sample(problem, "exact_u", points) - p1_at_quadrature(mesh, sol.values)
-        diffusion = _sample(problem, "diffusion", points, 2, 2)
-        integrand = np.einsum("nqa,nqab,nqb->nq", grad_e, diffusion, grad_e)
+        e = declared.value - p1_at_quadrature(mesh, sol.values)
+        integrand = np.einsum("nqa,nqab,nqb->nq", grad_e, declared.diffusion, grad_e)
         if samples.advection is not None:
             integrand += np.einsum("nqa,nqa->nq", samples.advection, grad_e) * e
         if samples.reaction is not None:
             integrand += samples.reaction * e * e
     else:
         grad_h, flux_h = flux_terms(mesh, problem, sol.values)
-        flux_u = _sample(problem, "flux", grad_u, 2)
-        integrand = np.einsum("nqa,nqa->nq", flux_u - flux_h[:, None, :],
+        integrand = np.einsum("nqa,nqa->nq", declared.flux - flux_h[:, None, :],
                               grad_u - grad_h[:, None, :])
     return float(np.sum(mesh.areas * _contract(quadrature.TRI_WEIGHTS, integrand)))
 

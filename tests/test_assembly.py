@@ -22,6 +22,7 @@ from helpers_fem import (
     presorted_solve,
     residual_per_point,
     restrict_functional,
+    scatter_oracle,
     skew_flux_problem,
     two_block_newton,
     varying_linear_problem,
@@ -36,9 +37,11 @@ from triafem.assembly import (
     DiscreteSolution,
     NonlinearSolveError,
     SolverError,
+    SparsePattern,
     _scatter,
     _symmetric_factor,
     assemble_linear,
+    declared_samples,
     element_gradients,
     energy_products,
     exact_energy_error,
@@ -875,6 +878,89 @@ def test_newton_factor_solves_near_spsolve(name, dyadic, seeds):
         assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def _assert_same_matrix(matrix, expected):
+    assert matrix.format == expected.format == "csc"
+    assert matrix.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, name), getattr(expected, name)), name
+
+
+PATTERN_MESHES = {
+    "cross-uniform": lambda: uniform_refine(unit_square_mesh(cross=True), 3),
+    "cross-graded": lambda: _graded_mesh(builtin_problem("magnetostatics_nl")),
+    "graded-off-grid": lambda: helpers_mesh.off_grid(
+        _graded_mesh(builtin_problem("magnetostatics_nl"))),
+    # two triangles, every vertex on the boundary: an empty interior block
+    "no-interior": unit_square_mesh,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
+@pytest.mark.parametrize("mesh_name", sorted(PATTERN_MESHES))
+def test_sparse_pattern_keeps_the_bits_of_the_scatter_chain(name, mesh_name):
+    # scipy's sum_duplicates rewrites the structure it is given in place,
+    # so one pattern must give the chain's bits on every later call too,
+    # with other values each time; a Jacobian without a pattern takes the
+    # chain itself
+    problem = NEWTON_PROBLEMS[name]()
+    mesh = PATTERN_MESHES[mesh_name]()
+    pattern = SparsePattern(mesh)
+    for seed in range(5):
+        values = _random_p1(mesh, seed)
+        expected = scatter_oracle(mesh, contracted_jacobian_per_point(mesh, problem, values))
+        _assert_same_matrix(nonlinear_jacobian(mesh, problem, values, pattern), expected)
+        _assert_same_matrix(nonlinear_jacobian(mesh, problem, values), expected)
+    if mesh_name == "no-interior":
+        assert expected.shape == (0, 0)
+    # entries of magnitudes 1e-160 to 1e160 show any other order of a sum
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        local = wide_magnitudes(rng, (mesh.n_elements, 3, 3))
+        _assert_same_matrix(pattern.matrix(mesh, local), scatter_oracle(mesh, local))
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
+@pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "off-grid"])
+def test_newton_jacobians_keep_the_bits_of_the_scatter_chain(monkeypatch, name, dyadic):
+    # one solve: the first Jacobian is summed by the chain, the later ones
+    # by one pattern of the mesh, each with the chain's bits
+    problem = NEWTON_PROBLEMS[name]()
+    mesh = _graded_mesh(problem)
+    if not dyadic:
+        mesh = helpers_mesh.off_grid(mesh)
+    calls = []
+    jacobian = assembly.nonlinear_jacobian
+
+    def recorded(mesh, problem, values, pattern=None):
+        matrix = jacobian(mesh, problem, values, pattern)
+        calls.append((values.copy(), pattern, matrix))
+        return matrix
+
+    monkeypatch.setattr(assembly, "nonlinear_jacobian", recorded)
+    solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
+    assert len(calls) >= 4
+    patterns = [pattern for _, pattern, _ in calls]
+    assert patterns[0] is None and patterns[1] is not None
+    assert all(pattern is patterns[1] for pattern in patterns[1:])
+    for values, _, matrix in calls:
+        expected = scatter_oracle(mesh, contracted_jacobian_per_point(mesh, problem, values))
+        _assert_same_matrix(matrix, expected)
+
+
+def test_sparse_pattern_refuses_another_mesh():
+    problem = builtin_problem("magnetostatics_nl")
+    mesh = _graded_mesh(problem)
+    pattern = SparsePattern(mesh)
+    # the same elements in another order, and another mesh of the forest
+    ids = mesh.node_ids.copy()
+    ids[[0, 1]] = ids[[1, 0]]
+    for other in (Mesh(mesh.forest, ids), refine_nvb(mesh, [0])[0]):
+        with pytest.raises(ValueError, match="another mesh"):
+            nonlinear_jacobian(other, problem, _random_p1(other, 1), pattern)
+    with pytest.raises(ValueError, match="element matrices"):
+        pattern.matrix(mesh, np.zeros((mesh.n_elements - 1, 3, 3)))
+
+
 def test_every_factor_takes_the_symmetric_order(monkeypatch):
     # the loop's Newton steps, the reference solve and the damped-Riesz
     # fallback all factor through _symmetric_factor
@@ -1264,6 +1350,32 @@ def test_carried_samples_equal_fresh_ones(name, seeds, all_marked_step):
                 assert np.array_equal(carried, expected), field.name
         assert (samples.local is None) == (name == "magnetostatics_nl")
         assert (samples.source_moments is None) == (name != "magnetostatics_nl")
+        mesh = refined
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED_PROBLEMS))
+@settings(max_examples=5, derandomize=True)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3))
+def test_carried_declared_samples_equal_fresh_ones(name, seeds):
+    # the declared solution's samples are carried as the volume samples
+    # are; both must hold the bits of one call on the whole mesh
+    problem = DECLARED_PROBLEMS[name]()
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    samples = declared_samples(mesh, problem)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        count = rng.integers(1, mesh.n_elements // 4 + 2)
+        refined, record = refine_nvb(mesh, rng.choice(mesh.n_elements, size=count, replace=False))
+        samples = declared_samples(refined, problem, (mesh, samples, record))
+        fresh = declared_samples(refined, problem)
+        for field in dataclasses.fields(fresh):
+            carried, expected = getattr(samples, field.name), getattr(fresh, field.name)
+            if expected is None:
+                assert carried is None, field.name
+            else:
+                assert np.array_equal(carried, expected), field.name
+        linear = isinstance(problem, LinearProblem)
+        assert (samples.flux is None) == linear and (samples.value is None) == (not linear)
         mesh = refined
 
 
