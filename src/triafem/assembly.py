@@ -104,22 +104,6 @@ class VolumeSamples:
     load: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class DeclaredSamples:
-    """A problem's declared solution on one mesh, per element and volume
-    point: its gradient ``grad`` (NT, q, 2) and, for a nonlinear problem,
-    the flux there ``flux`` (NT, q, 2), for a linear one its value
-    ``value`` (NT, q) and the diffusion ``diffusion`` (NT, q, 2, 2).
-    :func:`exact_energy_error` reads them; the driver makes them once per
-    loop mesh, carried through refinement like :class:`VolumeSamples`.
-    """
-
-    grad: np.ndarray
-    flux: Optional[np.ndarray] = None
-    value: Optional[np.ndarray] = None
-    diffusion: Optional[np.ndarray] = None
-
-
 def volume_samples(mesh, problem, carry=None):
     """The problem's :class:`VolumeSamples` on ``mesh``.
 
@@ -130,27 +114,14 @@ def volume_samples(mesh, problem, carry=None):
     when ``mesh`` does not start with the kept elements of ``coarse``, and
     :class:`AssemblyError` on a non-finite sample.
     """
-    return _carried(VolumeSamples, _element_data, mesh, problem, carry)
-
-
-def declared_samples(mesh, problem, carry=None):
-    """The problem's :class:`DeclaredSamples` on ``mesh``, carried as
-    :func:`volume_samples` carries its samples, with the same errors; the
-    problem must declare ``exact_u`` and ``exact_grad``."""
-    return _carried(DeclaredSamples, _declared_data, mesh, problem, carry)
-
-
-def _carried(kind, data, mesh, problem, carry):
-    """``kind`` from the fields ``data(mesh, problem, elements)`` on every
-    element of ``mesh``, or with ``carry`` on its new elements only."""
     if carry is None:
-        return kind(**data(mesh, problem, slice(None)))
+        return VolumeSamples(**_element_data(mesh, problem, slice(None)))
     coarse, samples, record = carry
     if not record.joins(coarse, mesh):
         raise ValueError("mesh does not start with the kept elements of the carried mesh")
-    return kind(**{
+    return VolumeSamples(**{
         name: record.carry(getattr(samples, name), new)
-        for name, new in data(mesh, problem, record.new_elements).items()
+        for name, new in _element_data(mesh, problem, record.new_elements).items()
     })
 
 
@@ -170,19 +141,6 @@ def _element_data(mesh, problem, elements):
     else:
         fields["source_moments"] = np.einsum(
             "q,nq,qi->ni", quadrature.TRI_WEIGHTS, fields["source"], quadrature.TRI_BARY)
-    return fields
-
-
-def _declared_data(mesh, problem, elements):
-    """The fields of :class:`DeclaredSamples` on the slice ``elements`` of
-    ``mesh``."""
-    points = mesh.quadrature_points(elements)
-    fields = {"grad": _sample(problem, "exact_grad", points, 2)}
-    if isinstance(problem, LinearProblem):
-        fields["value"] = _sample(problem, "exact_u", points)
-        fields["diffusion"] = _sample(problem, "diffusion", points, 2, 2)
-    else:
-        fields["flux"] = _sample(problem, "flux", fields["grad"], 2)
     return fields
 
 
@@ -224,8 +182,10 @@ def _scatter(mesh, local):
     ``triangles[n, j]``. The COO matrix over all vertices is summed into
     CSR first and the interior block is cut out after, in the order of
     :attr:`Mesh.interior_vertices`, then turned into CSC, so every run sums
-    in the same order. :class:`SparsePattern` gives the same bits by
-    gathers.
+    in the same order. One-shot assemblies (linear systems, the Riesz map)
+    take this chain; Newton's Jacobians take a :class:`SparsePattern`,
+    which gives the same bits by gathers but costs more than one chain to
+    build on a large mesh.
     """
     t = mesh.triangles
     matrix = sp.coo_matrix(
@@ -439,8 +399,8 @@ def nonlinear_residual(mesh, problem, values, samples, grads=None):
 
 def nonlinear_jacobian(mesh, problem, values, pattern=None):
     """Jacobian of the Galerkin residual, restricted to interior vertices,
-    in CSC form: summed by :func:`_scatter`, or with the bits of that by
-    the :class:`SparsePattern` ``pattern`` of ``mesh``.
+    in CSC form, summed by the :class:`SparsePattern` ``pattern`` of
+    ``mesh``, built here when not given.
 
     The flux Jacobian is contracted before the local product, as
     ``w_0 DF + w_1 DF + ...`` with the element flux Jacobian ``DF``, the
@@ -452,7 +412,7 @@ def nonlinear_jacobian(mesh, problem, values, pattern=None):
         jac_bar += w_q * jac
     local = _stiffness(mesh.basis_gradients, jac_bar)
     local *= mesh.areas[:, None, None]
-    return _scatter(mesh, local) if pattern is None else pattern.matrix(mesh, local)
+    return (pattern or SparsePattern(mesh)).matrix(mesh, local)
 
 
 def solve_nonlinear(
@@ -475,10 +435,9 @@ def solve_nonlinear(
     scale is the load"). A zero load returns the zero solution.
 
     Damped Newton (steps 1 down to ``2**-12``), each Jacobian factored by
-    :func:`_symmetric_factor`. The first Jacobian is summed by
-    :func:`_scatter`; a second one builds the mesh's
-    :class:`SparsePattern`, which every later one reuses, with the same
-    bits. The residuals share one layout of the basis gradients
+    :func:`_symmetric_factor`. The first Jacobian builds the mesh's
+    :class:`SparsePattern`, which every later one reuses, and the
+    residuals share one layout of the basis gradients
     (:func:`_gradient_rows`). The damped Riesz iteration
     ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))`` takes over when no step
     decreases the residual, a Jacobian is exactly singular or
@@ -510,13 +469,10 @@ def solve_nonlinear(
         info["residuals"].append(res_norm)
 
     solve = pattern = None
-    jacobians = 0
     while res_norm > target and info["newton_iterations"] < max_newton:
         fresh = solve is None
         if fresh:
-            if jacobians == 1:
-                pattern = SparsePattern(mesh)  # a one-Jacobian solve builds none
-            jacobians += 1
+            pattern = pattern or SparsePattern(mesh)
             try:
                 solve = _symmetric_factor(nonlinear_jacobian(mesh, problem, values, pattern))
             except RuntimeError:
@@ -628,35 +584,34 @@ def energy_products(mesh, problem, w_sol, v_sols, samples, parents=None):
     return products
 
 
-def exact_energy_error(mesh, problem, sol, samples, declared=None):
+def exact_energy_error(mesh, problem, sol, samples):
     """Squared energy error of ``sol`` against the problem's declared
     solution ``exact_u`` and ``exact_grad``, by the volume rule on
     ``sol``'s own mesh ``mesh``, with no reference and no history.
 
-    ``declared`` are the problem's :func:`declared_samples` on ``mesh``,
-    the declared solution (and the diffusion) at the volume points; they
-    are sampled here when not given. For a linear problem ``b(e, e)`` with
-    ``e = u - U``, the advection and reaction read from ``samples``, the
+    For a linear problem ``b(e, e)`` with ``e = u - U``: the diffusion is
+    sampled here, the advection and reaction read from ``samples``, the
     problem's :func:`volume_samples` on ``mesh``. For a nonlinear one
     ``sum_T |T| sum_q w_q (F(grad u(x_q)) - F(grad U_T)) . (grad u(x_q) -
     grad U_T)``, with ``U``'s flux taken once per element
     (:func:`flux_terms`). Raises :class:`AssemblyError` on a non-finite
     sample.
     """
-    if declared is None:
-        declared = declared_samples(mesh, problem)
-    grad_u = declared.grad
+    points = mesh.quadrature_points()
+    grad_u = _sample(problem, "exact_grad", points, 2)
     if isinstance(problem, LinearProblem):
         grad_e = grad_u - element_gradients(mesh, sol.values)[:, None, :]
-        e = declared.value - p1_at_quadrature(mesh, sol.values)
-        integrand = np.einsum("nqa,nqab,nqb->nq", grad_e, declared.diffusion, grad_e)
+        e = _sample(problem, "exact_u", points) - p1_at_quadrature(mesh, sol.values)
+        diffusion = _sample(problem, "diffusion", points, 2, 2)
+        integrand = np.einsum("nqa,nqab,nqb->nq", grad_e, diffusion, grad_e)
         if samples.advection is not None:
             integrand += np.einsum("nqa,nqa->nq", samples.advection, grad_e) * e
         if samples.reaction is not None:
             integrand += samples.reaction * e * e
     else:
         grad_h, flux_h = flux_terms(mesh, problem, sol.values)
-        integrand = np.einsum("nqa,nqa->nq", declared.flux - flux_h[:, None, :],
+        flux_u = _sample(problem, "flux", grad_u, 2)
+        integrand = np.einsum("nqa,nqa->nq", flux_u - flux_h[:, None, :],
                               grad_u - grad_h[:, None, :])
     return float(np.sum(mesh.areas * _contract(quadrature.TRI_WEIGHTS, integrand)))
 

@@ -20,7 +20,6 @@ import numpy as np
 from .assembly import (
     DiscreteSolution,
     assemble_linear,
-    declared_samples,
     energy_products,
     exact_energy_error,
     grad_norm_sq,
@@ -217,10 +216,8 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
     in ``err_energy_sq``, and the final iterate's as
     ``meta["noise_floor_err_sq"]``. A problem that declares ``exact_u``
     and ``exact_grad`` has each iterate measured against them in the loop,
-    once its row is recorded, on its own mesh (:func:`exact_energy_error`),
-    from its :func:`declared_samples`, which are carried through refinement
-    and sampled on the new elements only; a failure there aborts the run in
-    the phase ``reference``. Any other problem's
+    once its row is recorded, on its own mesh (:func:`exact_energy_error`);
+    a failure there aborts the run in the phase ``reference``. Any other problem's
     run is followed by a reference solve on ``REFERENCE_LEVELS`` uniform
     refinements of the final mesh (:func:`build_reference`), and holds its
     iterates for that whether or not it returns them. The errors decide
@@ -243,9 +240,8 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
     rows = []
     records = []
     solutions = []
-    # (coarse mesh, its samples, refinement record) of the last refinement,
-    # for the volume samples and the declared solution's
-    carry = declared_carry = None
+    # (coarse mesh, its samples, refinement record) of the last refinement
+    carry = None
 
     @contextmanager
     def _phase(name):
@@ -291,9 +287,7 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
         rows.append(row)
         if exact:
             with _phase("reference"):
-                declared, declared_carry = declared_samples(mesh, problem, declared_carry), None
-                row["err_energy_sq"] = max(
-                    0.0, exact_energy_error(mesh, problem, sol, samples, declared))
+                row["err_energy_sq"] = max(0.0, exact_energy_error(mesh, problem, sol, samples))
         if keep_history or (compute_reference and not exact):
             solutions.append(sol)
 
@@ -323,8 +317,6 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
             break
         # carried through refinement: the next mesh samples only its new elements
         carry = (mesh, samples, record)
-        if exact:
-            declared_carry = (mesh, declared, record)
         mesh = refined_mesh
 
     del samples  # dropped before the reference build

@@ -41,7 +41,6 @@ from triafem.assembly import (
     _scatter,
     _symmetric_factor,
     assemble_linear,
-    declared_samples,
     element_gradients,
     energy_products,
     exact_energy_error,
@@ -900,8 +899,8 @@ PATTERN_MESHES = {
 def test_sparse_pattern_keeps_the_bits_of_the_scatter_chain(name, mesh_name):
     # scipy's sum_duplicates rewrites the structure it is given in place,
     # so one pattern must give the chain's bits on every later call too,
-    # with other values each time; a Jacobian without a pattern takes the
-    # chain itself
+    # with other values each time; a Jacobian without a pattern builds its
+    # own
     problem = NEWTON_PROBLEMS[name]()
     mesh = PATTERN_MESHES[mesh_name]()
     pattern = SparsePattern(mesh)
@@ -922,8 +921,8 @@ def test_sparse_pattern_keeps_the_bits_of_the_scatter_chain(name, mesh_name):
 @pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
 @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "off-grid"])
 def test_newton_jacobians_keep_the_bits_of_the_scatter_chain(monkeypatch, name, dyadic):
-    # one solve: the first Jacobian is summed by the chain, the later ones
-    # by one pattern of the mesh, each with the chain's bits
+    # one solve: every Jacobian is summed by one pattern of the mesh, each
+    # with the chain's bits
     problem = NEWTON_PROBLEMS[name]()
     mesh = _graded_mesh(problem)
     if not dyadic:
@@ -940,8 +939,8 @@ def test_newton_jacobians_keep_the_bits_of_the_scatter_chain(monkeypatch, name, 
     solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
     assert len(calls) >= 4
     patterns = [pattern for _, pattern, _ in calls]
-    assert patterns[0] is None and patterns[1] is not None
-    assert all(pattern is patterns[1] for pattern in patterns[1:])
+    assert patterns[0] is not None
+    assert all(pattern is patterns[0] for pattern in patterns)
     for values, _, matrix in calls:
         expected = scatter_oracle(mesh, contracted_jacobian_per_point(mesh, problem, values))
         _assert_same_matrix(matrix, expected)
@@ -1350,32 +1349,6 @@ def test_carried_samples_equal_fresh_ones(name, seeds, all_marked_step):
                 assert np.array_equal(carried, expected), field.name
         assert (samples.local is None) == (name == "magnetostatics_nl")
         assert (samples.source_moments is None) == (name != "magnetostatics_nl")
-        mesh = refined
-
-
-@pytest.mark.parametrize("name", sorted(DECLARED_PROBLEMS))
-@settings(max_examples=5, derandomize=True)
-@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3))
-def test_carried_declared_samples_equal_fresh_ones(name, seeds):
-    # the declared solution's samples are carried as the volume samples
-    # are; both must hold the bits of one call on the whole mesh
-    problem = DECLARED_PROBLEMS[name]()
-    mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    samples = declared_samples(mesh, problem)
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        count = rng.integers(1, mesh.n_elements // 4 + 2)
-        refined, record = refine_nvb(mesh, rng.choice(mesh.n_elements, size=count, replace=False))
-        samples = declared_samples(refined, problem, (mesh, samples, record))
-        fresh = declared_samples(refined, problem)
-        for field in dataclasses.fields(fresh):
-            carried, expected = getattr(samples, field.name), getattr(fresh, field.name)
-            if expected is None:
-                assert carried is None, field.name
-            else:
-                assert np.array_equal(carried, expected), field.name
-        linear = isinstance(problem, LinearProblem)
-        assert (samples.flux is None) == linear and (samples.value is None) == (not linear)
         mesh = refined
 
 

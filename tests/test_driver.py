@@ -366,12 +366,11 @@ def test_reference_and_exact_errors_agree(name):
     assert 1.0 - 1.0 / 9.0 - 0.03 <= ratio.min() and ratio.max() <= 1.01
 
 
-def test_newton_and_exact_error_counts_of_the_benchmark_run(monkeypatch):
+def test_newton_counts_of_the_benchmark_run(monkeypatch):
     # the magnetostatics_reference configuration: every solve builds at
-    # most one sparse pattern, Newton still enters nonlinear_jacobian once
-    # per Jacobian (the benchmark counts Jacobians there), and the declared
-    # gradient is sampled on the first mesh and then on the sons only
-    patterns, jacobians, points = [], [], []
+    # most one sparse pattern, and Newton still enters nonlinear_jacobian
+    # once per Jacobian (the benchmark counts Jacobians there)
+    patterns, jacobians = [], []
     solve_nonlinear, jacobian = driver.solve_nonlinear, assembly.nonlinear_jacobian
     pattern = assembly.SparsePattern
 
@@ -387,24 +386,14 @@ def test_newton_and_exact_error_counts_of_the_benchmark_run(monkeypatch):
         jacobians.append(args[0].n_elements)
         return jacobian(*args)
 
-    problem = builtin_problem("magnetostatics_nl")
-    exact_grad = problem.exact_grad
-
-    def counted_grad(x):
-        points.append(x.shape[0])
-        return exact_grad(x)
-
     monkeypatch.setattr(driver, "solve_nonlinear", counted_solve)
     monkeypatch.setattr(assembly, "SparsePattern", counted_pattern)
     monkeypatch.setattr(assembly, "nonlinear_jacobian", counted_jacobian)
-    result = run_afem(dataclasses.replace(problem, exact_grad=counted_grad), 0.5,
+    result = run_afem(builtin_problem("magnetostatics_nl"), 0.5,
                       max_elements=2000, compute_reference=True)
     assert len(result.trace) == len(patterns) == 19
     assert max(patterns) == 1 and sum(patterns) > 0
     assert len(jacobians) == 60
-    new = [result.trace.n_elements[0]] + [
-        r.nt_after - (r.nt_before - r.refined.size) for r in result.records]
-    assert points == [7 * int(k) for k in new]
 
 
 def _counting(problem, names):
