@@ -25,8 +25,11 @@ from .problems import LinearProblem
 # mass tables that contract a per-point sample against the P1 basis
 _W_LAM = quadrature.TRI_WEIGHTS[:, None] * quadrature.TRI_BARY
 _W_LAM_LAM = (_W_LAM[:, :, None] * quadrature.TRI_BARY[:, None, :]).reshape(-1, 9)
-# the damped Newton steps of a fresh factor, 1 down to 2**-12
+# the damped Newton steps, 1 down to 2**-12
 _NEWTON_STEPS = tuple(0.5**k for k in range(13))
+# iteration budgets of a nonlinear solve: Newton steps, then fallback steps
+MAX_NEWTON = 200
+MAX_FALLBACK = 10_000
 
 
 class AssemblyError(RuntimeError):
@@ -415,15 +418,7 @@ def nonlinear_jacobian(mesh, problem, values, pattern=None):
     return (pattern or SparsePattern(mesh)).matrix(mesh, local)
 
 
-def solve_nonlinear(
-    mesh,
-    problem,
-    samples,
-    initial_guess=None,
-    max_newton=200,
-    max_fallback=10_000,
-    frozen_factor=False,
-):
+def solve_nonlinear(mesh, problem, samples, initial_guess=None):
     """Solve the nonlinear Galerkin system to ``|F(U)| <= 1e-10 |l|``.
 
     ``l_i = sum_T |T| sum_q w_q f(x_q) phi_i(x_q)`` is the interior load,
@@ -435,20 +430,18 @@ def solve_nonlinear(
     scale is the load"). A zero load returns the zero solution.
 
     Damped Newton (steps 1 down to ``2**-12``), each Jacobian factored by
-    :func:`_symmetric_factor`. The first Jacobian builds the mesh's
-    :class:`SparsePattern`, which every later one reuses, and the
-    residuals share one layout of the basis gradients
-    (:func:`_gradient_rows`). The damped Riesz iteration
+    :func:`_symmetric_factor` and the factor freed before the line search.
+    The first Jacobian builds the mesh's :class:`SparsePattern`, which
+    every later one reuses, and the residuals share one layout of the
+    basis gradients (:func:`_gradient_rows`). The damped Riesz iteration
     ``U <- U - (C_mono / C_lip^2) * Riesz(F(U))`` takes over when no step
     decreases the residual, a Jacobian is exactly singular or
-    ``max_newton`` steps are spent. Every residual reads ``samples``, the
-    problem's :func:`volume_samples` on ``mesh``. ``frozen_factor=True``
-    keeps a factor for the later steps while each halves the residual
-    (simplified Newton, which the reference solve runs:
-    ``notes/decisions.md``, "The reference solve factors once").
-    Returns the solution and ``info``: Newton and fallback iteration
-    counts and residual norms. Raises ``ValueError`` for a guess on another
-    mesh and :class:`NonlinearSolveError` when the budget is exhausted.
+    ``MAX_NEWTON`` steps are spent, for at most ``MAX_FALLBACK`` steps.
+    Every residual reads ``samples``, the problem's :func:`volume_samples`
+    on ``mesh``. Returns the solution and ``info``: Newton and fallback
+    iteration counts and residual norms. Raises ``ValueError`` for a guess
+    on another mesh and :class:`NonlinearSolveError` when the budget is
+    exhausted.
     """
     if initial_guess is not None and not initial_guess.mesh.same_elements(mesh):
         raise ValueError("initial guess lives on a different mesh")
@@ -468,33 +461,26 @@ def solve_nonlinear(
         res_norm = best = float(np.linalg.norm(residual))
         info["residuals"].append(res_norm)
 
-    solve = pattern = None
-    while res_norm > target and info["newton_iterations"] < max_newton:
-        fresh = solve is None
-        if fresh:
-            pattern = pattern or SparsePattern(mesh)
-            try:
-                solve = _symmetric_factor(nonlinear_jacobian(mesh, problem, values, pattern))
-            except RuntimeError:
-                # SuperLU found the Jacobian exactly singular
-                break
+    pattern = None
+    while res_norm > target and info["newton_iterations"] < MAX_NEWTON:
+        pattern = pattern or SparsePattern(mesh)
+        try:
+            solve = _symmetric_factor(nonlinear_jacobian(mesh, problem, values, pattern))
+        except RuntimeError:
+            # SuperLU found the Jacobian exactly singular
+            break
         delta = solve(residual)
-        if not frozen_factor:
-            solve = None  # full Newton frees the factor before the line search
+        del solve  # freed before the line search
         accepted = False
-        for step in _NEWTON_STEPS if fresh else _NEWTON_STEPS[:1]:
+        for step in _NEWTON_STEPS:
             trial = values.copy()
             trial[interior] -= step * delta
             trial_residual = nonlinear_residual(mesh, problem, trial, samples, grads)
             trial_norm = float(np.linalg.norm(trial_residual))
-            if (np.isfinite(trial_norm) and trial_norm < res_norm if fresh
-                    else trial_norm <= 0.5 * res_norm):
+            if np.isfinite(trial_norm) and trial_norm < res_norm:
                 values, residual, res_norm = trial, trial_residual, trial_norm
                 accepted = True
                 break
-        if not (accepted or fresh):
-            solve = None  # a fresh Jacobian at the same iterate
-            continue
         info["newton_iterations"] += 1
         info["residuals"].append(res_norm)
         best = min(best, res_norm)
@@ -504,7 +490,7 @@ def solve_nonlinear(
     if res_norm > target:
         step_size = problem.monotone_const / problem.lipschitz_const**2
         riesz = _symmetric_factor(laplace_stiffness(mesh))
-        while res_norm > target and info["fallback_iterations"] < max_fallback:
+        while res_norm > target and info["fallback_iterations"] < MAX_FALLBACK:
             values[interior] -= step_size * riesz(residual)
             residual = nonlinear_residual(mesh, problem, values, samples, grads)
             res_norm = float(np.linalg.norm(residual))
@@ -529,36 +515,18 @@ def flux_terms(mesh, problem, values):
     return grad_u, _flux_closure(problem, "flux", grad_u)
 
 
-def energy_products(mesh, problem, w_sol, v_sols, samples, parents=None):
-    """Squared energy distances of ``w_sol`` to each of ``v_sols``, a list.
+def energy_products(mesh, problem, w_sol, v_sols, samples):
+    """Squared energy distances of ``w_sol`` to each of ``v_sols``, a list,
+    all on ``mesh``; ``ValueError`` when a solution is not.
 
-    ``w_sol`` lives on ``mesh``, and so do the ``v_sols`` unless
-    ``parents`` is given: then ``v_sols[k]`` lives on a mesh that ``mesh``
-    refines, and ``parents[k]`` holds, per element of ``mesh``, the element
-    of that mesh that holds it (:func:`~triafem.mesh.element_maps`).
-    Only a linear problem reads ``samples``, the problem's
-    :func:`volume_samples` on ``mesh``, and of them only ``local``.
     For linear problems ``b(w - v, w - v)``, summed per element as
     ``sum_T d_T . local_T d_T`` with ``d = w - v`` and the element matrices
-    ``samples.local``, with coarser solutions prolonged by
-    :func:`transfer_many`; for nonlinear ones ``<L w - L v, w - v>``,
-    summed per element as
+    ``samples.local``, of the problem's :func:`volume_samples` on ``mesh``;
+    for nonlinear ones ``<L w - L v, w - v>``, summed per element as
     ``sum_T |T| (F(grad w) - F(grad v)) . grad(w - v)``, whose integrand is
-    constant on each element, with a coarser solution's
-    :func:`flux_terms` taken on its own mesh and gathered through its map
-    (``notes/decisions.md``, "Each iterate is read on its own mesh").
-    Raises ``ValueError`` when a solution is not on ``mesh`` or a map
-    does not fit.
+    constant on each element (:func:`flux_terms`), with no sample read.
     """
-    if parents is not None:
-        if len(parents) != len(v_sols) or any(
-                np.shape(p) != (mesh.n_elements,) or p.min(initial=0) < 0
-                or p.max(initial=-1) >= v.mesh.n_elements for p, v in zip(parents, v_sols)):
-            raise ValueError("energy products need one element map per solution, over the mesh")
-        if isinstance(problem, LinearProblem):
-            v_sols, parents = transfer_many(v_sols, mesh), None
-    on_mesh = [w_sol, *(v_sols if parents is None else [])]
-    if not all(sol.mesh.same_elements(mesh) for sol in on_mesh):
+    if not all(sol.mesh.same_elements(mesh) for sol in [w_sol, *v_sols]):
         raise ValueError("energy products need every solution on the given mesh")
     if isinstance(problem, LinearProblem):
         # a boundary value of d is zero, so the boundary rows of the
@@ -568,12 +536,8 @@ def energy_products(mesh, problem, w_sol, v_sols, samples, parents=None):
 
     grad_w, flux_w = flux_terms(mesh, problem, w_sol.values)
     products = []
-    for v_sol, parent in zip(v_sols, parents or [None] * len(v_sols)):
-        if parent is None:
-            grad_v, flux_v = flux_terms(mesh, problem, v_sol.values)
-        else:
-            grad_v, flux_v = flux_terms(v_sol.mesh, problem, v_sol.values)
-            grad_v, flux_v = np.take(grad_v, parent, axis=0), np.take(flux_v, parent, axis=0)
+    for v_sol in v_sols:
+        grad_v, flux_v = flux_terms(mesh, problem, v_sol.values)
         # the integrand is constant on each element and the weights sum to
         # one, so the quadrature sum is one area-weighted sum over elements;
         # the two components are added as written, the bits of np.sum over

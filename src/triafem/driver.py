@@ -26,11 +26,12 @@ from .assembly import (
     solve_linear,
     solve_nonlinear,
     transfer,
+    transfer_many,
     volume_samples,
 )
 from .estimator import estimate
 from .marking import AllZeroIndicators, mark_binned, mark_min
-from .mesh import audit_refinement, closure_audit, element_maps, refine_nvb, shape_regularity
+from .mesh import audit_refinement, closure_audit, refine_nvb, shape_regularity, uniform_refine
 from .problems import LinearProblem
 
 TRACE_COLUMNS = (
@@ -150,38 +151,24 @@ def _solve_on(mesh, problem, samples, guess=None):
     return solve_nonlinear(mesh, problem, samples, initial_guess=guess)[0]
 
 
-def build_reference(problem, solutions, records):
+def build_reference(problem, solutions):
     """Squared energy errors of the iterates ``solutions``, one float each,
     against the solution on ``REFERENCE_LEVELS`` uniform refinements of the
     last iterate's mesh: the errors of a problem that declares no solution,
-    the last of them the run's noise floor. ``records`` are the refinements
-    between the iterates' meshes, ``records[k]`` from that of
-    ``solutions[k]`` to that of ``solutions[k + 1]``; records that do not
-    chain them raise ``ValueError``. Their element maps, composed with that
-    of the reference refinements after the solve, so that only the latter
-    is held through the factor's peak, let :func:`energy_products` read
-    each iterate on its own mesh. The reference solve and the energies read one
-    :func:`volume_samples` of the reference mesh."""
-    if len(records) != len(solutions) - 1 or not all(
-            record.joins(coarse.mesh, fine.mesh)
-            for record, coarse, fine in zip(records, solutions, solutions[1:])):
-        raise ValueError("the records do not chain the iterates' meshes")
+    the last of them the run's noise floor. The reference is the loop's
+    solve on that mesh, a nonlinear problem's from the last iterate
+    prolonged, and reads one :func:`volume_samples` there with the
+    energies. Only after the solve are the iterates prolonged, in one
+    :func:`transfer_many` pass, so that they are not held through the
+    factor's peak; ``ValueError`` when the reference mesh does not refine
+    an iterate's mesh."""
     final = solutions[-1]
-    # per reference element, the element of the final mesh that holds it
-    ref_mesh, cover = final.mesh, np.arange(final.mesh.n_elements)
-    for _ in range(REFERENCE_LEVELS):
-        ref_mesh, record = refine_nvb(ref_mesh, np.arange(ref_mesh.n_elements))
-        cover = cover[record.parents]
-    del record  # not held through the solve
+    ref_mesh = uniform_refine(final.mesh, REFERENCE_LEVELS)
     samples = volume_samples(ref_mesh, problem)
-    if isinstance(problem, LinearProblem):
-        reference = _solve_on(ref_mesh, problem, samples)
-    else:
-        # its bits reach only the error column, so it reuses one factor
-        reference, _ = solve_nonlinear(
-            ref_mesh, problem, samples, transfer(final, ref_mesh), frozen_factor=True)
-    return energy_products(ref_mesh, problem, reference, solutions, samples,
-                           parents=element_maps(records, cover))
+    guess = None if isinstance(problem, LinearProblem) else transfer(final, ref_mesh)
+    reference = _solve_on(ref_mesh, problem, samples, guess)
+    return energy_products(ref_mesh, problem, reference, transfer_many(solutions, ref_mesh),
+                           samples)
 
 
 def _mark(marking, report, theta):
@@ -326,7 +313,7 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
 
     if compute_reference and not exact:
         with _phase("reference"):
-            for row, err_sq in zip(rows, build_reference(problem, solutions, records)):
+            for row, err_sq in zip(rows, build_reference(problem, solutions)):
                 row["err_energy_sq"] = max(0.0, err_sq)
     if compute_reference:
         meta["noise_floor_err_sq"] = rows[-1]["err_energy_sq"]

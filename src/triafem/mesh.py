@@ -70,8 +70,8 @@ class RefinementRecord:
     triangles covering it (2, 3 or 4); they follow the kept triangles in
     the new mesh, in the order of ``refined``. The record owns that layout:
     :meth:`carry` takes a per-element array to the new mesh,
-    :attr:`new_elements` selects the sons and :attr:`parents` is the element
-    map, composed over a chain of records by :func:`element_maps`.
+    :attr:`new_elements` selects the sons and :attr:`parents` maps each new
+    element to the old one that holds it.
     """
 
     marked: np.ndarray
@@ -613,19 +613,6 @@ def refine_nvb(mesh, marked):
         for name in held:
             setattr(refined_mesh, name, _read_only(record.carry(vars(mesh)[name], sons[name])))
     return refined_mesh, record
-
-
-def element_maps(records, cover):
-    """Per mesh of a chain of refinements, the index of its element that
-    holds each element of a finer mesh: ``len(records) + 1`` arrays, the
-    first mesh's first and ``cover`` last. ``records[k]`` refines mesh
-    ``k`` into mesh ``k + 1``, and ``cover`` maps the finer mesh to the
-    last mesh of the chain (``arange`` for that mesh itself); the maps are
-    composed from the records' :attr:`~RefinementRecord.parents`."""
-    maps = [cover]
-    for record in reversed(records):
-        maps.append(record.parents[maps[-1]])
-    return maps[::-1]
 
 
 def uniform_refine(mesh, times=1):

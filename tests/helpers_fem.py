@@ -170,23 +170,16 @@ def contracted_jacobian_per_point(mesh, problem, values):
     return local * mesh.areas[:, None, None]
 
 
-def energy_per_point(mesh, problem, w_values, v_values, v_mesh=None, parent=None):
+def energy_per_point(mesh, problem, w_values, v_values):
     """<L w - L v, w - v> of a nonlinear problem with the flux called at
     every quadrature point; the point integrands of each element must be
     equal, and their area-weighted sum over elements is the energy (the
-    weights sum to one). With ``v_mesh``, a mesh that ``mesh`` refines,
-    ``v`` lives there and element ``n`` of ``mesh`` reads the gradient and
-    flux of element ``parent[n]`` of ``v_mesh`` at its points."""
+    weights sum to one)."""
     n, nq = mesh.n_elements, quadrature.TRI_WEIGHTS.size
     grad_w, y_w = gradients_per_point(mesh, w_values)
     flux_w = problem.flux(y_w)
-    if v_mesh is None:
-        grad_v, y_v = gradients_per_point(mesh, v_values)
-        flux_v = problem.flux(y_v)
-    else:
-        grad_v, y_v = gradients_per_point(v_mesh, v_values)
-        flux_v = problem.flux(y_v).reshape(-1, nq, 2)[parent].reshape(-1, 2)
-        grad_v = grad_v[parent]
+    grad_v, y_v = gradients_per_point(mesh, v_values)
+    flux_v = problem.flux(y_v)
     flux_diff = (flux_w - flux_v).reshape(n, nq, 2)
     grad_diff = (grad_w - grad_v)[:, None, :]
     integrand = np.sum(flux_diff * grad_diff, axis=2)
@@ -474,9 +467,9 @@ def presorted_solve(mesh, problem):
     return values
 
 
-def two_block_newton(mesh, problem, initial_guess=None, frozen_factor=False):
+def two_block_newton(mesh, problem, initial_guess=None):
     """Nodal values and info of ``solve_nonlinear`` as first written, with
-    one step block for a kept factor and another for a fresh Jacobian (an
+    the residual at zero as its scale and a ``while`` line search (an
     exhausted budget returns None)."""
     interior = mesh.interior_vertices
     info = {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
@@ -491,26 +484,13 @@ def two_block_newton(mesh, problem, initial_guess=None, frozen_factor=False):
     res_norm = float(np.linalg.norm(residual))
     info["residuals"].append(res_norm)
 
-    kept = None
     while res_norm > target and info["newton_iterations"] < 200:
-        if kept is not None:
-            trial = values.copy()
-            trial[interior] -= kept(residual)
-            trial_residual = nonlinear_residual(mesh, problem, trial, samples)
-            trial_norm = float(np.linalg.norm(trial_residual))
-            if trial_norm <= 0.5 * res_norm:
-                values, residual, res_norm = trial, trial_residual, trial_norm
-                info["newton_iterations"] += 1
-                info["residuals"].append(res_norm)
-                continue
-            kept = None
         jac = nonlinear_jacobian(mesh, problem, values)
         try:
             solve = _symmetric_factor(jac)
         except RuntimeError:
             break
         delta = solve(residual)
-        kept = solve if frozen_factor else None
         accepted = False
         step = 1.0
         while step >= 2.0**-12:

@@ -18,6 +18,7 @@ from helpers_fem import h1_error_sq
 from helpers_marking import oracle_min_cardinality
 from helpers_problems import flux_jacobian_fd_error, manufactured_weak_residual
 
+from triafem import assembly
 from triafem.assembly import (
     DiscreteSolution,
     energy_products,
@@ -305,7 +306,7 @@ def test_criterion_7_discrete_reliability(theta_runs):
 
 # -- criterion 8: nonlinear solver ----------------------------------------------
 
-def test_criterion_8_nonlinear_solver():
+def test_criterion_8_nonlinear_solver(monkeypatch):
     problem = builtin_problem("magnetostatics_nl")
     mesh = problem.make_initial_mesh()
     previous = None
@@ -336,7 +337,8 @@ def test_criterion_8_nonlinear_solver():
     # slow path: the damped Riesz fallback alone on a coarse mesh
     coarse = uniform_refine(problem.make_initial_mesh(), 2)
     samples = volume_samples(coarse, problem)
-    sol, info = solve_nonlinear(coarse, problem, samples, max_newton=0, max_fallback=10_000)
+    monkeypatch.setattr(assembly, "MAX_NEWTON", 0)
+    sol, info = solve_nonlinear(coarse, problem, samples)
     print(f"zarantonello-only iterations: {info['fallback_iterations']}")
     assert 0 < info["fallback_iterations"] <= 10_000
     resid = nonlinear_residual(coarse, problem, sol.values, samples)

@@ -58,7 +58,6 @@ from triafem.assembly import (
 from triafem.estimator import estimate
 from triafem.mesh import (
     Mesh,
-    element_maps,
     lshape_mesh,
     refine_nvb,
     uniform_refine,
@@ -323,24 +322,27 @@ def test_magnetostatics_converges_under_refinement():
     assert ratios[-1] < 0.52
 
 
-def test_zarantonello_only_converges():
+def test_zarantonello_only_converges(monkeypatch):
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     samples = volume_samples(mesh, problem)
-    sol, info = solve_nonlinear(mesh, problem, samples, max_newton=0)
-    assert info["newton_iterations"] == 0
-    assert 0 < info["fallback_iterations"] <= 10_000
     newton, _ = solve_nonlinear(mesh, problem, samples)
+    monkeypatch.setattr(assembly, "MAX_NEWTON", 0)
+    sol, info = solve_nonlinear(mesh, problem, samples)
+    assert info["newton_iterations"] == 0
+    assert 0 < info["fallback_iterations"] <= assembly.MAX_FALLBACK
     assert np.abs(sol.values - newton.values).max() < 1e-7
 
 
-def _falls_back_on_a_zero_jacobian(frozen_factor):
+def test_singular_jacobian_falls_back_to_the_riesz_iteration():
+    # SuperLU finds a zero Jacobian exactly singular; Newton must hand over
+    # to the fallback instead of stepping along a NaN direction
     problem = builtin_problem("magnetostatics_nl")
     singular = dataclasses.replace(
         problem, flux_jacobian=lambda y: np.zeros((y.shape[0], 2, 2)))
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
     samples = volume_samples(mesh, problem)
-    sol, info = solve_nonlinear(mesh, singular, samples, frozen_factor=frozen_factor)
+    sol, info = solve_nonlinear(mesh, singular, samples)
     assert info["newton_iterations"] == 0
     assert info["fallback_iterations"] > 0
     zero = np.zeros(mesh.n_vertices)
@@ -349,24 +351,13 @@ def _falls_back_on_a_zero_jacobian(frozen_factor):
     assert np.abs(sol.values - solve_nonlinear(mesh, problem, samples)[0].values).max() < 1e-7
 
 
-def test_singular_jacobian_falls_back_to_the_riesz_iteration():
-    # SuperLU finds a zero Jacobian exactly singular; Newton must hand over
-    # to the fallback instead of stepping along a NaN direction
-    _falls_back_on_a_zero_jacobian(frozen_factor=False)
-
-
-def test_singular_jacobian_falls_back_with_a_frozen_factor():
-    # the reference solve's symmetric factor meets the same singular
-    # Jacobian and must hand over to the same fallback
-    _falls_back_on_a_zero_jacobian(frozen_factor=True)
-
-
-def test_nonlinear_budget_exhaustion_carries_best_residual():
+def test_nonlinear_budget_exhaustion_carries_best_residual(monkeypatch):
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    monkeypatch.setattr(assembly, "MAX_NEWTON", 0)
+    monkeypatch.setattr(assembly, "MAX_FALLBACK", 3)
     with pytest.raises(NonlinearSolveError) as err:
-        solve_nonlinear(mesh, problem, volume_samples(mesh, problem), max_newton=0,
-                        max_fallback=3)
+        solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
     assert 0.0 < err.value.best_residual < 1.0
 
 
@@ -424,40 +415,6 @@ def test_energy_products_mesh_mismatch():
             energy_products(mesh, problem, a, v_sols, samples)
     with pytest.raises(ValueError, match="mesh"):
         energy_products(mesh, problem, b, [a], samples)
-
-
-@pytest.mark.parametrize("name", ["magnetostatics_nl", "magnetostatics_skew", "square_smooth"])
-def test_energy_products_read_coarser_solutions_through_their_maps(name):
-    # solutions on coarser meshes, each with the element map of its chain
-    # of records, give the energies of their prolongations: the same bits
-    # for a linear problem, which prolongs them, and to rounding for a
-    # nonlinear one, which reads each on its own mesh
-    problem = skew_flux_problem() if name == "magnetostatics_skew" else builtin_problem(name)
-    rng = np.random.default_rng(3)
-    meshes, records = [uniform_refine(problem.make_initial_mesh(), 2)], []
-    for _ in range(3):
-        count = rng.integers(1, meshes[-1].n_elements // 3 + 2)
-        marked = rng.choice(meshes[-1].n_elements, size=count, replace=False)
-        mesh, record = refine_nvb(meshes[-1], marked)
-        meshes.append(mesh)
-        records.append(record)
-    mesh = meshes[-1]
-    parents = element_maps(records, np.arange(mesh.n_elements))
-    w_sol = random_p1(rng, mesh)
-    v_sols = [random_p1(rng, m) for m in meshes]
-    samples = volume_samples(mesh, problem)
-    mapped = energy_products(mesh, problem, w_sol, v_sols, samples, parents=parents)
-    prolonged = energy_products(mesh, problem, w_sol, transfer_many(v_sols, mesh), samples)
-    if name == "square_smooth":
-        assert mapped == prolonged
-    else:
-        assert mapped == pytest.approx(prolonged, rel=1e-13)
-    # one map per solution, one entry per element, each inside its mesh
-    bad_maps = (parents[1:], [*parents[:-1], parents[-1][1:]],
-                [*parents[:-1], parents[-1] + 1], [-1 - parents[0], *parents[1:]])
-    for bad in bad_maps:
-        with pytest.raises(ValueError, match="element map"):
-            energy_products(mesh, problem, w_sol, v_sols, samples, parents=bad)
 
 
 def test_nonlinear_energy_distance_band():
@@ -961,15 +918,16 @@ def test_sparse_pattern_refuses_another_mesh():
 
 
 def test_every_factor_takes_the_symmetric_order(monkeypatch):
-    # the loop's Newton steps, the reference solve and the damped-Riesz
-    # fallback all factor through _symmetric_factor
+    # the loop's Newton steps and the damped-Riesz fallback both factor
+    # through _symmetric_factor
     factors = _factors(monkeypatch)
     problem = builtin_problem("magnetostatics_nl")
     result = driver.run_afem(problem, 0.5, max_elements=300, compute_reference=True)
     newton = len(factors)
     assert newton > len(result.trace)
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
-    _, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), max_newton=0)
+    monkeypatch.setattr(assembly, "MAX_NEWTON", 0)
+    _, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem))
     assert info["newton_iterations"] == 0 and info["fallback_iterations"] > 0
     assert len(factors) == newton + 1
     assert {spec for _, spec in factors} == {"MMD_AT_PLUS_A"}
@@ -1016,30 +974,18 @@ def test_reference_energies_keep_the_bits_of_one_call_per_iterate(monkeypatch, n
     # the reference build pairs the reference solution with every iterate
     # in one call, which takes the reference side once, its quadrature
     # weights included; each energy must have the bits of a call for that
-    # iterate alone, and of the per-point oracle. The iterates come on their
-    # own meshes with the records' element maps, which must be those of a
-    # walk up the forest; the oracle reads each iterate on its own mesh
-    # through that walk. Off the dyadic grid, where areas
-    # are not powers of two and so the association of the weights shows in
-    # the last bits. The problem's declared solution is dropped, so that
-    # the run measures its errors against the reference
+    # iterate alone, and of the per-point oracle. Off the dyadic grid, where
+    # areas are not powers of two and so the association of the weights
+    # shows in the last bits. The problem's declared solution is dropped, so
+    # that the run measures its errors against the reference
     calls = []
     energy = driver.energy_products
 
-    def oracle(mesh, problem, w_sol, v_sol, parent):
-        if parent is None:
-            return energy_per_point(mesh, problem, w_sol.values, v_sol.values)
-        assert np.array_equal(parent, helpers_mesh.parents_by_walk(v_sol.mesh, mesh))
-        return energy_per_point(mesh, problem, w_sol.values, v_sol.values, v_sol.mesh, parent)
-
-    def recorded(mesh, problem, w_sol, v_sols, samples, parents=None):
-        values = energy(mesh, problem, w_sol, v_sols, samples, parents=parents)
-        maps = [None] * len(v_sols) if parents is None else parents
-        per_call = [energy(mesh, problem, w_sol, [v], samples,
-                           parents=None if p is None else [p])[0]
-                    for v, p in zip(v_sols, maps)]
-        calls.append((values, per_call,
-                      [oracle(mesh, problem, w_sol, v, p) for v, p in zip(v_sols, maps)]))
+    def recorded(mesh, problem, w_sol, v_sols, samples):
+        values = energy(mesh, problem, w_sol, v_sols, samples)
+        per_call = [energy(mesh, problem, w_sol, [v], samples)[0] for v in v_sols]
+        calls.append((values, per_call, [energy_per_point(mesh, problem, w_sol.values, v.values)
+                                         for v in v_sols]))
         return values
 
     monkeypatch.setattr(driver, "energy_products", recorded)
@@ -1082,59 +1028,22 @@ def _meets_the_contract(mesh, problem, sol):
     return np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(zero)
 
 
-def test_frozen_factor_reference_solve_meets_the_contract(monkeypatch, reference_setting):
-    problem, mesh, guess = reference_setting
-    samples = volume_samples(mesh, problem)
-    newton, _ = solve_nonlinear(mesh, problem, samples, guess)
-    factors = _factors(monkeypatch)
-    frozen, info = solve_nonlinear(mesh, problem, samples, guess, frozen_factor=True)
-    assert [spec for _, spec in factors] == ["MMD_AT_PLUS_A"]
-    assert info["fallback_iterations"] == 0 and info["newton_iterations"] > 1
-    assert _meets_the_contract(mesh, problem, frozen)
-    scale = np.abs(newton.values).max()
-    assert np.abs(frozen.values - newton.values).max() <= 1e-12 * scale
-
-
-def test_poor_first_factor_is_replaced(monkeypatch, reference_setting):
-    # a first Jacobian four times too large gives steps a quarter of
-    # Newton's, which do not halve the residual: its factor must go after
-    # the first step
-    problem, mesh, guess = reference_setting
-    calls = []
-
-    def poor_first(y):
-        calls.append(y.shape)
-        jac = problem.flux_jacobian(y)
-        return 4.0 * jac if len(calls) == 1 else jac
-
-    poor = dataclasses.replace(problem, flux_jacobian=poor_first)
-    factors = _factors(monkeypatch)
-    sol, info = solve_nonlinear(mesh, poor, volume_samples(mesh, poor), guess, frozen_factor=True)
-    assert len(calls) == len(factors) >= 2
-    assert all(spec == "MMD_AT_PLUS_A" for _, spec in factors)
-    assert info["fallback_iterations"] == 0
-    assert _meets_the_contract(mesh, problem, sol)
-
-
-def _same_as_two_blocks(mesh, make_problem, guess, frozen):
+def _same_as_two_blocks(mesh, make_problem, guess):
     """``solve_nonlinear`` gives the values, bit for bit, and the info of
     the two-block oracle; ``make_problem()`` gives a fresh problem per solve."""
     problem = make_problem()
-    sol, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), guess,
-                                frozen_factor=frozen)
-    values, expected = two_block_newton(mesh, make_problem(), guess, frozen)
+    sol, info = solve_nonlinear(mesh, problem, volume_samples(mesh, problem), guess)
+    values, expected = two_block_newton(mesh, make_problem(), guess)
     assert np.array_equal(sol.values, values)
     assert info == expected
     return info
 
 
-@pytest.mark.parametrize("frozen", [False, True], ids=["full", "frozen"])
 @pytest.mark.parametrize("name", sorted(NEWTON_PROBLEMS))
-def test_newton_keeps_the_bits_of_the_two_block_loop(name, frozen):
-    # one step block serves a fresh and a kept factor; every iterate and
-    # count must be those of the loop with a block for each, from zero, from
-    # the prolonged solution of a coarser mesh and from a far guess, off
-    # the dyadic grid
+def test_newton_keeps_the_bits_of_the_two_block_loop(name):
+    # every iterate and count must be those of the loop as first written,
+    # from zero, from the prolonged solution of a coarser mesh and from a
+    # far guess, off the dyadic grid
     problem = NEWTON_PROBLEMS[name]()
     coarse = helpers_mesh.off_grid(random_refinement(
         np.random.default_rng(8), uniform_refine(problem.make_initial_mesh(), 4)))
@@ -1143,17 +1052,15 @@ def test_newton_keeps_the_bits_of_the_two_block_loop(name, frozen):
     guesses = (None, transfer(coarse_sol, mesh),
                DiscreteSolution(mesh, 10.0 * _random_p1(mesh, 10)))
     for guess in guesses:
-        info = _same_as_two_blocks(mesh, lambda: problem, guess, frozen)
+        info = _same_as_two_blocks(mesh, lambda: problem, guess)
         assert info["newton_iterations"] > 1 and info["fallback_iterations"] == 0
 
 
-@pytest.mark.parametrize("frozen", [False, True], ids=["full", "frozen"])
 @pytest.mark.parametrize("scale", [4.0, 0.25, -1.0], ids=["short", "damped", "ascent"])
-def test_poor_first_factor_keeps_the_bits_of_the_two_block_loop(reference_setting, scale, frozen):
-    # the first Jacobian scaled: its steps are a quarter of Newton's, which
-    # a kept factor drops after one step; four times Newton's, which the
-    # line search halves; or uphill, so that no step is taken and the
-    # fallback takes over
+def test_poor_first_factor_keeps_the_bits_of_the_two_block_loop(reference_setting, scale):
+    # the first Jacobian scaled: its steps are a quarter of Newton's; four
+    # times Newton's, which the line search halves; or uphill, so that no
+    # step is taken and the fallback takes over
     problem, mesh, guess = reference_setting
 
     def make_poor():
@@ -1166,7 +1073,7 @@ def test_poor_first_factor_keeps_the_bits_of_the_two_block_loop(reference_settin
 
         return dataclasses.replace(problem, flux_jacobian=poor_first)
 
-    info = _same_as_two_blocks(mesh, make_poor, guess, frozen)
+    info = _same_as_two_blocks(mesh, make_poor, guess)
     assert (info["fallback_iterations"] > 0) == (scale < 0.0)
 
 
@@ -1181,10 +1088,9 @@ def test_zero_residual_leaves_zero_from_the_one_exit():
     single = load_initial_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
     cases = [(mesh, unforced, DiscreteSolution(mesh, _random_p1(mesh, 3))),
              (mesh, unforced, None), (single, problem, None)]
-    for frozen in (False, True):
-        for case_mesh, case_problem, guess in cases:
-            info = _same_as_two_blocks(case_mesh, lambda: case_problem, guess, frozen)
-            assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
+    for case_mesh, case_problem, guess in cases:
+        info = _same_as_two_blocks(case_mesh, lambda: case_problem, guess)
+        assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
 
 
 @pytest.mark.parametrize("mesh_name", ["cross-uniform", "lshape"])
@@ -1203,10 +1109,9 @@ def test_offset_flux_without_a_load_returns_zero_at_once(mesh_name):
     zero = np.zeros(mesh.n_vertices)
     samples = volume_samples(mesh, problem)
     assert 0.0 < np.linalg.norm(nonlinear_residual(mesh, problem, zero, samples)) < 1e-15
-    for frozen in (False, True):
-        sol, info = solve_nonlinear(mesh, problem, samples, frozen_factor=frozen)
-        assert np.array_equal(sol.values, zero)
-        assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
+    sol, info = solve_nonlinear(mesh, problem, samples)
+    assert np.array_equal(sol.values, zero)
+    assert info == {"newton_iterations": 0, "fallback_iterations": 0, "residuals": []}
 
 
 @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "off-grid"])
@@ -1223,8 +1128,11 @@ def test_newton_scale_is_the_load_and_costs_no_residual(monkeypatch, name, dyadi
     if not dyadic:
         mesh = helpers_mesh.off_grid(mesh)
     samples = volume_samples(mesh, problem)
-    with pytest.raises(NonlinearSolveError) as err:
-        solve_nonlinear(mesh, problem, samples, max_newton=0, max_fallback=0)
+    with monkeypatch.context() as budget:
+        budget.setattr(assembly, "MAX_NEWTON", 0)
+        budget.setattr(assembly, "MAX_FALLBACK", 0)
+        with pytest.raises(NonlinearSolveError) as err:
+            solve_nonlinear(mesh, problem, samples)
     assert err.value.best_residual == 1.0
 
     calls = []

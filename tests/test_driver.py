@@ -24,6 +24,7 @@ from triafem.driver import AfemRunError, AfemTrace, run_afem, run_uniform
 from triafem import assembly, driver
 from triafem.assembly import (
     DiscreteSolution,
+    energy_products,
     solve_nonlinear,
     transfer,
     transfer_many,
@@ -691,21 +692,23 @@ def _count_transfers(monkeypatch, problem, max_elements):
         return transfer_many(solutions, finer)
 
     monkeypatch.setattr(driver, "transfer", counting_transfer)
-    # every transfer is a one-solution pass of transfer_many
+    # every transfer is a one-solution pass of transfer_many; the reference
+    # build calls transfer_many itself
     monkeypatch.setattr(assembly, "transfer_many", counting_transfer_many)
+    monkeypatch.setattr(driver, "transfer_many", counting_transfer_many)
     result = run_afem(problem, 0.5, max_elements=max_elements, compute_reference=True)
     return len(result.trace), calls, passes
 
 
 def test_one_transfer_per_iteration(monkeypatch):
     # per refinement step one transfer serves as Newton guess and increment;
-    # the reference adds one for its guess and reads the iterates of a
-    # gradient-only problem on their own meshes, with no prolongation pass
+    # the reference adds one for its guess and prolongs the iterates, all
+    # in one pass
     n, calls, passes = _count_transfers(
         monkeypatch, without_solution(builtin_problem("magnetostatics_nl")), 2000)
     assert n == 19
     assert len(calls) == (n - 1) + 1 == 19
-    assert passes == [1] * 19
+    assert passes == [1] * 19 + [n]
 
 
 def test_declared_solution_adds_no_transfer(monkeypatch):
@@ -726,25 +729,39 @@ def test_linear_reference_prolongs_the_iterates_in_one_pass(monkeypatch):
     assert passes == [1] * (n - 1) + [n]
 
 
-def test_build_reference_needs_records_that_chain_the_iterates():
-    # the records' element maps reach the iterates only through a chain of
-    # refinements: a missing record, one out of place, or one whose counts
-    # agree but whose kept elements differ is refused
-    problem = builtin_problem("magnetostatics_nl")
-    result = run_afem(problem, 0.5, max_elements=150)
-    solutions, records = result.solutions, result.records
-    last = records[-1]
-    kept = last.kept
-    # the same counts, one kept element swapped for a refined one
-    refined = np.sort(np.append(last.refined[1:], kept[0]))
-    moved = dataclasses.replace(last, refined=refined)
-    assert (moved.nt_before, moved.nt_after) == (last.nt_before, last.nt_after)
-    for bad in (records[1:], records[:-1] + [records[0]], records[:-1] + [moved],
-                records + [last]):
-        with pytest.raises(ValueError, match="do not chain"):
-            driver.build_reference(problem, solutions, bad)
-    errors = driver.build_reference(problem, solutions, records)
-    assert len(errors) == len(solutions)
+@pytest.mark.parametrize("name", ["convection_diffusion", "magnetostatics_nl"])
+def test_reference_is_the_loop_solve_on_the_refined_mesh(monkeypatch, name):
+    # the reference is _solve_on, the loop's solve, on REFERENCE_LEVELS
+    # uniform refinements of the final mesh, a nonlinear one from the final
+    # iterate prolonged; every error has the bits of one energy_products
+    # call for its iterate prolonged alone. A solution from another forest
+    # is refused
+    problem = without_solution(builtin_problem(name))
+    result = run_afem(problem, 0.5, max_elements=300)
+    final = result.final_solution
+    solves = []
+    solve_on = driver._solve_on
+
+    def recorded(mesh, problem, samples, guess=None):
+        sol = solve_on(mesh, problem, samples, guess)
+        solves.append((samples, guess, sol))
+        return sol
+
+    monkeypatch.setattr(driver, "_solve_on", recorded)
+    errors = driver.build_reference(problem, result.solutions)
+    [(samples, guess, reference)] = solves
+    ref_mesh = reference.mesh
+    assert ref_mesh.same_elements(uniform_refine(final.mesh, driver.REFERENCE_LEVELS))
+    if name == "convection_diffusion":
+        assert guess is None
+    else:
+        assert np.array_equal(guess.values, transfer(final, ref_mesh).values)
+    assert errors == [
+        energy_products(ref_mesh, problem, reference, [transfer(sol, ref_mesh)], samples)[0]
+        for sol in result.solutions]
+    other = run_afem(problem, 0.5, max_elements=30).final_solution
+    with pytest.raises(ValueError, match="refinement"):
+        driver.build_reference(problem, [other, final])
 
 
 def test_only_the_driver_makes_element_data():

@@ -23,7 +23,6 @@ from triafem.mesh import (
     Mesh,
     _assign_reference_edges,
     _corner_geometry,
-    element_maps,
     load_initial_mesh,
     lshape_mesh,
     overlay,
@@ -224,13 +223,11 @@ def test_record_carries_rows_through_the_refined_layout(data, name, steps):
 
 @settings(max_examples=50)
 @given(data=st.data(), name=st.sampled_from(sorted(INITIAL_MESHES)), steps=st.integers(1, 5))
-def test_element_maps_match_a_walk_up_the_parents(data, name, steps):
-    # every record's map and their compositions against a walk up
-    # forest.parent: random markings with one step that marks every
-    # element, then a second branch from an earlier mesh, which reuses sons
-    # the first branch created
+def test_record_parents_match_a_walk_up_the_parents(data, name, steps):
+    # every record's map against a walk up forest.parent: random markings
+    # with one step that marks every element, then a second branch from an
+    # earlier mesh, which reuses sons the first branch created
     meshes = [INITIAL_MESHES[name]()]
-    records = []
     all_marked = data.draw(st.integers(0, steps - 1), label="all_marked")
     for k in range(steps):
         mesh = meshes[-1]
@@ -240,11 +237,6 @@ def test_element_maps_match_a_walk_up_the_parents(data, name, steps):
         assert np.array_equal(record.parents, oracle.parents_by_walk(mesh, fine))
         assert record.joins(mesh, fine)
         meshes.append(fine)
-        records.append(record)
-    maps = element_maps(records, np.arange(meshes[-1].n_elements))
-    assert len(maps) == len(meshes)
-    for coarse, parents in zip(meshes, maps):
-        assert np.array_equal(parents, oracle.parents_by_walk(coarse, meshes[-1]))
     base = data.draw(st.integers(0, steps - 1), label="branch_from")
     branch, record = refine_nvb(meshes[base], draw_marking(data, meshes[base]))
     assert np.array_equal(record.parents, oracle.parents_by_walk(meshes[base], branch))
