@@ -351,6 +351,40 @@ def test_singular_jacobian_falls_back_to_the_riesz_iteration():
     assert np.abs(sol.values - solve_nonlinear(mesh, problem, samples)[0].values).max() < 1e-7
 
 
+def test_singular_jacobian_falls_back_from_the_prolonged_guess():
+    # the reference solve starts from the prolonged final iterate: with a
+    # singular Jacobian the fallback takes over from that guess, which it
+    # needs fewer steps from than from zero, and reaches Newton's solution
+    problem = builtin_problem("magnetostatics_nl")
+    singular = dataclasses.replace(
+        problem, flux_jacobian=lambda y: np.zeros((y.shape[0], 2, 2)))
+    coarse = uniform_refine(problem.make_initial_mesh(), 2)
+    mesh = uniform_refine(coarse, 1)
+    guess = transfer(solve_nonlinear(coarse, problem, volume_samples(coarse, problem))[0], mesh)
+    samples = volume_samples(mesh, problem)
+    sol, info = solve_nonlinear(mesh, singular, samples, guess)
+    _, from_zero = solve_nonlinear(mesh, singular, samples)
+    assert info["newton_iterations"] == from_zero["newton_iterations"] == 0
+    assert 0 < info["fallback_iterations"] < from_zero["fallback_iterations"]
+    assert np.abs(sol.values - solve_nonlinear(mesh, problem, samples)[0].values).max() < 1e-7
+
+
+def test_newton_budget_hands_over_to_the_fallback(monkeypatch):
+    # MAX_NEWTON is read at each solve: once its steps are spent the damped
+    # Riesz iteration goes on from Newton's last iterate
+    problem = builtin_problem("magnetostatics_nl")
+    mesh = uniform_refine(problem.make_initial_mesh(), 2)
+    samples = volume_samples(mesh, problem)
+    newton, full = solve_nonlinear(mesh, problem, samples)
+    assert full["newton_iterations"] > 1 and full["fallback_iterations"] == 0
+    monkeypatch.setattr(assembly, "MAX_NEWTON", 1)
+    sol, info = solve_nonlinear(mesh, problem, samples)
+    assert info["newton_iterations"] == 1
+    assert 0 < info["fallback_iterations"] <= assembly.MAX_FALLBACK
+    assert info["residuals"][:2] == full["residuals"][:2]
+    assert np.abs(sol.values - newton.values).max() < 1e-7
+
+
 def test_nonlinear_budget_exhaustion_carries_best_residual(monkeypatch):
     problem = builtin_problem("magnetostatics_nl")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
@@ -415,6 +449,35 @@ def test_energy_products_mesh_mismatch():
             energy_products(mesh, problem, a, v_sols, samples)
     with pytest.raises(ValueError, match="mesh"):
         energy_products(mesh, problem, b, [a], samples)
+
+
+@pytest.mark.parametrize("name", ["magnetostatics_nl", "magnetostatics_skew", "square_smooth"])
+def test_energy_products_read_coarser_solutions_prolonged_in_one_pass(name):
+    # the reference build's reading of the iterates: solutions on a chain of
+    # coarser meshes, prolonged in one transfer_many pass, each have the
+    # bits of their own transfer, and their energies those of a call for
+    # each alone and, for a nonlinear problem, of the per-point oracle; a
+    # solution left on its coarser mesh is refused
+    problem = skew_flux_problem() if name == "magnetostatics_skew" else builtin_problem(name)
+    rng = np.random.default_rng(3)
+    meshes = [uniform_refine(problem.make_initial_mesh(), 2)]
+    for _ in range(3):
+        meshes.append(random_refinement(rng, meshes[-1]))
+    mesh = meshes[-1]
+    w_sol = random_p1(rng, mesh)
+    v_sols = [random_p1(rng, m) for m in meshes]
+    samples = volume_samples(mesh, problem)
+    moved = transfer_many(v_sols, mesh)
+    assert all(np.array_equal(m.values, transfer(v, mesh).values)
+               for m, v in zip(moved, v_sols))
+    values = energy_products(mesh, problem, w_sol, moved, samples)
+    assert values == [energy_products(mesh, problem, w_sol, [m], samples)[0] for m in moved]
+    if name != "square_smooth":
+        assert values == [energy_per_point(mesh, problem, w_sol.values, m.values)
+                          for m in moved]
+    for v in v_sols[:-1]:
+        with pytest.raises(ValueError, match="mesh"):
+            energy_products(mesh, problem, w_sol, [*moved, v], samples)
 
 
 def test_nonlinear_energy_distance_band():
@@ -1026,6 +1089,42 @@ def _meets_the_contract(mesh, problem, sol):
     zero = nonlinear_residual(mesh, problem, np.zeros(mesh.n_vertices), samples)
     residual = nonlinear_residual(mesh, problem, sol.values, samples)
     return np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(zero)
+
+
+def test_reference_solve_meets_the_contract(monkeypatch, reference_setting):
+    # the reference solve is the loop's: full Newton from the prolonged
+    # final iterate, one factor in the symmetric order per step and no
+    # fallback
+    problem, mesh, guess = reference_setting
+    samples = volume_samples(mesh, problem)
+    newton, info = solve_nonlinear(mesh, problem, samples, guess)
+    factors = _factors(monkeypatch)
+    reference = driver._solve_on(mesh, problem, samples, guess)
+    assert len(factors) == info["newton_iterations"] > 1
+    assert {spec for _, spec in factors} == {"MMD_AT_PLUS_A"}
+    assert info["fallback_iterations"] == 0
+    assert np.array_equal(reference.values, newton.values)
+    assert _meets_the_contract(mesh, problem, reference)
+
+
+def test_every_newton_step_factors_a_fresh_jacobian(monkeypatch, reference_setting):
+    # a first Jacobian four times too large gives steps a quarter of
+    # Newton's; no factor is kept, so every later step builds and factors
+    # a Jacobian of its own and Newton still meets the contract
+    problem, mesh, guess = reference_setting
+    calls = []
+
+    def poor_first(y):
+        calls.append(y.shape)
+        jac = problem.flux_jacobian(y)
+        return 4.0 * jac if len(calls) == 1 else jac
+
+    poor = dataclasses.replace(problem, flux_jacobian=poor_first)
+    factors = _factors(monkeypatch)
+    sol, info = solve_nonlinear(mesh, poor, volume_samples(mesh, poor), guess)
+    assert len(calls) == len(factors) == info["newton_iterations"] >= 2
+    assert info["fallback_iterations"] == 0
+    assert _meets_the_contract(mesh, problem, sol)
 
 
 def _same_as_two_blocks(mesh, make_problem, guess):

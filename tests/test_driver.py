@@ -764,6 +764,42 @@ def test_reference_is_the_loop_solve_on_the_refined_mesh(monkeypatch, name):
         driver.build_reference(problem, [other, final])
 
 
+@pytest.mark.parametrize("name", ["convection_diffusion", "magnetostatics_nl"])
+def test_reference_is_solved_before_the_iterates_are_prolonged(monkeypatch, name):
+    # the iterates are prolonged only after the reference solve, all in one
+    # pass, so that none of them is held through the factor's peak
+    problem = without_solution(builtin_problem(name))
+    result = run_afem(problem, 0.5, max_elements=300)
+    events = []
+    solve_on, prolong = driver._solve_on, driver.transfer_many
+
+    def recorded_solve(mesh, problem, samples, guess=None):
+        events.append("solve")
+        return solve_on(mesh, problem, samples, guess)
+
+    def recorded_prolong(solutions, finer):
+        events.append(len(solutions))
+        return prolong(solutions, finer)
+
+    monkeypatch.setattr(driver, "_solve_on", recorded_solve)
+    monkeypatch.setattr(driver, "transfer_many", recorded_prolong)
+    driver.build_reference(problem, result.solutions)
+    assert events == ["solve", len(result.solutions)]
+
+
+def test_build_reference_refuses_an_iterate_that_the_reference_mesh_does_not_refine():
+    # the iterates reach the reference mesh only through refinements of the
+    # final one: an iterate finer than the reference mesh, in the same
+    # forest, is refused
+    problem = without_solution(builtin_problem("magnetostatics_nl"))
+    result = run_afem(problem, 0.5, max_elements=150)
+    final = result.final_solution
+    finer = uniform_refine(final.mesh, driver.REFERENCE_LEVELS + 1)
+    with pytest.raises(ValueError, match="refinement"):
+        driver.build_reference(problem, [transfer(final, finer), final])
+    assert len(driver.build_reference(problem, result.solutions)) == len(result.solutions)
+
+
 def test_only_the_driver_makes_element_data():
     # every kernel takes the mesh's samples as an argument and none makes
     # its own: volume_samples is called from the driver alone, and no
