@@ -34,7 +34,7 @@ from .checks import (
 )
 from .driver import AfemResult, AfemRunError, AfemTrace, run_afem, run_uniform
 from .estimator import EstimatorReport, estimate
-from .marking import AllZeroIndicators, MarkingResult, mark_binned, mark_min
+from .marking import MarkingResult, mark_binned, mark_min
 from .mesh import (
     Mesh,
     MeshError,
@@ -55,7 +55,6 @@ __all__ = [
     "AfemResult",
     "AfemRunError",
     "AfemTrace",
-    "AllZeroIndicators",
     "CheckResult",
     "DiscreteSolution",
     "EstimatorReport",

@@ -148,11 +148,13 @@ def _element_data(mesh, problem, elements):
 
 
 def _sample(problem, name, x, *tail):
-    """The closure ``problem.<name>`` at ``x`` (n, q, 2), quadrature points
-    or, for a flux, gradients there, shaped (n, q, *tail); raises
-    :class:`AssemblyError` on a non-finite value."""
-    values = getattr(problem, name)(x.reshape(-1, 2)).reshape(*x.shape[:2], *tail)
-    _check_finite(name, values)
+    """Every problem closure's one call: ``problem.<name>`` on the rows of
+    ``x`` (..., 2), volume (n, q, 2) or edge (ne, 3, 2) points or, for a
+    flux, element gradients (NT, 2) or gradients at points, shaped
+    (..., *tail); raises :class:`AssemblyError` on a non-finite value."""
+    values = getattr(problem, name)(x.reshape(-1, 2)).reshape(*x.shape[:-1], *tail)
+    if not np.all(np.isfinite(values)):
+        raise AssemblyError(f"quadrature failure: coefficient {name!r} returned a non-finite sample")
     return values
 
 
@@ -170,11 +172,6 @@ def grad_norm_sq(mesh, values):
     """Squared H1 seminorm of a P1 function."""
     g = element_gradients(mesh, values)
     return float(np.sum(mesh.areas * (g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1])))
-
-
-def _check_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
-        raise AssemblyError(f"quadrature failure: coefficient {name!r} returned a non-finite sample")
 
 
 def _scatter(mesh, local):
@@ -361,14 +358,6 @@ def solve_linear(system):
 
 # -- nonlinear Galerkin systems ------------------------------------------------
 
-def _flux_closure(problem, name, grad_u):
-    """``problem.flux`` (NT, 2) or ``problem.flux_jacobian`` (NT, 2, 2) of
-    a P1 function with element gradients ``grad_u``, one call per element."""
-    values = getattr(problem, name)(grad_u)
-    _check_finite(name, values)
-    return values
-
-
 def _gradient_rows(mesh):
     """The basis gradients in component-major rows (2, 3, NT), so that
     every term of the residual is a product of contiguous rows."""
@@ -409,7 +398,7 @@ def nonlinear_jacobian(mesh, problem, values, pattern=None):
     ``w_0 DF + w_1 DF + ...`` with the element flux Jacobian ``DF``, the
     order of einsum's quadrature sum.
     """
-    jac = _flux_closure(problem, "flux_jacobian", element_gradients(mesh, values))
+    jac = _sample(problem, "flux_jacobian", element_gradients(mesh, values), 2, 2)
     jac_bar = np.zeros((mesh.n_elements, 2, 2))
     for w_q in quadrature.TRI_WEIGHTS:
         jac_bar += w_q * jac
@@ -512,7 +501,7 @@ def solve_nonlinear(mesh, problem, samples, initial_guess=None):
 def flux_terms(mesh, problem, values):
     """A P1 function's element gradients (NT, 2) and fluxes (NT, 2)."""
     grad_u = element_gradients(mesh, values)
-    return grad_u, _flux_closure(problem, "flux", grad_u)
+    return grad_u, _sample(problem, "flux", grad_u, 2)
 
 
 def energy_products(mesh, problem, w_sol, v_sols, samples):
@@ -558,9 +547,11 @@ def exact_energy_error(mesh, problem, sol, samples):
     problem's :func:`volume_samples` on ``mesh``. For a nonlinear one
     ``sum_T |T| sum_q w_q (F(grad u(x_q)) - F(grad U_T)) . (grad u(x_q) -
     grad U_T)``, with ``U``'s flux taken once per element
-    (:func:`flux_terms`). Raises :class:`AssemblyError` on a non-finite
-    sample.
+    (:func:`flux_terms`). Raises ``ValueError`` when ``sol`` lives on
+    another mesh and :class:`AssemblyError` on a non-finite sample.
     """
+    if not sol.mesh.same_elements(mesh):
+        raise ValueError("the solution does not live on the given mesh")
     points = mesh.quadrature_points()
     grad_u = _sample(problem, "exact_grad", points, 2)
     if isinstance(problem, LinearProblem):

@@ -30,7 +30,7 @@ from .assembly import (
     volume_samples,
 )
 from .estimator import estimate
-from .marking import AllZeroIndicators, mark_binned, mark_min
+from .marking import mark_binned, mark_min
 from .mesh import audit_refinement, closure_audit, refine_nvb, shape_regularity, uniform_refine
 from .problems import LinearProblem
 
@@ -194,9 +194,10 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
 
     ``marking`` is ``"min"`` (minimal Doerfler set), ``"binned"`` (binned
     Doerfler set) or ``"uniform"`` (every element, whatever ``theta``).
-    Stops when the estimator drops below ``eta_tol``, the mesh reaches
-    ``max_elements``, the indicators vanish or after ``MAX_ITERATIONS``
-    refinements. Every refinement is audited. ``keep_history`` keeps the
+    Stops, before marking, when the indicators vanish (a zero
+    ``eta_sq``), the estimator drops below ``eta_tol``, the mesh reaches
+    ``max_elements`` or after ``MAX_ITERATIONS`` refinements; a uniform
+    run too. Every refinement is audited. ``keep_history`` keeps the
     solution of every iteration in ``solutions``.
 
     ``compute_reference=True`` records the energy error of every iterate
@@ -278,18 +279,16 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
         if keep_history or (compute_reference and not exact):
             solutions.append(sol)
 
+        # a sum of finite non-negative indicators is zero only when each is
         stop = (
-            (eta_tol is not None and math.sqrt(report.eta_sq_total) <= eta_tol)
+            report.eta_sq_total == 0.0
+            or (eta_tol is not None and math.sqrt(report.eta_sq_total) <= eta_tol)
             or (max_elements is not None and mesh.n_elements >= max_elements)
             or ell == MAX_ITERATIONS
         )
         if not stop:
             with _phase("mark"):
-                try:
-                    marked = _mark(marking, report, theta)
-                except AllZeroIndicators:
-                    stop = True
-        if not stop:
+                marked = _mark(marking, report, theta)
             with _phase("refine"):
                 refined_mesh, record = refine_nvb(mesh, marked)
             records.append(record)
@@ -327,7 +326,7 @@ def run_afem(problem, theta, max_elements=None, eta_tol=None, marking="min",
 
 
 def run_uniform(problem, max_elements=None, eta_tol=None, keep_history=True, initial_mesh=None):
-    """Uniform-refinement baseline: :func:`run_afem` with every element
-    marked in every step (``marking="uniform"``, ``theta`` 1)."""
+    """Uniform-refinement baseline: :func:`run_afem`, all of whose stops
+    hold, with every element marked (``marking="uniform"``, ``theta`` 1)."""
     return run_afem(problem, 1.0, max_elements, eta_tol, marking="uniform",
                     keep_history=keep_history, initial_mesh=initial_mesh)

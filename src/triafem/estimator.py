@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .assembly import _check_finite, element_gradients, flux_terms, p1_at_quadrature
+from .assembly import _sample, element_gradients, flux_terms, p1_at_quadrature
 from .problems import LinearProblem
 
 
@@ -66,8 +66,8 @@ def _jump_terms(mesh, problem, vectors):
     """Squared normal-flux jump integrals accumulated per element, (NT,).
 
     ``vectors`` (NT, 2) are the element gradients of a linear problem,
-    whose diffusion is sampled at the edge Gauss points, or the element
-    fluxes of a nonlinear one, which are constant per element."""
+    whose diffusion :func:`~triafem.assembly._sample` takes at the edge
+    Gauss points, or the element fluxes of a nonlinear one."""
     edges, _, edge_tris, counts = mesh._edge_data
     interior = counts == 2
     per_element = np.zeros(mesh.n_elements)
@@ -84,9 +84,7 @@ def _jump_terms(mesh, problem, vectors):
     delta = np.take(vectors, t1, axis=0) - np.take(vectors, t2, axis=0)
 
     if isinstance(problem, LinearProblem):
-        gpts = quadrature.edge_points(pa, pb)
-        a_q = problem.diffusion(gpts.reshape(-1, 2)).reshape(e_idx.size, 3, 2, 2)
-        _check_finite("diffusion", a_q)
+        a_q = _sample(problem, "diffusion", quadrature.edge_points(pa, pb), 2, 2)
         # (A delta) . n per component: the products and sums of the 2-term
         # contractions, in their order (notes/decisions.md, bit-exact kernels)
         d0, d1 = delta[:, None, 0], delta[:, None, 1]

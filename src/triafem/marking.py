@@ -4,7 +4,8 @@ Both variants return a set of elements whose squared indicators sum to at
 least ``theta`` times the total. ``mark_min`` realises the minimal
 cardinality by a descending sort; ``mark_binned`` trades minimality for
 linear run time by grouping indicators into powers-of-two bins, which
-keeps the cardinality within a factor of two of minimal.
+keeps the cardinality within a factor of two of minimal. Both reject an
+all-zero array with ``ValueError``; the loop stops before marking one.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class AllZeroIndicators(ValueError):
-    """All indicators vanish: the driver treats this as converged."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,7 @@ def _validated(indicators_sq, theta):
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if not np.any(values > 0.0):
-        raise AllZeroIndicators("all indicators are zero: converged")
+        raise ValueError("all indicators are zero: there is nothing to mark")
     return values
 
 

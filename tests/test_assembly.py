@@ -309,6 +309,15 @@ def test_newton_accepts_exact_initial_guess():
     assert np.array_equal(again.values, sol.values)
 
 
+def test_newton_guess_must_live_on_the_mesh():
+    problem = builtin_problem("magnetostatics_nl")
+    coarse = problem.make_initial_mesh()
+    mesh = uniform_refine(coarse, 1)
+    guess = DiscreteSolution(coarse, np.zeros(coarse.n_vertices))
+    with pytest.raises(ValueError, match="^initial guess lives on a different mesh$"):
+        solve_nonlinear(mesh, problem, volume_samples(mesh, problem), initial_guess=guess)
+
+
 def test_magnetostatics_converges_under_refinement():
     problem = builtin_problem("magnetostatics_nl")
     distances = []
@@ -551,6 +560,22 @@ def test_exact_energy_error_rejects_a_non_finite_sample(name, closure):
         exact_energy_error(mesh, problem, sol, samples)
 
 
+@pytest.mark.parametrize("name", ["square_smooth", "magnetostatics_nl"])
+def test_exact_energy_error_rejects_a_solution_on_another_mesh(name):
+    # read by the coarse triangles, a fine solution's values gave a finite
+    # error (1.014 for square_smooth) where the kernel must refuse it
+    problem = builtin_problem(name)
+    coarse = problem.make_initial_mesh()
+    fine = uniform_refine(coarse, 2)
+    samples = volume_samples(fine, problem)
+    if isinstance(problem, LinearProblem):
+        sol = solve_linear(assemble_linear(fine, samples))
+    else:
+        sol = solve_nonlinear(fine, problem, samples)[0]
+    with pytest.raises(ValueError, match="^the solution does not live on the given mesh$"):
+        exact_energy_error(coarse, problem, sol, volume_samples(coarse, problem))
+
+
 def test_transfer_is_pointwise_exact():
     problem = builtin_problem("square_smooth")
     mesh = uniform_refine(problem.make_initial_mesh(), 2)
@@ -767,6 +792,13 @@ def test_boundary_values_must_be_zero():
     bad = np.ones(mesh.n_vertices)
     with pytest.raises(ValueError, match="boundary"):
         DiscreteSolution(mesh, bad)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_solution_length_must_match_the_vertex_count(extra):
+    mesh = unit_square_mesh(cross=True)
+    with pytest.raises(ValueError, match="^solution length does not match the mesh vertex count$"):
+        DiscreteSolution(mesh, np.zeros(mesh.n_vertices + extra))
 
 
 def _graded_mesh(problem, steps=4, seed=5):

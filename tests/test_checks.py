@@ -162,6 +162,13 @@ def test_rlinear_envelope_past_the_float_range_is_infinite(eta_sq):
     assert result.status == "fail" and result.c_fit == math.inf
 
 
+@pytest.mark.parametrize("epsilon", [-0.1, 1.0, math.nan])
+def test_quasi_orthogonality_rejects_epsilon_outside_zero_one(epsilon):
+    trace = synthetic_trace([1.0, 0.5], err_energy_sq=[1.0, 0.5], energy_diff_sq=[0.4, np.nan])
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\)$"):
+        check_quasi_orthogonality(trace, epsilon)
+
+
 @pytest.mark.parametrize("source", ("header-only file", "first solve failed"))
 def test_every_check_skips_an_empty_trace(source, tmp_path):
     if source == "header-only file":

@@ -189,12 +189,15 @@ def test_eta_tol_met_immediately():
     assert np.isnan(result.trace.n_marked[0])
 
 
+def _zero_data_problem():
+    return dataclasses.replace(builtin_problem("square_smooth"),
+                               source=lambda x: np.zeros(x.shape[0]))
+
+
 def test_vanishing_indicators_stop_the_run():
-    # zero data: every indicator of the first solution vanishes, marking
-    # raises AllZeroIndicators and the run ends on its first row
-    problem = dataclasses.replace(builtin_problem("square_smooth"),
-                                  source=lambda x: np.zeros(x.shape[0]))
-    result = run_afem(problem, 0.5, max_elements=1000)
+    # zero data: every indicator of the first solution vanishes, so eta^2 is
+    # zero, the stop test holds before marking and the run ends on its first row
+    result = run_afem(_zero_data_problem(), 0.5, max_elements=1000)
     tr = result.trace
     assert len(tr) == 1 and tr.ell[0] == 0 and tr.eta_sq[0] == 0.0
     assert np.isnan(tr.n_marked[0]) and np.isnan(tr.refined_eta_sq[0])
@@ -202,6 +205,15 @@ def test_vanishing_indicators_stop_the_run():
     assert result.records == [] and "closure_constant" not in tr.meta
     assert np.all(result.final_solution.values == 0.0)
     assert result.final_solution.mesh.n_elements == 4
+
+
+def test_vanishing_indicators_stop_a_uniform_run():
+    # a uniform run marks without a marker, and stops on eta^2 = 0 all the same
+    # (it refined to 512 elements with eta^2 = 0 on each of 8 rows)
+    result = run_uniform(_zero_data_problem(), max_elements=500)
+    tr = result.trace
+    assert len(tr) == 1 and tr.eta_sq[0] == 0.0 and tr.n_elements[0] == 4
+    assert np.isnan(tr.n_marked[0]) and result.records == []
 
 
 def _garding_problem():
@@ -557,6 +569,32 @@ def test_trace_csv_roundtrips_non_finite_values(tmp_path):
     back = AfemTrace.from_csv(path)
     for name in driver.TRACE_COLUMNS:
         assert np.array_equal(back.columns[name], values, equal_nan=True), name
+
+
+@pytest.mark.parametrize("fault", ["longer", "shorter", "missing"])
+def test_trace_requires_every_column_at_one_length(fault):
+    columns = {name: np.zeros(2) for name in driver.TRACE_COLUMNS}
+    if fault == "missing":
+        del columns["eta_sq"]
+    else:
+        columns["eta_sq"] = np.zeros(3 if fault == "longer" else 1)
+    with pytest.raises(ValueError, match="^trace requires all columns at one common length$"):
+        AfemTrace(columns=columns)
+
+
+def test_unknown_trace_attribute_raises_attribute_error():
+    trace = AfemTrace(columns={name: np.zeros(1) for name in driver.TRACE_COLUMNS})
+    with pytest.raises(AttributeError, match="^no_such_column$"):
+        trace.no_such_column
+    assert not hasattr(trace, "no_such_column") and trace.eta_sq.shape == (1,)
+
+
+def test_trace_csv_rejects_a_wrong_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    good = ",".join(["1.0"] * len(driver.TRACE_COLUMNS))
+    path.write_text("\n".join([",".join(reversed(driver.TRACE_COLUMNS)), good]) + "\n")
+    with pytest.raises(ValueError, match="^unexpected trace header$"):
+        AfemTrace.from_csv(path)
 
 
 def test_trace_csv_empty_and_header_only(tmp_path):

@@ -185,6 +185,13 @@ def test_non_finite_indicators_are_rejected():
             EstimatorReport(np.ones(2), np.array([bad, 0.0]), 2.0, bad)
 
 
+def test_negative_indicators_are_rejected():
+    with pytest.raises(EstimatorError, match="^negative squared indicator$"):
+        EstimatorReport(np.array([1.0, -1e-300]), np.zeros(2), 1.0, 0.0)
+    with pytest.raises(EstimatorError, match="^negative squared indicator$"):
+        EstimatorReport(np.ones(2), np.array([-1.0, 0.0]), 2.0, -1.0)
+
+
 def test_non_finite_edge_diffusion_stops_the_run_in_estimate():
     # the diffusion is infinite on the line x = 0.5, which carries mesh
     # edges (and so edge Gauss points) but no volume quadrature point

@@ -4,7 +4,7 @@ from helpers_marking import oracle_min_cardinality
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triafem.marking import AllZeroIndicators, mark_binned, mark_min
+from triafem.marking import mark_binned, mark_min
 
 
 def test_example_vector():
@@ -30,11 +30,20 @@ def test_tie_break_prefers_smallest_index():
     assert result.achieved_fraction == pytest.approx(0.25)
 
 
-def test_all_zero_raises_converged():
-    with pytest.raises(AllZeroIndicators, match="converged"):
+def test_all_zero_indicators_are_rejected():
+    # nothing to mark: the loop stops on a zero eta^2 before it marks
+    with pytest.raises(ValueError, match="all indicators are zero"):
         mark_min([0.0, 0.0], 0.5)
-    with pytest.raises(AllZeroIndicators, match="converged"):
+    with pytest.raises(ValueError, match="all indicators are zero"):
         mark_binned([0.0, 0.0], 0.5)
+
+
+@pytest.mark.parametrize("mark", [mark_min, mark_binned])
+@pytest.mark.parametrize("indicators", [[[1.0, 2.0], [3.0, 4.0]], [], 1.0],
+                         ids=["2-d", "empty", "scalar"])
+def test_indicators_must_be_a_non_empty_1d_array(mark, indicators):
+    with pytest.raises(ValueError, match="^indicators must be a non-empty 1-d array$"):
+        mark(indicators, 0.5)
 
 
 def test_invalid_inputs():
